@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race fuzz golden ci bench bench-hotpath alloc-budget lint-self check-self unlowered-budget crash obs-smoke
+.PHONY: build test vet fmt-check race fuzz golden ci bench bench-hotpath bench-e2e alloc-budget lint-self check-self unlowered-budget crash obs-smoke
 
 build:
 	$(GO) build ./...
@@ -109,18 +109,27 @@ unlowered-budget: build
 bench:
 	$(GO) run ./cmd/grapple-bench -all
 
-# Hot-path ablation table (zero-copy decode + join pooling), with the
-# machine-readable artifact committed next to EXPERIMENTS.md.
+# Hot-path table (zero-copy decode ablation + edge-join cost), with the
+# machine-readable artifact committed next to EXPERIMENTS.md. The artifact
+# records its host; BEFORE=<earlier artifact from the same host> carries that
+# run's join numbers along as join_ns_per_edge_before.
 bench-hotpath: build
-	$(GO) run ./cmd/grapple-bench -table hotpath -hotpath-json BENCH_hotpath.json
+	$(GO) run ./cmd/grapple-bench -table hotpath -hotpath-json BENCH_hotpath.json $(if $(BEFORE),-hotpath-before $(BEFORE))
+
+# One driver run of the time-to-verdict benchmark (BENCHMARK.json's command)
+# on one workload: make bench-e2e W=closure-inmem
+bench-e2e:
+	@test -n "$(W)" || { echo "usage: make bench-e2e W=<workload>"; exit 2; }
+	bash benchmark/run.sh --workload $(W)
 
 # Allocation-budget regression gates: the zero-copy read path must stay
-# near zero allocs/record (and under half of the legacy decoder), and a
-# warm SMT-cache probe from the pooled join must not allocate at all.
+# near zero allocs/record (and under half of the legacy decoder), the dedupe
+# key and a warm SMT-cache probe must not allocate at all, and the join as a
+# whole must stay within its pinned allocations per candidate.
 # Run without -race: the race runtime inflates allocation counts, so these
 # tests skip themselves under it.
 alloc-budget: build
-	$(GO) test ./internal/storage/ -run TestDecodeAllocBudget -count=1
-	$(GO) test ./internal/engine/ -run TestCacheProbeZeroAlloc -count=1
+	$(GO) test ./internal/storage/ -run 'TestDecodeAllocBudget|TestKeyZeroAlloc' -count=1
+	$(GO) test ./internal/engine/ -run 'TestCacheProbeZeroAlloc|TestJoinAllocBudget' -count=1
 
 ci: vet fmt-check race test crash lint-self check-self unlowered-budget obs-smoke alloc-budget

@@ -140,6 +140,10 @@ func CheckAllContext(ctx context.Context, subjects []Subject, fsms []*FSM, opts 
 	// checker options carry no journal flags.
 	iopts := opts.Options
 	iopts.Journal, iopts.Resume = false, false
+	// WorkDir reaches the instances through the scheduler, which gives each
+	// its own subdirectory; lowered here it would make every instance write
+	// the same dataflow/part-*.edges files.
+	iopts.WorkDir = ""
 	instances := scheduler.Expand(subs, groups, checkerOptions(iopts))
 	obs, err := startObs(opts.Obs, opts.WorkDir)
 	if err != nil {

@@ -15,7 +15,7 @@
 //	grapple-bench -table prune      infeasible-branch pruning ablation
 //	grapple-bench -table slice      property-relevance slicing ablation
 //	grapple-bench -table gofront    synthetic subjects vs a real Go package
-//	grapple-bench -table hotpath    zero-copy decode and join-pooling ablations
+//	grapple-bench -table hotpath    zero-copy decode ablation and edge-join cost
 //	grapple-bench -table devirt     devirtualization rate and concurrency-lint cost
 //	grapple-bench -all              everything above
 //
@@ -36,6 +36,7 @@ import (
 func main() {
 	table := flag.String("table", "", "table to regenerate: 1|2|3|4|5|oom|prune|slice|batch|io|resume|obs|gofront|hotpath|devirt")
 	hotpathJSON := flag.String("hotpath-json", "", "also write -table hotpath rows to this JSON file")
+	hotpathBefore := flag.String("hotpath-before", "", "earlier hotpath JSON from the same host; its join numbers become join_ns_per_edge_before")
 	goDir := flag.String("godir", "internal/storage", "real-Go package for -table gofront")
 	figure := flag.String("figure", "", "figure to regenerate: 9")
 	all := flag.Bool("all", false, "regenerate every table and figure")
@@ -141,12 +142,17 @@ func main() {
 		fmt.Println(out)
 	}
 	if want("hotpath") {
-		fmt.Fprintln(os.Stderr, "running hot-path ablations (decode modes + join pooling, each subject)...")
+		fmt.Fprintln(os.Stderr, "running hot-path measurement (decode modes + edge join, each subject)...")
 		out, rows, err := bench.HotpathTable(names, "")
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println(out)
+		if *hotpathBefore != "" {
+			if err := bench.WithHotpathBefore(rows, *hotpathBefore); err != nil {
+				fatal(err)
+			}
+		}
 		if *hotpathJSON != "" {
 			if err := bench.WriteHotpathJSON(*hotpathJSON, rows); err != nil {
 				fatal(err)

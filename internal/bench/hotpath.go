@@ -16,7 +16,7 @@ import (
 
 // HotpathRow is one subject's hot-path measurement: the v2 decode path with
 // the zero-copy block cursor against the legacy stream decoder, and the edge
-// join with scratch-buffer pooling against per-superstep allocation.
+// join's cost per induced edge.
 type HotpathRow struct {
 	Subject string `json:"subject"`
 
@@ -28,12 +28,28 @@ type HotpathRow struct {
 	AllocsRecZeroCopy float64 `json:"allocs_per_record_zero_copy"`
 	AllocsRecLegacy   float64 `json:"allocs_per_record_legacy"`
 
-	// Join side: closing the alias graph with and without buffer pooling.
-	InducedEdges   int64         `json:"induced_edges"`
-	JoinNsPooled   float64       `json:"join_ns_per_edge_pooled"`
-	JoinNsUnpooled float64       `json:"join_ns_per_edge_unpooled"`
-	WallPooled     time.Duration `json:"wall_pooled_ns"`
-	WallUnpooled   time.Duration `json:"wall_unpooled_ns"`
+	// Join side: closing the alias graph out of core. JoinNsBefore is the
+	// same measurement from an earlier artifact taken on the same host
+	// (WithHotpathBefore), zero when none was given.
+	InducedEdges int64         `json:"induced_edges"`
+	JoinNs       float64       `json:"join_ns_per_edge"`
+	JoinNsBefore float64       `json:"join_ns_per_edge_before,omitempty"`
+	Wall         time.Duration `json:"wall_ns"`
+}
+
+// HotpathHost records where a hotpath artifact was measured; join numbers
+// from different hosts are not comparable.
+type HotpathHost struct {
+	NCPU int    `json:"ncpu"`
+	Go   string `json:"go"`
+	OS   string `json:"os"`
+	Arch string `json:"arch"`
+}
+
+// HotpathFile is the schema of BENCH_hotpath.json.
+type HotpathFile struct {
+	Host HotpathHost  `json:"host"`
+	Rows []HotpathRow `json:"rows"`
 }
 
 // AllocSaving reports the fractional allocs/record reduction of the
@@ -51,9 +67,7 @@ func (r HotpathRow) AllocSaving() float64 {
 const hotpathJoinBudget = 4 << 20
 
 // HotpathTable measures both hot paths for the named subjects (default: all
-// four profiles). Both comparisons are ablations of semantics-preserving
-// optimizations, so each pair of runs must agree on every closure statistic;
-// a disagreement fails the table rather than reporting bogus speedups.
+// four profiles).
 func HotpathTable(names []string, workDir string) (string, []HotpathRow, error) {
 	if len(names) == 0 {
 		names = SubjectNames()
@@ -68,15 +82,15 @@ func HotpathTable(names []string, workDir string) (string, []HotpathRow, error) 
 	}
 
 	var b strings.Builder
-	b.WriteString("Hot-path ablations: zero-copy v2 decode vs legacy stream decode, pooled vs unpooled join buffers.\n")
-	fmt.Fprintf(&b, "%-15s %8s %10s %10s %9s %9s %8s | %9s %12s %12s\n",
+	b.WriteString("Hot path: zero-copy v2 decode vs legacy stream decode, and the out-of-core edge join.\n")
+	fmt.Fprintf(&b, "%-15s %8s %10s %10s %9s %9s %8s | %9s %12s\n",
 		"Subject", "records", "ns/rec zc", "ns/rec leg", "alloc/zc", "alloc/leg", "saving",
-		"induced", "ns/join pool", "ns/join none")
+		"induced", "ns/join")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-15s %8d %10.0f %10.0f %9.3f %9.3f %7.0f%% | %9d %12.0f %12.0f\n",
+		fmt.Fprintf(&b, "%-15s %8d %10.0f %10.0f %9.3f %9.3f %7.0f%% | %9d %12.0f\n",
 			r.Subject, r.Records, r.DecodeNsZeroCopy, r.DecodeNsLegacy,
 			r.AllocsRecZeroCopy, r.AllocsRecLegacy, 100*r.AllocSaving(),
-			r.InducedEdges, r.JoinNsPooled, r.JoinNsUnpooled)
+			r.InducedEdges, r.JoinNs)
 	}
 	return b.String(), rows, nil
 }
@@ -111,39 +125,21 @@ func runHotpath(name, workDir string) (HotpathRow, error) {
 	row.DecodeNsZeroCopy, row.AllocsRecZeroCopy = zcNs, zcAllocs
 	row.DecodeNsLegacy, row.AllocsRecLegacy = legNs, legAllocs
 
-	// Join side: close the alias graph with pooling on and off. The two
-	// closures must be statistically identical — pooling is an ablation of
-	// an allocation strategy, not of the computation.
-	run := func(disable bool, sub string) (*engine.Stats, time.Duration, error) {
-		en := engine.New(ic, ag.Ptr.G, engine.Options{
-			Dir:            filepath.Join(dir, sub),
-			MemoryBudget:   hotpathJoinBudget,
-			SolverOpts:     smt.DefaultOptions(),
-			DisablePooling: disable,
-		}, nil)
-		start := time.Now()
-		st, err := en.Run(cloneEdges(ag.Edges), ag.NumVerts)
-		return st, time.Since(start), err
-	}
-	pooled, pw, err := run(false, "pooled")
+	// Join side: close the alias graph under the out-of-core budget.
+	en := engine.New(ic, ag.Ptr.G, engine.Options{
+		Dir:          filepath.Join(dir, "join"),
+		MemoryBudget: hotpathJoinBudget,
+		SolverOpts:   smt.DefaultOptions(),
+	}, nil)
+	start := time.Now()
+	st, err := en.Run(cloneEdges(ag.Edges), ag.NumVerts)
 	if err != nil {
 		return HotpathRow{}, err
 	}
-	unpooled, uw, err := run(true, "unpooled")
-	if err != nil {
-		return HotpathRow{}, err
-	}
-	if pooled.EdgesAfter != unpooled.EdgesAfter ||
-		pooled.RejectedUnsat != unpooled.RejectedUnsat ||
-		pooled.RejectedConflict != unpooled.RejectedConflict {
-		return HotpathRow{}, fmt.Errorf("bench: %s: pooling changed the closure: %+v vs %+v",
-			name, pooled, unpooled)
-	}
-	row.InducedEdges = pooled.EdgesAfter - pooled.EdgesBefore
-	row.WallPooled, row.WallUnpooled = pw, uw
+	row.Wall = time.Since(start)
+	row.InducedEdges = st.EdgesAfter - st.EdgesBefore
 	if row.InducedEdges > 0 {
-		row.JoinNsPooled = float64(pw.Nanoseconds()) / float64(row.InducedEdges)
-		row.JoinNsUnpooled = float64(uw.Nanoseconds()) / float64(row.InducedEdges)
+		row.JoinNs = float64(row.Wall.Nanoseconds()) / float64(row.InducedEdges)
 	}
 	return row, nil
 }
@@ -185,11 +181,45 @@ func measureDecode(path string, records int, opt storage.ReadOptions) (nsPerRec,
 	return bestNs, bestAllocs, nil
 }
 
-// WriteHotpathJSON records the table's rows as machine-readable JSON (the
-// BENCH_hotpath.json artifact `make bench-hotpath` commits next to
-// EXPERIMENTS.md).
+// WithHotpathBefore fills each row's JoinNsBefore from an earlier artifact
+// at path: the current schema's join_ns_per_edge, or the pooled number of
+// the bare-array schema that predates the host record.
+func WithHotpathBefore(rows []HotpathRow, path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	type oldRow struct {
+		Subject string  `json:"subject"`
+		JoinNs  float64 `json:"join_ns_per_edge"`
+		Pooled  float64 `json:"join_ns_per_edge_pooled"`
+	}
+	var file struct {
+		Rows []oldRow `json:"rows"`
+	}
+	if err := json.Unmarshal(data, &file); err != nil {
+		if err2 := json.Unmarshal(data, &file.Rows); err2 != nil {
+			return fmt.Errorf("bench: %s: %w", path, err)
+		}
+	}
+	before := map[string]float64{}
+	for _, r := range file.Rows {
+		before[r.Subject] = r.JoinNs + r.Pooled // exactly one is set
+	}
+	for i := range rows {
+		rows[i].JoinNsBefore = before[rows[i].Subject]
+	}
+	return nil
+}
+
+// WriteHotpathJSON records the table's rows and the measuring host as
+// machine-readable JSON (the BENCH_hotpath.json artifact `make
+// bench-hotpath` commits next to EXPERIMENTS.md).
 func WriteHotpathJSON(path string, rows []HotpathRow) error {
-	data, err := json.MarshalIndent(rows, "", "  ")
+	data, err := json.MarshalIndent(HotpathFile{
+		Host: HotpathHost{NCPU: runtime.NumCPU(), Go: runtime.Version(), OS: runtime.GOOS, Arch: runtime.GOARCH},
+		Rows: rows,
+	}, "", "  ")
 	if err != nil {
 		return err
 	}

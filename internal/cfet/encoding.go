@@ -2,6 +2,7 @@ package cfet
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -90,6 +91,26 @@ func (e Enc) Clone() Enc {
 	return out
 }
 
+// Arena backs many encodings with few allocations: it carves them out of
+// shared chunks and never recycles a chunk, so each chunk lives exactly as
+// long as some encoding handed out of it. The zero value is ready to use.
+type Arena struct {
+	chunk []Elem
+}
+
+// Alloc returns an n-element encoding carved from the current chunk,
+// starting a fresh chunk of chunkElems (or n, if larger) when the current
+// one cannot hold n more. The three-index slice caps the result, so an
+// append through it copies out instead of clobbering its neighbor.
+func (a *Arena) Alloc(n, chunkElems int) Enc {
+	if n > cap(a.chunk)-len(a.chunk) {
+		a.chunk = make([]Elem, 0, max(n, chunkElems))
+	}
+	lo := len(a.chunk)
+	a.chunk = a.chunk[:lo+n]
+	return a.chunk[lo : lo+n : lo+n]
+}
+
 // Skeleton returns just the call/return elements of the encoding. Widening
 // an edge to its skeleton discards interval (branch) precision while
 // preserving frame balance: a skeletonized path still cannot enter a callee
@@ -121,32 +142,40 @@ func (e Enc) Skeleton() Enc {
 // never call/return structure — keeping soundness (constraints only get
 // weaker, so feasible paths are never lost).
 func (ic *ICFET) Merge(e1, e2 Enc) (Enc, bool) {
-	if len(e1) == 0 {
-		return e2.Clone(), true
+	return ic.AppendMerge(nil, e1, e2)
+}
+
+// AppendMerge is Merge writing into the caller's buffer: the merged encoding
+// is appended to dst and the extended slice returned, so a caller that
+// discards most results (the engine's join) merges into one reused scratch
+// buffer and copies out only what it keeps. On ok=false the returned slice
+// is dst at its original length. dst must not alias e1 or e2.
+func (ic *ICFET) AppendMerge(dst, e1, e2 Enc) (Enc, bool) {
+	base := len(dst)
+	dst = slices.Grow(dst, len(e1)+len(e2)) // at most one allocation per merge
+	dst = append(dst, e1...)
+	if len(e1) == 0 || len(e2) == 0 {
+		return append(dst, e2...), true
 	}
-	if len(e2) == 0 {
-		return e1.Clone(), true
-	}
-	out := make(Enc, 0, len(e1)+len(e2))
-	out = append(out, e1...)
 
 	// Join at the junction: last of e1 vs first of e2.
-	first := e2[0]
-	rest := e2[1:]
-	last := &out[len(out)-1]
+	last, first := &dst[len(dst)-1], e2[0]
 	if last.Kind == KInterval && first.Kind == KInterval && last.Method == first.Method {
 		j, ok, conflict := joinIntervals(*last, first)
 		if conflict {
-			return nil, false
+			return dst[:base], false
 		}
 		if ok {
 			*last = j
-			out = append(out, rest...)
-			return ic.reduce(out)
+			e2 = e2[1:]
 		}
 	}
-	out = append(out, e2...)
-	return ic.reduce(out)
+	dst = append(dst, e2...)
+	merged, ok := ic.reduce(dst[base:])
+	if !ok {
+		return dst[:base], false
+	}
+	return dst[:base+len(merged)], true
 }
 
 // joinIntervals attempts to connect [a,b] and [c,d] in the same method.
@@ -203,7 +232,7 @@ func disjointSiblings(x, y Elem) bool {
 }
 
 // reduce performs §4.2 case-3 matched call/return elimination and enforces
-// the length cap.
+// the length cap, in place: the result is a prefix of e's backing array.
 func (ic *ICFET) reduce(e Enc) (Enc, bool) {
 	changed := true
 	for changed {
@@ -250,8 +279,7 @@ func (ic *ICFET) reduce(e Enc) (Enc, bool) {
 			}
 			// Remove e[j..i] inclusive; then try to join the now adjacent
 			// caller intervals.
-			tail := append(Enc{}, e[i+1:]...)
-			e = append(e[:j], tail...)
+			e = append(e[:j], e[i+1:]...)
 			if j > 0 && j < len(e) &&
 				e[j-1].Kind == KInterval && e[j].Kind == KInterval &&
 				e[j-1].Method == e[j].Method {
@@ -316,9 +344,10 @@ func (ic *ICFET) eliminable(frag Enc) bool {
 
 // compactEnc drops redundant intervals (widest first) to honor the cap while
 // preserving call/return structure. Losing an interval only weakens the
-// decoded constraint, which is sound for bug finding.
+// decoded constraint, which is sound for bug finding. It filters e in place
+// (each pass writes at or behind where it reads).
 func compactEnc(e Enc, max int) Enc {
-	out := make(Enc, 0, len(e))
+	out := e[:0]
 	over := len(e) - max
 	for _, el := range e {
 		if over > 0 && el.Kind == KInterval && el.Start == el.End {
@@ -329,7 +358,7 @@ func compactEnc(e Enc, max int) Enc {
 	}
 	if len(out) > max {
 		// Still too long: keep call/ret plus the first intervals.
-		kept := make(Enc, 0, max)
+		kept := out[:0]
 		for _, el := range out {
 			if el.Kind != KInterval || len(kept) < max/2 {
 				kept = append(kept, el)

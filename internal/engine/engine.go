@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -70,17 +71,11 @@ type Options struct {
 	// results or scheduling — only whether the join waits on the disk — so
 	// this exists for benchmarking the overlap (bench.IOTable).
 	DisablePrefetch bool
-	// DisablePooling turns off cross-superstep reuse of the join's scratch
-	// buffers — the frontier slice, per-chunk candidate batches, the CSR
-	// bySrc index arena, and per-chunk SMT-cache key buffers — reverting to
-	// fresh allocations and string cache keys per candidate. Pooling never
-	// changes what is computed; this is the ablation hook for the hotpath
-	// bench and the closure-identity test.
-	DisablePooling bool
 	// LegacyDecode routes partition reads through the field-by-field v2
 	// stream decoder instead of the zero-copy block cursor
 	// (storage.ReadOptions.LegacyDecode). Decoding mode never changes the
-	// edges read; ablation hook like DisablePooling.
+	// edges read; this is the ablation hook for the hotpath bench and the
+	// closure-identity test.
 	LegacyDecode bool
 	// Journal makes superstep state durable: each checkpoint flushes every
 	// partition and appends one record to a per-run journal in Dir, so a
@@ -156,22 +151,12 @@ type memPart struct {
 	lastUse int64
 }
 
-// buildBySrc indexes edges by source vertex. With pooling on it builds the
-// index CSR-style — counting pass, one shared backing array, capped
-// subslices — so a partition load costs two allocations for the index
-// instead of one per distinct source (the grow-by-append pattern this
-// replaces). The capped subslices make later appends by memPart.add spill
-// into fresh arrays, never into a neighbor's range. Slice contents and
-// iteration-relevant order are identical in both modes: indices appear in
-// increasing edge order.
-func (en *Engine) buildBySrc(edges []storage.Edge) map[uint32][]int32 {
-	if en.opts.DisablePooling || len(edges) == 0 {
-		bySrc := map[uint32][]int32{}
-		for i := range edges {
-			bySrc[edges[i].Src] = append(bySrc[edges[i].Src], int32(i))
-		}
-		return bySrc
-	}
+// buildBySrc indexes edges by source vertex, CSR-style — counting pass, one
+// shared backing array, capped subslices — so a partition load costs two
+// allocations for the index instead of one per distinct source. The capped
+// subslices make later appends by memPart.add spill into fresh arrays,
+// never into a neighbor's range. Indices appear in increasing edge order.
+func buildBySrc(edges []storage.Edge) map[uint32][]int32 {
 	counts := make(map[uint32]int32, 64)
 	for i := range edges {
 		counts[edges[i].Src]++
@@ -227,10 +212,16 @@ type Engine struct {
 	// tick is the logical clock behind memPart.lastUse.
 	tick int64
 
-	// keys globally dedupes edges (an in-memory index, like the ICFET).
+	// keys globally dedupes edges (an in-memory index, like the ICFET) by
+	// storage.Edge.Key. Written only between parallel join phases (see
+	// hasKey).
 	keys map[uint64]struct{}
 	// variants counts constraint variants per endpoint triple.
 	variants map[storage.Endpoint]int
+
+	// expansions[l] is the closure of label l under the grammar's unary and
+	// mirror productions, built once in New.
+	expansions [][]derivation
 
 	// pending buffers edges owned by unloaded partitions.
 	pending map[int][]storage.Edge
@@ -239,10 +230,10 @@ type Engine struct {
 	// default; Options.LegacyDecode flips it).
 	readOpts storage.ReadOptions
 
-	// Join scratch reused across supersteps (left nil when
-	// Options.DisablePooling): the superstep loop is single-threaded, so by
-	// the time processPair runs again the previous superstep's frontier,
-	// chunk bounds, and candidate batches have all been consumed.
+	// Join scratch reused across supersteps: the superstep loop is
+	// single-threaded, so by the time processPair runs again the previous
+	// superstep's frontier, chunk bounds, and candidate batches have all
+	// been consumed.
 	firstsBuf []*storage.Edge
 	chunkBuf  [][2]int
 	scratch   []*joinScratch
@@ -292,6 +283,10 @@ func New(ic *cfet.ICFET, g *grammar.Grammar, opts Options, bd *metrics.Breakdown
 		variants: map[storage.Endpoint]int{},
 		pending:  map[int][]storage.Edge{},
 		hot:      [2]int{-1, -1},
+	}
+	e.expansions = make([][]derivation, g.NumLabels())
+	for l := range e.expansions {
+		e.expansions[l] = buildExpansion(g, grammar.Label(l))
 	}
 	switch {
 	case opts.Cache != nil:
@@ -478,8 +473,12 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) error {
 	var all []storage.Edge
 	for _, e := range initial {
 		e.Gen = 0
-		for _, v := range en.expand(e) {
-			k := v.Key()
+		payload := e.PayloadHash()
+		for _, d := range en.expansion(e.Label) {
+			v := e
+			v.Src, v.Dst = d.endpoints(&e)
+			v.Label = d.label
+			k := storage.KeyOf(v.Src, v.Dst, v.Label, payload)
 			if _, dup := en.keys[k]; dup {
 				continue
 			}
@@ -569,35 +568,53 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) error {
 	return nil
 }
 
-// expand closes one edge under unary and mirror productions.
-func (en *Engine) expand(e storage.Edge) []storage.Edge {
-	out := []storage.Edge{e}
+// derivation is one member of an edge's closure under unary and mirror
+// productions, relative to the edge: the label it takes and whether its
+// endpoints are reversed (an odd number of mirrors).
+type derivation struct {
+	label   grammar.Label
+	swapped bool
+}
+
+// endpoints returns the derivation's endpoints for edge e.
+func (d derivation) endpoints(e *storage.Edge) (src, dst uint32) {
+	if d.swapped {
+		return e.Dst, e.Src
+	}
+	return e.Src, e.Dst
+}
+
+// buildExpansion closes label l under g's unary and mirror productions,
+// breadth-first: the label itself first, then for each member its unary
+// heads in production order and then its mirror, each derivation once. A
+// label reached in both orientations is listed twice; on a self-loop those
+// are one edge, and the dedupe index drops the second like any duplicate.
+func buildExpansion(g *grammar.Grammar, l grammar.Label) []derivation {
+	out := []derivation{{label: l}}
+	add := func(d derivation) {
+		if !slices.Contains(out, d) {
+			out = append(out, d)
+		}
+	}
 	for i := 0; i < len(out); i++ {
 		cur := out[i]
-		for _, head := range en.g.MatchUnary(cur.Label) {
-			d := cur
-			d.Label = head
-			out = append(out, d)
+		for _, head := range g.MatchUnary(cur.label) {
+			add(derivation{label: head, swapped: cur.swapped})
 		}
-		if m := en.g.Mirror(cur.Label); m != grammar.NoLabel {
-			d := cur
-			d.Src, d.Dst = cur.Dst, cur.Src
-			d.Label = m
-			out = append(out, d)
+		if m := g.Mirror(cur.label); m != grammar.NoLabel {
+			add(derivation{label: m, swapped: !cur.swapped})
 		}
 	}
-	// Dedup within the expansion (mirror of mirror etc. cannot occur with
-	// our grammars, but be safe).
-	seen := map[uint64]bool{}
-	kept := out[:0]
-	for _, v := range out {
-		k := v.Key()
-		if !seen[k] {
-			seen[k] = true
-			kept = append(kept, v)
-		}
+	return out
+}
+
+// expansion returns the derivations of an edge labeled l, itself first.
+func (en *Engine) expansion(l grammar.Label) []derivation {
+	if int(l) < len(en.expansions) {
+		return en.expansions[l]
 	}
-	return kept
+	// A label the grammar never interned (hand-built test edges).
+	return buildExpansion(en.g, l)
 }
 
 // partOf maps a vertex to its owning partition index.
@@ -698,7 +715,7 @@ func (en *Engine) load(idx int) (*memPart, error) {
 		edges = append(edges, p...)
 		delete(en.pending, idx)
 	}
-	mp := &memPart{meta: meta, edges: edges, bySrc: en.buildBySrc(edges), lastUse: en.tick}
+	mp := &memPart{meta: meta, edges: edges, bySrc: buildBySrc(edges), lastUse: en.tick}
 	en.loaded[idx] = mp
 	return mp, nil
 }

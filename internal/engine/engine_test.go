@@ -210,7 +210,7 @@ func TestRelComposition(t *testing.T) {
 }
 
 // buildFromSource compiles MiniLang down to an ICFET for constraint tests.
-func buildFromSource(t *testing.T, src string) *cfet.ICFET {
+func buildFromSource(t testing.TB, src string) *cfet.ICFET {
 	t.Helper()
 	prog, err := lang.Parse(src)
 	if err != nil {

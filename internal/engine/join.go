@@ -15,20 +15,52 @@ import (
 	"github.com/grapple-system/grapple/internal/trace"
 )
 
-// candidate is a validated induced edge awaiting insertion.
+// candidate is a validated induced edge awaiting insertion. payload is the
+// edge's storage.PayloadHash, computed once per merged path in the join and
+// shared by every grammar head and every expansion of it: insert derives
+// each of their dedupe keys from it with storage.KeyOf.
 type candidate struct {
-	edge storage.Edge
+	edge    storage.Edge
+	payload uint64
 }
 
 // joinScratch is one join chunk's reusable buffers: the candidate batch the
-// chunk produces and the SMT-cache key scratch its probes encode into. The
-// superstep loop is single-threaded, so a chunk's batch from superstep N is
-// fully consumed (inserted) before superstep N+1 hands the same scratch to
+// chunk produces, the buffer every candidate's path encoding is merged
+// into, and the SMT-cache key scratch its probes encode into. The superstep
+// loop is single-threaded, so a chunk's batch from superstep N is fully
+// consumed (inserted) before superstep N+1 hands the same scratch to
 // another goroutine; within a superstep each chunk owns its scratch
 // exclusively.
 type joinScratch struct {
 	out    []candidate
+	encBuf cfet.Enc
 	keyBuf []byte
+	// arena backs the encodings of the candidates that survive dedupe and
+	// the solver. Unlike the buffers above it is never rewound: inserted
+	// edges keep pointing into its chunks, which live exactly as long as
+	// those edges do. Only the unused tail of the current chunk carries
+	// over to the next superstep.
+	arena cfet.Arena
+}
+
+// mergeTimeStride is how many candidates share one timed Merge.
+const mergeTimeStride = 64
+
+// arenaChunkElems sizes the survivor arena's allocation unit (32 KiB of
+// elements): large enough that a chunk serves hundreds of edges, small
+// enough that the few long-lived edges of an otherwise evicted partition
+// pin little dead memory.
+const arenaChunkElems = 1024
+
+// keep copies enc out of the merge buffer into the arena and returns the
+// copy.
+func (scr *joinScratch) keep(enc cfet.Enc) cfet.Enc {
+	if len(enc) == 0 {
+		return nil
+	}
+	kept := scr.arena.Alloc(len(enc), arenaChunkElems)
+	copy(kept, enc)
+	return kept
 }
 
 // splitRange appends to dst the bounds of at most `workers` contiguous,
@@ -82,15 +114,11 @@ func (en *Engine) processPair(i, j int) (int, error) {
 	en.curGen++
 	gen := en.curGen
 
-	// Collect source edges; semi-naive: at least one side must be new.
-	// With pooling on the frontier slice is reused across supersteps: the
-	// previous superstep's frontier is dead by the time the loop comes back
-	// here (its candidates were inserted before the superstep ended).
-	pool := !en.opts.DisablePooling
-	var firsts []*storage.Edge
-	if pool {
-		firsts = en.firstsBuf[:0]
-	}
+	// Collect source edges; semi-naive: at least one side must be new. The
+	// frontier slice is reused across supersteps: the previous superstep's
+	// frontier is dead by the time the loop comes back here (its candidates
+	// were inserted before the superstep ended).
+	firsts := en.firstsBuf[:0]
 	collect := func(mp *memPart) {
 		for k := range mp.edges {
 			e := &mp.edges[k]
@@ -103,6 +131,7 @@ func (en *Engine) processPair(i, j int) (int, error) {
 	if j != i {
 		collect(pj)
 	}
+	en.firstsBuf = firsts
 
 	lookup := func(src uint32) ([]int32, *memPart) {
 		if src >= pi.meta.lo && src < pi.meta.hi {
@@ -114,36 +143,18 @@ func (en *Engine) processPair(i, j int) (int, error) {
 		return nil, nil
 	}
 
-	var chunks [][2]int
-	if pool {
-		chunks = splitRange(en.chunkBuf[:0], len(firsts), en.opts.Workers)
-		en.chunkBuf = chunks
-		for len(en.scratch) < len(chunks) {
-			en.scratch = append(en.scratch, &joinScratch{})
-		}
-	} else {
-		chunks = splitRange(nil, len(firsts), en.opts.Workers)
+	chunks := splitRange(en.chunkBuf[:0], len(firsts), en.opts.Workers)
+	en.chunkBuf = chunks
+	for len(en.scratch) < len(chunks) {
+		en.scratch = append(en.scratch, &joinScratch{})
 	}
 	var wg sync.WaitGroup
-	var results [][]candidate
-	if !pool {
-		results = make([][]candidate, len(chunks))
-	}
 	for w, c := range chunks {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(scr *joinScratch, lo, hi int) {
 			defer wg.Done()
-			var scr *joinScratch
-			if pool {
-				scr = en.scratch[w]
-			}
-			out := en.joinRange(firsts[lo:hi], lookup, last, seen, gen, scr)
-			if pool {
-				en.scratch[w].out = out
-			} else {
-				results[w] = out
-			}
-		}(w, c[0], c[1])
+			en.joinRange(firsts[lo:hi], lookup, last, seen, gen, scr)
+		}(en.scratch[w], c[0], c[1])
 	}
 	// While the join computes, start loading the partition the scheduler is
 	// predicted to need next, so the next iteration's disk wait overlaps
@@ -153,23 +164,15 @@ func (en *Engine) processPair(i, j int) (int, error) {
 	}
 	wg.Wait()
 
-	// Insert candidates (single-threaded: dedupe set and partitions).
+	// Insert candidates (single-threaded: dedupe set and partitions), in
+	// chunk order — the order one worker would have produced them in.
 	computeStart := time.Now()
-	for w := range chunks {
-		var batch []candidate
-		if pool {
-			batch = en.scratch[w].out
-		} else {
-			batch = results[w]
-		}
-		for _, c := range batch {
-			en.insert(c.edge, i, j)
+	for _, scr := range en.scratch[:len(chunks)] {
+		for k := range scr.out {
+			en.insert(&scr.out[k].edge, scr.out[k].payload)
 		}
 	}
 	en.bd.AddCompute(time.Since(computeStart))
-	if pool {
-		en.firstsBuf = firsts
-	}
 
 	// Edges induced during this very iteration carry generation `gen` and
 	// still need to be joined against everything, so the pair is processed
@@ -263,26 +266,22 @@ func appendEncCacheKey(dst []byte, enc cfet.Enc) []byte {
 	return dst
 }
 
-// encCacheKey builds the memoization key as a string (the unpooled path;
-// the pooled join probes with appendEncCacheKey's bytes instead).
-func encCacheKey(enc cfet.Enc) string {
-	return string(appendEncCacheKey(make([]byte, 0, len(enc)*16), enc))
-}
-
 // joinRange joins each first edge against the loaded second edges and
-// returns constraint-validated candidates. Runs concurrently; touches only
-// read-only engine state plus its own solver and scratch. scr, when
-// non-nil, supplies the reused candidate batch and cache-key buffer
-// (nil reverts to fresh allocations — the pooling ablation).
-func (en *Engine) joinRange(firsts []*storage.Edge, lookup func(uint32) ([]int32, *memPart), last uint32, seen bool, gen uint32, scr *joinScratch) []candidate {
-	solver := &smt.CachedSolver{S: smt.New(en.opts.SolverOpts)}
-	var out []candidate
-	var keyBuf []byte
-	if scr != nil {
-		out = scr.out[:0]
-		keyBuf = scr.keyBuf
-	}
-	var cacheLookups, cacheHits int64
+// leaves the constraint-validated candidates in scr.out. Runs concurrently;
+// touches only read-only engine state plus its own solver and scratch.
+func (en *Engine) joinRange(firsts []*storage.Edge, lookup func(uint32) ([]int32, *memPart), last uint32, seen bool, gen uint32, scr *joinScratch) {
+	solver := smt.New(en.opts.SolverOpts)
+	out := scr.out[:0]
+	encBuf, keyBuf := scr.encBuf, scr.keyBuf
+	var cacheLookups, cacheHits, conflicts, unsats int64
+	// No clock is read per candidate: Merge is timed on every
+	// mergeTimeStride-th one and the total extrapolated from the sample, so
+	// Figure 9's "constraint lookup" share survives without two time.Now()
+	// calls around an operation that takes less than they do. Cache misses
+	// are rare and expensive enough to time individually; all of it
+	// accumulates here and reaches the shared counters once per chunk.
+	var merges, mergesTimed int64
+	var mergeTimed, decodeTime, solveTime time.Duration
 	computeStart := time.Now()
 	for _, e1 := range firsts {
 		idxs, mp := lookup(e1.Dst)
@@ -298,24 +297,33 @@ func (en *Engine) joinRange(firsts []*storage.Edge, lookup func(uint32) ([]int32
 			if len(heads) == 0 {
 				continue
 			}
-			decodeStart := time.Now()
-			enc, ok := en.ic.Merge(e1.Enc, e2.Enc)
-			en.bd.AddDecode(time.Since(decodeStart))
+			timed := merges%mergeTimeStride == 0
+			var mergeStart time.Time
+			if timed {
+				mergeStart = time.Now()
+			}
+			enc, ok := en.ic.AppendMerge(encBuf[:0], e1.Enc, e2.Enc)
+			if timed {
+				mergeTimed += time.Since(mergeStart)
+				mergesTimed++
+			}
+			merges++
+			encBuf = enc
 			if !ok {
-				en.addConflict()
+				conflicts++
 				continue
 			}
-			// Quick global-dedupe pre-check (racy but safe: insert
-			// re-checks under the engine lock).
-			var rel fsm.Rel
-			if en.opts.UseRel {
-				rel = fsm.Compose(e1.Rel, e2.Rel)
+			// Global-dedupe pre-check against the frozen index (see
+			// hasKey); insert re-checks each survivor against the index
+			// as it grows.
+			cand := storage.Edge{Src: e1.Src, Dst: e2.Dst, Gen: gen, HasRel: en.opts.UseRel, Enc: enc}
+			if cand.HasRel {
+				cand.Rel = fsm.Compose(e1.Rel, e2.Rel)
 			}
+			payload := cand.PayloadHash()
 			allDup := true
 			for _, h := range heads {
-				cand := storage.Edge{Src: e1.Src, Dst: e2.Dst, Label: h, Gen: gen,
-					HasRel: en.opts.UseRel, Rel: rel, Enc: enc}
-				if !en.hasKey(cand.Key()) {
+				if !en.hasKey(storage.KeyOf(cand.Src, cand.Dst, h, payload)) {
 					allDup = false
 					break
 				}
@@ -326,107 +334,90 @@ func (en *Engine) joinRange(firsts []*storage.Edge, lookup func(uint32) ([]int32
 			if len(enc) > 0 {
 				// Constraint memoization keyed by the encoded path (paper
 				// §4.3: "using encoded paths as the keys"): a hit skips
-				// both decoding and solving. The pooled path encodes the
-				// key into the chunk's scratch buffer and probes with
-				// byte-key lookups, so a probe per join candidate costs no
-				// allocation; the key string only materializes when a miss
-				// inserts a new entry.
-				var key string
+				// both decoding and solving. The key is encoded into the
+				// chunk's scratch buffer and probed with byte-key lookups,
+				// so a probe per join candidate costs no allocation; the
+				// key string only materializes when a miss inserts a new
+				// entry.
 				var verdict smt.Result
 				hit := false
 				if en.cache != nil {
 					cacheLookups++
-					if scr != nil {
-						keyBuf = append(keyBuf[:0], en.opts.CacheKeyPrefix...)
-						keyBuf = appendEncCacheKey(keyBuf, enc)
-						verdict, hit = en.cache.GetBytes(keyBuf)
-					} else {
-						key = en.opts.CacheKeyPrefix + encCacheKey(enc)
-						verdict, hit = en.cache.Get(key)
-					}
+					keyBuf = append(keyBuf[:0], en.opts.CacheKeyPrefix...)
+					keyBuf = appendEncCacheKey(keyBuf, enc)
+					verdict, hit = en.cache.GetBytes(keyBuf)
 					if hit {
 						cacheHits++
 					}
 				}
 				if !hit {
-					decodeStart = time.Now()
+					decodeStart := time.Now()
 					conj, derr := en.ic.Decode(enc)
-					en.bd.AddDecode(time.Since(decodeStart))
+					decodeTime += time.Since(decodeStart)
 					verdict = smt.Sat
 					if derr == nil && len(conj) > 0 {
 						solveStart := time.Now()
-						verdict = solver.S.Solve(conj)
+						verdict = solver.Solve(conj)
 						d := time.Since(solveStart)
-						en.bd.AddSolve(d)
-						en.addSolveTime(d)
+						solveTime += d
 						en.solve.Observe(d)
 					}
 					if en.cache != nil {
-						if scr != nil {
-							en.cache.PutBytes(keyBuf, verdict)
-						} else {
-							en.cache.Put(key, verdict)
-						}
+						en.cache.PutBytes(keyBuf, verdict)
 					}
 				}
 				if verdict == smt.Unsat {
-					en.addUnsat()
+					unsats++
 					continue
 				}
 			}
+			// Survivor: only now does the encoding leave the merge buffer.
+			cand.Enc = scr.keep(enc)
 			for _, h := range heads {
-				out = append(out, candidate{edge: storage.Edge{
-					Src: e1.Src, Dst: e2.Dst, Label: h, Gen: gen,
-					HasRel: en.opts.UseRel, Rel: rel, Enc: enc,
-				}})
+				cand.Label = h
+				out = append(out, candidate{edge: cand, payload: payload})
 			}
 		}
 	}
 	en.bd.AddCompute(time.Since(computeStart))
-	if scr != nil {
-		scr.keyBuf = keyBuf
+	if mergesTimed > 0 {
+		decodeTime += time.Duration(int64(mergeTimed) * merges / mergesTimed)
 	}
+	en.bd.AddDecode(decodeTime)
+	en.bd.AddSolve(solveTime)
+	scr.out, scr.encBuf, scr.keyBuf = out, encBuf, keyBuf
 	en.mu.Lock()
-	en.stats.ConstraintsSolved += solver.S.Calls
+	en.stats.ConstraintsSolved += solver.Calls
 	en.stats.CacheLookups += cacheLookups
 	en.stats.CacheHits += cacheHits
+	en.stats.RejectedConflict += conflicts
+	en.stats.RejectedUnsat += unsats
+	en.stats.SolveTime += solveTime
 	en.mu.Unlock()
-	return out
 }
 
+// hasKey probes the global dedupe index without a lock. That is safe from
+// join workers because the index is frozen while they run: en.keys and
+// en.variants are written only by preprocess, by resume, and by insert, and
+// processPair calls insert only after wg.Wait() has seen every worker of the
+// superstep return.
 func (en *Engine) hasKey(k uint64) bool {
-	en.mu.Lock()
 	_, ok := en.keys[k]
-	en.mu.Unlock()
 	return ok
 }
 
-func (en *Engine) addConflict() {
-	en.mu.Lock()
-	en.stats.RejectedConflict++
-	en.mu.Unlock()
-}
-
-func (en *Engine) addUnsat() {
-	en.mu.Lock()
-	en.stats.RejectedUnsat++
-	en.mu.Unlock()
-}
-
-func (en *Engine) addSolveTime(d time.Duration) {
-	en.mu.Lock()
-	en.stats.SolveTime += d
-	en.mu.Unlock()
-}
-
-// insert adds one induced edge (and its unary/mirror derivatives) to its
-// owning partition, honoring the per-endpoint variant cap.
-func (en *Engine) insert(e storage.Edge, loadedI, loadedJ int) {
-	for _, v := range en.expand(e) {
-		k := v.Key()
+// insert adds one induced edge and its unary/mirror expansions to their
+// owning partitions, honoring the per-endpoint variant cap. payload is e's
+// storage.PayloadHash.
+func (en *Engine) insert(e *storage.Edge, payload uint64) {
+	for _, d := range en.expansion(e.Label) {
+		src, dst := d.endpoints(e)
+		k := storage.KeyOf(src, dst, d.label, payload)
 		if _, dup := en.keys[k]; dup {
 			continue
 		}
+		v := *e
+		v.Src, v.Dst, v.Label = src, dst, d.label
 		ep := v.Endpoint()
 		if en.variants[ep] >= en.opts.MaxVariants && len(v.Enc) > 0 {
 			// Widen: drop interval (branch) precision but keep call/return
@@ -434,15 +425,21 @@ func (en *Engine) insert(e storage.Edge, loadedI, loadedJ int) {
 			// callee through one call-edge instance and exit through
 			// another, stitching execution fragments no single run can
 			// connect. Only past twice the cap does the edge widen to the
-			// fully unconstrained variant.
-			if sk := v.Enc.Skeleton(); len(sk) > 0 && en.variants[ep] < 2*en.opts.MaxVariants {
-				v.Enc = sk
+			// fully unconstrained variant. The skeleton is hashed in place
+			// and built only if the widened edge turns out to be new.
+			skHash, skLen := v.SkeletonPayloadHash()
+			skeleton := skLen > 0 && en.variants[ep] < 2*en.opts.MaxVariants
+			if skeleton {
+				k = storage.KeyOf(src, dst, d.label, skHash)
 			} else {
 				v.Enc = nil
+				k = v.Key()
 			}
-			k = v.Key()
 			if _, dup := en.keys[k]; dup {
 				continue
+			}
+			if skeleton {
+				v.Enc = v.Enc.Skeleton()
 			}
 			en.mu.Lock()
 			en.stats.Widened++
@@ -556,7 +553,7 @@ func (en *Engine) repartition(idx int) error {
 	}
 
 	mp.edges = loEdges
-	mp.bySrc = en.buildBySrc(loEdges)
+	mp.bySrc = buildBySrc(loEdges)
 	mp.dirty = true
 
 	// Insert newMeta right after idx to keep interval order.

@@ -35,9 +35,9 @@ const arenaChunkElems = 4096
 type blockCursor struct {
 	buf []byte
 	off int
-	// arena is the current element chunk; decoded encodings are capped
-	// subslices of it, so a later chunk switch never moves earlier records.
-	arena []cfet.Elem
+	// arena backs the decoded encodings: capped subslices of shared chunks,
+	// so a later chunk switch never moves earlier records.
+	arena cfet.Arena
 }
 
 // reset points the cursor at a new block payload. The arena carries over:
@@ -54,22 +54,6 @@ func (c *blockCursor) remaining() int { return len(c.buf) - c.off }
 // or truncated record is corruption, never a clean boundary.
 func (c *blockCursor) corrupt(format string, args ...any) error {
 	return fmt.Errorf("storage: %w: %s at payload offset %d", ErrCorrupt, fmt.Sprintf(format, args...), c.off)
-}
-
-// elems returns an n-element slice backed by the arena, allocating a fresh
-// chunk when the current one cannot hold n more. The three-index slice caps
-// the result so an append by a caller can never clobber a later record.
-func (c *blockCursor) elems(n int) []cfet.Elem {
-	if n > cap(c.arena)-len(c.arena) {
-		size := arenaChunkElems
-		if n > size {
-			size = n
-		}
-		c.arena = make([]cfet.Elem, 0, size)
-	}
-	lo := len(c.arena)
-	c.arena = c.arena[:lo+n]
-	return c.arena[lo : lo+n : lo+n]
 }
 
 func (c *blockCursor) uvarint(what string) (uint64, error) {
@@ -148,7 +132,7 @@ func (c *blockCursor) decodeRecord(e *Edge) error {
 		e.Enc = nil
 		return nil
 	}
-	enc := c.elems(int(n))
+	enc := c.arena.Alloc(int(n), arenaChunkElems)
 	for i := range enc {
 		if c.remaining() < 1 {
 			return c.corrupt("truncated elem kind")

@@ -19,8 +19,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
+	"math/bits"
 
 	"github.com/grapple-system/grapple/internal/cfet"
 	"github.com/grapple-system/grapple/internal/fsm"
@@ -39,29 +39,6 @@ type Edge struct {
 	Rel    fsm.Rel
 	// Enc is the interval-sequence path encoding (§3.2).
 	Enc cfet.Enc
-}
-
-// Key hashes the edge's identity (everything except Gen) for deduplication.
-func (e *Edge) Key() uint64 {
-	h := fnv.New64a()
-	var buf [16]byte
-	binary.LittleEndian.PutUint32(buf[0:], e.Src)
-	binary.LittleEndian.PutUint32(buf[4:], e.Dst)
-	binary.LittleEndian.PutUint16(buf[8:], uint16(e.Label))
-	h.Write(buf[:10])
-	if e.HasRel {
-		h.Write(e.Rel.Pack(nil))
-	}
-	for _, el := range e.Enc {
-		binary.LittleEndian.PutUint32(buf[0:], uint32(el.Kind))
-		binary.LittleEndian.PutUint32(buf[4:], uint32(el.Method))
-		binary.LittleEndian.PutUint32(buf[8:], uint32(el.Call))
-		h.Write(buf[:12])
-		binary.LittleEndian.PutUint64(buf[0:], el.Start)
-		binary.LittleEndian.PutUint64(buf[8:], el.End)
-		h.Write(buf[:16])
-	}
-	return h.Sum64()
 }
 
 // Endpoint identifies an edge up to its constraint payload; the engine caps
@@ -285,7 +262,26 @@ func ReadRecord(r *bufio.Reader, e *Edge) error {
 }
 
 // RecordSize returns the serialized v2 size of e in bytes (the size the
-// engine's byte budgets account against).
+// engine's byte budgets account against), computed without serializing:
+// the engine asks once per inserted edge.
 func RecordSize(e *Edge) int64 {
-	return int64(len(appendRecordV2(nil, e)))
+	n := 15 + uvarintLen(uint64(len(e.Enc))) // src, dst, label, gen, flags
+	if e.HasRel {
+		n += fsm.PackedRelSize
+	}
+	for i := range e.Enc {
+		el := &e.Enc[i]
+		n++ // kind
+		if el.Kind == cfet.KInterval {
+			n += uvarintLen(uint64(el.Method)) + uvarintLen(el.Start) + uvarintLen(el.End)
+		} else {
+			n += uvarintLen(uint64(el.Call))
+		}
+	}
+	return int64(n)
+}
+
+// uvarintLen is the number of bytes binary.PutUvarint writes for v.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }

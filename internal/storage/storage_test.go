@@ -14,7 +14,6 @@ import (
 	"testing/quick"
 
 	"github.com/grapple-system/grapple/internal/cfet"
-	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/grammar"
 )
 
@@ -476,29 +475,6 @@ func TestReadMissingFileIsEmpty(t *testing.T) {
 	}
 }
 
-func TestKeyDistinguishes(t *testing.T) {
-	base := Edge{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{cfet.Interval(0, 0, 5)}}
-	variants := []Edge{
-		{Src: 9, Dst: 2, Label: 3, Enc: base.Enc},
-		{Src: 1, Dst: 9, Label: 3, Enc: base.Enc},
-		{Src: 1, Dst: 2, Label: 9, Enc: base.Enc},
-		{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{cfet.Interval(0, 0, 6)}},
-		{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{cfet.CallElem(5)}},
-		{Src: 1, Dst: 2, Label: 3, Enc: base.Enc, HasRel: true, Rel: fsm.Identity()},
-	}
-	for i, v := range variants {
-		if v.Key() == base.Key() {
-			t.Errorf("variant %d collides with base", i)
-		}
-	}
-	// Gen must NOT affect identity.
-	withGen := base
-	withGen.Gen = 77
-	if withGen.Key() != base.Key() {
-		t.Fatal("gen must not affect identity")
-	}
-}
-
 func TestEndpointTriple(t *testing.T) {
 	e := Edge{Src: 4, Dst: 5, Label: 6}
 	if e.Endpoint() != (Endpoint{Src: 4, Dst: 5, Label: 6}) {
@@ -506,9 +482,29 @@ func TestEndpointTriple(t *testing.T) {
 	}
 }
 
-func TestRecordSizePositive(t *testing.T) {
-	e := randEdge(rand.New(rand.NewSource(2)))
-	if RecordSize(&e) < 15 {
-		t.Fatal("record size too small")
+// TestRecordSizeMatchesSerialization: the arithmetic size equals the length
+// of the v2 record actually written, including at every uvarint width
+// boundary and for negative method/call IDs (which serialize as 10 bytes).
+func TestRecordSizeMatchesSerialization(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	edges := []Edge{{}, {HasRel: true}}
+	for i := 0; i < 500; i++ {
+		edges = append(edges, randEdge(rng))
+	}
+	for shift := uint(0); shift < 64; shift++ {
+		for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			edges = append(edges, Edge{Enc: cfet.Enc{
+				cfet.Interval(cfet.MethodID(v), v, ^v),
+				cfet.CallElem(int32(v)),
+				cfet.RetElem(-int32(v)),
+			}})
+		}
+	}
+	long := Edge{Enc: make(cfet.Enc, 200)}
+	edges = append(edges, long)
+	for i := range edges {
+		if got, want := RecordSize(&edges[i]), int64(len(appendRecordV2(nil, &edges[i]))); got != want {
+			t.Fatalf("edge %d (%+v): RecordSize %d, serialized %d bytes", i, edges[i], got, want)
+		}
 	}
 }
