@@ -37,6 +37,7 @@ race:
 # hierarchy (every live covering type must stay a dispatch candidate).
 fuzz:
 	$(GO) test ./internal/smt/ -fuzz FuzzCacheKeying -fuzztime 30s
+	$(GO) test ./internal/lang/ -fuzz FuzzParse -fuzztime 20s
 	$(GO) test ./internal/storage/ -fuzz FuzzReadRecord -fuzztime 20s
 	$(GO) test ./internal/storage/ -fuzz FuzzDecodeRecordV2 -fuzztime 20s
 	$(GO) test ./internal/storage/ -fuzz FuzzReadPart -fuzztime 20s
@@ -124,12 +125,19 @@ bench-e2e:
 
 # Allocation-budget regression gates: the zero-copy read path must stay
 # near zero allocs/record (and under half of the legacy decoder), the dedupe
-# key and a warm SMT-cache probe must not allocate at all, and the join as a
-# whole must stay within its pinned allocations per candidate.
+# key and a warm SMT-cache probe must not allocate at all, the join as a
+# whole must stay within its pinned allocations per candidate, and the
+# frontend must stay within its bytes per source byte (Parse: no token slice)
+# and per encoded path (cfet.Build: no environment copy per split), and its
+# allocation per added function must not depend on the program's size (the
+# scaling guard, which also counts one verdict lookup per If walked).
 # Run without -race: the race runtime inflates allocation counts, so these
 # tests skip themselves under it.
 alloc-budget: build
 	$(GO) test ./internal/storage/ -run 'TestDecodeAllocBudget|TestKeyZeroAlloc' -count=1
 	$(GO) test ./internal/engine/ -run 'TestCacheProbeZeroAlloc|TestJoinAllocBudget' -count=1
+	$(GO) test ./internal/lang/ -run TestParseAllocBudget -count=1
+	$(GO) test ./internal/cfet/ -run TestBuildAllocBudget -count=1
+	$(GO) test ./internal/checker/ -run TestFrontendScalesLinearly -count=1
 
 ci: vet fmt-check race test crash lint-self check-self unlowered-budget obs-smoke alloc-budget

@@ -63,7 +63,7 @@ func TestTraceGoldenIdentity(t *testing.T) {
 	for _, ev := range doc.TraceEvents {
 		names[ev.Name] = true
 	}
-	for _, want := range []string{"pre-analysis", "cfet-build", "phase.alias", "phase.dataflow", "fsm-check", "superstep"} {
+	for _, want := range []string{"parse", "resolve", "lower", "callgraph", "pre-analysis", "cfet-build", "phase.alias", "phase.dataflow", "fsm-check", "superstep"} {
 		if !names[want] {
 			t.Errorf("trace missing %q span (have %v)", want, names)
 		}

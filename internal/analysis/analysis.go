@@ -122,6 +122,13 @@ type Result struct {
 	facts map[*Analyzer]map[*ir.Func]any
 	// progFacts maps a program-scoped analyzer to its single result.
 	progFacts map[*Analyzer]any
+	// verdicts is the whole-program branch-verdict index: every function's
+	// SCCPFacts.Verdicts merged into one map (an *ir.If belongs to exactly
+	// one function, so the merge never collides). Only decided conditions
+	// are stored. Run builds it once; afterwards it is only read, which is
+	// what makes BranchVerdict safe for the concurrent CFET builds and
+	// CheckPrepared callers that share one Result.
+	verdicts map[*ir.If]int
 }
 
 // FactsOf returns an analyzer's per-function results ("" when it did not
@@ -138,18 +145,10 @@ func (r *Result) ProgramFactsOf(a *Analyzer) any {
 
 // BranchVerdict reports the statically-proven verdict for an If condition
 // discovered by the SCCP pass: +1 the condition always holds, -1 it never
-// holds, 0 unknown. The zero Result (no SCCP run) answers 0 everywhere.
+// holds, 0 unknown. It is one probe of the verdict index, whatever the
+// program's size; the zero Result (no SCCP run) answers 0 everywhere.
 func (r *Result) BranchVerdict(s *ir.If) int {
-	for _, facts := range r.facts[SCCP] {
-		sf, ok := facts.(*SCCPFacts)
-		if !ok {
-			continue
-		}
-		if v, ok := sf.Verdicts[s]; ok {
-			return v
-		}
-	}
-	return 0
+	return r.verdicts[s]
 }
 
 // Default returns every analyzer in dependency-safe order: the lint suite
@@ -185,6 +184,7 @@ func Run(prog *ir.Program, analyzers []*Analyzer) (*Result, error) {
 		Passes:    &metrics.PassBreakdown{},
 		facts:     map[*Analyzer]map[*ir.Func]any{},
 		progFacts: map[*Analyzer]any{},
+		verdicts:  map[*ir.If]int{},
 	}
 	var progOrder, fnOrder []*Analyzer
 	for _, a := range order {
@@ -243,6 +243,9 @@ func Run(prog *ir.Program, analyzers []*Analyzer) (*Result, error) {
 	for _, facts := range res.facts[SCCP] {
 		if sf, ok := facts.(*SCCPFacts); ok {
 			res.Prune.CondsDecided.Add(int64(len(sf.Verdicts)))
+			for s, v := range sf.Verdicts {
+				res.verdicts[s] = v
+			}
 		}
 	}
 	sort.SliceStable(res.Diagnostics, func(i, j int) bool {

@@ -19,6 +19,7 @@ package cfet
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/grapple-system/grapple/internal/constraint"
 	"github.com/grapple-system/grapple/internal/ir"
@@ -151,12 +152,16 @@ type Options struct {
 	MaxEncLen int
 	// BranchVerdict, when non-nil, supplies statically-proven branch
 	// verdicts (from the pre-analysis constant propagation): +1 the
-	// condition always holds, -1 it never holds, 0 unknown. A decided
-	// branch does not split the tree — the walker continues into the live
-	// arm within the current node. Dropping the conditional is sound
-	// because a tautological (or contradictory, on the other arm) conjunct
-	// never changes a path constraint's satisfiability; it only spares the
-	// engine from enumerating and refuting the dead subtree.
+	// condition always holds, -1 it never holds, 0 unknown. The walker asks
+	// once per If it reaches, so the answer must not cost more than the If
+	// itself: analysis.Result.BranchVerdict is one probe of an index built
+	// once in analysis.Run and only read afterwards (safe for concurrent
+	// builds sharing one Result). A decided branch does not split the tree
+	// — the walker continues into the live arm within the current node.
+	// Dropping the conditional is sound because a tautological (or
+	// contradictory, on the other arm) conjunct never changes a path
+	// constraint's satisfiability; it only spares the engine from
+	// enumerating and refuting the dead subtree.
 	BranchVerdict func(*ir.If) int
 	// SliceFunc, when non-nil, names functions the property-relevance
 	// slicer proved irrelevant: their trees collapse to a single-return
@@ -185,7 +190,8 @@ func Build(p *ir.Program, syms *symbolic.Table, opts Options) (*ICFET, error) {
 	}
 	ic := &ICFET{
 		Syms:         syms,
-		MethodByName: map[string]MethodID{},
+		Methods:      make([]*CFET, 0, len(p.Funs)),
+		MethodByName: make(map[string]MethodID, len(p.Funs)),
 		MaxEncLen:    opts.MaxEncLen,
 	}
 	// Assign method IDs first so call edges can reference forward.
@@ -282,24 +288,63 @@ type boolVal struct {
 	opq   symbolic.Sym // used when !known
 }
 
-// env is a symbolic-execution environment.
+// env is a symbolic-execution environment: one pair of maps for the whole
+// method plus an undo trail. The tree walk is depth-first, so the bindings a
+// node sees are exactly the writes on its root-to-node path; instead of
+// copying both maps at every split, the walker marks the trail, walks the
+// true arm, undoes back to the mark and walks the false arm on the same
+// maps. Every write goes through setInt/setBool, which log what they
+// overwrote; the trail is never longer than the writes on the current path.
 type env struct {
 	ints  map[string]symbolic.Expr
 	bools map[string]boolVal
+	trail []envUndo
 }
 
-func (e env) clone() env {
-	n := env{
-		ints:  make(map[string]symbolic.Expr, len(e.ints)),
-		bools: make(map[string]boolVal, len(e.bools)),
+// envUndo restores one overwritten (or newly created) binding.
+type envUndo struct {
+	isBool  bool
+	existed bool
+	key     string
+	oldInt  symbolic.Expr
+	oldBool boolVal
+}
+
+func newEnv() *env {
+	return &env{ints: map[string]symbolic.Expr{}, bools: map[string]boolVal{}}
+}
+
+func (e *env) setInt(k string, v symbolic.Expr) {
+	old, existed := e.ints[k]
+	e.trail = append(e.trail, envUndo{key: k, existed: existed, oldInt: old})
+	e.ints[k] = v
+}
+
+func (e *env) setBool(k string, v boolVal) {
+	old, existed := e.bools[k]
+	e.trail = append(e.trail, envUndo{isBool: true, key: k, existed: existed, oldBool: old})
+	e.bools[k] = v
+}
+
+// mark returns the trail position undo rolls back to.
+func (e *env) mark() int { return len(e.trail) }
+
+// undo reverts, newest first, every write made since mark.
+func (e *env) undo(mark int) {
+	for i := len(e.trail) - 1; i >= mark; i-- {
+		u := e.trail[i]
+		switch {
+		case u.isBool && u.existed:
+			e.bools[u.key] = u.oldBool
+		case u.isBool:
+			delete(e.bools, u.key)
+		case u.existed:
+			e.ints[u.key] = u.oldInt
+		default:
+			delete(e.ints, u.key)
+		}
 	}
-	for k, v := range e.ints {
-		n.ints[k] = v
-	}
-	for k, v := range e.bools {
-		n.bools[k] = v
-	}
-	return n
+	e.trail = e.trail[:mark]
 }
 
 type walker struct {
@@ -332,7 +377,8 @@ func (w *walker) opaqueSym(id int32) symbolic.Sym {
 	if s, ok := w.opqSyms[id]; ok {
 		return s
 	}
-	s := w.intern(fmt.Sprintf("opq%d", id))
+	var buf [16]byte
+	s := w.intern(string(strconv.AppendInt(append(buf[:0], "opq"...), int64(id), 10)))
 	w.opqSyms[id] = s
 	return s
 }
@@ -351,12 +397,12 @@ type contFrame struct {
 }
 
 func (w *walker) run(fn *ir.Func) error {
-	e := env{ints: map[string]symbolic.Expr{}, bools: map[string]boolVal{}}
+	e := newEnv()
 	for _, p := range fn.Params {
 		s := w.intern(p.Name)
 		w.m.ParamSym[p.Name] = s
 		if p.Type == "int" || p.Type == "bool" {
-			e.ints[p.Name] = symbolic.Var(s)
+			e.setInt(p.Name, symbolic.Var(s))
 		}
 	}
 	root := w.newNode(0)
@@ -378,7 +424,7 @@ func (w *walker) stub(fn *ir.Func) {
 
 // walk executes stmts in node n under environment e; k holds statements
 // following enclosing Ifs.
-func (w *walker) walk(stmts []ir.Stmt, k *contFrame, n *Node, e env) {
+func (w *walker) walk(stmts []ir.Stmt, k *contFrame, n *Node, e *env) {
 	for {
 		if len(stmts) == 0 {
 			if k == nil {
@@ -392,10 +438,10 @@ func (w *walker) walk(stmts []ir.Stmt, k *contFrame, n *Node, e env) {
 		rest := stmts[1:]
 		switch s := s.(type) {
 		case *ir.IntAssign:
-			e.ints[s.Dst] = w.evalArith(s, e)
+			e.setInt(s.Dst, w.evalArith(s, e))
 			n.Stmts = append(n.Stmts, PlacedStmt{Stmt: s, CallEdge: -1, EventResultSym: symbolic.NoSym})
 		case *ir.BoolAssign:
-			e.bools[s.Dst] = w.evalCondVal(s.Cond, e)
+			e.setBool(s.Dst, w.evalCondVal(s.Cond, e))
 			n.Stmts = append(n.Stmts, PlacedStmt{Stmt: s, CallEdge: -1, EventResultSym: symbolic.NoSym})
 		case *ir.ObjAssign, *ir.NewObj, *ir.Store, *ir.Load, *ir.CatchBind:
 			n.Stmts = append(n.Stmts, PlacedStmt{Stmt: s, CallEdge: -1, EventResultSym: symbolic.NoSym})
@@ -403,14 +449,14 @@ func (w *walker) walk(stmts []ir.Stmt, k *contFrame, n *Node, e env) {
 			ps := PlacedStmt{Stmt: s, CallEdge: -1, EventResultSym: symbolic.NoSym}
 			if s.Dst != "" {
 				sym := w.fresh("ev_" + s.Method)
-				e.ints[s.Dst] = symbolic.Var(sym)
+				e.setInt(s.Dst, symbolic.Var(sym))
 				ps.EventResultSym = sym
 			}
 			n.Stmts = append(n.Stmts, ps)
 		case *ir.Call:
 			ce := w.makeCallEdge(s, n, e)
 			if s.Dst != "" && !s.DstIsObject && ce != nil {
-				e.ints[s.Dst] = symbolic.Var(ce.RetSym)
+				e.setInt(s.Dst, symbolic.Var(ce.RetSym))
 			}
 			id := int32(-1)
 			if ce != nil {
@@ -476,7 +522,9 @@ func (w *walker) walk(stmts []ir.Stmt, k *contFrame, n *Node, e env) {
 				nk = &contFrame{stmts: rest, next: k}
 			}
 			tn := w.newNode(trueID)
-			w.walk(s.Then.Stmts, nk, tn, e.clone())
+			mark := e.mark()
+			w.walk(s.Then.Stmts, nk, tn, e)
+			e.undo(mark)
 			if w.nodes >= w.budget {
 				// The sibling subtree consumed the budget. Skip the false
 				// child entirely: no encoding will ever reference it, and
@@ -484,8 +532,11 @@ func (w *walker) walk(stmts []ir.Stmt, k *contFrame, n *Node, e env) {
 				w.m.Truncated++
 				return
 			}
+			// The false arm runs on the same environment: this walk returns
+			// right after it, and whatever it writes is rolled back by the
+			// enclosing split's undo (at the root nobody reads it again).
 			fn := w.newNode(falseID)
-			w.walk(s.Else.Stmts, nk, fn, e.clone())
+			w.walk(s.Else.Stmts, nk, fn, e)
 			return
 		default:
 			panic(fmt.Sprintf("cfet: unexpected statement %T (exceptions must be expanded)", s))
@@ -503,7 +554,7 @@ func (w *walker) endLeaf(n *Node, kind LeafKind, ri RetInfo) {
 	w.m.Leaves = append(w.m.Leaves, n.ID)
 }
 
-func (w *walker) makeCallEdge(c *ir.Call, n *Node, e env) *CallEdge {
+func (w *walker) makeCallEdge(c *ir.Call, n *Node, e *env) *CallEdge {
 	calleeID, ok := w.ic.MethodByName[c.Callee]
 	if !ok {
 		return nil
@@ -529,13 +580,15 @@ func (w *walker) makeCallEdge(c *ir.Call, n *Node, e env) *CallEdge {
 		ce.ParamEqs = append(ce.ParamEqs, Equation{Sym: ps, Expr: w.evalOperand(a.Arg, e)})
 	}
 	if c.Dst != "" && !c.DstIsObject {
-		ce.RetSym = w.fresh(fmt.Sprintf("call%d.ret", c.Site))
+		var buf [24]byte
+		name := strconv.AppendInt(append(buf[:0], "call"...), int64(c.Site), 10)
+		ce.RetSym = w.fresh(string(append(name, ".ret"...)))
 	}
 	w.ic.CallEdges = append(w.ic.CallEdges, ce)
 	return ce
 }
 
-func (w *walker) evalOperand(o ir.Operand, e env) symbolic.Expr {
+func (w *walker) evalOperand(o ir.Operand, e *env) symbolic.Expr {
 	if o.IsConst() {
 		return symbolic.Const(o.Const)
 	}
@@ -543,12 +596,12 @@ func (w *walker) evalOperand(o ir.Operand, e env) symbolic.Expr {
 		return v
 	}
 	// Unknown variable (e.g. used before def): opaque.
-	s := w.fresh("undef_" + o.Var)
-	e.ints[o.Var] = symbolic.Var(s)
-	return e.ints[o.Var]
+	v := symbolic.Var(w.fresh("undef_" + o.Var))
+	e.setInt(o.Var, v)
+	return v
 }
 
-func (w *walker) evalArith(s *ir.IntAssign, e env) symbolic.Expr {
+func (w *walker) evalArith(s *ir.IntAssign, e *env) symbolic.Expr {
 	switch s.Op {
 	case ir.Mov:
 		return w.evalOperand(s.A, e)
@@ -574,14 +627,14 @@ func (w *walker) evalArith(s *ir.IntAssign, e env) symbolic.Expr {
 }
 
 // evalCondAtom turns an IR condition into a symbolic atom under e.
-func (w *walker) evalCondAtom(c ir.Cond, e env) constraint.Atom {
+func (w *walker) evalCondAtom(c ir.Cond, e *env) constraint.Atom {
 	var a constraint.Atom
 	switch {
 	case c.BoolVar != "":
 		bv, ok := e.bools[c.BoolVar]
 		if !ok {
 			bv = boolVal{opq: w.fresh("undefb_" + c.BoolVar)}
-			e.bools[c.BoolVar] = bv
+			e.setBool(c.BoolVar, bv)
 		}
 		if bv.known {
 			a = bv.atom
@@ -616,7 +669,7 @@ func (w *walker) evalCondAtom(c ir.Cond, e env) constraint.Atom {
 	return a
 }
 
-func (w *walker) evalCondVal(c ir.Cond, e env) boolVal {
+func (w *walker) evalCondVal(c ir.Cond, e *env) boolVal {
 	return boolVal{known: true, atom: w.evalCondAtom(c, e)}
 }
 

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/grapple-system/grapple/internal/analysis"
@@ -339,19 +340,35 @@ func (c *Checker) CheckSource(src string) (*Result, error) {
 // run between partition-pair iterations (the batch scheduler's per-instance
 // timeout mechanism).
 func (c *Checker) CheckSourceContext(ctx context.Context, src string) (*Result, error) {
+	p, err := c.lowerSource(src)
+	if err != nil {
+		return nil, err
+	}
+	return c.CheckIRContext(ctx, p)
+}
+
+// lowerSource runs the MiniLang frontend's first three stages — parse,
+// resolve, lower — each under its own trace span.
+func (c *Checker) lowerSource(src string) (*ir.Program, error) {
+	sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "parse")
 	prog, err := lang.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
+	sp.End(trace.Args{"functions": len(prog.Funs), "loc": strings.Count(src, "\n")})
+	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "resolve")
 	info, err := lang.Resolve(prog)
 	if err != nil {
 		return nil, fmt.Errorf("resolve: %w", err)
 	}
+	sp.End(trace.Args{"functions": len(prog.Funs)})
+	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "lower")
 	p, err := ir.Lower(info, ir.Options{UnrollDepth: c.Opts.UnrollDepth})
 	if err != nil {
 		return nil, fmt.Errorf("lower: %w", err)
 	}
-	return c.CheckIRContext(ctx, p)
+	sp.End(trace.Args{"functions": len(p.Funs)})
+	return p, nil
 }
 
 // CheckIR checks a lowered program.
@@ -401,17 +418,9 @@ type Prepared struct {
 
 // PrepareSource parses, lowers and prepares a MiniLang compilation unit.
 func (c *Checker) PrepareSource(ctx context.Context, src string) (*Prepared, error) {
-	prog, err := lang.Parse(src)
+	p, err := c.lowerSource(src)
 	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
-	}
-	info, err := lang.Resolve(prog)
-	if err != nil {
-		return nil, fmt.Errorf("resolve: %w", err)
-	}
-	p, err := ir.Lower(info, ir.Options{UnrollDepth: c.Opts.UnrollDepth})
-	if err != nil {
-		return nil, fmt.Errorf("lower: %w", err)
+		return nil, err
 	}
 	return c.PrepareIR(ctx, p)
 }
@@ -450,7 +459,9 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 		prep.condsDecided, _ = pre.Prune.Snapshot()
 		sp.End(trace.Args{"condsDecided": prep.condsDecided})
 	}
+	sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "callgraph")
 	cg := callgraph.Build(p)
+	sp.End(trace.Args{"functions": len(p.Funs)})
 	cloneOpts := c.Opts.Clone
 	var pts *analysis.PointsToResult
 	if c.Opts.Slice.Enabled() && len(c.FSMs) > 0 && !c.Opts.RecordPointsTo &&
@@ -466,7 +477,7 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 				}
 			}
 		}
-		sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "points-to+slice")
+		sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "points-to+slice")
 		pts = analysis.SolvePointsTo(p, cg)
 		rel := analysis.ComputeRelevance(p, cg, pts, tracked)
 		drop := func(name string) bool { return !rel.KeepFunc(name) }
@@ -494,7 +505,7 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 		}
 	}
 	tab := symbolic.NewTable()
-	sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "cfet-build")
+	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "cfet-build")
 	ic, err := cfet.Build(p, tab, cfetOpts)
 	if err != nil {
 		return nil, fmt.Errorf("icfet: %w", err)

@@ -101,6 +101,12 @@ func TestTracingPreservesReports(t *testing.T) {
 			if rec.EventCount() == 0 {
 				t.Fatal("trace recorded no events")
 			}
+			// The frontend's stages are spanned from the source text on.
+			for _, span := range []string{"parse", "resolve", "lower", "callgraph", "pre-analysis", "cfet-build"} {
+				if !bytes.Contains(jsonl.Bytes(), []byte(`"name":"`+span+`"`)) {
+					t.Errorf("trace has no %q span", span)
+				}
+			}
 			if prog.Snapshot().Phase != "fsm-check" {
 				t.Fatalf("final phase %q, want fsm-check", prog.Snapshot().Phase)
 			}

@@ -3,7 +3,10 @@ package lang
 import "testing"
 
 // FuzzParse exercises the lexer/parser/resolver on arbitrary input: no
-// panics, and anything that parses must format and re-parse cleanly.
+// panics, the streaming parser rejects exactly what the tokenize-then-parse
+// reference rejects (the two may disagree on which error comes first, never
+// on whether there is one), and anything that parses must format and
+// re-parse cleanly.
 // Run with: go test -fuzz=FuzzParse ./internal/lang
 func FuzzParse(f *testing.F) {
 	seeds := []string{
@@ -19,12 +22,18 @@ func FuzzParse(f *testing.F) {
 		"fun f() { var x: int = 999999999999999999999999; }",
 		"/* unterminated",
 		"fun f() { x.y.z(); }",
+		"fun f( { } @",
+		"fun f() { spawn x @; }",
+		"fun f() { return; } /* open",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Parse(src)
+		if _, refErr := referenceParse(src); (err == nil) != (refErr == nil) {
+			t.Fatalf("streaming parse: %v, reference parse: %v", err, refErr)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
 		}

@@ -29,6 +29,48 @@ fun main() {
 }
 `
 
+// Tokenize scans all of src into a slice. The parser streams from the lexer
+// and never builds this; it survives here for the lexer tests and as the
+// input of referenceParse.
+func Tokenize(src string) ([]Token, error) {
+	l := NewLexer(src)
+	var toks []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks, nil
+		}
+	}
+}
+
+// sliceSource replays a pre-scanned token slice to the parser.
+type sliceSource struct {
+	toks []Token
+	pos  int
+}
+
+func (s *sliceSource) Next() (Token, error) {
+	t := s.toks[s.pos]
+	if s.pos < len(s.toks)-1 { // keep answering EOF, as the lexer does
+		s.pos++
+	}
+	return t, nil
+}
+
+// referenceParse is Parse as it was before the parser streamed: lex the
+// whole file first (any lexical error anywhere wins), then parse the slice.
+func referenceParse(src string) (*Program, error) {
+	toks, err := Tokenize(src)
+	if err != nil {
+		return nil, err
+	}
+	return parse(&sliceSource{toks: toks})
+}
+
 func TestTokenizeBasics(t *testing.T) {
 	toks, err := Tokenize("fun f(x: int) { x = x + 1; } // done")
 	if err != nil {

@@ -171,19 +171,3 @@ func (l *Lexer) Next() (Token, error) {
 	}
 	return Token{}, fmt.Errorf("%s: unexpected character %q", pos, string(c))
 }
-
-// Tokenize scans all of src.
-func Tokenize(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var toks []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == EOF {
-			return toks, nil
-		}
-	}
-}

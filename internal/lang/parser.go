@@ -5,37 +5,70 @@ import (
 	"strconv"
 )
 
-// Parser is a recursive-descent parser for MiniLang.
+// tokenSource is where the parser pulls its tokens from: the *Lexer. (Tests
+// substitute a pre-scanned slice as the reference for the streaming parse.)
+type tokenSource interface {
+	Next() (Token, error)
+}
+
+// Parser is a recursive-descent parser for MiniLang. It holds exactly one
+// token of lookahead and pulls the next one from the lexer as it consumes,
+// so parsing never materializes the token stream.
 type Parser struct {
-	toks []Token
-	pos  int
+	lex tokenSource
+	tok Token // the lookahead token
+	// lexErr is the first lexical error the lexer raised. From then on tok is
+	// a synthetic EOF, so the grammar winds down without pulling further, and
+	// parse reports lexErr in place of whatever that EOF made the grammar say.
+	lexErr error
 }
 
-// Parse parses a MiniLang compilation unit.
+// Parse parses a MiniLang compilation unit. Errors come in source order: a
+// syntax error detected at a token before the first lexically invalid
+// character is reported as such, and a lexical error wins from the moment
+// the parser needs the offending text as its lookahead.
 func Parse(src string) (*Program, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
-	return p.parseProgram()
+	return parse(NewLexer(src))
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+func parse(lex tokenSource) (*Program, error) {
+	p := &Parser{lex: lex}
+	p.advance()
+	prog, err := p.parseProgram()
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return prog, err
+}
+
+// advance replaces the lookahead with the lexer's next token.
+func (p *Parser) advance() {
+	if p.lexErr != nil {
+		return
+	}
+	t, err := p.lex.Next()
+	if err != nil {
+		p.lexErr = err
+		t = Token{Kind: EOF}
+	}
+	p.tok = t
+}
+
+func (p *Parser) cur() Token  { return p.tok }
+func (p *Parser) next() Token { t := p.tok; p.advance(); return t }
 
 func (p *Parser) expect(k Kind) (Token, error) {
-	t := p.cur()
+	t := p.tok
 	if t.Kind != k {
 		return t, fmt.Errorf("%s: expected %s, found %s %q", t.Pos, k, t.Kind, t.Text)
 	}
-	p.pos++
+	p.advance()
 	return t, nil
 }
 
 func (p *Parser) accept(k Kind) bool {
-	if p.cur().Kind == k {
-		p.pos++
+	if p.tok.Kind == k {
+		p.advance()
 		return true
 	}
 	return false

@@ -180,6 +180,22 @@ func MiniProfile() Profile {
 	}
 }
 
+// WideProfile is the frontend-scaling subject at a chosen size: services ×
+// workers short worker functions with 60 filler statements each, almost all
+// irrelevant to any one property, so parse, lowering, pre-analysis and CFET
+// construction do all the work. At 40×50 it has the shape of the
+// time-to-verdict benchmark's frontend-wide workload (~255 k LoC); the
+// frontend's oracle tests, scaling guard, allocation budgets and
+// microbenchmarks use smaller sizes of the same shape.
+func WideProfile(services, workers int) Profile {
+	return Profile{
+		Name: "wide-sim", Version: "0.1-sim",
+		Description: "many short functions, mostly irrelevant to the property",
+		Seed:        3002, Services: services, WorkersPerService: workers,
+		LockTP: 8, IOTP: 8, CorrectPerBug: 1, FillerStmts: 60,
+	}
+}
+
 // ConcurrencyProfile is the goroutine-heavy subject: every worker mixes the
 // classic patterns with spawned tasks, seeding exact GR001/GR002 ground
 // truth. It is not one of the paper's four subjects (the paper's engine is
