@@ -51,7 +51,11 @@ fuzz:
 # require a byte-identical final report; same at checker granularity (both
 # closure phases) and batch granularity (kill between instances, resume
 # reruns only the unfinished ones). Superstep counts are bounded by small
-# workloads so the every-boundary sweep stays fast.
+# workloads so the every-boundary sweep stays fast. The checker sweep runs at
+# a multi-partition budget with at least one repartition, and a second sweep
+# (TestCheckerResumeJournalWithoutSelfStamps, matched by "Resume") resumes
+# from journals stripped of their self stamps, as an engine that kept one
+# stamp per pass wrote them.
 crash: build
 	$(GO) test ./internal/engine/ ./internal/checker/ ./internal/scheduler/ ./cmd/grapple/ -run 'Resume|Torn|Journal' -count=1
 
@@ -126,11 +130,14 @@ bench-e2e:
 # Allocation-budget regression gates: the zero-copy read path must stay
 # near zero allocs/record (and under half of the legacy decoder), the dedupe
 # key and a warm SMT-cache probe must not allocate at all, the join as a
-# whole must stay within its pinned allocations per candidate, and the
-# frontend must stay within its bytes per source byte (Parse: no token slice)
-# and per encoded path (cfet.Build: no environment copy per split), and its
-# allocation per added function must not depend on the program's size (the
-# scaling guard, which also counts one verdict lookup per If walked).
+# whole must stay within its pinned allocations per candidate and, out of
+# core, within 1.05 x the edge pairs the in-memory join merges, with exactly
+# its rejection counts (the join-amplification guard: like the scaling guard
+# it gates deterministic counts, not time), and the frontend must stay within
+# its bytes per source byte (Parse: no token slice) and per encoded path
+# (cfet.Build: no environment copy per split), and its allocation per added
+# function must not depend on the program's size (the scaling guard, which
+# also counts one verdict lookup per If walked).
 # Run without -race: the race runtime inflates allocation counts, so these
 # tests skip themselves under it.
 alloc-budget: build
@@ -138,6 +145,6 @@ alloc-budget: build
 	$(GO) test ./internal/engine/ -run 'TestCacheProbeZeroAlloc|TestJoinAllocBudget' -count=1
 	$(GO) test ./internal/lang/ -run TestParseAllocBudget -count=1
 	$(GO) test ./internal/cfet/ -run TestBuildAllocBudget -count=1
-	$(GO) test ./internal/checker/ -run TestFrontendScalesLinearly -count=1
+	$(GO) test ./internal/checker/ -run 'TestFrontendScalesLinearly|TestCrossPassJoinsEachPairOnce' -count=1
 
 ci: vet fmt-check race test crash lint-self check-self unlowered-budget obs-smoke alloc-budget

@@ -154,16 +154,7 @@ func auditPhase(t *testing.T, x *exactIndex, dir string, ic *cfet.ICFET, g *gram
 // closure subjects and requires that no two distinct edge identities share
 // a 64-bit dedupe key.
 func TestKeyCollisionAudit(t *testing.T) {
-	profiles := workload.Profiles()
-	// The benchmark's closure subjects (benchmark/workloads.go): hdfs-sim at
-	// four services of seven, and a few very long functions.
-	half, _ := workload.ProfileByName("hdfs-sim")
-	half.Name = "hdfs-half"
-	half.Services, half.ExcTP, half.ExcFP, half.SockTP = 4, 22, 2, 2
-	profiles = append(profiles, half, workload.Profile{
-		Name: "deep-sim", Seed: 3005, Services: 2, WorkersPerService: 2,
-		ExcTP: 8, SockTP: 4, CorrectPerBug: 2, FillerStmts: 6,
-	})
+	profiles := append(workload.Profiles(), hdfsHalfProfile(), deepSimProfile())
 	if testing.Short() {
 		profiles = []workload.Profile{workload.MiniProfile()}
 	}

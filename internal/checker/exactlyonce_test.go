@@ -1,0 +1,261 @@
+package checker_test
+
+import (
+	"fmt"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"github.com/grapple-system/grapple/internal/checker"
+	"github.com/grapple-system/grapple/internal/engine"
+	"github.com/grapple-system/grapple/internal/fsm"
+	"github.com/grapple-system/grapple/internal/raceflag"
+	"github.com/grapple-system/grapple/internal/storage"
+	"github.com/grapple-system/grapple/internal/workload"
+)
+
+// hdfsHalfProfile and deepSimProfile are the benchmark's closure subjects
+// (benchmark/workloads.go): hdfs-sim at four services of seven, and a few
+// very long functions.
+func hdfsHalfProfile() workload.Profile {
+	p, _ := workload.ProfileByName("hdfs-sim")
+	p.Name = "hdfs-half"
+	p.Services, p.ExcTP, p.ExcFP, p.SockTP = 4, 22, 2, 2
+	return p
+}
+
+func deepSimProfile() workload.Profile {
+	return workload.Profile{
+		Name: "deep-sim", Seed: 3005, Services: 2, WorkersPerService: 2,
+		ExcTP: 8, SockTP: 4, CorrectPerBug: 2, FillerStmts: 6,
+	}
+}
+
+// closureRun is what one check leaves behind for the exactly-once tests:
+// the result (reports and both phases' engine counters), the reports
+// rendered in full and sorted, and each phase's closed edge set as sorted
+// dedupe keys.
+type closureRun struct {
+	res     *checker.Result
+	reports []string
+	keys    map[string][]uint64
+}
+
+// candidates is the join's work in merged edge pairs, as the benchmark
+// counts it: every merge either conflicts structurally or, unless the
+// dedupe index already holds its result, goes on to a constraint-cache
+// probe.
+func (r *closureRun) candidates() int64 {
+	a, d := r.res.Alias.Stats, r.res.Dataflow.Stats
+	return a.CacheLookups + a.RejectedConflict + d.CacheLookups + d.RejectedConflict
+}
+
+func (r *closureRun) unsat() int64 {
+	return r.res.Alias.RejectedUnsat + r.res.Dataflow.RejectedUnsat
+}
+
+func (r *closureRun) conflict() int64 {
+	return r.res.Alias.RejectedConflict + r.res.Dataflow.RejectedConflict
+}
+
+func (r *closureRun) widened() int64 {
+	return r.res.Alias.Widened + r.res.Dataflow.Widened
+}
+
+func (r *closureRun) edges() int64 {
+	return r.res.Alias.EdgesAfter + r.res.Dataflow.EdgesAfter
+}
+
+// sameEdgeSets reports whether both phases closed to the same edge sets.
+func (r *closureRun) sameEdgeSets(o *closureRun) bool {
+	return slices.Equal(r.keys["alias"], o.keys["alias"]) && slices.Equal(r.keys["dataflow"], o.keys["dataflow"])
+}
+
+// noWidening lifts the per-endpoint variant cap out of reach. Widening keeps
+// the first MaxVariants variants to arrive at an endpoint and collapses the
+// rest, so which edges a closure holds depends on insertion order, and a
+// partitioned run inserts in another order than a one-partition run. With
+// the cap lifted the closure is the least fixpoint of the grammar and the
+// constraints alone: every schedule must reach the same edge set.
+const noWidening = 1 << 30
+
+func runClosure(t *testing.T, src string, eng engine.Options) *closureRun {
+	t.Helper()
+	dir := t.TempDir()
+	res, err := checker.New(fsm.Builtins(), checker.Options{WorkDir: dir, Engine: eng}).CheckSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := &closureRun{res: res, keys: map[string][]uint64{}}
+	for _, r := range res.Reports {
+		run.reports = append(run.reports, fmt.Sprintf("%s|%s|%d|%s|%s|%v|%s|%s|%v",
+			r.FSM, r.Type, r.Kind, r.Pos, r.Object, r.States, r.Witness, r.WitnessConstraint, r.Steps))
+	}
+	slices.Sort(run.reports)
+	for _, phase := range []string{"alias", "dataflow"} {
+		paths, err := filepath.Glob(filepath.Join(dir, phase, "part-*.edges"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var edges []storage.Edge
+		for _, p := range paths {
+			if edges, _, _, err = storage.ReadPart(p, edges[:0]); err != nil {
+				t.Fatal(err)
+			}
+			for i := range edges {
+				run.keys[phase] = append(run.keys[phase], edges[i].Key())
+			}
+		}
+		slices.Sort(run.keys[phase])
+	}
+	return run
+}
+
+// TestCrossPassJoinsEachPairOnce is the join-amplification guard (in `make
+// alloc-budget`, next to the join's allocation budget): it gates
+// deterministic counts, not time. Under budgets that cut the dataflow graph
+// into 2, 4 and at least 8 partitions the join must merge no more edge pairs
+// than the one-partition run does — every pair once, whichever passes its two
+// partitions meet in and however often they are split — and reject exactly
+// the same number as unsatisfiable and as conflicting. Before sub-join
+// stamps the 4-partition run of hdfs-half merged 2.2 times the pairs.
+func TestCrossPassJoinsEachPairOnce(t *testing.T) {
+	type cell struct {
+		budget      int64
+		partitions  int // expected; 8 stands for "at least 8"
+		maxVariants int // 0 is the default variant cap
+	}
+	for _, tc := range []struct {
+		profile workload.Profile
+		cells   []cell
+	}{
+		{hdfsHalfProfile(), []cell{{8 << 20, 2, 0}, {3 << 20, 4, 0}, {2 << 20, 8, 0}}},
+		// deep-sim from 8 partitions on is order-sensitive under the default
+		// cap: its 10-partition run widens 11 143 variants where the
+		// one-partition run widens 11 113, and goes on to reject 513 112
+		// conflicts against 513 034. With widening out of the picture the
+		// counts are equal again, so that cell (and its own one-partition
+		// baseline) is held to exactness there.
+		{deepSimProfile(), []cell{{16 << 20, 2, 0}, {8 << 20, 4, 0}, {3 << 20, 8, noWidening}}},
+	} {
+		t.Run(tc.profile.Name, func(t *testing.T) {
+			if raceflag.Enabled && tc.profile.Name != "hdfs-half" {
+				t.Skip("one subject is enough to look for races")
+			}
+			src := workload.Generate(tc.profile).Source
+			baselines := map[int]*closureRun{}
+			for _, c := range tc.cells {
+				base := baselines[c.maxVariants]
+				if base == nil {
+					base = runClosure(t, src, engine.Options{Workers: 2, MaxVariants: c.maxVariants})
+					if base.res.Dataflow.Partitions != 1 || base.res.Alias.Partitions != 1 {
+						t.Fatalf("baseline is not one partition per phase: %d alias, %d dataflow",
+							base.res.Alias.Partitions, base.res.Dataflow.Partitions)
+					}
+					baselines[c.maxVariants] = base
+				}
+				r := runClosure(t, src, engine.Options{Workers: 2, MemoryBudget: c.budget, MaxVariants: c.maxVariants})
+				got := r.res.Dataflow.Partitions
+				if got != c.partitions && !(c.partitions == 8 && got > 8) {
+					t.Fatalf("budget %d: %d dataflow partitions, the case wants %d", c.budget, got, c.partitions)
+				}
+				t.Logf("budget %d: %d partitions, %d supersteps: %d candidates (one partition %d), %d unsat (%d), %d conflicts (%d)",
+					c.budget, got, r.res.Dataflow.Iterations, r.candidates(), base.candidates(),
+					r.unsat(), base.unsat(), r.conflict(), base.conflict())
+				if limit := base.candidates() + base.candidates()/20; r.candidates() > limit {
+					t.Errorf("budget %d (%d partitions): %d candidates, more than 1.05 x the one-partition run's %d",
+						c.budget, got, r.candidates(), base.candidates())
+				}
+				if r.unsat() != base.unsat() || r.conflict() != base.conflict() {
+					t.Errorf("budget %d (%d partitions): rejected %d unsat / %d conflicts, the one-partition run %d / %d",
+						c.budget, got, r.unsat(), r.conflict(), base.unsat(), base.conflict())
+				}
+				if !slices.Equal(r.reports, base.reports) {
+					t.Errorf("budget %d (%d partitions): reports differ from the one-partition run's", c.budget, got)
+				}
+			}
+		})
+	}
+}
+
+// TestClosureInvariantAcrossBudgets is the first slice of ROADMAP 6(b): what
+// a check computes must not depend on how much memory it was given. Over the
+// four golden subjects and hdfs-half, under the default budget (one
+// partition per phase), 8 MiB, 3 MiB and a 1 MiB floor (16 to 80 dataflow
+// partitions; below it only the superstep count grows, quadratically — 61 060
+// supersteps and four minutes for hbase-sim at 256 KiB), in two regimes:
+//
+//   - widening off: the closed edge set of both phases, the report set and
+//     both rejection counts equal the in-memory run's exactly;
+//   - the default variant cap: the report set equals the in-memory run's.
+//     The edge set is order-sensitive here (see noWidening) and is not held
+//     to equality: most cells hold the same number of edges in a different
+//     selection, the rest differ by a few widened variants. The test bounds
+//     the difference at 0.1 % of the edge count and logs each cell;
+//     EXPERIMENTS.md ("Exactly-once partitioned join") has the table.
+func TestClosureInvariantAcrossBudgets(t *testing.T) {
+	profiles := append(workload.Profiles(), hdfsHalfProfile())
+	if testing.Short() || raceflag.Enabled {
+		profiles = []workload.Profile{hdfsHalfProfile()}
+	}
+	for _, p := range profiles {
+		t.Run(p.Name, func(t *testing.T) {
+			src := workload.Generate(p).Source
+			for _, maxVariants := range []int{noWidening, 0} {
+				base := runClosure(t, src, engine.Options{Workers: 2, MaxVariants: maxVariants})
+				for _, budget := range []int64{8 << 20, 3 << 20, 1 << 20} {
+					r := runClosure(t, src, engine.Options{Workers: 2, MemoryBudget: budget, MaxVariants: maxVariants})
+					same := r.sameEdgeSets(base)
+					t.Logf("maxVariants %d, budget %d: %d+%d partitions, %d edges (in memory %d), same edge sets: %v",
+						maxVariants, budget, r.res.Alias.Partitions, r.res.Dataflow.Partitions, r.edges(), base.edges(), same)
+					if !slices.Equal(r.reports, base.reports) {
+						t.Errorf("maxVariants %d, budget %d: report set differs from the in-memory run's", maxVariants, budget)
+					}
+					if maxVariants == noWidening {
+						if !same {
+							t.Errorf("widening off, budget %d: closed edge sets differ from the in-memory run's (%d edges, in memory %d)",
+								budget, r.edges(), base.edges())
+						}
+						if r.unsat() != base.unsat() || r.conflict() != base.conflict() {
+							t.Errorf("widening off, budget %d: rejected %d unsat / %d conflicts, in memory %d / %d",
+								budget, r.unsat(), r.conflict(), base.unsat(), base.conflict())
+						}
+					} else if d := r.edges() - base.edges(); d > base.edges()/1000 || -d > base.edges()/1000 {
+						t.Errorf("budget %d: %d edges, more than 0.1 %% away from the in-memory run's %d", budget, r.edges(), base.edges())
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestWorkerCountLeavesCheckIdentical runs hdfs-half in and out of core on 1,
+// 2, 3 and 8 join workers: chunk claiming decides who joins what, never what
+// is inserted or in which order, so reports (witnesses included), closed
+// edge sets and every count that insertion order feeds must not move.
+func TestWorkerCountLeavesCheckIdentical(t *testing.T) {
+	p := hdfsHalfProfile()
+	if testing.Short() {
+		p = workload.MiniProfile()
+	}
+	src := workload.Generate(p).Source
+	for _, budget := range []int64{0, 3 << 20} {
+		var base *closureRun
+		for _, workers := range []int{1, 2, 3, 8} {
+			r := runClosure(t, src, engine.Options{Workers: workers, MemoryBudget: budget})
+			if base == nil {
+				base = r
+				continue
+			}
+			if !slices.Equal(r.reports, base.reports) || !r.sameEdgeSets(base) {
+				t.Errorf("budget %d: %d workers changed the reports or the closed edge sets", budget, workers)
+			}
+			if r.edges() != base.edges() || r.widened() != base.widened() ||
+				r.unsat() != base.unsat() || r.conflict() != base.conflict() || r.candidates() != base.candidates() {
+				t.Errorf("budget %d, %d workers: %d edges, %d widened, %d unsat, %d conflicts, %d candidates; one worker %d, %d, %d, %d, %d",
+					budget, workers, r.edges(), r.widened(), r.unsat(), r.conflict(), r.candidates(),
+					base.edges(), base.widened(), base.unsat(), base.conflict(), base.candidates())
+			}
+		}
+	}
+}

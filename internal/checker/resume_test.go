@@ -122,6 +122,12 @@ func TestCheckerResumeAtEveryBoundary(t *testing.T) {
 	if boundaries < 4 {
 		t.Fatalf("only %d superstep boundaries; subject too small for the kill sweep", boundaries)
 	}
+	// The sweep must cross cross-partition passes and a split, or it says
+	// nothing about sub-join stamps and their inheritance surviving a kill.
+	if ref.Dataflow.Partitions < 2 || ref.Dataflow.Repartitions < 1 {
+		t.Fatalf("dataflow phase ran in %d partitions with %d repartitions; budget too large for the kill sweep",
+			ref.Dataflow.Partitions, ref.Dataflow.Repartitions)
+	}
 
 	// Journal-off ablation: identical reports.
 	off := resumeOpts(t.TempDir())
@@ -152,6 +158,89 @@ func TestCheckerResumeAtEveryBoundary(t *testing.T) {
 		if got := renderReports(res.Reports); got != want {
 			t.Fatalf("k=%d: resumed reports differ:\n%s\nvs\n%s", k, got, want)
 		}
+	}
+}
+
+// stripSelfStamps rewrites the journal in dir without the (i, i) entries of
+// its last record's LastGen: what a journal written before sub-join stamps
+// lacks wherever a self stamp was set or inherited outside a self pass —
+// and then some, since it drops the self passes' own stamps too. It reports
+// how many entries it dropped.
+func stripSelfStamps(t *testing.T, dir string) int {
+	t.Helper()
+	meta, recs, _, err := storage.ReadJournal(dir)
+	if errors.Is(err, storage.ErrNoJournal) {
+		return 0
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := recs[len(recs)-1]
+	if last.Completed {
+		return 0
+	}
+	kept := last.LastGen[:0]
+	for _, g := range last.LastGen {
+		if g.A != g.B {
+			kept = append(kept, g)
+		}
+	}
+	dropped := len(last.LastGen) - len(kept)
+	last.LastGen = kept
+	jw, err := storage.CreateJournal(dir, meta, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jw.Close()
+	for _, rec := range recs {
+		if _, err := jw.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dropped
+}
+
+// TestCheckerResumeJournalWithoutSelfStamps resumes, at every superstep
+// boundary, from a journal stripped of its self stamps — the shape of a
+// journal left behind by an engine that kept one stamp per pass. Missing
+// stamps only make the resumed run more conservative (it joins again what
+// the stamps would have skipped, and the dedupe index drops the results), so
+// the reports must be the uninterrupted run's.
+func TestCheckerResumeJournalWithoutSelfStamps(t *testing.T) {
+	src := resumeSource(t)
+	refFaults := faultpoint.New()
+	refOpts := resumeOpts(t.TempDir())
+	refOpts.Faults = refFaults
+	ref, err := New(fsm.Builtins(), refOpts).CheckSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderReports(ref.Reports)
+	dropped := 0
+	for k := 1; k <= refFaults.Count(faultpoint.EngineSuperstep); k++ {
+		dir := t.TempDir()
+		faults := faultpoint.New()
+		faults.Arm(faultpoint.EngineSuperstep, k)
+		opts := resumeOpts(dir)
+		opts.Faults = faults
+		if _, err := New(fsm.Builtins(), opts).CheckSource(src); !errors.Is(err, faultpoint.ErrInjected) {
+			t.Fatalf("k=%d: kill did not fire: %v", k, err)
+		}
+		for _, phase := range []string{"alias", "dataflow"} {
+			dropped += stripSelfStamps(t, filepath.Join(dir, phase))
+		}
+		ropts := resumeOpts(dir)
+		ropts.Resume = true
+		res, err := New(fsm.Builtins(), ropts).CheckSource(src)
+		if err != nil {
+			t.Fatalf("k=%d: resume: %v", k, err)
+		}
+		if got := renderReports(res.Reports); got != want {
+			t.Fatalf("k=%d: reports resumed from a journal without self stamps differ:\n%s\nvs\n%s", k, got, want)
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no journal held a self stamp to strip; the test resumed from unmodified journals")
 	}
 }
 

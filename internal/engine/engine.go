@@ -177,6 +177,9 @@ func buildBySrc(edges []storage.Edge) map[uint32][]int32 {
 	return out
 }
 
+// owns reports whether vertex v lies in the partition's interval.
+func (mp *memPart) owns(v uint32) bool { return v >= mp.meta.lo && v < mp.meta.hi }
+
 func (mp *memPart) add(e storage.Edge, sz int64) {
 	idx := int32(len(mp.edges))
 	mp.edges = append(mp.edges, e)
@@ -232,10 +235,10 @@ type Engine struct {
 
 	// Join scratch reused across supersteps: the superstep loop is
 	// single-threaded, so by the time processPair runs again the previous
-	// superstep's frontier, chunk bounds, and candidate batches have all
-	// been consumed.
+	// superstep's frontier, chunk records, and per-worker candidate batches
+	// have all been consumed.
 	firstsBuf []*storage.Edge
-	chunkBuf  [][2]int
+	chunkBuf  []joinChunk
 	scratch   []*joinScratch
 
 	// jw is the run journal while Options.Journal is on (or after resume);
@@ -691,7 +694,9 @@ func (en *Engine) load(idx int) (*memPart, error) {
 		ioStart := time.Now()
 		var n int64
 		var err error
-		edges, info, n, err = storage.ReadPartWith(meta.path, nil, en.readOpts)
+		// meta.edges counts the file's edges plus the pending ones merged
+		// below: one allocation holds the loaded partition.
+		edges, info, n, err = storage.ReadPartWith(meta.path, make([]storage.Edge, 0, meta.edges), en.readOpts)
 		if err != nil {
 			return nil, err
 		}

@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/grapple-system/grapple/internal/cfet"
@@ -24,13 +25,13 @@ type candidate struct {
 	payload uint64
 }
 
-// joinScratch is one join chunk's reusable buffers: the candidate batch the
-// chunk produces, the buffer every candidate's path encoding is merged
+// joinScratch is one join worker's reusable buffers: the candidate batch the
+// worker produces, the buffer every candidate's path encoding is merged
 // into, and the SMT-cache key scratch its probes encode into. The superstep
-// loop is single-threaded, so a chunk's batch from superstep N is fully
+// loop is single-threaded, so a worker's batch from superstep N is fully
 // consumed (inserted) before superstep N+1 hands the same scratch to
-// another goroutine; within a superstep each chunk owns its scratch
-// exclusively.
+// another goroutine; within a superstep each worker owns its scratch
+// exclusively, across all the chunks it claims.
 type joinScratch struct {
 	out    []candidate
 	encBuf cfet.Enc
@@ -41,6 +42,76 @@ type joinScratch struct {
 	// those edges do. Only the unused tail of the current chunk carries
 	// over to the next superstep.
 	arena cfet.Arena
+}
+
+// stamp is one sub-join's semi-naive watermark: once seen, every edge pair of
+// that sub-join whose two generations are both at most last has been joined.
+type stamp struct {
+	last uint32
+	seen bool
+}
+
+func (s stamp) joined(e1, e2 *storage.Edge) bool {
+	return s.seen && e1.Gen <= s.last && e2.Gen <= s.last
+}
+
+// passJoin is what the join workers of one pass over (i, j) share; all of it
+// is read-only while they run except chunks, where each worker fills in the
+// entries it claims. The pass is four sub-joins — pi→pi, pi→pj, pj→pi,
+// pj→pj — and an edge pair is filtered by the stamp of the sub-join it
+// belongs to: a within-partition pair by that partition's self stamp (the
+// (i, i) pair's lastGen entry), a cross pair by the (i, j) entry. A pass
+// therefore merges only pairs that no earlier pass, over whichever partition
+// pair, has merged already.
+type passJoin struct {
+	pi, pj *memPart
+	// firsts is the frontier; firsts[:fromI] were collected from pi, the rest
+	// from pj.
+	firsts              []*storage.Edge
+	fromI               int
+	selfI, selfJ, cross stamp
+	gen                 uint32
+	// chunks[k] covers firsts[k*chunkEdges : (k+1)*chunkEdges] (the last one
+	// is cut short).
+	chunks     []joinChunk
+	chunkEdges int
+}
+
+// joinChunk records where the candidates of one claimed chunk of the
+// frontier went: out[lo:hi] of the claiming worker's scratch.
+type joinChunk struct {
+	scr    *joinScratch
+	lo, hi int
+}
+
+// joinChunkEdges is the frontier's claim unit in first edges. The frontier is
+// in partition order, generation order within a partition, so the new edges —
+// which do all the new×all work of a semi-naive pass — sit at the tail: an
+// even split into one range per worker leaves one worker most of the join.
+// Workers instead claim fixed-size chunks from a shared counter until none
+// are left. Sized by measurement (EXPERIMENTS.md, "Exactly-once partitioned
+// join"): small enough that the tail spreads over every worker, large
+// enough that a claim is noise next to the chunk's work.
+const joinChunkEdges = 256
+
+// seconds returns the loaded edges that start at vertex src, the partition
+// holding them, and the stamp of the sub-join they form with firsts[k]: the
+// partition firsts[k] was collected from → the partition owning src.
+func (jn *passJoin) seconds(k int, src uint32) ([]int32, *memPart, stamp) {
+	from, st := jn.pi, jn.selfI
+	if k >= jn.fromI {
+		from, st = jn.pj, jn.selfJ
+	}
+	to := jn.pi
+	if !to.owns(src) {
+		if to = jn.pj; !to.owns(src) {
+			return nil, nil, stamp{}
+		}
+	}
+	if to != from {
+		st = jn.cross
+	}
+	return to.bySrc[src], to, st
 }
 
 // mergeTimeStride is how many candidates share one timed Merge.
@@ -61,28 +132,6 @@ func (scr *joinScratch) keep(enc cfet.Enc) cfet.Enc {
 	kept := scr.arena.Alloc(len(enc), arenaChunkElems)
 	copy(kept, enc)
 	return kept
-}
-
-// splitRange appends to dst the bounds of at most `workers` contiguous,
-// near-equal chunks covering [0, n) — and never more chunks than elements,
-// so a 3-edge frontier under 8 workers fans out to 3 single-edge chunks
-// instead of serializing on one goroutine (the old clamp-to-1 behavior).
-func splitRange(dst [][2]int, n, workers int) [][2]int {
-	if n <= 0 || workers < 1 {
-		return dst
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		dst = append(dst, [2]int{lo, hi})
-	}
-	return dst
 }
 
 // processPair loads partitions i and j, joins every consecutive edge pair
@@ -109,10 +158,12 @@ func (en *Engine) processPair(i, j int) (int, error) {
 		}
 	}
 	en.hot = [2]int{i, j}
-	key := [2]int{en.parts[i].id, en.parts[j].id}
-	last, seen := en.lastGen[key]
+	idI, idJ := en.parts[i].id, en.parts[j].id
 	en.curGen++
-	gen := en.curGen
+	jn := &passJoin{
+		pi: pi, pj: pj, gen: en.curGen,
+		selfI: en.stamp(idI, idI), selfJ: en.stamp(idJ, idJ), cross: en.stamp(idI, idJ),
+	}
 
 	// Collect source edges; semi-naive: at least one side must be new. The
 	// frontier slice is reused across supersteps: the previous superstep's
@@ -128,33 +179,33 @@ func (en *Engine) processPair(i, j int) (int, error) {
 		}
 	}
 	collect(pi)
+	jn.fromI = len(firsts)
 	if j != i {
 		collect(pj)
 	}
-	en.firstsBuf = firsts
+	en.firstsBuf, jn.firsts = firsts, firsts
 
-	lookup := func(src uint32) ([]int32, *memPart) {
-		if src >= pi.meta.lo && src < pi.meta.hi {
-			return pi.bySrc[src], pi
-		}
-		if j != i && src >= pj.meta.lo && src < pj.meta.hi {
-			return pj.bySrc[src], pj
-		}
-		return nil, nil
+	// One worker joins the whole frontier as a single chunk; several claim
+	// it chunk by chunk, never more workers than chunks.
+	jn.chunkEdges = joinChunkEdges
+	if en.opts.Workers == 1 {
+		jn.chunkEdges = max(len(firsts), 1)
 	}
-
-	chunks := splitRange(en.chunkBuf[:0], len(firsts), en.opts.Workers)
-	en.chunkBuf = chunks
-	for len(en.scratch) < len(chunks) {
+	nChunks := (len(firsts) + jn.chunkEdges - 1) / jn.chunkEdges
+	workers := min(en.opts.Workers, nChunks)
+	jn.chunks = slices.Grow(en.chunkBuf[:0], nChunks)[:nChunks]
+	en.chunkBuf = jn.chunks
+	for len(en.scratch) < workers {
 		en.scratch = append(en.scratch, &joinScratch{})
 	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w, c := range chunks {
+	for _, scr := range en.scratch[:workers] {
 		wg.Add(1)
-		go func(scr *joinScratch, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			en.joinRange(firsts[lo:hi], lookup, last, seen, gen, scr)
-		}(en.scratch[w], c[0], c[1])
+			en.joinWorker(jn, scr, &next)
+		}()
 	}
 	// While the join computes, start loading the partition the scheduler is
 	// predicted to need next, so the next iteration's disk wait overlaps
@@ -165,19 +216,25 @@ func (en *Engine) processPair(i, j int) (int, error) {
 	wg.Wait()
 
 	// Insert candidates (single-threaded: dedupe set and partitions), in
-	// chunk order — the order one worker would have produced them in.
+	// chunk order — the order one worker would have produced them in,
+	// whichever worker claimed which chunk.
 	computeStart := time.Now()
-	for _, scr := range en.scratch[:len(chunks)] {
-		for k := range scr.out {
-			en.insert(&scr.out[k].edge, scr.out[k].payload)
+	for _, c := range jn.chunks {
+		for k := c.lo; k < c.hi; k++ {
+			en.insert(&c.scr.out[k].edge, c.scr.out[k].payload)
 		}
 	}
 	en.bd.AddCompute(time.Since(computeStart))
 
-	// Edges induced during this very iteration carry generation `gen` and
-	// still need to be joined against everything, so the pair is processed
-	// "up to" gen-1: it stays dirty exactly when this pass added edges.
-	en.lastGen[key] = gen - 1
+	// Edges induced during this very iteration carry generation gen and still
+	// need to be joined against everything, so all three sub-join stamps
+	// advance to gen-1: a cross pass has joined every within-pi and within-pj
+	// pair with a side newer than the self stamp, and a pair stays dirty
+	// exactly when this pass added edges to one of its partitions. Set before
+	// the repartition loop below, so a split copies them.
+	for _, key := range [3][2]int{{idI, idI}, {idJ, idJ}, {idI, idJ}} {
+		en.lastGen[key] = jn.gen - 1
+	}
 
 	if err := en.flushPending(false); err != nil {
 		return 0, err
@@ -266,57 +323,95 @@ func appendEncCacheKey(dst []byte, enc cfet.Enc) []byte {
 	return dst
 }
 
-// joinRange joins each first edge against the loaded second edges and
-// leaves the constraint-validated candidates in scr.out. Runs concurrently;
-// touches only read-only engine state plus its own solver and scratch.
-func (en *Engine) joinRange(firsts []*storage.Edge, lookup func(uint32) ([]int32, *memPart), last uint32, seen bool, gen uint32, scr *joinScratch) {
-	solver := smt.New(en.opts.SolverOpts)
-	out := scr.out[:0]
-	encBuf, keyBuf := scr.encBuf, scr.keyBuf
-	var cacheLookups, cacheHits, conflicts, unsats int64
+// joinCounts is what a join worker tallies locally over the chunks it claims
+// and folds into the shared counters once per superstep.
+type joinCounts struct {
+	cacheLookups, cacheHits, conflicts, unsats int64
 	// No clock is read per candidate: Merge is timed on every
 	// mergeTimeStride-th one and the total extrapolated from the sample, so
 	// Figure 9's "constraint lookup" share survives without two time.Now()
 	// calls around an operation that takes less than they do. Cache misses
-	// are rare and expensive enough to time individually; all of it
-	// accumulates here and reaches the shared counters once per chunk.
-	var merges, mergesTimed int64
-	var mergeTimed, decodeTime, solveTime time.Duration
+	// are rare and expensive enough to time individually.
+	merges, mergesTimed               int64
+	mergeTimed, decodeTime, solveTime time.Duration
+}
+
+// joinWorker claims chunks of the frontier from next until none are left,
+// joins each into scr.out and records the segment it produced. The solver,
+// the scratch buffers and the survivor arena are the worker's, not the
+// chunk's: they are set up, and the counters merged under en.mu, once per
+// worker per superstep. Runs concurrently; touches only read-only engine
+// state plus its own solver and scratch and the chunk entries it claimed.
+func (en *Engine) joinWorker(jn *passJoin, scr *joinScratch, next *atomic.Int64) {
+	solver := smt.New(en.opts.SolverOpts)
+	scr.out = scr.out[:0]
+	var c joinCounts
 	computeStart := time.Now()
-	for _, e1 := range firsts {
-		idxs, mp := lookup(e1.Dst)
-		if mp == nil {
-			continue
+	for {
+		k := int(next.Add(1)) - 1
+		if k >= len(jn.chunks) {
+			break
 		}
-		for _, k := range idxs {
-			e2 := &mp.edges[k]
-			if seen && e1.Gen <= last && e2.Gen <= last {
+		lo := k * jn.chunkEdges
+		hi := min(lo+jn.chunkEdges, len(jn.firsts))
+		ch := &jn.chunks[k]
+		ch.scr, ch.lo = scr, len(scr.out)
+		en.joinRange(jn, lo, hi, solver, scr, &c)
+		ch.hi = len(scr.out)
+	}
+	en.bd.AddCompute(time.Since(computeStart))
+	if c.mergesTimed > 0 {
+		c.decodeTime += time.Duration(int64(c.mergeTimed) * c.merges / c.mergesTimed)
+	}
+	en.bd.AddDecode(c.decodeTime)
+	en.bd.AddSolve(c.solveTime)
+	en.mu.Lock()
+	en.stats.ConstraintsSolved += solver.Calls
+	en.stats.CacheLookups += c.cacheLookups
+	en.stats.CacheHits += c.cacheHits
+	en.stats.RejectedConflict += c.conflicts
+	en.stats.RejectedUnsat += c.unsats
+	en.stats.SolveTime += c.solveTime
+	en.mu.Unlock()
+}
+
+// joinRange joins firsts[lo:hi] against the loaded second edges and appends
+// the constraint-validated candidates to scr.out.
+func (en *Engine) joinRange(jn *passJoin, lo, hi int, solver *smt.Solver, scr *joinScratch, c *joinCounts) {
+	out := scr.out
+	encBuf, keyBuf := scr.encBuf, scr.keyBuf
+	for k := lo; k < hi; k++ {
+		e1 := jn.firsts[k]
+		idxs, mp, st := jn.seconds(k, e1.Dst)
+		for _, x := range idxs {
+			e2 := &mp.edges[x]
+			if st.joined(e1, e2) {
 				continue // both sides already joined in a prior iteration
 			}
 			heads := en.g.MatchBinary(e1.Label, e2.Label)
 			if len(heads) == 0 {
 				continue
 			}
-			timed := merges%mergeTimeStride == 0
+			timed := c.merges%mergeTimeStride == 0
 			var mergeStart time.Time
 			if timed {
 				mergeStart = time.Now()
 			}
 			enc, ok := en.ic.AppendMerge(encBuf[:0], e1.Enc, e2.Enc)
 			if timed {
-				mergeTimed += time.Since(mergeStart)
-				mergesTimed++
+				c.mergeTimed += time.Since(mergeStart)
+				c.mergesTimed++
 			}
-			merges++
+			c.merges++
 			encBuf = enc
 			if !ok {
-				conflicts++
+				c.conflicts++
 				continue
 			}
 			// Global-dedupe pre-check against the frozen index (see
 			// hasKey); insert re-checks each survivor against the index
 			// as it grows.
-			cand := storage.Edge{Src: e1.Src, Dst: e2.Dst, Gen: gen, HasRel: en.opts.UseRel, Enc: enc}
+			cand := storage.Edge{Src: e1.Src, Dst: e2.Dst, Gen: jn.gen, HasRel: en.opts.UseRel, Enc: enc}
 			if cand.HasRel {
 				cand.Rel = fsm.Compose(e1.Rel, e2.Rel)
 			}
@@ -335,31 +430,31 @@ func (en *Engine) joinRange(firsts []*storage.Edge, lookup func(uint32) ([]int32
 				// Constraint memoization keyed by the encoded path (paper
 				// §4.3: "using encoded paths as the keys"): a hit skips
 				// both decoding and solving. The key is encoded into the
-				// chunk's scratch buffer and probed with byte-key lookups,
+				// worker's scratch buffer and probed with byte-key lookups,
 				// so a probe per join candidate costs no allocation; the
 				// key string only materializes when a miss inserts a new
 				// entry.
 				var verdict smt.Result
 				hit := false
 				if en.cache != nil {
-					cacheLookups++
+					c.cacheLookups++
 					keyBuf = append(keyBuf[:0], en.opts.CacheKeyPrefix...)
 					keyBuf = appendEncCacheKey(keyBuf, enc)
 					verdict, hit = en.cache.GetBytes(keyBuf)
 					if hit {
-						cacheHits++
+						c.cacheHits++
 					}
 				}
 				if !hit {
 					decodeStart := time.Now()
 					conj, derr := en.ic.Decode(enc)
-					decodeTime += time.Since(decodeStart)
+					c.decodeTime += time.Since(decodeStart)
 					verdict = smt.Sat
 					if derr == nil && len(conj) > 0 {
 						solveStart := time.Now()
 						verdict = solver.Solve(conj)
 						d := time.Since(solveStart)
-						solveTime += d
+						c.solveTime += d
 						en.solve.Observe(d)
 					}
 					if en.cache != nil {
@@ -367,7 +462,7 @@ func (en *Engine) joinRange(firsts []*storage.Edge, lookup func(uint32) ([]int32
 					}
 				}
 				if verdict == smt.Unsat {
-					unsats++
+					c.unsats++
 					continue
 				}
 			}
@@ -379,21 +474,13 @@ func (en *Engine) joinRange(firsts []*storage.Edge, lookup func(uint32) ([]int32
 			}
 		}
 	}
-	en.bd.AddCompute(time.Since(computeStart))
-	if mergesTimed > 0 {
-		decodeTime += time.Duration(int64(mergeTimed) * merges / mergesTimed)
-	}
-	en.bd.AddDecode(decodeTime)
-	en.bd.AddSolve(solveTime)
 	scr.out, scr.encBuf, scr.keyBuf = out, encBuf, keyBuf
-	en.mu.Lock()
-	en.stats.ConstraintsSolved += solver.Calls
-	en.stats.CacheLookups += cacheLookups
-	en.stats.CacheHits += cacheHits
-	en.stats.RejectedConflict += conflicts
-	en.stats.RejectedUnsat += unsats
-	en.stats.SolveTime += solveTime
-	en.mu.Unlock()
+}
+
+// stamp returns the lastGen entry of the partition-id pair (a, b).
+func (en *Engine) stamp(a, b int) stamp {
+	last, seen := en.lastGen[[2]int{a, b}]
+	return stamp{last: last, seen: seen}
 }
 
 // hasKey probes the global dedupe index without a lock. That is safe from
@@ -480,7 +567,7 @@ func (en *Engine) repartition(idx int) error {
 	for i := range mp.edges {
 		srcs[i] = mp.edges[i].Src
 	}
-	sort.Slice(srcs, func(a, b int) bool { return srcs[a] < srcs[b] })
+	slices.Sort(srcs)
 	mid := srcs[len(srcs)/2]
 	if mid <= meta.lo {
 		mid = meta.lo + (meta.hi-meta.lo)/2
@@ -496,7 +583,9 @@ func (en *Engine) repartition(idx int) error {
 	// partition appended at the end of the table. Vertex->partition mapping
 	// uses interval search, so ordering of en.parts by interval must be
 	// maintained: insert the new partition right after idx.
-	var loEdges, hiEdges []storage.Edge
+	nLo, _ := slices.BinarySearch(srcs, mid) // edges with Src < mid
+	loEdges := make([]storage.Edge, 0, nLo)
+	hiEdges := make([]storage.Edge, 0, len(mp.edges)-nLo)
 	var loBytes, hiBytes int64
 	var loGen, hiGen uint32
 	for i := range mp.edges {
@@ -555,6 +644,28 @@ func (en *Engine) repartition(idx int) error {
 	mp.edges = loEdges
 	mp.bySrc = buildBySrc(loEdges)
 	mp.dirty = true
+
+	// The new partition inherits the join history of the one it was cut from:
+	// its edges were that partition's edges in every pass so far. Within-new
+	// and low↔new pairs were within-partition pairs (self stamp); pairs with
+	// any other partition q were (q, idx) pairs. Keys are oriented by
+	// position, and the new partition sits right after idx.
+	inherit := func(from, to [2]int) {
+		if g, ok := en.lastGen[from]; ok {
+			en.lastGen[to] = g
+		}
+	}
+	p, np := meta.id, newMeta.id
+	inherit([2]int{p, p}, [2]int{np, np})
+	inherit([2]int{p, p}, [2]int{p, np})
+	for pos, q := range en.parts {
+		switch {
+		case pos < idx:
+			inherit([2]int{q.id, p}, [2]int{q.id, np})
+		case pos > idx:
+			inherit([2]int{p, q.id}, [2]int{np, q.id})
+		}
+	}
 
 	// Insert newMeta right after idx to keep interval order.
 	en.mu.Lock()
@@ -618,8 +729,9 @@ func (en *Engine) remapAfterInsert(pos int) {
 			en.hot[k] = idx + 1
 		}
 	}
-	// lastGen is keyed by stable partition IDs, not positions: safe. The
-	// prefetcher is keyed by *partMeta pointers, equally stable.
+	// lastGen is keyed by stable partition IDs, not positions: safe (the new
+	// partition's entries were copied by repartition). The prefetcher is keyed
+	// by *partMeta pointers, equally stable.
 }
 
 // ForEach streams every edge of the closed graph from disk (after Run).

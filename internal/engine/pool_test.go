@@ -14,51 +14,6 @@ import (
 	"github.com/grapple-system/grapple/internal/storage"
 )
 
-// TestSmallFrontierFansOut pins the splitRange fix: a 3-edge frontier under
-// 8 workers must fan out to 3 single-edge chunks, not collapse onto one
-// goroutine (the old workers>len(firsts) clamp-to-1 behavior).
-func TestSmallFrontierFansOut(t *testing.T) {
-	chunks := splitRange(nil, 3, 8)
-	if len(chunks) != 3 {
-		t.Fatalf("3 edges under 8 workers split into %d chunks, want 3: %v", len(chunks), chunks)
-	}
-	for i, c := range chunks {
-		if c != [2]int{i, i + 1} {
-			t.Fatalf("chunk %d = %v, want [%d,%d)", i, c, i, i+1)
-		}
-	}
-}
-
-// TestSplitRangeProperties checks splitRange's invariants over a parameter
-// sweep: chunks tile [0,n) in order, and there are never more chunks than
-// workers or elements.
-func TestSplitRangeProperties(t *testing.T) {
-	for n := 0; n <= 40; n++ {
-		for workers := 0; workers <= 12; workers++ {
-			chunks := splitRange(nil, n, workers)
-			if n == 0 || workers == 0 {
-				if len(chunks) != 0 {
-					t.Fatalf("n=%d workers=%d: got %v", n, workers, chunks)
-				}
-				continue
-			}
-			if len(chunks) > workers || len(chunks) > n {
-				t.Fatalf("n=%d workers=%d: %d chunks", n, workers, len(chunks))
-			}
-			next := 0
-			for _, c := range chunks {
-				if c[0] != next || c[1] <= c[0] {
-					t.Fatalf("n=%d workers=%d: bad tiling %v", n, workers, chunks)
-				}
-				next = c[1]
-			}
-			if next != n {
-				t.Fatalf("n=%d workers=%d: chunks cover [0,%d), want [0,%d)", n, workers, next, n)
-			}
-		}
-	}
-}
-
 // closureFingerprint canonicalizes an engine's closed graph into a sorted
 // multiset of fully-rendered edges (endpoints, label, rel, and every
 // encoding element), so two runs can be compared for byte-level identity.

@@ -56,9 +56,12 @@ func (pf *prefetcher) start(meta *partMeta) {
 	pf.mu.Unlock()
 	pf.io.PrefetchIssued()
 	pf.wg.Add(1)
+	// Sized here, on the engine's goroutine: insert keeps counting edges into
+	// meta while the read runs.
+	dst := make([]storage.Edge, 0, meta.edges)
 	go func() {
 		defer pf.wg.Done()
-		edges, info, n, err := storage.ReadPartWith(meta.path, nil, pf.readOpts)
+		edges, info, n, err := storage.ReadPartWith(meta.path, dst, pf.readOpts)
 		e.res = prefetched{edges: edges, info: info, bytes: n, err: err}
 		close(e.done)
 	}()

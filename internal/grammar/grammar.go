@@ -25,6 +25,9 @@ type Grammar struct {
 	unary  map[Label][]Label
 	binary map[uint32][]Label
 	mirror map[Label]Label
+	// hasLeft[b] is set when some binary production starts with label b;
+	// AddBinary keeps it in step with binary.
+	hasLeft []bool
 
 	// Final marks labels whose edges are analysis results (e.g. flowsTo,
 	// alias); the engine reports counts per final label.
@@ -97,6 +100,10 @@ func (g *Grammar) AddUnary(a, b Label) { g.unary[b] = append(g.unary[b], a) }
 func (g *Grammar) AddBinary(a, b, c Label) {
 	k := binKey(b, c)
 	g.binary[k] = append(g.binary[k], a)
+	if int(b) >= len(g.hasLeft) {
+		g.hasLeft = append(g.hasLeft, make([]bool, int(b)+1-len(g.hasLeft))...)
+	}
+	g.hasLeft[b] = true
 }
 
 // SetMirror declares that producing label a also produces rev on the
@@ -126,12 +133,7 @@ func (g *Grammar) MatchUnary(b Label) []Label { return g.unary[b] }
 // HasLeft reports whether any binary production starts with label b; the
 // engine uses this to skip edges that can never begin a match.
 func (g *Grammar) HasLeft(b Label) bool {
-	for k := range g.binary {
-		if Label(k>>16) == b {
-			return true
-		}
-	}
-	return false
+	return int(b) < len(g.hasLeft) && g.hasLeft[b]
 }
 
 func binKey(b, c Label) uint32 { return uint32(b)<<16 | uint32(c) }

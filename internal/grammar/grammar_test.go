@@ -100,15 +100,38 @@ func TestDataflowGrammar(t *testing.T) {
 	}
 }
 
+// hasLeftReference is the walk over every binary production that HasLeft's
+// per-label table replaced.
+func hasLeftReference(g *Grammar, b Label) bool {
+	for k := range g.binary {
+		if Label(k>>16) == b {
+			return true
+		}
+	}
+	return false
+}
+
 func TestHasLeft(t *testing.T) {
-	p := NewPointer([]string{"f"})
+	p := NewPointer([]string{"f", "g"})
 	if !p.G.HasLeft(p.FlowsTo) {
 		t.Fatal("flowsTo starts productions")
 	}
-	if p.G.HasLeft(p.Alias) == false {
-		// store_f alias is binary with alias on the RIGHT; alias never left?
-		// alias is not a left symbol in the pointer grammar.
-		t.Skip("alias is right-only; acceptable")
+	if p.G.HasLeft(p.Alias) {
+		t.Fatal("alias only ever stands on the right of a production")
+	}
+	// A production added after construction, over a label interned late.
+	late := p.G.Intern("late")
+	p.G.AddBinary(p.FlowsTo, late, p.Assign)
+	for _, g := range []*Grammar{p.G, NewDataflow().G, New()} {
+		// Two labels past the interned ones: beyond the table, never left.
+		for l := Label(0); int(l) < g.NumLabels()+2; l++ {
+			if got, want := g.HasLeft(l), hasLeftReference(g, l); got != want {
+				t.Fatalf("HasLeft(%s) = %v, production walk says %v", g.Name(l), got, want)
+			}
+		}
+		if g.HasLeft(NoLabel) {
+			t.Fatal("NoLabel starts no production")
+		}
 	}
 }
 

@@ -66,22 +66,23 @@ func (c *blockCursor) uvarint(what string) (uint64, error) {
 }
 
 // decodeBlock resets the cursor onto a CRC-verified payload and decodes
-// count records into dst, returning the grown slice and the index of the
-// record that failed (count on success or when the failure is slack bytes
-// after the last record — query remaining() for their number). On error the
-// original dst is still what the caller holds; the partially grown copy is
-// simply dropped.
+// count records onto the end of dst, each in place in the slot it will
+// occupy (no 80-byte temporary, and no regrowth when the caller presized
+// dst). It returns the grown slice and the index of the record that failed
+// (count on success or when the failure is slack bytes after the last record
+// — query remaining() for their number). On error it returns dst at its
+// original length, which is also still what the caller holds.
 func (c *blockCursor) decodeBlock(payload []byte, count uint32, dst []Edge) ([]Edge, uint32, error) {
 	c.reset(payload)
+	base := len(dst)
 	for i := uint32(0); i < count; i++ {
-		var e Edge
-		if err := c.decodeRecord(&e); err != nil {
-			return dst, i, err
+		dst = append(dst, Edge{})
+		if err := c.decodeRecord(&dst[len(dst)-1]); err != nil {
+			return dst[:base], i, err
 		}
-		dst = append(dst, e)
 	}
 	if c.remaining() != 0 {
-		return dst, count, c.corrupt("%d bytes of slack after %d records", c.remaining(), count)
+		return dst[:base], count, c.corrupt("%d bytes of slack after %d records", c.remaining(), count)
 	}
 	return dst, count, nil
 }
