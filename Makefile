@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race fuzz golden ci bench bench-hotpath bench-e2e alloc-budget lint-self check-self unlowered-budget crash obs-smoke
+.PHONY: build test vet fmt-check race fuzz golden ci bench bench-e2e alloc-budget lint-self check-self unlowered-budget crash obs-smoke
 
 build:
 	$(GO) build ./...
@@ -27,18 +27,19 @@ fmt-check:
 # goroutines mid-run).
 race:
 	$(GO) test -race ./internal/storage/... ./internal/engine/... ./internal/checker/... ./internal/scheduler/... ./internal/metrics/... ./internal/trace/...
-	$(GO) test -race ./cmd/grapple/ -run TestAblationIdentity -count=1
+	$(GO) test -race . -run TestAblationIdentity -count=1
 
 # Short fuzzing sessions: SMT cache-keying invariants, the partition
-# store's record decoders (v1 and v2), whole-file reader, and journal
-# reader (resume must never crash or silently accept corrupt state), then
+# store's record decoder (the block cursor against the stream-decoder
+# oracle), its whole-file readers (strict and prefix, held to each other),
+# and the journal reader (resume must never crash or silently accept corrupt
+# state), then
 # the interprocedural points-to solver (termination bound + summary
 # idempotence on arbitrary MiniLang inputs) and the devirtualization
 # hierarchy (every live covering type must stay a dispatch candidate).
 fuzz:
 	$(GO) test ./internal/smt/ -fuzz FuzzCacheKeying -fuzztime 30s
 	$(GO) test ./internal/lang/ -fuzz FuzzParse -fuzztime 20s
-	$(GO) test ./internal/storage/ -fuzz FuzzReadRecord -fuzztime 20s
 	$(GO) test ./internal/storage/ -fuzz FuzzDecodeRecordV2 -fuzztime 20s
 	$(GO) test ./internal/storage/ -fuzz FuzzReadPart -fuzztime 20s
 	$(GO) test ./internal/storage/ -fuzz FuzzReadJournal -fuzztime 20s
@@ -114,13 +115,6 @@ unlowered-budget: build
 bench:
 	$(GO) run ./cmd/grapple-bench -all
 
-# Hot-path table (zero-copy decode ablation + edge-join cost), with the
-# machine-readable artifact committed next to EXPERIMENTS.md. The artifact
-# records its host; BEFORE=<earlier artifact from the same host> carries that
-# run's join numbers along as join_ns_per_edge_before.
-bench-hotpath: build
-	$(GO) run ./cmd/grapple-bench -table hotpath -hotpath-json BENCH_hotpath.json $(if $(BEFORE),-hotpath-before $(BEFORE))
-
 # One driver run of the time-to-verdict benchmark (BENCHMARK.json's command)
 # on one workload: make bench-e2e W=closure-inmem
 bench-e2e:
@@ -128,8 +122,8 @@ bench-e2e:
 	bash benchmark/run.sh --workload $(W)
 
 # Allocation-budget regression gates: the zero-copy read path must stay
-# near zero allocs/record (and under half of the legacy decoder), the dedupe
-# key and a warm SMT-cache probe must not allocate at all, the join as a
+# near zero allocs/record (and under half of the stream-decoder oracle), the
+# dedupe key and a warm SMT-cache probe must not allocate at all, the join as a
 # whole must stay within its pinned allocations per candidate and, out of
 # core, within 1.05 x the edge pairs the in-memory join merges, with exactly
 # its rejection counts (the join-amplification guard: like the scaling guard

@@ -1,26 +1,17 @@
 // Command grapple-bench regenerates the paper's evaluation artifacts
-// (DESIGN.md §3) over the simulated subjects:
+// (DESIGN.md §3) over the simulated subjects, plus the ablation and
+// measurement tables benchmark/ has no workload for yet:
 //
-//	grapple-bench -table 1          subject characteristics (Table 1)
-//	grapple-bench -table 2          TP/FP per checker (Table 2)
-//	grapple-bench -table 3          graph sizes and times (Table 3)
-//	grapple-bench -figure 9         cost breakdown (Figure 9)
-//	grapple-bench -table 4          constraint-caching ablation (Table 4)
-//	grapple-bench -table 5          naive string-engine comparison (Table 5)
-//	grapple-bench -table oom        traditional in-memory OOM result (§5.3)
-//	grapple-bench -table batch      batch-scheduler scaling vs worker count
-//	grapple-bench -table io         partition-store traffic, prefetch on/off
-//	grapple-bench -table resume     journal overhead and kill-at-midpoint resume latency
-//	grapple-bench -table obs        observability (tracing + progress) overhead
-//	grapple-bench -table prune      infeasible-branch pruning ablation
-//	grapple-bench -table slice      property-relevance slicing ablation
-//	grapple-bench -table gofront    synthetic subjects vs a real Go package
-//	grapple-bench -table hotpath    zero-copy decode ablation and edge-join cost
-//	grapple-bench -table devirt     devirtualization rate and concurrency-lint cost
-//	grapple-bench -all              everything above
+//	grapple-bench -table <name>     one table
+//	grapple-bench -figure <name>    one figure
+//	grapple-bench -all              everything
+//
+// Run it without arguments for the list of names: the artifacts slice below
+// is the only place they are spelled.
 //
 // -subjects restricts the subject set (comma separated), -mem sets the
-// engine memory budget, -naive-timeout bounds each naive run.
+// engine memory budget, -naive-timeout bounds each naive run, -godir picks
+// the real-Go package of the gofront table.
 package main
 
 import (
@@ -33,168 +24,132 @@ import (
 	"github.com/grapple-system/grapple/internal/bench"
 )
 
+// env is what the runners share: the flags, and the per-subject analyses
+// Tables 2 and 3 and Figure 9 all render from.
+type env struct {
+	names        []string
+	opts         bench.RunOptions
+	goDir        string
+	naiveTimeout time.Duration
+	runs         []*bench.SubjectRun
+}
+
+// subjectRuns analyzes every subject once, on first use.
+func (e *env) subjectRuns() ([]*bench.SubjectRun, error) {
+	if e.runs != nil {
+		return e.runs, nil
+	}
+	for _, name := range e.names {
+		fmt.Fprintf(os.Stderr, "analyzing %s...\n", name)
+		run, err := bench.RunSubject(name, e.opts)
+		if err != nil {
+			return nil, err
+		}
+		e.runs = append(e.runs, run)
+	}
+	return e.runs, nil
+}
+
+// artifact is one table or figure: which flag selects it under which name, a
+// one-line note, and the runner. -all runs them in slice order.
+type artifact struct {
+	kind, name string
+	note       string
+	run        func(*env) (string, error)
+}
+
+var artifacts = []artifact{
+	{"table", "1", "subject characteristics (Table 1)", func(*env) (string, error) {
+		return bench.Table1(), nil
+	}},
+	{"table", "2", "TP/FP per checker (Table 2)", func(e *env) (string, error) {
+		runs, err := e.subjectRuns()
+		return bench.Table2(runs), err
+	}},
+	{"table", "3", "graph sizes and times (Table 3)", func(e *env) (string, error) {
+		runs, err := e.subjectRuns()
+		return bench.Table3(runs), err
+	}},
+	{"figure", "9", "cost breakdown (Figure 9)", func(e *env) (string, error) {
+		runs, err := e.subjectRuns()
+		return bench.Figure9(runs), err
+	}},
+	{"table", "4", "constraint-caching ablation, each subject twice (Table 4)", func(e *env) (string, error) {
+		return text(bench.Table4(e.names, e.opts))
+	}},
+	{"table", "5", "naive string-engine comparison (Table 5)", func(e *env) (string, error) {
+		return text(bench.Table5(e.names, "", 0, e.naiveTimeout))
+	}},
+	{"table", "prune", "infeasible-branch pruning ablation, each subject twice", func(e *env) (string, error) {
+		return text(bench.PruneAblation(e.names, ""))
+	}},
+	{"table", "slice", "property-relevance slicing ablation, each subject x each property, twice", func(e *env) (string, error) {
+		return text(bench.SliceAblation(e.names, ""))
+	}},
+	{"table", "gofront", "synthetic subjects vs a real Go package (-godir)", func(e *env) (string, error) {
+		return text(bench.GofrontTable(e.names, e.goDir, ""))
+	}},
+	{"table", "resume", "journal overhead and kill-at-midpoint resume latency, each subject four times", func(e *env) (string, error) {
+		return text(bench.ResumeTable(e.names, ""))
+	}},
+	{"table", "oom", "traditional in-memory OOM result (§5.3)", func(e *env) (string, error) {
+		return bench.TableOOM(e.names, 0, e.naiveTimeout)
+	}},
+}
+
+// text drops the typed rows a table function returns beside its rendering.
+func text[R any](out string, _ R, err error) (string, error) { return out, err }
+
+// names joins the names one flag accepts, for its help string.
+func names(kind string) string {
+	var out []string
+	for _, a := range artifacts {
+		if a.kind == kind {
+			out = append(out, a.name)
+		}
+	}
+	return strings.Join(out, "|")
+}
+
 func main() {
-	table := flag.String("table", "", "table to regenerate: 1|2|3|4|5|oom|prune|slice|batch|io|resume|obs|gofront|hotpath|devirt")
-	hotpathJSON := flag.String("hotpath-json", "", "also write -table hotpath rows to this JSON file")
-	hotpathBefore := flag.String("hotpath-before", "", "earlier hotpath JSON from the same host; its join numbers become join_ns_per_edge_before")
-	goDir := flag.String("godir", "internal/storage", "real-Go package for -table gofront")
-	figure := flag.String("figure", "", "figure to regenerate: 9")
+	table := flag.String("table", "", "table to regenerate: "+names("table"))
+	figure := flag.String("figure", "", "figure to regenerate: "+names("figure"))
 	all := flag.Bool("all", false, "regenerate every table and figure")
+	goDir := flag.String("godir", "internal/storage", "real-Go package for -table gofront")
 	subjects := flag.String("subjects", "", "comma-separated subject subset")
 	mem := flag.Int64("mem", 8<<20, "engine memory budget in bytes")
 	naiveTimeout := flag.Duration("naive-timeout", 2*time.Minute, "per-subject naive-engine timeout (DNF beyond)")
 	flag.Parse()
 
-	names := bench.SubjectNames()
-	if *subjects != "" {
-		names = strings.Split(*subjects, ",")
+	e := &env{
+		names:        bench.SubjectNames(),
+		opts:         bench.RunOptions{MemoryBudget: *mem},
+		goDir:        *goDir,
+		naiveTimeout: *naiveTimeout,
 	}
-	if !*all && *table == "" && *figure == "" {
-		fmt.Fprintln(os.Stderr, "usage: grapple-bench -all | -table 1|2|3|4|5|oom|prune|slice|batch|io|resume|obs|gofront|hotpath|devirt | -figure 9")
+	if *subjects != "" {
+		e.names = strings.Split(*subjects, ",")
+	}
+	selected := map[string]string{"table": *table, "figure": *figure}
+	ran := false
+	for _, a := range artifacts {
+		if !*all && selected[a.kind] != a.name {
+			continue
+		}
+		ran = true
+		fmt.Fprintf(os.Stderr, "%s %s: %s...\n", a.kind, a.name, a.note)
+		out, err := a.run(e)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "grapple-bench:", err)
+			os.Exit(1)
+		}
+		fmt.Println(out)
+	}
+	if !ran {
+		fmt.Fprintln(os.Stderr, "usage: grapple-bench -all | -table <name> | -figure <name>")
+		for _, a := range artifacts {
+			fmt.Fprintf(os.Stderr, "  -%-6s %-8s %s\n", a.kind, a.name, a.note)
+		}
 		os.Exit(2)
 	}
-
-	want := func(t string) bool { return *all || *table == t }
-	opts := bench.RunOptions{MemoryBudget: *mem}
-
-	if want("1") {
-		fmt.Println(bench.Table1())
-	}
-
-	var runs []*bench.SubjectRun
-	needRuns := want("2") || want("3") || *all || *figure == "9"
-	if needRuns {
-		for _, name := range names {
-			fmt.Fprintf(os.Stderr, "analyzing %s...\n", name)
-			run, err := bench.RunSubject(name, opts)
-			if err != nil {
-				fatal(err)
-			}
-			runs = append(runs, run)
-		}
-	}
-	if want("2") {
-		fmt.Println(bench.Table2(runs))
-	}
-	if want("3") {
-		fmt.Println(bench.Table3(runs))
-	}
-	if *all || *figure == "9" {
-		fmt.Println(bench.Figure9(runs))
-	}
-	if want("4") {
-		fmt.Fprintln(os.Stderr, "running caching ablation (each subject twice)...")
-		out, _, err := bench.Table4(names, opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(out)
-	}
-	if want("5") {
-		fmt.Fprintln(os.Stderr, "running naive string-engine comparison...")
-		out, _, err := bench.Table5(names, "", 0, *naiveTimeout)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(out)
-	}
-	if want("prune") {
-		fmt.Fprintln(os.Stderr, "running pruning ablation (each subject twice)...")
-		out, _, err := bench.PruneAblation(names, "")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(out)
-	}
-	if want("slice") {
-		fmt.Fprintln(os.Stderr, "running slicing ablation (each subject x each property, twice)...")
-		out, _, err := bench.SliceAblation(names, "")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(out)
-	}
-	if want("gofront") {
-		fmt.Fprintln(os.Stderr, "running gofront bridge comparison (synthetic subjects + real Go)...")
-		out, _, err := bench.GofrontTable(names, *goDir, "")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(out)
-	}
-	if want("devirt") {
-		fmt.Fprintln(os.Stderr, "running devirtualization + concurrency-lint measurement (real Go packages)...")
-		out, _, err := bench.DevirtTable([]string{
-			"testdata/gofront", "testdata/ablation",
-			"internal/storage", "internal/engine", "internal/trace",
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(out)
-	}
-	if want("io") {
-		fmt.Fprintln(os.Stderr, "running partition-store I/O measurement (each subject twice)...")
-		out, _, err := bench.IOTable(names, "")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(out)
-	}
-	if want("hotpath") {
-		fmt.Fprintln(os.Stderr, "running hot-path measurement (decode modes + edge join, each subject)...")
-		out, rows, err := bench.HotpathTable(names, "")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(out)
-		if *hotpathBefore != "" {
-			if err := bench.WithHotpathBefore(rows, *hotpathBefore); err != nil {
-				fatal(err)
-			}
-		}
-		if *hotpathJSON != "" {
-			if err := bench.WriteHotpathJSON(*hotpathJSON, rows); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *hotpathJSON)
-		}
-	}
-	if want("resume") {
-		fmt.Fprintln(os.Stderr, "running checkpoint/resume measurement (each subject four times)...")
-		out, _, err := bench.ResumeTable(names, "")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(out)
-	}
-	if want("obs") {
-		fmt.Fprintln(os.Stderr, "running observability-overhead measurement (each subject six times)...")
-		out, _, err := bench.ObsTable(names, "")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(out)
-	}
-	if want("batch") {
-		fmt.Fprintln(os.Stderr, "running batch-scheduler scaling (each subject x each property, 5 configs)...")
-		out, _, err := bench.BatchScaling(names, "")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(out)
-	}
-	if *all || *table == "oom" {
-		fmt.Fprintln(os.Stderr, "running traditional in-memory baseline...")
-		out, err := bench.TableOOM(names, 0, *naiveTimeout)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(out)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "grapple-bench:", err)
-	os.Exit(1)
 }

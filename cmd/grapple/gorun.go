@@ -37,8 +37,6 @@ type goOpts struct {
 	dotDir    string
 	noPrune   bool
 	noSlice   bool
-	noDevirt  bool
-	noMHP     bool
 	journal   bool
 	resume    bool
 	tracePath string
@@ -82,8 +80,6 @@ func runGo(o goOpts, stdout, stderr io.Writer) (int, error) {
 		DumpDOT:      o.dotDir,
 		Prune:        prune,
 		Slice:        slice,
-		NoDevirt:     o.noDevirt,
-		NoMHP:        o.noMHP,
 		Journal:      o.journal,
 		Resume:       o.resume,
 		Obs: grapple.ObsOptions{

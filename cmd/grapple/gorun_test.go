@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -176,63 +174,5 @@ func TestLintUnknownRuleListsKnownCodes(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("rule %s missing from error: %v", want, err)
 		}
-	}
-}
-
-func TestRunGoDevirtAndMHPFlags(t *testing.T) {
-	// -nodevirt -nomhp must be accepted and reproduce the baseline result
-	// byte-for-byte on interface/goroutine-free input (ablation identity on
-	// richer corpora is pinned in the library tests).
-	dir := t.TempDir()
-	writeFile(t, dir, "leak.go", leakyGoSrc)
-	var on, off, errb bytes.Buffer
-	codeOn, err := run([]string{"run", "-pack", "file-handle", dir}, &on, &errb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	codeOff, err := run([]string{"run", "-pack", "file-handle", "-nodevirt", "-nomhp", dir}, &off, &errb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if codeOn != codeOff || on.String() != off.String() {
-		t.Fatalf("ablated run diverged: code %d vs %d\non:  %q\noff: %q",
-			codeOn, codeOff, on.String(), off.String())
-	}
-}
-
-// TestAblationIdentity pins the ablation contract on a subject where both
-// passes bite: testdata/ablation uses interface dispatch and shares a
-// tracked file with a goroutine. testdata/golden/ablation.json is the
-// report stream the pipeline produced BEFORE the devirtualization and MHP
-// passes existed; with -nodevirt -nomhp the new pipeline must reproduce it
-// byte for byte. The default run must differ — the MHP widening recognizes
-// the goroutine-shared file and withdraws the leak-at-exit verdict the old
-// pipeline (wrongly certain about the spawn-free world it saw) reported.
-func TestAblationIdentity(t *testing.T) {
-	subject := filepath.Join("..", "..", "testdata", "ablation")
-	args := []string{"run", "-pack", "file-handle", "-pack", "mutex", "-json"}
-
-	var off, errb bytes.Buffer
-	codeOff, err := run(append(args, "-nodevirt", "-nomhp", subject), &off, &errb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "ablation.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if codeOff != 1 || off.String() != string(want) {
-		t.Fatalf("ablated run does not match the pre-pass golden (code %d):\ngot:  %q\nwant: %q",
-			codeOff, off.String(), string(want))
-	}
-
-	var on bytes.Buffer
-	codeOn, err := run(append(args, subject), &on, &errb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if codeOn != 0 || on.Len() != 0 {
-		t.Fatalf("default run should suppress the shared-file leak (code %d):\n%s",
-			codeOn, on.String())
 	}
 }

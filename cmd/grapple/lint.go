@@ -31,8 +31,6 @@ func runLint(args []string, stdout, stderr io.Writer) (int, error) {
 	rules := fs.String("rules", "", "comma-separated diagnostic codes to run (e.g. ND001,LK001); default all")
 	var packNames multiFlag
 	fs.Var(&packNames, "pack", "property pack whose binding rules shape Go lowering (repeatable)")
-	noDevirt := fs.Bool("nodevirt", false, "disable interface-call devirtualization (Go input only)")
-	noMHP := fs.Bool("nomhp", false, "disable goroutine spawn lowering and the may-happen-in-parallel pass (Go input only)")
 	if err := fs.Parse(args); err != nil {
 		return 2, nil // flag package already printed the error
 	}
@@ -57,8 +55,7 @@ func runLint(args []string, stdout, stderr io.Writer) (int, error) {
 		if fs.NArg() != 1 {
 			return 2, fmt.Errorf("go lint takes one package directory")
 		}
-		ds, pkg, err := grapple.LintGoPackageWith(fs.Arg(0), packNames, ruleCodes,
-			grapple.Options{NoDevirt: *noDevirt, NoMHP: *noMHP})
+		ds, pkg, err := grapple.LintGoPackage(fs.Arg(0), packNames, ruleCodes)
 		if err != nil {
 			return 2, err
 		}

@@ -32,8 +32,6 @@
 //	-json          emit reports as JSON (one object per line)
 //	-stats         print phase statistics and the cost breakdown (stderr)
 //	-v             verbose reports (witness encodings and constraints)
-//	-nodevirt      disable interface-call devirtualization (Go input)
-//	-nomhp         disable spawn lowering + may-happen-in-parallel (Go input)
 //	-journal       checkpoint engine state to -workdir every superstep
 //	-resume        continue a killed -journal run from its last checkpoint
 //	-trace file    write a Chrome trace-event JSON file (plus .events.jsonl)

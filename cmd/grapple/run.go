@@ -95,8 +95,6 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	dotDir := fs.String("dot", "", "write program graphs as Graphviz files into this directory")
 	noPrune := fs.Bool("noprune", false, "disable constant-driven infeasible-branch pruning")
 	noSlice := fs.Bool("noslice", false, "disable property-relevance slicing")
-	noDevirt := fs.Bool("nodevirt", false, "disable interface-call devirtualization (Go input only)")
-	noMHP := fs.Bool("nomhp", false, "disable goroutine spawn lowering and the may-happen-in-parallel pass (Go input only)")
 	journal := fs.Bool("journal", false, "checkpoint engine state to -workdir after every superstep (crash recovery)")
 	resume := fs.Bool("resume", false, "continue a previous -journal run from -workdir (implies -journal)")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON file here (plus <file>.events.jsonl) covering every pipeline phase")
@@ -128,7 +126,6 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 			workDir: *workDir, mem: *mem, unroll: *unroll,
 			jsonOut: *jsonOut, stats: *stats, verbose: *verbose,
 			dotDir: *dotDir, noPrune: *noPrune, noSlice: *noSlice,
-			noDevirt: *noDevirt, noMHP: *noMHP,
 			journal: *journal, resume: *resume,
 			tracePath: *tracePath, progress: *progress, pprofAddr: *pprofAddr,
 		}, stdout, stderr)

@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"github.com/grapple-system/grapple/internal/fsm/packs"
+	"github.com/grapple-system/grapple/internal/gofront"
 	"github.com/grapple-system/grapple/internal/workload"
 )
 
@@ -221,6 +224,95 @@ func TestGoldenSelfCheckPacks(t *testing.T) {
 				t.Fatal(goldenDiff(want, golden))
 			}
 		})
+	}
+}
+
+// TestAblationIdentity pins the pre-pass reference on a subject where both
+// gofront precision passes bite: testdata/ablation uses interface dispatch
+// and shares a tracked file with a goroutine. testdata/golden/ablation.json
+// is the report stream the pipeline produced BEFORE the devirtualization and
+// MHP passes existed (one JSON object per line, as `grapple run -json`
+// printed it). Lowered with both passes off — gofront.Options, which only
+// tests set, is the one place that can still be asked for — the pipeline must
+// reproduce it field for field. The default lowering must report nothing:
+// the MHP widening recognizes the goroutine-shared file and withdraws the
+// leak-at-exit verdict the old pipeline (wrongly certain about the
+// spawn-free world it saw) reported. The last block pins what the passes
+// themselves see there.
+func TestAblationIdentity(t *testing.T) {
+	type jsonReport struct {
+		File              string   `json:"file"`
+		Line              int      `json:"line"`
+		Col               int      `json:"col"`
+		FSM               string   `json:"fsm"`
+		Kind              string   `json:"kind"`
+		Type              string   `json:"type"`
+		States            []string `json:"states"`
+		Object            string   `json:"object"`
+		Witness           string   `json:"witness"`
+		WitnessConstraint string   `json:"witnessConstraint"`
+	}
+	selected, err := resolvePacks([]string{"file-handle", "mutex"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(opts gofront.Options) []jsonReport {
+		g, err := gofront.LowerPackageWith(filepath.Join("testdata", "ablation"), packs.MergedRules(selected), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := checkLoweredGo(g, selected, Options{WorkDir: t.TempDir()}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []jsonReport
+		for _, r := range res.Reports {
+			file, goLine := g.Locate(r.Pos.Line)
+			out = append(out, jsonReport{
+				File: filepath.Base(file), Line: goLine, Col: r.Pos.Col,
+				FSM: r.FSM, Kind: r.Kind.String(), Type: r.Type,
+				States: r.States, Object: r.Object,
+				Witness: r.Witness, WitnessConstraint: r.WitnessConstraint,
+			})
+		}
+		return out
+	}
+
+	data, err := os.ReadFile(filepath.Join("testdata", "golden", "ablation.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []jsonReport
+	for dec := json.NewDecoder(bytes.NewReader(data)); dec.More(); {
+		var r jsonReport
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		r.File = filepath.Base(r.File) // recorded relative to cmd/grapple
+		want = append(want, r)
+	}
+	if len(want) == 0 {
+		t.Fatal("pre-pass golden holds no report")
+	}
+	if got := check(gofront.Options{NoDevirt: true, NoMHP: true}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("lowering without the passes does not match the pre-pass golden:\ngot:  %+v\nwant: %+v", got, want)
+	}
+	if got := check(gofront.Options{}); len(got) != 0 {
+		t.Fatalf("default lowering should suppress the shared-file leak:\n%+v", got)
+	}
+
+	// What each pass sees on the subject: the one interface call site
+	// path-splits over its two implementations, and the concurrency lint
+	// flags the never-closed file the spawned worker shares.
+	diags, pkg, err := LintGoPackage(filepath.Join("testdata", "ablation"), []string{"file-handle", "mutex"}, []string{"GR001"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls, direct, split, open := pkg.Devirt(); calls != 1 || direct != 0 || split != 1 || open != 0 {
+		t.Errorf("interface calls: %d (direct %d, split %d, open %d), want one split site", calls, direct, split, open)
+	}
+	if len(diags) == 0 {
+		t.Error("GR001 does not fire on the goroutine-shared file")
 	}
 }
 

@@ -198,20 +198,6 @@ type Options struct {
 	// The zero value disables all of it; enabling any of it never changes
 	// the reports.
 	Obs ObsOptions
-	// NoDevirt disables the Go frontend's interface devirtualization:
-	// interface method calls havoc instead of resolving against the
-	// package's type hierarchy (docs/gofront.md). Only affects Go inputs.
-	NoDevirt bool
-	// NoMHP disables the Go frontend's goroutine modeling: `go` statements
-	// havoc and inline the callee instead of lowering to spawn statements,
-	// so the may-happen-in-parallel pass and the GR lint rules see nothing
-	// (docs/concurrency.md). Only affects Go inputs.
-	NoMHP bool
-}
-
-// gofrontOptions lowers the public ablation toggles into the frontend's.
-func gofrontOptions(opts Options) gofront.Options {
-	return gofront.Options{NoDevirt: opts.NoDevirt, NoMHP: opts.NoMHP}
 }
 
 // PruneMode selects whether infeasible-branch pruning runs.
@@ -681,34 +667,21 @@ func checkLoweredGo(g *gofront.Result, selected []*packs.Pack, opts Options, obs
 // positions are in the combined lowered unit; map them back with
 // GoPackage.Locate.
 func CheckGoPackage(dir string, packNames []string, opts Options) (*Result, *GoPackage, error) {
-	selected, err := resolvePacks(packNames)
-	if err != nil {
-		return nil, nil, err
-	}
-	obs, err := startObs(opts.Obs, opts.WorkDir)
-	if err != nil {
-		return nil, nil, err
-	}
-	sp := obs.span("gofront", "gofront-lower")
-	g, err := gofront.LowerPackageWith(dir, packs.MergedRules(selected), gofrontOptions(opts))
-	if err != nil {
-		obs.finish()
-		return nil, nil, err
-	}
-	sp.End(trace.Args{"funcs": len(g.Prog.Funs), "havocs": g.Stats.Havocs})
-	res, err := checkLoweredGo(g, selected, opts, obs)
-	obsErr := obs.finish()
-	if err != nil {
-		return nil, nil, err
-	}
-	if obsErr != nil {
-		return nil, nil, obsErr
-	}
-	return res, &GoPackage{res: g}, nil
+	return checkGo(packNames, opts, func(rules *gofront.Rules) (*gofront.Result, error) {
+		return gofront.LowerPackage(dir, rules)
+	})
 }
 
 // CheckGoFiles is CheckGoPackage over an explicit file list (one package).
 func CheckGoFiles(paths []string, packNames []string, opts Options) (*Result, *GoPackage, error) {
+	return checkGo(packNames, opts, func(rules *gofront.Rules) (*gofront.Result, error) {
+		return gofront.LowerFiles(paths, rules)
+	})
+}
+
+// checkGo is the body CheckGoPackage and CheckGoFiles share; lower is the
+// one step they differ in.
+func checkGo(packNames []string, opts Options, lower func(*gofront.Rules) (*gofront.Result, error)) (*Result, *GoPackage, error) {
 	selected, err := resolvePacks(packNames)
 	if err != nil {
 		return nil, nil, err
@@ -718,7 +691,7 @@ func CheckGoFiles(paths []string, packNames []string, opts Options) (*Result, *G
 		return nil, nil, err
 	}
 	sp := obs.span("gofront", "gofront-lower")
-	g, err := gofront.LowerFilesWith(paths, packs.MergedRules(selected), gofrontOptions(opts))
+	g, err := lower(packs.MergedRules(selected))
 	if err != nil {
 		obs.finish()
 		return nil, nil, err
@@ -740,12 +713,6 @@ func CheckGoFiles(paths []string, packNames []string, opts Options) (*Result, *G
 // lowering (allocation and event mapping); empty means every pack's rules
 // merged. Diagnostic positions map back through GoPackage.Locate.
 func LintGoPackage(dir string, packNames []string, ruleCodes []string) ([]Diagnostic, *GoPackage, error) {
-	return LintGoPackageWith(dir, packNames, ruleCodes, Options{})
-}
-
-// LintGoPackageWith is LintGoPackage with explicit options (only the
-// frontend toggles NoDevirt/NoMHP are consulted).
-func LintGoPackageWith(dir string, packNames []string, ruleCodes []string, opts Options) ([]Diagnostic, *GoPackage, error) {
 	var selected []*packs.Pack
 	if len(packNames) == 0 {
 		selected = packs.All()
@@ -755,7 +722,7 @@ func LintGoPackageWith(dir string, packNames []string, ruleCodes []string, opts 
 			return nil, nil, err
 		}
 	}
-	g, err := gofront.LowerPackageWith(dir, packs.MergedRules(selected), gofrontOptions(opts))
+	g, err := gofront.LowerPackage(dir, packs.MergedRules(selected))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -18,7 +18,7 @@
 //	promises.
 //
 // Both rules are inert on spawn-free programs, so pre-concurrency MiniLang
-// inputs (and gofront -nomhp output) produce byte-identical reports.
+// inputs (and gofront's NoMHP test-reference output) report byte-identically.
 package analysis
 
 import (

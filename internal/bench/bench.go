@@ -227,9 +227,9 @@ func Table4(names []string, opts RunOptions) (string, []Table4Row, error) {
 	return b.String(), rows, nil
 }
 
-// aliasGraphFor rebuilds a subject's phase-1 alias graph for the baseline
-// comparisons.
-func aliasGraphFor(name string) (*cfet.ICFET, *pgraph.AliasGraph, error) {
+// aliasGraphFor rebuilds a subject's cloned program (its ICFET is pr.IC) and
+// phase-1 alias graph for the baseline comparisons.
+func aliasGraphFor(name string) (*pgraph.Program, *pgraph.AliasGraph, error) {
 	p, ok := workload.ProfileByName(name)
 	if !ok {
 		return nil, nil, fmt.Errorf("bench: unknown subject %q", name)
@@ -253,7 +253,7 @@ func aliasGraphFor(name string) (*cfet.ICFET, *pgraph.AliasGraph, error) {
 		return nil, nil, err
 	}
 	pr := pgraph.NewProgram(irProg, cg, ic, pgraph.Options{})
-	return ic, pgraph.BuildAlias(pr), nil
+	return pr, pgraph.BuildAlias(pr), nil
 }
 
 // Table5Row is one subject's Grapple-vs-naive comparison.
@@ -282,10 +282,11 @@ func Table5(names []string, workDir string, memoryBudget int64, naiveTimeout tim
 	}
 	var rows []Table5Row
 	for _, name := range names {
-		ic, ag, err := aliasGraphFor(name)
+		pr, ag, err := aliasGraphFor(name)
 		if err != nil {
 			return "", nil, err
 		}
+		ic := pr.IC
 		dir := workDir
 		if dir == "" {
 			d, err := os.MkdirTemp("", "grapple-t5-*")
@@ -420,30 +421,11 @@ func runTraditionalFull(name string, budget int64, timeout time.Duration) (strin
 // graphsFor builds a subject's alias graph and — via a real phase-1 run —
 // its dataflow graph.
 func graphsFor(name string) (*cfet.ICFET, *pgraph.AliasGraph, []storage.Edge, error) {
-	p, ok := workload.ProfileByName(name)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("bench: unknown subject %q", name)
-	}
-	s := workload.Generate(p)
-	prog, err := lang.Parse(s.Source)
+	pr, ag, err := aliasGraphFor(name)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	info, err := lang.Resolve(prog)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	irProg, err := ir.Lower(info, ir.Options{})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cg := callgraph.Build(irProg)
-	ic, err := cfet.Build(irProg, symbolic.NewTable(), cfet.Options{})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	pr := pgraph.NewProgram(irProg, cg, ic, pgraph.Options{})
-	ag := pgraph.BuildAlias(pr)
+	ic := pr.IC
 
 	dir, err := os.MkdirTemp("", "grapple-oom-*")
 	if err != nil {

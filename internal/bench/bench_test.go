@@ -135,37 +135,3 @@ func TestPruneAblationMini(t *testing.T) {
 		t.Errorf("ablation table:\n%s", out)
 	}
 }
-
-func TestDevirtTableMini(t *testing.T) {
-	out, rows, err := DevirtTable([]string{
-		"../../testdata/gofront", "../../testdata/ablation",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "Resolved") || !strings.Contains(out, "testdata/ablation") {
-		t.Errorf("devirt table:\n%s", out)
-	}
-	corpus, abl := rows[0], rows[1]
-	// The corpus has all three devirt outcomes (pinned in gofront's
-	// TestDevirtStats); the ablation subject's single site path-splits.
-	if corpus.IfaceCalls != 3 || corpus.Resolved <= 0.5 {
-		t.Errorf("corpus devirt rate: %+v", corpus)
-	}
-	if abl.IfaceCalls != 1 || abl.Resolved != 1.0 {
-		t.Errorf("ablation devirt rate: %+v", abl)
-	}
-	for _, r := range rows {
-		if r.HavocsOff < r.HavocsOn {
-			t.Errorf("%s: ablated lowering has FEWER havocs (%d < %d)", r.Name, r.HavocsOff, r.HavocsOn)
-		}
-		if r.LintTime <= 0 {
-			t.Errorf("%s: no lint timing recorded", r.Name)
-		}
-	}
-	// GR001 must fire on the ablation subject: the spawned worker shares
-	// the never-closed file.
-	if abl.GRFindings == 0 {
-		t.Errorf("ablation subject: no GR findings: %+v", abl)
-	}
-}

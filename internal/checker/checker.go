@@ -120,9 +120,6 @@ type Options struct {
 	// a different subject or property set is rejected with engine.ErrStale —
 	// resume never silently restarts from scratch.
 	Resume bool
-	// JournalEvery checkpoints every n supersteps (default 1: every
-	// boundary).
-	JournalEvery int
 	// Faults injects deterministic crash points into the engines and the
 	// journal write path (crash-injection tests only).
 	Faults *faultpoint.Set
@@ -298,7 +295,6 @@ func (c *Checker) journalTag(phase string, numVerts uint32, numEdges, paths int)
 func (c *Checker) phaseEngineOpts(base engine.Options, phase string, numVerts uint32, numEdges, paths int) engine.Options {
 	if c.journaling() {
 		base.Journal = true
-		base.JournalEvery = c.Opts.JournalEvery
 		base.JournalTag = c.journalTag(phase, numVerts, numEdges, paths)
 		base.Faults = c.Opts.Faults
 	}

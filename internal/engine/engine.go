@@ -57,26 +57,12 @@ type Options struct {
 	// UseRel composes FSM transition relations along induced edges
 	// (dataflow/typestate graphs).
 	UseRel bool
-	// SkipInitialSolve skips satisfiability checks on initial edges (they
-	// represent real statements); on by default via Run.
-	SkipInitialSolve bool
 	// DeferRepartition delays splitting oversized partitions until the end
 	// of the whole computation instead of splitting eagerly after each
 	// iteration. The paper adopts eager repartitioning (§4.3) because
 	// variable-sized edge data unbalances partitions quickly; this option
 	// exists for the ablation benchmark.
 	DeferRepartition bool
-	// DisablePrefetch turns off the background load of the partition the
-	// scheduler is predicted to need next. Prefetching never changes
-	// results or scheduling — only whether the join waits on the disk — so
-	// this exists for benchmarking the overlap (bench.IOTable).
-	DisablePrefetch bool
-	// LegacyDecode routes partition reads through the field-by-field v2
-	// stream decoder instead of the zero-copy block cursor
-	// (storage.ReadOptions.LegacyDecode). Decoding mode never changes the
-	// edges read; this is the ablation hook for the hotpath bench and the
-	// closure-identity test.
-	LegacyDecode bool
 	// Journal makes superstep state durable: each checkpoint flushes every
 	// partition and appends one record to a per-run journal in Dir, so a
 	// killed run can continue via ResumeContext. Journaling never changes
@@ -229,9 +215,11 @@ type Engine struct {
 	// pending buffers edges owned by unloaded partitions.
 	pending map[int][]storage.Edge
 
-	// readOpts selects the partition decode path (zero-copy block cursor by
-	// default; Options.LegacyDecode flips it).
-	readOpts storage.ReadOptions
+	// noPrefetch keeps speculate from starting background loads. Prefetching
+	// never changes results or scheduling — only whether the join waits on
+	// the disk — and only this package's tests set this, to run the
+	// reference they hold that claim to.
+	noPrefetch bool
 
 	// Join scratch reused across supersteps: the superstep loop is
 	// single-threaded, so by the time processPair runs again the previous
@@ -271,15 +259,13 @@ func New(ic *cfet.ICFET, g *grammar.Grammar, opts Options, bd *metrics.Breakdown
 		bd = &metrics.Breakdown{}
 	}
 	io := &metrics.IOStats{}
-	readOpts := storage.ReadOptions{LegacyDecode: opts.LegacyDecode}
 	e := &Engine{
 		opts:     opts,
 		ic:       ic,
 		g:        g,
 		bd:       bd,
 		io:       io,
-		pf:       newPrefetcher(io, readOpts),
-		readOpts: readOpts,
+		pf:       newPrefetcher(io),
 		loaded:   map[int]*memPart{},
 		lastGen:  map[[2]int]uint32{},
 		keys:     map[uint64]struct{}{},
@@ -696,7 +682,7 @@ func (en *Engine) load(idx int) (*memPart, error) {
 		var err error
 		// meta.edges counts the file's edges plus the pending ones merged
 		// below: one allocation holds the loaded partition.
-		edges, info, n, err = storage.ReadPartWith(meta.path, make([]storage.Edge, 0, meta.edges), en.readOpts)
+		edges, info, n, err = storage.ReadPart(meta.path, make([]storage.Edge, 0, meta.edges))
 		if err != nil {
 			return nil, err
 		}

@@ -74,10 +74,23 @@ func TestPrefetchOverlapsLoads(t *testing.T) {
 	}
 }
 
+// runEngineNoPrefetch is runEngine with speculation off: the prefetch-off
+// reference, selectable only from inside this package.
+func runEngineNoPrefetch(t *testing.T, g *grammar.Grammar, opts Options, edges []storage.Edge, nv uint32) (*Engine, *Stats) {
+	t.Helper()
+	opts.Dir = t.TempDir()
+	en := New(emptyICFET(), g, opts, nil)
+	en.noPrefetch = true
+	st, err := en.Run(edges, nv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return en, st
+}
+
 func TestPrefetchDisabled(t *testing.T) {
 	d := grammar.NewDataflow()
-	_, st := runEngine(t, emptyICFET(), d.G,
-		Options{MemoryBudget: 4096, DisablePrefetch: true}, chainEdges(40, d.Flow), 40)
+	_, st := runEngineNoPrefetch(t, d.G, Options{MemoryBudget: 4096}, chainEdges(40, d.Flow), 40)
 	if st.IO.PrefetchIssued != 0 || st.IO.PrefetchHits != 0 {
 		t.Fatalf("prefetch ran while disabled: %+v", st.IO)
 	}
@@ -93,8 +106,7 @@ func TestPrefetchAndCacheDeterminism(t *testing.T) {
 	edges := chainEdges(48, d.Flow)
 	enOn, stOn := runEngine(t, emptyICFET(), d.G,
 		Options{MemoryBudget: 4096}, edges, 48)
-	enOff, stOff := runEngine(t, emptyICFET(), d.G,
-		Options{MemoryBudget: 4096, DisablePrefetch: true}, edges, 48)
+	enOff, stOff := runEngineNoPrefetch(t, d.G, Options{MemoryBudget: 4096}, edges, 48)
 	if stOn.Iterations != stOff.Iterations {
 		t.Fatalf("schedule shifted: %d vs %d iterations", stOn.Iterations, stOff.Iterations)
 	}

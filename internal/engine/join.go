@@ -210,7 +210,7 @@ func (en *Engine) processPair(i, j int) (int, error) {
 	// While the join computes, start loading the partition the scheduler is
 	// predicted to need next, so the next iteration's disk wait overlaps
 	// this iteration's CPU work.
-	if !en.opts.DisablePrefetch {
+	if !en.noPrefetch {
 		en.speculate(i, j)
 	}
 	wg.Wait()
@@ -737,7 +737,7 @@ func (en *Engine) remapAfterInsert(pos int) {
 // ForEach streams every edge of the closed graph from disk (after Run).
 func (en *Engine) ForEach(f func(*storage.Edge) bool) error {
 	for _, meta := range en.parts {
-		edges, _, _, err := storage.ReadPartWith(meta.path, nil, en.readOpts)
+		edges, _, _, err := storage.ReadPart(meta.path, nil)
 		if err != nil {
 			return err
 		}

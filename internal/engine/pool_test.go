@@ -30,78 +30,6 @@ func closureFingerprint(t *testing.T, en *Engine) []string {
 	return out
 }
 
-// TestClosureIdentityAcrossAblation runs the same constraint-carrying
-// workload under both partition decode modes, with a memory budget small
-// enough to force real partition spills and reads, and requires
-// bit-identical closures and identical rejection statistics. Decode mode is
-// a performance knob, never a semantic one. Runs under `make race` with the
-// rest of the engine package.
-func TestClosureIdentityAcrossAblation(t *testing.T) {
-	ic := buildFromSource(t, `
-fun f(x: int) {
-  if (x > 0) {
-    x = x + 1;
-  } else {
-    x = x - 1;
-  }
-  return;
-}`)
-	m := ic.Method("f")
-	d := grammar.NewDataflow()
-	var edges []storage.Edge
-	const n = 24
-	for i := uint32(0); i+1 < n; i++ {
-		e := flowEdge(i, i+1, d.Flow)
-		if i%3 == 0 {
-			e.Enc = cfet.Enc{cfet.Interval(m.Method, 0, 2)}
-		}
-		edges = append(edges, e)
-	}
-
-	type config struct {
-		name string
-		opts Options
-	}
-	var configs []config
-	for _, legacy := range []bool{false, true} {
-		configs = append(configs, config{
-			name: fmt.Sprintf("legacy=%v", legacy),
-			opts: Options{
-				MemoryBudget: 4 << 10, // force multiple partitions
-				Workers:      4,
-				LegacyDecode: legacy,
-			},
-		})
-	}
-	var baseline []string
-	var baseStats *Stats
-	for _, cfg := range configs {
-		cfg := cfg
-		t.Run(cfg.name, func(t *testing.T) {
-			en, st := runEngine(t, ic, d.G, cfg.opts, edges, n)
-			fp := closureFingerprint(t, en)
-			if baseline == nil {
-				baseline, baseStats = fp, st
-				return
-			}
-			if len(fp) != len(baseline) {
-				t.Fatalf("closure size %d, baseline %d", len(fp), len(baseline))
-			}
-			for i := range fp {
-				if fp[i] != baseline[i] {
-					t.Fatalf("closure diverges at edge %d:\n  got  %s\n  want %s", i, fp[i], baseline[i])
-				}
-			}
-			if st.EdgesAfter != baseStats.EdgesAfter ||
-				st.RejectedUnsat != baseStats.RejectedUnsat ||
-				st.RejectedConflict != baseStats.RejectedConflict ||
-				st.Widened != baseStats.Widened {
-				t.Fatalf("stats diverge: %+v vs baseline %+v", st, baseStats)
-			}
-		})
-	}
-}
-
 // TestFrozenIndexUnderParallelJoin exercises the invariant hasKey's missing
 // lock rests on: while join workers probe en.keys nothing writes it. Eight
 // workers over an out-of-core budget (several partitions, repartitions,

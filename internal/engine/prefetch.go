@@ -34,13 +34,10 @@ type prefetcher struct {
 	entries map[*partMeta]*prefetchEntry
 	wg      sync.WaitGroup
 	io      *metrics.IOStats
-	// readOpts mirrors the engine's decode mode so prefetched and
-	// synchronous loads take the same path.
-	readOpts storage.ReadOptions
 }
 
-func newPrefetcher(io *metrics.IOStats, readOpts storage.ReadOptions) *prefetcher {
-	return &prefetcher{entries: map[*partMeta]*prefetchEntry{}, io: io, readOpts: readOpts}
+func newPrefetcher(io *metrics.IOStats) *prefetcher {
+	return &prefetcher{entries: map[*partMeta]*prefetchEntry{}, io: io}
 }
 
 // start begins loading meta's file in the background; no-op when a prefetch
@@ -61,7 +58,7 @@ func (pf *prefetcher) start(meta *partMeta) {
 	dst := make([]storage.Edge, 0, meta.edges)
 	go func() {
 		defer pf.wg.Done()
-		edges, info, n, err := storage.ReadPartWith(meta.path, dst, pf.readOpts)
+		edges, info, n, err := storage.ReadPart(meta.path, dst)
 		e.res = prefetched{edges: edges, info: info, bytes: n, err: err}
 		close(e.done)
 	}()

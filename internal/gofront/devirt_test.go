@@ -48,7 +48,7 @@ func TestDevirtStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if abl.Stats.IfaceCalls != 0 {
-		t.Errorf("-nodevirt still examined %d interface calls", abl.Stats.IfaceCalls)
+		t.Errorf("NoDevirt still examined %d interface calls", abl.Stats.IfaceCalls)
 	}
 	if abl.Stats.Havocs <= st.Havocs {
 		t.Errorf("devirt must reduce havocs: with pass %d, ablated %d", st.Havocs, abl.Stats.Havocs)

@@ -32,9 +32,9 @@ import (
 	"github.com/grapple-system/grapple/internal/lang"
 )
 
-// Options toggles the optional precision passes of the lowering. The zero
-// value enables everything; the ablation flags exist so `grapple run
-// -nodevirt -nomhp` reproduces the pre-pass lowering byte-for-byte.
+// Options toggles the precision passes of the lowering. Non-test code passes
+// the zero value (everything on); with both set the lowering is the pre-pass
+// reference TestAblationIdentity and TestUnloweredBudget compare against.
 type Options struct {
 	// NoDevirt disables interface devirtualization: interface method calls
 	// havoc ("ext-method") instead of resolving against the package's type

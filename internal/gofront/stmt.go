@@ -62,7 +62,7 @@ func (f *fnLowerer) stmt(s ast.Stmt, out *[]lang.Stmt) {
 // the callee body is marked as running on a concurrent task, which feeds the
 // MHP pass. Unresolvable targets (external functions, func values) keep the
 // old behavior: havoc plus an immediate call, so the body's effects stay
-// visible to the checker. -nomhp forces the old behavior everywhere.
+// visible to the checker. Options.NoMHP (test reference) does so everywhere.
 func (f *fnLowerer) goStmt(s *ast.GoStmt, out *[]lang.Stmt) {
 	pos := f.pos(s)
 	if !f.p.opts.NoMHP {

@@ -1,17 +1,15 @@
 // Zero-copy v2 record decoding.
 //
-// The original v2 read path pulled every record field through io.ReadFull
-// calls against a bytes.Reader wrapped around the block payload — correct,
-// but each record paid interface-call overhead and a fresh encoding-slice
-// allocation. A whole block is already sitting in memory CRC-verified, so
-// blockCursor decodes records directly out of that buffer with an offset
-// cursor, and backs the decoded path encodings with a chunked element arena
-// shared across the records of a read: per-record allocations drop from one
-// (or more) per record to amortized ~1/arenaChunkElems.
+// A whole block is already sitting in memory CRC-verified, so blockCursor
+// decodes records directly out of that buffer with an offset cursor, and
+// backs the decoded path encodings with a chunked element arena shared
+// across the records of a read: allocations are amortized to
+// ~1/arenaChunkElems per record instead of one (or more) per record.
 //
-// The legacy field-by-field decoder is kept (decodeRecord): v1 streams still
-// need it, and ReadOptions.LegacyDecode routes v2 payloads through it for
-// the hotpath ablation and the decode-equivalence tests.
+// The field-by-field stream decoder it replaced (io.ReadFull calls against a
+// bytes.Reader, a fresh encoding slice per record) lives in
+// stream_ref_test.go as the oracle the fuzzers and the equivalence and
+// allocation-budget tests compare against.
 package storage
 
 import (
@@ -68,27 +66,26 @@ func (c *blockCursor) uvarint(what string) (uint64, error) {
 // decodeBlock resets the cursor onto a CRC-verified payload and decodes
 // count records onto the end of dst, each in place in the slot it will
 // occupy (no 80-byte temporary, and no regrowth when the caller presized
-// dst). It returns the grown slice and the index of the record that failed
-// (count on success or when the failure is slack bytes after the last record
-// — query remaining() for their number). On error it returns dst at its
-// original length, which is also still what the caller holds.
-func (c *blockCursor) decodeBlock(payload []byte, count uint32, dst []Edge) ([]Edge, uint32, error) {
+// dst). On error — a malformed record, or slack bytes after the last one —
+// it returns dst at its original length, which is also still what the
+// caller holds.
+func (c *blockCursor) decodeBlock(payload []byte, count uint32, dst []Edge) ([]Edge, error) {
 	c.reset(payload)
 	base := len(dst)
 	for i := uint32(0); i < count; i++ {
 		dst = append(dst, Edge{})
 		if err := c.decodeRecord(&dst[len(dst)-1]); err != nil {
-			return dst[:base], i, err
+			return dst[:base], fmt.Errorf("record %d: %w", i, err)
 		}
 	}
 	if c.remaining() != 0 {
-		return dst[:base], count, c.corrupt("%d bytes of slack after %d records", c.remaining(), count)
+		return dst[:base], c.corrupt("%d bytes of slack after %d records", c.remaining(), count)
 	}
-	return dst, count, nil
+	return dst, nil
 }
 
-// decodeRecord deserializes one v2 record at the cursor, the zero-copy
-// mirror of decodeRecord(r, e, true). Every failure wraps ErrCorrupt.
+// decodeRecord deserializes one v2 record at the cursor. Every failure wraps
+// ErrCorrupt.
 func (c *blockCursor) decodeRecord(e *Edge) error {
 	if c.remaining() < 15 { // src + dst + label + gen + flags
 		return c.corrupt("truncated record head (%d bytes left)", c.remaining())
@@ -125,7 +122,7 @@ func (c *blockCursor) decodeRecord(e *Edge) error {
 		return c.corrupt("encoding length %d exceeds limit %d", n, maxEncElems)
 	}
 	// Each element costs at least 2 bytes; reject impossible lengths before
-	// touching the arena (same defense as the legacy decoder's Len check).
+	// touching the arena.
 	if n > uint64(c.remaining()) {
 		return c.corrupt("encoding length %d exceeds remaining payload %d", n, c.remaining())
 	}

@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,8 +15,8 @@ import (
 
 // decodeV2Seeds builds the canonical v2 record corpus shared by
 // FuzzDecodeRecordV2 and the decode-equivalence property test: valid
-// single records, a long encoding the v1 format cannot hold, and a few
-// malformed byte strings.
+// single records, a long encoding whose length takes two uvarint bytes, and
+// a few malformed byte strings.
 func decodeV2Seeds() [][]byte {
 	rng := rand.New(rand.NewSource(4))
 	var seeds [][]byte
@@ -35,7 +34,7 @@ func decodeV2Seeds() [][]byte {
 	return seeds
 }
 
-// crossCheckDecoders runs the zero-copy cursor and the legacy stream decoder
+// crossCheckDecoders runs the zero-copy cursor and the reference stream decoder
 // over the same payload and fails if they diverge in any observable way:
 // decoded edges, error class (both must wrap ErrCorrupt on failure, since a
 // v2 payload has no clean record boundary), and bytes consumed on success.
@@ -47,7 +46,7 @@ func crossCheckDecoders(t *testing.T, payload []byte) {
 	for rec := 0; ; rec++ {
 		var ce, se Edge
 		cerr := cur.decodeRecord(&ce)
-		serr := decodeRecord(r, &se, true)
+		serr := decodeRecord(r, &se)
 		if (cerr == nil) != (serr == nil) {
 			t.Fatalf("record %d: cursor err %v, stream err %v", rec, cerr, serr)
 		}
@@ -98,9 +97,7 @@ func TestDecodeCursorEquivalence(t *testing.T) {
 // TestDecodeRecordV2TruncationIsCorrupt cuts a v2 record at every byte
 // boundary: both decoders must reject every prefix with an error wrapping
 // ErrCorrupt — never a bare io.EOF, which inside a CRC- and count-delimited
-// block would misreport corruption as a clean boundary. The v1 stream
-// decoder, whose format has no framing, must keep reporting the clean
-// zero-byte boundary as bare io.EOF.
+// block would misreport corruption as a clean boundary.
 func TestDecodeRecordV2TruncationIsCorrupt(t *testing.T) {
 	e := randEdge(rand.New(rand.NewSource(7)))
 	if len(e.Enc) == 0 {
@@ -123,25 +120,20 @@ func TestDecodeRecordV2TruncationIsCorrupt(t *testing.T) {
 		}
 
 		var se Edge
-		serr := decodeRecord(bytes.NewReader(prefix), &se, true)
+		serr := decodeRecord(bytes.NewReader(prefix), &se)
 		if serr == nil {
 			t.Fatalf("cut=%d: stream decoder accepted a truncated record", cut)
 		}
 		if !errors.Is(serr, ErrCorrupt) {
-			t.Fatalf("cut=%d: stream v2 error not ErrCorrupt: %v", cut, serr)
+			t.Fatalf("cut=%d: stream error not ErrCorrupt: %v", cut, serr)
 		}
-	}
-
-	// v1 contrast: an empty stream is a record boundary, not corruption.
-	var ve Edge
-	if err := decodeRecord(bytes.NewReader(nil), &ve, false); err != io.EOF {
-		t.Fatalf("v1 empty stream: want bare io.EOF, got %v", err)
 	}
 }
 
-// TestReadPartWithModesAgree reads the same file in both decode modes and
-// requires identical edges, PartInfo, and byte counts — the whole-file form
-// of the equivalence property, covering the block loop and slack checks.
+// TestReadPartWithModesAgree reads the same file through both decoders under
+// the one block scan and requires identical edges, PartInfo, and byte counts
+// — the whole-file form of the equivalence property, covering the slack
+// checks.
 func TestReadPartWithModesAgree(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(21))
@@ -153,11 +145,11 @@ func TestReadPartWithModesAgree(t *testing.T) {
 	if _, err := WritePart(path, edges, PartInfo{Lo: 5, Hi: 4096}); err != nil {
 		t.Fatal(err)
 	}
-	fast, fi, fn, err := ReadPartWith(path, nil, ReadOptions{})
+	fast, fi, fn, err := ReadPart(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, si, sn, err := ReadPartWith(path, nil, ReadOptions{LegacyDecode: true})
+	slow, si, sn, err := readPartStream(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +195,18 @@ func TestCursorArenaIsolation(t *testing.T) {
 	}
 }
 
+// partReader is ReadPart's shape; decodeModes pairs the production reader
+// with the stream-decoder oracle under the same block scan.
+type partReader func(path string, dst []Edge) ([]Edge, PartInfo, int64, error)
+
+var decodeModes = []struct {
+	name string
+	read partReader
+}{
+	{"zero-copy", ReadPart},
+	{"legacy", readPartStream},
+}
+
 // allocBudgetFile writes a part file of enc-carrying records and returns its
 // path and record count, shared by the alloc test and the decode benchmark.
 func allocBudgetFile(tb testing.TB, n int) string {
@@ -226,7 +230,7 @@ func allocBudgetFile(tb testing.TB, n int) string {
 // TestDecodeAllocBudget is the regression gate on the zero-copy read path:
 // decoding must stay near zero allocations per record (the arena amortizes
 // one slice allocation over thousands of elements), and well under the
-// legacy decoder's one-allocation-per-encoding floor. `make ci` runs this
+// stream-decoder oracle's one-allocation-per-encoding floor. `make ci` runs this
 // via the alloc-budget target.
 func TestDecodeAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
@@ -234,47 +238,41 @@ func TestDecodeAllocBudget(t *testing.T) {
 	}
 	const n = 2000
 	path := allocBudgetFile(t, n)
-	perRecord := func(opt ReadOptions) float64 {
+	perRecord := func(read partReader) float64 {
 		dst := make([]Edge, 0, n)
 		allocs := testing.AllocsPerRun(5, func() {
 			var err error
-			dst, _, _, err = ReadPartWith(path, dst[:0], opt)
+			dst, _, _, err = read(path, dst[:0])
 			if err != nil {
 				t.Fatal(err)
 			}
 		})
 		return allocs / n
 	}
-	fast := perRecord(ReadOptions{})
-	slow := perRecord(ReadOptions{LegacyDecode: true})
-	t.Logf("allocs/record: zero-copy %.4f, legacy %.4f", fast, slow)
+	fast := perRecord(ReadPart)
+	slow := perRecord(readPartStream)
+	t.Logf("allocs/record: zero-copy %.4f, stream oracle %.4f", fast, slow)
 	if fast > 0.05 {
 		t.Fatalf("zero-copy decode allocates %.4f/record, budget is 0.05", fast)
 	}
 	if slow > 0 && fast > 0.5*slow {
-		t.Fatalf("zero-copy (%.4f/record) not under half of legacy (%.4f/record)", fast, slow)
+		t.Fatalf("zero-copy (%.4f/record) not under half of the stream oracle (%.4f/record)", fast, slow)
 	}
 }
 
-// BenchmarkDecodeRecord reports ns/record and allocs/record for both v2
-// decode modes over a realistic enc-carrying partition file.
+// BenchmarkDecodeRecord reports ns/record and allocs/record for both
+// decoders over a realistic enc-carrying partition file.
 func BenchmarkDecodeRecord(b *testing.B) {
 	const n = 5000
 	path := allocBudgetFile(b, n)
-	for _, mode := range []struct {
-		name string
-		opt  ReadOptions
-	}{
-		{"zero-copy", ReadOptions{}},
-		{"legacy", ReadOptions{LegacyDecode: true}},
-	} {
+	for _, mode := range decodeModes {
 		b.Run(mode.name, func(b *testing.B) {
 			dst := make([]Edge, 0, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var err error
-				dst, _, _, err = ReadPartWith(path, dst[:0], mode.opt)
+				dst, _, _, err = mode.read(path, dst[:0])
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -290,7 +288,7 @@ func BenchmarkDecodeRecord(b *testing.B) {
 // the one class only the record decoder can catch: a block whose payload was
 // cut mid-record but whose header (plen, count, CRC) was rewritten to be
 // self-consistent. The block CRC verifies, so rejection has to come from the
-// decode loop — in both decode modes, tagged ErrCorrupt.
+// decode loop — with either decoder, tagged ErrCorrupt.
 func TestCorruptionMatrixMidRecordTruncation(t *testing.T) {
 	dir := t.TempDir()
 	e := longEncEdge(6)
@@ -331,15 +329,9 @@ func TestCorruptionMatrixMidRecordTruncation(t *testing.T) {
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name string
-		opt  ReadOptions
-	}{
-		{"zero-copy", ReadOptions{}},
-		{"legacy", ReadOptions{LegacyDecode: true}},
-	} {
+	for _, mode := range decodeModes {
 		t.Run(mode.name, func(t *testing.T) {
-			_, _, _, err := ReadPartWith(path, nil, mode.opt)
+			_, _, _, err := mode.read(path, nil)
 			if err == nil {
 				t.Fatal("mid-record truncation with consistent CRC accepted")
 			}
@@ -351,11 +343,11 @@ func TestCorruptionMatrixMidRecordTruncation(t *testing.T) {
 }
 
 // TestReadPartPrefixCursorEquivalence is the decoder-equivalence test for
-// the resume-path prefix reader, which now decodes through the zero-copy
-// cursor: on pristine files, files with a post-checkpoint suffix, and files
+// the resume-path prefix reader, which decodes through the zero-copy cursor:
+// on pristine files, files with a post-checkpoint suffix, and files
 // truncated at every torn-append boundary, its recovered prefix must be
-// byte-identical to what the legacy stream decoder reconstructs via
-// ReadPartWith(LegacyDecode) on the intact original.
+// byte-identical to what the stream decoder reconstructs (readPartStream)
+// from the intact original.
 func TestReadPartPrefixCursorEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(77))
@@ -371,7 +363,7 @@ func TestReadPartPrefixCursorEquivalence(t *testing.T) {
 	if _, err := AppendPart(path, edges[48:]); err != nil {
 		t.Fatal(err)
 	}
-	want, _, _, err := ReadPartWith(path, nil, ReadOptions{LegacyDecode: true})
+	want, _, _, err := readPartStream(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

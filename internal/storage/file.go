@@ -35,11 +35,10 @@
 // → fsync directory, so a crash never leaves a half-written file under the
 // partition's name.
 //
-// Files written before format v2 carry no magic; ReadPart sniffs the first
-// four bytes and falls back to the legacy bare-record-stream decoder. (A v1
-// record whose source vertex happens to equal 0x504c5047 — "GPLP" little-
-// endian, vertex ~1.3 billion — would be misidentified; the engine's vertex
-// spaces are nowhere near that.)
+// This is the only format. A file that exists but does not start with a
+// valid header — wrong magic, wrong version, fewer than 24 bytes, zero bytes
+// — is ErrCorrupt to every reader and to AppendPart; only a missing file
+// reads as empty.
 package storage
 
 import (
@@ -76,10 +75,10 @@ var (
 	trailerMagic = [4]byte{'G', 'P', 'L', 'T'}
 )
 
-// ErrCorrupt tags every integrity failure ReadPart and AppendPart can
-// detect (bad magic/version, checksum mismatch, truncation, torn append).
-// Errors wrap it, so errors.Is(err, ErrCorrupt) distinguishes corruption
-// from plain I/O failures.
+// ErrCorrupt tags every integrity failure ReadPart, ReadPartPrefix and
+// AppendPart can detect (bad magic/version, checksum mismatch, truncation,
+// torn append). Errors wrap it, so errors.Is(err, ErrCorrupt) distinguishes
+// corruption from plain I/O failures.
 var ErrCorrupt = errors.New("corrupt partition file")
 
 func corruptf(path, format string, args ...any) error {
@@ -89,11 +88,9 @@ func corruptf(path, format string, args ...any) error {
 // PartInfo is the partition metadata a v2 header records.
 type PartInfo struct {
 	// Lo, Hi is the partition's vertex interval [Lo, Hi); both zero when the
-	// writer did not know it (legacy files, bare WriteFile calls).
+	// writer did not know it (a file created by AppendPart).
 	Lo, Hi uint32
 }
-
-func (p PartInfo) known() bool { return p.Lo != 0 || p.Hi != 0 }
 
 func encodeHeader(info PartInfo) []byte {
 	buf := make([]byte, headerSize)
@@ -192,6 +189,24 @@ func (bw *blockWriter) flush() error {
 	return nil
 }
 
+// commit writes edges as blocks, then the trailer that commits them on top
+// of the oldEdges records in oldBlocks blocks the file already holds, and
+// flushes the buffer.
+func (bw *blockWriter) commit(edges []Edge, oldEdges uint64, oldBlocks uint32) error {
+	for i := range edges {
+		if err := bw.add(&edges[i]); err != nil {
+			return err
+		}
+	}
+	if err := bw.flush(); err != nil {
+		return err
+	}
+	if _, err := bw.w.Write(encodeTrailer(oldEdges+bw.edges, oldBlocks+bw.blocks)); err != nil {
+		return err
+	}
+	return bw.w.Flush()
+}
+
 // syncDir fsyncs the directory containing path so a just-renamed (or
 // just-created) file survives a crash. Filesystems that cannot sync
 // directories are tolerated.
@@ -207,13 +222,12 @@ func syncDir(path string) error {
 	return d.Close()
 }
 
-// WriteFileAtomic atomically replaces path with data using the same
-// crash-safe sequence as WritePart: write-temp → fsync file → rename →
-// fsync directory. A crash leaves either the old file or the complete new
-// one — never a torn file under the real name. It backs the progress
-// layer's status.json rewrite, where an external poller may read the file
-// at any instant.
-func WriteFileAtomic(path string, data []byte) error {
+// writeAtomic replaces path with what body writes, crash-safely: write temp
+// → fsync file → rename → fsync directory. A crash leaves either the old
+// file or the complete new one — never a torn file under the real name — and
+// a failure at any step removes the temp file. Partition files, the journal
+// header and status.json all land through here.
+func writeAtomic(path string, body func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -224,7 +238,7 @@ func WriteFileAtomic(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
+	if err := body(f); err != nil {
 		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
@@ -241,163 +255,118 @@ func WriteFileAtomic(path string, data []byte) error {
 	return syncDir(path)
 }
 
-// WritePart atomically replaces path with a v2 partition file holding
-// edges, recording info in the header. The sequence is write-temp → fsync
-// file → rename → fsync directory, so a crash leaves either the old file or
-// the complete new one — never a partial file under the real name. Returns
-// the bytes written.
+// WriteFileAtomic atomically replaces path with data (see writeAtomic). It
+// backs the progress layer's status.json rewrite, where an external poller
+// may read the file at any instant.
+func WriteFileAtomic(path string, data []byte) error {
+	return writeAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// WritePart atomically replaces path (see writeAtomic) with a v2 partition
+// file holding edges, recording info in the header. Returns the bytes
+// written.
 func WritePart(path string, edges []Edge, info PartInfo) (int64, error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, err
-	}
-	fail := func(err error) (int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	bw := &blockWriter{w: bufio.NewWriterSize(f, 1<<20)}
-	if _, err := bw.w.Write(encodeHeader(info)); err != nil {
-		return fail(err)
-	}
-	for i := range edges {
-		if err := bw.add(&edges[i]); err != nil {
-			return fail(err)
+	var bw blockWriter
+	err := writeAtomic(path, func(w io.Writer) error {
+		bw.w = bufio.NewWriterSize(w, 1<<20)
+		if _, err := bw.w.Write(encodeHeader(info)); err != nil {
+			return err
 		}
-	}
-	if err := bw.flush(); err != nil {
-		return fail(err)
-	}
-	if _, err := bw.w.Write(encodeTrailer(bw.edges, bw.blocks)); err != nil {
-		return fail(err)
-	}
-	if err := bw.w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := syncDir(path); err != nil {
+		return bw.commit(edges, 0, 0)
+	})
+	if err != nil {
 		return 0, err
 	}
 	return headerSize + bw.written + trailerSize, nil
 }
 
-// ReadOptions controls how ReadPart decodes partition files.
-type ReadOptions struct {
-	// LegacyDecode routes v2 block payloads through the field-by-field
-	// stream decoder instead of the zero-copy block cursor. The two produce
-	// identical edges and identical error classes; this is the ablation
-	// hook for the hotpath bench and the decode-equivalence tests. v1
-	// streams always use the stream decoder regardless.
-	LegacyDecode bool
+// blockDecoder appends the count records of one CRC-verified block payload
+// to dst. blockCursor.decodeBlock is the only one outside tests, which plug
+// the stream-decoder oracle into the same scan.
+type blockDecoder func(payload []byte, count uint32, dst []Edge) ([]Edge, error)
+
+// partScan is what one pass over a partition file found.
+type partScan struct {
+	info PartInfo
+	// edges is the caller's dst plus the records of every block accepted.
+	edges []Edge
+	// bytes covers the header, the accepted blocks and, after a clean end,
+	// the trailer.
+	bytes int64
+	// end is nil when the accepted blocks were followed by a trailer
+	// committing exactly them and then EOF. Otherwise it says where and why
+	// the scan stopped, and wraps ErrCorrupt.
+	end error
 }
 
-// ReadPart loads all edges from path, appending to dst. A missing file
-// reads as empty (a partition no edge was ever written to). v2 files are
-// fully verified — header and block checksums, and a trailer whose counts
-// match what was decoded; legacy v1 files are decoded as bare record
-// streams. Returns the header's PartInfo (zero for v1) and bytes read.
-func ReadPart(path string, dst []Edge) ([]Edge, PartInfo, int64, error) {
-	return ReadPartWith(path, dst, ReadOptions{})
-}
-
-// ReadPartWith is ReadPart with explicit decode options.
-func ReadPartWith(path string, dst []Edge, opt ReadOptions) ([]Edge, PartInfo, int64, error) {
+// scanPart is the one path from a partition file's bytes to edges: verify
+// the header, then walk the blocks. A file that cannot be opened, or whose
+// header is not a valid v2 header, is an error (the latter wraps ErrCorrupt);
+// damage after the header is reported in partScan.end, for the caller to
+// reject (ReadPart) or tolerate (ReadPartPrefix).
+func scanPart(path string, dst []Edge, decode blockDecoder) (partScan, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return dst, PartInfo{}, 0, nil
-		}
-		return nil, PartInfo{}, 0, err
+		return partScan{}, err
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<20)
-	sniff, err := r.Peek(4)
-	if err == io.EOF || (err == nil && !bytes.Equal(sniff, fileMagic[:])) {
-		// Legacy v1: a bare record stream (possibly empty).
-		edges, n, err := readLegacy(path, r, dst)
-		return edges, PartInfo{}, n, err
-	}
-	if err != nil {
-		return nil, PartInfo{}, 0, fmt.Errorf("storage: %s: %w", path, err)
-	}
-	return readV2(path, r, dst, opt)
-}
-
-func readLegacy(path string, r *bufio.Reader, dst []Edge) ([]Edge, int64, error) {
-	var n int64
-	for {
-		var e Edge
-		err := decodeRecord(r, &e, false)
-		if err == io.EOF {
-			return dst, n, nil
-		}
-		if err != nil {
-			return nil, n, fmt.Errorf("%s: %w", path, err)
-		}
-		n += RecordSize(&e)
-		dst = append(dst, e)
-	}
-}
-
-func readV2(path string, r *bufio.Reader, dst []Edge, opt ReadOptions) ([]Edge, PartInfo, int64, error) {
-	var cur blockCursor // arena persists across blocks: one element chunk serves many records
 	head := make([]byte, headerSize)
 	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, PartInfo{}, 0, corruptf(path, "short header: %v", err)
+		return partScan{}, corruptf(path, "short header: %v", err)
 	}
 	info, err := decodeHeader(path, head)
 	if err != nil {
-		return nil, PartInfo{}, 0, err
+		return partScan{}, err
 	}
-	bytesRead := int64(headerSize)
+	s := partScan{info: info, edges: dst, bytes: headerSize}
+	s.end = s.scanBlocks(path, r, decode)
+	return s, nil
+}
+
+// scanBlocks is the block loop: tag → trailer or block header → length check
+// → payload → CRC → decode. Only whole verified blocks are accepted into s;
+// the result is partScan.end.
+func (s *partScan) scanBlocks(path string, r *bufio.Reader, decode blockDecoder) error {
 	var gotEdges uint64
 	var gotBlocks uint32
 	var payload []byte
 	for {
 		var tag [4]byte
 		if _, err := io.ReadFull(r, tag[:]); err != nil {
-			return nil, info, bytesRead, corruptf(path, "missing trailer (torn write?): %v", err)
+			return corruptf(path, "missing trailer (torn write?): %v", err)
 		}
 		if bytes.Equal(tag[:], trailerMagic[:]) {
 			rest := make([]byte, trailerSize)
 			copy(rest, tag[:])
 			if _, err := io.ReadFull(r, rest[4:]); err != nil {
-				return nil, info, bytesRead, corruptf(path, "short trailer: %v", err)
+				return corruptf(path, "short trailer: %v", err)
 			}
 			wantEdges, wantBlocks, err := decodeTrailer(path, rest)
 			if err != nil {
-				return nil, info, bytesRead, err
+				return err
 			}
 			if wantEdges != gotEdges || wantBlocks != gotBlocks {
-				return nil, info, bytesRead, corruptf(path,
-					"trailer promises %d edges in %d blocks, decoded %d in %d",
+				return corruptf(path, "trailer promises %d edges in %d blocks, decoded %d in %d",
 					wantEdges, wantBlocks, gotEdges, gotBlocks)
 			}
 			if _, err := r.ReadByte(); err != io.EOF {
-				return nil, info, bytesRead, corruptf(path, "trailing garbage after trailer")
+				return corruptf(path, "trailing garbage after trailer")
 			}
-			bytesRead += trailerSize
-			return dst, info, bytesRead, nil
+			s.bytes += trailerSize
+			return nil
 		}
 		// Not the trailer: tag is a block header's payload length.
 		plen := binary.LittleEndian.Uint32(tag[:])
 		if plen == 0 || plen > maxBlockPayload {
-			return nil, info, bytesRead, corruptf(path, "implausible block length %d", plen)
+			return corruptf(path, "implausible block length %d", plen)
 		}
 		var rest [blockHeaderSize - 4]byte
 		if _, err := io.ReadFull(r, rest[:]); err != nil {
-			return nil, info, bytesRead, corruptf(path, "truncated block header: %v", err)
+			return corruptf(path, "truncated block header: %v", err)
 		}
 		count := binary.LittleEndian.Uint32(rest[0:])
 		wantCRC := binary.LittleEndian.Uint32(rest[4:])
@@ -406,43 +375,49 @@ func readV2(path string, r *bufio.Reader, dst []Edge, opt ReadOptions) ([]Edge, 
 		}
 		payload = payload[:plen]
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, info, bytesRead, corruptf(path, "truncated block payload: %v", err)
+			return corruptf(path, "truncated block payload: %v", err)
 		}
 		if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-			return nil, info, bytesRead, corruptf(path,
-				"block %d checksum mismatch (want %#x, got %#x)", gotBlocks, wantCRC, got)
+			return corruptf(path, "block %d checksum mismatch (want %#x, got %#x)", gotBlocks, wantCRC, got)
 		}
-		if opt.LegacyDecode {
-			br := bytes.NewReader(payload)
-			for i := uint32(0); i < count; i++ {
-				var e Edge
-				if err := decodeRecord(br, &e, true); err != nil {
-					return nil, info, bytesRead, corruptf(path, "block %d record %d: %v", gotBlocks, i, err)
-				}
-				dst = append(dst, e)
-			}
-			if br.Len() != 0 {
-				return nil, info, bytesRead, corruptf(path, "block %d: %d bytes of slack after %d records",
-					gotBlocks, br.Len(), count)
-			}
-		} else {
-			grown, rec, err := cur.decodeBlock(payload, count, dst)
-			if err != nil {
-				if rec < count {
-					return nil, info, bytesRead, corruptf(path, "block %d record %d: %v", gotBlocks, rec, err)
-				}
-				return nil, info, bytesRead, corruptf(path, "block %d: %d bytes of slack after %d records",
-					gotBlocks, cur.remaining(), count)
-			}
-			dst = grown
+		grown, err := decode(payload, count, s.edges)
+		if err != nil {
+			// The CRC matched garbage, or the writer was broken: the whole
+			// block is dropped.
+			return corruptf(path, "block %d: %v", gotBlocks, err)
 		}
-		bytesRead += int64(blockHeaderSize) + int64(plen)
+		s.edges = grown
+		s.bytes += int64(blockHeaderSize) + int64(plen)
 		gotEdges += uint64(count)
 		gotBlocks++
 	}
 }
 
-// ReadPartPrefix reads the first n edges of a v2 partition file, tolerating
+// ReadPart loads all edges from path, appending to dst. A missing file reads
+// as empty (a partition no edge was ever written to). Anything else is fully
+// verified — header and block checksums, and a trailer whose counts match
+// what was decoded — and any failure wraps ErrCorrupt. Returns the header's
+// PartInfo and the bytes read.
+func ReadPart(path string, dst []Edge) ([]Edge, PartInfo, int64, error) {
+	var cur blockCursor // arena persists across blocks: one element chunk serves many records
+	return readPart(path, dst, cur.decodeBlock)
+}
+
+func readPart(path string, dst []Edge, decode blockDecoder) ([]Edge, PartInfo, int64, error) {
+	s, err := scanPart(path, dst, decode)
+	if errors.Is(err, os.ErrNotExist) {
+		return dst, PartInfo{}, 0, nil
+	}
+	if err == nil {
+		err = s.end
+	}
+	if err != nil {
+		return nil, s.info, s.bytes, err
+	}
+	return s.edges, s.info, s.bytes, nil
+}
+
+// ReadPartPrefix reads the first n edges of a partition file, tolerating
 // damage after that prefix. It is the resume path's reader: a journal record
 // promises that the file's first n edges are exactly the checkpointed
 // content (between checkpoints the engine only append-extends files or
@@ -457,92 +432,29 @@ func readV2(path string, r *bufio.Reader, dst []Edge, opt ReadOptions) ([]Edge, 
 // is a fully valid v2 file containing precisely n edges — when false the
 // caller should rewrite the file canonically before trusting appends to it.
 func ReadPartPrefix(path string, n int64) (edges []Edge, info PartInfo, exact bool, err error) {
-	f, err := os.Open(path)
+	var cur blockCursor
+	s, err := scanPart(path, nil, cur.decodeBlock)
 	if err != nil {
-		if os.IsNotExist(err) && n == 0 {
+		if errors.Is(err, os.ErrNotExist) && n == 0 {
 			return nil, PartInfo{}, true, nil
 		}
 		return nil, PartInfo{}, false, err
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	head := make([]byte, headerSize)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, PartInfo{}, false, corruptf(path, "short header: %v", err)
+	// Even once the prefix is satisfied the scan ran to the end: whether the
+	// remainder is a clean trailer decides exactness.
+	got := int64(len(s.edges))
+	if got < n {
+		return nil, s.info, false, corruptf(path, "journal promises %d edges, only %d recoverable", n, got)
 	}
-	info, err = decodeHeader(path, head)
-	if err != nil {
-		return nil, PartInfo{}, false, err
-	}
-	var cur blockCursor // zero-copy decode, same arena reuse as readV2
-	var gotEdges uint64
-	var gotBlocks uint32
-	var payload []byte
-	clean := false // a valid trailer matching the decoded counts, then EOF
-	for {
-		var tag [4]byte
-		if _, err := io.ReadFull(r, tag[:]); err != nil {
-			break // truncated at a block boundary: prefix ends here
-		}
-		if bytes.Equal(tag[:], trailerMagic[:]) {
-			rest := make([]byte, trailerSize)
-			copy(rest, tag[:])
-			if _, err := io.ReadFull(r, rest[4:]); err != nil {
-				break
-			}
-			wantEdges, wantBlocks, err := decodeTrailer(path, rest)
-			if err != nil || wantEdges != gotEdges || wantBlocks != gotBlocks {
-				break
-			}
-			if _, err := r.ReadByte(); err == io.EOF {
-				clean = true
-			}
-			break
-		}
-		plen := binary.LittleEndian.Uint32(tag[:])
-		if plen == 0 || plen > maxBlockPayload {
-			break
-		}
-		var rest [blockHeaderSize - 4]byte
-		if _, err := io.ReadFull(r, rest[:]); err != nil {
-			break
-		}
-		count := binary.LittleEndian.Uint32(rest[0:])
-		wantCRC := binary.LittleEndian.Uint32(rest[4:])
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			break
-		}
-		grown, _, err := cur.decodeBlock(payload, count, edges)
-		if err != nil {
-			break // CRC collision on garbage: drop the whole block
-		}
-		edges = grown
-		gotEdges += uint64(count)
-		gotBlocks++
-		// Even once the prefix is satisfied the scan continues: whether the
-		// remainder is a clean trailer decides exactness.
-	}
-	if int64(len(edges)) < n {
-		return nil, info, false, corruptf(path,
-			"journal promises %d edges, only %d recoverable", n, len(edges))
-	}
-	exact = clean && int64(gotEdges) == n
-	return edges[:n], info, exact, nil
+	return s.edges[:n], s.info, s.end == nil && got == n, nil
 }
 
-// AppendPart appends edges to a partition file, creating a v2 file when
-// none exists. For a v2 file the existing trailer is verified, overwritten
-// by the new blocks, and a new trailer committing the grown counts is
-// written and fsynced; a crash mid-append leaves the file without a valid
-// trailer, which the next ReadPart rejects (the partial append is never
-// silently half-visible). Legacy v1 files keep receiving bare v1 records.
+// AppendPart appends edges to a partition file, creating one (with no
+// recorded vertex interval) when none exists. The header and the existing
+// trailer are verified, the trailer is overwritten by the new blocks, and a
+// new trailer committing the grown counts is written and fsynced; a crash
+// mid-append leaves the file without a valid trailer, which the next
+// ReadPart rejects (the partial append is never silently half-visible).
 // Returns the bytes written.
 func AppendPart(path string, edges []Edge) (int64, error) {
 	if len(edges) == 0 {
@@ -556,21 +468,20 @@ func AppendPart(path string, edges []Edge) (int64, error) {
 		return 0, err
 	}
 	defer f.Close()
-	var sniff [4]byte
-	n, err := f.ReadAt(sniff[:], 0)
+	head := make([]byte, headerSize)
+	n, err := f.ReadAt(head, 0)
 	if err != nil && err != io.EOF {
 		return 0, err
 	}
-	if n < 4 || !bytes.Equal(sniff[:], fileMagic[:]) {
-		return appendLegacy(f, edges)
+	if _, err := decodeHeader(path, head[:n]); err != nil {
+		return 0, err
 	}
-
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return 0, err
 	}
 	if size < headerSize+trailerSize {
-		return 0, corruptf(path, "v2 file too short for header+trailer: %d bytes", size)
+		return 0, corruptf(path, "file too short for header+trailer: %d bytes", size)
 	}
 	tr := make([]byte, trailerSize)
 	if _, err := f.ReadAt(tr, size-trailerSize); err != nil {
@@ -584,66 +495,11 @@ func AppendPart(path string, edges []Edge) (int64, error) {
 		return 0, err
 	}
 	bw := &blockWriter{w: bufio.NewWriterSize(f, 1<<20)}
-	for i := range edges {
-		if err := bw.add(&edges[i]); err != nil {
-			return 0, err
-		}
-	}
-	if err := bw.flush(); err != nil {
-		return 0, err
-	}
-	if _, err := bw.w.Write(encodeTrailer(oldEdges+bw.edges, oldBlocks+bw.blocks)); err != nil {
-		return 0, err
-	}
-	if err := bw.w.Flush(); err != nil {
+	if err := bw.commit(edges, oldEdges, oldBlocks); err != nil {
 		return 0, err
 	}
 	if err := f.Sync(); err != nil {
 		return 0, err
 	}
 	return bw.written + trailerSize, nil
-}
-
-func appendLegacy(f *os.File, edges []Edge) (int64, error) {
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		return 0, err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	var buf []byte
-	var n int64
-	for i := range edges {
-		var err error
-		buf, err = AppendRecord(buf[:0], &edges[i])
-		if err != nil {
-			return 0, err
-		}
-		if _, err := w.Write(buf); err != nil {
-			return 0, err
-		}
-		n += int64(len(buf))
-	}
-	if err := w.Flush(); err != nil {
-		return 0, err
-	}
-	return n, f.Sync()
-}
-
-// WriteFile writes edges to path in format v2 (atomic, fsynced) without
-// recording a vertex interval. Kept for callers that do not track partition
-// metadata; the engine uses WritePart.
-func WriteFile(path string, edges []Edge) error {
-	_, err := WritePart(path, edges, PartInfo{})
-	return err
-}
-
-// ReadFile loads all edges from path, appending to dst.
-func ReadFile(path string, dst []Edge) ([]Edge, error) {
-	out, _, _, err := ReadPart(path, dst)
-	return out, err
-}
-
-// AppendFile appends edges to path (creating it if needed).
-func AppendFile(path string, edges []Edge) error {
-	_, err := AppendPart(path, edges)
-	return err
 }

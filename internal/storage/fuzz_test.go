@@ -1,51 +1,16 @@
 package storage
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
-// FuzzReadRecord exercises the legacy v1 record decoder on arbitrary bytes:
-// it must never panic and never read out of bounds, returning an error (or
-// clean EOF) for malformed input. Run with:
-// go test -fuzz=FuzzReadRecord ./internal/storage
-func FuzzReadRecord(f *testing.F) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 8; i++ {
-		e := randEdge(rng)
-		rec, err := AppendRecord(nil, &e)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(rec)
-	}
-	f.Add([]byte{})
-	f.Add([]byte{0x01})
-	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bufio.NewReader(bytes.NewReader(data))
-		for i := 0; i < 4; i++ { // a few records per input
-			var e Edge
-			if err := ReadRecord(r, &e); err != nil {
-				return
-			}
-			// A decoded record must re-encode without panicking.
-			if len(e.Enc) > 255 {
-				t.Fatalf("decoder produced oversized encoding: %d", len(e.Enc))
-			}
-			if _, err := AppendRecord(nil, &e); err != nil {
-				t.Fatalf("decoded record failed to re-encode: %v", err)
-			}
-		}
-	})
-}
-
-// FuzzDecodeRecordV2 exercises both v2 record decoders — the legacy stream
+// FuzzDecodeRecordV2 exercises both record decoders — the reference stream
 // form and the zero-copy block cursor — on arbitrary bytes, requiring them
 // to agree byte for byte. Seeds come from decodeV2Seeds, shared with the
 // decode-equivalence property test. Run with:
@@ -60,7 +25,7 @@ func FuzzDecodeRecordV2(f *testing.F) {
 		cur.reset(data)
 		for i := 0; i < 4; i++ {
 			var e, ce Edge
-			err := decodeRecord(r, &e, true)
+			err := decodeRecord(r, &e)
 			cerr := cur.decodeRecord(&ce)
 			if (err == nil) != (cerr == nil) {
 				t.Fatalf("decoders diverge: stream %v, cursor %v", err, cerr)
@@ -79,7 +44,7 @@ func FuzzDecodeRecordV2(f *testing.F) {
 			// Round-trip: a decoded record must re-encode to a decodable form.
 			back := appendRecordV2(nil, &e)
 			var e2 Edge
-			if err := decodeRecord(bytes.NewReader(back), &e2, true); err != nil {
+			if err := decodeRecord(bytes.NewReader(back), &e2); err != nil {
 				t.Fatalf("re-encoded record failed to decode: %v", err)
 			}
 			if !edgesEqual(e, e2) {
@@ -89,10 +54,14 @@ func FuzzDecodeRecordV2(f *testing.F) {
 	})
 }
 
-// FuzzReadPart exercises the whole-file reader — magic sniffing, header and
-// block CRC verification, trailer commit check, and the v1 fallback — on
-// arbitrary file contents. It must reject or decode every input without
-// panicking. Run with:
+// FuzzReadPart exercises the whole-file readers — header, block CRC and
+// trailer commit checks — on arbitrary file contents. Every input must be
+// rejected or decoded without panicking, and because ReadPart and
+// ReadPartPrefix share one block scan they may never disagree about what a
+// valid file is: whatever ReadPart accepts with n edges, ReadPartPrefix(n)
+// returns as an exact prefix and WritePart reproduces; whatever
+// ReadPartPrefix calls exact, ReadPart accepts with that many edges. Run
+// with:
 // go test -fuzz=FuzzReadPart ./internal/storage
 func FuzzReadPart(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
@@ -111,23 +80,70 @@ func FuzzReadPart(f *testing.F) {
 	}
 	f.Add(good)
 	f.Add(good[:len(good)/2])
-	var legacy []byte
-	for i := range edges[:5] {
-		legacy, err = AppendRecord(legacy, &edges[i])
-		if err != nil {
-			f.Fatal(err)
-		}
-	}
-	f.Add(legacy)
+	v1 := bareV1Stream()
+	f.Add(v1) // the retired format: must be rejected, see below
 	f.Add([]byte{})
 	f.Add([]byte("GPLP"))
 	f.Add(bytes.Repeat([]byte{0x00}, headerSize+trailerSize))
+	sameEdges := func(t *testing.T, what string, got, want []Edge) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d edges, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if !edgesEqual(got[i], want[i]) {
+				t.Fatalf("%s: edge %d differs: %+v vs %+v", what, i, got[i], want[i])
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "fuzz.edges")
+		dir := t.TempDir()
+		path := filepath.Join(dir, "fuzz.edges")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		_, _, _, _ = ReadPart(path, nil)
+		got, info, _, rerr := ReadPart(path, nil)
+		if rerr != nil && !errors.Is(rerr, ErrCorrupt) {
+			t.Fatalf("rejection not tagged ErrCorrupt: %v", rerr)
+		}
+		if rerr == nil && bytes.Equal(data, v1) {
+			t.Fatal("bare v1 record stream accepted")
+		}
+		if _, _, _, err := ReadPartPrefix(path, 0); err != nil {
+			if rerr == nil {
+				t.Fatalf("ReadPart accepts a file ReadPartPrefix rejects: %v", err)
+			}
+			return
+		}
+		// k is how many edges the prefix reader can recover (a record takes at
+		// least 16 bytes); exactness can only hold there.
+		k := int64(sort.Search(len(data)/16+1, func(k int) bool {
+			_, _, _, err := ReadPartPrefix(path, int64(k)+1)
+			return err != nil
+		}))
+		prefix, pinfo, exact, err := ReadPartPrefix(path, k)
+		if err != nil {
+			t.Fatalf("ReadPartPrefix(%d): %v", k, err)
+		}
+		if exact != (rerr == nil) {
+			t.Fatalf("ReadPartPrefix(%d) exact=%v, ReadPart: %v", k, exact, rerr)
+		}
+		if rerr != nil {
+			return
+		}
+		if pinfo != info {
+			t.Fatalf("header info differs: %+v vs %+v", pinfo, info)
+		}
+		sameEdges(t, "prefix", prefix, got)
+		again := filepath.Join(dir, "again.edges")
+		if _, err := WritePart(again, got, info); err != nil {
+			t.Fatal(err)
+		}
+		back, binfo, _, err := ReadPart(again, nil)
+		if err != nil || binfo != info {
+			t.Fatalf("rewritten file: info %+v/%+v err=%v", binfo, info, err)
+		}
+		sameEdges(t, "rewrite", back, got)
 	})
 }
 

@@ -350,31 +350,7 @@ type JournalWriter struct {
 // creation never leaves a journal with a torn header under the real name.
 func CreateJournal(dir string, meta JournalMeta, faults *faultpoint.Set) (*JournalWriter, error) {
 	path := filepath.Join(dir, JournalName)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return nil, err
-	}
-	fail := func(err error) (*JournalWriter, error) {
-		f.Close()
-		os.Remove(tmp)
-		return nil, err
-	}
-	if _, err := f.Write(encodeJournalHeader(meta)); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := syncDir(path); err != nil {
+	if err := WriteFileAtomic(path, encodeJournalHeader(meta)); err != nil {
 		return nil, err
 	}
 	w, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)

@@ -1,12 +1,10 @@
 package storage
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -53,15 +51,9 @@ func edgesEqual(a, b Edge) bool {
 		a.Enc.Equal(b.Enc)
 }
 
-func mustAppendRecord(t *testing.T, dst []byte, e *Edge) []byte {
-	t.Helper()
-	out, err := AppendRecord(dst, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
+// TestRecordRoundTrip: a block of random records decodes back equal through
+// the block cursor, and a block header that promises fewer records than the
+// payload holds is rejected as slack.
 func TestRecordRoundTrip(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -70,24 +62,20 @@ func TestRecordRoundTrip(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			e := randEdge(rng)
 			want = append(want, e)
-			var err error
-			buf, err = AppendRecord(buf, &e)
-			if err != nil {
+			buf = appendRecordV2(buf, &e)
+		}
+		var cur blockCursor
+		got, err := cur.decodeBlock(buf, 10, nil)
+		if err != nil || len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if !edgesEqual(got[i], want[i]) {
 				return false
 			}
 		}
-		r := bufio.NewReader(bytes.NewReader(buf))
-		for _, w := range want {
-			var got Edge
-			if err := ReadRecord(r, &got); err != nil {
-				return false
-			}
-			if !edgesEqual(got, w) {
-				return false
-			}
-		}
-		var trailing Edge
-		return ReadRecord(r, &trailing) == io.EOF
+		got, err = cur.decodeBlock(buf, 9, got)
+		return errors.Is(err, ErrCorrupt) && len(got) == len(want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -107,7 +95,7 @@ func TestRecordV2RoundTrip(t *testing.T) {
 		r := bytes.NewReader(buf)
 		for _, w := range want {
 			var got Edge
-			if err := decodeRecord(r, &got, true); err != nil {
+			if err := decodeRecord(r, &got); err != nil {
 				return false
 			}
 			if !edgesEqual(got, w) {
@@ -121,39 +109,38 @@ func TestRecordV2RoundTrip(t *testing.T) {
 	}
 }
 
+// TestTruncatedRecord cuts a one-record file at every byte: no prefix of a
+// partition file is a partition file.
 func TestTruncatedRecord(t *testing.T) {
+	dir := t.TempDir()
 	e := randEdge(rand.New(rand.NewSource(1)))
-	buf := mustAppendRecord(t, nil, &e)
-	for cut := 1; cut < len(buf); cut++ {
-		r := bufio.NewReader(bytes.NewReader(buf[:cut]))
-		var got Edge
-		if err := ReadRecord(r, &got); err == nil {
-			t.Fatalf("cut=%d: no error", cut)
+	whole := filepath.Join(dir, "whole.edges")
+	if _, err := WritePart(whole, []Edge{e}, PartInfo{Lo: 1, Hi: 2}); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "cut.edges")
+	for cut := 0; cut < len(buf); cut++ {
+		if err := os.WriteFile(path, buf[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := ReadPart(path, nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("cut=%d: %v", cut, err)
 		}
 	}
 }
 
-// longEncEdge builds an edge whose path encoding exceeds the legacy v1
-// single-byte length field.
+// longEncEdge builds an edge whose path encoding is n call elements — past
+// 127, the encoding length needs a second uvarint byte.
 func longEncEdge(n int) Edge {
 	e := Edge{Src: 7, Dst: 9, Label: 3}
 	for i := 0; i < n; i++ {
 		e.Enc = append(e.Enc, cfet.CallElem(int32(i)))
 	}
 	return e
-}
-
-func TestAppendRecordLongEncodingErrors(t *testing.T) {
-	// Regression: this used to panic ("storage: encoding too long").
-	e := longEncEdge(300)
-	if _, err := AppendRecord(nil, &e); err == nil {
-		t.Fatal("v1 AppendRecord accepted a 300-element encoding")
-	}
-	// Exactly 255 still fits.
-	ok := longEncEdge(255)
-	if _, err := AppendRecord(nil, &ok); err != nil {
-		t.Fatalf("255-element encoding rejected: %v", err)
-	}
 }
 
 func TestLongEncodingRoundTripsInV2(t *testing.T) {
@@ -163,7 +150,7 @@ func TestLongEncodingRoundTripsInV2(t *testing.T) {
 	if _, err := WritePart(path, want, PartInfo{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path, nil)
+	got, _, _, err := ReadPart(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,10 +209,10 @@ func TestFileRoundTrip(t *testing.T) {
 
 func TestWriteFileEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.edges")
-	if err := WriteFile(path, nil); err != nil {
+	if _, err := WritePart(path, nil, PartInfo{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path, nil)
+	got, _, _, err := ReadPart(path, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty v2 file: %v %v", got, err)
 	}
@@ -237,13 +224,13 @@ func TestAppendFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := []Edge{randEdge(rng), randEdge(rng)}
 	b := []Edge{randEdge(rng)}
-	if err := AppendFile(path, a); err != nil {
+	if _, err := AppendPart(path, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := AppendFile(path, b); err != nil {
+	if _, err := AppendPart(path, b); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path, nil)
+	got, _, _, err := ReadPart(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,63 +272,22 @@ func TestAppendToWrittenPart(t *testing.T) {
 	}
 }
 
-// TestLegacyV1ReadBack writes a bare v1 record stream (the pre-v2 format)
-// and checks both ReadPart's transparent fallback and legacy append.
-func TestLegacyV1ReadBack(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "legacy.edges")
-	rng := rand.New(rand.NewSource(11))
-	var want []Edge
-	var buf []byte
-	for i := 0; i < 50; i++ {
-		e := randEdge(rng)
-		want = append(want, e)
-		buf = mustAppendRecord(t, buf, &e)
+// bareV1Stream is what a pre-v2 writer produced: records back to back — src,
+// dst, label, gen, flags, a one-byte encoding length, elements — with no
+// magic, framing or checksum. Built by hand: no v1 encoder is kept.
+func bareV1Stream() []byte {
+	var b []byte
+	for i := byte(0); i < 3; i++ {
+		b = append(b,
+			7+i, 0, 0, 0, // src
+			9+i, 0, 0, 0, // dst
+			3, 0, // label
+			i, 0, 0, 0, // gen
+			0,                   // flags: no rel
+			1,                   // encoding length
+			byte(cfet.KCall), 5) // one call element
 	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, info, _, err := ReadPart(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.known() {
-		t.Fatalf("legacy file reported interval %+v", info)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d edges want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !edgesEqual(got[i], want[i]) {
-			t.Fatalf("edge %d mismatch", i)
-		}
-	}
-	// Appending to a legacy file stays in the legacy format and read-back
-	// still sees one coherent stream.
-	extra := randEdge(rng)
-	if err := AppendFile(path, []Edge{extra}); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadFile(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want)+1 || !edgesEqual(got[len(got)-1], extra) {
-		t.Fatalf("legacy append mismatch: %d edges", len(got))
-	}
-}
-
-func TestLegacyAppendRejectsLongEncoding(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "legacy.edges")
-	e := randEdge(rand.New(rand.NewSource(12)))
-	buf := mustAppendRecord(t, nil, &e)
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendFile(path, []Edge{longEncEdge(300)}); err == nil {
-		t.Fatal("legacy append accepted an encoding v1 cannot represent")
-	}
+	return b
 }
 
 // TestCorruptionMatrix checks that every corruption class is rejected with
@@ -363,50 +309,64 @@ func TestCorruptionMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A case with header set leaves no valid v2 header: besides ReadPart,
+	// ReadPartPrefix and AppendPart must reject it too, and the append must
+	// not touch the file. (Damage after the header is the prefix reader's to
+	// tolerate; the torn-append case below covers AppendPart there.)
 	cases := []struct {
 		name   string
+		header bool
 		mutate func([]byte) []byte
 	}{
-		{"truncated mid-block", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"truncated trailer", func(b []byte) []byte { return b[:len(b)-1] }},
-		{"missing trailer", func(b []byte) []byte { return b[:len(b)-trailerSize] }},
-		{"short header", func(b []byte) []byte { return b[:headerSize-4] }},
-		{"stale version byte", func(b []byte) []byte {
+		{"truncated mid-block", false, func(b []byte) []byte { return b[:len(b)/2] }},
+		{"truncated trailer", false, func(b []byte) []byte { return b[:len(b)-1] }},
+		{"missing trailer", false, func(b []byte) []byte { return b[:len(b)-trailerSize] }},
+		{"short header", true, func(b []byte) []byte { return b[:headerSize-4] }},
+		{"stale version byte", true, func(b []byte) []byte {
 			c := append([]byte{}, b...)
 			binary.LittleEndian.PutUint16(c[4:], 1) // claim format v1 under the v2 magic
 			binary.LittleEndian.PutUint32(c[20:], crcOf(c[:20]))
 			return c
 		}},
-		{"header bit flip", func(b []byte) []byte {
+		{"header bit flip", true, func(b []byte) []byte {
 			c := append([]byte{}, b...)
 			c[9] ^= 0x40 // inside lo, covered by the header CRC
 			return c
 		}},
-		{"block payload bit flip", func(b []byte) []byte {
+		{"magic bit flip", true, func(b []byte) []byte {
+			c := append([]byte{}, b...)
+			c[0] ^= 0x01
+			return c
+		}},
+		{"truncated to 3 bytes", true, func(b []byte) []byte { return b[:3] }},
+		{"zero-length file", true, func(b []byte) []byte { return nil }},
+		{"bare v1 record stream", true, func([]byte) []byte { return bareV1Stream() }},
+		{"block payload bit flip", false, func(b []byte) []byte {
 			c := append([]byte{}, b...)
 			c[headerSize+blockHeaderSize+10] ^= 0x01
 			return c
 		}},
-		{"rel payload bit flip", func(b []byte) []byte {
+		{"rel payload bit flip", false, func(b []byte) []byte {
 			// Any in-block flip must be caught by the block CRC — this is the
 			// class that used to silently flip verdicts via a zero/garbled Rel.
 			c := append([]byte{}, b...)
 			c[len(c)-trailerSize-3] ^= 0x80
 			return c
 		}},
-		{"trailer count lie", func(b []byte) []byte {
+		{"trailer count lie", false, func(b []byte) []byte {
 			c := append([]byte{}, b...)
 			off := len(c) - trailerSize
 			binary.LittleEndian.PutUint64(c[off+4:], 9999)
 			binary.LittleEndian.PutUint32(c[off+16:], crcOf(c[off:off+16]))
 			return c
 		}},
-		{"trailing garbage", func(b []byte) []byte { return append(append([]byte{}, b...), 0xAB) }},
+		{"trailing garbage", false, func(b []byte) []byte { return append(append([]byte{}, b...), 0xAB) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(dir, "corrupt.edges")
-			if err := os.WriteFile(path, tc.mutate(append([]byte{}, good...)), 0o644); err != nil {
+			bad := tc.mutate(append([]byte{}, good...))
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			_, _, _, err := ReadPart(path, nil)
@@ -415,6 +375,18 @@ func TestCorruptionMatrix(t *testing.T) {
 			}
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("error not tagged ErrCorrupt: %v", err)
+			}
+			if !tc.header {
+				return
+			}
+			if _, _, _, err := ReadPartPrefix(path, 0); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("ReadPartPrefix: %v", err)
+			}
+			if _, err := AppendPart(path, edges[:1]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("AppendPart: %v", err)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, bad) {
+				t.Fatalf("rejected append changed the file (%d -> %d bytes, %v)", len(bad), len(after), err)
 			}
 		})
 	}
@@ -446,7 +418,7 @@ func TestWritePartReplacesStaleTemp(t *testing.T) {
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatal("temp file survived a successful write")
 	}
-	got, err := ReadFile(path, nil)
+	got, _, _, err := ReadPart(path, nil)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("read back: %v %v", got, err)
 	}
@@ -469,7 +441,7 @@ func TestWritePartCleansTempOnFailure(t *testing.T) {
 }
 
 func TestReadMissingFileIsEmpty(t *testing.T) {
-	got, err := ReadFile(filepath.Join(t.TempDir(), "nope.edges"), nil)
+	got, _, _, err := ReadPart(filepath.Join(t.TempDir(), "nope.edges"), nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("missing file: %v %v", got, err)
 	}

@@ -2,8 +2,8 @@ package ablation
 
 // The ablation-identity subject: interface dispatch and a goroutine sharing
 // a tracked file, so both the devirtualizer and the MHP pass have something
-// to change. With -nodevirt -nomhp the pipeline must reproduce the pre-pass
-// report stream on this package byte for byte (testdata/golden/ablation.json).
+// to change. Lowered with both passes off (gofront.Options, a test-only
+// reference), TestAblationIdentity holds it to testdata/golden/ablation.json.
 
 import (
 	"os"
