@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race fuzz golden ci bench bench-e2e alloc-budget lint-self check-self unlowered-budget crash obs-smoke
+.PHONY: build test vet fmt-check race fuzz golden ci bench bench-e2e alloc-budget lint-self check-self unlowered-budget crash obs-smoke loc
 
 build:
 	$(GO) build ./...
@@ -140,5 +140,11 @@ alloc-budget: build
 	$(GO) test ./internal/lang/ -run TestParseAllocBudget -count=1
 	$(GO) test ./internal/cfet/ -run TestBuildAllocBudget -count=1
 	$(GO) test ./internal/checker/ -run 'TestFrontendScalesLinearly|TestCrossPassJoinsEachPairOnce' -count=1
+
+# The size figure CHANGES.md and ROADMAP.md quote: lines of non-test Go
+# outside benchmark/ (and outside what the benchmark builds), counted the
+# same way every time.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 ci: vet fmt-check race test crash lint-self check-self unlowered-budget obs-smoke alloc-budget

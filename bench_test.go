@@ -329,27 +329,3 @@ func BenchmarkRelCompose(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationRepartitioning compares eager repartitioning (the
-// paper's §4.3 choice for variable-sized edge data) against deferring all
-// splits, under a budget small enough that partitions outgrow it.
-func BenchmarkAblationRepartitioning(b *testing.B) {
-	ic, ag := aliasGraph(b)
-	for _, cfg := range []struct {
-		name   string
-		defer_ bool
-	}{{"Eager", false}, {"Deferred", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				en := engine.New(ic, ag.Ptr.G, engine.Options{
-					Dir: b.TempDir(), MemoryBudget: 512 << 10,
-					DeferRepartition: cfg.defer_, SolverOpts: smt.DefaultOptions(),
-				}, nil)
-				in := append([]storage.Edge(nil), ag.Edges...)
-				if _, err := en.Run(in, ag.NumVerts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

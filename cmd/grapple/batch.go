@@ -106,29 +106,18 @@ func collectSubjects(paths, profiles []string) ([]grapple.Subject, error) {
 func runBatch(args []string, stdout, stderr io.Writer) (int, error) {
 	fs := flag.NewFlagSet("grapple batch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var fsmFiles, profiles multiFlag
-	fs.Var(&fsmFiles, "fsm", "FSM specification file (repeatable)")
+	var cf checkFlags
+	cf.register(fs)
+	var profiles multiFlag
 	fs.Var(&profiles, "profile", "add a generated workload profile as a subject (repeatable)")
 	workers := fs.Int("workers", 0, "concurrent checking instances (default GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "per-instance timeout (0 = none)")
-	workDir := fs.String("workdir", "", "partition directory root (temporary if empty)")
-	mem := fs.Int64("mem", 0, "per-instance engine memory budget in bytes")
-	unroll := fs.Int("unroll", 0, "static loop unroll depth")
-	jsonOut := fs.Bool("json", false, "emit merged reports as JSON lines")
-	stats := fs.Bool("stats", false, "print per-instance and scheduler statistics")
-	verbose := fs.Bool("v", false, "verbose reports")
 	combined := fs.Bool("combined", false, "one instance per subject with all properties (instead of one per property)")
-	noPrune := fs.Bool("noprune", false, "disable constant-driven infeasible-branch pruning")
-	journal := fs.Bool("journal", false, "log finished instances to -workdir so an interrupted batch can be resumed")
-	resume := fs.Bool("resume", false, "rerun only the instances a previous -journal batch did not finish (implies -journal)")
-	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON file here (plus <file>.events.jsonl); one lane per batch worker")
-	progress := fs.Duration("progress", 0, "emit a one-line batch heartbeat to stderr at this interval (and rewrite status.json under -workdir)")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and live progress counters on this address (e.g. localhost:6060)")
 	if err := fs.Parse(args); err != nil {
 		return 2, nil // flag package already printed the error
 	}
-	if (*journal || *resume) && *workDir == "" {
-		return 2, fmt.Errorf("-journal/-resume require -workdir (the completion log lives there)")
+	if err := cf.validate(); err != nil {
+		return 2, err
 	}
 	if fs.NArg() == 0 && len(profiles) == 0 {
 		fmt.Fprintln(stderr, "usage: grapple batch [flags] [path ...]")
@@ -136,48 +125,16 @@ func runBatch(args []string, stdout, stderr io.Writer) (int, error) {
 		fs.PrintDefaults()
 		return 2, nil
 	}
-
-	var fsms []*grapple.FSM
-	if len(fsmFiles) == 0 {
-		fsms = grapple.BuiltinCheckers()
-	} else {
-		for _, path := range fsmFiles {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return 2, err
-			}
-			parsed, err := grapple.ParseFSMs(string(data))
-			if err != nil {
-				return 2, fmt.Errorf("%s: %w", path, err)
-			}
-			fsms = append(fsms, parsed...)
-		}
+	fsms, err := cf.fsms()
+	if err != nil {
+		return 2, err
 	}
-
 	subjects, err := collectSubjects(fs.Args(), profiles)
 	if err != nil {
 		return 2, err
 	}
-
-	prune := grapple.PruneDefault
-	if *noPrune {
-		prune = grapple.PruneOff
-	}
 	res, err := grapple.CheckAll(subjects, fsms, grapple.BatchOptions{
-		Options: grapple.Options{
-			WorkDir:      *workDir,
-			MemoryBudget: *mem,
-			UnrollDepth:  *unroll,
-			Prune:        prune,
-			Journal:      *journal,
-			Resume:       *resume,
-			Obs: grapple.ObsOptions{
-				TracePath:      *tracePath,
-				Progress:       *progress,
-				ProgressWriter: stderr,
-				PprofAddr:      *pprofAddr,
-			},
-		},
+		Options:           cf.options(stderr),
 		BatchWorkers:      *workers,
 		InstanceTimeout:   *timeout,
 		CombineProperties: *combined,
@@ -187,7 +144,7 @@ func runBatch(args []string, stdout, stderr io.Writer) (int, error) {
 	}
 
 	for _, r := range res.Reports {
-		if *jsonOut {
+		if cf.jsonOut {
 			out, _ := json.Marshal(jsonBatchReport{
 				Subject: r.Subject, Group: r.Group,
 				Line: r.Pos.Line, Col: r.Pos.Col,
@@ -201,7 +158,7 @@ func runBatch(args []string, stdout, stderr io.Writer) (int, error) {
 		fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s: %s object may exit in state(s) %s\n",
 			r.Subject, r.Pos.Line, r.Pos.Col, r.FSM, r.Kind, r.Type,
 			strings.Join(r.States, ","))
-		if *verbose {
+		if cf.verbose {
 			fmt.Fprintf(stdout, "    object:     %s\n    witness:    %s\n    constraint: %s\n",
 				r.Object, r.Witness, r.WitnessConstraint)
 		}
@@ -216,10 +173,10 @@ func runBatch(args []string, stdout, stderr io.Writer) (int, error) {
 		fmt.Fprintf(stderr, "grapple batch: instance %s/%s failed: %s\n", st.Subject, st.Group, why)
 	}
 
-	if *stats {
+	if cf.stats {
 		// Statistics go to stderr so the merged report stream on stdout
 		// stays clean for pipes; -stats -json makes them one JSON object.
-		if *jsonOut {
+		if cf.jsonOut {
 			emitBatchStatsJSON(stderr, res, len(subjects))
 		} else {
 			emitBatchStats(stderr, res, len(subjects))

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	grapple "github.com/grapple-system/grapple"
 )
@@ -15,6 +16,84 @@ type multiFlag []string
 
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
+
+// checkFlags is the flag set `grapple run` and `grapple batch` share, lowered
+// onto grapple.Options in one place.
+type checkFlags struct {
+	fsmFiles                multiFlag
+	workDir                 string
+	mem                     int64
+	unroll                  int
+	jsonOut, stats, verbose bool
+	noPrune                 bool
+	journal, resume         bool
+	tracePath, pprofAddr    string
+	progress                time.Duration
+}
+
+func (c *checkFlags) register(fs *flag.FlagSet) {
+	fs.Var(&c.fsmFiles, "fsm", "FSM specification file (repeatable)")
+	fs.StringVar(&c.workDir, "workdir", "", "partition directory (temporary if empty)")
+	fs.Int64Var(&c.mem, "mem", 0, "engine memory budget in bytes (per instance under batch)")
+	fs.IntVar(&c.unroll, "unroll", 0, "static loop unroll depth")
+	fs.BoolVar(&c.jsonOut, "json", false, "emit reports as JSON lines")
+	fs.BoolVar(&c.stats, "stats", false, "print statistics (stderr)")
+	fs.BoolVar(&c.verbose, "v", false, "verbose reports")
+	fs.BoolVar(&c.noPrune, "noprune", false, "disable constant-driven infeasible-branch pruning")
+	fs.BoolVar(&c.journal, "journal", false, "checkpoint to -workdir (engine state after every superstep; under batch, each finished instance) for crash recovery")
+	fs.BoolVar(&c.resume, "resume", false, "continue a previous -journal run from -workdir (implies -journal)")
+	fs.StringVar(&c.tracePath, "trace", "", "write a Chrome trace-event JSON file here (plus <file>.events.jsonl) covering every pipeline phase")
+	fs.DurationVar(&c.progress, "progress", 0, "emit a one-line heartbeat to stderr at this interval (and rewrite status.json under -workdir)")
+	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof and live progress counters on this address (e.g. localhost:6060)")
+}
+
+func (c *checkFlags) validate() error {
+	if (c.journal || c.resume) && c.workDir == "" {
+		return fmt.Errorf("-journal/-resume require -workdir (the journal lives there)")
+	}
+	return nil
+}
+
+// options lowers the shared flags; the subcommands set what only they offer.
+func (c *checkFlags) options(stderr io.Writer) grapple.Options {
+	opts := grapple.Options{
+		WorkDir:      c.workDir,
+		MemoryBudget: c.mem,
+		UnrollDepth:  c.unroll,
+		Journal:      c.journal,
+		Resume:       c.resume,
+		Obs: grapple.ObsOptions{
+			TracePath:      c.tracePath,
+			Progress:       c.progress,
+			ProgressWriter: stderr,
+			PprofAddr:      c.pprofAddr,
+		},
+	}
+	if c.noPrune {
+		opts.Prune = grapple.PruneOff
+	}
+	return opts
+}
+
+// fsms loads the -fsm specifications, or the built-in checkers without any.
+func (c *checkFlags) fsms() ([]*grapple.FSM, error) {
+	if len(c.fsmFiles) == 0 {
+		return grapple.BuiltinCheckers(), nil
+	}
+	var fsms []*grapple.FSM
+	for _, path := range c.fsmFiles {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		parsed, err := grapple.ParseFSMs(string(data))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		fsms = append(fsms, parsed...)
+	}
+	return fsms, nil
+}
 
 // jsonReport is the machine-readable warning format (-json).
 type jsonReport struct {
@@ -80,31 +159,19 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	}
 	fs := flag.NewFlagSet("grapple", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var fsmFiles multiFlag
-	fs.Var(&fsmFiles, "fsm", "FSM specification file (repeatable)")
+	var cf checkFlags
+	cf.register(fs)
 	var packNames multiFlag
 	fs.Var(&packNames, "pack", "property pack for Go input (repeatable; see -packs)")
 	listPacks := fs.Bool("packs", false, "list the built-in property packs and exit")
-	workDir := fs.String("workdir", "", "partition directory (temporary if empty)")
-	mem := fs.Int64("mem", 0, "engine memory budget in bytes")
-	unroll := fs.Int("unroll", 0, "static loop unroll depth")
-	jsonOut := fs.Bool("json", false, "emit reports as JSON lines")
-	stats := fs.Bool("stats", false, "print phase statistics")
-	verbose := fs.Bool("v", false, "verbose reports")
 	query := fs.String("query", "", "points-to query 'method.variable' (e.g. main.w)")
 	dotDir := fs.String("dot", "", "write program graphs as Graphviz files into this directory")
-	noPrune := fs.Bool("noprune", false, "disable constant-driven infeasible-branch pruning")
 	noSlice := fs.Bool("noslice", false, "disable property-relevance slicing")
-	journal := fs.Bool("journal", false, "checkpoint engine state to -workdir after every superstep (crash recovery)")
-	resume := fs.Bool("resume", false, "continue a previous -journal run from -workdir (implies -journal)")
-	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON file here (plus <file>.events.jsonl) covering every pipeline phase")
-	progress := fs.Duration("progress", 0, "emit a one-line heartbeat to stderr at this interval (and rewrite status.json under -workdir)")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and live progress counters on this address (e.g. localhost:6060)")
 	if err := fs.Parse(args); err != nil {
 		return 2, nil // flag package already printed the error
 	}
-	if (*journal || *resume) && *workDir == "" {
-		return 2, fmt.Errorf("-journal/-resume require -workdir (the journal lives beside the partitions)")
+	if err := cf.validate(); err != nil {
+		return 2, err
 	}
 	if *listPacks {
 		for _, p := range grapple.Packs() {
@@ -120,35 +187,20 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 		return 2, nil
 	}
 
+	opts := cf.options(stderr)
+	opts.DumpDOT = *dotDir
+	if *noSlice {
+		opts.Slice = grapple.SliceOff
+	}
 	if goArgs(fs.Args()) {
-		return runGo(goOpts{
-			args: fs.Args(), packs: packNames,
-			workDir: *workDir, mem: *mem, unroll: *unroll,
-			jsonOut: *jsonOut, stats: *stats, verbose: *verbose,
-			dotDir: *dotDir, noPrune: *noPrune, noSlice: *noSlice,
-			journal: *journal, resume: *resume,
-			tracePath: *tracePath, progress: *progress, pprofAddr: *pprofAddr,
-		}, stdout, stderr)
+		return runGo(fs.Args(), packNames, opts, &cf, stdout, stderr)
 	}
 	if len(packNames) > 0 {
 		return 2, fmt.Errorf("-pack selects property packs for Go input (.go files or a package directory); got MiniLang sources")
 	}
-
-	var fsms []*grapple.FSM
-	if len(fsmFiles) == 0 {
-		fsms = grapple.BuiltinCheckers()
-	} else {
-		for _, path := range fsmFiles {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return 2, err
-			}
-			parsed, err := grapple.ParseFSMs(string(data))
-			if err != nil {
-				return 2, fmt.Errorf("%s: %w", path, err)
-			}
-			fsms = append(fsms, parsed...)
-		}
+	fsms, err := cf.fsms()
+	if err != nil {
+		return 2, err
 	}
 
 	// Line numbers are reported against the combined unit; locate maps back.
@@ -156,32 +208,8 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	if err != nil {
 		return 2, err
 	}
-
-	prune := grapple.PruneDefault
-	if *noPrune {
-		prune = grapple.PruneOff
-	}
-	slice := grapple.SliceDefault
-	if *noSlice {
-		slice = grapple.SliceOff
-	}
-	res, err := grapple.Check(combined, fsms, grapple.Options{
-		WorkDir:        *workDir,
-		MemoryBudget:   *mem,
-		UnrollDepth:    *unroll,
-		RecordPointsTo: *query != "",
-		DumpDOT:        *dotDir,
-		Prune:          prune,
-		Slice:          slice,
-		Journal:        *journal,
-		Resume:         *resume,
-		Obs: grapple.ObsOptions{
-			TracePath:      *tracePath,
-			Progress:       *progress,
-			ProgressWriter: stderr,
-			PprofAddr:      *pprofAddr,
-		},
-	})
+	opts.RecordPointsTo = *query != ""
+	res, err := grapple.Check(combined, fsms, opts)
 	if err != nil {
 		return 2, err
 	}
@@ -213,20 +241,25 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 		}
 	}
 
-	emitReports(stdout, res.Reports, locate, *jsonOut, *verbose)
-	if *stats {
-		// Statistics go to stderr so they never corrupt piped report
-		// streams; -stats -json makes them one machine-readable object.
-		if *jsonOut {
-			emitStatsJSON(stderr, res)
-		} else {
-			emitStats(stderr, res)
-		}
+	return cf.emit(stdout, stderr, res, locate), nil
+}
+
+// emit prints the reports and, under -stats, the statistics, and returns the
+// exit code: 1 with reports, 0 without.
+func (c *checkFlags) emit(stdout, stderr io.Writer, res *grapple.Result, locate func(int) (string, int)) int {
+	emitReports(stdout, res.Reports, locate, c.jsonOut, c.verbose)
+	// Statistics go to stderr so they never corrupt piped report streams;
+	// -stats -json makes them one machine-readable object.
+	switch {
+	case c.stats && c.jsonOut:
+		emitStatsJSON(stderr, res)
+	case c.stats:
+		emitStats(stderr, res)
 	}
 	if len(res.Reports) > 0 {
-		return 1, nil
+		return 1
 	}
-	return 0, nil
+	return 0
 }
 
 // emitReports prints warnings, mapping combined-unit lines through locate.

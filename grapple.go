@@ -30,6 +30,7 @@ package grapple
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -434,25 +435,7 @@ type Diagnostic = analysis.Diagnostic
 // allocations), and returns the findings ordered by source position. It does
 // not run the alias/typestate pipeline, so it is cheap enough for an
 // edit-compile loop.
-func Lint(source string) ([]Diagnostic, error) {
-	prog, err := lang.Parse(source)
-	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
-	}
-	info, err := lang.Resolve(prog)
-	if err != nil {
-		return nil, fmt.Errorf("resolve: %w", err)
-	}
-	p, err := ir.Lower(info, ir.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("lower: %w", err)
-	}
-	res, err := analysis.Run(p, analysis.Default())
-	if err != nil {
-		return nil, err
-	}
-	return res.Diagnostics, nil
-}
+func Lint(source string) ([]Diagnostic, error) { return LintWith(source, nil) }
 
 // LintFile runs Lint on a source file.
 func LintFile(path string) ([]Diagnostic, error) {
@@ -493,12 +476,8 @@ func LintCodes() []string {
 // report nothing themselves). An unknown code is a usage error. An empty
 // code list behaves like Lint.
 func LintWith(source string, ruleCodes []string) ([]Diagnostic, error) {
-	if len(ruleCodes) == 0 {
-		return Lint(source)
-	}
-	want := map[string]bool{}
 	var passes []*analysis.Analyzer
-	seen := map[*analysis.Analyzer]bool{}
+	want := map[string]bool{}
 	for _, code := range ruleCodes {
 		a, ok := lintRules[code]
 		if !ok {
@@ -506,10 +485,12 @@ func LintWith(source string, ruleCodes []string) ([]Diagnostic, error) {
 				code, strings.Join(LintCodes(), ", "))
 		}
 		want[code] = true
-		if !seen[a] {
-			seen[a] = true
+		if !slices.Contains(passes, a) {
 			passes = append(passes, a)
 		}
+	}
+	if len(ruleCodes) == 0 {
+		passes = analysis.Default()
 	}
 	prog, err := lang.Parse(source)
 	if err != nil {
@@ -526,6 +507,9 @@ func LintWith(source string, ruleCodes []string) ([]Diagnostic, error) {
 	res, err := analysis.Run(p, passes)
 	if err != nil {
 		return nil, err
+	}
+	if len(ruleCodes) == 0 {
+		return res.Diagnostics, nil
 	}
 	// A shared analyzer can emit sibling codes the caller did not ask for
 	// (CF001 vs CF002); keep only the requested ones.

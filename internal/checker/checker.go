@@ -8,6 +8,7 @@ package checker
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -22,6 +23,7 @@ import (
 	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/faultpoint"
 	"github.com/grapple-system/grapple/internal/fsm"
+	"github.com/grapple-system/grapple/internal/grammar"
 	"github.com/grapple-system/grapple/internal/ir"
 	"github.com/grapple-system/grapple/internal/lang"
 	"github.com/grapple-system/grapple/internal/metrics"
@@ -274,9 +276,6 @@ func New(fsms []*fsm.FSM, opts Options) *Checker {
 	return &Checker{FSMs: fsms, Opts: opts}
 }
 
-// journaling reports whether the engine phases should checkpoint.
-func (c *Checker) journaling() bool { return c.Opts.Journal || c.Opts.Resume }
-
 // journalTag fingerprints one phase's input — phase name, graph shape, CFET
 // path count, and the property set — so Resume rejects a journal left behind
 // by a different subject, property group, or phase (engine.ErrStale) instead
@@ -290,24 +289,60 @@ func (c *Checker) journalTag(phase string, numVerts uint32, numEdges, paths int)
 	return h.Sum64()
 }
 
-// phaseEngineOpts lowers the checker's journal settings onto one phase's
-// engine options.
-func (c *Checker) phaseEngineOpts(base engine.Options, phase string, numVerts uint32, numEdges, paths int) engine.Options {
-	if c.journaling() {
-		base.Journal = true
-		base.JournalTag = c.journalTag(phase, numVerts, numEdges, paths)
-		base.Faults = c.Opts.Faults
-	}
-	return base
+// phase names one of the two engine closures and says how it differs from
+// the other.
+type phase struct {
+	name string
+	// useRel composes FSM transition relations along induced edges.
+	useRel bool
+	// coldOK lets a resumed check start this phase cold when it has no
+	// journal: a run killed during the alias phase never created the
+	// dataflow journal. (It starts journaled, so a later kill is resumable
+	// there too.) The alias journal must exist — resume never silently
+	// restarts from scratch.
+	coldOK bool
 }
 
-// hasJournal reports whether dir holds a run journal. Resume uses it to pick
-// up where the crash happened: a run killed during the alias phase never
-// created the dataflow journal, so that phase legitimately starts cold
-// (journaled, so a later kill is resumable there too).
-func hasJournal(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, storage.JournalName))
-	return err == nil
+var (
+	aliasPhase    = phase{name: "alias"}
+	dataflowPhase = phase{name: "dataflow", useRel: true, coldOK: true}
+)
+
+// runPhase runs one closure phase to fixpoint in its own engine under
+// workDir/<phase>: it lowers the checker's options onto the engine's,
+// fingerprints the phase's input into the journal tag, and either starts cold
+// or — under Options.Resume — continues from the phase's journal.
+func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, ic *cfet.ICFET, g *grammar.Grammar,
+	edges []storage.Edge, numVerts uint32, bd *metrics.Breakdown) (*engine.Engine, PhaseStats, error) {
+	c.Opts.Progress.SetPhase(ph.name)
+	opts := c.Opts.Engine
+	opts.Dir = filepath.Join(workDir, ph.name)
+	opts.UseRel = ph.useRel
+	opts.Trace, opts.TraceTID, opts.Progress = c.Opts.Trace, c.Opts.TraceTID, c.Opts.Progress
+	if c.Opts.Journal || c.Opts.Resume {
+		opts.Journal = true
+		opts.JournalTag = c.journalTag(ph.name, numVerts, len(edges), ic.PathCount())
+		opts.Faults = c.Opts.Faults
+	}
+	en := engine.New(ic, g, opts, bd)
+	sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "phase."+ph.name)
+	var st *engine.Stats
+	var err error
+	if c.Opts.Resume {
+		st, err = en.ResumeContext(ctx, numVerts)
+	}
+	if !c.Opts.Resume || ph.coldOK && errors.Is(err, storage.ErrNoJournal) {
+		st, err = en.RunContext(ctx, edges, numVerts)
+	}
+	if err != nil {
+		return nil, PhaseStats{}, fmt.Errorf("%s phase: %w", ph.name, err)
+	}
+	sp.End(trace.Args{"iterations": st.Iterations, "edges": st.EdgesAfter})
+	return en, PhaseStats{
+		Vertices: numVerts, Stats: *st,
+		CFETPaths: ic.PathCount(), PrunedBranches: ic.PrunedBranches(),
+		SlicedFunctions: ic.SlicedFunctions(), SlicedBranches: ic.SlicedBranches(),
+	}, nil
 }
 
 func (c *Checker) fsmFor(typ string) *fsm.FSM {
@@ -532,31 +567,11 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 	bd := &metrics.Breakdown{}
 
 	// --- Phase 1: path-sensitive alias closure. ---
-	c.Opts.Progress.SetPhase("alias")
-	aliasOpts := c.Opts.Engine
-	aliasOpts.Dir = filepath.Join(workDir, "alias")
-	aliasOpts.UseRel = false
-	aliasOpts.Trace = c.Opts.Trace
-	aliasOpts.TraceTID = c.Opts.TraceTID
-	aliasOpts.Progress = c.Opts.Progress
-	aliasOpts = c.phaseEngineOpts(aliasOpts, "alias", ag.NumVerts, len(ag.Edges), ic.PathCount())
-	aliasEngine := engine.New(ic, ag.Ptr.G, aliasOpts, bd)
-	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "phase.alias")
-	var aliasStats *engine.Stats
-	if c.Opts.Resume {
-		aliasStats, err = aliasEngine.ResumeContext(ctx, ag.NumVerts)
-	} else {
-		aliasStats, err = aliasEngine.RunContext(ctx, ag.Edges, ag.NumVerts)
-	}
+	aliasEngine, alias, err := c.runPhase(ctx, aliasPhase, workDir, ic, ag.Ptr.G, ag.Edges, ag.NumVerts, bd)
 	if err != nil {
-		return nil, fmt.Errorf("alias phase: %w", err)
+		return nil, err
 	}
-	sp.End(trace.Args{"iterations": aliasStats.Iterations, "edges": aliasStats.EdgesAfter})
-	prep.alias = PhaseStats{
-		Vertices: ag.NumVerts, Stats: *aliasStats,
-		CFETPaths: ic.PathCount(), PrunedBranches: ic.PrunedBranches(),
-		SlicedFunctions: ic.SlicedFunctions(), SlicedBranches: ic.SlicedBranches(),
-	}
+	prep.alias = alias
 
 	// Extract flowsTo facts; held in memory for phase 2 (paper §2.2).
 	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "extract-flows")
@@ -615,32 +630,11 @@ func (c *Checker) CheckPrepared(ctx context.Context, prep *Prepared) (*Result, e
 	}
 
 	computeStart := time.Now()
-	c.Opts.Progress.SetPhase("dataflow")
-	dfOpts := c.Opts.Engine
-	dfOpts.Dir = filepath.Join(workDir, "dataflow")
-	dfOpts.UseRel = true
-	dfOpts.Trace = c.Opts.Trace
-	dfOpts.TraceTID = c.Opts.TraceTID
-	dfOpts.Progress = c.Opts.Progress
-	dfOpts = c.phaseEngineOpts(dfOpts, "dataflow", dg.NumVerts, len(dg.Edges), ic.PathCount())
-	dfEngine := engine.New(ic, dg.D.G, dfOpts, bd)
-	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "phase.dataflow")
-	var dfStats *engine.Stats
-	var err error
-	if c.Opts.Resume && hasJournal(dfOpts.Dir) {
-		dfStats, err = dfEngine.ResumeContext(ctx, dg.NumVerts)
-	} else {
-		dfStats, err = dfEngine.RunContext(ctx, dg.Edges, dg.NumVerts)
-	}
+	dfEngine, dataflow, err := c.runPhase(ctx, dataflowPhase, workDir, ic, dg.D.G, dg.Edges, dg.NumVerts, bd)
 	if err != nil {
-		return nil, fmt.Errorf("dataflow phase: %w", err)
+		return nil, err
 	}
-	sp.End(trace.Args{"iterations": dfStats.Iterations, "edges": dfStats.EdgesAfter})
-	res.Dataflow = PhaseStats{
-		Vertices: dg.NumVerts, Stats: *dfStats,
-		CFETPaths: ic.PathCount(), PrunedBranches: ic.PrunedBranches(),
-		SlicedFunctions: ic.SlicedFunctions(), SlicedBranches: ic.SlicedBranches(),
-	}
+	res.Dataflow = dataflow
 
 	// --- Phase 3: FSM checking of source->exit relations. ---
 	c.Opts.Progress.SetPhase("fsm-check")

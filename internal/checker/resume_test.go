@@ -95,28 +95,6 @@ func renderReports(rs []Report) string {
 	return b.String()
 }
 
-// TestCheckerHonoursEngineJournalEvery: the checkpoint cadence is the
-// engine's option, and the checker passes it through as given — every third
-// superstep means fewer checkpoints than supersteps in both phases (at every
-// superstep there is one more: the post-preprocess baseline).
-func TestCheckerHonoursEngineJournalEvery(t *testing.T) {
-	opts := resumeOpts(t.TempDir())
-	opts.Engine.JournalEvery = 3
-	res, err := New(fsm.Builtins(), opts).CheckSource(resumeSource(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ph := range []struct {
-		name string
-		st   PhaseStats
-	}{{"alias", res.Alias}, {"dataflow", res.Dataflow}} {
-		if ph.st.Checkpoints == 0 || ph.st.Checkpoints >= ph.st.Iterations {
-			t.Errorf("%s: %d checkpoints over %d supersteps, want fewer (JournalEvery=3)",
-				ph.name, ph.st.Checkpoints, ph.st.Iterations)
-		}
-	}
-}
-
 // TestCheckerResumeAtEveryBoundary is the pipeline-level crash-injection
 // property: kill the run at EVERY engine superstep boundary (across both the
 // alias and dataflow phases), resume from the journal, and require the

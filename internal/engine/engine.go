@@ -57,20 +57,12 @@ type Options struct {
 	// UseRel composes FSM transition relations along induced edges
 	// (dataflow/typestate graphs).
 	UseRel bool
-	// DeferRepartition delays splitting oversized partitions until the end
-	// of the whole computation instead of splitting eagerly after each
-	// iteration. The paper adopts eager repartitioning (§4.3) because
-	// variable-sized edge data unbalances partitions quickly; this option
-	// exists for the ablation benchmark.
-	DeferRepartition bool
-	// Journal makes superstep state durable: each checkpoint flushes every
-	// partition and appends one record to a per-run journal in Dir, so a
-	// killed run can continue via ResumeContext. Journaling never changes
-	// results — only whether progress survives a crash.
+	// Journal makes superstep state durable: after every superstep a
+	// checkpoint flushes every partition and appends one record to a per-run
+	// journal in Dir, so a killed run can continue via ResumeContext.
+	// Journaling never changes results — only whether progress survives a
+	// crash.
 	Journal bool
-	// JournalEvery checkpoints every N supersteps; zero or one means every
-	// superstep. Larger values trade re-computable work for journal I/O.
-	JournalEvery int
 	// JournalTag fingerprints the run's inputs. ResumeContext refuses a
 	// journal whose tag differs (ErrStale): same directory, different graph.
 	JournalTag uint64
@@ -116,19 +108,31 @@ type Stats struct {
 	IO metrics.IOSnapshot
 }
 
-// partMeta describes one on-disk partition.
-type partMeta struct {
+// partition is one vertex-interval partition: its entry in the partition
+// table and, while it is loaded, its edges in memory. It is addressed by
+// pointer everywhere in memory (the hot pair, the prefetcher, the join), by id
+// in the journal and in lastGen, and by position only in Engine.parts, whose
+// order is interval order. A split moves positions, never pointers or ids.
+type partition struct {
 	id     int
 	lo, hi uint32 // vertex interval [lo, hi)
 	path   string
+	// edges, bytes and maxGen cover every edge the partition owns, wherever
+	// it currently is: in the file, in pending, or in mem.
 	edges  int64
 	bytes  int64
 	maxGen uint32
+	// mem is the loaded form; nil while the partition lives on disk only.
+	mem *memPart
+	// pending buffers the edges induced while the partition was not loaded
+	// ("new edges are written into the partitions that contain their source
+	// vertices"): appended to the file once the buffer grows, or merged into
+	// mem by the next load.
+	pending []storage.Edge
 }
 
-// memPart is a loaded partition.
+// memPart is a partition's loaded form.
 type memPart struct {
-	meta  *partMeta
 	edges []storage.Edge
 	bySrc map[uint32][]int32
 	dirty bool
@@ -140,7 +144,7 @@ type memPart struct {
 // buildBySrc indexes edges by source vertex, CSR-style — counting pass, one
 // shared backing array, capped subslices — so a partition load costs two
 // allocations for the index instead of one per distinct source. The capped
-// subslices make later appends by memPart.add spill into fresh arrays,
+// subslices make later appends by partition.add spill into fresh arrays,
 // never into a neighbor's range. Indices appear in increasing edge order.
 func buildBySrc(edges []storage.Edge) map[uint32][]int32 {
 	counts := make(map[uint32]int32, 64)
@@ -164,17 +168,21 @@ func buildBySrc(edges []storage.Edge) map[uint32][]int32 {
 }
 
 // owns reports whether vertex v lies in the partition's interval.
-func (mp *memPart) owns(v uint32) bool { return v >= mp.meta.lo && v < mp.meta.hi }
+func (p *partition) owns(v uint32) bool { return v >= p.lo && v < p.hi }
 
-func (mp *memPart) add(e storage.Edge, sz int64) {
-	idx := int32(len(mp.edges))
-	mp.edges = append(mp.edges, e)
-	mp.bySrc[e.Src] = append(mp.bySrc[e.Src], idx)
-	mp.meta.edges++
-	mp.meta.bytes += sz
-	if e.Gen > mp.meta.maxGen {
-		mp.meta.maxGen = e.Gen
+// add is the one place an edge joins a partition after preprocessing: into
+// memory when the partition is loaded, into the pending buffer otherwise.
+func (p *partition) add(e storage.Edge, sz int64) {
+	p.edges++
+	p.bytes += sz
+	p.maxGen = max(p.maxGen, e.Gen)
+	mp := p.mem
+	if mp == nil {
+		p.pending = append(p.pending, e)
+		return
 	}
+	mp.bySrc[e.Src] = append(mp.bySrc[e.Src], int32(len(mp.edges)))
+	mp.edges = append(mp.edges, e)
 	mp.dirty = true
 }
 
@@ -188,16 +196,16 @@ type Engine struct {
 	io    *metrics.IOStats
 	pf    *prefetcher
 
-	parts   []*partMeta
-	loaded  map[int]*memPart
+	// parts is the partition table, in interval order.
+	parts   []*partition
 	lastGen map[[2]int]uint32
 	curGen  uint32
-	// hot is the most recently processed pair (positions, remapped across
-	// repartitions). nextPair scores against hot — not against the LRU
-	// cache's contents — so pair scheduling is exactly what it was before
-	// partitions could stay cached beyond the active pair: determinism of
-	// insertion order (and thus of widening and reports) is preserved.
-	hot [2]int
+	// hot is the most recently processed pair. nextPair scores against hot —
+	// not against the LRU cache's contents — so pair scheduling is exactly
+	// what it was before partitions could stay cached beyond the active
+	// pair: determinism of insertion order (and thus of widening and
+	// reports) is preserved.
+	hot [2]*partition
 	// tick is the logical clock behind memPart.lastUse.
 	tick int64
 
@@ -212,14 +220,14 @@ type Engine struct {
 	// mirror productions, built once in New.
 	expansions [][]derivation
 
-	// pending buffers edges owned by unloaded partitions.
-	pending map[int][]storage.Edge
-
 	// noPrefetch keeps speculate from starting background loads. Prefetching
 	// never changes results or scheduling — only whether the join waits on
 	// the disk — and only this package's tests set this, to run the
 	// reference they hold that claim to.
 	noPrefetch bool
+	// noSplit keeps processPair from repartitioning, so that the only splits
+	// are the ones this package's tests force by hand.
+	noSplit bool
 
 	// Join scratch reused across supersteps: the superstep loop is
 	// single-threaded, so by the time processPair runs again the previous
@@ -266,12 +274,9 @@ func New(ic *cfet.ICFET, g *grammar.Grammar, opts Options, bd *metrics.Breakdown
 		bd:       bd,
 		io:       io,
 		pf:       newPrefetcher(io),
-		loaded:   map[int]*memPart{},
 		lastGen:  map[[2]int]uint32{},
 		keys:     map[uint64]struct{}{},
 		variants: map[storage.Endpoint]int{},
-		pending:  map[int][]storage.Edge{},
-		hot:      [2]int{-1, -1},
 	}
 	e.expansions = make([][]derivation, g.NumLabels())
 	for l := range e.expansions {
@@ -312,8 +317,9 @@ func (en *Engine) Run(initial []storage.Edge, numVertices uint32) (*Stats, error
 func (en *Engine) RunContext(ctx context.Context, initial []storage.Edge, numVertices uint32) (*Stats, error) {
 	start := time.Now()
 	// On every exit path, wait out in-flight background loads so no
-	// goroutine outlives the run.
+	// goroutine outlives the run, and close the journal.
 	defer en.pf.drain()
+	defer en.closeJournal()
 	if err := os.MkdirAll(en.opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -331,7 +337,6 @@ func (en *Engine) RunContext(ctx context.Context, initial []storage.Edge, numVer
 	sp.End(trace.Args{"edges": en.stats.EdgesBefore, "partitions": len(en.parts)})
 	if en.opts.Journal {
 		if err := en.startJournal(numVertices); err != nil {
-			en.closeJournal()
 			return nil, err
 		}
 	}
@@ -342,16 +347,15 @@ func (en *Engine) RunContext(ctx context.Context, initial []storage.Edge, numVer
 }
 
 // runLoop drives partition-pair iterations to fixpoint. Both cold starts
-// (RunContext) and resumed runs (ResumeContext) finish through here.
+// (RunContext) and resumed runs (ResumeContext) finish through here; they
+// close the journal on the way out, however the loop ends.
 func (en *Engine) runLoop(ctx context.Context) (*Stats, error) {
 	computeStart := time.Now()
 	observe := en.opts.Trace.Enabled() || en.opts.Progress != nil
 	for {
+		// On cancellation the last superstep's checkpoint is already
+		// durable: a deadline-killed run resumes from right here.
 		if err := ctx.Err(); err != nil {
-			// Leave a final record so a deadline-killed run resumes from
-			// right here instead of the last JournalEvery boundary.
-			en.journalOnCancel()
-			en.closeJournal()
 			return nil, err
 		}
 		i, j, ok := en.nextPair()
@@ -361,7 +365,6 @@ func (en *Engine) runLoop(ctx context.Context) (*Stats, error) {
 		sp := en.opts.Trace.Start(en.opts.TraceTID, "engine", "superstep")
 		firsts, err := en.processPair(i, j)
 		if err != nil {
-			en.closeJournal()
 			return nil, err
 		}
 		en.mu.Lock()
@@ -370,20 +373,17 @@ func (en *Engine) runLoop(ctx context.Context) (*Stats, error) {
 		if observe {
 			en.observeSuperstep(sp, i, j, firsts)
 		}
-		if en.jw != nil && en.stats.Iterations%en.journalEvery() == 0 {
+		if en.jw != nil {
 			if err := en.opts.Faults.Hit(faultpoint.EngineCheckpointPre); err != nil {
-				en.closeJournal()
 				return nil, err
 			}
 			if err := en.checkpoint(false); err != nil {
-				en.closeJournal()
 				return nil, err
 			}
 		}
 	}
 	if en.jw != nil {
 		if err := en.checkpoint(true); err != nil {
-			en.closeJournal()
 			return nil, err
 		}
 	}
@@ -396,19 +396,23 @@ func (en *Engine) runLoop(ctx context.Context) (*Stats, error) {
 	en.mu.Lock()
 	en.stats.ComputeTime = time.Since(computeStart)
 	en.mu.Unlock()
+	return en.finalStats(), nil
+}
+
+// finalStats records the closed graph's size and returns the run's counters.
+func (en *Engine) finalStats() *Stats {
 	after := en.EdgesAfter()
 	en.mu.Lock()
 	en.stats.EdgesAfter = after
 	en.mu.Unlock()
 	s := en.Stats()
-	return &s, nil
+	return &s
 }
 
 // observeSuperstep emits the completed superstep's trace span and progress
-// update. Everything here is a pure read over engine state: the dirty-pair
-// count replays nextPair's dirtiness test without its scoring or early
-// return, so observation can never perturb the schedule (and with it
-// insertion order, widening, or reports).
+// update. Everything here is a pure read over engine state, so observation
+// can never perturb the schedule (and with it insertion order, widening, or
+// reports).
 func (en *Engine) observeSuperstep(sp trace.Span, i, j, firsts int) {
 	dirty := en.dirtyPairs()
 	edges := en.EdgesAfter()
@@ -436,18 +440,21 @@ func (en *Engine) observeSuperstep(sp trace.Span, i, j, firsts int) {
 	})
 }
 
-// dirtyPairs counts partition pairs still scheduled for (re)processing. It
-// is nextPair's dirtiness test verbatim, minus scoring and selection.
+// owed reports whether the pair (pi, pj) is still scheduled for a pass: it
+// never had one, or one of the two has gained edges since.
+func (en *Engine) owed(pi, pj *partition) bool {
+	st := en.stamp(pi.id, pj.id)
+	return !st.seen || pi.maxGen > st.last || pj.maxGen > st.last
+}
+
+// dirtyPairs counts the partition pairs still owed a pass.
 func (en *Engine) dirtyPairs() int {
 	n := 0
-	for i := 0; i < len(en.parts); i++ {
-		for j := i; j < len(en.parts); j++ {
-			key := [2]int{en.parts[i].id, en.parts[j].id}
-			last, seen := en.lastGen[key]
-			if seen && en.parts[i].maxGen <= last && en.parts[j].maxGen <= last {
-				continue
+	for i, pi := range en.parts {
+		for _, pj := range en.parts[i:] {
+			if en.owed(pi, pj) {
+				n++
 			}
-			n++
 		}
 	}
 	return n
@@ -494,25 +501,16 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) error {
 		if hi <= lo && len(en.parts) > 0 {
 			return nil
 		}
-		meta := &partMeta{
-			id: len(en.parts), lo: lo, hi: hi,
-			path: filepath.Join(en.opts.Dir, fmt.Sprintf("part-%06d.edges", len(en.parts))),
-		}
+		p := en.newPartition(lo, hi)
 		for i := range cur {
-			meta.bytes += storage.RecordSize(&cur[i])
+			p.bytes += storage.RecordSize(&cur[i])
 		}
-		meta.edges = int64(len(cur))
-		ioStart := time.Now()
-		n, err := storage.WritePart(meta.path, cur, storage.PartInfo{Lo: meta.lo, Hi: meta.hi})
-		if err != nil {
+		p.edges = int64(len(cur))
+		if err := en.writePart(p, cur); err != nil {
 			return err
 		}
-		d := time.Since(ioStart)
-		en.bd.AddIO(d)
-		en.io.AddWrite(n)
-		en.traceIO("write", meta.id, n, d)
 		en.mu.Lock()
-		en.parts = append(en.parts, meta)
+		en.parts = append(en.parts, p)
 		en.mu.Unlock()
 		cur, curBytes = nil, 0
 		lo = hi
@@ -539,18 +537,6 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) error {
 	}
 	if err := flushPart(numVertices); err != nil {
 		return err
-	}
-	if len(en.parts) == 0 {
-		meta := &partMeta{id: 0, lo: 0, hi: numVertices,
-			path: filepath.Join(en.opts.Dir, "part-000000.edges")}
-		n, err := storage.WritePart(meta.path, nil, storage.PartInfo{Lo: meta.lo, Hi: meta.hi})
-		if err != nil {
-			return err
-		}
-		en.io.AddWrite(n)
-		en.mu.Lock()
-		en.parts = append(en.parts, meta)
-		en.mu.Unlock()
 	}
 	// Widen the last partition to cover the whole vertex space.
 	en.parts[len(en.parts)-1].hi = numVertices
@@ -606,8 +592,17 @@ func (en *Engine) expansion(l grammar.Label) []derivation {
 	return buildExpansion(en.g, l)
 }
 
-// partOf maps a vertex to its owning partition index.
-func (en *Engine) partOf(v uint32) int {
+// newPartition returns an empty partition over [lo, hi) with the table's next
+// id and the file name that goes with it. Partitions are never removed, so
+// the ids in use are exactly 0 … len(parts)-1.
+func (en *Engine) newPartition(lo, hi uint32) *partition {
+	id := len(en.parts)
+	return &partition{id: id, lo: lo, hi: hi,
+		path: filepath.Join(en.opts.Dir, fmt.Sprintf("part-%06d.edges", id))}
+}
+
+// partOf maps a vertex to its owning partition.
+func (en *Engine) partOf(v uint32) *partition {
 	lo, hi := 0, len(en.parts)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -616,157 +611,181 @@ func (en *Engine) partOf(v uint32) int {
 		} else if v >= en.parts[mid].hi {
 			lo = mid + 1
 		} else {
-			return mid
+			return en.parts[mid]
 		}
 	}
-	return len(en.parts) - 1
+	return en.parts[len(en.parts)-1]
 }
 
-// nextPair returns a dirty partition pair, favoring the hot pair — the two
-// partitions the previous iteration worked on. Scoring against hot rather
-// than the LRU cache's contents keeps the schedule (and so insertion order,
-// widening, and reports) independent of how many partitions happen to fit
-// in memory.
-func (en *Engine) nextPair() (int, int, bool) {
-	best, bestScore := [2]int{-1, -1}, -1
-	for i := 0; i < len(en.parts); i++ {
+// nextPair returns the positions of a pair still owed a pass, favoring the
+// hot pair — the two partitions the previous iteration worked on. Scoring
+// against hot rather than the LRU cache's contents keeps the schedule (and so
+// insertion order, widening, and reports) independent of how many partitions
+// happen to fit in memory.
+func (en *Engine) nextPair() (int, int, bool) { return en.pickPair(false) }
+
+// pickPair scans the owed pairs in table order and returns the first of those
+// sharing the most partitions with the hot pair. unloadedOnly passes over
+// pairs already wholly in memory — speculate's variant of the question: the
+// hot pair itself is loaded, so what is left is the pair the scheduler turns
+// to next that will cost a load.
+func (en *Engine) pickPair(unloadedOnly bool) (int, int, bool) {
+	best, bestScore := [2]int{}, -1
+	for i, pi := range en.parts {
 		for j := i; j < len(en.parts); j++ {
-			key := [2]int{en.parts[i].id, en.parts[j].id}
-			last, seen := en.lastGen[key]
-			if seen && en.parts[i].maxGen <= last && en.parts[j].maxGen <= last {
+			pj := en.parts[j]
+			if !en.owed(pi, pj) || unloadedOnly && pi.mem != nil && pj.mem != nil {
 				continue
 			}
 			score := 0
-			if i == en.hot[0] || i == en.hot[1] {
+			if pi == en.hot[0] || pi == en.hot[1] {
 				score++
 			}
-			if j == en.hot[0] || j == en.hot[1] {
+			if pj == en.hot[0] || pj == en.hot[1] {
 				score++
 			}
 			if score > bestScore {
 				best, bestScore = [2]int{i, j}, score
 				if score == 2 {
-					return best[0], best[1], true
+					return i, j, true
 				}
 			}
 		}
 	}
-	if bestScore < 0 {
-		return 0, 0, false
-	}
-	return best[0], best[1], true
+	return best[0], best[1], bestScore >= 0
 }
 
-// load brings a partition into memory, serving from the LRU cache or a
-// completed prefetch when possible.
-func (en *Engine) load(idx int) (*memPart, error) {
+// load brings the partition at table position idx into memory, serving from
+// the LRU cache or a completed prefetch when possible.
+func (en *Engine) load(idx int) (*partition, error) {
+	p := en.parts[idx]
 	en.tick++
-	if mp, ok := en.loaded[idx]; ok {
-		mp.lastUse = en.tick
+	if p.mem != nil {
+		p.mem.lastUse = en.tick
 		en.io.CacheHit()
-		return mp, nil
+		return p, nil
 	}
-	meta := en.parts[idx]
-	var edges []storage.Edge
-	var info storage.PartInfo
-	if res, waited, ok := en.pf.take(meta); ok {
-		edges, info = res.edges, res.info
+	edges, err := en.readPart(p)
+	if err != nil {
+		return nil, err
+	}
+	// Edges merged from pending exist nowhere on disk: the loaded partition
+	// starts dirty so that evicting it writes them.
+	dirty := len(p.pending) > 0
+	edges = append(edges, p.pending...)
+	p.pending = nil
+	p.mem = &memPart{edges: edges, bySrc: buildBySrc(edges), dirty: dirty, lastUse: en.tick}
+	return p, nil
+}
+
+// readPart returns the edges of p's file, from a completed prefetch when
+// there is one and from disk otherwise, accounted either way.
+func (en *Engine) readPart(p *partition) ([]storage.Edge, error) {
+	res, waited, ok := en.pf.take(p)
+	if ok {
 		// The join only waited this long; the disk time itself overlapped
 		// the previous iteration's computation.
 		en.bd.AddIO(waited)
 		en.io.PrefetchHit(res.bytes, waited)
-		en.traceIO("prefetch-hit", meta.id, res.bytes, waited)
+		en.traceIO("prefetch-hit", p.id, res.bytes, waited)
 	} else {
 		ioStart := time.Now()
-		var n int64
+		// p.edges counts the file's edges plus the pending ones load merges:
+		// one allocation holds the loaded partition.
 		var err error
-		// meta.edges counts the file's edges plus the pending ones merged
-		// below: one allocation holds the loaded partition.
-		edges, info, n, err = storage.ReadPart(meta.path, make([]storage.Edge, 0, meta.edges))
+		res.edges, res.info, res.bytes, err = storage.ReadPart(p.path, make([]storage.Edge, 0, p.edges))
 		if err != nil {
 			return nil, err
 		}
 		d := time.Since(ioStart)
 		en.bd.AddIO(d)
-		en.io.AddRead(n, d)
-		en.traceIO("load", meta.id, n, d)
+		en.io.AddRead(res.bytes, d)
+		en.traceIO("load", p.id, res.bytes, d)
 	}
-	// Cross-check the file's recorded vertex interval against the partition
-	// table (a swapped or stale file decodes cleanly but holds the wrong
-	// vertices). The header's hi may lag meta.hi: preprocess widens the last
-	// partition's interval after its file is written.
-	if info.Lo != 0 || info.Hi != 0 {
-		if info.Lo != meta.lo || info.Hi > meta.hi {
-			return nil, fmt.Errorf("engine: %s: header interval [%d,%d) does not match partition %d's [%d,%d)",
-				meta.path, info.Lo, info.Hi, meta.id, meta.lo, meta.hi)
-		}
+	if err := checkInterval(p.path, res.info, p.lo, p.hi); err != nil {
+		return nil, err
 	}
-	// Merge pending appends.
-	if p := en.pending[idx]; len(p) > 0 {
-		edges = append(edges, p...)
-		delete(en.pending, idx)
+	return res.edges, nil
+}
+
+// checkInterval cross-checks a partition file's recorded vertex interval
+// against the interval [lo, hi) the partition table or the journal gives it:
+// a swapped or stale file decodes cleanly but holds the wrong vertices. The
+// header's hi may lag behind: preprocess widens the last partition's interval
+// after its file is written.
+func checkInterval(path string, info storage.PartInfo, lo, hi uint32) error {
+	if (info.Lo != 0 || info.Hi != 0) && (info.Lo != lo || info.Hi > hi) {
+		return fmt.Errorf("engine: %s: %w: header interval [%d,%d) does not match the partition's [%d,%d)",
+			path, storage.ErrCorrupt, info.Lo, info.Hi, lo, hi)
 	}
-	mp := &memPart{meta: meta, edges: edges, bySrc: buildBySrc(edges), lastUse: en.tick}
-	en.loaded[idx] = mp
-	return mp, nil
+	return nil
+}
+
+// writePart replaces p's file with edges. Any prefetch of the file is
+// invalidated first: the bytes it read predate the write.
+func (en *Engine) writePart(p *partition, edges []storage.Edge) error {
+	en.pf.invalidate(p)
+	ioStart := time.Now()
+	n, err := storage.WritePart(p.path, edges, storage.PartInfo{Lo: p.lo, Hi: p.hi})
+	if err != nil {
+		return err
+	}
+	d := time.Since(ioStart)
+	en.bd.AddIO(d)
+	en.io.AddWrite(n)
+	en.traceIO("write", p.id, n, d)
+	return nil
+}
+
+// writeBack makes a loaded partition's file equal to its memory.
+func (en *Engine) writeBack(p *partition) error {
+	if p.mem == nil || !p.mem.dirty {
+		return nil
+	}
+	if err := en.writePart(p, p.mem.edges); err != nil {
+		return err
+	}
+	p.mem.dirty = false
+	return nil
 }
 
 // evict writes a loaded partition back to disk (if dirty) and drops it from
 // memory.
-func (en *Engine) evict(idx int) error {
-	mp, ok := en.loaded[idx]
-	if !ok {
+func (en *Engine) evict(p *partition) error {
+	if p.mem == nil {
 		return nil
 	}
-	if mp.dirty {
-		en.pf.invalidate(mp.meta)
-		ioStart := time.Now()
-		n, err := storage.WritePart(mp.meta.path, mp.edges, storage.PartInfo{Lo: mp.meta.lo, Hi: mp.meta.hi})
-		if err != nil {
-			return err
-		}
-		d := time.Since(ioStart)
-		en.bd.AddIO(d)
-		en.io.AddWrite(n)
-		en.traceIO("write", mp.meta.id, n, d)
+	if err := en.writeBack(p); err != nil {
+		return err
 	}
-	delete(en.loaded, idx)
+	p.mem = nil
 	en.io.Eviction()
 	return nil
 }
 
-// ensureBudget makes room for the pair (i, j) by evicting cached partitions
-// — never i or j — least-recently-used first, until the pair fits the
+// ensureBudget makes room for the pair (pi, pj) by evicting cached partitions
+// — never pi or pj — least-recently-used first, until the pair fits the
 // memory budget alongside whatever stays cached. Victim selection is
 // deterministic: ticks are unique, and equal ticks fall back to the lowest
 // position.
-func (en *Engine) ensureBudget(i, j int) error {
-	need := en.parts[i].bytes
-	if j != i {
-		need += en.parts[j].bytes
+func (en *Engine) ensureBudget(pi, pj *partition) error {
+	need := pi.bytes
+	if pj != pi {
+		need += pj.bytes
 	}
 	for {
 		var cached int64
-		for idx, mp := range en.loaded {
-			if idx != i && idx != j {
-				cached += mp.meta.bytes
+		var victim *partition
+		for _, p := range en.parts {
+			if p.mem == nil || p == pi || p == pj {
+				continue
+			}
+			cached += p.bytes
+			if victim == nil || p.mem.lastUse < victim.mem.lastUse {
+				victim = p
 			}
 		}
 		if cached == 0 || cached+need <= en.opts.MemoryBudget {
-			return nil
-		}
-		victim := -1
-		var victimUse int64
-		for idx, mp := range en.loaded {
-			if idx == i || idx == j {
-				continue
-			}
-			if victim < 0 || mp.lastUse < victimUse ||
-				(mp.lastUse == victimUse && idx < victim) {
-				victim, victimUse = idx, mp.lastUse
-			}
-		}
-		if victim < 0 {
 			return nil
 		}
 		if err := en.evict(victim); err != nil {
@@ -776,54 +795,43 @@ func (en *Engine) ensureBudget(i, j int) error {
 }
 
 func (en *Engine) evictAll() error {
-	for idx := range en.loaded {
-		if err := en.evict(idx); err != nil {
+	for _, p := range en.parts {
+		if err := en.evict(p); err != nil {
 			return err
 		}
 	}
-	// Flush any remaining pending buffers.
-	for idx, p := range en.pending {
-		if len(p) == 0 {
+	return en.flushPending(true)
+}
+
+// flushPending appends the buffered edges of unloaded partitions to their
+// files once a buffer has grown, or all of them when forced.
+func (en *Engine) flushPending(force bool) error {
+	for _, p := range en.parts {
+		if len(p.pending) == 0 || !force && len(p.pending) < 4096 {
 			continue
 		}
-		en.pf.invalidate(en.parts[idx])
-		ioStart := time.Now()
-		n, err := storage.AppendPart(en.parts[idx].path, p)
-		if err != nil {
+		if err := en.appendPending(p); err != nil {
 			return err
 		}
-		d := time.Since(ioStart)
-		en.bd.AddIO(d)
-		en.io.AddAppend(n)
-		en.traceIO("append", en.parts[idx].id, n, d)
-		delete(en.pending, idx)
 	}
 	return nil
 }
 
-// flushPending appends buffered edges for unloaded partitions once buffers
-// grow; loaded partitions never buffer. Any prefetch of the target file is
-// invalidated first: the bytes it read predate the append.
-func (en *Engine) flushPending(force bool) error {
-	for idx, p := range en.pending {
-		if len(p) == 0 {
-			continue
-		}
-		if !force && len(p) < 4096 {
-			continue
-		}
-		en.pf.invalidate(en.parts[idx])
-		ioStart := time.Now()
-		n, err := storage.AppendPart(en.parts[idx].path, p)
-		if err != nil {
-			return err
-		}
-		d := time.Since(ioStart)
-		en.bd.AddIO(d)
-		en.io.AddAppend(n)
-		en.traceIO("append", en.parts[idx].id, n, d)
-		delete(en.pending, idx)
+// appendPending appends p's buffered edges to its file. Any prefetch of the
+// file is invalidated first: a reader racing the in-place append may see a
+// torn block, and the bytes it read predate the append anyway.
+func (en *Engine) appendPending(p *partition) error {
+	en.pf.invalidate(p)
+	ioStart := time.Now()
+	n, err := storage.AppendPart(p.path, p.pending)
+	if err != nil {
+		return err
 	}
+	d := time.Since(ioStart)
+	en.bd.AddIO(d)
+	en.io.AddAppend(n)
+	en.traceIO("append", p.id, n, d)
+	p.pending = nil
 	return nil
 }
 

@@ -392,7 +392,12 @@ func TestDeferRepartition(t *testing.T) {
 	for i := uint32(0); i+1 < n; i++ {
 		edges = append(edges, flowEdge(i, i+1, d.Flow))
 	}
-	_, st := runEngine(t, emptyICFET(), d.G, Options{MemoryBudget: 8192, DeferRepartition: true}, edges, n)
+	deferred := New(emptyICFET(), d.G, Options{Dir: t.TempDir(), MemoryBudget: 8192}, nil)
+	deferred.noSplit = true
+	st, err := deferred.Run(edges, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Repartitions != 0 {
 		t.Fatalf("deferred mode must not repartition: %+v", st)
 	}

@@ -11,7 +11,8 @@ import (
 )
 
 // startEngine preprocesses the initial edges and stops before the first
-// superstep, so a test can drive the pair loop by hand.
+// superstep, so a test can drive the pair loop by hand. The engine never
+// splits on its own (noSplit): the only splits are the ones the test forces.
 func startEngine(t *testing.T, ic *cfet.ICFET, g *grammar.Grammar, opts Options, edges []storage.Edge, nv uint32) *Engine {
 	t.Helper()
 	opts.Dir = t.TempDir()
@@ -19,6 +20,7 @@ func startEngine(t *testing.T, ic *cfet.ICFET, g *grammar.Grammar, opts Options,
 		t.Fatal(err)
 	}
 	en := New(ic, g, opts, nil)
+	en.noSplit = true
 	t.Cleanup(en.pf.drain)
 	if err := en.preprocess(edges, nv); err != nil {
 		t.Fatal(err)
@@ -49,9 +51,7 @@ func driveToFixpoint(t *testing.T, en *Engine) {
 func TestRepartitionInheritsStamps(t *testing.T) {
 	const n = 96
 	ic, d, edges := joinChain(t, n)
-	// DeferRepartition keeps the engine from splitting on its own, so the
-	// only split is the one forced below.
-	en := startEngine(t, ic, d.G, Options{MemoryBudget: 4 << 10, Workers: 2, DeferRepartition: true}, edges, n)
+	en := startEngine(t, ic, d.G, Options{MemoryBudget: 4 << 10, Workers: 2}, edges, n)
 	if len(en.parts) < 2 {
 		t.Fatalf("%d partitions after preprocess, want at least 2", len(en.parts))
 	}
@@ -118,7 +118,7 @@ func TestRepartitionInheritsStamps(t *testing.T) {
 func TestSplitMidRunJoinsEachPairOnce(t *testing.T) {
 	const n = 96
 	ic, d, edges := joinChain(t, n)
-	opts := Options{MemoryBudget: 4 << 10, Workers: 2, DeferRepartition: true}
+	opts := Options{MemoryBudget: 4 << 10, Workers: 2}
 
 	ref := startEngine(t, ic, d.G, opts, edges, n)
 	driveToFixpoint(t, ref)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
@@ -154,7 +155,7 @@ func TestLoadRejectsForeignPartitionFile(t *testing.T) {
 	if _, err := storage.WritePart(victim.path, edges, info); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := en.load(0); err == nil {
-		t.Fatal("load accepted a foreign partition file")
+	if _, err := en.load(0); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("load of a foreign partition file: %v, want storage.ErrCorrupt", err)
 	}
 }

@@ -64,7 +64,7 @@ func (s stamp) joined(e1, e2 *storage.Edge) bool {
 // therefore merges only pairs that no earlier pass, over whichever partition
 // pair, has merged already.
 type passJoin struct {
-	pi, pj *memPart
+	pi, pj *partition
 	// firsts is the frontier; firsts[:fromI] were collected from pi, the rest
 	// from pj.
 	firsts              []*storage.Edge
@@ -111,7 +111,7 @@ func (jn *passJoin) seconds(k int, src uint32) ([]int32, *memPart, stamp) {
 	if to != from {
 		st = jn.cross
 	}
-	return to.bySrc[src], to, st
+	return to.mem.bySrc[src], to.mem, st
 }
 
 // mergeTimeStride is how many candidates share one timed Merge.
@@ -144,7 +144,7 @@ func (scr *joinScratch) keep(enc cfet.Enc) cfet.Enc {
 func (en *Engine) processPair(i, j int) (int, error) {
 	// Make room for i, j; other cached partitions stay resident until the
 	// memory budget forces them out, least-recently-used first.
-	if err := en.ensureBudget(i, j); err != nil {
+	if err := en.ensureBudget(en.parts[i], en.parts[j]); err != nil {
 		return 0, err
 	}
 	pi, err := en.load(i)
@@ -157,12 +157,11 @@ func (en *Engine) processPair(i, j int) (int, error) {
 			return 0, err
 		}
 	}
-	en.hot = [2]int{i, j}
-	idI, idJ := en.parts[i].id, en.parts[j].id
+	en.hot = [2]*partition{pi, pj}
 	en.curGen++
 	jn := &passJoin{
 		pi: pi, pj: pj, gen: en.curGen,
-		selfI: en.stamp(idI, idI), selfJ: en.stamp(idJ, idJ), cross: en.stamp(idI, idJ),
+		selfI: en.stamp(pi.id, pi.id), selfJ: en.stamp(pj.id, pj.id), cross: en.stamp(pi.id, pj.id),
 	}
 
 	// Collect source edges; semi-naive: at least one side must be new. The
@@ -178,10 +177,10 @@ func (en *Engine) processPair(i, j int) (int, error) {
 			}
 		}
 	}
-	collect(pi)
+	collect(pi.mem)
 	jn.fromI = len(firsts)
-	if j != i {
-		collect(pj)
+	if pj != pi {
+		collect(pj.mem)
 	}
 	en.firstsBuf, jn.firsts = firsts, firsts
 
@@ -211,7 +210,7 @@ func (en *Engine) processPair(i, j int) (int, error) {
 	// predicted to need next, so the next iteration's disk wait overlaps
 	// this iteration's CPU work.
 	if !en.noPrefetch {
-		en.speculate(i, j)
+		en.speculate()
 	}
 	wg.Wait()
 
@@ -232,7 +231,7 @@ func (en *Engine) processPair(i, j int) (int, error) {
 	// pair with a side newer than the self stamp, and a pair stays dirty
 	// exactly when this pass added edges to one of its partitions. Set before
 	// the repartition loop below, so a split copies them.
-	for _, key := range [3][2]int{{idI, idI}, {idJ, idJ}, {idI, idJ}} {
+	for _, key := range [3][2]int{{pi.id, pi.id}, {pj.id, pj.id}, {pi.id, pj.id}} {
 		en.lastGen[key] = jn.gen - 1
 	}
 
@@ -242,9 +241,9 @@ func (en *Engine) processPair(i, j int) (int, error) {
 	// Eager repartitioning (paper §4.3): split any loaded partition whose
 	// byte size outgrew the budget. Split j before i: the split inserts a
 	// partition right after the split position, which would shift j.
-	if !en.opts.DeferRepartition {
+	if !en.noSplit {
 		for _, idx := range []int{j, i} {
-			if mp, ok := en.loaded[idx]; ok && mp.meta.bytes > en.opts.MemoryBudget/3 {
+			if p := en.parts[idx]; p.mem != nil && p.bytes > en.opts.MemoryBudget/3 {
 				if err := en.repartition(idx); err != nil {
 					return 0, err
 				}
@@ -255,46 +254,19 @@ func (en *Engine) processPair(i, j int) (int, error) {
 }
 
 // speculate predicts the pair the scheduler will pick once the current one
-// goes clean and starts background loads for its unloaded members. The scan
-// mirrors nextPair (hot scoring, same order) but skips the current pair —
-// re-selecting it costs no I/O — and pairs already fully in memory. A wrong
-// guess costs one stale or wasted prefetch, never correctness: prefetching
-// only changes when bytes are read, not what the engine computes.
-func (en *Engine) speculate(curI, curJ int) {
-	best, bestScore := [2]int{-1, -1}, -1
-	for i := 0; i < len(en.parts); i++ {
-		for j := i; j < len(en.parts); j++ {
-			if i == curI && j == curJ {
-				continue
-			}
-			key := [2]int{en.parts[i].id, en.parts[j].id}
-			last, seen := en.lastGen[key]
-			if seen && en.parts[i].maxGen <= last && en.parts[j].maxGen <= last {
-				continue
-			}
-			_, iLoaded := en.loaded[i]
-			_, jLoaded := en.loaded[j]
-			if iLoaded && jLoaded {
-				continue
-			}
-			score := 0
-			if i == curI || i == curJ {
-				score++
-			}
-			if j == curI || j == curJ {
-				score++
-			}
-			if score > bestScore {
-				best, bestScore = [2]int{i, j}, score
-			}
-		}
-	}
-	if bestScore < 0 {
+// goes clean and starts background loads for its unloaded members: it asks
+// nextPair's question of the pairs that are not yet wholly in memory (the
+// current pair is, and re-selecting it costs no I/O). A wrong guess costs one
+// stale or wasted prefetch, never correctness: prefetching only changes when
+// bytes are read, not what the engine computes.
+func (en *Engine) speculate() {
+	i, j, ok := en.pickPair(true)
+	if !ok {
 		return
 	}
-	for _, idx := range best {
-		if _, ok := en.loaded[idx]; !ok {
-			en.pf.start(en.parts[idx])
+	for _, p := range [2]*partition{en.parts[i], en.parts[j]} {
+		if p.mem == nil {
+			en.pf.start(p)
 		}
 	}
 }
@@ -534,33 +506,20 @@ func (en *Engine) insert(e *storage.Edge, payload uint64) {
 		}
 		en.keys[k] = struct{}{}
 		en.variants[ep]++
-		sz := storage.RecordSize(&v)
-		owner := en.partOf(v.Src)
-		if mp, ok := en.loaded[owner]; ok {
-			mp.add(v, sz)
-			continue
-		}
-		// Buffer for an unloaded partition ("new edges are written into the
-		// partitions that contain their source vertices").
-		en.pending[owner] = append(en.pending[owner], v)
-		meta := en.parts[owner]
-		meta.edges++
-		meta.bytes += sz
-		if v.Gen > meta.maxGen {
-			meta.maxGen = v.Gen
-		}
+		en.partOf(v.Src).add(v, storage.RecordSize(&v))
 	}
 }
 
-// repartition splits partition idx at its median source vertex (paper §4.3
-// "oversized partitions get dynamically repartitioned").
+// repartition splits the loaded partition at table position idx at its median
+// source vertex (paper §4.3 "oversized partitions get dynamically
+// repartitioned").
 func (en *Engine) repartition(idx int) error {
-	mp, ok := en.loaded[idx]
-	if !ok {
+	p := en.parts[idx]
+	mp := p.mem
+	if mp == nil {
 		return nil
 	}
-	meta := mp.meta
-	if meta.hi-meta.lo <= 1 || len(mp.edges) < 2 {
+	if p.hi-p.lo <= 1 || len(mp.edges) < 2 {
 		return nil // cannot split a single-vertex interval
 	}
 	srcs := make([]uint32, len(mp.edges))
@@ -569,52 +528,34 @@ func (en *Engine) repartition(idx int) error {
 	}
 	slices.Sort(srcs)
 	mid := srcs[len(srcs)/2]
-	if mid <= meta.lo {
-		mid = meta.lo + (meta.hi-meta.lo)/2
+	if mid <= p.lo {
+		mid = p.lo + (p.hi-p.lo)/2
 	}
-	if mid <= meta.lo || mid >= meta.hi {
+	if mid <= p.lo || mid >= p.hi {
 		return nil
 	}
 	en.mu.Lock()
 	en.stats.Repartitions++
 	en.mu.Unlock()
 
-	// Low half stays in the existing partition; the high half becomes a new
-	// partition appended at the end of the table. Vertex->partition mapping
-	// uses interval search, so ordering of en.parts by interval must be
-	// maintained: insert the new partition right after idx.
+	// The low half stays loaded in p; the high half becomes a new partition
+	// np, written out and not loaded.
+	np := en.newPartition(mid, p.hi)
+	p.hi, p.edges, p.bytes, p.maxGen = mid, 0, 0, 0
 	nLo, _ := slices.BinarySearch(srcs, mid) // edges with Src < mid
 	loEdges := make([]storage.Edge, 0, nLo)
 	hiEdges := make([]storage.Edge, 0, len(mp.edges)-nLo)
-	var loBytes, hiBytes int64
-	var loGen, hiGen uint32
 	for i := range mp.edges {
-		sz := storage.RecordSize(&mp.edges[i])
-		if mp.edges[i].Src < mid {
-			loEdges = append(loEdges, mp.edges[i])
-			loBytes += sz
-			if mp.edges[i].Gen > loGen {
-				loGen = mp.edges[i].Gen
-			}
-		} else {
-			hiEdges = append(hiEdges, mp.edges[i])
-			hiBytes += sz
-			if mp.edges[i].Gen > hiGen {
-				hiGen = mp.edges[i].Gen
-			}
+		e := &mp.edges[i]
+		half, edges := p, &loEdges
+		if e.Src >= mid {
+			half, edges = np, &hiEdges
 		}
+		*edges = append(*edges, *e)
+		half.edges++
+		half.bytes += storage.RecordSize(e)
+		half.maxGen = max(half.maxGen, e.Gen)
 	}
-	newMeta := &partMeta{
-		id:    en.nextPartID(),
-		lo:    mid,
-		hi:    meta.hi,
-		path:  en.partPath(),
-		edges: int64(len(hiEdges)), bytes: hiBytes, maxGen: hiGen,
-	}
-	meta.hi = mid
-	meta.edges = int64(len(loEdges))
-	meta.bytes = loBytes
-	meta.maxGen = loGen
 	if en.jw != nil {
 		// Shrinking the low half under its original path would be the one
 		// write that destroys a checkpointed file prefix. Redirect the
@@ -622,25 +563,16 @@ func (en *Engine) repartition(idx int) error {
 		// on disk (the last journal record still references it) until a
 		// newer record supersedes it. Repartitions is already incremented,
 		// so the suffix is unique for the run.
-		meta.path = filepath.Join(en.opts.Dir,
-			fmt.Sprintf("part-%06d-r%06d.edges", meta.id, en.stats.Repartitions))
+		p.path = filepath.Join(en.opts.Dir,
+			fmt.Sprintf("part-%06d-r%06d.edges", p.id, en.stats.Repartitions))
 	}
-
-	// Persist the new partition; keep the low half loaded.
-	ioStart := time.Now()
-	n, err := storage.WritePart(newMeta.path, hiEdges, storage.PartInfo{Lo: newMeta.lo, Hi: newMeta.hi})
-	if err != nil {
+	if err := en.writePart(np, hiEdges); err != nil {
 		return err
 	}
-	d := time.Since(ioStart)
-	en.bd.AddIO(d)
-	en.io.AddWrite(n)
-	en.traceIO("write", newMeta.id, n, d)
 	if en.opts.Trace.Enabled() {
 		en.opts.Trace.Instant(en.opts.TraceTID, "engine", "repartition",
-			trace.Args{"part": meta.id, "newPart": newMeta.id, "mid": mid})
+			trace.Args{"part": p.id, "newPart": np.id, "mid": mid})
 	}
-
 	mp.edges = loEdges
 	mp.bySrc = buildBySrc(loEdges)
 	mp.dirty = true
@@ -655,89 +587,30 @@ func (en *Engine) repartition(idx int) error {
 			en.lastGen[to] = g
 		}
 	}
-	p, np := meta.id, newMeta.id
-	inherit([2]int{p, p}, [2]int{np, np})
-	inherit([2]int{p, p}, [2]int{p, np})
+	inherit([2]int{p.id, p.id}, [2]int{np.id, np.id})
+	inherit([2]int{p.id, p.id}, [2]int{p.id, np.id})
 	for pos, q := range en.parts {
 		switch {
 		case pos < idx:
-			inherit([2]int{q.id, p}, [2]int{q.id, np})
+			inherit([2]int{q.id, p.id}, [2]int{q.id, np.id})
 		case pos > idx:
-			inherit([2]int{p, q.id}, [2]int{np, q.id})
+			inherit([2]int{p.id, q.id}, [2]int{np.id, q.id})
 		}
 	}
 
-	// Insert newMeta right after idx to keep interval order.
+	// partOf searches the table by interval: np goes right after p. Nothing
+	// else moves — every other piece of per-partition state hangs off the
+	// partition itself or is keyed by its id.
 	en.mu.Lock()
-	en.parts = append(en.parts, nil)
-	copy(en.parts[idx+2:], en.parts[idx+1:])
-	en.parts[idx+1] = newMeta
+	en.parts = slices.Insert(en.parts, idx+1, np)
 	en.mu.Unlock()
-
-	// Loaded and pending maps are indexed by position; remap anything at or
-	// beyond the insertion point.
-	en.remapAfterInsert(idx + 1)
 	return nil
-}
-
-func (en *Engine) nextPartID() int {
-	max := -1
-	for _, p := range en.parts {
-		if p.id > max {
-			max = p.id
-		}
-	}
-	return max + 1
-}
-
-func (en *Engine) partPath() string {
-	return en.opts.Dir + "/" + "part-" + itoa6(en.nextPartID()) + ".edges"
-}
-
-func itoa6(n int) string {
-	buf := []byte("000000")
-	for i := 5; i >= 0 && n > 0; i-- {
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf)
-}
-
-// remapAfterInsert shifts position-indexed maps after inserting a partition
-// at position pos.
-func (en *Engine) remapAfterInsert(pos int) {
-	newLoaded := make(map[int]*memPart, len(en.loaded))
-	for idx, mp := range en.loaded {
-		if idx >= pos {
-			newLoaded[idx+1] = mp
-		} else {
-			newLoaded[idx] = mp
-		}
-	}
-	en.loaded = newLoaded
-	newPending := make(map[int][]storage.Edge, len(en.pending))
-	for idx, p := range en.pending {
-		if idx >= pos {
-			newPending[idx+1] = p
-		} else {
-			newPending[idx] = p
-		}
-	}
-	en.pending = newPending
-	for k, idx := range en.hot {
-		if idx >= pos {
-			en.hot[k] = idx + 1
-		}
-	}
-	// lastGen is keyed by stable partition IDs, not positions: safe (the new
-	// partition's entries were copied by repartition). The prefetcher is keyed
-	// by *partMeta pointers, equally stable.
 }
 
 // ForEach streams every edge of the closed graph from disk (after Run).
 func (en *Engine) ForEach(f func(*storage.Edge) bool) error {
-	for _, meta := range en.parts {
-		edges, _, _, err := storage.ReadPart(meta.path, nil)
+	for _, p := range en.parts {
+		edges, _, _, err := storage.ReadPart(p.path, nil)
 		if err != nil {
 			return err
 		}
@@ -753,8 +626,8 @@ func (en *Engine) ForEach(f func(*storage.Edge) bool) error {
 // EdgesAfter counts all edges on disk (after Run).
 func (en *Engine) EdgesAfter() int64 {
 	var n int64
-	for _, meta := range en.parts {
-		n += meta.edges
+	for _, p := range en.parts {
+		n += p.edges
 	}
 	return n
 }

@@ -44,14 +44,6 @@ import (
 // silently compute over the wrong graph, so it is rejected instead.
 var ErrStale = errors.New("engine: journal does not match this run")
 
-// journalEvery returns the checkpoint cadence in supersteps.
-func (en *Engine) journalEvery() int64 {
-	if en.opts.JournalEvery <= 0 {
-		return 1
-	}
-	return int64(en.opts.JournalEvery)
-}
-
 // clearRunDir removes a previous run's journal and partition files so a
 // cold journaled start cannot interleave with stale state. Only journaled
 // runs clear: unjournaled engines keep their historical behavior.
@@ -101,22 +93,10 @@ func (en *Engine) checkpoint(completed bool) error {
 	if err := en.flushPending(true); err != nil {
 		return err
 	}
-	for idx := 0; idx < len(en.parts); idx++ {
-		mp, ok := en.loaded[idx]
-		if !ok || !mp.dirty {
-			continue
-		}
-		en.pf.invalidate(mp.meta)
-		ioStart := time.Now()
-		n, err := storage.WritePart(mp.meta.path, mp.edges, storage.PartInfo{Lo: mp.meta.lo, Hi: mp.meta.hi})
-		if err != nil {
+	for _, p := range en.parts {
+		if err := en.writeBack(p); err != nil {
 			return err
 		}
-		d := time.Since(ioStart)
-		en.bd.AddIO(d)
-		en.io.AddWrite(n)
-		en.traceIO("write", mp.meta.id, n, d)
-		mp.dirty = false
 	}
 	rec := &storage.JournalRecord{
 		Seq:          en.jseq,
@@ -129,17 +109,17 @@ func (en *Engine) checkpoint(completed bool) error {
 		HotA:         -1,
 		HotB:         -1,
 	}
-	if en.hot[0] >= 0 && en.hot[0] < len(en.parts) {
-		rec.HotA = en.parts[en.hot[0]].id
+	if en.hot[0] != nil {
+		rec.HotA = en.hot[0].id
 	}
-	if en.hot[1] >= 0 && en.hot[1] < len(en.parts) {
-		rec.HotB = en.parts[en.hot[1]].id
+	if en.hot[1] != nil {
+		rec.HotB = en.hot[1].id
 	}
-	for _, meta := range en.parts {
+	for _, p := range en.parts {
 		rec.Parts = append(rec.Parts, storage.JournalPart{
-			ID: meta.id, Lo: meta.lo, Hi: meta.hi,
-			Edges: meta.edges, MaxGen: meta.maxGen,
-			Path: filepath.Base(meta.path),
+			ID: p.id, Lo: p.lo, Hi: p.hi,
+			Edges: p.edges, MaxGen: p.maxGen,
+			Path: filepath.Base(p.path),
 		})
 	}
 	pairs := make([][2]int, 0, len(en.lastGen))
@@ -177,25 +157,13 @@ func (en *Engine) checkpoint(completed bool) error {
 	return en.opts.Faults.Hit(faultpoint.EngineSuperstep)
 }
 
-// journalOnCancel makes a cancelled run resumable: if supersteps have run
-// since the last checkpoint (JournalEvery > 1 windows), flush one final
-// record before RunContext returns ctx.Err(). A failure here is swallowed —
-// the previous durable record stays valid, which is exactly the guarantee a
-// real mid-flush crash would leave.
-func (en *Engine) journalOnCancel() {
-	if en.jw == nil || en.stats.Iterations%en.journalEvery() == 0 {
-		return
-	}
-	_ = en.checkpoint(false)
-}
-
 // removeUnreferenced deletes partition files the current partition table no
 // longer points at: pre-split files frozen by the repartition redirect, and
 // (on resume) files a crashed run created after its last durable record.
 func (en *Engine) removeUnreferenced() {
 	live := make(map[string]bool, len(en.parts))
-	for _, meta := range en.parts {
-		live[filepath.Base(meta.path)] = true
+	for _, p := range en.parts {
+		live[filepath.Base(p.path)] = true
 	}
 	for _, pat := range []string{"part-*.edges", "part-*.edges.tmp"} {
 		matches, err := filepath.Glob(filepath.Join(en.opts.Dir, pat))
@@ -228,33 +196,25 @@ func (en *Engine) ResumeContext(ctx context.Context, numVertices uint32) (*Stats
 	if err != nil {
 		return nil, err
 	}
+	en.jw = jw
+	defer en.closeJournal()
 	if len(recs) == 0 {
-		jw.Close()
 		return nil, fmt.Errorf("engine: %s: %w: journal has no usable checkpoint record",
 			en.opts.Dir, storage.ErrCorrupt)
 	}
 	if meta.NumVertices != numVertices || meta.Tag != en.opts.JournalTag {
-		jw.Close()
 		return nil, fmt.Errorf("%w: journal written for vertices=%d tag=%#x, this run is vertices=%d tag=%#x (delete %s to start cold)",
 			ErrStale, meta.NumVertices, meta.Tag, numVertices, en.opts.JournalTag,
 			filepath.Join(en.opts.Dir, storage.JournalName))
 	}
 	rec := recs[len(recs)-1]
 	if err := en.restoreFrom(rec, numVertices); err != nil {
-		jw.Close()
 		return nil, err
 	}
-	en.jw = jw
 	en.jseq = rec.Seq + 1
 	if rec.Completed {
 		// Nothing left to compute; surface the closed graph's stats.
-		en.closeJournal()
-		after := en.EdgesAfter()
-		en.mu.Lock()
-		en.stats.EdgesAfter = after
-		en.mu.Unlock()
-		s := en.Stats()
-		return &s, nil
+		return en.finalStats(), nil
 	}
 	return en.runLoop(ctx)
 }
@@ -272,11 +232,10 @@ func (en *Engine) restoreFrom(rec *storage.JournalRecord, numVertices uint32) er
 			return err
 		}
 		en.bd.AddIO(time.Since(ioStart))
-		if (info.Lo != 0 || info.Hi != 0) && (info.Lo != jp.Lo || info.Hi > jp.Hi) {
-			return fmt.Errorf("engine: %s: %w: header interval [%d,%d) does not match journaled [%d,%d)",
-				path, storage.ErrCorrupt, info.Lo, info.Hi, jp.Lo, jp.Hi)
+		if err := checkInterval(path, info, jp.Lo, jp.Hi); err != nil {
+			return err
 		}
-		meta := &partMeta{id: jp.ID, lo: jp.Lo, hi: jp.Hi, path: path, edges: jp.Edges}
+		p := &partition{id: jp.ID, lo: jp.Lo, hi: jp.Hi, path: path, edges: jp.Edges, maxGen: jp.MaxGen}
 		var maxGen uint32
 		for i := range edges {
 			e := &edges[i]
@@ -291,7 +250,7 @@ func (en *Engine) restoreFrom(rec *storage.JournalRecord, numVertices uint32) er
 			if e.Gen > maxGen {
 				maxGen = e.Gen
 			}
-			meta.bytes += storage.RecordSize(e)
+			p.bytes += storage.RecordSize(e)
 			k := e.Key()
 			if _, dup := en.keys[k]; dup {
 				return fmt.Errorf("engine: %s: %w: duplicate edge in checkpointed prefix", path, storage.ErrCorrupt)
@@ -303,22 +262,23 @@ func (en *Engine) restoreFrom(rec *storage.JournalRecord, numVertices uint32) er
 			return fmt.Errorf("engine: %s: %w: max generation %d does not match journaled %d",
 				path, storage.ErrCorrupt, maxGen, jp.MaxGen)
 		}
-		meta.maxGen = jp.MaxGen
 		if !exact {
 			// Cut the file back to exactly the checkpointed prefix (dropping
 			// any post-checkpoint suffix or torn tail) so subsequent appends
 			// land on a pristine v2 file. WritePart is atomic: a crash during
 			// this rewrite leaves a file this same path can recover again.
-			ioStart := time.Now()
-			n, err := storage.WritePart(path, edges, storage.PartInfo{Lo: meta.lo, Hi: meta.hi})
-			if err != nil {
+			if err := en.writePart(p, edges); err != nil {
 				return err
 			}
-			en.bd.AddIO(time.Since(ioStart))
-			en.io.AddWrite(n)
+		}
+		if p.id == rec.HotA {
+			en.hot[0] = p
+		}
+		if p.id == rec.HotB {
+			en.hot[1] = p
 		}
 		en.mu.Lock()
-		en.parts = append(en.parts, meta)
+		en.parts = append(en.parts, p)
 		en.mu.Unlock()
 	}
 	if len(en.parts) == 0 {
@@ -350,14 +310,5 @@ func (en *Engine) restoreFrom(rec *storage.JournalRecord, numVertices uint32) er
 	en.stats.Repartitions = rec.Repartitions
 	en.stats.Widened = rec.Widened
 	en.mu.Unlock()
-	en.hot = [2]int{-1, -1}
-	for idx, p := range en.parts {
-		if p.id == rec.HotA {
-			en.hot[0] = idx
-		}
-		if p.id == rec.HotB {
-			en.hot[1] = idx
-		}
-	}
 	return nil
 }

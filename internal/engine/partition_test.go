@@ -1,0 +1,139 @@
+package engine
+
+import (
+	"testing"
+
+	"github.com/grapple-system/grapple/internal/grammar"
+	"github.com/grapple-system/grapple/internal/storage"
+)
+
+// fileHas reports whether p's file holds an edge src -> dst.
+func fileHas(t *testing.T, p *partition, src, dst uint32) bool {
+	t.Helper()
+	edges, _, _, err := storage.ReadPart(p.path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range edges {
+		if edges[i].Src == src && edges[i].Dst == dst {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSplitKeepsPerPartitionState: a split moves table positions, so nothing
+// a partition owns may be found by position. A later partition is given
+// pending edges, an in-flight prefetch and a seat in the hot pair; after
+// partition 0 is split under it, all three must still be that partition's —
+// and the next checkpoint must journal the hot pair under its unchanged ids.
+func TestSplitKeepsPerPartitionState(t *testing.T) {
+	const n = 200
+	d := grammar.NewDataflow()
+	en := startEngine(t, emptyICFET(), d.G, Options{MemoryBudget: 4 << 10, Journal: true}, chainEdges(n, d.Flow), n)
+	if err := en.startJournal(n); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(en.closeJournal)
+	last := len(en.parts) - 1
+	if last < 2 {
+		t.Fatalf("%d partitions after preprocess, want at least 3", len(en.parts))
+	}
+	other, later := en.parts[1], en.parts[last]
+	otherID, laterID := other.id, later.id
+
+	// The hot seat, by a real pass; then out of memory again, so that the
+	// edge inserted next is buffered and a prefetch can be started.
+	if _, err := en.processPair(1, last); err != nil {
+		t.Fatal(err)
+	}
+	if err := en.evict(later); err != nil {
+		t.Fatal(err)
+	}
+	e := flowEdge(later.lo, 0, d.Flow)
+	e.Gen = en.curGen
+	en.insert(&e, e.PayloadHash())
+	if len(later.pending) != 1 {
+		t.Fatalf("%d pending edges on the unloaded partition, want 1", len(later.pending))
+	}
+	en.pf.start(later)
+
+	if _, err := en.load(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := en.repartition(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(en.parts) != last+2 || en.parts[last+1] != later || en.parts[2] != other {
+		t.Fatalf("split of partition 0 did not shift the later partitions by one position")
+	}
+
+	if en.hot != [2]*partition{other, later} {
+		t.Errorf("hot pair names partitions %d,%d after the split, want %d,%d",
+			en.hot[0].id, en.hot[1].id, otherID, laterID)
+	}
+	if len(later.pending) != 1 {
+		t.Errorf("%d pending edges after the split, want the 1 buffered before it", len(later.pending))
+	}
+	if _, _, ok := en.pf.take(later); !ok {
+		t.Error("the prefetch started before the split is no longer found")
+	}
+
+	// The checkpoint flushes pending buffers and journals the hot pair.
+	if err := en.checkpoint(false); err != nil {
+		t.Fatal(err)
+	}
+	if !fileHas(t, later, e.Src, e.Dst) {
+		t.Error("the pending edge did not reach its partition's file on the flush")
+	}
+	for _, p := range en.parts {
+		if p != later && fileHas(t, p, e.Src, e.Dst) {
+			t.Errorf("the pending edge was flushed into partition %d's file", p.id)
+		}
+	}
+	_, recs, _, err := storage.ReadJournal(en.opts.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := recs[len(recs)-1]
+	if rec.HotA != otherID || rec.HotB != laterID {
+		t.Errorf("journaled hot pair %d,%d, want the unchanged ids %d,%d", rec.HotA, rec.HotB, otherID, laterID)
+	}
+	if got := rec.Parts[last+1]; got.ID != laterID || got.Lo != later.lo || got.Edges != later.edges {
+		t.Errorf("journaled partition at the shifted position is %+v, want id %d over [%d,%d) with %d edges",
+			got, laterID, later.lo, later.hi, later.edges)
+	}
+}
+
+// TestLoadedPendingEdgesSurviveEviction: edges merged from the pending buffer
+// at load exist only in memory, so the loaded partition must count as dirty
+// even if the pass it was loaded for adds nothing to it.
+func TestLoadedPendingEdgesSurviveEviction(t *testing.T) {
+	const n = 200
+	d := grammar.NewDataflow()
+	en := startEngine(t, emptyICFET(), d.G, Options{MemoryBudget: 4 << 10}, chainEdges(n, d.Flow), n)
+	last := len(en.parts) - 1
+	p := en.parts[last]
+	e := flowEdge(p.lo, 0, d.Flow)
+	e.Gen = 1
+	en.insert(&e, e.PayloadHash())
+	if len(p.pending) != 1 {
+		t.Fatalf("%d pending edges, want 1", len(p.pending))
+	}
+	if _, err := en.load(last); err != nil {
+		t.Fatal(err)
+	}
+	if err := en.evictAll(); err != nil {
+		t.Fatal(err)
+	}
+	if !fileHas(t, p, e.Src, e.Dst) {
+		t.Fatal("an edge merged from pending at load was dropped by a clean eviction")
+	}
+	var onDisk int64
+	if err := en.ForEach(func(*storage.Edge) bool { onDisk++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if onDisk != en.EdgesAfter() {
+		t.Fatalf("%d edges on disk, %d counted", onDisk, en.EdgesAfter())
+	}
+}

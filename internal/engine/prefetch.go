@@ -23,57 +23,58 @@ type prefetchEntry struct {
 
 // prefetcher overlaps partition loads with the join: while one partition
 // pair computes, the load the scheduler will need next already streams from
-// disk. Entries are keyed by *partMeta — stable across repartitioning, which
-// renumbers partition positions but never reallocates metadata.
+// disk. Entries are keyed by *partition — stable across repartitioning, which
+// moves table positions but never reallocates a partition.
 //
 // Prefetched edges live outside the engine's memory-budget accounting; at
 // most a handful of entries exist at once (one speculation per iteration),
 // bounded by the same per-partition size the budget already admits.
 type prefetcher struct {
 	mu      sync.Mutex
-	entries map[*partMeta]*prefetchEntry
+	entries map[*partition]*prefetchEntry
 	wg      sync.WaitGroup
 	io      *metrics.IOStats
 }
 
 func newPrefetcher(io *metrics.IOStats) *prefetcher {
-	return &prefetcher{entries: map[*partMeta]*prefetchEntry{}, io: io}
+	return &prefetcher{entries: map[*partition]*prefetchEntry{}, io: io}
 }
 
-// start begins loading meta's file in the background; no-op when a prefetch
-// for meta is already in flight.
-func (pf *prefetcher) start(meta *partMeta) {
+// start begins loading p's file in the background; no-op when a prefetch
+// for p is already in flight.
+func (pf *prefetcher) start(p *partition) {
 	pf.mu.Lock()
-	if _, dup := pf.entries[meta]; dup {
+	if _, dup := pf.entries[p]; dup {
 		pf.mu.Unlock()
 		return
 	}
 	e := &prefetchEntry{done: make(chan struct{})}
-	pf.entries[meta] = e
+	pf.entries[p] = e
 	pf.mu.Unlock()
 	pf.io.PrefetchIssued()
 	pf.wg.Add(1)
-	// Sized here, on the engine's goroutine: insert keeps counting edges into
-	// meta while the read runs.
-	dst := make([]storage.Edge, 0, meta.edges)
+	// Sized and addressed here, on the engine's goroutine: insert keeps
+	// counting edges into p, and a split may redirect its path, while the
+	// read runs.
+	path, dst := p.path, make([]storage.Edge, 0, p.edges)
 	go func() {
 		defer pf.wg.Done()
-		edges, info, n, err := storage.ReadPart(meta.path, dst)
+		edges, info, n, err := storage.ReadPart(path, dst)
 		e.res = prefetched{edges: edges, info: info, bytes: n, err: err}
 		close(e.done)
 	}()
 }
 
-// take claims the prefetch for meta, blocking until the background read
+// take claims the prefetch for p, blocking until the background read
 // finishes. ok is false when no usable prefetch exists (never started,
 // invalidated, or the read failed) — the caller then loads synchronously.
 // waited is how long the caller actually blocked: the join's perceived
 // latency, which a prefetch that overlapped fully drives to ~zero.
-func (pf *prefetcher) take(meta *partMeta) (res prefetched, waited time.Duration, ok bool) {
+func (pf *prefetcher) take(p *partition) (res prefetched, waited time.Duration, ok bool) {
 	pf.mu.Lock()
-	e, exists := pf.entries[meta]
+	e, exists := pf.entries[p]
 	if exists {
-		delete(pf.entries, meta)
+		delete(pf.entries, p)
 	}
 	pf.mu.Unlock()
 	if !exists {
@@ -90,15 +91,15 @@ func (pf *prefetcher) take(meta *partMeta) (res prefetched, waited time.Duration
 	return e.res, waited, true
 }
 
-// invalidate discards any prefetch of meta. Callers must invalidate before
+// invalidate discards any prefetch of p. Callers must invalidate before
 // writing to a partition file that could be prefetch-in-flight; a reader
 // racing an in-place append may see a torn block, so its result must never
 // be consumed. (Whole-file writes rename and cannot tear, but the
 // pre-rename bytes are equally stale.)
-func (pf *prefetcher) invalidate(meta *partMeta) {
+func (pf *prefetcher) invalidate(p *partition) {
 	pf.mu.Lock()
-	_, exists := pf.entries[meta]
-	delete(pf.entries, meta)
+	_, exists := pf.entries[p]
+	delete(pf.entries, p)
 	pf.mu.Unlock()
 	if exists {
 		pf.io.PrefetchStale()
@@ -111,7 +112,7 @@ func (pf *prefetcher) drain() {
 	pf.wg.Wait()
 	pf.mu.Lock()
 	wasted := len(pf.entries)
-	pf.entries = map[*partMeta]*prefetchEntry{}
+	pf.entries = map[*partition]*prefetchEntry{}
 	pf.mu.Unlock()
 	for i := 0; i < wasted; i++ {
 		pf.io.PrefetchWasted()

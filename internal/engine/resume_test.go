@@ -252,10 +252,9 @@ func (c *countingCtx) Err() error {
 	return nil
 }
 
-// TestEngineCancelFlushesFinalRecord covers the ctx.Err() path: with
-// JournalEvery=3 a cancellation between boundaries must still leave a
-// durable record at the exact superstep reached, and resume from it must
-// reproduce the uninterrupted result.
+// TestEngineCancelFlushesFinalRecord covers the ctx.Err() path: a run
+// cancelled after 5 supersteps must leave a durable record at exactly
+// superstep 5, and resume from it must reproduce the uninterrupted result.
 func TestEngineCancelFlushesFinalRecord(t *testing.T) {
 	const n = 40
 	const tag = 11
@@ -268,15 +267,11 @@ func TestEngineCancelFlushesFinalRecord(t *testing.T) {
 	want := fingerprint(t, refEn)
 
 	dir := t.TempDir()
-	opts := smallOpts(dir, tag)
-	opts.JournalEvery = 3
-	en := New(emptyICFET(), d.G, opts, nil)
+	en := New(emptyICFET(), d.G, smallOpts(dir, tag), nil)
 	ctx := &countingCtx{Context: context.Background(), left: 5}
 	if _, err := en.RunContext(ctx, chainEdges(n, d.Flow), n); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cancel did not fire: %v", err)
 	}
-	// The final record must carry the superstep the run actually reached —
-	// not the last JournalEvery boundary.
 	_, recs, _, err := storage.ReadJournal(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -288,13 +283,11 @@ func TestEngineCancelFlushesFinalRecord(t *testing.T) {
 	if lastRec.Completed {
 		t.Fatal("cancelled run wrote a completed record")
 	}
-	if lastRec.Iterations == 0 || lastRec.Iterations%3 == 0 {
-		t.Fatalf("final record at iteration %d is a regular boundary, not the cancellation flush", lastRec.Iterations)
+	if lastRec.Iterations != 5 {
+		t.Fatalf("final record at iteration %d, want the superstep the run reached (5)", lastRec.Iterations)
 	}
 
-	ropts := smallOpts(dir, tag)
-	ropts.JournalEvery = 3
-	ren := New(emptyICFET(), d.G, ropts, nil)
+	ren := New(emptyICFET(), d.G, smallOpts(dir, tag), nil)
 	rstats, err := ren.Resume(n)
 	if err != nil {
 		t.Fatal(err)

@@ -146,12 +146,13 @@ type Options struct {
 	// so that a big batch does not thrash a single-subject-sized LRU.
 	Cache     *smt.Cache
 	CacheSize int
-	// NoSharedFrontend disables per-subject sharing of the prepared
+	// noSharedFrontend disables per-subject sharing of the prepared
 	// frontend + alias closure (checker.Prepared); every instance then runs
 	// the full three-phase pipeline itself, as an independent process
-	// would. Sharing is also off in the unshared-cache baseline
+	// would. Only this package's tests set it, as the reference sharing is
+	// held to; sharing is also off in the unshared-cache baseline
 	// (CacheSize < 0 with a nil Cache).
-	NoSharedFrontend bool
+	noSharedFrontend bool
 	// WorkDir, when non-empty, hosts one partition subdirectory per
 	// instance; each instance otherwise uses its own temp dir.
 	WorkDir string
@@ -274,7 +275,7 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 		cache = smt.NewCache(size)
 	}
 	var preps *prepStore
-	if cache != nil && !opts.NoSharedFrontend {
+	if cache != nil && !opts.noSharedFrontend {
 		preps = &prepStore{entries: map[string]*prepEntry{}}
 	}
 

@@ -175,7 +175,7 @@ func TestFrontendSharing(t *testing.T) {
 		t.Fatalf("prepares = %d, want one per subject (%d)", shared.FrontendPrepares, len(subjects))
 	}
 
-	unshared, err := Run(context.Background(), instances, Options{Workers: 4, NoSharedFrontend: true})
+	unshared, err := Run(context.Background(), instances, Options{Workers: 4, noSharedFrontend: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"github.com/grapple-system/grapple/internal/checker"
 	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/gofront"
+	"github.com/grapple-system/grapple/internal/scheduler"
 )
 
 // TestOptionSurface pins the knob count: every exported field of every
@@ -24,7 +25,7 @@ func TestOptionSurface(t *testing.T) {
 	var lines []string
 	for _, v := range []any{
 		Options{}, BatchOptions{}, ObsOptions{},
-		checker.Options{}, engine.Options{}, gofront.Options{},
+		checker.Options{}, engine.Options{}, gofront.Options{}, scheduler.Options{},
 	} {
 		typ := reflect.TypeOf(v)
 		for i := 0; i < typ.NumField(); i++ {
