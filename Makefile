@@ -22,11 +22,15 @@ fmt-check:
 # Race-check the concurrent core (engine workers + prefetcher, the storage
 # layer they stream through, the checker pipeline, the batch scheduler,
 # whose determinism test exercises shared-cache and shared-frontend accesses
-# from many workers, plus the observability layer: shared metrics counters
-# and the trace recorder / progress heartbeat, which are read from other
-# goroutines mid-run).
+# from many workers, plus the observability layer: the trace recorder and the
+# progress tracker, which other goroutines read mid-run). Counters have one
+# writer each and no lock (docs/observability.md): the engine's
+# TestObservedRunIsRaceFree watches a run with eight join workers from two
+# reader goroutines, and cmd/grapple's TestProgressHeartbeatEmits drives batch +
+# heartbeat + status.json end to end, the one place counters still cross
+# goroutines.
 race:
-	$(GO) test -race ./internal/storage/... ./internal/engine/... ./internal/checker/... ./internal/scheduler/... ./internal/metrics/... ./internal/trace/...
+	$(GO) test -race ./internal/storage/... ./internal/engine/... ./internal/checker/... ./internal/scheduler/... ./internal/metrics/... ./internal/trace/... ./cmd/grapple/
 	$(GO) test -race . -run TestAblationIdentity -count=1
 
 # Short fuzzing sessions: SMT cache-keying invariants, the partition

@@ -9,22 +9,14 @@ import (
 	"github.com/grapple-system/grapple/internal/scheduler"
 )
 
-// Subject is one named compilation unit for batch checking.
-type Subject struct {
-	// Name identifies the subject in merged reports; it must be unique
-	// within a batch.
-	Name string
-	// Source is the subject's MiniLang text.
-	Source string
-}
+// Subject is one named compilation unit for batch checking: Name identifies
+// it in merged reports and must be unique within a batch; Source is its
+// MiniLang text.
+type Subject = scheduler.Subject
 
 // BatchReport is one merged-stream warning: a Report annotated with the
-// subject and FSM property group that produced it.
-type BatchReport struct {
-	Subject string
-	Group   string
-	Report
-}
+// Subject and the FSM property Group that produced it.
+type BatchReport = scheduler.Report
 
 // InstanceStatus summarizes one (subject, property-group) checking
 // instance of a batch.
@@ -131,10 +123,6 @@ func CheckAllContext(ctx context.Context, subjects []Subject, fsms []*FSM, opts 
 	if opts.CombineProperties {
 		groups = scheduler.OneGroup(innerFSMs)
 	}
-	subs := make([]scheduler.Subject, len(subjects))
-	for i, s := range subjects {
-		subs[i] = scheduler.Subject{Name: s.Name, Source: s.Source}
-	}
 	// Batch crash recovery is instance-granular: the scheduler's completion
 	// log (not per-engine journals) decides what reruns, so the per-instance
 	// checker options carry no journal flags.
@@ -144,7 +132,7 @@ func CheckAllContext(ctx context.Context, subjects []Subject, fsms []*FSM, opts 
 	// its own subdirectory; lowered here it would make every instance write
 	// the same dataflow/part-*.edges files.
 	iopts.WorkDir = ""
-	instances := scheduler.Expand(subs, groups, checkerOptions(iopts))
+	instances := scheduler.Expand(subjects, groups, checkerOptions(iopts))
 	obs, err := startObs(opts.Obs, opts.WorkDir)
 	if err != nil {
 		return nil, err
@@ -170,15 +158,13 @@ func CheckAllContext(ctx context.Context, subjects []Subject, fsms []*FSM, opts 
 		return nil, obsErr
 	}
 	out := &BatchResult{
+		Reports:          res.Reports,
 		Scheduler:        res.Sched,
 		CacheLookups:     res.CacheLookups,
 		CacheHits:        res.CacheHits,
 		CacheHitRate:     res.CacheHitRate,
 		FrontendPrepares: res.FrontendPrepares,
 		Wall:             res.Wall,
-	}
-	for _, r := range res.Reports {
-		out.Reports = append(out.Reports, BatchReport{Subject: r.Subject, Group: r.Group, Report: r.Report})
 	}
 	for _, ir := range res.Instances {
 		st := InstanceStatus{
@@ -188,8 +174,8 @@ func CheckAllContext(ctx context.Context, subjects []Subject, fsms []*FSM, opts 
 		}
 		if ir.Result != nil {
 			st.Reports = len(ir.Result.Reports)
-			st.Alias = phaseStats(ir.Result.Alias)
-			st.Dataflow = phaseStats(ir.Result.Dataflow)
+			st.Alias = ir.Result.Alias
+			st.Dataflow = ir.Result.Dataflow
 			out.IO.Add(st.Alias.IO)
 			out.IO.Add(st.Dataflow.IO)
 		}

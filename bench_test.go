@@ -112,7 +112,7 @@ func BenchmarkTable4Caching(b *testing.B) {
 				}
 				c := checker.New(fsm.Builtins(), checker.Options{
 					WorkDir: b.TempDir(),
-					Engine:  engine.Options{CacheSize: cacheSize, SolverOpts: smt.DefaultOptions()},
+					Engine:  engine.Options{CacheSize: cacheSize},
 				})
 				if _, err := c.CheckSource(s.Source); err != nil {
 					b.Fatal(err)
@@ -154,9 +154,7 @@ func BenchmarkTable5StringBaseline(b *testing.B) {
 	ic, ag := aliasGraph(b)
 	b.Run("GrappleEncoding", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			en := engine.New(ic, ag.Ptr.G, engine.Options{
-				Dir: b.TempDir(), MemoryBudget: 2 << 20, SolverOpts: smt.DefaultOptions(),
-			}, nil)
+			en := engine.New(ic, ag.Ptr.G, engine.Options{Dir: b.TempDir(), MemoryBudget: 2 << 20})
 			in := append([]storage.Edge(nil), ag.Edges...)
 			if _, err := en.Run(in, ag.NumVerts); err != nil {
 				b.Fatal(err)
@@ -248,7 +246,7 @@ func BenchmarkAblationMemoryBudget(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := checker.New(fsm.Builtins(), checker.Options{
 					WorkDir: b.TempDir(),
-					Engine:  engine.Options{MemoryBudget: cfg.budget, SolverOpts: smt.DefaultOptions()},
+					Engine:  engine.Options{MemoryBudget: cfg.budget},
 				})
 				if _, err := c.CheckSource(s.Source); err != nil {
 					b.Fatal(err)

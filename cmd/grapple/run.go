@@ -314,10 +314,6 @@ func emitStats(w io.Writer, res *grapple.Result) {
 	solve := res.Alias.SolveLatency
 	solve.Add(res.Dataflow.SolveLatency)
 	fmt.Fprintf(w, "solve latency: %s\n", solve.String(grapple.SolveLatencyBuckets()))
-	if ck := res.Alias.Checkpoints + res.Dataflow.Checkpoints; ck > 0 {
-		fmt.Fprintf(w, "journal: %d checkpoints, %.1f KiB\n",
-			ck, float64(res.Alias.JournalBytes+res.Dataflow.JournalBytes)/(1<<10))
-	}
 	fmt.Fprintf(w, "preprocessing %v, computation %v\n", res.GenTime, res.ComputeTime)
 	fmt.Fprintf(w, "breakdown: I/O %.1f%% | constraint lookup %.1f%% | SMT solving %.1f%% | edge computation %.1f%%\n",
 		res.Breakdown.IOPct, res.Breakdown.DecodePct, res.Breakdown.SolvePct, res.Breakdown.ComputePct)

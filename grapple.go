@@ -44,7 +44,6 @@ import (
 	"github.com/grapple-system/grapple/internal/ir"
 	"github.com/grapple-system/grapple/internal/lang"
 	"github.com/grapple-system/grapple/internal/metrics"
-	"github.com/grapple-system/grapple/internal/smt"
 	"github.com/grapple-system/grapple/internal/trace"
 )
 
@@ -232,45 +231,15 @@ const (
 // Constraint ("true" when unconditional).
 type PointsToFact = checker.PointsToFact
 
-// PhaseStats summarizes one engine phase for the evaluation tables.
-type PhaseStats struct {
-	Vertices uint32
-	// CFETPaths is the number of encoded CFET paths the phase decodes
-	// against; PrunedBranches counts the branch sites the pre-analysis
-	// resolved before the tree was built (0 with Options.Prune off).
-	CFETPaths      int
-	PrunedBranches int
-	// SlicedFunctions and SlicedBranches count what property-relevance
-	// slicing removed: methods collapsed to stubs, and branch sites whose
-	// both arms were irrelevant (0 with Options.Slice off).
-	SlicedFunctions   int
-	SlicedBranches    int
-	EdgesBefore       int64
-	EdgesAfter        int64
-	Iterations        int64
-	Partitions        int
-	Repartitions      int64
-	ConstraintsSolved int64
-	CacheLookups      int64
-	CacheHits         int64
-	RejectedUnsat     int64
-	RejectedConflict  int64
-	SolveTime         time.Duration
-	// Checkpoints and JournalBytes describe the phase's crash-recovery
-	// journal traffic (both 0 with Options.Journal off).
-	Checkpoints  int64
-	JournalBytes int64
-	// Unlowered counts Go constructs the frontend soundly over-approximated
-	// (havocked) instead of modeling precisely. It is a frontend-wide count,
-	// reported identically on both phases; always 0 in MiniLang mode.
-	Unlowered int
-	// IO reports the phase's partition-store traffic: bytes moved, cache
-	// and prefetch effectiveness, and the perceived load-latency histogram.
-	IO IOStats
-	// SolveLatency is the per-call SMT solve latency histogram (cache
-	// misses only), bucketed by metrics.SolveLatencyBuckets.
-	SolveLatency LatencyCounts
-}
+// PhaseStats summarizes one engine phase for the evaluation tables: the
+// graph's size (Vertices, EdgesBefore, EdgesAfter), what the frontend removed
+// before the phase ran (CFETPaths, PrunedBranches, SlicedFunctions,
+// SlicedBranches, and in Go mode the havocked Unlowered constructs), and the
+// engine's own counters — Iterations, Partitions, Repartitions, the solver
+// and cache counts with SolveTime and the SolveLatency histogram, the
+// partition store's and the crash-recovery journal's traffic in IO, and the
+// phase's Figure-9 time split in Breakdown.
+type PhaseStats = checker.PhaseStats
 
 // IOStats is the partition store's traffic summary for one engine phase.
 // Loads count reads that reached the disk; CacheHits count loads served
@@ -325,31 +294,6 @@ func (r *Result) QueryPointsTo(method, varName string) []PointsToFact {
 	return out
 }
 
-func phaseStats(p checker.PhaseStats) PhaseStats {
-	return PhaseStats{
-		Vertices:          p.Vertices,
-		CFETPaths:         p.CFETPaths,
-		PrunedBranches:    p.PrunedBranches,
-		SlicedFunctions:   p.SlicedFunctions,
-		SlicedBranches:    p.SlicedBranches,
-		EdgesBefore:       p.EdgesBefore,
-		EdgesAfter:        p.EdgesAfter,
-		Iterations:        p.Iterations,
-		Partitions:        p.Partitions,
-		Repartitions:      p.Repartitions,
-		ConstraintsSolved: p.ConstraintsSolved,
-		CacheLookups:      p.CacheLookups,
-		CacheHits:         p.CacheHits,
-		RejectedUnsat:     p.RejectedUnsat,
-		RejectedConflict:  p.RejectedConflict,
-		SolveTime:         p.SolveTime,
-		Checkpoints:       p.Checkpoints,
-		JournalBytes:      p.JournalBytes,
-		IO:                p.IO,
-		SolveLatency:      p.SolveLatency,
-	}
-}
-
 // checkerOptions lowers public Options into the internal checker's form.
 func checkerOptions(opts Options) checker.Options {
 	cacheSize := 0
@@ -363,7 +307,6 @@ func checkerOptions(opts Options) checker.Options {
 			MemoryBudget: opts.MemoryBudget,
 			Workers:      opts.Workers,
 			CacheSize:    cacheSize,
-			SolverOpts:   smt.DefaultOptions(),
 		},
 		Bind:           opts.Bind,
 		RecordPointsTo: opts.RecordPointsTo,
@@ -384,8 +327,8 @@ func publicResult(res *checker.Result) *Result {
 	io, dec, sol, comp := res.Breakdown.Percentages()
 	return &Result{
 		Reports:  res.Reports,
-		Alias:    phaseStats(res.Alias),
-		Dataflow: phaseStats(res.Dataflow),
+		Alias:    res.Alias,
+		Dataflow: res.Dataflow,
 		GenTime:  res.GenTime, ComputeTime: res.ComputeTime,
 		Breakdown:      Breakdown{IOPct: io, DecodePct: dec, SolvePct: sol, ComputePct: comp},
 		TrackedObjects: res.TrackedObjects,

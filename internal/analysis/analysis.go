@@ -18,12 +18,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/grapple-system/grapple/internal/callgraph"
 	"github.com/grapple-system/grapple/internal/ir"
 	"github.com/grapple-system/grapple/internal/lang"
-	"github.com/grapple-system/grapple/internal/metrics"
 )
 
 // Diagnostic is one lint finding.
@@ -48,7 +46,7 @@ func (d Diagnostic) String() string {
 // per-function Run that may report diagnostics and return a result value
 // for dependents.
 type Analyzer struct {
-	// Name identifies the pass (also the metrics key).
+	// Name identifies the pass.
 	Name string
 	// Doc is a one-line description.
 	Doc string
@@ -112,11 +110,8 @@ func (p *Pass) Reportf(code string, pos lang.Pos, format string, args ...any) {
 type Result struct {
 	// Diagnostics holds every finding, ordered by position then code.
 	Diagnostics []Diagnostic
-	// Passes is the per-pass cost breakdown.
-	Passes *metrics.PassBreakdown
-	// Prune counts statically-decided conditions (the checker fills in the
-	// pruned-branch side after CFET construction).
-	Prune metrics.PruneCounters
+	// CondsDecided counts the If conditions the SCCP pass proved constant.
+	CondsDecided int64
 
 	// facts maps analyzer -> function -> that pass's result.
 	facts map[*Analyzer]map[*ir.Func]any
@@ -181,7 +176,6 @@ func Run(prog *ir.Program, analyzers []*Analyzer) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		Passes:    &metrics.PassBreakdown{},
 		facts:     map[*Analyzer]map[*ir.Func]any{},
 		progFacts: map[*Analyzer]any{},
 		verdicts:  map[*ir.If]int{},
@@ -208,9 +202,7 @@ func Run(prog *ir.Program, analyzers []*Analyzer) (*Result, error) {
 			Analyzer: a, Prog: prog, CG: cg,
 			deps: deps, diags: &res.Diagnostics,
 		}
-		start := time.Now()
 		out, err := a.ProgramRun(p)
-		res.Passes.AddPass(a.Name, time.Since(start))
 		if err != nil {
 			return nil, fmt.Errorf("analysis %s: %w", a.Name, err)
 		}
@@ -231,9 +223,7 @@ func Run(prog *ir.Program, analyzers []*Analyzer) (*Result, error) {
 				Analyzer: a, Prog: prog, Fn: fn, CFG: cfg, CG: cg,
 				deps: deps, diags: &res.Diagnostics,
 			}
-			start := time.Now()
 			out, err := a.Run(p)
-			res.Passes.AddPass(a.Name, time.Since(start))
 			if err != nil {
 				return nil, fmt.Errorf("analysis %s: %s: %w", a.Name, fn.Name, err)
 			}
@@ -242,7 +232,7 @@ func Run(prog *ir.Program, analyzers []*Analyzer) (*Result, error) {
 	}
 	for _, facts := range res.facts[SCCP] {
 		if sf, ok := facts.(*SCCPFacts); ok {
-			res.Prune.CondsDecided.Add(int64(len(sf.Verdicts)))
+			res.CondsDecided += int64(len(sf.Verdicts))
 			for s, v := range sf.Verdicts {
 				res.verdicts[s] = v
 			}

@@ -71,9 +71,9 @@ func TestBranchVerdictIndexMatchesFacts(t *testing.T) {
 				}
 			})
 		}
-		if condsDecided, _ := res.Prune.Snapshot(); int64(decided) != condsDecided {
+		if int64(decided) != res.CondsDecided {
 			t.Errorf("%s: %d decided Ifs found in the program, CondsDecided says %d",
-				prof.Name, decided, condsDecided)
+				prof.Name, decided, res.CondsDecided)
 		}
 		t.Logf("%s: %d ifs, %d decided", prof.Name, ifs, decided)
 	}

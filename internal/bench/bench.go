@@ -23,7 +23,6 @@ import (
 	"github.com/grapple-system/grapple/internal/ir"
 	"github.com/grapple-system/grapple/internal/lang"
 	"github.com/grapple-system/grapple/internal/pgraph"
-	"github.com/grapple-system/grapple/internal/smt"
 	"github.com/grapple-system/grapple/internal/storage"
 	"github.com/grapple-system/grapple/internal/symbolic"
 	"github.com/grapple-system/grapple/internal/workload"
@@ -77,7 +76,6 @@ func RunSubject(name string, opts RunOptions) (*SubjectRun, error) {
 		Engine: engine.Options{
 			MemoryBudget: budget,
 			CacheSize:    cacheSize,
-			SolverOpts:   smt.DefaultOptions(),
 		},
 	})
 	start := time.Now()
@@ -301,8 +299,7 @@ func Table5(names []string, workDir string, memoryBudget int64, naiveTimeout tim
 		en := engine.New(ic, ag.Ptr.G, engine.Options{
 			Dir:          filepath.Join(dir, name+"-grapple"),
 			MemoryBudget: memoryBudget,
-			SolverOpts:   smt.DefaultOptions(),
-		}, nil)
+		})
 		gStats, err := en.Run(cloneEdges(ag.Edges), ag.NumVerts)
 		if err != nil {
 			return "", nil, err
@@ -432,9 +429,7 @@ func graphsFor(name string) (*cfet.ICFET, *pgraph.AliasGraph, []storage.Edge, er
 		return nil, nil, nil, err
 	}
 	defer os.RemoveAll(dir)
-	en := engine.New(ic, ag.Ptr.G, engine.Options{
-		Dir: dir, SolverOpts: smt.DefaultOptions(),
-	}, nil)
+	en := engine.New(ic, ag.Ptr.G, engine.Options{Dir: dir})
 	if _, err := en.Run(cloneEdges(ag.Edges), ag.NumVerts); err != nil {
 		return nil, nil, nil, err
 	}

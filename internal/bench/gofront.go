@@ -13,7 +13,6 @@ import (
 	"github.com/grapple-system/grapple/internal/gofront"
 	"github.com/grapple-system/grapple/internal/ir"
 	"github.com/grapple-system/grapple/internal/lang"
-	"github.com/grapple-system/grapple/internal/smt"
 	"github.com/grapple-system/grapple/internal/workload"
 )
 
@@ -94,7 +93,7 @@ func GofrontTable(names []string, goDir, workDir string) (string, []GofrontRow, 
 	// Go multiplies call edges per site, so the variant cap is raised.
 	c := checker.New([]*fsm.FSM{pk.FSM}, checker.Options{
 		WorkDir: dir,
-		Engine:  engine.Options{MaxVariants: 32, SolverOpts: smt.DefaultOptions()},
+		Engine:  engine.Options{MaxVariants: 32},
 	})
 	start := time.Now()
 	res, err := c.CheckIR(prog)

@@ -11,7 +11,6 @@ import (
 	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/faultpoint"
 	"github.com/grapple-system/grapple/internal/fsm"
-	"github.com/grapple-system/grapple/internal/smt"
 	"github.com/grapple-system/grapple/internal/workload"
 )
 
@@ -86,10 +85,7 @@ func resumeReportKey(reports []checker.Report) string {
 func resumeCheckerOpts(dir string) checker.Options {
 	return checker.Options{
 		WorkDir: dir,
-		Engine: engine.Options{
-			MemoryBudget: resumeTableBudget,
-			SolverOpts:   smt.DefaultOptions(),
-		},
+		Engine:  engine.Options{MemoryBudget: resumeTableBudget},
 	}
 }
 
@@ -140,8 +136,8 @@ func runResume(name, workDir string) (ResumeRow, error) {
 		return row, fmt.Errorf("bench: %s: journaled: %w", name, err)
 	}
 	row.WallJournal = time.Since(start)
-	row.Checkpoints = jres.Alias.Checkpoints + jres.Dataflow.Checkpoints
-	row.JournalKiB = float64(jres.Alias.JournalBytes+jres.Dataflow.JournalBytes) / (1 << 10)
+	row.Checkpoints = jres.Alias.IO.JournalAppends + jres.Dataflow.IO.JournalAppends
+	row.JournalKiB = float64(jres.Alias.IO.JournalBytes+jres.Dataflow.IO.JournalBytes) / (1 << 10)
 	row.Boundaries = counter.Count(faultpoint.EngineSuperstep)
 	if got := resumeReportKey(jres.Reports); got != wantReports {
 		return row, fmt.Errorf("bench: %s: journaling changed the reports", name)

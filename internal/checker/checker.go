@@ -222,6 +222,10 @@ type PhaseStats struct {
 	// SlicedBranches counts branch sites skipped because both arms were
 	// property-irrelevant (0 when Options.Slice is off).
 	SlicedBranches int
+	// Unlowered counts Go constructs the frontend soundly over-approximated
+	// (havocked) instead of modeling precisely. It is a frontend-wide count,
+	// reported identically on both phases; always 0 in MiniLang mode.
+	Unlowered int
 	engine.Stats
 }
 
@@ -241,9 +245,6 @@ type Result struct {
 	Flows int
 	// PointsTo holds the recorded phase-1 facts (Options.RecordPointsTo).
 	PointsTo []PointsToFact
-	// Passes is the pre-analysis per-pass cost breakdown (empty when
-	// Options.Prune is off).
-	Passes []metrics.PassStat
 	// CondsDecided is how many branch conditions the pre-analysis proved
 	// constant (not all of them are reached during CFET construction).
 	CondsDecided int64
@@ -313,7 +314,7 @@ var (
 // fingerprints the phase's input into the journal tag, and either starts cold
 // or — under Options.Resume — continues from the phase's journal.
 func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, ic *cfet.ICFET, g *grammar.Grammar,
-	edges []storage.Edge, numVerts uint32, bd *metrics.Breakdown) (*engine.Engine, PhaseStats, error) {
+	edges []storage.Edge, numVerts uint32) (*engine.Engine, PhaseStats, error) {
 	c.Opts.Progress.SetPhase(ph.name)
 	opts := c.Opts.Engine
 	opts.Dir = filepath.Join(workDir, ph.name)
@@ -324,7 +325,7 @@ func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, ic *cf
 		opts.JournalTag = c.journalTag(ph.name, numVerts, len(edges), ic.PathCount())
 		opts.Faults = c.Opts.Faults
 	}
-	en := engine.New(ic, g, opts, bd)
+	en := engine.New(ic, g, opts)
 	sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "phase."+ph.name)
 	var st *engine.Stats
 	var err error
@@ -335,6 +336,8 @@ func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, ic *cf
 		st, err = en.RunContext(ctx, edges, numVerts)
 	}
 	if err != nil {
+		// The phase that failed is the one a trace is opened to find.
+		sp.End(trace.Args{"error": err.Error()})
 		return nil, PhaseStats{}, fmt.Errorf("%s phase: %w", ph.name, err)
 	}
 	sp.End(trace.Args{"iterations": st.Iterations, "edges": st.EdgesAfter})
@@ -440,10 +443,8 @@ type Prepared struct {
 	alias        PhaseStats
 	genTime      time.Duration
 	computeTime  time.Duration
-	breakdown    metrics.Snapshot
 	flowCount    int
 	pointsTo     []PointsToFact
-	passes       []metrics.PassStat
 	condsDecided int64
 }
 
@@ -486,8 +487,7 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 			return nil, fmt.Errorf("pre-analysis: %w", err)
 		}
 		cfetOpts.BranchVerdict = pre.BranchVerdict
-		prep.passes = pre.Passes.Passes()
-		prep.condsDecided, _ = pre.Prune.Snapshot()
+		prep.condsDecided = pre.CondsDecided
 		sp.End(trace.Args{"condsDecided": prep.condsDecided})
 	}
 	sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "callgraph")
@@ -564,10 +564,9 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 	}
 
 	computeStart := time.Now()
-	bd := &metrics.Breakdown{}
 
 	// --- Phase 1: path-sensitive alias closure. ---
-	aliasEngine, alias, err := c.runPhase(ctx, aliasPhase, workDir, ic, ag.Ptr.G, ag.Edges, ag.NumVerts, bd)
+	aliasEngine, alias, err := c.runPhase(ctx, aliasPhase, workDir, ic, ag.Ptr.G, ag.Edges, ag.NumVerts)
 	if err != nil {
 		return nil, err
 	}
@@ -575,7 +574,7 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 
 	// Extract flowsTo facts; held in memory for phase 2 (paper §2.2).
 	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "extract-flows")
-	flows, nflows, err := extractFlows(aliasEngine, ag, ic)
+	flows, nflows, err := extractFlows(aliasEngine, ag)
 	if err != nil {
 		return nil, err
 	}
@@ -586,7 +585,6 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 		prep.pointsTo = pointsToFacts(pr, ag, flows, ic)
 	}
 	prep.computeTime = time.Since(computeStart)
-	prep.breakdown = bd.Snapshot()
 	return prep, nil
 }
 
@@ -608,10 +606,8 @@ func (c *Checker) CheckPrepared(ctx context.Context, prep *Prepared) (*Result, e
 		GenTime:      prep.genTime,
 		Flows:        prep.flowCount,
 		PointsTo:     prep.pointsTo,
-		Passes:       prep.passes,
 		CondsDecided: prep.condsDecided,
 	}
-	bd := &metrics.Breakdown{}
 
 	// --- Phase 2: path-sensitive dataflow/typestate closure. ---
 	c.Opts.Progress.SetPhase("dataflow-build")
@@ -630,7 +626,7 @@ func (c *Checker) CheckPrepared(ctx context.Context, prep *Prepared) (*Result, e
 	}
 
 	computeStart := time.Now()
-	dfEngine, dataflow, err := c.runPhase(ctx, dataflowPhase, workDir, ic, dg.D.G, dg.Edges, dg.NumVerts, bd)
+	dfEngine, dataflow, err := c.runPhase(ctx, dataflowPhase, workDir, ic, dg.D.G, dg.Edges, dg.NumVerts)
 	if err != nil {
 		return nil, err
 	}
@@ -645,13 +641,8 @@ func (c *Checker) CheckPrepared(ctx context.Context, prep *Prepared) (*Result, e
 	}
 	sp.End(trace.Args{"reports": len(res.Reports)})
 	res.ComputeTime = prep.computeTime + time.Since(computeStart)
-	s := bd.Snapshot()
-	res.Breakdown = metrics.Snapshot{
-		IO:      prep.breakdown.IO + s.IO,
-		Decode:  prep.breakdown.Decode + s.Decode,
-		Solve:   prep.breakdown.Solve + s.Solve,
-		Compute: prep.breakdown.Compute + s.Compute,
-	}
+	res.Breakdown = prep.alias.Breakdown
+	res.Breakdown.Add(dataflow.Breakdown)
 	return res, nil
 }
 
@@ -673,7 +664,7 @@ func dumpDOT(path string, write func(*os.File) error) error {
 
 // extractFlows turns phase-1 flowsTo edges into per-object alias facts and
 // counts distinct pointees per variable instance (for must-alias upgrades).
-func extractFlows(en *engine.Engine, ag *pgraph.AliasGraph, ic *cfet.ICFET) (pgraph.AliasResult, int, error) {
+func extractFlows(en *engine.Engine, ag *pgraph.AliasGraph) (pgraph.AliasResult, int, error) {
 	flows := pgraph.AliasResult{
 		Flows:    map[pgraph.ObjID][]pgraph.FlowTarget{},
 		Pointees: map[pgraph.VarKey]int{},
@@ -705,7 +696,6 @@ func extractFlows(en *engine.Engine, ag *pgraph.AliasGraph, ic *cfet.ICFET) (pgr
 	for vk, objs := range varObjs {
 		flows.Pointees[vk] = len(objs)
 	}
-	_ = ic
 	return flows, n, err
 }
 

@@ -2,6 +2,9 @@ package checker
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -111,5 +114,36 @@ func TestTracingPreservesReports(t *testing.T) {
 				t.Fatalf("final phase %q, want fsm-check", prog.Snapshot().Phase)
 			}
 		})
+	}
+}
+
+// TestFailedPhaseKeepsItsSpan: the trace of a run that dies in a closure
+// phase must still hold that phase's span, carrying the error — the phase
+// that failed is the one the trace is opened to find. A context cancelled
+// before the check starts fails the alias phase at its first superstep.
+func TestFailedPhaseKeepsItsSpan(t *testing.T) {
+	var jsonl bytes.Buffer
+	rec := trace.NewWriters(nil, &jsonl)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := New(fsm.Builtins(), Options{WorkDir: t.TempDir(), Trace: rec})
+	if _, err := c.CheckSourceContext(ctx, obsIdentitySubjects[0].src); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled check returned %v, want context.Canceled", err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var span struct {
+		Args map[string]any `json:"args"`
+	}
+	for _, line := range bytes.Split(jsonl.Bytes(), []byte("\n")) {
+		if bytes.Contains(line, []byte(`"name":"phase.alias"`)) {
+			if err := json.Unmarshal(line, &span); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if msg, _ := span.Args["error"].(string); msg != context.Canceled.Error() {
+		t.Fatalf("phase.alias span args %v, want the cancellation as \"error\"; trace:\n%s", span.Args, jsonl.Bytes())
 	}
 }

@@ -114,9 +114,9 @@ func TestCheckerResumeAtEveryBoundary(t *testing.T) {
 	if len(ref.Reports) == 0 {
 		t.Fatal("reference run found no reports; subject too small to mean anything")
 	}
-	if ref.Alias.Checkpoints == 0 || ref.Dataflow.Checkpoints == 0 {
+	if ref.Alias.IO.JournalAppends == 0 || ref.Dataflow.IO.JournalAppends == 0 {
 		t.Fatalf("phases did not checkpoint: alias=%d dataflow=%d",
-			ref.Alias.Checkpoints, ref.Dataflow.Checkpoints)
+			ref.Alias.IO.JournalAppends, ref.Dataflow.IO.JournalAppends)
 	}
 	boundaries := refFaults.Count(faultpoint.EngineSuperstep)
 	if boundaries < 4 {

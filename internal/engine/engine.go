@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/grapple-system/grapple/internal/cfet"
@@ -48,8 +47,6 @@ type Options struct {
 	// engine working on the same compilation unit must use the same prefix
 	// and engines on different units must use different ones.
 	CacheKeyPrefix string
-	// SolverOpts tunes the SMT solver.
-	SolverOpts smt.Options
 	// MaxVariants caps distinct constraint variants kept per (src, dst,
 	// label); beyond it the edge widens to the unconstrained variant. Zero
 	// means 6.
@@ -82,7 +79,12 @@ type Options struct {
 	Progress *trace.Progress
 }
 
-// Stats reports everything the evaluation tables need.
+// Stats is the engine's counters — everything the evaluation tables need —
+// and it is the state itself, not a view of it: the goroutine running
+// RunContext or ResumeContext is its only writer. Join workers tally into
+// their own joinScratch.counts and processPair folds those in after the
+// superstep's wg.Wait(); observers on other goroutines get a copy pushed
+// through Options.Progress at superstep boundaries.
 type Stats struct {
 	EdgesBefore       int64
 	EdgesAfter        int64
@@ -95,8 +97,6 @@ type Stats struct {
 	RejectedUnsat     int64 // candidate edges pruned by path sensitivity
 	RejectedConflict  int64 // pruned structurally by encoding merge
 	Widened           int64 // variants widened at the per-endpoint cap
-	Checkpoints       int64 // journal records made durable (0 when not journaling)
-	JournalBytes      int64 // bytes appended to the run journal
 	PreprocessTime    time.Duration
 	ComputeTime       time.Duration
 	SolveTime         time.Duration // summed across workers
@@ -104,8 +104,11 @@ type Stats struct {
 	// only), bucketed by metrics.SolveLatencyBuckets.
 	SolveLatency metrics.LatencyCounts
 	// IO reports the partition store's traffic: bytes moved, cache and
-	// prefetch effectiveness, and the perceived load-latency histogram.
+	// prefetch effectiveness, the perceived load-latency histogram, and the
+	// run journal's checkpoints and bytes (0 when not journaling).
 	IO metrics.IOSnapshot
+	// Breakdown is the run's Figure-9 cost split, summed across workers.
+	Breakdown metrics.Snapshot
 }
 
 // partition is one vertex-interval partition: its entry in the partition
@@ -191,9 +194,7 @@ type Engine struct {
 	opts  Options
 	ic    *cfet.ICFET
 	g     *grammar.Grammar
-	bd    *metrics.Breakdown
 	cache *smt.Cache
-	io    *metrics.IOStats
 	pf    *prefetcher
 
 	// parts is the partition table, in interval order.
@@ -242,18 +243,12 @@ type Engine struct {
 	jw   *storage.JournalWriter
 	jseq uint64
 
-	// solve histograms per-call SMT latencies (internally atomic).
-	solve metrics.SolveHist
-
-	// stats and parts are written by the run goroutine under mu so that
-	// Stats() can be called concurrently with a running computation (the
-	// progress heartbeat and debug server do exactly that).
+	// stats is written by the run goroutine only (see Stats).
 	stats Stats
-	mu    sync.Mutex
 }
 
 // New creates an engine over an ICFET index and a grammar.
-func New(ic *cfet.ICFET, g *grammar.Grammar, opts Options, bd *metrics.Breakdown) *Engine {
+func New(ic *cfet.ICFET, g *grammar.Grammar, opts Options) *Engine {
 	if opts.MemoryBudget <= 0 {
 		opts.MemoryBudget = 256 << 20
 	}
@@ -263,17 +258,11 @@ func New(ic *cfet.ICFET, g *grammar.Grammar, opts Options, bd *metrics.Breakdown
 	if opts.MaxVariants <= 0 {
 		opts.MaxVariants = 6
 	}
-	if bd == nil {
-		bd = &metrics.Breakdown{}
-	}
-	io := &metrics.IOStats{}
 	e := &Engine{
 		opts:     opts,
 		ic:       ic,
 		g:        g,
-		bd:       bd,
-		io:       io,
-		pf:       newPrefetcher(io),
+		pf:       newPrefetcher(),
 		lastGen:  map[[2]int]uint32{},
 		keys:     map[uint64]struct{}{},
 		variants: map[storage.Endpoint]int{},
@@ -291,17 +280,14 @@ func New(ic *cfet.ICFET, g *grammar.Grammar, opts Options, bd *metrics.Breakdown
 	return e
 }
 
-// Stats returns a snapshot of the engine's counters. Cache lookups and hits
-// are counted by this engine's own probes, so they stay per-instance even
-// when Options.Cache shares one store across many engines. Safe to call
-// while RunContext is executing on another goroutine.
+// Stats returns a copy of the engine's counters. Cache lookups and hits are
+// counted by this engine's own probes, so they stay per-instance even when
+// Options.Cache shares one store across many engines. It reads the run
+// goroutine's state without synchronisation: call it on that goroutine or
+// once the run has returned. A live run is watched through Options.Progress.
 func (en *Engine) Stats() Stats {
-	en.mu.Lock()
 	s := en.stats
 	s.Partitions = len(en.parts)
-	en.mu.Unlock()
-	s.SolveLatency = en.solve.Snapshot()
-	s.IO = en.io.Snapshot()
 	return s
 }
 
@@ -316,9 +302,9 @@ func (en *Engine) Run(initial []storage.Edge, numVertices uint32) (*Stats, error
 // done, leaving any partially-computed partitions on disk.
 func (en *Engine) RunContext(ctx context.Context, initial []storage.Edge, numVertices uint32) (*Stats, error) {
 	start := time.Now()
-	// On every exit path, wait out in-flight background loads so no
-	// goroutine outlives the run, and close the journal.
-	defer en.pf.drain()
+	// On every exit path, wait out in-flight background loads and close the
+	// journal.
+	defer en.drainPrefetch()
 	defer en.closeJournal()
 	if err := os.MkdirAll(en.opts.Dir, 0o755); err != nil {
 		return nil, err
@@ -340,9 +326,7 @@ func (en *Engine) RunContext(ctx context.Context, initial []storage.Edge, numVer
 			return nil, err
 		}
 	}
-	en.mu.Lock()
 	en.stats.PreprocessTime = time.Since(start)
-	en.mu.Unlock()
 	return en.runLoop(ctx)
 }
 
@@ -367,9 +351,7 @@ func (en *Engine) runLoop(ctx context.Context) (*Stats, error) {
 		if err != nil {
 			return nil, err
 		}
-		en.mu.Lock()
 		en.stats.Iterations++
-		en.mu.Unlock()
 		if observe {
 			en.observeSuperstep(sp, i, j, firsts)
 		}
@@ -389,24 +371,26 @@ func (en *Engine) runLoop(ctx context.Context) (*Stats, error) {
 	}
 	// Drain before the final snapshot so never-consumed prefetches are
 	// counted as wasted in the returned stats.
-	en.pf.drain()
+	en.drainPrefetch()
 	if err := en.evictAll(); err != nil {
 		return nil, err
 	}
-	en.mu.Lock()
 	en.stats.ComputeTime = time.Since(computeStart)
-	en.mu.Unlock()
 	return en.finalStats(), nil
 }
 
 // finalStats records the closed graph's size and returns the run's counters.
 func (en *Engine) finalStats() *Stats {
-	after := en.EdgesAfter()
-	en.mu.Lock()
-	en.stats.EdgesAfter = after
-	en.mu.Unlock()
+	en.stats.EdgesAfter = en.EdgesAfter()
 	s := en.Stats()
 	return &s
+}
+
+// drainPrefetch waits out in-flight background loads, so that no goroutine
+// outlives the run, and counts the ones nothing consumed. Safe to call more
+// than once.
+func (en *Engine) drainPrefetch() {
+	en.stats.IO.PrefetchWasted += en.pf.drain()
 }
 
 // observeSuperstep emits the completed superstep's trace span and progress
@@ -416,9 +400,7 @@ func (en *Engine) finalStats() *Stats {
 func (en *Engine) observeSuperstep(sp trace.Span, i, j, firsts int) {
 	dirty := en.dirtyPairs()
 	edges := en.EdgesAfter()
-	en.mu.Lock()
-	s := en.stats
-	en.mu.Unlock()
+	s := &en.stats
 	sp.End(trace.Args{
 		"pair":         trace.Pair(i, j),
 		"frontier":     firsts,
@@ -427,7 +409,7 @@ func (en *Engine) observeSuperstep(sp trace.Span, i, j, firsts int) {
 		"solved":       s.ConstraintsSolved,
 		"cacheHits":    s.CacheHits,
 		"cacheLookups": s.CacheLookups,
-		"journalBytes": s.JournalBytes,
+		"journalBytes": s.IO.JournalBytes,
 	})
 	en.opts.Progress.Update(trace.EngineUpdate{
 		Frontier:   int64(firsts),
@@ -436,7 +418,7 @@ func (en *Engine) observeSuperstep(sp trace.Span, i, j, firsts int) {
 		Solved:     s.ConstraintsSolved,
 		CacheHits:  s.CacheHits,
 		CacheLkps:  s.CacheLookups,
-		IO:         en.io.Snapshot(),
+		IO:         s.IO,
 	})
 }
 
@@ -483,9 +465,7 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) error {
 			all = append(all, v)
 		}
 	}
-	en.mu.Lock()
 	en.stats.EdgesBefore = int64(len(all))
-	en.mu.Unlock()
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Src != all[j].Src {
 			return all[i].Src < all[j].Src
@@ -509,9 +489,7 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) error {
 		if err := en.writePart(p, cur); err != nil {
 			return err
 		}
-		en.mu.Lock()
 		en.parts = append(en.parts, p)
-		en.mu.Unlock()
 		cur, curBytes = nil, 0
 		lo = hi
 		return nil
@@ -662,7 +640,7 @@ func (en *Engine) load(idx int) (*partition, error) {
 	en.tick++
 	if p.mem != nil {
 		p.mem.lastUse = en.tick
-		en.io.CacheHit()
+		en.stats.IO.CacheHits++
 		return p, nil
 	}
 	edges, err := en.readPart(p)
@@ -685,9 +663,7 @@ func (en *Engine) readPart(p *partition) ([]storage.Edge, error) {
 	if ok {
 		// The join only waited this long; the disk time itself overlapped
 		// the previous iteration's computation.
-		en.bd.AddIO(waited)
-		en.io.PrefetchHit(res.bytes, waited)
-		en.traceIO("prefetch-hit", p.id, res.bytes, waited)
+		en.ioDone("prefetch-hit", p.id, res.bytes, waited)
 	} else {
 		ioStart := time.Now()
 		// p.edges counts the file's edges plus the pending ones load merges:
@@ -697,10 +673,7 @@ func (en *Engine) readPart(p *partition) ([]storage.Edge, error) {
 		if err != nil {
 			return nil, err
 		}
-		d := time.Since(ioStart)
-		en.bd.AddIO(d)
-		en.io.AddRead(res.bytes, d)
-		en.traceIO("load", p.id, res.bytes, d)
+		en.ioDone("load", p.id, res.bytes, time.Since(ioStart))
 	}
 	if err := checkInterval(p.path, res.info, p.lo, p.hi); err != nil {
 		return nil, err
@@ -724,17 +697,21 @@ func checkInterval(path string, info storage.PartInfo, lo, hi uint32) error {
 // writePart replaces p's file with edges. Any prefetch of the file is
 // invalidated first: the bytes it read predate the write.
 func (en *Engine) writePart(p *partition, edges []storage.Edge) error {
-	en.pf.invalidate(p)
+	en.invalidatePrefetch(p)
 	ioStart := time.Now()
 	n, err := storage.WritePart(p.path, edges, storage.PartInfo{Lo: p.lo, Hi: p.hi})
 	if err != nil {
 		return err
 	}
-	d := time.Since(ioStart)
-	en.bd.AddIO(d)
-	en.io.AddWrite(n)
-	en.traceIO("write", p.id, n, d)
+	en.ioDone("write", p.id, n, time.Since(ioStart))
 	return nil
+}
+
+// invalidatePrefetch discards any prefetch of p's file ahead of a write to it.
+func (en *Engine) invalidatePrefetch(p *partition) {
+	if en.pf.invalidate(p) {
+		en.stats.IO.PrefetchStale++
+	}
 }
 
 // writeBack makes a loaded partition's file equal to its memory.
@@ -759,7 +736,7 @@ func (en *Engine) evict(p *partition) error {
 		return err
 	}
 	p.mem = nil
-	en.io.Eviction()
+	en.stats.IO.Evictions++
 	return nil
 }
 
@@ -821,27 +798,48 @@ func (en *Engine) flushPending(force bool) error {
 // file is invalidated first: a reader racing the in-place append may see a
 // torn block, and the bytes it read predate the append anyway.
 func (en *Engine) appendPending(p *partition) error {
-	en.pf.invalidate(p)
+	en.invalidatePrefetch(p)
 	ioStart := time.Now()
 	n, err := storage.AppendPart(p.path, p.pending)
 	if err != nil {
 		return err
 	}
-	d := time.Since(ioStart)
-	en.bd.AddIO(d)
-	en.io.AddAppend(n)
-	en.traceIO("append", p.id, n, d)
+	en.ioDone("append", p.id, n, time.Since(ioStart))
 	p.pending = nil
 	return nil
 }
 
-// traceIO emits one storage instant event when tracing is enabled. The
-// enabled check keeps the disabled path allocation-free.
-func (en *Engine) traceIO(op string, part int, bytes int64, d time.Duration) {
-	if !en.opts.Trace.Enabled() {
+// ioDone books one finished storage operation of n bytes that the run
+// goroutine spent d on: Figure 9's I/O share, the operation's traffic
+// counters and — for partition traffic, when tracing is on — one storage
+// instant named op. A checkpoint's journal append is reported by its span
+// instead.
+func (en *Engine) ioDone(op string, part int, n int64, d time.Duration) {
+	en.stats.Breakdown.IO += d
+	io := &en.stats.IO
+	switch op {
+	case "prefetch-hit":
+		io.PrefetchHits++
+		fallthrough
+	case "load":
+		io.Loads++
+		io.BytesRead += n
+		io.LoadLatency.Observe(metrics.LoadLatencyBuckets, d)
+	case "write":
+		io.Writes++
+		io.BytesWritten += n
+	case "append":
+		io.Appends++
+		io.BytesWritten += n
+	case "journal":
+		io.JournalAppends++
+		io.JournalBytes += n
 		return
 	}
-	en.opts.Trace.Instant(en.opts.TraceTID, "storage", op, trace.Args{
-		"part": part, "bytes": bytes, "us": d.Microseconds(),
-	})
+	// The enabled check keeps the disabled path allocation-free.
+	if en.opts.Trace.Enabled() {
+		en.opts.Trace.Instant(en.opts.TraceTID, "storage", op, trace.Args{
+			"part": part, "bytes": n, "us": d.Microseconds(),
+		})
+	}
 }

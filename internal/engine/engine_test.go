@@ -28,7 +28,7 @@ func runEngine(t *testing.T, ic *cfet.ICFET, g *grammar.Grammar, opts Options, e
 	if opts.Dir == "" {
 		opts.Dir = t.TempDir()
 	}
-	en := New(ic, g, opts, nil)
+	en := New(ic, g, opts)
 	st, err := en.Run(edges, nv)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +392,7 @@ func TestDeferRepartition(t *testing.T) {
 	for i := uint32(0); i+1 < n; i++ {
 		edges = append(edges, flowEdge(i, i+1, d.Flow))
 	}
-	deferred := New(emptyICFET(), d.G, Options{Dir: t.TempDir(), MemoryBudget: 8192}, nil)
+	deferred := New(emptyICFET(), d.G, Options{Dir: t.TempDir(), MemoryBudget: 8192})
 	deferred.noSplit = true
 	st, err := deferred.Run(edges, n)
 	if err != nil {

@@ -19,9 +19,9 @@ func startEngine(t *testing.T, ic *cfet.ICFET, g *grammar.Grammar, opts Options,
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	en := New(ic, g, opts, nil)
+	en := New(ic, g, opts)
 	en.noSplit = true
-	t.Cleanup(en.pf.drain)
+	t.Cleanup(en.drainPrefetch)
 	if err := en.preprocess(edges, nv); err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestExpansionTableMatchesReference(t *testing.T) {
 		"chain":    chain,
 	}
 	for name, g := range grammars {
-		en := New(emptyICFET(), g, Options{}, nil)
+		en := New(emptyICFET(), g, Options{})
 		for l := 0; l <= g.NumLabels(); l++ { // NumLabels itself: a label outside the table
 			for _, ends := range [][2]uint32{{3, 9}, {5, 5}} {
 				e := storage.Edge{Src: ends[0], Dst: ends[1], Label: grammar.Label(l), Gen: 4}

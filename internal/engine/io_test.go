@@ -4,8 +4,10 @@ import (
 	"errors"
 	"sort"
 	"testing"
+	"time"
 
 	"github.com/grapple-system/grapple/internal/grammar"
+	"github.com/grapple-system/grapple/internal/metrics"
 	"github.com/grapple-system/grapple/internal/storage"
 )
 
@@ -31,6 +33,26 @@ func closureKeys(t *testing.T, en *Engine) []uint64 {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys
+}
+
+// TestIODoneCounters pins what each storage operation books: its bytes and
+// count, a load-latency observation for the two kinds of load, and the time
+// under Figure 9's I/O share whatever the operation.
+func TestIODoneCounters(t *testing.T) {
+	en := New(emptyICFET(), grammar.NewDataflow().G, Options{})
+	en.ioDone("load", 0, 1000, 80*time.Microsecond)
+	en.ioDone("prefetch-hit", 1, 3000, 5*time.Microsecond)
+	en.ioDone("write", 0, 500, time.Millisecond)
+	en.ioDone("append", 1, 50, time.Millisecond)
+	en.ioDone("journal", -1, 70, time.Millisecond)
+	want := metrics.IOSnapshot{
+		BytesRead: 4000, BytesWritten: 550, Loads: 2, Writes: 1, Appends: 1,
+		PrefetchHits: 1, JournalAppends: 1, JournalBytes: 70,
+		LoadLatency: metrics.LatencyCounts{0: 1, 1: 1},
+	}
+	if st := en.Stats(); st.IO != want || st.Breakdown != (metrics.Snapshot{IO: 3085 * time.Microsecond}) {
+		t.Fatalf("booked\n %+v (breakdown %+v), want\n %+v", st.IO, st.Breakdown, want)
+	}
 }
 
 func TestIOStatsReported(t *testing.T) {
@@ -80,7 +102,7 @@ func TestPrefetchOverlapsLoads(t *testing.T) {
 func runEngineNoPrefetch(t *testing.T, g *grammar.Grammar, opts Options, edges []storage.Edge, nv uint32) (*Engine, *Stats) {
 	t.Helper()
 	opts.Dir = t.TempDir()
-	en := New(emptyICFET(), g, opts, nil)
+	en := New(emptyICFET(), g, opts)
 	en.noPrefetch = true
 	st, err := en.Run(edges, nv)
 	if err != nil {

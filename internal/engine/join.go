@@ -11,6 +11,7 @@ import (
 
 	"github.com/grapple-system/grapple/internal/cfet"
 	"github.com/grapple-system/grapple/internal/fsm"
+	"github.com/grapple-system/grapple/internal/metrics"
 	"github.com/grapple-system/grapple/internal/smt"
 	"github.com/grapple-system/grapple/internal/storage"
 	"github.com/grapple-system/grapple/internal/trace"
@@ -36,6 +37,9 @@ type joinScratch struct {
 	out    []candidate
 	encBuf cfet.Enc
 	keyBuf []byte
+	// counts is the worker's tally for the superstep, left for processPair to
+	// fold into Engine.stats once wg.Wait() has seen the worker return.
+	counts joinCounts
 	// arena backs the encodings of the candidates that survive dedupe and
 	// the solver. Unlike the buffers above it is never rewound: inserted
 	// edges keep pointing into its chunks, which live exactly as long as
@@ -213,6 +217,10 @@ func (en *Engine) processPair(i, j int) (int, error) {
 		en.speculate()
 	}
 	wg.Wait()
+	// The wait orders every worker's writes to its scratch before these reads.
+	for _, scr := range en.scratch[:workers] {
+		en.fold(&scr.counts)
+	}
 
 	// Insert candidates (single-threaded: dedupe set and partitions), in
 	// chunk order — the order one worker would have produced them in,
@@ -223,7 +231,7 @@ func (en *Engine) processPair(i, j int) (int, error) {
 			en.insert(&c.scr.out[k].edge, c.scr.out[k].payload)
 		}
 	}
-	en.bd.AddCompute(time.Since(computeStart))
+	en.stats.Breakdown.Compute += time.Since(computeStart)
 
 	// Edges induced during this very iteration carry generation gen and still
 	// need to be joined against everything, so all three sub-join stamps
@@ -265,8 +273,8 @@ func (en *Engine) speculate() {
 		return
 	}
 	for _, p := range [2]*partition{en.parts[i], en.parts[j]} {
-		if p.mem == nil {
-			en.pf.start(p)
+		if p.mem == nil && en.pf.start(p) {
+			en.stats.IO.PrefetchIssued++
 		}
 	}
 }
@@ -295,10 +303,10 @@ func appendEncCacheKey(dst []byte, enc cfet.Enc) []byte {
 	return dst
 }
 
-// joinCounts is what a join worker tallies locally over the chunks it claims
-// and folds into the shared counters once per superstep.
+// joinCounts is what a join worker tallies over the chunks it claims in one
+// superstep.
 type joinCounts struct {
-	cacheLookups, cacheHits, conflicts, unsats int64
+	cacheLookups, cacheHits, conflicts, unsats, solves int64
 	// No clock is read per candidate: Merge is timed on every
 	// mergeTimeStride-th one and the total extrapolated from the sample, so
 	// Figure 9's "constraint lookup" share survives without two time.Now()
@@ -306,16 +314,36 @@ type joinCounts struct {
 	// are rare and expensive enough to time individually.
 	merges, mergesTimed               int64
 	mergeTimed, decodeTime, solveTime time.Duration
+	// solveLatency histograms the individually timed solves; computeTime is
+	// the worker's whole time in the join.
+	solveLatency metrics.LatencyCounts
+	computeTime  time.Duration
+}
+
+// fold adds one worker's superstep tally to the engine's counters. Run
+// goroutine only.
+func (en *Engine) fold(c *joinCounts) {
+	st := &en.stats
+	st.ConstraintsSolved += c.solves
+	st.CacheLookups += c.cacheLookups
+	st.CacheHits += c.cacheHits
+	st.RejectedConflict += c.conflicts
+	st.RejectedUnsat += c.unsats
+	st.SolveTime += c.solveTime
+	st.SolveLatency.Add(c.solveLatency)
+	st.Breakdown.Compute += c.computeTime
+	st.Breakdown.Decode += c.decodeTime
+	st.Breakdown.Solve += c.solveTime
 }
 
 // joinWorker claims chunks of the frontier from next until none are left,
 // joins each into scr.out and records the segment it produced. The solver,
 // the scratch buffers and the survivor arena are the worker's, not the
-// chunk's: they are set up, and the counters merged under en.mu, once per
+// chunk's: they are set up, and the tally left in scr.counts, once per
 // worker per superstep. Runs concurrently; touches only read-only engine
 // state plus its own solver and scratch and the chunk entries it claimed.
 func (en *Engine) joinWorker(jn *passJoin, scr *joinScratch, next *atomic.Int64) {
-	solver := smt.New(en.opts.SolverOpts)
+	solver := smt.New(smt.DefaultOptions())
 	scr.out = scr.out[:0]
 	var c joinCounts
 	computeStart := time.Now()
@@ -331,20 +359,12 @@ func (en *Engine) joinWorker(jn *passJoin, scr *joinScratch, next *atomic.Int64)
 		en.joinRange(jn, lo, hi, solver, scr, &c)
 		ch.hi = len(scr.out)
 	}
-	en.bd.AddCompute(time.Since(computeStart))
+	c.computeTime = time.Since(computeStart)
 	if c.mergesTimed > 0 {
 		c.decodeTime += time.Duration(int64(c.mergeTimed) * c.merges / c.mergesTimed)
 	}
-	en.bd.AddDecode(c.decodeTime)
-	en.bd.AddSolve(c.solveTime)
-	en.mu.Lock()
-	en.stats.ConstraintsSolved += solver.Calls
-	en.stats.CacheLookups += c.cacheLookups
-	en.stats.CacheHits += c.cacheHits
-	en.stats.RejectedConflict += c.conflicts
-	en.stats.RejectedUnsat += c.unsats
-	en.stats.SolveTime += c.solveTime
-	en.mu.Unlock()
+	c.solves = solver.Calls
+	scr.counts = c
 }
 
 // joinRange joins firsts[lo:hi] against the loaded second edges and appends
@@ -427,7 +447,7 @@ func (en *Engine) joinRange(jn *passJoin, lo, hi int, solver *smt.Solver, scr *j
 						verdict = solver.Solve(conj)
 						d := time.Since(solveStart)
 						c.solveTime += d
-						en.solve.Observe(d)
+						c.solveLatency.Observe(metrics.SolveLatencyBuckets, d)
 					}
 					if en.cache != nil {
 						en.cache.PutBytes(keyBuf, verdict)
@@ -500,9 +520,7 @@ func (en *Engine) insert(e *storage.Edge, payload uint64) {
 			if skeleton {
 				v.Enc = v.Enc.Skeleton()
 			}
-			en.mu.Lock()
 			en.stats.Widened++
-			en.mu.Unlock()
 		}
 		en.keys[k] = struct{}{}
 		en.variants[ep]++
@@ -534,9 +552,7 @@ func (en *Engine) repartition(idx int) error {
 	if mid <= p.lo || mid >= p.hi {
 		return nil
 	}
-	en.mu.Lock()
 	en.stats.Repartitions++
-	en.mu.Unlock()
 
 	// The low half stays loaded in p; the high half becomes a new partition
 	// np, written out and not loaded.
@@ -601,9 +617,7 @@ func (en *Engine) repartition(idx int) error {
 	// partOf searches the table by interval: np goes right after p. Nothing
 	// else moves — every other piece of per-partition state hangs off the
 	// partition itself or is keyed by its id.
-	en.mu.Lock()
 	en.parts = slices.Insert(en.parts, idx+1, np)
-	en.mu.Unlock()
 	return nil
 }
 

@@ -140,13 +140,8 @@ func (en *Engine) checkpoint(completed bool) error {
 	if err != nil {
 		return err
 	}
-	en.bd.AddIO(time.Since(ioStart))
-	en.io.AddJournal(n)
+	en.ioDone("journal", -1, n, time.Since(ioStart))
 	en.jseq++
-	en.mu.Lock()
-	en.stats.Checkpoints++
-	en.stats.JournalBytes += n
-	en.mu.Unlock()
 	sp.End(trace.Args{"seq": rec.Seq, "journalBytes": n, "completed": completed})
 	if completed {
 		en.closeJournal()
@@ -191,7 +186,7 @@ func (en *Engine) Resume(numVertices uint32) (*Stats, error) {
 // journal wraps storage.ErrNoJournal, a damaged one storage.ErrCorrupt, a
 // mismatched one ErrStale — resume never silently starts cold.
 func (en *Engine) ResumeContext(ctx context.Context, numVertices uint32) (*Stats, error) {
-	defer en.pf.drain()
+	defer en.drainPrefetch()
 	jw, meta, recs, err := storage.OpenJournal(en.opts.Dir, en.opts.Faults)
 	if err != nil {
 		return nil, err
@@ -231,7 +226,7 @@ func (en *Engine) restoreFrom(rec *storage.JournalRecord, numVertices uint32) er
 		if err != nil {
 			return err
 		}
-		en.bd.AddIO(time.Since(ioStart))
+		en.stats.Breakdown.IO += time.Since(ioStart)
 		if err := checkInterval(path, info, jp.Lo, jp.Hi); err != nil {
 			return err
 		}
@@ -277,9 +272,7 @@ func (en *Engine) restoreFrom(rec *storage.JournalRecord, numVertices uint32) er
 		if p.id == rec.HotB {
 			en.hot[1] = p
 		}
-		en.mu.Lock()
 		en.parts = append(en.parts, p)
-		en.mu.Unlock()
 	}
 	if len(en.parts) == 0 {
 		return fmt.Errorf("engine: %s: %w: journal record has no partitions", en.opts.Dir, storage.ErrCorrupt)
@@ -304,11 +297,9 @@ func (en *Engine) restoreFrom(rec *storage.JournalRecord, numVertices uint32) er
 		en.lastGen[[2]int{g.A, g.B}] = g.Gen
 	}
 	en.curGen = rec.CurGen
-	en.mu.Lock()
 	en.stats.Iterations = rec.Iterations
 	en.stats.EdgesBefore = rec.EdgesBefore
 	en.stats.Repartitions = rec.Repartitions
 	en.stats.Widened = rec.Widened
-	en.mu.Unlock()
 	return nil
 }

@@ -3,51 +3,72 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/grapple-system/grapple/internal/grammar"
 	"github.com/grapple-system/grapple/internal/trace"
 )
 
-// TestStatsConcurrentWithRun pins the Stats() contract the progress
-// heartbeat and debug server rely on: it may be called from another
-// goroutine at any point during a run (including while the prefetcher is
-// active) without racing the engine's own stats writes. Run under -race by
-// `make race`.
-func TestStatsConcurrentWithRun(t *testing.T) {
-	d := grammar.NewDataflow()
-	opts := Options{MemoryBudget: 4096, Dir: t.TempDir()}
-	en := New(emptyICFET(), d.G, opts, nil)
-
-	done := make(chan struct{})
+// TestObservedRunIsRaceFree watches a run the way the CLI does — a heartbeat
+// goroutine rewriting status.json every millisecond and a second reader
+// polling Progress.Snapshot() throughout — while the engine does everything
+// that writes a counter: eight join workers, several partitions and a split,
+// eviction, the prefetcher, a journal. The counters have no lock of their
+// own: the run goroutine is their only writer and pushes a copy through
+// Progress at each superstep boundary, so under `make race` any other writer
+// or any shared reference shows up here. The last pushed copy must agree
+// with the returned Stats on everything the work after the last superstep
+// (the final checkpoint and write-back) cannot move.
+func TestObservedRunIsRaceFree(t *testing.T) {
+	// Sized so that one superstep's frontier is more chunks than workers.
+	const n = 320
+	ic, d, edges := joinChain(t, n)
+	prog := trace.NewProgress()
+	stop := prog.Heartbeat(time.Millisecond, io.Discard, filepath.Join(t.TempDir(), "status.json"))
+	polled := make(chan int)
+	quit := make(chan struct{})
 	go func() {
-		defer close(done)
+		polls := 0
 		for {
 			select {
-			case <-done:
+			case <-quit:
+				polled <- polls
 				return
 			default:
 			}
-			s := en.Stats()
-			if s.Iterations < 0 || s.Partitions < 0 {
-				panic("implausible snapshot")
+			if s := prog.Snapshot(); s.CacheHits > s.CacheLookups {
+				panic("torn snapshot")
 			}
+			polls++
 		}
 	}()
-	if _, err := en.Run(chainEdges(40, d.Flow), 40); err != nil {
-		t.Fatal(err)
+	en, st := runEngine(t, ic, d.G, Options{
+		MemoryBudget: 96 << 10, Workers: 8, Journal: true, JournalTag: 7, Progress: prog,
+	}, edges, n)
+	close(quit)
+	if polls := <-polled; polls == 0 {
+		t.Fatal("the poller never ran")
 	}
-	done <- struct{}{}
-	<-done
+	stop()
 
-	final := en.Stats()
-	if final.Iterations == 0 || final.Partitions == 0 {
-		t.Fatalf("final stats empty: %+v", final)
+	if len(en.scratch) != 8 || st.Partitions < 3 || st.Repartitions == 0 || st.IO.PrefetchIssued == 0 ||
+		st.IO.Evictions == 0 || st.IO.JournalAppends == 0 || st.ConstraintsSolved == 0 {
+		t.Fatalf("workload too small to mean anything (%d join workers): %+v", len(en.scratch), st)
 	}
-	if final.SolveLatency.Total() != 0 && final.SolveLatency.Total() > final.ConstraintsSolved {
-		t.Fatalf("solve latency histogram (%d) exceeds solves (%d)",
-			final.SolveLatency.Total(), final.ConstraintsSolved)
+	last := prog.Snapshot()
+	if last.Superstep != st.Iterations || last.Edges != st.EdgesAfter ||
+		last.SolverCalls != st.ConstraintsSolved || last.CacheHits != st.CacheHits ||
+		last.CacheLookups != st.CacheLookups || last.BytesRead != st.IO.BytesRead {
+		t.Fatalf("last pushed snapshot disagrees with the returned stats:\n pushed   %+v\n returned %+v", last, st)
+	}
+	if last.BytesWritten == 0 || last.BytesWritten > st.IO.BytesWritten ||
+		last.JournalBytes == 0 || last.JournalBytes > st.IO.JournalBytes {
+		t.Fatalf("pushed write traffic %d B (journal %d B) is not a prefix of the returned %d B (journal %d B)",
+			last.BytesWritten, last.JournalBytes, st.IO.BytesWritten, st.IO.JournalBytes)
 	}
 }
 
@@ -71,7 +92,7 @@ func TestTraceDoesNotChangeClosure(t *testing.T) {
 		TraceTID:     rec.Thread("engine-test"),
 		Progress:     prog,
 	}
-	enObs := New(emptyICFET(), d.G, opts, nil)
+	enObs := New(emptyICFET(), d.G, opts)
 	stObs, err := enObs.Run(edges, 48)
 	if err != nil {
 		t.Fatal(err)

@@ -64,6 +64,47 @@ func TestFrozenIndexUnderParallelJoin(t *testing.T) {
 	}
 }
 
+// TestWorkerFoldMatchesOneWorker holds the per-worker tallies, folded by the
+// run goroutine after each superstep's wg.Wait(), to the one-worker run: every
+// count that does not depend on which worker met a constraint first is equal,
+// and on either run the solve histogram holds one observation per solver call
+// and Figure 9's solve share is the summed solve time, whichever workers the
+// solves landed on. With the constraint cache off every surviving candidate is
+// solved, so the solves spread over all eight tallies and their number is
+// deterministic too.
+func TestWorkerFoldMatchesOneWorker(t *testing.T) {
+	const n = 192
+	ic, d, edges := joinChain(t, n)
+	for _, cacheSize := range []int{0, -1} {
+		var base *Stats
+		for _, workers := range []int{1, 8} {
+			en, st := runEngine(t, ic, d.G, Options{Workers: workers, CacheSize: cacheSize}, edges, n)
+			if len(en.scratch) != workers {
+				t.Fatalf("%d join workers ran, want %d", len(en.scratch), workers)
+			}
+			if st.ConstraintsSolved == 0 || st.SolveLatency.Total() != st.ConstraintsSolved {
+				t.Fatalf("cache %d, %d workers: solve histogram holds %d observations, solver was called %d times",
+					cacheSize, workers, st.SolveLatency.Total(), st.ConstraintsSolved)
+			}
+			if st.Breakdown.Solve != st.SolveTime || st.Breakdown.Compute <= 0 || st.Breakdown.Decode <= 0 {
+				t.Fatalf("cache %d, %d workers: breakdown %+v against solve time %v", cacheSize, workers, st.Breakdown, st.SolveTime)
+			}
+			if base == nil {
+				base = st
+				continue
+			}
+			if st.CacheLookups != base.CacheLookups || st.RejectedUnsat != base.RejectedUnsat ||
+				st.RejectedConflict != base.RejectedConflict || st.EdgesAfter != base.EdgesAfter ||
+				cacheSize < 0 && st.ConstraintsSolved != base.ConstraintsSolved {
+				t.Fatalf("cache %d: folded counts differ between 1 and %d workers:\n  %+v\n  %+v", cacheSize, workers, base, st)
+			}
+		}
+		if cacheSize < 0 && base.ConstraintsSolved < 100 {
+			t.Fatalf("uncached run solved only %d constraints", base.ConstraintsSolved)
+		}
+	}
+}
+
 // TestCacheProbeZeroAlloc: with the chunk's scratch buffer in place, an SMT-cache probe (key encode + lookup)
 // must not allocate — the key string only materializes when PutBytes
 // actually inserts.
@@ -143,7 +184,7 @@ func BenchmarkEdgeJoin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		en := New(ic, d.G, Options{Dir: b.TempDir(), MemoryBudget: 8 << 10, Workers: 4}, nil)
+		en := New(ic, d.G, Options{Dir: b.TempDir(), MemoryBudget: 8 << 10, Workers: 4})
 		b.StartTimer()
 		st, err := en.Run(edges, n)
 		if err != nil {
@@ -165,7 +206,7 @@ func BenchmarkEdgeJoin(b *testing.B) {
 func joinAllocsPerCandidate(tb testing.TB) (allocs float64, candidates int64) {
 	const n = 192
 	ic, d, edges := joinChain(tb, n)
-	en := New(ic, d.G, Options{Dir: tb.TempDir(), Workers: 1}, nil)
+	en := New(ic, d.G, Options{Dir: tb.TempDir(), Workers: 1})
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

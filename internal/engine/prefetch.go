@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/grapple-system/grapple/internal/metrics"
 	"github.com/grapple-system/grapple/internal/storage"
 )
 
@@ -33,25 +32,23 @@ type prefetcher struct {
 	mu      sync.Mutex
 	entries map[*partition]*prefetchEntry
 	wg      sync.WaitGroup
-	io      *metrics.IOStats
 }
 
-func newPrefetcher(io *metrics.IOStats) *prefetcher {
-	return &prefetcher{entries: map[*partition]*prefetchEntry{}, io: io}
+func newPrefetcher() *prefetcher {
+	return &prefetcher{entries: map[*partition]*prefetchEntry{}}
 }
 
-// start begins loading p's file in the background; no-op when a prefetch
-// for p is already in flight.
-func (pf *prefetcher) start(p *partition) {
+// start begins loading p's file in the background and reports whether it
+// did: false when a prefetch for p is already in flight.
+func (pf *prefetcher) start(p *partition) bool {
 	pf.mu.Lock()
 	if _, dup := pf.entries[p]; dup {
 		pf.mu.Unlock()
-		return
+		return false
 	}
 	e := &prefetchEntry{done: make(chan struct{})}
 	pf.entries[p] = e
 	pf.mu.Unlock()
-	pf.io.PrefetchIssued()
 	pf.wg.Add(1)
 	// Sized and addressed here, on the engine's goroutine: insert keeps
 	// counting edges into p, and a split may redirect its path, while the
@@ -63,6 +60,7 @@ func (pf *prefetcher) start(p *partition) {
 		e.res = prefetched{edges: edges, info: info, bytes: n, err: err}
 		close(e.done)
 	}()
+	return true
 }
 
 // take claims the prefetch for p, blocking until the background read
@@ -91,30 +89,28 @@ func (pf *prefetcher) take(p *partition) (res prefetched, waited time.Duration, 
 	return e.res, waited, true
 }
 
-// invalidate discards any prefetch of p. Callers must invalidate before
+// invalidate discards any prefetch of p and reports whether there was one
+// (a stale prefetch, for the caller to count). Callers must invalidate before
 // writing to a partition file that could be prefetch-in-flight; a reader
 // racing an in-place append may see a torn block, so its result must never
 // be consumed. (Whole-file writes rename and cannot tear, but the
 // pre-rename bytes are equally stale.)
-func (pf *prefetcher) invalidate(p *partition) {
+func (pf *prefetcher) invalidate(p *partition) bool {
 	pf.mu.Lock()
 	_, exists := pf.entries[p]
 	delete(pf.entries, p)
 	pf.mu.Unlock()
-	if exists {
-		pf.io.PrefetchStale()
-	}
+	return exists
 }
 
-// drain waits out in-flight reads and counts never-consumed entries. Safe to
-// call more than once.
-func (pf *prefetcher) drain() {
+// drain waits out in-flight reads and returns how many completed prefetches
+// nothing consumed (wasted ones, for the caller to count). Safe to call more
+// than once.
+func (pf *prefetcher) drain() int64 {
 	pf.wg.Wait()
 	pf.mu.Lock()
 	wasted := len(pf.entries)
 	pf.entries = map[*partition]*prefetchEntry{}
 	pf.mu.Unlock()
-	for i := 0; i < wasted; i++ {
-		pf.io.PrefetchWasted()
-	}
+	return int64(wasted)
 }

@@ -54,7 +54,7 @@ func TestEngineResumeAtEveryBoundary(t *testing.T) {
 	refFaults := faultpoint.New()
 	refOpts := smallOpts(refDir, tag)
 	refOpts.Faults = refFaults
-	refEn := New(emptyICFET(), d.G, refOpts, nil)
+	refEn := New(emptyICFET(), d.G, refOpts)
 	refStats, err := refEn.Run(chainEdges(n, d.Flow), n)
 	if err != nil {
 		t.Fatal(err)
@@ -63,8 +63,8 @@ func TestEngineResumeAtEveryBoundary(t *testing.T) {
 	if refStats.Repartitions == 0 {
 		t.Fatal("workload too small: no repartitions, redirect path untested")
 	}
-	if refStats.Checkpoints < 3 {
-		t.Fatalf("workload too small: %d checkpoints", refStats.Checkpoints)
+	if refStats.IO.JournalAppends < 3 {
+		t.Fatalf("workload too small: %d checkpoints", refStats.IO.JournalAppends)
 	}
 
 	// Ablation: journaling must not change the result.
@@ -86,12 +86,12 @@ func TestEngineResumeAtEveryBoundary(t *testing.T) {
 		faults.Arm(faultpoint.EngineSuperstep, k)
 		opts := smallOpts(dir, tag)
 		opts.Faults = faults
-		en := New(emptyICFET(), d.G, opts, nil)
+		en := New(emptyICFET(), d.G, opts)
 		if _, err := en.Run(chainEdges(n, d.Flow), n); !errors.Is(err, faultpoint.ErrInjected) {
 			t.Fatalf("k=%d: kill did not fire: %v", k, err)
 		}
 		// Fresh objects: nothing survives the "crash" but the disk.
-		ren := New(emptyICFET(), d.G, smallOpts(dir, tag), nil)
+		ren := New(emptyICFET(), d.G, smallOpts(dir, tag))
 		rstats, err := ren.Resume(n)
 		if err != nil {
 			t.Fatalf("k=%d: resume: %v", k, err)
@@ -115,7 +115,7 @@ func TestEngineResumeAfterTornWrites(t *testing.T) {
 	d := grammar.NewDataflow()
 
 	refDir := t.TempDir()
-	refEn := New(emptyICFET(), d.G, smallOpts(refDir, tag), nil)
+	refEn := New(emptyICFET(), d.G, smallOpts(refDir, tag))
 	refStats, err := refEn.Run(chainEdges(n, d.Flow), n)
 	if err != nil {
 		t.Fatal(err)
@@ -130,11 +130,11 @@ func TestEngineResumeAfterTornWrites(t *testing.T) {
 		faults.Arm(faultpoint.JournalAppendMid, 1)
 		opts := smallOpts(dir, tag)
 		opts.Faults = faults
-		en := New(emptyICFET(), d.G, opts, nil)
+		en := New(emptyICFET(), d.G, opts)
 		if _, err := en.Run(chainEdges(n, d.Flow), n); !errors.Is(err, faultpoint.ErrInjected) {
 			t.Fatalf("kill did not fire: %v", err)
 		}
-		ren := New(emptyICFET(), d.G, smallOpts(dir, tag), nil)
+		ren := New(emptyICFET(), d.G, smallOpts(dir, tag))
 		if _, err := ren.Resume(n); !errors.Is(err, storage.ErrCorrupt) {
 			t.Fatalf("resume over a record-less journal: %v", err)
 		}
@@ -147,11 +147,11 @@ func TestEngineResumeAfterTornWrites(t *testing.T) {
 			faults.Arm(point, k)
 			opts := smallOpts(dir, tag)
 			opts.Faults = faults
-			en := New(emptyICFET(), d.G, opts, nil)
+			en := New(emptyICFET(), d.G, opts)
 			if _, err := en.Run(chainEdges(n, d.Flow), n); !errors.Is(err, faultpoint.ErrInjected) {
 				t.Fatalf("%s k=%d: kill did not fire: %v", point, k, err)
 			}
-			ren := New(emptyICFET(), d.G, smallOpts(dir, tag), nil)
+			ren := New(emptyICFET(), d.G, smallOpts(dir, tag))
 			rstats, err := ren.Resume(n)
 			if err != nil {
 				t.Fatalf("%s k=%d: resume: %v", point, k, err)
@@ -168,7 +168,7 @@ func TestEngineResumeAfterTornWrites(t *testing.T) {
 
 func TestEngineResumeMissingJournal(t *testing.T) {
 	d := grammar.NewDataflow()
-	en := New(emptyICFET(), d.G, Options{Dir: t.TempDir(), MemoryBudget: 4096}, nil)
+	en := New(emptyICFET(), d.G, Options{Dir: t.TempDir(), MemoryBudget: 4096})
 	if _, err := en.Resume(10); !errors.Is(err, storage.ErrNoJournal) {
 		t.Fatalf("resume without journal: %v", err)
 	}
@@ -178,17 +178,17 @@ func TestEngineResumeStaleJournal(t *testing.T) {
 	const n = 20
 	d := grammar.NewDataflow()
 	dir := t.TempDir()
-	en := New(emptyICFET(), d.G, smallOpts(dir, 1), nil)
+	en := New(emptyICFET(), d.G, smallOpts(dir, 1))
 	if _, err := en.Run(chainEdges(n, d.Flow), n); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong tag.
-	ren := New(emptyICFET(), d.G, smallOpts(dir, 2), nil)
+	ren := New(emptyICFET(), d.G, smallOpts(dir, 2))
 	if _, err := ren.Resume(n); !errors.Is(err, ErrStale) {
 		t.Fatalf("tag mismatch: %v", err)
 	}
 	// Wrong vertex space.
-	ren = New(emptyICFET(), d.G, smallOpts(dir, 1), nil)
+	ren = New(emptyICFET(), d.G, smallOpts(dir, 1))
 	if _, err := ren.Resume(n + 1); !errors.Is(err, ErrStale) {
 		t.Fatalf("vertex mismatch: %v", err)
 	}
@@ -198,7 +198,7 @@ func TestEngineResumeCorruptJournal(t *testing.T) {
 	const n = 20
 	d := grammar.NewDataflow()
 	dir := t.TempDir()
-	en := New(emptyICFET(), d.G, smallOpts(dir, 1), nil)
+	en := New(emptyICFET(), d.G, smallOpts(dir, 1))
 	if _, err := en.Run(chainEdges(n, d.Flow), n); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestEngineResumeCorruptJournal(t *testing.T) {
 	if err := overwriteByte(path, 2, 'X'); err != nil {
 		t.Fatal(err)
 	}
-	ren := New(emptyICFET(), d.G, smallOpts(dir, 1), nil)
+	ren := New(emptyICFET(), d.G, smallOpts(dir, 1))
 	if _, err := ren.Resume(n); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("corrupt journal: %v", err)
 	}
@@ -217,13 +217,13 @@ func TestEngineResumeCompletedRun(t *testing.T) {
 	const n = 20
 	d := grammar.NewDataflow()
 	dir := t.TempDir()
-	en := New(emptyICFET(), d.G, smallOpts(dir, 3), nil)
+	en := New(emptyICFET(), d.G, smallOpts(dir, 3))
 	st, err := en.Run(chainEdges(n, d.Flow), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := fingerprint(t, en)
-	ren := New(emptyICFET(), d.G, smallOpts(dir, 3), nil)
+	ren := New(emptyICFET(), d.G, smallOpts(dir, 3))
 	rst, err := ren.Resume(n)
 	if err != nil {
 		t.Fatal(err)
@@ -260,14 +260,14 @@ func TestEngineCancelFlushesFinalRecord(t *testing.T) {
 	const tag = 11
 	d := grammar.NewDataflow()
 
-	refEn := New(emptyICFET(), d.G, smallOpts(t.TempDir(), tag), nil)
+	refEn := New(emptyICFET(), d.G, smallOpts(t.TempDir(), tag))
 	if _, err := refEn.Run(chainEdges(n, d.Flow), n); err != nil {
 		t.Fatal(err)
 	}
 	want := fingerprint(t, refEn)
 
 	dir := t.TempDir()
-	en := New(emptyICFET(), d.G, smallOpts(dir, tag), nil)
+	en := New(emptyICFET(), d.G, smallOpts(dir, tag))
 	ctx := &countingCtx{Context: context.Background(), left: 5}
 	if _, err := en.RunContext(ctx, chainEdges(n, d.Flow), n); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cancel did not fire: %v", err)
@@ -287,7 +287,7 @@ func TestEngineCancelFlushesFinalRecord(t *testing.T) {
 		t.Fatalf("final record at iteration %d, want the superstep the run reached (5)", lastRec.Iterations)
 	}
 
-	ren := New(emptyICFET(), d.G, smallOpts(dir, tag), nil)
+	ren := New(emptyICFET(), d.G, smallOpts(dir, tag))
 	rstats, err := ren.Resume(n)
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -24,137 +22,31 @@ var LoadLatencyBuckets = []time.Duration{
 // numLatencyBuckets includes the overflow bucket.
 const numLatencyBuckets = 8
 
-// IOStats accumulates the out-of-core engine's partition I/O counters.
-// Safe for concurrent use; the engine shares one instance between the join
-// loop and the prefetcher.
-type IOStats struct {
-	bytesRead    atomic.Int64
-	bytesWritten atomic.Int64
-
-	loads     atomic.Int64 // partition loads that hit the disk
-	cacheHits atomic.Int64 // loads served from the in-memory LRU cache
-	evictions atomic.Int64 // cached partitions written back / dropped
-	writes    atomic.Int64 // whole-partition writes (flush, repartition)
-	appends   atomic.Int64 // pending-buffer appends to unloaded partitions
-
-	prefetchIssued atomic.Int64 // background loads started
-	prefetchHits   atomic.Int64 // loads satisfied by a completed/inflight prefetch
-	prefetchStale  atomic.Int64 // prefetches invalidated before use (file changed)
-	prefetchWasted atomic.Int64 // prefetches completed but never consumed
-
-	journalAppends atomic.Int64 // checkpoint records made durable
-	journalBytes   atomic.Int64 // bytes appended to the run journal
-
-	latency [numLatencyBuckets]atomic.Int64
-}
-
-// AddRead records a disk load of n bytes with its perceived latency.
-func (s *IOStats) AddRead(n int64, d time.Duration) {
-	s.bytesRead.Add(n)
-	s.loads.Add(1)
-	s.observeLatency(d)
-}
-
-// AddWrite records a whole-partition write of n bytes.
-func (s *IOStats) AddWrite(n int64) {
-	s.bytesWritten.Add(n)
-	s.writes.Add(1)
-}
-
-// AddAppend records a pending-buffer append of n bytes.
-func (s *IOStats) AddAppend(n int64) {
-	s.bytesWritten.Add(n)
-	s.appends.Add(1)
-}
-
-// CacheHit records a load served from the in-memory cache.
-func (s *IOStats) CacheHit() { s.cacheHits.Add(1) }
-
-// Eviction records a cached partition leaving memory.
-func (s *IOStats) Eviction() { s.evictions.Add(1) }
-
-// PrefetchIssued records a background load being started.
-func (s *IOStats) PrefetchIssued() { s.prefetchIssued.Add(1) }
-
-// PrefetchHit records a load satisfied by a prefetch, with the bytes the
-// prefetcher read on the join's behalf and the perceived wait.
-func (s *IOStats) PrefetchHit(n int64, waited time.Duration) {
-	s.prefetchHits.Add(1)
-	s.bytesRead.Add(n)
-	s.loads.Add(1)
-	s.observeLatency(waited)
-}
-
-// AddJournal records one checkpoint record of n bytes reaching the run
-// journal. Journal traffic is counted separately from partition writes so
-// the resume bench can report checkpointing overhead in isolation.
-func (s *IOStats) AddJournal(n int64) {
-	s.journalAppends.Add(1)
-	s.journalBytes.Add(n)
-}
-
-// PrefetchStale records a prefetch invalidated before use.
-func (s *IOStats) PrefetchStale() { s.prefetchStale.Add(1) }
-
-// PrefetchWasted records a completed prefetch that was never consumed.
-func (s *IOStats) PrefetchWasted() { s.prefetchWasted.Add(1) }
-
-func (s *IOStats) observeLatency(d time.Duration) {
-	for i, ub := range LoadLatencyBuckets {
-		if d < ub {
-			s.latency[i].Add(1)
-			return
-		}
-	}
-	s.latency[numLatencyBuckets-1].Add(1)
-}
-
-// IOSnapshot is a point-in-time view of IOStats. The zero value reads as
-// "no I/O".
+// IOSnapshot is the out-of-core engine's partition I/O counters; the engine's
+// run goroutine is their only writer. The zero value reads as "no I/O".
 type IOSnapshot struct {
 	BytesRead    int64
 	BytesWritten int64
 
-	Loads     int64
-	CacheHits int64
-	Evictions int64
-	Writes    int64
-	Appends   int64
+	Loads     int64 // partition loads that hit the disk
+	CacheHits int64 // loads served from the in-memory LRU cache
+	Evictions int64 // cached partitions written back / dropped
+	Writes    int64 // whole-partition writes (flush, repartition)
+	Appends   int64 // pending-buffer appends to unloaded partitions
 
-	PrefetchIssued int64
-	PrefetchHits   int64
-	PrefetchStale  int64
-	PrefetchWasted int64
+	PrefetchIssued int64 // background loads started
+	PrefetchHits   int64 // loads satisfied by a completed/inflight prefetch
+	PrefetchStale  int64 // prefetches invalidated before use (file changed)
+	PrefetchWasted int64 // prefetches completed but never consumed
 
-	JournalAppends int64
-	JournalBytes   int64
+	// Journal traffic is counted apart from partition writes so the resume
+	// bench can report checkpointing overhead in isolation.
+	JournalAppends int64 // checkpoint records made durable
+	JournalBytes   int64 // bytes appended to the run journal
 
-	// LoadLatency[i] counts loads under LoadLatencyBuckets[i] (the last
-	// bucket is unbounded). Prefetch hits record perceived wait, not disk
-	// time.
-	LoadLatency [numLatencyBuckets]int64
-}
-
-// Snapshot returns the current totals.
-func (s *IOStats) Snapshot() IOSnapshot {
-	var out IOSnapshot
-	out.BytesRead = s.bytesRead.Load()
-	out.BytesWritten = s.bytesWritten.Load()
-	out.Loads = s.loads.Load()
-	out.CacheHits = s.cacheHits.Load()
-	out.Evictions = s.evictions.Load()
-	out.Writes = s.writes.Load()
-	out.Appends = s.appends.Load()
-	out.PrefetchIssued = s.prefetchIssued.Load()
-	out.PrefetchHits = s.prefetchHits.Load()
-	out.PrefetchStale = s.prefetchStale.Load()
-	out.PrefetchWasted = s.prefetchWasted.Load()
-	out.JournalAppends = s.journalAppends.Load()
-	out.JournalBytes = s.journalBytes.Load()
-	for i := range out.LoadLatency {
-		out.LoadLatency[i] = s.latency[i].Load()
-	}
-	return out
+	// LoadLatency is bucketed by LoadLatencyBuckets. Prefetch hits record
+	// perceived wait, not disk time.
+	LoadLatency LatencyCounts
 }
 
 // Add accumulates another snapshot into s (for aggregating phases or batch
@@ -173,9 +65,7 @@ func (s *IOSnapshot) Add(o IOSnapshot) {
 	s.PrefetchWasted += o.PrefetchWasted
 	s.JournalAppends += o.JournalAppends
 	s.JournalBytes += o.JournalBytes
-	for i := range s.LoadLatency {
-		s.LoadLatency[i] += o.LoadLatency[i]
-	}
+	s.LoadLatency.Add(o.LoadLatency)
 }
 
 // PrefetchHitRate returns the fraction of disk loads satisfied by a
@@ -204,22 +94,8 @@ func (s IOSnapshot) String() string {
 // LatencyString renders the load-latency histogram, e.g.
 // "<50µs:12 <100µs:3 ... ≥25ms:1", omitting empty buckets.
 func (s IOSnapshot) LatencyString() string {
-	var b strings.Builder
-	for i, n := range s.LoadLatency {
-		if n == 0 {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		if i < len(LoadLatencyBuckets) {
-			fmt.Fprintf(&b, "<%s:%d", LoadLatencyBuckets[i], n)
-		} else {
-			fmt.Fprintf(&b, "≥%s:%d", LoadLatencyBuckets[len(LoadLatencyBuckets)-1], n)
-		}
-	}
-	if b.Len() == 0 {
+	if s.LoadLatency.Total() == 0 {
 		return "no loads"
 	}
-	return b.String()
+	return s.LoadLatency.String(LoadLatencyBuckets)
 }

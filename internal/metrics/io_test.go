@@ -2,38 +2,26 @@ package metrics
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
-func TestIOStatsCounters(t *testing.T) {
-	var s IOStats
-	s.AddRead(1000, 80*time.Microsecond)
-	s.AddRead(2000, 10*time.Millisecond)
-	s.AddWrite(500)
-	s.AddAppend(50)
-	s.CacheHit()
-	s.Eviction()
-	s.PrefetchIssued()
-	s.PrefetchHit(3000, 5*time.Microsecond)
-	s.PrefetchStale()
-	s.PrefetchWasted()
+// load books one disk load the way the engine's run goroutine does.
+func (s *IOSnapshot) load(n int64, d time.Duration) {
+	s.Loads++
+	s.BytesRead += n
+	s.LoadLatency.Observe(LoadLatencyBuckets, d)
+}
 
-	got := s.Snapshot()
-	if got.BytesRead != 6000 {
-		t.Errorf("BytesRead = %d, want 6000", got.BytesRead)
-	}
-	if got.BytesWritten != 550 {
-		t.Errorf("BytesWritten = %d, want 550", got.BytesWritten)
-	}
-	if got.Loads != 3 || got.CacheHits != 1 || got.Evictions != 1 ||
-		got.Writes != 1 || got.Appends != 1 {
-		t.Errorf("counter mismatch: %+v", got)
-	}
-	if got.PrefetchIssued != 1 || got.PrefetchHits != 1 ||
-		got.PrefetchStale != 1 || got.PrefetchWasted != 1 {
-		t.Errorf("prefetch counters: %+v", got)
+func TestIOStatsCounters(t *testing.T) {
+	var got IOSnapshot
+	got.load(1000, 80*time.Microsecond)
+	got.load(2000, 10*time.Millisecond)
+	got.load(3000, 5*time.Microsecond)
+	got.PrefetchHits++
+
+	if got.BytesRead != 6000 || got.Loads != 3 {
+		t.Errorf("read counters: %+v", got)
 	}
 	// 5µs and 80µs land in buckets 0 and 1; 10ms in the <25ms bucket.
 	if got.LoadLatency[0] != 1 || got.LoadLatency[1] != 1 || got.LoadLatency[6] != 1 {
@@ -45,13 +33,21 @@ func TestIOStatsCounters(t *testing.T) {
 }
 
 func TestIOSnapshotAdd(t *testing.T) {
-	a := IOSnapshot{BytesRead: 10, Loads: 2, PrefetchHits: 1}
+	a := IOSnapshot{BytesRead: 10, Loads: 2, PrefetchHits: 1, JournalAppends: 1}
 	a.LoadLatency[3] = 4
-	b := IOSnapshot{BytesRead: 5, Loads: 1, Evictions: 7}
+	b := IOSnapshot{BytesRead: 5, Loads: 1, Evictions: 7, JournalAppends: 2, JournalBytes: 64}
 	b.LoadLatency[3] = 1
 	a.Add(b)
-	if a.BytesRead != 15 || a.Loads != 3 || a.Evictions != 7 || a.LoadLatency[3] != 5 {
+	if a.BytesRead != 15 || a.Loads != 3 || a.Evictions != 7 || a.LoadLatency[3] != 5 ||
+		a.JournalAppends != 3 || a.JournalBytes != 64 {
 		t.Errorf("Add: %+v", a)
+	}
+	// Every field is summed: adding a snapshot to itself doubles all of it.
+	full := IOSnapshot{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, LatencyCounts{1, 2, 3, 4, 5, 6, 7, 8}}
+	sum := full
+	sum.Add(full)
+	if want := (IOSnapshot{2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, LatencyCounts{2, 4, 6, 8, 10, 12, 14, 16}}); sum != want {
+		t.Errorf("Add dropped a field:\n got  %+v\n want %+v", sum, want)
 	}
 }
 
@@ -63,10 +59,12 @@ func TestIOSnapshotStrings(t *testing.T) {
 	if zero.LatencyString() != "no loads" {
 		t.Errorf("zero latency string: %q", zero.LatencyString())
 	}
-	var s IOStats
-	s.AddRead(1<<20, 200*time.Microsecond)
-	s.AddRead(1<<20, 100*time.Millisecond)
-	snap := s.Snapshot()
+	if out := zero.String(); strings.Contains(out, "journaled") {
+		t.Errorf("unjournaled run mentions the journal: %q", out)
+	}
+	var snap IOSnapshot
+	snap.load(1<<20, 200*time.Microsecond)
+	snap.load(1<<20, 100*time.Millisecond)
 	if out := snap.String(); !strings.Contains(out, "2 loads") {
 		t.Errorf("String: %q", out)
 	}
@@ -74,24 +72,8 @@ func TestIOSnapshotStrings(t *testing.T) {
 	if !strings.Contains(ls, "<250µs:1") || !strings.Contains(ls, "≥25ms:1") {
 		t.Errorf("LatencyString: %q", ls)
 	}
-}
-
-func TestIOStatsConcurrent(t *testing.T) {
-	var s IOStats
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				s.AddRead(1, time.Microsecond)
-				s.CacheHit()
-			}
-		}()
-	}
-	wg.Wait()
-	got := s.Snapshot()
-	if got.Loads != 8000 || got.CacheHits != 8000 || got.BytesRead != 8000 {
-		t.Errorf("concurrent totals: %+v", got)
+	snap.JournalAppends, snap.JournalBytes = 3, 2048
+	if out := snap.String(); !strings.Contains(out, "journaled 3 checkpoints (2.0 KiB)") {
+		t.Errorf("String with journal traffic: %q", out)
 	}
 }

@@ -1,37 +1,23 @@
-// Package metrics accumulates the per-component cost breakdown the paper
-// reports in Figure 9: I/O, constraint encoding/decoding ("constraint
-// lookup"), SMT solving, and in-memory edge-pair computation. Components run
-// concurrently, so times are summed across workers and reported as fractions
-// of the summed total, exactly as the paper computes its percentages.
+// Package metrics holds the plain value types a run's statistics live in: the
+// Figure-9 cost breakdown (I/O, constraint encoding/decoding — "constraint
+// lookup" — SMT solving, in-memory edge-pair computation), the partition
+// store's traffic, fixed-bucket latency histograms and the batch scheduler's
+// queue counters. None of them synchronises anything. Every value has one
+// writer — the engine's run goroutine, a join worker tallying into its own
+// scratch until the run goroutine folds it in after the superstep's
+// wg.Wait(), or the scheduler after its pool has drained — and reaches other
+// goroutines only as a copy (docs/observability.md has the table).
+// Components run concurrently, so times are summed across workers and
+// reported as fractions of the summed total, exactly as the paper computes
+// its percentages.
 package metrics
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
-// Breakdown accumulates nanoseconds per component. Safe for concurrent use.
-type Breakdown struct {
-	io      atomic.Int64
-	decode  atomic.Int64
-	solve   atomic.Int64
-	compute atomic.Int64
-}
-
-// AddIO records disk time.
-func (b *Breakdown) AddIO(d time.Duration) { b.io.Add(int64(d)) }
-
-// AddDecode records constraint encoding/decoding time.
-func (b *Breakdown) AddDecode(d time.Duration) { b.decode.Add(int64(d)) }
-
-// AddSolve records SMT solving time.
-func (b *Breakdown) AddSolve(d time.Duration) { b.solve.Add(int64(d)) }
-
-// AddCompute records edge-pair computation time.
-func (b *Breakdown) AddCompute(d time.Duration) { b.compute.Add(int64(d)) }
-
-// Snapshot is a point-in-time view of the breakdown.
+// Snapshot is the time spent per Figure-9 component.
 type Snapshot struct {
 	IO      time.Duration
 	Decode  time.Duration
@@ -39,14 +25,12 @@ type Snapshot struct {
 	Compute time.Duration
 }
 
-// Snapshot returns the current totals.
-func (b *Breakdown) Snapshot() Snapshot {
-	return Snapshot{
-		IO:      time.Duration(b.io.Load()),
-		Decode:  time.Duration(b.decode.Load()),
-		Solve:   time.Duration(b.solve.Load()),
-		Compute: time.Duration(b.compute.Load()),
-	}
+// Add accumulates another breakdown into s (a check's is its two phases').
+func (s *Snapshot) Add(o Snapshot) {
+	s.IO += o.IO
+	s.Decode += o.Decode
+	s.Solve += o.Solve
+	s.Compute += o.Compute
 }
 
 // Total returns the summed component time.
@@ -69,7 +53,3 @@ func (s Snapshot) String() string {
 	return fmt.Sprintf("I/O %.1f%% | constraint lookup %.1f%% | SMT solving %.1f%% | edge computation %.1f%%",
 		io, de, so, co)
 }
-
-// Timer measures one region: defer b.AddIO(Since(t)) style helpers keep call
-// sites terse.
-func Since(start time.Time) time.Duration { return time.Since(start) }

@@ -2,18 +2,13 @@ package metrics
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
 func TestBreakdownAccumulates(t *testing.T) {
-	var b Breakdown
-	b.AddIO(10 * time.Millisecond)
-	b.AddDecode(20 * time.Millisecond)
-	b.AddSolve(30 * time.Millisecond)
-	b.AddCompute(40 * time.Millisecond)
-	s := b.Snapshot()
+	s := Snapshot{IO: 4 * time.Millisecond, Decode: 20 * time.Millisecond}
+	s.Add(Snapshot{IO: 6 * time.Millisecond, Solve: 30 * time.Millisecond, Compute: 40 * time.Millisecond})
 	if s.Total() != 100*time.Millisecond {
 		t.Fatalf("total = %v", s.Total())
 	}
@@ -24,8 +19,7 @@ func TestBreakdownAccumulates(t *testing.T) {
 }
 
 func TestEmptyBreakdown(t *testing.T) {
-	var b Breakdown
-	s := b.Snapshot()
+	var s Snapshot
 	io, dec, sol, comp := s.Percentages()
 	if io != 0 || dec != 0 || sol != 0 || comp != 0 {
 		t.Fatal("empty breakdown must be all zeros")
@@ -36,37 +30,10 @@ func TestEmptyBreakdown(t *testing.T) {
 }
 
 func TestStringFormat(t *testing.T) {
-	var b Breakdown
-	b.AddSolve(time.Second)
-	out := b.Snapshot().String()
+	out := Snapshot{Solve: time.Second}.String()
 	for _, want := range []string{"I/O", "constraint lookup", "SMT solving", "edge computation", "100.0%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in %q", want, out)
 		}
-	}
-}
-
-func TestConcurrentAccumulation(t *testing.T) {
-	var b Breakdown
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				b.AddCompute(time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := b.Snapshot().Compute; got != 8*1000*time.Microsecond {
-		t.Fatalf("compute = %v", got)
-	}
-}
-
-func TestSince(t *testing.T) {
-	start := time.Now()
-	if Since(start) < 0 {
-		t.Fatal("negative duration")
 	}
 }

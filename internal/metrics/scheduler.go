@@ -2,70 +2,16 @@ package metrics
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
-// SchedStats accumulates the batch scheduler's queue-depth and latency
-// counters (the scheduler-layer analogue of Breakdown). One instance's walk
-// through the scheduler is enqueue -> dequeue (a worker picks it up) ->
-// done; the counters record how deep the ready queue got, how long
-// instances waited for a worker, and how long they ran. Safe for concurrent
-// use by all pool workers.
-type SchedStats struct {
-	enqueued  atomic.Int64
-	started   atomic.Int64
-	completed atomic.Int64
-	failed    atomic.Int64
-
-	depth    atomic.Int64 // current ready-queue depth
-	maxDepth atomic.Int64
-
-	waitNs    atomic.Int64 // summed queue wait
-	maxWaitNs atomic.Int64
-	runNs     atomic.Int64 // summed instance runtime
-	maxRunNs  atomic.Int64
-}
-
-// Enqueue records an instance entering the ready queue.
-func (s *SchedStats) Enqueue() {
-	s.enqueued.Add(1)
-	d := s.depth.Add(1)
-	storeMax(&s.maxDepth, d)
-}
-
-// Dequeue records a worker picking an instance up after waiting in queue.
-func (s *SchedStats) Dequeue(wait time.Duration) {
-	s.started.Add(1)
-	s.depth.Add(-1)
-	s.waitNs.Add(int64(wait))
-	storeMax(&s.maxWaitNs, int64(wait))
-}
-
-// Done records an instance finishing; failed covers both analysis errors
-// and per-instance timeouts.
-func (s *SchedStats) Done(run time.Duration, ok bool) {
-	if ok {
-		s.completed.Add(1)
-	} else {
-		s.failed.Add(1)
-	}
-	s.runNs.Add(int64(run))
-	storeMax(&s.maxRunNs, int64(run))
-}
-
-// storeMax raises m to v if v is larger (CAS loop; contention is per-batch,
-// not per-edge, so this is never hot).
-func storeMax(m *atomic.Int64, v int64) {
-	for {
-		cur := m.Load()
-		if v <= cur || m.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// SchedSnapshot is a point-in-time view of a batch's scheduler counters.
+// SchedSnapshot is a finished batch's scheduler counters (the scheduler-layer
+// analogue of Snapshot). One instance's walk through the scheduler is enqueue
+// -> dequeue (a worker picks it up) -> done; the counters record how deep the
+// ready queue got, how long instances waited for a worker, and how long they
+// ran. Failed covers both analysis errors and per-instance timeouts. The
+// scheduler computes it once, from its instance results, after its pool has
+// drained.
 type SchedSnapshot struct {
 	Enqueued  int64
 	Started   int64
@@ -77,21 +23,6 @@ type SchedSnapshot struct {
 	MaxWait   time.Duration
 	TotalRun  time.Duration
 	MaxRun    time.Duration
-}
-
-// Snapshot returns the current totals.
-func (s *SchedStats) Snapshot() SchedSnapshot {
-	return SchedSnapshot{
-		Enqueued:  s.enqueued.Load(),
-		Started:   s.started.Load(),
-		Completed: s.completed.Load(),
-		Failed:    s.failed.Load(),
-		MaxDepth:  s.maxDepth.Load(),
-		TotalWait: time.Duration(s.waitNs.Load()),
-		MaxWait:   time.Duration(s.maxWaitNs.Load()),
-		TotalRun:  time.Duration(s.runNs.Load()),
-		MaxRun:    time.Duration(s.maxRunNs.Load()),
-	}
 }
 
 // AvgWait is the mean queue wait per started instance.

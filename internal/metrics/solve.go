@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -21,10 +20,21 @@ var SolveLatencyBuckets = []time.Duration{
 	5 * time.Millisecond,
 }
 
-// LatencyCounts is a snapshot of one latency histogram: LatencyCounts[i]
-// counts observations under the i-th bucket bound; the last entry is the
-// unbounded overflow bucket.
+// LatencyCounts is one latency histogram: LatencyCounts[i] counts
+// observations under the i-th bucket bound; the last entry is the unbounded
+// overflow bucket.
 type LatencyCounts [numLatencyBuckets]int64
+
+// Observe records one observation of duration d against bounds. Bounds are
+// exclusive upper bounds: an observation exactly at a bound lands in the
+// next bucket up.
+func (c *LatencyCounts) Observe(bounds []time.Duration, d time.Duration) {
+	i := 0
+	for i < len(bounds) && d >= bounds[i] {
+		i++
+	}
+	c[i]++
+}
 
 // Total sums all buckets.
 func (c LatencyCounts) Total() int64 {
@@ -35,7 +45,8 @@ func (c LatencyCounts) Total() int64 {
 	return n
 }
 
-// Add accumulates another snapshot (merging phases or batch instances).
+// Add accumulates another histogram (merging workers, phases or batch
+// instances).
 func (c *LatencyCounts) Add(o LatencyCounts) {
 	for i := range c {
 		c[i] += o[i]
@@ -63,33 +74,4 @@ func (c LatencyCounts) String(bounds []time.Duration) string {
 		return "none"
 	}
 	return b.String()
-}
-
-// SolveHist accumulates SMT solve latencies. Safe for concurrent use: the
-// engine's join workers each record their own solver's calls into one
-// shared instance.
-type SolveHist struct {
-	buckets [numLatencyBuckets]atomic.Int64
-}
-
-// Observe records one solve of duration d. Bucket bounds are exclusive
-// upper bounds, matching IOStats.observeLatency: a solve exactly at a bound
-// lands in the next bucket up.
-func (h *SolveHist) Observe(d time.Duration) {
-	for i, ub := range SolveLatencyBuckets {
-		if d < ub {
-			h.buckets[i].Add(1)
-			return
-		}
-	}
-	h.buckets[numLatencyBuckets-1].Add(1)
-}
-
-// Snapshot returns the current totals.
-func (h *SolveHist) Snapshot() LatencyCounts {
-	var out LatencyCounts
-	for i := range out {
-		out[i] = h.buckets[i].Load()
-	}
-	return out
 }

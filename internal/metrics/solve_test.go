@@ -2,61 +2,43 @@ package metrics
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
-func TestSolveHistBucketBoundaries(t *testing.T) {
-	// Bounds are exclusive upper bounds: an observation exactly at a bound
-	// must land in the next bucket up, not the one the bound names.
-	var h SolveHist
-	for i, ub := range SolveLatencyBuckets {
-		h.Observe(ub - time.Nanosecond) // strictly under → bucket i
-		h.Observe(ub)                   // exactly at the bound → bucket i+1
-		s := h.Snapshot()
-		if s[i] != 1 {
-			t.Fatalf("bucket %d after observing bound-1ns: got %d, want 1 (%v)", i, s[i], s)
+// Both histograms share one Observe: bounds are exclusive upper bounds, so an
+// observation exactly at a bound must land in the next bucket up, not the one
+// the bound names.
+func testBucketBoundaries(t *testing.T, bounds []time.Duration) {
+	for i, ub := range bounds {
+		var c LatencyCounts
+		c.Observe(bounds, ub-time.Nanosecond) // strictly under → bucket i
+		c.Observe(bounds, ub)                 // exactly at the bound → bucket i+1
+		if c[i] != 1 || c[i+1] != 1 || c.Total() != 2 {
+			t.Fatalf("bound %v: buckets %v, want 1 at %d and %d", ub, c, i, i+1)
 		}
-		if s[i+1] != 1 {
-			t.Fatalf("bucket %d after observing exact bound %v: got %d, want 1 (%v)", i+1, ub, s[i+1], s)
-		}
-		h = SolveHist{}
 	}
 }
+
+func TestSolveHistBucketBoundaries(t *testing.T) { testBucketBoundaries(t, SolveLatencyBuckets) }
+
+func TestIOStatsLoadLatencyBoundaries(t *testing.T) { testBucketBoundaries(t, LoadLatencyBuckets) }
 
 func TestSolveHistOverflowBucket(t *testing.T) {
-	var h SolveHist
+	var c LatencyCounts
 	last := SolveLatencyBuckets[len(SolveLatencyBuckets)-1]
-	h.Observe(last)
-	h.Observe(10 * last)
-	s := h.Snapshot()
-	if got := s[len(s)-1]; got != 2 {
-		t.Fatalf("overflow bucket: got %d, want 2 (%v)", got, s)
+	c.Observe(SolveLatencyBuckets, last)
+	c.Observe(SolveLatencyBuckets, 10*last)
+	if got := c[len(c)-1]; got != 2 {
+		t.Fatalf("overflow bucket: got %d, want 2 (%v)", got, c)
 	}
-	if s.Total() != 2 {
-		t.Fatalf("total: got %d, want 2", s.Total())
+	if c.Total() != 2 {
+		t.Fatalf("total: got %d, want 2", c.Total())
 	}
-}
-
-func TestSolveHistConcurrent(t *testing.T) {
-	// The engine's join workers share one histogram; concurrent Observe
-	// calls must not lose counts (and must pass -race).
-	var h SolveHist
-	const workers, perWorker = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				h.Observe(time.Duration(i%200) * time.Microsecond)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := h.Snapshot().Total(); got != workers*perWorker {
-		t.Fatalf("total after concurrent observes: got %d, want %d", got, workers*perWorker)
+	var neg LatencyCounts
+	neg.Observe(SolveLatencyBuckets, -time.Microsecond)
+	if neg[0] != 1 {
+		t.Fatalf("a negative duration belongs in the first bucket: %v", neg)
 	}
 }
 
@@ -84,63 +66,5 @@ func TestLatencyCountsAddAndString(t *testing.T) {
 	var empty LatencyCounts
 	if got := empty.String(SolveLatencyBuckets); got != "none" {
 		t.Fatalf("empty String: got %q, want \"none\"", got)
-	}
-}
-
-func TestIOStatsLoadLatencyBoundaries(t *testing.T) {
-	// observeLatency shares the exclusive-upper-bound convention with
-	// SolveHist; pin the same edge behaviour for partition loads.
-	var s IOStats
-	for i, ub := range LoadLatencyBuckets {
-		s.AddRead(1, ub-time.Nanosecond)
-		s.AddRead(1, ub)
-		snap := s.Snapshot()
-		if snap.LoadLatency[i] != 1 || snap.LoadLatency[i+1] != 1 {
-			t.Fatalf("bound %v: buckets %v, want 1 at %d and %d", ub, snap.LoadLatency, i, i+1)
-		}
-		s = IOStats{}
-	}
-}
-
-func TestSchedStatsMergedAcrossWorkers(t *testing.T) {
-	// Every pool worker reports into one SchedStats; the snapshot must
-	// reflect the union: summed waits/runs, global maxima, exact counts.
-	var s SchedStats
-	const workers, perWorker = 8, 50
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				s.Enqueue()
-				s.Dequeue(time.Duration(w+1) * time.Millisecond)
-				s.Done(time.Duration(i+1)*time.Microsecond, i%10 != 0)
-			}
-		}(w)
-	}
-	wg.Wait()
-	snap := s.Snapshot()
-	if snap.Enqueued != workers*perWorker || snap.Started != workers*perWorker {
-		t.Fatalf("enqueued/started: %d/%d, want %d", snap.Enqueued, snap.Started, workers*perWorker)
-	}
-	if snap.Completed+snap.Failed != workers*perWorker {
-		t.Fatalf("completed+failed: %d, want %d", snap.Completed+snap.Failed, workers*perWorker)
-	}
-	if snap.Failed != workers*perWorker/10 {
-		t.Fatalf("failed: %d, want %d", snap.Failed, workers*perWorker/10)
-	}
-	if snap.MaxWait != time.Duration(workers)*time.Millisecond {
-		t.Fatalf("max wait: %v, want %v", snap.MaxWait, time.Duration(workers)*time.Millisecond)
-	}
-	if snap.MaxRun != perWorker*time.Microsecond {
-		t.Fatalf("max run: %v, want %v", snap.MaxRun, perWorker*time.Microsecond)
-	}
-	var wantWait time.Duration
-	for w := 1; w <= workers; w++ {
-		wantWait += time.Duration(w) * perWorker * time.Millisecond
-	}
-	if snap.TotalWait != wantWait {
-		t.Fatalf("total wait: %v, want %v", snap.TotalWait, wantWait)
 	}
 }

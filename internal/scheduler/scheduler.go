@@ -28,6 +28,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -121,6 +122,8 @@ type InstanceResult struct {
 	// Wait is the time spent in the ready queue; Elapsed the run itself.
 	Wait    time.Duration
 	Elapsed time.Duration
+	// enq is when the instance entered the ready queue (zero when Resumed).
+	enq time.Time
 }
 
 // Report is one warning annotated with the subject and property group that
@@ -279,7 +282,6 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 		preps = &prepStore{entries: map[string]*prepEntry{}}
 	}
 
-	stats := &metrics.SchedStats{}
 	type job struct {
 		idx int
 		enq time.Time
@@ -303,10 +305,9 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 			defer wg.Done()
 			for jb := range jobs {
 				wait := time.Since(jb.enq)
-				stats.Dequeue(wait)
 				opts.Progress.InstanceStart()
 				sp := opts.Trace.Start(tid, "scheduler", "instance")
-				r := runOne(runCtx, &instances[jb.idx], opts, cache, preps, stats, tid)
+				r := runOne(runCtx, &instances[jb.idx], opts, cache, preps, tid)
 				sp.End(trace.Args{
 					"subject": r.Subject, "group": r.Group,
 					"waitUs": wait.Microseconds(), "ok": r.Err == nil,
@@ -320,7 +321,7 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 						r.Err = fmt.Errorf("completion log: %w", err)
 					}
 				}
-				r.Wait = wait
+				r.Wait, r.enq = wait, jb.enq
 				results[jb.idx] = r
 				// The kill switch fires after the completion record is
 				// durable — the crash a real batch can hit between instances.
@@ -346,7 +347,6 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 			}
 			continue
 		}
-		stats.Enqueue()
 		jobs <- job{idx: i, enq: time.Now()}
 	}
 	close(jobs)
@@ -370,7 +370,7 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 	out := &BatchResult{
 		Instances: results,
 		Reports:   mergeReports(results),
-		Sched:     stats.Snapshot(),
+		Sched:     schedStats(results),
 		Wall:      time.Since(start),
 	}
 	if cache != nil {
@@ -542,7 +542,7 @@ func (ps *prepStore) get(ctx context.Context, source string, copts checker.Optio
 
 // runOne executes a single instance under its per-instance deadline. tid is
 // the worker's trace lane; the instance's checker (and engines) emit onto it.
-func runOne(ctx context.Context, in *Instance, opts Options, cache *smt.Cache, preps *prepStore, stats *metrics.SchedStats, tid uint64) InstanceResult {
+func runOne(ctx context.Context, in *Instance, opts Options, cache *smt.Cache, preps *prepStore, tid uint64) InstanceResult {
 	res := InstanceResult{Subject: in.Subject, Group: in.Group}
 	ictx := ctx
 	if opts.Timeout > 0 {
@@ -594,8 +594,47 @@ func runOne(ctx context.Context, in *Instance, opts Options, cache *smt.Cache, p
 	if err != nil && errors.Is(err, context.DeadlineExceeded) {
 		res.TimedOut = true
 	}
-	stats.Done(res.Elapsed, err == nil)
 	return res
+}
+
+// schedStats computes a finished batch's scheduler counters from what each
+// instance result already holds. Resumed instances never entered the queue
+// and are not counted; every other one was enqueued, picked up and ended ok or
+// failed (an analysis error, a timeout, or a completion-log write that did
+// not stick). The ready queue is deepest right after some enqueue: that many
+// have been enqueued by then, less the ones a worker picked up before it.
+func schedStats(results []InstanceResult) metrics.SchedSnapshot {
+	var s metrics.SchedSnapshot
+	var enqs, deqs []time.Time
+	for i := range results {
+		r := &results[i]
+		if r.Resumed {
+			continue
+		}
+		s.Enqueued++
+		s.Started++
+		if r.Err == nil {
+			s.Completed++
+		} else {
+			s.Failed++
+		}
+		s.TotalWait += r.Wait
+		s.MaxWait = max(s.MaxWait, r.Wait)
+		s.TotalRun += r.Elapsed
+		s.MaxRun = max(s.MaxRun, r.Elapsed)
+		enqs = append(enqs, r.enq)
+		deqs = append(deqs, r.enq.Add(r.Wait))
+	}
+	slices.SortFunc(enqs, time.Time.Compare)
+	slices.SortFunc(deqs, time.Time.Compare)
+	picked := 0
+	for i, at := range enqs {
+		for picked < len(deqs) && deqs[picked].Before(at) {
+			picked++
+		}
+		s.MaxDepth = max(s.MaxDepth, int64(i+1-picked))
+	}
+	return s
 }
 
 // sourceKey derives the cache-key namespace for a compilation unit: the

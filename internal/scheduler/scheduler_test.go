@@ -11,6 +11,7 @@ import (
 
 	"github.com/grapple-system/grapple/internal/checker"
 	"github.com/grapple-system/grapple/internal/fsm"
+	"github.com/grapple-system/grapple/internal/metrics"
 	"github.com/grapple-system/grapple/internal/workload"
 )
 
@@ -231,5 +232,83 @@ func TestSchedulerCounters(t *testing.T) {
 	}
 	if s.TotalRun <= 0 {
 		t.Fatal("no runtime recorded")
+	}
+}
+
+// TestSchedStatsFromResults holds the scheduler counters to the instance
+// results they are computed from: first hand-built results with known
+// enqueue instants, then a real three-worker batch resumed over a partly
+// finished one.
+func TestSchedStatsFromResults(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	at := func(s int) time.Time { return t0.Add(time.Duration(s) * time.Second) }
+	const sec = time.Second
+	boom := fmt.Errorf("boom")
+	for _, tc := range []struct {
+		name    string
+		results []InstanceResult
+		want    metrics.SchedSnapshot
+	}{
+		{name: "no instances"},
+		{
+			name:    "everything restored from the completion log",
+			results: []InstanceResult{{Resumed: true, Elapsed: 9 * sec}, {Resumed: true, Elapsed: sec}},
+		},
+		{
+			// All three are queued at once before the first is picked up; the
+			// resumed instance's logged runtime is not this batch's.
+			name: "ok, failed, timed out, resumed",
+			results: []InstanceResult{
+				{enq: at(0), Wait: 3 * sec, Elapsed: 4 * sec},
+				{Resumed: true, Elapsed: 9 * sec},
+				{enq: at(1), Wait: 3 * sec, Elapsed: 2 * sec, Err: boom},
+				{enq: at(2), Wait: 1 * sec, Elapsed: 1 * sec, Err: context.DeadlineExceeded, TimedOut: true},
+			},
+			want: metrics.SchedSnapshot{
+				Enqueued: 3, Started: 3, Completed: 1, Failed: 2, MaxDepth: 3,
+				TotalWait: 7 * sec, MaxWait: 3 * sec, TotalRun: 7 * sec, MaxRun: 4 * sec,
+			},
+		},
+		{
+			// The first is picked up before the second arrives, and the
+			// second at once: the queue never holds two.
+			name: "queue drains between arrivals",
+			results: []InstanceResult{
+				{enq: at(2), Wait: 0, Elapsed: 5 * sec},
+				{enq: at(0), Wait: 1 * sec, Elapsed: 1 * sec},
+			},
+			want: metrics.SchedSnapshot{
+				Enqueued: 2, Started: 2, Completed: 2, MaxDepth: 1,
+				TotalWait: 1 * sec, MaxWait: 1 * sec, TotalRun: 6 * sec, MaxRun: 5 * sec,
+			},
+		},
+	} {
+		if got := schedStats(tc.results); got != tc.want {
+			t.Errorf("%s:\n got  %+v\n want %+v", tc.name, got, tc.want)
+		}
+	}
+
+	instances := resumeInstances(t)
+	dir := t.TempDir()
+	const finished = 3
+	if _, err := Run(context.Background(), instances[:finished], Options{Workers: 3, WorkDir: dir, Journal: true}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), instances, Options{Workers: 3, WorkDir: dir, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ran := res.Sched, int64(len(instances)-finished)
+	if countResumed(res) != finished || s.Enqueued != ran || s.Started != ran || s.Completed+s.Failed != ran || s.Failed != 0 {
+		t.Fatalf("%d of %d instances resumed, counters %+v: want the %d that ran, all completed", countResumed(res), len(instances), s, ran)
+	}
+	var run, maxRun time.Duration
+	for _, ir := range res.Instances {
+		if !ir.Resumed {
+			run, maxRun = run+ir.Elapsed, max(maxRun, ir.Elapsed)
+		}
+	}
+	if s.MaxDepth < 1 || s.MaxDepth > ran || s.TotalRun != run || s.MaxRun != maxRun || s.MaxWait > s.TotalWait {
+		t.Fatalf("counters %+v do not add up to the instance results (run %v, max %v)", s, run, maxRun)
 	}
 }

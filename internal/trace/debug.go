@@ -19,9 +19,9 @@ var publishOnce sync.Once
 
 // ServeDebug serves net/http/pprof profiles and expvar counters on addr
 // (host:port; ":0" picks a free port). The expvar page (/debug/vars)
-// includes "grapple.progress", a live mirror of p's snapshot — the same
-// counters internal/metrics feeds into Progress — alongside the stdlib
-// memstats. Returns the bound address and a stop function.
+// includes "grapple.progress", a live mirror of p's snapshot — the counters
+// the engine pushes into Progress at superstep boundaries — alongside the
+// stdlib memstats. Returns the bound address and a stop function.
 func ServeDebug(addr string, p *Progress) (bound string, stop func() error, err error) {
 	debugProgress.Store(p)
 	publishOnce.Do(func() {

@@ -27,14 +27,8 @@ type Progress struct {
 	phaseStart time.Time
 	phaseSteps int64 // supersteps completed in the current phase
 
-	superstep  int64 // supersteps completed across all phases
-	frontier   int64 // source edges joined in the latest superstep
-	dirtyPairs int64 // partition pairs still scheduled for (re)processing
-	edges      int64 // distinct edges discovered so far
-	solved     int64
-	cacheHits  int64
-	cacheLkps  int64
-	io         metrics.IOSnapshot
+	superstep int64        // supersteps completed across all phases
+	last      EngineUpdate // the latest superstep's counters
 
 	batchTotal   int64 // batch mode when > 0
 	batchDone    int64
@@ -78,13 +72,7 @@ func (p *Progress) Update(u EngineUpdate) {
 	p.mu.Lock()
 	p.superstep++
 	p.phaseSteps++
-	p.frontier = u.Frontier
-	p.dirtyPairs = u.DirtyPairs
-	p.edges = u.Edges
-	p.solved = u.Solved
-	p.cacheHits = u.CacheHits
-	p.cacheLkps = u.CacheLkps
-	p.io = u.IO
+	p.last = u
 	p.mu.Unlock()
 }
 
@@ -157,15 +145,15 @@ func (p *Progress) Snapshot() Snapshot {
 	s := Snapshot{
 		Phase:         p.phase,
 		Superstep:     p.superstep,
-		Frontier:      p.frontier,
-		DirtyPairs:    p.dirtyPairs,
-		Edges:         p.edges,
-		SolverCalls:   p.solved,
-		CacheHits:     p.cacheHits,
-		CacheLookups:  p.cacheLkps,
-		BytesRead:     p.io.BytesRead,
-		BytesWritten:  p.io.BytesWritten,
-		JournalBytes:  p.io.JournalBytes,
+		Frontier:      p.last.Frontier,
+		DirtyPairs:    p.last.DirtyPairs,
+		Edges:         p.last.Edges,
+		SolverCalls:   p.last.Solved,
+		CacheHits:     p.last.CacheHits,
+		CacheLookups:  p.last.CacheLkps,
+		BytesRead:     p.last.IO.BytesRead,
+		BytesWritten:  p.last.IO.BytesWritten,
+		JournalBytes:  p.last.IO.JournalBytes,
 		BatchTotal:    p.batchTotal,
 		BatchDone:     p.batchDone,
 		BatchRunning:  p.batchRunning,
@@ -177,8 +165,8 @@ func (p *Progress) Snapshot() Snapshot {
 	switch {
 	case p.batchTotal > 0 && p.batchDone > 0:
 		s.ETA = time.Duration(int64(s.Elapsed) / p.batchDone * (p.batchTotal - p.batchDone))
-	case p.phaseSteps > 0 && p.dirtyPairs >= 0:
-		s.ETA = time.Duration(int64(s.PhaseElapsed) / p.phaseSteps * p.dirtyPairs)
+	case p.phaseSteps > 0 && p.last.DirtyPairs >= 0:
+		s.ETA = time.Duration(int64(s.PhaseElapsed) / p.phaseSteps * p.last.DirtyPairs)
 	}
 	return s
 }

@@ -31,10 +31,10 @@ import (
 // order, so serialized args are deterministic.
 type Args map[string]any
 
-// event is one recorded trace event (a completed span, an instant, a
-// counter sample, or thread metadata).
+// event is one recorded trace event (a completed span, an instant, or thread
+// metadata).
 type event struct {
-	ph   byte // 'X' span, 'i' instant, 'C' counter, 'M' metadata
+	ph   byte // 'X' span, 'i' instant, 'M' metadata
 	id   uint64
 	tid  uint64
 	cat  string
@@ -141,18 +141,9 @@ func (r *Recorder) Instant(tid uint64, cat, name string, args Args) {
 	r.record(event{ph: 'i', id: r.nextID.Add(1), tid: tid, cat: cat, name: name, ts: r.now(), args: args})
 }
 
-// Counter records a sample of one or more named series (rendered as a
-// stacked counter track in Perfetto).
-func (r *Recorder) Counter(tid uint64, name string, vals Args) {
-	if r == nil {
-		return
-	}
-	r.record(event{ph: 'C', id: r.nextID.Add(1), tid: tid, name: name, ts: r.now(), args: vals})
-}
-
 // jsonlEvent is the JSONL stream's line format.
 type jsonlEvent struct {
-	Type  string  `json:"type"` // "span", "instant", "counter", "meta"
+	Type  string  `json:"type"` // "span", "instant", "meta"
 	ID    uint64  `json:"id"`
 	TID   uint64  `json:"tid"`
 	Cat   string  `json:"cat,omitempty"`
@@ -162,7 +153,7 @@ type jsonlEvent struct {
 	Args  Args    `json:"args,omitempty"`
 }
 
-var phNames = map[byte]string{'X': "span", 'i': "instant", 'C': "counter", 'M': "meta"}
+var phNames = map[byte]string{'X': "span", 'i': "instant", 'M': "meta"}
 
 // record appends the event and streams its JSONL line.
 func (r *Recorder) record(ev event) {

@@ -26,7 +26,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	sp := r.Start(0, "cat", "name")
 	sp.End(Args{"k": 1})
 	r.Instant(0, "cat", "ev", nil)
-	r.Counter(0, "c", Args{"v": 1})
 	if err := r.Close(); err != nil {
 		t.Fatalf("nil Close: %v", err)
 	}
@@ -62,7 +61,6 @@ func TestChromeTraceAndJSONLStream(t *testing.T) {
 	sp := r.Start(w1, "engine", "superstep")
 	sp.End(Args{"pair": Pair(0, 1), "firsts": 42})
 	r.Instant(w1, "storage", "load", Args{"bytes": 1024})
-	r.Counter(w1, "edges", Args{"edges": 7})
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -75,8 +73,8 @@ func TestChromeTraceAndJSONLStream(t *testing.T) {
 	if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
 		t.Fatalf("chrome JSON: %v\n%s", err, chrome.String())
 	}
-	if len(doc.TraceEvents) != 4 {
-		t.Fatalf("traceEvents = %d, want 4", len(doc.TraceEvents))
+	if len(doc.TraceEvents) != 3 {
+		t.Fatalf("traceEvents = %d, want 3", len(doc.TraceEvents))
 	}
 	phases := map[string]int{}
 	for _, ev := range doc.TraceEvents {
@@ -94,7 +92,7 @@ func TestChromeTraceAndJSONLStream(t *testing.T) {
 			}
 		}
 	}
-	if phases["M"] != 1 || phases["X"] != 1 || phases["i"] != 1 || phases["C"] != 1 {
+	if phases["M"] != 1 || phases["X"] != 1 || phases["i"] != 1 {
 		t.Fatalf("phase mix %v", phases)
 	}
 
@@ -108,8 +106,8 @@ func TestChromeTraceAndJSONLStream(t *testing.T) {
 		}
 		lines++
 	}
-	if lines != 4 {
-		t.Fatalf("jsonl lines = %d, want 4", lines)
+	if lines != 3 {
+		t.Fatalf("jsonl lines = %d, want 3", lines)
 	}
 }
 

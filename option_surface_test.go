@@ -9,16 +9,21 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/grapple-system/grapple/internal/cfet"
 	"github.com/grapple-system/grapple/internal/checker"
 	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/gofront"
+	"github.com/grapple-system/grapple/internal/ir"
+	"github.com/grapple-system/grapple/internal/pgraph"
 	"github.com/grapple-system/grapple/internal/scheduler"
+	"github.com/grapple-system/grapple/internal/smt"
 )
 
 // TestOptionSurface pins the knob count: every exported field of every
-// options struct, as "Type.Field type", sorted, against
-// testdata/option_surface.txt. A new option fails here until it is banked in
-// a reviewed diff (the way unlowered_budget.json banks havocs):
+// options struct, down to the per-layer ones (cfet, pgraph, smt, ir), as
+// "Type.Field type", sorted, against testdata/option_surface.txt. A new
+// option fails here until it is banked in a reviewed diff (the way
+// unlowered_budget.json banks havocs):
 //
 //	go test -run TestOptionSurface -update .
 func TestOptionSurface(t *testing.T) {
@@ -26,6 +31,7 @@ func TestOptionSurface(t *testing.T) {
 	for _, v := range []any{
 		Options{}, BatchOptions{}, ObsOptions{},
 		checker.Options{}, engine.Options{}, gofront.Options{}, scheduler.Options{},
+		cfet.Options{}, pgraph.Options{}, pgraph.DataflowOptions{}, smt.Options{}, ir.Options{},
 	} {
 		typ := reflect.TypeOf(v)
 		for i := 0; i < typ.NumField(); i++ {
