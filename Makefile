@@ -130,8 +130,10 @@ bench-e2e:
 # dedupe key and a warm SMT-cache probe must not allocate at all, the join as a
 # whole must stay within its pinned allocations per candidate and, out of
 # core, within 1.05 x the edge pairs the in-memory join merges, with exactly
-# its rejection counts (the join-amplification guard: like the scaling guard
-# it gates deterministic counts, not time), and the frontend must stay within
+# its rejection counts, the in-memory join itself within its pinned merged
+# pairs per induced edge (the join-amplification guard, against joining a
+# pair twice and against deriving an edge twice: like the scaling guard it
+# gates deterministic counts, not time), and the frontend must stay within
 # its bytes per source byte (Parse: no token slice) and per encoded path
 # (cfet.Build: no environment copy per split), and its allocation per added
 # function must not depend on the program's size (the scaling guard, which

@@ -96,7 +96,7 @@ func TestStringEngineClosureMatchesChain(t *testing.T) {
 	var edges []storage.Edge
 	const n = 10
 	for i := uint32(0); i+1 < n; i++ {
-		edges = append(edges, storage.Edge{Src: i, Dst: i + 1, Label: d.Flow})
+		edges = append(edges, storage.Edge{Src: i, Dst: i + 1, Label: d.Step})
 	}
 	se := NewStringEngine(emptyICFET(), d.G, StringOptions{Dir: t.TempDir()})
 	st, err := se.Run(edges, n)
@@ -117,7 +117,7 @@ func TestStringEngineSmallBudgetSplits(t *testing.T) {
 	var edges []storage.Edge
 	const n = 48
 	for i := uint32(0); i+1 < n; i++ {
-		edges = append(edges, storage.Edge{Src: i, Dst: i + 1, Label: d.Flow})
+		edges = append(edges, storage.Edge{Src: i, Dst: i + 1, Label: d.Step})
 	}
 	se := NewStringEngine(emptyICFET(), d.G, StringOptions{Dir: t.TempDir(), MemoryBudget: 4096})
 	st, err := se.Run(edges, n)
@@ -137,7 +137,7 @@ func TestStringEngineTimeout(t *testing.T) {
 	var edges []storage.Edge
 	const n = 200
 	for i := uint32(0); i+1 < n; i++ {
-		edges = append(edges, storage.Edge{Src: i, Dst: i + 1, Label: d.Flow})
+		edges = append(edges, storage.Edge{Src: i, Dst: i + 1, Label: d.Step})
 	}
 	se := NewStringEngine(emptyICFET(), d.G, StringOptions{Dir: t.TempDir(), Timeout: time.Nanosecond})
 	st, err := se.Run(edges, n)

@@ -815,7 +815,7 @@ func checkTyped(en *engine.Engine, dg *pgraph.DataflowGraph, ic *cfet.ICFET, esc
 	var reports []Report
 	err := en.ForEach(func(e *storage.Edge) bool {
 		t, ok := byEndpoint[[2]uint32{e.Src, e.Dst}]
-		if !ok {
+		if !ok || !dg.D.G.IsFinal(e.Label) {
 			return true
 		}
 		states := e.Rel.Apply(t.FSM.Init)

@@ -1,8 +1,11 @@
 package checker
 
 import (
+	"context"
+
 	"github.com/grapple-system/grapple/internal/cfet"
 	"github.com/grapple-system/grapple/internal/grammar"
+	"github.com/grapple-system/grapple/internal/pgraph"
 )
 
 // JoinInputs exposes what an external test needs to replay the engine's
@@ -10,4 +13,37 @@ import (
 // index into and the alias-phase grammar.
 func (p *Prepared) JoinInputs() (*cfet.ICFET, *grammar.Grammar) {
 	return p.ic, p.ag.Ptr.G
+}
+
+// CheckSourceAllPairs is CheckSource with the dataflow phase closed under the
+// grammar grammar.NewDataflow replaced: flow ::= flow flow over base edges that
+// carry flow themselves. It is the oracle TestLinearClosureEqualsAllPairs holds
+// the left-linear closure to. Frontend, alias phase, dataflow graph, engine and
+// FSM check are the production ones; only the grammar the engine closes under,
+// and with it the label of the base edges, differs. Options.WorkDir must be
+// set. The Result carries the reports and both phases' statistics.
+func (c *Checker) CheckSourceAllPairs(src string) (*Result, error) {
+	ctx := context.Background()
+	prep, err := c.PrepareSource(ctx, src)
+	if err != nil {
+		return nil, err
+	}
+	dg := pgraph.BuildDataflow(prep.pr, prep.flows, prep.ag, c.fsmFor, c.Opts.Dataflow)
+	g := grammar.New()
+	flow := g.Intern("flow")
+	g.AddBinary(flow, flow, flow)
+	g.SetFinal(flow)
+	dg.D = &grammar.Dataflow{G: g, Step: flow, Flow: flow}
+	for i := range dg.Edges {
+		dg.Edges[i].Label = flow
+	}
+	en, dataflow, err := c.runPhase(ctx, dataflowPhase, c.Opts.WorkDir, prep.ic, g, dg.Edges, dg.NumVerts)
+	if err != nil {
+		return nil, err
+	}
+	reports, err := checkTyped(en, dg, prep.ic, prep.escaped)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Reports: reports, Alias: prep.alias, Dataflow: dataflow}, nil
 }

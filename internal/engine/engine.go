@@ -137,37 +137,51 @@ type partition struct {
 // memPart is a partition's loaded form.
 type memPart struct {
 	edges []storage.Edge
+	// bySrc lists, per source vertex, the edges the grammar can use as the
+	// second of a pair (Grammar.HasRight): the only ones the join looks up. An
+	// edge that can only start a pair, or only be a result, is not indexed.
 	bySrc map[uint32][]int32
-	dirty bool
+	// maxRightGen is the newest generation among the indexed edges: while it
+	// is at most a sub-join's stamp, every second of that sub-join is old.
+	maxRightGen uint32
+	dirty       bool
 	// lastUse is the engine's logical clock at the partition's most recent
 	// load or cache hit; ensureBudget evicts the smallest value first.
 	lastUse int64
 }
 
-// buildBySrc indexes edges by source vertex, CSR-style — counting pass, one
-// shared backing array, capped subslices — so a partition load costs two
-// allocations for the index instead of one per distinct source. The capped
+// index rebuilds bySrc and maxRightGen from mp.edges, CSR-style — counting
+// pass, one shared backing array, capped subslices — so a partition load costs
+// two allocations for the index instead of one per distinct source. The capped
 // subslices make later appends by partition.add spill into fresh arrays,
 // never into a neighbor's range. Indices appear in increasing edge order.
-func buildBySrc(edges []storage.Edge) map[uint32][]int32 {
+func (mp *memPart) index(g *grammar.Grammar) {
 	counts := make(map[uint32]int32, 64)
-	for i := range edges {
-		counts[edges[i].Src]++
+	total := 0
+	for i := range mp.edges {
+		if g.HasRight(mp.edges[i].Label) {
+			counts[mp.edges[i].Src]++
+			total++
+		}
 	}
-	backing := make([]int32, 0, len(edges))
-	out := make(map[uint32][]int32, len(counts))
-	for i := range edges {
-		src := edges[i].Src
-		s, ok := out[src]
+	backing := make([]int32, 0, total)
+	mp.bySrc = make(map[uint32][]int32, len(counts))
+	mp.maxRightGen = 0
+	for i := range mp.edges {
+		e := &mp.edges[i]
+		if !g.HasRight(e.Label) {
+			continue
+		}
+		s, ok := mp.bySrc[e.Src]
 		if !ok {
 			lo := len(backing)
-			hi := lo + int(counts[src])
+			hi := lo + int(counts[e.Src])
 			backing = backing[:hi]
 			s = backing[lo:lo:hi]
 		}
-		out[src] = append(s, int32(i))
+		mp.bySrc[e.Src] = append(s, int32(i))
+		mp.maxRightGen = max(mp.maxRightGen, e.Gen)
 	}
-	return out
 }
 
 // owns reports whether vertex v lies in the partition's interval.
@@ -175,7 +189,9 @@ func (p *partition) owns(v uint32) bool { return v >= p.lo && v < p.hi }
 
 // add is the one place an edge joins a partition after preprocessing: into
 // memory when the partition is loaded, into the pending buffer otherwise.
-func (p *partition) add(e storage.Edge, sz int64) {
+// second says whether the edge's label can stand second in a production
+// (Grammar.HasRight), i.e. whether the loaded form indexes it.
+func (p *partition) add(e storage.Edge, sz int64, second bool) {
 	p.edges++
 	p.bytes += sz
 	p.maxGen = max(p.maxGen, e.Gen)
@@ -184,7 +200,10 @@ func (p *partition) add(e storage.Edge, sz int64) {
 		p.pending = append(p.pending, e)
 		return
 	}
-	mp.bySrc[e.Src] = append(mp.bySrc[e.Src], int32(len(mp.edges)))
+	if second {
+		mp.bySrc[e.Src] = append(mp.bySrc[e.Src], int32(len(mp.edges)))
+		mp.maxRightGen = max(mp.maxRightGen, e.Gen)
+	}
 	mp.edges = append(mp.edges, e)
 	mp.dirty = true
 }
@@ -229,6 +248,12 @@ type Engine struct {
 	// noSplit keeps processPair from repartitioning, so that the only splits
 	// are the ones this package's tests force by hand.
 	noSplit bool
+	// wholeFrontier makes every pass collect every left-capable edge, as all
+	// passes did before the frontier cut (see processPair). The cut only leaves
+	// out first edges none of whose pairs would be merged, so this changes no
+	// result and no count; only this package's tests set it, to run the
+	// reference they hold that claim to.
+	wholeFrontier bool
 
 	// Join scratch reused across supersteps: the superstep loop is
 	// single-threaded, so by the time processPair runs again the previous
@@ -652,7 +677,8 @@ func (en *Engine) load(idx int) (*partition, error) {
 	dirty := len(p.pending) > 0
 	edges = append(edges, p.pending...)
 	p.pending = nil
-	p.mem = &memPart{edges: edges, bySrc: buildBySrc(edges), dirty: dirty, lastUse: en.tick}
+	p.mem = &memPart{edges: edges, dirty: dirty, lastUse: en.tick}
+	p.mem.index(en.g)
 	return p, nil
 }
 

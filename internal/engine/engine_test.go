@@ -19,6 +19,22 @@ func emptyICFET() *cfet.ICFET {
 	return &cfet.ICFET{Syms: symbolic.NewTable(), MethodByName: map[string]cfet.MethodID{}, MaxEncLen: 64}
 }
 
+// allPairs is the dataflow grammar the checker closed its graph under before
+// grammar.NewDataflow became left-linear: flow ::= flow flow over base edges
+// that carry flow themselves (Step and Flow are the one label). It derives a
+// path of n edges once per split point, which is why it was retired, and its
+// derived edges stand second in later pairs, which is why this package's chain
+// fixtures keep it: the linear grammar's seconds are all base edges, so it
+// alone would leave the engine untested on seconds that arrive mid-run. The
+// checker's TestLinearClosureEqualsAllPairs holds the linear closure to it.
+func allPairs() *grammar.Dataflow {
+	g := grammar.New()
+	flow := g.Intern("flow")
+	g.AddBinary(flow, flow, flow)
+	g.SetFinal(flow)
+	return &grammar.Dataflow{G: g, Step: flow, Flow: flow}
+}
+
 func flowEdge(src, dst uint32, l grammar.Label) storage.Edge {
 	return storage.Edge{Src: src, Dst: dst, Label: l}
 }
@@ -51,7 +67,7 @@ func collectLabel(t *testing.T, en *Engine, l grammar.Label) map[[2]uint32]int {
 }
 
 func TestTransitiveClosureChain(t *testing.T) {
-	d := grammar.NewDataflow()
+	d := allPairs()
 	var edges []storage.Edge
 	const n = 10
 	for i := uint32(0); i+1 < n; i++ {
@@ -75,7 +91,7 @@ func TestTransitiveClosureChain(t *testing.T) {
 func TestClosureWithManyPartitions(t *testing.T) {
 	// Tiny memory budget forces multiple partitions and out-of-core
 	// behavior; the result must be identical.
-	d := grammar.NewDataflow()
+	d := allPairs()
 	var edges []storage.Edge
 	const n = 40
 	for i := uint32(0); i+1 < n; i++ {
@@ -93,7 +109,7 @@ func TestClosureWithManyPartitions(t *testing.T) {
 }
 
 func TestRepartitioningTriggers(t *testing.T) {
-	d := grammar.NewDataflow()
+	d := allPairs()
 	var edges []storage.Edge
 	const n = 64
 	for i := uint32(0); i+1 < n; i++ {
@@ -178,7 +194,7 @@ func TestPointerGrammarFieldSensitivity(t *testing.T) {
 }
 
 func TestRelComposition(t *testing.T) {
-	d := grammar.NewDataflow()
+	d := allPairs()
 	f := fsm.BuiltinIO()
 	newRel := fsm.EventRel(f, "new")
 	writeRel := fsm.EventRel(f, "write")
@@ -245,7 +261,7 @@ fun f(x: int) {
   return;
 }`)
 	m := ic.Method("f")
-	d := grammar.NewDataflow()
+	d := allPairs()
 	mkEdge := func(src, dst uint32, from, to uint64) storage.Edge {
 		return storage.Edge{Src: src, Dst: dst, Label: d.Flow,
 			Enc: cfet.Enc{cfet.Interval(m.Method, from, to)}}
@@ -293,7 +309,7 @@ fun f(x: int) {
   return;
 }`)
 	m := ic.Method("f")
-	d := grammar.NewDataflow()
+	d := allPairs()
 	// Node 2 = first-if true; its true child for second if = 2*2+2 = 6.
 	edges := []storage.Edge{
 		{Src: 0, Dst: 1, Label: d.Flow, Enc: cfet.Enc{cfet.Interval(m.Method, 0, 2)}},
@@ -310,7 +326,7 @@ fun f(x: int) {
 }
 
 func TestDeduplication(t *testing.T) {
-	d := grammar.NewDataflow()
+	d := allPairs()
 	edges := []storage.Edge{
 		flowEdge(0, 1, d.Flow),
 		flowEdge(0, 1, d.Flow), // duplicate
@@ -335,7 +351,7 @@ fun f(x: int) {
   return;
 }`)
 	m := ic.Method("f")
-	d := grammar.NewDataflow()
+	d := allPairs()
 	var edges []storage.Edge
 	// Distinct single-node encodings 0..8 between vertices 0->1, plus a
 	// 1->2 edge so joins occur.
@@ -357,7 +373,7 @@ fun f(x: int) {
   return;
 }`)
 	m := ic.Method("f")
-	d := grammar.NewDataflow()
+	d := allPairs()
 	edges := []storage.Edge{
 		{Src: 0, Dst: 1, Label: d.Flow, Enc: cfet.Enc{cfet.Interval(m.Method, 0, 2)}},
 		{Src: 1, Dst: 2, Label: d.Flow, Enc: cfet.Enc{cfet.Interval(m.Method, 2, 2)}},
@@ -378,7 +394,7 @@ fun f(x: int) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	d := grammar.NewDataflow()
+	d := allPairs()
 	_, st := runEngine(t, emptyICFET(), d.G, Options{}, nil, 1)
 	if st.EdgesAfter != 0 || st.EdgesBefore != 0 {
 		t.Fatalf("empty graph stats: %+v", st)
@@ -386,7 +402,7 @@ func TestEmptyGraph(t *testing.T) {
 }
 
 func TestDeferRepartition(t *testing.T) {
-	d := grammar.NewDataflow()
+	d := allPairs()
 	var edges []storage.Edge
 	const n = 64
 	for i := uint32(0); i+1 < n; i++ {

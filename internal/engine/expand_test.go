@@ -38,8 +38,8 @@ func expandReference(g *grammar.Grammar, e storage.Edge) []storage.Edge {
 	return kept
 }
 
-// TestExpansionTableMatchesReference: for every label of the pointer and
-// dataflow grammars plus a grammar with a unary diamond that mirrors midway,
+// TestExpansionTableMatchesReference: for every label of the pointer, dataflow
+// and all-pairs grammars plus a grammar with a unary diamond that mirrors midway,
 // on a plain edge and on a self-loop, the table yields exactly the
 // reference expansion, in the reference's order. (The reference does not
 // terminate on a grammar whose mirrors form a cycle; the table does.)
@@ -53,6 +53,7 @@ func TestExpansionTableMatchesReference(t *testing.T) {
 	grammars := map[string]*grammar.Grammar{
 		"pointer":  grammar.NewPointer([]string{"f", "g"}).G,
 		"dataflow": grammar.NewDataflow().G,
+		"allPairs": allPairs().G,
 		"chain":    chain,
 	}
 	for name, g := range grammars {

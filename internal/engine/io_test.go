@@ -56,7 +56,7 @@ func TestIODoneCounters(t *testing.T) {
 }
 
 func TestIOStatsReported(t *testing.T) {
-	d := grammar.NewDataflow()
+	d := allPairs()
 	_, st := runEngine(t, emptyICFET(), d.G, Options{MemoryBudget: 4096}, chainEdges(40, d.Flow), 40)
 	if st.IO.BytesWritten == 0 || st.IO.Writes == 0 {
 		t.Fatalf("no write traffic recorded: %+v", st.IO)
@@ -79,7 +79,7 @@ func TestIOStatsReported(t *testing.T) {
 func TestPrefetchOverlapsLoads(t *testing.T) {
 	// A tiny budget forces many partitions, so the scheduler keeps paying
 	// for loads — which the prefetcher should be serving.
-	d := grammar.NewDataflow()
+	d := allPairs()
 	_, st := runEngine(t, emptyICFET(), d.G, Options{MemoryBudget: 4096}, chainEdges(40, d.Flow), 40)
 	if st.Partitions < 3 {
 		t.Fatalf("want several partitions, got %d", st.Partitions)
@@ -112,7 +112,7 @@ func runEngineNoPrefetch(t *testing.T, g *grammar.Grammar, opts Options, edges [
 }
 
 func TestPrefetchDisabled(t *testing.T) {
-	d := grammar.NewDataflow()
+	d := allPairs()
 	_, st := runEngineNoPrefetch(t, d.G, Options{MemoryBudget: 4096}, chainEdges(40, d.Flow), 40)
 	if st.IO.PrefetchIssued != 0 || st.IO.PrefetchHits != 0 {
 		t.Fatalf("prefetch ran while disabled: %+v", st.IO)
@@ -125,7 +125,7 @@ func TestPrefetchDisabled(t *testing.T) {
 // must be identical with prefetch on and off, and iteration counts must
 // match — proof that pair scheduling did not shift.
 func TestPrefetchAndCacheDeterminism(t *testing.T) {
-	d := grammar.NewDataflow()
+	d := allPairs()
 	edges := chainEdges(48, d.Flow)
 	enOn, stOn := runEngine(t, emptyICFET(), d.G,
 		Options{MemoryBudget: 4096}, edges, 48)
@@ -149,7 +149,7 @@ func TestPrefetchAndCacheDeterminism(t *testing.T) {
 }
 
 func TestLRUCacheEvicts(t *testing.T) {
-	d := grammar.NewDataflow()
+	d := allPairs()
 	_, st := runEngine(t, emptyICFET(), d.G, Options{MemoryBudget: 4096}, chainEdges(64, d.Flow), 64)
 	if st.IO.Evictions == 0 {
 		t.Fatalf("tiny budget must force evictions: %+v", st.IO)
@@ -160,7 +160,7 @@ func TestLoadRejectsForeignPartitionFile(t *testing.T) {
 	// A partition file whose header interval disagrees with the partition
 	// table (e.g. files swapped by an operator) must fail the load, not
 	// silently compute on the wrong vertices.
-	d := grammar.NewDataflow()
+	d := allPairs()
 	en, _ := runEngine(t, emptyICFET(), d.G, Options{MemoryBudget: 4096}, chainEdges(40, d.Flow), 40)
 	if len(en.parts) < 2 {
 		t.Fatalf("need at least 2 partitions, got %d", len(en.parts))

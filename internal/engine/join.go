@@ -98,9 +98,10 @@ type joinChunk struct {
 // enough that a claim is noise next to the chunk's work.
 const joinChunkEdges = 256
 
-// seconds returns the loaded edges that start at vertex src, the partition
-// holding them, and the stamp of the sub-join they form with firsts[k]: the
-// partition firsts[k] was collected from → the partition owning src.
+// seconds returns the loaded right-capable edges that start at vertex src,
+// the partition holding them, and the stamp of the sub-join they form with
+// firsts[k]: the partition firsts[k] was collected from → the partition
+// owning src.
 func (jn *passJoin) seconds(k int, src uint32) ([]int32, *memPart, stamp) {
 	from, st := jn.pi, jn.selfI
 	if k >= jn.fromI {
@@ -143,8 +144,8 @@ func (scr *joinScratch) keep(enc cfet.Enc) cfet.Enc {
 // path constraint is satisfiable, and adds the induced edges (paper §4.2,
 // §4.3 "similar in spirit to table joining in relational algebra, but ...
 // we need to consider the constraints of both assignment semantics and
-// paths"). Returns the superstep's frontier size — how many source edges
-// were eligible for joining — for the observability layer.
+// paths"). Returns the superstep's frontier size — how many first edges were
+// collected for joining — for the observability layer.
 func (en *Engine) processPair(i, j int) (int, error) {
 	// Make room for i, j; other cached partitions stay resident until the
 	// memory budget forces them out, least-recently-used first.
@@ -168,23 +169,41 @@ func (en *Engine) processPair(i, j int) (int, error) {
 		selfI: en.stamp(pi.id, pi.id), selfJ: en.stamp(pj.id, pj.id), cross: en.stamp(pi.id, pj.id),
 	}
 
-	// Collect source edges; semi-naive: at least one side must be new. The
-	// frontier slice is reused across supersteps: the previous superstep's
+	// Collect source edges; semi-naive: at least one side must be new. A first
+	// edge collected from partition p takes part in two sub-joins — p→p under
+	// p's self stamp, p→other under the cross stamp — and if it is no newer
+	// than both stamps, every pair it forms with a second no newer than its
+	// sub-join's stamp has been merged. So while neither target partition
+	// indexes a second newer than its stamp (maxRightGen), only firsts newer
+	// than the smaller stamp can form an un-merged pair, and only they are
+	// collected; the per-pair filter in joinRange still decides each pair. A
+	// grammar whose right symbols are never derived (the dataflow grammar)
+	// meets the condition on every pass after a pair's first.
+	//
+	// The frontier slice is reused across supersteps: the previous superstep's
 	// frontier is dead by the time the loop comes back here (its candidates
 	// were inserted before the superstep ended).
 	firsts := en.firstsBuf[:0]
-	collect := func(mp *memPart) {
-		for k := range mp.edges {
-			e := &mp.edges[k]
-			if en.g.HasLeft(e.Label) {
+	settled := func(to *partition, st stamp) bool {
+		return st.seen && to.mem.maxRightGen <= st.last
+	}
+	collect := func(from, other *partition, self stamp) {
+		after := int64(-1) // collect firsts of a generation above this
+		if !en.wholeFrontier && settled(from, self) && settled(other, jn.cross) {
+			after = int64(min(self.last, jn.cross.last))
+		}
+		edges := from.mem.edges
+		for k := range edges {
+			e := &edges[k]
+			if int64(e.Gen) > after && en.g.HasLeft(e.Label) {
 				firsts = append(firsts, e)
 			}
 		}
 	}
-	collect(pi.mem)
+	collect(pi, pj, jn.selfI)
 	jn.fromI = len(firsts)
 	if pj != pi {
-		collect(pj.mem)
+		collect(pj, pi, jn.selfJ)
 	}
 	en.firstsBuf, jn.firsts = firsts, firsts
 
@@ -233,6 +252,17 @@ func (en *Engine) processPair(i, j int) (int, error) {
 	}
 	en.stats.Breakdown.Compute += time.Since(computeStart)
 
+	// The frontier and the candidate batches are dead now, but their slots
+	// would go on pointing into the edge arrays and arenas of partitions
+	// evicted later — each pointer keeping a whole array alive outside what
+	// MemoryBudget counts — until a frontier as large overwrote them. Zero
+	// what this superstep used, so the buffers hold nothing between supersteps.
+	frontier := len(firsts)
+	clear(firsts)
+	for _, scr := range en.scratch[:workers] {
+		clear(scr.out)
+	}
+
 	// Edges induced during this very iteration carry generation gen and still
 	// need to be joined against everything, so all three sub-join stamps
 	// advance to gen-1: a cross pass has joined every within-pi and within-pj
@@ -258,7 +288,7 @@ func (en *Engine) processPair(i, j int) (int, error) {
 			}
 		}
 	}
-	return len(firsts), nil
+	return frontier, nil
 }
 
 // speculate predicts the pair the scheduler will pick once the current one
@@ -524,7 +554,7 @@ func (en *Engine) insert(e *storage.Edge, payload uint64) {
 		}
 		en.keys[k] = struct{}{}
 		en.variants[ep]++
-		en.partOf(v.Src).add(v, storage.RecordSize(&v))
+		en.partOf(v.Src).add(v, storage.RecordSize(&v), en.g.HasRight(v.Label))
 	}
 }
 
@@ -590,7 +620,7 @@ func (en *Engine) repartition(idx int) error {
 			trace.Args{"part": p.id, "newPart": np.id, "mid": mid})
 	}
 	mp.edges = loEdges
-	mp.bySrc = buildBySrc(loEdges)
+	mp.index(en.g)
 	mp.dirty = true
 
 	// The new partition inherits the join history of the one it was cut from:
@@ -621,17 +651,17 @@ func (en *Engine) repartition(idx int) error {
 	return nil
 }
 
-// ForEach streams every edge of the closed graph from disk (after Run).
+// ForEach streams every edge of the closed graph from disk (after Run), one
+// block of one partition at a time: the edge f is handed, and its encoding,
+// are only valid during the call.
 func (en *Engine) ForEach(f func(*storage.Edge) bool) error {
+	more := true
 	for _, p := range en.parts {
-		edges, _, _, err := storage.ReadPart(p.path, nil)
-		if err != nil {
+		if err := storage.VisitPart(p.path, func(e *storage.Edge) bool {
+			more = f(e)
+			return more
+		}); err != nil || !more {
 			return err
-		}
-		for i := range edges {
-			if !f(&edges[i]) {
-				return nil
-			}
 		}
 	}
 	return nil

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/grapple-system/grapple/internal/grammar"
 	"github.com/grapple-system/grapple/internal/trace"
 )
 
@@ -77,7 +76,7 @@ func TestObservedRunIsRaceFree(t *testing.T) {
 // progress attached must produce the exact same edge set, iteration count,
 // and edge totals as a bare run.
 func TestTraceDoesNotChangeClosure(t *testing.T) {
-	d := grammar.NewDataflow()
+	d := allPairs()
 	edges := chainEdges(48, d.Flow)
 
 	enBare, stBare := runEngine(t, emptyICFET(), d.G, Options{MemoryBudget: 4096}, edges, 48)

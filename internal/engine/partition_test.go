@@ -3,7 +3,6 @@ package engine
 import (
 	"testing"
 
-	"github.com/grapple-system/grapple/internal/grammar"
 	"github.com/grapple-system/grapple/internal/storage"
 )
 
@@ -29,7 +28,7 @@ func fileHas(t *testing.T, p *partition, src, dst uint32) bool {
 // and the next checkpoint must journal the hot pair under its unchanged ids.
 func TestSplitKeepsPerPartitionState(t *testing.T) {
 	const n = 200
-	d := grammar.NewDataflow()
+	d := allPairs()
 	en := startEngine(t, emptyICFET(), d.G, Options{MemoryBudget: 4 << 10, Journal: true}, chainEdges(n, d.Flow), n)
 	if err := en.startJournal(n); err != nil {
 		t.Fatal(err)
@@ -110,7 +109,7 @@ func TestSplitKeepsPerPartitionState(t *testing.T) {
 // even if the pass it was loaded for adds nothing to it.
 func TestLoadedPendingEdgesSurviveEviction(t *testing.T) {
 	const n = 200
-	d := grammar.NewDataflow()
+	d := allPairs()
 	en := startEngine(t, emptyICFET(), d.G, Options{MemoryBudget: 4 << 10}, chainEdges(n, d.Flow), n)
 	last := len(en.parts) - 1
 	p := en.parts[last]

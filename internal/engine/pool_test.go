@@ -147,6 +147,12 @@ func TestCacheProbeZeroAlloc(t *testing.T) {
 // derived once per intermediate vertex, which makes most candidates
 // duplicates, as in a real closure.
 func joinChain(tb testing.TB, n uint32) (*cfet.ICFET, *grammar.Dataflow, []storage.Edge) {
+	return joinChainUnder(tb, n, allPairs())
+}
+
+// joinChainUnder is joinChain for the dataflow grammar d: the production one,
+// under which each transitive pair is derived once, or allPairs.
+func joinChainUnder(tb testing.TB, n uint32, d *grammar.Dataflow) (*cfet.ICFET, *grammar.Dataflow, []storage.Edge) {
 	ic := buildFromSource(tb, `
 fun f(x: int) {
   if (x > 0) {
@@ -157,10 +163,9 @@ fun f(x: int) {
   return;
 }`)
 	m := ic.Method("f")
-	d := grammar.NewDataflow()
 	var edges []storage.Edge
 	for i := uint32(0); i+1 < n; i++ {
-		e := flowEdge(i, i+1, d.Flow)
+		e := flowEdge(i, i+1, d.Step)
 		end := uint64(0)
 		switch {
 		case i%3 == 0:

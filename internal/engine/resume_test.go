@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/grapple-system/grapple/internal/faultpoint"
-	"github.com/grapple-system/grapple/internal/grammar"
 	"github.com/grapple-system/grapple/internal/storage"
 )
 
@@ -47,7 +46,7 @@ func TestEngineResumeAtEveryBoundary(t *testing.T) {
 	// machinery while staying a few seconds.
 	const n = 24
 	const tag = 0x5eed
-	d := grammar.NewDataflow()
+	d := allPairs()
 
 	// Reference: an uninterrupted journaled run.
 	refDir := t.TempDir()
@@ -112,7 +111,7 @@ func TestEngineResumeAtEveryBoundary(t *testing.T) {
 func TestEngineResumeAfterTornWrites(t *testing.T) {
 	const n = 24
 	const tag = 9
-	d := grammar.NewDataflow()
+	d := allPairs()
 
 	refDir := t.TempDir()
 	refEn := New(emptyICFET(), d.G, smallOpts(refDir, tag))
@@ -167,7 +166,7 @@ func TestEngineResumeAfterTornWrites(t *testing.T) {
 }
 
 func TestEngineResumeMissingJournal(t *testing.T) {
-	d := grammar.NewDataflow()
+	d := allPairs()
 	en := New(emptyICFET(), d.G, Options{Dir: t.TempDir(), MemoryBudget: 4096})
 	if _, err := en.Resume(10); !errors.Is(err, storage.ErrNoJournal) {
 		t.Fatalf("resume without journal: %v", err)
@@ -176,7 +175,7 @@ func TestEngineResumeMissingJournal(t *testing.T) {
 
 func TestEngineResumeStaleJournal(t *testing.T) {
 	const n = 20
-	d := grammar.NewDataflow()
+	d := allPairs()
 	dir := t.TempDir()
 	en := New(emptyICFET(), d.G, smallOpts(dir, 1))
 	if _, err := en.Run(chainEdges(n, d.Flow), n); err != nil {
@@ -196,7 +195,7 @@ func TestEngineResumeStaleJournal(t *testing.T) {
 
 func TestEngineResumeCorruptJournal(t *testing.T) {
 	const n = 20
-	d := grammar.NewDataflow()
+	d := allPairs()
 	dir := t.TempDir()
 	en := New(emptyICFET(), d.G, smallOpts(dir, 1))
 	if _, err := en.Run(chainEdges(n, d.Flow), n); err != nil {
@@ -215,7 +214,7 @@ func TestEngineResumeCorruptJournal(t *testing.T) {
 
 func TestEngineResumeCompletedRun(t *testing.T) {
 	const n = 20
-	d := grammar.NewDataflow()
+	d := allPairs()
 	dir := t.TempDir()
 	en := New(emptyICFET(), d.G, smallOpts(dir, 3))
 	st, err := en.Run(chainEdges(n, d.Flow), n)
@@ -258,7 +257,7 @@ func (c *countingCtx) Err() error {
 func TestEngineCancelFlushesFinalRecord(t *testing.T) {
 	const n = 40
 	const tag = 11
-	d := grammar.NewDataflow()
+	d := allPairs()
 
 	refEn := New(emptyICFET(), d.G, smallOpts(t.TempDir(), tag))
 	if _, err := refEn.Run(chainEdges(n, d.Flow), n); err != nil {

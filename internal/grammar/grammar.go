@@ -25,9 +25,10 @@ type Grammar struct {
 	unary  map[Label][]Label
 	binary map[uint32][]Label
 	mirror map[Label]Label
-	// hasLeft[b] is set when some binary production starts with label b;
-	// AddBinary keeps it in step with binary.
-	hasLeft []bool
+	// hasLeft[b] (hasRight[c]) is set when some binary production has label b
+	// as its first (label c as its second) symbol; AddBinary keeps both in
+	// step with binary.
+	hasLeft, hasRight []bool
 
 	// Final marks labels whose edges are analysis results (e.g. flowsTo,
 	// alias); the engine reports counts per final label.
@@ -100,10 +101,17 @@ func (g *Grammar) AddUnary(a, b Label) { g.unary[b] = append(g.unary[b], a) }
 func (g *Grammar) AddBinary(a, b, c Label) {
 	k := binKey(b, c)
 	g.binary[k] = append(g.binary[k], a)
-	if int(b) >= len(g.hasLeft) {
-		g.hasLeft = append(g.hasLeft, make([]bool, int(b)+1-len(g.hasLeft))...)
+	g.hasLeft = mark(g.hasLeft, b)
+	g.hasRight = mark(g.hasRight, c)
+}
+
+// mark sets set[l], growing the table to reach it.
+func mark(set []bool, l Label) []bool {
+	if int(l) >= len(set) {
+		set = append(set, make([]bool, int(l)+1-len(set))...)
 	}
-	g.hasLeft[b] = true
+	set[l] = true
+	return set
 }
 
 // SetMirror declares that producing label a also produces rev on the
@@ -134,6 +142,13 @@ func (g *Grammar) MatchUnary(b Label) []Label { return g.unary[b] }
 // engine uses this to skip edges that can never begin a match.
 func (g *Grammar) HasLeft(b Label) bool {
 	return int(b) < len(g.hasLeft) && g.hasLeft[b]
+}
+
+// HasRight reports whether any binary production ends with label c: only
+// such an edge can be the second of a matching pair, so only such edges are
+// worth indexing by source vertex.
+func (g *Grammar) HasRight(c Label) bool {
+	return int(c) < len(g.hasRight) && g.hasRight[c]
 }
 
 func binKey(b, c Label) uint32 { return uint32(b)<<16 | uint32(c) }
@@ -202,19 +217,35 @@ func NewPointer(fields []string) *Pointer {
 	return p
 }
 
-// Dataflow builds the trivial transitive-closure grammar used by the
-// dataflow/typestate graph: flow ::= flow flow. Edge composition carries the
-// FSM transition relation (handled by the engine's relation hook).
+// Dataflow is the transitive-closure grammar of the dataflow/typestate graph,
+// in left-linear form:
+//
+//	flow ::= step step | flow step
+//
+// Base edges carry step, so a flow is only ever extended by one base edge and
+// a path of n base edges has exactly one derivation (flow ::= flow flow, the
+// form this replaced, re-derives it at each of its n-1 split points). The
+// closed flows are step ∪ flow. Edge composition carries the FSM transition
+// relation (handled by the engine's relation hook).
+//
+// flow ::= step as a unary production would say the same with one label to
+// read, but preprocess would then expand every base edge into two parallel
+// ones, which re-permutes the order same-endpoint variants arrive in and so
+// which of them the variant cap keeps (DESIGN.md, "Typestate as transitive
+// closure").
 type Dataflow struct {
 	G    *Grammar
-	Flow Label
+	Step Label // what base edges carry; label 0
+	Flow Label // a path of two or more steps
 }
 
 // NewDataflow builds the dataflow grammar.
 func NewDataflow() *Dataflow {
 	g := New()
-	d := &Dataflow{G: g, Flow: g.Intern("flow")}
-	g.AddBinary(d.Flow, d.Flow, d.Flow)
+	d := &Dataflow{G: g, Step: g.Intern("step"), Flow: g.Intern("flow")}
+	g.AddBinary(d.Flow, d.Step, d.Step)
+	g.AddBinary(d.Flow, d.Flow, d.Step)
+	g.SetFinal(d.Step)
 	g.SetFinal(d.Flow)
 	return d
 }

@@ -2,6 +2,7 @@ package grammar
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -92,11 +93,38 @@ func TestPointerGrammarClosureByHand(t *testing.T) {
 
 func TestDataflowGrammar(t *testing.T) {
 	d := NewDataflow()
-	if got := d.G.MatchBinary(d.Flow, d.Flow); len(got) != 1 || got[0] != d.Flow {
-		t.Fatalf("flow flow -> %v", got)
+	g := d.G
+	// Base edges are written with label 0 (pgraph) and read back by number.
+	if d.Step != 0 || d.Flow != 1 || g.NumLabels() != 2 {
+		t.Fatalf("step = %d, flow = %d of %d labels; want 0, 1 of 2", d.Step, d.Flow, g.NumLabels())
 	}
-	if !d.G.IsFinal(d.Flow) {
-		t.Fatal("flow must be final")
+	// Left-linear: a flow is extended by a base edge only, so every path has
+	// one derivation. flow flow, the retired production, and step flow, its
+	// right-linear half, must match nothing.
+	for _, c := range []struct {
+		b, c Label
+		want []Label
+	}{
+		{d.Step, d.Step, []Label{d.Flow}},
+		{d.Flow, d.Step, []Label{d.Flow}},
+		{d.Flow, d.Flow, nil},
+		{d.Step, d.Flow, nil},
+	} {
+		if got := g.MatchBinary(c.b, c.c); !slices.Equal(got, c.want) {
+			t.Errorf("%s %s -> %v, want %v", g.Name(c.b), g.Name(c.c), got, c.want)
+		}
+	}
+	// No unary production: flow ::= step would make preprocess double every
+	// base edge.
+	if got := g.MatchUnary(d.Step); len(got) != 0 {
+		t.Errorf("step lifts to %v, want no unary production", got)
+	}
+	// The closed flows are step ∪ flow; only a base edge is ever a second.
+	if !g.IsFinal(d.Step) || !g.IsFinal(d.Flow) {
+		t.Error("step and flow must both be final")
+	}
+	if !g.HasLeft(d.Step) || !g.HasLeft(d.Flow) || !g.HasRight(d.Step) || g.HasRight(d.Flow) {
+		t.Error("step and flow start productions, only step ends one")
 	}
 }
 
@@ -131,6 +159,45 @@ func TestHasLeft(t *testing.T) {
 		}
 		if g.HasLeft(NoLabel) {
 			t.Fatal("NoLabel starts no production")
+		}
+	}
+}
+
+// hasRightReference is hasLeftReference for a production's second symbol.
+func hasRightReference(g *Grammar, c Label) bool {
+	for k := range g.binary {
+		if Label(k&0xffff) == c {
+			return true
+		}
+	}
+	return false
+}
+
+// TestHasRight pins what the engine indexes by source vertex under the pointer
+// grammar — an allocation or a store is never the second of a pair — and holds
+// the table to the production walk, as TestHasLeft does.
+func TestHasRight(t *testing.T) {
+	p := NewPointer([]string{"f", "g"})
+	for _, name := range []string{"assign", "load[f]", "load[g]", "alias", "flowsTo", "t2[f]", "t2[g]"} {
+		if !p.G.HasRight(p.G.Lookup(name)) {
+			t.Errorf("%s ends a production, HasRight says no", name)
+		}
+	}
+	for _, name := range []string{"new", "store[f]", "store[g]", "flowsToBar", "t1[f]"} {
+		if p.G.HasRight(p.G.Lookup(name)) {
+			t.Errorf("%s ends no production, HasRight says yes", name)
+		}
+	}
+	late := p.G.Intern("late")
+	p.G.AddBinary(p.FlowsTo, p.Assign, late)
+	for _, g := range []*Grammar{p.G, NewDataflow().G, New()} {
+		for l := Label(0); int(l) < g.NumLabels()+2; l++ {
+			if got, want := g.HasRight(l), hasRightReference(g, l); got != want {
+				t.Fatalf("HasRight(%s) = %v, production walk says %v", g.Name(l), got, want)
+			}
+		}
+		if g.HasRight(NoLabel) {
+			t.Fatal("NoLabel ends no production")
 		}
 	}
 }

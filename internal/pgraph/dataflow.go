@@ -160,7 +160,7 @@ func (b *objBuilder) point(ctx uint32, node uint64, pos int) uint32 {
 
 func (b *objBuilder) edge(src, dst uint32, rel fsm.Rel, enc cfet.Enc) {
 	b.dg.Edges = append(b.dg.Edges, storage.Edge{
-		Src: src, Dst: dst, Label: b.dg.D.Flow, HasRel: true, Rel: rel, Enc: enc,
+		Src: src, Dst: dst, Label: b.dg.D.Step, HasRel: true, Rel: rel, Enc: enc,
 	})
 }
 

@@ -75,8 +75,8 @@ var (
 	trailerMagic = [4]byte{'G', 'P', 'L', 'T'}
 )
 
-// ErrCorrupt tags every integrity failure ReadPart, ReadPartPrefix and
-// AppendPart can detect (bad magic/version, checksum mismatch, truncation,
+// ErrCorrupt tags every integrity failure ReadPart, VisitPart, ReadPartPrefix
+// and AppendPart can detect (bad magic/version, checksum mismatch, truncation,
 // torn append). Errors wrap it, so errors.Is(err, ErrCorrupt) distinguishes
 // corruption from plain I/O failures.
 var ErrCorrupt = errors.New("corrupt partition file")
@@ -415,6 +415,39 @@ func readPart(path string, dst []Edge, decode blockDecoder) ([]Edge, PartInfo, i
 		return nil, s.info, s.bytes, err
 	}
 	return s.edges, s.info, s.bytes, nil
+}
+
+// VisitPart calls visit on every edge of path in file order, until visit
+// returns false, holding one block of the file in memory at a time instead of
+// the whole partition. The edge and its encoding are only valid during the
+// call: the next block is decoded over them. Verification is ReadPart's — a
+// missing file visits nothing, any damage wraps ErrCorrupt — but block by
+// block: damage behind edges already visited is still reported, so a caller
+// must discard what it gathered when VisitPart returns an error.
+func VisitPart(path string, visit func(*Edge) bool) error {
+	var cur blockCursor
+	var block []Edge
+	stopped := false
+	s, err := scanPart(path, nil, func(payload []byte, count uint32, dst []Edge) ([]Edge, error) {
+		var err error
+		if block, err = cur.decodeBlock(payload, count, block[:0]); err != nil {
+			return dst, err
+		}
+		for i := range block {
+			if !visit(&block[i]) {
+				stopped = true
+				return dst, errors.New("visit stopped") // ends the scan; not reported
+			}
+		}
+		return dst, nil
+	})
+	switch {
+	case stopped || errors.Is(err, os.ErrNotExist):
+		return nil
+	case err != nil:
+		return err
+	}
+	return s.end
 }
 
 // ReadPartPrefix reads the first n edges of a partition file, tolerating

@@ -109,6 +109,21 @@ func FuzzReadPart(f *testing.F) {
 		if rerr == nil && bytes.Equal(data, v1) {
 			t.Fatal("bare v1 record stream accepted")
 		}
+		// The block-by-block reader accepts exactly what ReadPart accepts, and
+		// visits its edges in its order.
+		var visited []Edge
+		verr := VisitPart(path, func(e *Edge) bool {
+			c := *e
+			c.Enc = e.Enc.Clone()
+			visited = append(visited, c)
+			return true
+		})
+		if (verr == nil) != (rerr == nil) || verr != nil && !errors.Is(verr, ErrCorrupt) {
+			t.Fatalf("VisitPart: %v, ReadPart: %v", verr, rerr)
+		}
+		if rerr == nil {
+			sameEdges(t, "visit", visited, got)
+		}
 		if _, _, _, err := ReadPartPrefix(path, 0); err != nil {
 			if rerr == nil {
 				t.Fatalf("ReadPart accepts a file ReadPartPrefix rejects: %v", err)

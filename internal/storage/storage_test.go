@@ -376,6 +376,17 @@ func TestCorruptionMatrix(t *testing.T) {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("error not tagged ErrCorrupt: %v", err)
 			}
+			// The block-by-block reader verifies what ReadPart verifies, and
+			// visits whole verified blocks only: of this one-block file all
+			// edges (the damage sits behind the block, in the trailer) or none.
+			visited := 0
+			err = VisitPart(path, func(*Edge) bool { visited++; return true })
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("VisitPart: %v", err)
+			}
+			if visited != 0 && visited != len(edges) {
+				t.Fatalf("VisitPart visited %d of the block's %d edges", visited, len(edges))
+			}
 			if !tc.header {
 				return
 			}
@@ -444,6 +455,76 @@ func TestReadMissingFileIsEmpty(t *testing.T) {
 	got, _, _, err := ReadPart(filepath.Join(t.TempDir(), "nope.edges"), nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("missing file: %v %v", got, err)
+	}
+	if err := VisitPart(filepath.Join(t.TempDir(), "nope.edges"), func(*Edge) bool {
+		t.Fatal("visited an edge of a missing file")
+		return true
+	}); err != nil {
+		t.Fatalf("VisitPart of a missing file: %v", err)
+	}
+}
+
+// TestVisitPart holds the block-by-block reader to ReadPart on a file of
+// several blocks: the same edges in the same order, each complete while it is
+// being visited although the block buffer is reused; a visit that returns
+// false ends the scan there, without an error; and damage in a later block is
+// reported even though the blocks before it were visited — the caller's cue to
+// discard what it gathered.
+func TestVisitPart(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.edges")
+	rng := rand.New(rand.NewSource(7))
+	var want []Edge
+	for i := 0; i < 30000; i++ {
+		want = append(want, randEdge(rng))
+	}
+	size, err := WritePart(path, want, PartInfo{Lo: 1, Hi: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size < 3*targetBlockSize {
+		t.Fatalf("file of %d bytes is not several blocks", size)
+	}
+	var first *Edge
+	n := 0
+	if err := VisitPart(path, func(e *Edge) bool {
+		if n == 0 {
+			first = e
+		}
+		if !edgesEqual(*e, want[n]) {
+			t.Fatalf("edge %d: visited %+v, ReadPart order has %+v", n, *e, want[n])
+		}
+		n++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(want) {
+		t.Fatalf("visited %d edges of %d", n, len(want))
+	}
+	if edgesEqual(*first, want[0]) {
+		t.Fatal("the first block's buffer was not reused: the visit holds more than a block")
+	}
+
+	n = 0
+	if err := VisitPart(path, func(*Edge) bool { n++; return n < 10000 }); err != nil || n != 10000 {
+		t.Fatalf("stopped visit: %d edges visited, err %v; want 10000 and none", n, err)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-trailerSize-3] ^= 0x80 // inside the last block
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n = 0
+	err = VisitPart(path, func(*Edge) bool { n++; return true })
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("damaged last block: %v", err)
+	}
+	if n == 0 || n >= len(want) {
+		t.Fatalf("visited %d of %d edges before the damaged last block", n, len(want))
 	}
 }
 
