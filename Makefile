@@ -56,8 +56,12 @@ fuzz:
 # require a byte-identical final report; same at checker granularity (both
 # closure phases) and batch granularity (kill between instances, resume
 # reruns only the unfinished ones). Superstep counts are bounded by small
-# workloads so the every-boundary sweep stays fast. The checker sweep runs at
-# a multi-partition budget with at least one repartition, and a second sweep
+# workloads so the every-boundary sweep stays fast. The checker sweep
+# (TestCheckerResumeAtEveryBoundary) runs at two multi-partition budgets: one
+# whose partitions hold whole per-object subgraphs and are never paired, and
+# one that splits a subgraph at its median source, so that passes over two
+# connected partitions — and the destination ranges a resumed engine must
+# rebuild to schedule them — cross every kill point. A second sweep
 # (TestCheckerResumeJournalWithoutSelfStamps, matched by "Resume") resumes
 # from journals stripped of their self stamps, as an engine that kept one
 # stamp per pass wrote them.
@@ -129,11 +133,15 @@ bench-e2e:
 # near zero allocs/record (and under half of the stream-decoder oracle), the
 # dedupe key and a warm SMT-cache probe must not allocate at all, the join as a
 # whole must stay within its pinned allocations per candidate and, out of
-# core, within 1.05 x the edge pairs the in-memory join merges, with exactly
+# core, merge exactly the edge pairs the in-memory join merges, with exactly
 # its rejection counts, the in-memory join itself within its pinned merged
 # pairs per induced edge (the join-amplification guard, against joining a
 # pair twice and against deriving an edge twice: like the scaling guard it
-# gates deterministic counts, not time), and the frontend must stay within
+# gates deterministic counts, not time), an out-of-core dataflow phase must
+# load each partition once (loads <= partitions + splits, bytes read <= twice
+# the closed graph, supersteps within 10 % of their pinned counts: the pass
+# guard, against scheduling partition pairs that no edge connects), and the
+# frontend must stay within
 # its bytes per source byte (Parse: no token slice) and per encoded path
 # (cfet.Build: no environment copy per split), and its allocation per added
 # function must not depend on the program's size (the scaling guard, which
@@ -145,7 +153,7 @@ alloc-budget: build
 	$(GO) test ./internal/engine/ -run 'TestCacheProbeZeroAlloc|TestJoinAllocBudget' -count=1
 	$(GO) test ./internal/lang/ -run TestParseAllocBudget -count=1
 	$(GO) test ./internal/cfet/ -run TestBuildAllocBudget -count=1
-	$(GO) test ./internal/checker/ -run 'TestFrontendScalesLinearly|TestCrossPassJoinsEachPairOnce' -count=1
+	$(GO) test ./internal/checker/ -run 'TestFrontendScalesLinearly|TestCrossPassJoinsEachPairOnce|TestOutOfCorePassesPerPartition' -count=1
 
 # The size figure CHANGES.md and ROADMAP.md quote: lines of non-test Go
 # outside benchmark/ (and outside what the benchmark builds), counted the

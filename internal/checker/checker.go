@@ -325,8 +325,10 @@ func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, ic *cf
 		opts.JournalTag = c.journalTag(ph.name, numVerts, len(edges), ic.PathCount())
 		opts.Faults = c.Opts.Faults
 	}
-	en := engine.New(ic, g, opts)
+	// The span opens first: building the engine (its constraint cache is
+	// pre-sized) is part of what the phase costs.
 	sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "phase."+ph.name)
+	en := engine.New(ic, g, opts)
 	var st *engine.Stats
 	var err error
 	if c.Opts.Resume {

@@ -2,6 +2,7 @@ package checker_test
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -140,11 +141,18 @@ func (r *closureRun) induced() int64 {
 // itself.
 //
 // Every edge pair once: under budgets that cut the dataflow graph into 2, 4
-// and 8 partitions the join must merge no more edge pairs than the
+// and 8 partitions the join must merge exactly the edge pairs the
 // one-partition run does — whichever passes its two partitions meet in and
 // however often they are split — and reject exactly the same number as
 // unsatisfiable and as conflicting. Before sub-join stamps the 4-partition
-// run of hdfs-half merged 2.2 times the pairs.
+// run of hdfs-half merged 2.2 times the pairs; with them it merged one pair
+// more than the one-partition run (69 538 against 69 537: two derivations of
+// one edge that the one-partition run makes in the same superstep and a
+// partitioned run in two, or the other way round), and the test allowed
+// 1.05 x. Partitions cut between components are closed one at a time, in the
+// order and in the rounds of the one-partition run, and the counts are equal:
+// hdfs-half 69 537 in 1, 2, 4 and 8 partitions (27, 53 and 90 dataflow
+// supersteps for 18 in one), deep-sim 274 747 (27, 49, 94).
 //
 // Every edge once: the one-partition run may merge at most maxPerInduced
 // pairs per edge it induces. Under flow ::= flow flow a path was derived at
@@ -198,8 +206,8 @@ func TestCrossPassJoinsEachPairOnce(t *testing.T) {
 				t.Logf("budget %d: %d partitions, %d supersteps: %d candidates (one partition %d), %d unsat (%d), %d conflicts (%d)",
 					c.budget, got, r.res.Dataflow.Iterations, r.candidates(), base.candidates(),
 					r.unsat(), base.unsat(), r.conflict(), base.conflict())
-				if limit := base.candidates() + base.candidates()/20; r.candidates() > limit {
-					t.Errorf("budget %d (%d partitions): %d candidates, more than 1.05 x the one-partition run's %d",
+				if r.candidates() != base.candidates() {
+					t.Errorf("budget %d (%d partitions): %d candidates, the one-partition run %d",
 						c.budget, got, r.candidates(), base.candidates())
 				}
 				if r.unsat() != base.unsat() || r.conflict() != base.conflict() {
@@ -217,18 +225,25 @@ func TestCrossPassJoinsEachPairOnce(t *testing.T) {
 // TestClosureInvariantAcrossBudgets is the first slice of ROADMAP 6(b): what
 // a check computes must not depend on how much memory it was given. Over the
 // four golden subjects and hdfs-half, under the default budget (one
-// partition per phase), 8 MiB, 3 MiB and a 1 MiB floor (16 to 80 dataflow
-// partitions; below it only the superstep count grows, quadratically — 61 060
-// supersteps and four minutes for hbase-sim at 256 KiB), in two regimes:
+// partition per phase), 8 MiB, 3 MiB and a 1 MiB floor (16 to 86 dataflow
+// partitions, up to 9 alias partitions), in two regimes:
 //
 //   - widening off: the closed edge set of both phases, the report set and
 //     both rejection counts equal the in-memory run's exactly;
-//   - the default variant cap: the report set equals the in-memory run's.
-//     The edge set is order-sensitive here (see noWidening) and is not held
-//     to equality: most cells hold the same number of edges in a different
-//     selection, the rest differ by a few widened variants. The test bounds
-//     the difference at 0.1 % of the edge count and logs each cell;
-//     EXPERIMENTS.md ("Exactly-once partitioned join") has the table.
+//   - the default variant cap: the same. The cap keeps the first variants to
+//     arrive at an endpoint, so in principle which edges a closure holds
+//     depends on the schedule (see noWidening), and while partitions were cut
+//     at the median source and every pair of them was scheduled, eight of
+//     these fifteen cells closed to a few edges more than the in-memory run
+//     or to another selection of as many. A dataflow partition cut between
+//     components is closed against itself only, in the rounds and in the
+//     order the one-partition run closes those components in, and the alias
+//     graph is small enough to stay in one partition wherever the cap comes
+//     into play (zookeeper-sim and hbase-sim at 1 MiB run in two alias
+//     partitions and still close to the identical set): all fifteen cells
+//     measure equal, and the test holds them to it. A cell that moves off
+//     equality is a schedule change to explain, not a tolerance to widen;
+//     EXPERIMENTS.md ("Out of core, per connected edge") has the table.
 func TestClosureInvariantAcrossBudgets(t *testing.T) {
 	profiles := append(workload.Profiles(), hdfsHalfProfile())
 	if testing.Short() || raceflag.Enabled {
@@ -247,19 +262,82 @@ func TestClosureInvariantAcrossBudgets(t *testing.T) {
 					if !slices.Equal(r.reports, base.reports) {
 						t.Errorf("maxVariants %d, budget %d: report set differs from the in-memory run's", maxVariants, budget)
 					}
-					if maxVariants == noWidening {
-						if !same {
-							t.Errorf("widening off, budget %d: closed edge sets differ from the in-memory run's (%d edges, in memory %d)",
-								budget, r.edges(), base.edges())
-						}
-						if r.unsat() != base.unsat() || r.conflict() != base.conflict() {
-							t.Errorf("widening off, budget %d: rejected %d unsat / %d conflicts, in memory %d / %d",
-								budget, r.unsat(), r.conflict(), base.unsat(), base.conflict())
-						}
-					} else if d := r.edges() - base.edges(); d > base.edges()/1000 || -d > base.edges()/1000 {
-						t.Errorf("budget %d: %d edges, more than 0.1 %% away from the in-memory run's %d", budget, r.edges(), base.edges())
+					if !same {
+						t.Errorf("maxVariants %d, budget %d: closed edge sets differ from the in-memory run's (%d edges, in memory %d)",
+							maxVariants, budget, r.edges(), base.edges())
+					}
+					if r.unsat() != base.unsat() || r.conflict() != base.conflict() {
+						t.Errorf("maxVariants %d, budget %d: rejected %d unsat / %d conflicts, in memory %d / %d",
+							maxVariants, budget, r.unsat(), r.conflict(), base.unsat(), base.conflict())
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestOutOfCorePassesPerPartition is the out-of-core pass guard (in `make
+// alloc-budget`, next to the join-amplification guard): like it, it gates
+// deterministic counts, not time. The dataflow graph is a union of
+// unconnected per-object subgraphs, partitions are cut between them and a pair
+// of partitions no edge connects is never scheduled, so an out-of-core
+// dataflow phase loads a partition, closes it against itself, writes it and
+// does not come back: at most one load per partition there ever was (the final
+// ones and one more for every split, whose high half is written out and loaded
+// again later), fewer bytes read than twice the closed graph, and about as
+// many supersteps as all partitions' rounds together — measured 53 for
+// hdfs-half at 3 MiB (111 while every pair was scheduled; 18 in one
+// partition), 114 and 819 for hbase-sim at 8 MiB and 1 MiB (372 and 14 641),
+// gated at those plus 10 %.
+func TestOutOfCorePassesPerPartition(t *testing.T) {
+	hbase, _ := workload.ProfileByName("hbase-sim")
+	cells := []struct {
+		profile    workload.Profile
+		budget     int64
+		supersteps int64
+	}{
+		{hdfsHalfProfile(), 3 << 20, 58},
+		{hbase, 8 << 20, 125},
+		{hbase, 1 << 20, 900},
+	}
+	if testing.Short() || raceflag.Enabled {
+		cells = cells[:1]
+	}
+	for _, c := range cells {
+		t.Run(fmt.Sprintf("%s/%d MiB", c.profile.Name, c.budget>>20), func(t *testing.T) {
+			dir := t.TempDir()
+			res, err := checker.New(fsm.Builtins(), checker.Options{
+				WorkDir: dir, Engine: engine.Options{Workers: 2, MemoryBudget: c.budget},
+			}).CheckSource(workload.Generate(c.profile).Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths, err := filepath.Glob(filepath.Join(dir, "dataflow", "part-*.edges"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var closed int64
+			for _, p := range paths {
+				fi, err := os.Stat(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				closed += fi.Size()
+			}
+			d := res.Dataflow
+			t.Logf("%d dataflow partitions after %d splits: %d supersteps, %d loads, %.1f MiB read of a closed graph of %.1f MiB",
+				d.Partitions, d.Repartitions, d.Iterations, d.IO.Loads, float64(d.IO.BytesRead)/(1<<20), float64(closed)/(1<<20))
+			if d.Partitions < 4 || d.Repartitions == 0 {
+				t.Fatalf("%d partitions and %d splits: the budget does not take the phase out of core", d.Partitions, d.Repartitions)
+			}
+			if most := int64(d.Partitions) + d.Repartitions; d.IO.Loads > most {
+				t.Errorf("%d loads for %d partitions and %d splits: partitions are being loaded again", d.IO.Loads, d.Partitions, d.Repartitions)
+			}
+			if d.IO.BytesRead > 2*closed {
+				t.Errorf("read %d bytes, more than twice the closed graph's %d", d.IO.BytesRead, closed)
+			}
+			if d.Iterations > c.supersteps {
+				t.Errorf("%d supersteps, budget %d: pairs are being scheduled that join nothing", d.Iterations, c.supersteps)
 			}
 		})
 	}

@@ -1,6 +1,9 @@
 package checker
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -12,6 +15,7 @@ import (
 	"github.com/grapple-system/grapple/internal/faultpoint"
 	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/storage"
+	"github.com/grapple-system/grapple/internal/trace"
 )
 
 // resumeSrc tracks writers, a lock and sockets across calls and branches —
@@ -100,64 +104,143 @@ func renderReports(rs []Report) string {
 // alias and dataflow phases), resume from the journal, and require the
 // report stream byte-identical to an uninterrupted run. Also checks the
 // journal-off ablation: checkpointing must not perturb results.
+//
+// Two budgets, for the two ways a dataflow phase goes out of core. At 64 KiB
+// every partition boundary is a cut between two objects' subgraphs: the
+// partitions are closed one after the other and no two of them are ever
+// paired, so a resumed engine that scheduled no cross pair at all would pass.
+// At 32 KiB one object's subgraph alone outgrows the window a cut is looked
+// for in, a split falls back to the median source, and the two halves have to
+// be joined with each other: the sweep then kills and resumes between the
+// fallback split and the cross passes that follow it, and a resumed engine
+// that does not know which partitions point into which — the destination
+// ranges are not journaled, restoreFrom rebuilds them from the edges — makes
+// those passes late or not at all. Late is enough for the reports, which read
+// a few edges of the closed graph, so the sweep also holds every resumed run
+// to the supersteps and the closed edge count of the uninterrupted one.
 func TestCheckerResumeAtEveryBoundary(t *testing.T) {
-	src := resumeSource(t)
+	for _, cell := range []struct {
+		name           string
+		budget         int64
+		splitComponent bool
+	}{
+		{"partitions of whole components", 64 << 10, false},
+		{"a component split at its median", 32 << 10, true},
+	} {
+		t.Run(cell.name, func(t *testing.T) {
+			opts := func(dir string) Options {
+				o := resumeOpts(dir)
+				o.Engine.MemoryBudget = cell.budget
+				return o
+			}
+			src := resumeSource(t)
 
-	refFaults := faultpoint.New()
-	refOpts := resumeOpts(t.TempDir())
-	refOpts.Faults = refFaults
-	ref, err := New(fsm.Builtins(), refOpts).CheckSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderReports(ref.Reports)
-	if len(ref.Reports) == 0 {
-		t.Fatal("reference run found no reports; subject too small to mean anything")
-	}
-	if ref.Alias.IO.JournalAppends == 0 || ref.Dataflow.IO.JournalAppends == 0 {
-		t.Fatalf("phases did not checkpoint: alias=%d dataflow=%d",
-			ref.Alias.IO.JournalAppends, ref.Dataflow.IO.JournalAppends)
-	}
-	boundaries := refFaults.Count(faultpoint.EngineSuperstep)
-	if boundaries < 4 {
-		t.Fatalf("only %d superstep boundaries; subject too small for the kill sweep", boundaries)
-	}
-	// The sweep must cross cross-partition passes and a split, or it says
-	// nothing about sub-join stamps and their inheritance surviving a kill.
-	if ref.Dataflow.Partitions < 2 || ref.Dataflow.Repartitions < 1 {
-		t.Fatalf("dataflow phase ran in %d partitions with %d repartitions; budget too large for the kill sweep",
-			ref.Dataflow.Partitions, ref.Dataflow.Repartitions)
-	}
+			refFaults := faultpoint.New()
+			var events bytes.Buffer
+			rec := trace.NewWriters(nil, &events)
+			refOpts := opts(t.TempDir())
+			refOpts.Faults, refOpts.Trace = refFaults, rec
+			ref, err := New(fsm.Builtins(), refOpts).CheckSource(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := renderReports(ref.Reports)
+			if len(ref.Reports) == 0 {
+				t.Fatal("reference run found no reports; subject too small to mean anything")
+			}
+			if ref.Alias.IO.JournalAppends == 0 || ref.Dataflow.IO.JournalAppends == 0 {
+				t.Fatalf("phases did not checkpoint: alias=%d dataflow=%d",
+					ref.Alias.IO.JournalAppends, ref.Dataflow.IO.JournalAppends)
+			}
+			boundaries := refFaults.Count(faultpoint.EngineSuperstep)
+			if boundaries < 4 {
+				t.Fatalf("only %d superstep boundaries; subject too small for the kill sweep", boundaries)
+			}
+			// The sweep must cross a split, or it says nothing about stamps and
+			// ranges surviving a kill — and in the second cell a split that left
+			// its halves connected, with passes over the two of them after it.
+			if ref.Dataflow.Partitions < 2 || ref.Dataflow.Repartitions < 1 {
+				t.Fatalf("dataflow phase ran in %d partitions with %d repartitions; budget too large for the kill sweep",
+					ref.Dataflow.Partitions, ref.Dataflow.Repartitions)
+			}
+			fallback, crossAfter := false, 0
+			sc := bufio.NewScanner(&events)
+			sc.Buffer(nil, 1<<20)
+			for sc.Scan() {
+				var ev struct {
+					Name string
+					Args struct {
+						Cut  *bool
+						Pair string
+					}
+				}
+				if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+					t.Fatal(err)
+				}
+				var i, j int
+				switch {
+				case ev.Name == "repartition" && ev.Args.Cut != nil && !*ev.Args.Cut:
+					fallback = true
+				case ev.Name == "superstep" && fallback:
+					if _, err := fmt.Sscanf(ev.Args.Pair, "%d+%d", &i, &j); err != nil {
+						t.Fatal(err)
+					}
+					if i != j {
+						crossAfter++
+					}
+				}
+			}
+			if cell.splitComponent != (crossAfter > 0) {
+				t.Fatalf("budget %d: a split at the median source: %v, %d passes over two different partitions after it",
+					cell.budget, fallback, crossAfter)
+			}
 
-	// Journal-off ablation: identical reports.
-	off := resumeOpts(t.TempDir())
-	off.Journal = false
-	ablation, err := New(fsm.Builtins(), off).CheckSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderReports(ablation.Reports); got != want {
-		t.Fatalf("journal-off ablation changed reports:\n%s\nvs\n%s", got, want)
-	}
+			// Journal-off ablation: identical reports.
+			off := opts(t.TempDir())
+			off.Journal = false
+			ablation, err := New(fsm.Builtins(), off).CheckSource(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderReports(ablation.Reports); got != want {
+				t.Fatalf("journal-off ablation changed reports:\n%s\nvs\n%s", got, want)
+			}
 
-	for k := 1; k <= boundaries; k++ {
-		dir := t.TempDir()
-		faults := faultpoint.New()
-		faults.Arm(faultpoint.EngineSuperstep, k)
-		opts := resumeOpts(dir)
-		opts.Faults = faults
-		if _, err := New(fsm.Builtins(), opts).CheckSource(src); !errors.Is(err, faultpoint.ErrInjected) {
-			t.Fatalf("k=%d: kill did not fire: %v", k, err)
-		}
-		ropts := resumeOpts(dir)
-		ropts.Resume = true
-		res, err := New(fsm.Builtins(), ropts).CheckSource(src)
-		if err != nil {
-			t.Fatalf("k=%d: resume: %v", k, err)
-		}
-		if got := renderReports(res.Reports); got != want {
-			t.Fatalf("k=%d: resumed reports differ:\n%s\nvs\n%s", k, got, want)
-		}
+			for k := 1; k <= boundaries; k++ {
+				dir := t.TempDir()
+				faults := faultpoint.New()
+				faults.Arm(faultpoint.EngineSuperstep, k)
+				kopts := opts(dir)
+				kopts.Faults = faults
+				if _, err := New(fsm.Builtins(), kopts).CheckSource(src); !errors.Is(err, faultpoint.ErrInjected) {
+					t.Fatalf("k=%d: kill did not fire: %v", k, err)
+				}
+				ropts := opts(dir)
+				ropts.Resume = true
+				res, err := New(fsm.Builtins(), ropts).CheckSource(src)
+				if err != nil {
+					t.Fatalf("k=%d: resume: %v", k, err)
+				}
+				if got := renderReports(res.Reports); got != want {
+					t.Fatalf("k=%d: resumed reports differ:\n%s\nvs\n%s", k, got, want)
+				}
+				// Reports read a few edges of the closed graph. A resumed engine
+				// that schedules other passes than the uninterrupted one shows
+				// here first: in the supersteps it takes and the edges it closes to.
+				for _, ph := range []struct {
+					name      string
+					got, want PhaseStats
+				}{{"alias", res.Alias, ref.Alias}, {"dataflow", res.Dataflow, ref.Dataflow}} {
+					if ph.got.Iterations != ph.want.Iterations || ph.got.EdgesAfter != ph.want.EdgesAfter {
+						t.Fatalf("k=%d: resumed %s phase took %d supersteps to %d edges, uninterrupted %d to %d",
+							k, ph.name, ph.got.Iterations, ph.got.EdgesAfter, ph.want.Iterations, ph.want.EdgesAfter)
+					}
+				}
+			}
+		})
 	}
 }
 

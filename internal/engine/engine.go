@@ -3,11 +3,22 @@
 // centric join that loads two partitions per iteration, constraint-guided
 // edge induction (grammar match + path-encoding merge + SMT check), eager
 // repartitioning, semi-naive scheduling, and LRU constraint memoization.
+//
+// Scheduling is per connected pair: a partition pair is owed a pass only
+// while one of the two holds edges the pair's stamp has not seen and a first
+// edge of one ends inside the other's vertex interval (owed, over one
+// destination range per partition). Partition boundaries are put where no
+// edge crosses them whenever such a vertex lies near enough to the wanted
+// size (markCuts), so a graph that is a disjoint union of small components —
+// the dataflow graph is one subgraph per tracked object — is closed one
+// partition at a time: load it, join it against itself to fixpoint, write it,
+// never come back.
 package engine
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -125,6 +136,16 @@ type partition struct {
 	edges  int64
 	bytes  int64
 	maxGen uint32
+	// dstMin and dstMax are the smallest and the largest Dst among the
+	// left-capable edges (Grammar.HasLeft) the partition owns, wherever they
+	// are; the range is empty while dstMin > dstMax, as newPartition leaves it.
+	// A first edge pairs with seconds that start at its Dst, so a partition
+	// whose interval the range misses holds no second for any first of this one
+	// (reaches). A partition only ever gains edges (add widens the range) or is
+	// divided in two (repartition recomputes both), so the range stays exact —
+	// owed would do with a superset — and resume rebuilds the same one from the
+	// edges.
+	dstMin, dstMax uint32
 	// mem is the loaded form; nil while the partition lives on disk only.
 	mem *memPart
 	// pending buffers the edges induced while the partition was not loaded
@@ -187,14 +208,28 @@ func (mp *memPart) index(g *grammar.Grammar) {
 // owns reports whether vertex v lies in the partition's interval.
 func (p *partition) owns(v uint32) bool { return v >= p.lo && v < p.hi }
 
+// reach widens the destination range to contain v.
+func (p *partition) reach(v uint32) {
+	p.dstMin, p.dstMax = min(p.dstMin, v), max(p.dstMax, v)
+}
+
+// reaches reports whether a first edge of p may end inside q's interval.
+func (p *partition) reaches(q *partition) bool {
+	return p.dstMin < q.hi && p.dstMax >= q.lo
+}
+
 // add is the one place an edge joins a partition after preprocessing: into
 // memory when the partition is loaded, into the pending buffer otherwise.
-// second says whether the edge's label can stand second in a production
-// (Grammar.HasRight), i.e. whether the loaded form indexes it.
-func (p *partition) add(e storage.Edge, sz int64, second bool) {
+// first and second say whether the edge's label can stand first or second in
+// a production (Grammar.HasLeft, HasRight), i.e. whether the destination range
+// must cover it and whether the loaded form indexes it.
+func (p *partition) add(e storage.Edge, sz int64, first, second bool) {
 	p.edges++
 	p.bytes += sz
 	p.maxGen = max(p.maxGen, e.Gen)
+	if first {
+		p.reach(e.Dst)
+	}
 	mp := p.mem
 	if mp == nil {
 		p.pending = append(p.pending, e)
@@ -254,6 +289,12 @@ type Engine struct {
 	// result and no count; only this package's tests set it, to run the
 	// reference they hold that claim to.
 	wholeFrontier bool
+	// stampsOnly makes owed schedule every pair its stamp leaves dirty, whether
+	// or not an edge connects the two, as the scheduler did before partitions
+	// kept a destination range. The passes the range saves merge nothing, so
+	// this changes no result; only this package's tests set it, to run the
+	// reference they hold that claim to.
+	stampsOnly bool
 
 	// Join scratch reused across supersteps: the superstep loop is
 	// single-threaded, so by the time processPair runs again the previous
@@ -342,10 +383,11 @@ func (en *Engine) RunContext(ctx context.Context, initial []storage.Edge, numVer
 		}
 	}
 	sp := en.opts.Trace.Start(en.opts.TraceTID, "engine", "preprocess")
-	if err := en.preprocess(initial, numVertices); err != nil {
+	cuts, err := en.preprocess(initial, numVertices)
+	if err != nil {
 		return nil, err
 	}
-	sp.End(trace.Args{"edges": en.stats.EdgesBefore, "partitions": len(en.parts)})
+	sp.End(trace.Args{"edges": en.stats.EdgesBefore, "partitions": len(en.parts), "cuts": cuts})
 	if en.opts.Journal {
 		if err := en.startJournal(numVertices); err != nil {
 			return nil, err
@@ -447,9 +489,19 @@ func (en *Engine) observeSuperstep(sp trace.Span, i, j, firsts int) {
 	})
 }
 
-// owed reports whether the pair (pi, pj) is still scheduled for a pass: it
-// never had one, or one of the two has gained edges since.
+// owed reports whether the pair (pi, pj) is still scheduled for a pass: a
+// first edge of one may end in the other, and the pair never had a pass or
+// one of the two has gained edges since. The sub-join pi→pj pairs a first in
+// pi with a second that starts at the first's Dst, in pj; while neither
+// destination range meets the other's interval there is no such pair to
+// merge, old or new, so knowing that there is nothing to join costs neither a
+// load nor a look at the stamps. A pair passed over this way keeps its stamp:
+// the first pass after an edge connects the two joins everything the stamp
+// has not seen, which is exactly what no earlier pass can have merged.
 func (en *Engine) owed(pi, pj *partition) bool {
+	if pi != pj && !pi.reaches(pj) && !pj.reaches(pi) && !en.stampsOnly {
+		return false
+	}
 	st := en.stamp(pi.id, pj.id)
 	return !st.seen || pi.maxGen > st.last || pj.maxGen > st.last
 }
@@ -471,8 +523,9 @@ func (en *Engine) dirtyPairs() int {
 // dedupes, and writes the first generation of partitions sized to the
 // memory budget (paper §4.3 "a preprocessing step partitions the input
 // graph ... such that any two partitions, if loaded together, would not
-// exceed the memory capacity").
-func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) error {
+// exceed the memory capacity"). It returns how many of the boundaries it drew
+// are cuts of the input (markCuts).
+func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) (cuts int, err error) {
 	var all []storage.Edge
 	for _, e := range initial {
 		e.Gen = 0
@@ -497,8 +550,17 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) error {
 		}
 		return all[i].Dst < all[j].Dst
 	})
-	// Chunk by bytes so each partition stays under half the budget.
-	limit := en.opts.MemoryBudget / 4 // headroom: partitions grow during compute
+	// Chunk by bytes, a quarter of the budget at most: two partitions loaded
+	// together then leave half of it to what the closure adds before either is
+	// split. A chunk within a quarter of that limit ends at the first cut it
+	// comes to, and where the limit falls when there is none — when one
+	// component alone outgrows the window.
+	limit := en.opts.MemoryBudget / 4
+	arcs := make([]arc, len(all))
+	for i := range all {
+		arcs[i] = arc{all[i].Src, all[i].Dst}
+	}
+	cut := markCuts(arcs)
 	var cur []storage.Edge
 	var curBytes int64
 	var lo uint32
@@ -509,6 +571,9 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) error {
 		p := en.newPartition(lo, hi)
 		for i := range cur {
 			p.bytes += storage.RecordSize(&cur[i])
+			if en.g.HasLeft(cur[i].Label) {
+				p.reach(cur[i].Dst)
+			}
 		}
 		p.edges = int64(len(cur))
 		if err := en.writePart(p, cur); err != nil {
@@ -526,9 +591,12 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) error {
 		for ; j < len(all) && all[j].Src == src; j++ {
 			groupBytes += storage.RecordSize(&all[j])
 		}
-		if curBytes > 0 && curBytes+groupBytes > limit {
+		if curBytes > 0 && (curBytes+groupBytes > limit || cut[i] && curBytes >= limit-limit/4) {
+			if cut[i] {
+				cuts++
+			}
 			if err := flushPart(src); err != nil {
-				return err
+				return 0, err
 			}
 		}
 		cur = append(cur, all[i:j]...)
@@ -539,11 +607,39 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) error {
 		numVertices = 1
 	}
 	if err := flushPart(numVertices); err != nil {
-		return err
+		return 0, err
 	}
 	// Widen the last partition to cover the whole vertex space.
 	en.parts[len(en.parts)-1].hi = numVertices
-	return nil
+	return cuts, nil
+}
+
+// arc is an edge reduced to its endpoints.
+type arc struct{ src, dst uint32 }
+
+// markCuts takes an edge set sorted by source and reports, per position k,
+// whether the vertex arcs[k].src is a cut of the set: a vertex v no edge
+// crosses, i.e. no edge has min(src, dst) < v <= max(src, dst). Sorted by
+// source, the edges before k are the ones that start below v, so v is a cut
+// exactly when all of those also end below it (prefix maximum) and all the
+// others end at or above it (suffix minimum). A partition boundary at a cut
+// leaves no edge of the set pointing from one side to the other: two
+// partitions of a graph that is a union of unconnected components then hold
+// whole components, and owed never pairs them. Position 0 is never marked:
+// nothing lies below it.
+func markCuts(arcs []arc) []bool {
+	cut := make([]bool, len(arcs))
+	least := uint32(math.MaxUint32)
+	for k := len(arcs) - 1; k > 0; k-- {
+		least = min(least, arcs[k].dst)
+		cut[k] = least >= arcs[k].src
+	}
+	var most uint32
+	for k := 1; k < len(arcs); k++ {
+		most = max(most, arcs[k-1].src, arcs[k-1].dst)
+		cut[k] = cut[k] && most < arcs[k].src
+	}
+	return cut
 }
 
 // derivation is one member of an edge's closure under unary and mirror
@@ -600,7 +696,7 @@ func (en *Engine) expansion(l grammar.Label) []derivation {
 // the ids in use are exactly 0 … len(parts)-1.
 func (en *Engine) newPartition(lo, hi uint32) *partition {
 	id := len(en.parts)
-	return &partition{id: id, lo: lo, hi: hi,
+	return &partition{id: id, lo: lo, hi: hi, dstMin: math.MaxUint32,
 		path: filepath.Join(en.opts.Dir, fmt.Sprintf("part-%06d.edges", id))}
 }
 

@@ -22,7 +22,7 @@ func startEngine(t *testing.T, ic *cfet.ICFET, g *grammar.Grammar, opts Options,
 	en := New(ic, g, opts)
 	en.noSplit = true
 	t.Cleanup(en.drainPrefetch)
-	if err := en.preprocess(edges, nv); err != nil {
+	if _, err := en.preprocess(edges, nv); err != nil {
 		t.Fatal(err)
 	}
 	return en

@@ -109,15 +109,18 @@ func heapRing(tb testing.TB, n uint32) cutFixture {
 	return cutFixture{name: "pointer", ic: ic, g: p.G, edges: edges, nv: n * perCell, budget: 24 << 10}
 }
 
-func cutFixtures(tb testing.TB) []cutFixture {
-	const n = 40
+func cutFixtures(tb testing.TB) []cutFixture { return cutFixturesOf(tb, 40, 10) }
+
+// cutFixturesOf is the three fixtures over chains of n vertices and a ring of
+// cells cells.
+func cutFixturesOf(tb testing.TB, n, cells uint32) []cutFixture {
 	lin, all := grammar.NewDataflow(), allPairs()
 	ic, linEdges := cutChain(tb, n, lin.Step)
 	_, allEdges := cutChain(tb, n, all.Step)
 	return []cutFixture{
 		{name: "linear", ic: ic, g: lin.G, edges: linEdges, nv: n, budget: 6 << 10},
 		{name: "allPairs", ic: ic, g: all.G, edges: allEdges, nv: n, budget: 6 << 10},
-		heapRing(tb, 10),
+		heapRing(tb, cells),
 	}
 }
 
@@ -154,21 +157,40 @@ func runCut(t *testing.T, f cutFixture, dir string, budget int64, whole, resume 
 		t.Fatal(cerr)
 	}
 	run := cutRun{en: en, st: en.Stats()}
-	sc := bufio.NewScanner(&events)
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		var ev struct {
-			Name string
-			Args struct{ Frontier int64 }
-		}
-		if jerr := json.Unmarshal(sc.Bytes(), &ev); jerr != nil {
-			t.Fatal(jerr)
-		}
+	for _, ev := range traceEvents(t, &events) {
 		if ev.Name == "superstep" {
 			run.frontier += ev.Args.Frontier
 		}
 	}
 	return run, err
+}
+
+// traceEvent is one line of a recorder's event stream, as far as this
+// package's tests read it: a superstep span's frontier, a repartition
+// instant's boundary vertex and whether it is a cut.
+type traceEvent struct {
+	Name string
+	Args struct {
+		Frontier int64
+		Mid      uint32
+		Cut      bool
+	}
+}
+
+// traceEvents decodes the event stream a closed recorder wrote.
+func traceEvents(t *testing.T, events *bytes.Buffer) []traceEvent {
+	t.Helper()
+	var evs []traceEvent
+	sc := bufio.NewScanner(events)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		var ev traceEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+	}
+	return evs
 }
 
 // sameJoin reports whether run a and run b — or the segments b of a run that

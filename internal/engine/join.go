@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -554,13 +556,18 @@ func (en *Engine) insert(e *storage.Edge, payload uint64) {
 		}
 		en.keys[k] = struct{}{}
 		en.variants[ep]++
-		en.partOf(v.Src).add(v, storage.RecordSize(&v), en.g.HasRight(v.Label))
+		en.partOf(v.Src).add(v, storage.RecordSize(&v), en.g.HasLeft(v.Label), en.g.HasRight(v.Label))
 	}
 }
 
-// repartition splits the loaded partition at table position idx at its median
-// source vertex (paper §4.3 "oversized partitions get dynamically
-// repartitioned").
+// repartition splits the loaded partition at table position idx (paper §4.3
+// "oversized partitions get dynamically repartitioned"): at the cut of its
+// edges (markCuts) nearest the median position among those that leave between
+// a quarter and three quarters of the edges below them, and at the median
+// source vertex when no cut lies in that window — when one component alone is
+// larger than it. After a split at a cut neither half points into the other
+// and the two are never paired; after one at the median they are, as any two
+// partitions an edge connects.
 func (en *Engine) repartition(idx int) error {
 	p := en.parts[idx]
 	mp := p.mem
@@ -570,12 +577,20 @@ func (en *Engine) repartition(idx int) error {
 	if p.hi-p.lo <= 1 || len(mp.edges) < 2 {
 		return nil // cannot split a single-vertex interval
 	}
-	srcs := make([]uint32, len(mp.edges))
+	arcs := make([]arc, len(mp.edges))
 	for i := range mp.edges {
-		srcs[i] = mp.edges[i].Src
+		arcs[i] = arc{mp.edges[i].Src, mp.edges[i].Dst}
 	}
-	slices.Sort(srcs)
-	mid := srcs[len(srcs)/2]
+	slices.SortFunc(arcs, func(a, b arc) int { return cmp.Compare(a.src, b.src) })
+	n := len(arcs)
+	at, isCut := n/2, false // the boundary is arcs[at].src: at edges start below it
+	off := func(k int) int { return (k - n/2) * (k - n/2) }
+	for k, cut := range markCuts(arcs) {
+		if cut && 4*k >= n && 4*k <= 3*n && (!isCut || off(k) < off(at)) {
+			at, isCut = k, true
+		}
+	}
+	mid := arcs[at].src
 	if mid <= p.lo {
 		mid = p.lo + (p.hi-p.lo)/2
 	}
@@ -585,10 +600,12 @@ func (en *Engine) repartition(idx int) error {
 	en.stats.Repartitions++
 
 	// The low half stays loaded in p; the high half becomes a new partition
-	// np, written out and not loaded.
+	// np, written out and not loaded. Both get their exact counters and
+	// destination range back from the edges they keep.
 	np := en.newPartition(mid, p.hi)
 	p.hi, p.edges, p.bytes, p.maxGen = mid, 0, 0, 0
-	nLo, _ := slices.BinarySearch(srcs, mid) // edges with Src < mid
+	p.dstMin, p.dstMax = math.MaxUint32, 0
+	nLo, _ := slices.BinarySearchFunc(arcs, mid, func(a arc, v uint32) int { return cmp.Compare(a.src, v) })
 	loEdges := make([]storage.Edge, 0, nLo)
 	hiEdges := make([]storage.Edge, 0, len(mp.edges)-nLo)
 	for i := range mp.edges {
@@ -601,6 +618,9 @@ func (en *Engine) repartition(idx int) error {
 		half.edges++
 		half.bytes += storage.RecordSize(e)
 		half.maxGen = max(half.maxGen, e.Gen)
+		if en.g.HasLeft(e.Label) {
+			half.reach(e.Dst)
+		}
 	}
 	if en.jw != nil {
 		// Shrinking the low half under its original path would be the one
@@ -617,7 +637,7 @@ func (en *Engine) repartition(idx int) error {
 	}
 	if en.opts.Trace.Enabled() {
 		en.opts.Trace.Instant(en.opts.TraceTID, "engine", "repartition",
-			trace.Args{"part": p.id, "newPart": np.id, "mid": mid})
+			trace.Args{"part": p.id, "newPart": np.id, "mid": mid, "cut": isCut})
 	}
 	mp.edges = loEdges
 	mp.index(en.g)

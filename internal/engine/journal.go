@@ -20,15 +20,19 @@
 // The in-memory dedupe index and variant counters rebuild exactly from the
 // surviving edges: insert() records only the final (post-widening) key of
 // every edge it keeps, one keys entry and one variants increment per disk
-// edge. The constraint cache is deliberately not journaled — verdicts are a
-// pure function of the cache key, so losing the cache costs time, never
-// changes results.
+// edge. So does each partition's destination range, which is a function of
+// the edges the partition owns and of nothing else: restoreFrom folds every
+// left-capable edge's Dst into it in the loop that rebuilds the other two, and
+// the journal carries no field for it. The constraint cache is deliberately
+// not journaled — verdicts are a pure function of the cache key, so losing the
+// cache costs time, never changes results.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -215,9 +219,9 @@ func (en *Engine) ResumeContext(ctx context.Context, numVertices uint32) (*Stats
 }
 
 // restoreFrom rebuilds the engine's in-memory state from one journal
-// record: the partition table, the global dedupe index and variant
-// counters (from the surviving edges themselves), pair generations, and
-// the scheduler's hot pair.
+// record: the partition table, the global dedupe index, the variant
+// counters and each partition's destination range (from the surviving edges
+// themselves), pair generations, and the scheduler's hot pair.
 func (en *Engine) restoreFrom(rec *storage.JournalRecord, numVertices uint32) error {
 	for _, jp := range rec.Parts {
 		path := filepath.Join(en.opts.Dir, jp.Path)
@@ -230,7 +234,8 @@ func (en *Engine) restoreFrom(rec *storage.JournalRecord, numVertices uint32) er
 		if err := checkInterval(path, info, jp.Lo, jp.Hi); err != nil {
 			return err
 		}
-		p := &partition{id: jp.ID, lo: jp.Lo, hi: jp.Hi, path: path, edges: jp.Edges, maxGen: jp.MaxGen}
+		p := &partition{id: jp.ID, lo: jp.Lo, hi: jp.Hi, path: path, edges: jp.Edges, maxGen: jp.MaxGen,
+			dstMin: math.MaxUint32}
 		var maxGen uint32
 		for i := range edges {
 			e := &edges[i]
@@ -252,6 +257,9 @@ func (en *Engine) restoreFrom(rec *storage.JournalRecord, numVertices uint32) er
 			}
 			en.keys[k] = struct{}{}
 			en.variants[e.Endpoint()]++
+			if en.g.HasLeft(e.Label) {
+				p.reach(e.Dst)
+			}
 		}
 		if maxGen != jp.MaxGen {
 			return fmt.Errorf("engine: %s: %w: max generation %d does not match journaled %d",
