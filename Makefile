@@ -132,14 +132,17 @@ bench-e2e:
 # Allocation-budget regression gates: the zero-copy read path must stay
 # near zero allocs/record (and under half of the stream-decoder oracle), the
 # dedupe key and a warm SMT-cache probe must not allocate at all, the join as a
-# whole must stay within its pinned allocations per candidate and, out of
+# whole must stay within its pinned allocations and bytes per candidate, a
+# check in a temp dir whose graph fits the budget must do no partition I/O at
+# all (loads, writes, appends, bytes, evictions: all 0) and, out of
 # core, merge exactly the edge pairs the in-memory join merges, with exactly
 # its rejection counts, the in-memory join itself within its pinned merged
 # pairs per induced edge (the join-amplification guard, against joining a
 # pair twice and against deriving an edge twice: like the scaling guard it
 # gates deterministic counts, not time), an out-of-core dataflow phase must
-# load each partition once (loads <= partitions + splits, bytes read <= twice
-# the closed graph, supersteps within 10 % of their pinned counts: the pass
+# load each partition once (loads <= partitions + splits, bytes read — the
+# loads' and the one scan of what the run left on disk — <= twice the closed
+# graph, supersteps within 10 % of their pinned counts: the pass
 # guard, against scheduling partition pairs that no edge connects), and the
 # frontend must stay within
 # its bytes per source byte (Parse: no token slice) and per encoded path
@@ -153,7 +156,7 @@ alloc-budget: build
 	$(GO) test ./internal/engine/ -run 'TestCacheProbeZeroAlloc|TestJoinAllocBudget' -count=1
 	$(GO) test ./internal/lang/ -run TestParseAllocBudget -count=1
 	$(GO) test ./internal/cfet/ -run TestBuildAllocBudget -count=1
-	$(GO) test ./internal/checker/ -run 'TestFrontendScalesLinearly|TestCrossPassJoinsEachPairOnce|TestOutOfCorePassesPerPartition' -count=1
+	$(GO) test ./internal/checker/ -run 'TestFrontendScalesLinearly|TestCrossPassJoinsEachPairOnce|TestOutOfCorePassesPerPartition|TestScratchRunDoesNoPartitionIO' -count=1
 
 # The size figure CHANGES.md and ROADMAP.md quote: lines of non-test Go
 # outside benchmark/ (and outside what the benchmark builds), counted the

@@ -26,7 +26,8 @@
 //	-fsm file      FSM spec file (repeatable); default: built-in checkers
 //	-pack name     property pack for Go input (repeatable)
 //	-packs         list the property-pack library and exit
-//	-workdir dir   partition directory (default: temporary)
+//	-workdir dir   partition directory; holds both closed graphs on return
+//	               (default: temporary, written only when -mem is outgrown)
 //	-mem bytes     engine memory budget (default 256 MiB)
 //	-unroll n      loop unroll depth (default 2)
 //	-json          emit reports as JSON (one object per line)

@@ -141,8 +141,11 @@ type Position struct {
 
 // Options tunes a checking run. The zero value gives sensible defaults.
 type Options struct {
-	// WorkDir holds the on-disk graph partitions; a temporary directory is
-	// used (and removed) when empty.
+	// WorkDir holds the on-disk graph partitions. A directory named here
+	// holds both phases' closed graphs (alias/ and dataflow/) when Check
+	// returns. When empty, a temporary directory is used and removed, and it
+	// is written to only when a graph outgrows MemoryBudget: a check that
+	// fits does no partition I/O.
 	WorkDir string
 	// MemoryBudget bounds the engine's in-memory edge data in bytes; two
 	// partitions loaded together never exceed it (default 256 MiB).

@@ -72,7 +72,10 @@ func (m SliceMode) Enabled() bool { return m != SliceOff }
 
 // Options configures a checking run.
 type Options struct {
-	// WorkDir holds the engine's partition files; a temp dir when empty.
+	// WorkDir holds the engine's partition files. A directory named here
+	// holds both phases' closed graphs when the check returns. When empty the
+	// engines work in a temp dir that is removed on return, and write to it
+	// only what Engine.MemoryBudget has no room for.
 	WorkDir string
 	// UnrollDepth is the static loop-unroll bound (default 2).
 	UnrollDepth int
@@ -267,6 +270,10 @@ func (r *Result) QueryPointsTo(method, varName string) []PointsToFact {
 type Checker struct {
 	FSMs []*fsm.FSM
 	Opts Options
+	// closed, which only this package's tests set, is shown each phase's
+	// engine once the phase's consumer has read the closed graph, before
+	// finishPhase persists it.
+	closed func(ph phase, en *engine.Engine)
 }
 
 // New builds a checker.
@@ -325,8 +332,8 @@ func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, ic *cf
 		opts.JournalTag = c.journalTag(ph.name, numVerts, len(edges), ic.PathCount())
 		opts.Faults = c.Opts.Faults
 	}
-	// The span opens first: building the engine (its constraint cache is
-	// pre-sized) is part of what the phase costs.
+	// The span opens first: building the engine is part of what the phase
+	// costs.
 	sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "phase."+ph.name)
 	en := engine.New(ic, g, opts)
 	var st *engine.Stats
@@ -348,6 +355,25 @@ func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, ic *cf
 		CFETPaths: ic.PathCount(), PrunedBranches: ic.PrunedBranches(),
 		SlicedFunctions: ic.SlicedFunctions(), SlicedBranches: ic.SlicedBranches(),
 	}, nil
+}
+
+// finishPhase ends a closure phase once its consumer (extractFlows,
+// checkTyped) has read the closed graph: a WorkDir the caller named is theirs
+// to keep, so what the run left in memory is written out to it — after the
+// consumer, which therefore never reads back what was only just written — and
+// a temp dir about to be removed gets nothing. The phase's statistics are taken
+// again, to include the consumer's reads and this write.
+func (c *Checker) finishPhase(ph phase, en *engine.Engine, st *PhaseStats) error {
+	if c.closed != nil {
+		c.closed(ph, en)
+	}
+	if c.Opts.WorkDir != "" {
+		if err := en.Persist(); err != nil {
+			return fmt.Errorf("%s phase: %w", ph.name, err)
+		}
+	}
+	st.Stats = en.Stats()
+	return nil
 }
 
 func (c *Checker) fsmFor(typ string) *fsm.FSM {
@@ -460,9 +486,10 @@ func (c *Checker) PrepareSource(ctx context.Context, src string) (*Prepared, err
 }
 
 // PrepareIR runs the frontend (pre-analysis, ICFET, context tree, alias
-// graph) and the phase-1 alias closure over a lowered program. The alias
-// engine's partitions are deleted before returning — the flowsTo facts it
-// produced are held in memory, which is all phase 2 consults (§2.2).
+// graph) and the phase-1 alias closure over a lowered program. The flowsTo
+// facts the closure produced are held in memory, which is all phase 2
+// consults (§2.2); the alias engine's partitions outlive the call only in a
+// WorkDir the caller named.
 func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, error) {
 	workDir := c.Opts.WorkDir
 	if c.Opts.Resume && workDir == "" {
@@ -572,7 +599,6 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 	if err != nil {
 		return nil, err
 	}
-	prep.alias = alias
 
 	// Extract flowsTo facts; held in memory for phase 2 (paper §2.2).
 	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "extract-flows")
@@ -581,6 +607,10 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 		return nil, err
 	}
 	sp.End(trace.Args{"flows": nflows})
+	if err := c.finishPhase(aliasPhase, aliasEngine, &alias); err != nil {
+		return nil, err
+	}
+	prep.alias = alias
 	prep.flows = flows
 	prep.flowCount = nflows
 	if c.Opts.RecordPointsTo {
@@ -632,7 +662,6 @@ func (c *Checker) CheckPrepared(ctx context.Context, prep *Prepared) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	res.Dataflow = dataflow
 
 	// --- Phase 3: FSM checking of source->exit relations. ---
 	c.Opts.Progress.SetPhase("fsm-check")
@@ -642,6 +671,10 @@ func (c *Checker) CheckPrepared(ctx context.Context, prep *Prepared) (*Result, e
 		return nil, err
 	}
 	sp.End(trace.Args{"reports": len(res.Reports)})
+	if err := c.finishPhase(dataflowPhase, dfEngine, &dataflow); err != nil {
+		return nil, err
+	}
+	res.Dataflow = dataflow
 	res.ComputeTime = prep.computeTime + time.Since(computeStart)
 	res.Breakdown = prep.alias.Breakdown
 	res.Breakdown.Add(dataflow.Breakdown)

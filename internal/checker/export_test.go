@@ -4,8 +4,10 @@ import (
 	"context"
 
 	"github.com/grapple-system/grapple/internal/cfet"
+	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/grammar"
 	"github.com/grapple-system/grapple/internal/pgraph"
+	"github.com/grapple-system/grapple/internal/storage"
 )
 
 // JoinInputs exposes what an external test needs to replay the engine's
@@ -13,6 +15,14 @@ import (
 // index into and the alias-phase grammar.
 func (p *Prepared) JoinInputs() (*cfet.ICFET, *grammar.Grammar) {
 	return p.ic, p.ag.Ptr.G
+}
+
+// OnClosedGraph has f called once per closure phase with the phase's name and
+// the engine's ForEach, after the phase's consumer has read the closed graph and
+// before a named WorkDir is written: f sees the graph exactly as the checker
+// was handed it.
+func (c *Checker) OnClosedGraph(f func(phase string, forEach func(func(*storage.Edge) bool) error)) {
+	c.closed = func(ph phase, en *engine.Engine) { f(ph.name, en.ForEach) }
 }
 
 // CheckSourceAllPairs is CheckSource with the dataflow phase closed under the
@@ -43,6 +53,9 @@ func (c *Checker) CheckSourceAllPairs(src string) (*Result, error) {
 	}
 	reports, err := checkTyped(en, dg, prep.ic, prep.escaped)
 	if err != nil {
+		return nil, err
+	}
+	if err := c.finishPhase(dataflowPhase, en, &dataflow); err != nil {
 		return nil, err
 	}
 	return &Result{Reports: reports, Alias: prep.alias, Dataflow: dataflow}, nil

@@ -193,7 +193,7 @@ func closeByHand(t *testing.T, f cutFixture, edges []storage.Edge, maxVariants i
 		en.jw = jw
 		hiddenPair(t, en, "after resume")
 	}
-	if err := en.evictAll(); err != nil {
+	if err := en.Persist(); err != nil {
 		t.Fatal(err)
 	}
 	en.closeJournal()

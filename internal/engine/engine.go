@@ -239,6 +239,11 @@ func (p *partition) add(e storage.Edge, sz int64, first, second bool) {
 		mp.bySrc[e.Src] = append(mp.bySrc[e.Src], int32(len(mp.edges)))
 		mp.maxRightGen = max(mp.maxRightGen, e.Gen)
 	}
+	if len(mp.edges) == cap(mp.edges) {
+		// Double when full: append grows a large slice by a quarter, and an
+		// edge array that only ever grows is then copied four times over.
+		mp.edges = slices.Grow(mp.edges, max(len(mp.edges), 64))
+	}
 	mp.edges = append(mp.edges, e)
 	mp.dirty = true
 }
@@ -267,7 +272,7 @@ type Engine struct {
 	// keys globally dedupes edges (an in-memory index, like the ICFET) by
 	// storage.Edge.Key. Written only between parallel join phases (see
 	// hasKey).
-	keys map[uint64]struct{}
+	keys keySet
 	// variants counts constraint variants per endpoint triple.
 	variants map[storage.Endpoint]int
 
@@ -330,7 +335,6 @@ func New(ic *cfet.ICFET, g *grammar.Grammar, opts Options) *Engine {
 		g:        g,
 		pf:       newPrefetcher(),
 		lastGen:  map[[2]int]uint32{},
-		keys:     map[uint64]struct{}{},
 		variants: map[storage.Endpoint]int{},
 	}
 	e.expansions = make([][]derivation, g.NumLabels())
@@ -357,8 +361,10 @@ func (en *Engine) Stats() Stats {
 	return s
 }
 
-// Run computes the transitive closure from the initial edges, then leaves
-// the full closed graph on disk. numVertices sizes the partition space.
+// Run computes the transitive closure from the initial edges. The closed graph
+// is then read with ForEach, wherever it lies: the partitions the budget let
+// stay are in memory, the others in their files. Persist writes the former out
+// for a caller that keeps Options.Dir. numVertices sizes the partition space.
 func (en *Engine) Run(initial []storage.Edge, numVertices uint32) (*Stats, error) {
 	return en.RunContext(context.Background(), initial, numVertices)
 }
@@ -439,7 +445,9 @@ func (en *Engine) runLoop(ctx context.Context) (*Stats, error) {
 	// Drain before the final snapshot so never-consumed prefetches are
 	// counted as wasted in the returned stats.
 	en.drainPrefetch()
-	if err := en.evictAll(); err != nil {
+	// A file equals what its partition held when it last left memory: the
+	// edges induced into an unloaded partition since then go after it.
+	if err := en.flushPending(true); err != nil {
 		return nil, err
 	}
 	en.stats.ComputeTime = time.Since(computeStart)
@@ -520,11 +528,11 @@ func (en *Engine) dirtyPairs() int {
 }
 
 // preprocess expands initial edges through unary/mirror productions,
-// dedupes, and writes the first generation of partitions sized to the
-// memory budget (paper §4.3 "a preprocessing step partitions the input
-// graph ... such that any two partitions, if loaded together, would not
-// exceed the memory capacity"). It returns how many of the boundaries it drew
-// are cuts of the input (markCuts).
+// dedupes, and builds the first generation of partitions, sized to the
+// memory budget and left loaded as far as it allows (paper §4.3 "a
+// preprocessing step partitions the input graph ... such that any two
+// partitions, if loaded together, would not exceed the memory capacity"). It
+// returns how many of the boundaries it drew are cuts of the input (markCuts).
 func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) (cuts int, err error) {
 	var all []storage.Edge
 	for _, e := range initial {
@@ -535,10 +543,9 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) (cuts i
 			v.Src, v.Dst = d.endpoints(&e)
 			v.Label = d.label
 			k := storage.KeyOf(v.Src, v.Dst, v.Label, payload)
-			if _, dup := en.keys[k]; dup {
+			if !en.keys.add(k) {
 				continue
 			}
-			en.keys[k] = struct{}{}
 			en.variants[v.Endpoint()]++
 			all = append(all, v)
 		}
@@ -576,13 +583,15 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) (cuts i
 			}
 		}
 		p.edges = int64(len(cur))
-		if err := en.writePart(p, cur); err != nil {
-			return err
-		}
+		// The partition stays loaded, and dirty: no file holds it yet. One
+		// that the budget has no room for leaves through evict like any other,
+		// the earliest built first (lastUse 0: before anything a pass loads).
+		p.mem = &memPart{edges: cur, dirty: true}
+		p.mem.index(en.g)
 		en.parts = append(en.parts, p)
 		cur, curBytes = nil, 0
 		lo = hi
-		return nil
+		return en.ensureBudget(p, p)
 	}
 	for i := 0; i < len(all); {
 		src := all[i].Src
@@ -807,7 +816,7 @@ func (en *Engine) readPart(p *partition) ([]storage.Edge, error) {
 // against the interval [lo, hi) the partition table or the journal gives it:
 // a swapped or stale file decodes cleanly but holds the wrong vertices. The
 // header's hi may lag behind: preprocess widens the last partition's interval
-// after its file is written.
+// at the end, after the budget may have had it written.
 func checkInterval(path string, info storage.PartInfo, lo, hi uint32) error {
 	if (info.Lo != 0 || info.Hi != 0) && (info.Lo != lo || info.Hi > hi) {
 		return fmt.Errorf("engine: %s: %w: header interval [%d,%d) does not match the partition's [%d,%d)",
@@ -862,6 +871,30 @@ func (en *Engine) evict(p *partition) error {
 	return nil
 }
 
+// Persist makes the files in Options.Dir hold the whole closed graph, for a
+// caller that keeps the directory after the run: it writes out what Run left in
+// memory only. A partition file is otherwise written when its partition leaves
+// memory (evict, repartition's new half) or a checkpoint needs it, so a run
+// whose graph fits the budget, in a directory nobody keeps, writes nothing. After
+// a journaled run every file is current already and Persist writes nothing. It
+// is traced as a checkpoint, which is what it does bar the journal record.
+func (en *Engine) Persist() error {
+	sp := en.opts.Trace.Start(en.opts.TraceTID, "engine", "checkpoint")
+	err := en.flushPending(true)
+	for _, p := range en.parts {
+		if err != nil {
+			break
+		}
+		err = en.writeBack(p)
+	}
+	if err != nil {
+		sp.End(trace.Args{"error": err.Error()})
+		return err
+	}
+	sp.End(trace.Args{"persist": true})
+	return nil
+}
+
 // ensureBudget makes room for the pair (pi, pj) by evicting cached partitions
 // — never pi or pj — least-recently-used first, until the pair fits the
 // memory budget alongside whatever stays cached. Victim selection is
@@ -891,15 +924,6 @@ func (en *Engine) ensureBudget(pi, pj *partition) error {
 			return err
 		}
 	}
-}
-
-func (en *Engine) evictAll() error {
-	for _, p := range en.parts {
-		if err := en.evict(p); err != nil {
-			return err
-		}
-	}
-	return en.flushPending(true)
 }
 
 // flushPending appends the buffered edges of unloaded partitions to their
@@ -947,6 +971,10 @@ func (en *Engine) ioDone(op string, part int, n int64, d time.Duration) {
 		io.Loads++
 		io.BytesRead += n
 		io.LoadLatency.Observe(metrics.LoadLatencyBuckets, d)
+	case "scan":
+		// ForEach streaming an unloaded partition: bytes and time, but no
+		// load — nothing enters memory.
+		io.BytesRead += n
 	case "write":
 		io.Writes++
 		io.BytesWritten += n

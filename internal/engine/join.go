@@ -512,10 +512,7 @@ func (en *Engine) stamp(a, b int) stamp {
 // en.variants are written only by preprocess, by resume, and by insert, and
 // processPair calls insert only after wg.Wait() has seen every worker of the
 // superstep return.
-func (en *Engine) hasKey(k uint64) bool {
-	_, ok := en.keys[k]
-	return ok
-}
+func (en *Engine) hasKey(k uint64) bool { return en.keys.has(k) }
 
 // insert adds one induced edge and its unary/mirror expansions to their
 // owning partitions, honoring the per-endpoint variant cap. payload is e's
@@ -524,13 +521,17 @@ func (en *Engine) insert(e *storage.Edge, payload uint64) {
 	for _, d := range en.expansion(e.Label) {
 		src, dst := d.endpoints(e)
 		k := storage.KeyOf(src, dst, d.label, payload)
-		if _, dup := en.keys[k]; dup {
+		ep := storage.Endpoint{Src: src, Dst: dst, Label: d.label}
+		// Below the cap one probe both asks whether the edge is new and records
+		// it. Past the cap the index records the key of the widened edge, not
+		// k, so whether k was seen is only asked.
+		widen := en.variants[ep] >= en.opts.MaxVariants && len(e.Enc) > 0
+		if widen && en.keys.has(k) || !widen && !en.keys.add(k) {
 			continue
 		}
 		v := *e
 		v.Src, v.Dst, v.Label = src, dst, d.label
-		ep := v.Endpoint()
-		if en.variants[ep] >= en.opts.MaxVariants && len(v.Enc) > 0 {
+		if widen {
 			// Widen: drop interval (branch) precision but keep call/return
 			// structure — erasing it would let composed paths enter a
 			// callee through one call-edge instance and exit through
@@ -546,7 +547,7 @@ func (en *Engine) insert(e *storage.Edge, payload uint64) {
 				v.Enc = nil
 				k = v.Key()
 			}
-			if _, dup := en.keys[k]; dup {
+			if !en.keys.add(k) {
 				continue
 			}
 			if skeleton {
@@ -554,7 +555,6 @@ func (en *Engine) insert(e *storage.Edge, payload uint64) {
 			}
 			en.stats.Widened++
 		}
-		en.keys[k] = struct{}{}
 		en.variants[ep]++
 		en.partOf(v.Src).add(v, storage.RecordSize(&v), en.g.HasLeft(v.Label), en.g.HasRight(v.Label))
 	}
@@ -671,23 +671,44 @@ func (en *Engine) repartition(idx int) error {
 	return nil
 }
 
-// ForEach streams every edge of the closed graph from disk (after Run), one
-// block of one partition at a time: the edge f is handed, and its encoding,
-// are only valid during the call.
+// ForEach hands f every edge of the closed graph (after Run), partition by
+// partition in table order, until f returns false: a loaded partition's from
+// memory, an unloaded one's streamed from its file one block at a time and then
+// from its pending buffer. Either way the order within a partition is the one
+// its file has once written, and the edge f is handed, and its encoding, are
+// only valid during the call.
 func (en *Engine) ForEach(f func(*storage.Edge) bool) error {
-	more := true
 	for _, p := range en.parts {
-		if err := storage.VisitPart(p.path, func(e *storage.Edge) bool {
+		if p.mem != nil {
+			for i := range p.mem.edges {
+				if !f(&p.mem.edges[i]) {
+					return nil
+				}
+			}
+			continue
+		}
+		more := true
+		ioStart := time.Now()
+		n, err := storage.VisitPart(p.path, func(e *storage.Edge) bool {
 			more = f(e)
 			return more
-		}); err != nil || !more {
+		})
+		// f's time is booked with the read it is interleaved with.
+		en.ioDone("scan", p.id, n, time.Since(ioStart))
+		if err != nil {
 			return err
+		}
+		for i := 0; more && i < len(p.pending); i++ {
+			more = f(&p.pending[i])
+		}
+		if !more {
+			return nil
 		}
 	}
 	return nil
 }
 
-// EdgesAfter counts all edges on disk (after Run).
+// EdgesAfter counts the edges of every partition, wherever they are.
 func (en *Engine) EdgesAfter() int64 {
 	var n int64
 	for _, p := range en.parts {

@@ -251,11 +251,9 @@ func (en *Engine) restoreFrom(rec *storage.JournalRecord, numVertices uint32) er
 				maxGen = e.Gen
 			}
 			p.bytes += storage.RecordSize(e)
-			k := e.Key()
-			if _, dup := en.keys[k]; dup {
+			if !en.keys.add(e.Key()) {
 				return fmt.Errorf("engine: %s: %w: duplicate edge in checkpointed prefix", path, storage.ErrCorrupt)
 			}
-			en.keys[k] = struct{}{}
 			en.variants[e.Endpoint()]++
 			if en.g.HasLeft(e.Label) {
 				p.reach(e.Dst)

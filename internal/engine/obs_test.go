@@ -21,7 +21,8 @@ import (
 // Progress at each superstep boundary, so under `make race` any other writer
 // or any shared reference shows up here. The last pushed copy must agree
 // with the returned Stats on everything the work after the last superstep
-// (the final checkpoint and write-back) cannot move.
+// (the final checkpoint) cannot move. The budget is small enough that
+// ensureBudget evicts mid-run: nothing else does.
 func TestObservedRunIsRaceFree(t *testing.T) {
 	// Sized so that one superstep's frontier is more chunks than workers.
 	const n = 320
@@ -46,7 +47,7 @@ func TestObservedRunIsRaceFree(t *testing.T) {
 		}
 	}()
 	en, st := runEngine(t, ic, d.G, Options{
-		MemoryBudget: 96 << 10, Workers: 8, Journal: true, JournalTag: 7, Progress: prog,
+		MemoryBudget: 64 << 10, Workers: 8, Journal: true, JournalTag: 7, Progress: prog,
 	}, edges, n)
 	close(quit)
 	if polls := <-polled; polls == 0 {

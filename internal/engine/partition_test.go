@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/grapple-system/grapple/internal/storage"
@@ -113,6 +114,10 @@ func TestLoadedPendingEdgesSurviveEviction(t *testing.T) {
 	en := startEngine(t, emptyICFET(), d.G, Options{MemoryBudget: 4 << 10}, chainEdges(n, d.Flow), n)
 	last := len(en.parts) - 1
 	p := en.parts[last]
+	// Out of memory first: preprocess leaves what fits the budget loaded.
+	if err := en.evict(p); err != nil {
+		t.Fatal(err)
+	}
 	e := flowEdge(p.lo, 0, d.Flow)
 	e.Gen = 1
 	en.insert(&e, e.PayloadHash())
@@ -122,7 +127,7 @@ func TestLoadedPendingEdgesSurviveEviction(t *testing.T) {
 	if _, err := en.load(last); err != nil {
 		t.Fatal(err)
 	}
-	if err := en.evictAll(); err != nil {
+	if err := en.evict(p); err != nil {
 		t.Fatal(err)
 	}
 	if !fileHas(t, p, e.Src, e.Dst) {
@@ -134,5 +139,80 @@ func TestLoadedPendingEdgesSurviveEviction(t *testing.T) {
 	}
 	if onDisk != en.EdgesAfter() {
 		t.Fatalf("%d edges on disk, %d counted", onDisk, en.EdgesAfter())
+	}
+}
+
+// TestForEachMixedResidency reads a closed graph that lies where a run under a
+// tight budget leaves it and where a caller may find it between passes: some
+// partitions loaded and dirty, the others in their files with edges still in
+// their pending buffers. ForEach must hand out every edge exactly once, each
+// partition's in the order its file will have, whichever place it comes from,
+// and stop the moment f returns false — inside a loaded partition, inside a
+// file, inside a pending buffer.
+func TestForEachMixedResidency(t *testing.T) {
+	const n = 96
+	d := allPairs()
+	en, _ := runEngine(t, emptyICFET(), d.G, Options{MemoryBudget: 16 << 10}, chainEdges(n, d.Flow), n)
+	// One more edge into every other partition, loaded or not.
+	for i, p := range en.parts {
+		if i%2 == 0 {
+			e := flowEdge(p.lo, n-1-p.lo, d.Flow)
+			e.HasRel = true // no edge of the closure has one: a new key
+			e.Gen = en.curGen
+			en.insert(&e, e.PayloadHash())
+		}
+	}
+	var want []uint64
+	var stops []int // each partition's first, middle and last edge, and its first pending one
+	var loadedDirty, unloadedPending int
+	for _, p := range en.parts {
+		switch {
+		case p.mem != nil && p.mem.dirty:
+			loadedDirty++
+		case p.mem == nil && len(p.pending) > 0:
+			unloadedPending++
+		}
+		edges := owned(t, p)
+		stops = append(stops, len(want)+1, len(want)+len(edges)/2, len(want)+len(edges))
+		if p.mem == nil && len(p.pending) > 0 {
+			stops = append(stops, len(want)+len(edges)-len(p.pending)+1)
+		}
+		for _, e := range edges {
+			want = append(want, e.Key())
+		}
+	}
+	if loadedDirty == 0 || unloadedPending == 0 || int64(len(want)) != en.EdgesAfter() {
+		t.Fatalf("%d partitions loaded and dirty, %d unloaded with pending edges, %d edges owned of %d counted: not the mix the test is about",
+			loadedDirty, unloadedPending, len(want), en.EdgesAfter())
+	}
+	readBefore := en.Stats().IO
+	var got []uint64
+	if err := en.ForEach(func(e *storage.Edge) bool { got = append(got, e.Key()); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ForEach handed out %d edges, the partitions own %d, or in another order", len(got), len(want))
+	}
+	seen := map[uint64]bool{}
+	for _, k := range got {
+		if seen[k] {
+			t.Fatalf("edge %#x handed out twice", k)
+		}
+		seen[k] = true
+	}
+	// The files it streamed are read traffic, and not loads: nothing entered
+	// memory.
+	if io := en.Stats().IO; io.BytesRead <= readBefore.BytesRead || io.Loads != readBefore.Loads {
+		t.Fatalf("streaming the unloaded partitions moved bytes read %d -> %d and loads %d -> %d",
+			readBefore.BytesRead, io.BytesRead, readBefore.Loads, io.Loads)
+	}
+	for _, stop := range stops {
+		calls := 0
+		if err := en.ForEach(func(*storage.Edge) bool { calls++; return calls < stop }); err != nil {
+			t.Fatal(err)
+		}
+		if calls != stop {
+			t.Fatalf("f returned false at edge %d, ForEach went on to %d", stop, calls)
+		}
 	}
 }

@@ -204,18 +204,19 @@ func BenchmarkEdgeJoin(b *testing.B) {
 }
 
 // joinAllocsPerCandidate closes joinChain in memory on one worker and
-// returns heap allocations per join candidate (candidates counted as the
-// perf ledger counts them: constraint-cache lookups plus merge conflicts).
-// The run includes preprocessing and the final partition write-back, which
-// the candidate count dwarfs at this chain length.
-func joinAllocsPerCandidate(tb testing.TB) (allocs float64, candidates int64) {
+// returns heap allocations and allocated bytes per join candidate (candidates
+// counted as the perf ledger counts them: constraint-cache lookups plus merge
+// conflicts). The run includes building the engine and preprocessing, which
+// the candidate count dwarfs at this chain length, and no partition I/O: the
+// graph fits the budget.
+func joinAllocsPerCandidate(tb testing.TB) (allocs, bytes float64, candidates int64) {
 	const n = 192
 	ic, d, edges := joinChain(tb, n)
-	en := New(ic, d.G, Options{Dir: tb.TempDir(), Workers: 1})
+	dir := tb.TempDir()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	st, err := en.Run(edges, n)
+	st, err := New(ic, d.G, Options{Dir: dir, Workers: 1}).Run(edges, n)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		tb.Fatal(err)
@@ -224,24 +225,37 @@ func joinAllocsPerCandidate(tb testing.TB) (allocs float64, candidates int64) {
 	if candidates == 0 {
 		tb.Fatal("join chain produced no candidates")
 	}
-	return float64(after.Mallocs-before.Mallocs) / float64(candidates), candidates
+	if st.IO.Writes != 0 || st.IO.Loads != 0 {
+		tb.Fatalf("an in-memory run did partition I/O: %+v", st.IO)
+	}
+	return float64(after.Mallocs-before.Mallocs) / float64(candidates),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(candidates), candidates
 }
 
 // TestJoinAllocBudget is the `make alloc-budget` gate on the join: heap
 // allocations per candidate must stay at the level the scratch-buffer merge
-// and the allocation-free key brought them to.
+// and the allocation-free key brought them to, and allocated bytes where an
+// edge array that doubles, a dedupe index that is one flat table, a constraint
+// cache that starts empty and a run that writes nothing brought them.
 func TestJoinAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
-	allocs, candidates := joinAllocsPerCandidate(t)
-	t.Logf("%.3f allocs/candidate over %d candidates", allocs, candidates)
-	if allocs > joinAllocBudget {
-		t.Fatalf("join allocates %.3f/candidate, budget %.2f", allocs, joinAllocBudget)
+	allocs, bytes, candidates := joinAllocsPerCandidate(t)
+	t.Logf("%.3f allocs and %.0f bytes per candidate over %d candidates", allocs, bytes, candidates)
+	if allocs > joinAllocBudget || bytes > joinBytesBudget {
+		t.Fatalf("join allocates %.3f times and %.0f bytes per candidate, budget %.2f and %d",
+			allocs, bytes, joinAllocBudget, joinBytesBudget)
 	}
 }
 
-// joinAllocBudget pins allocations per join candidate on joinChain: 0.09
-// measured (3.64 before the key, merge and expansion stopped allocating),
-// with headroom for map-growth timing across Go releases.
-const joinAllocBudget = 0.15
+// joinAllocBudget pins allocations per join candidate on joinChain: 0.084
+// measured (3.64 before the key, merge and expansion stopped allocating; 0.091
+// while the run still wrote its partitions at the end), with headroom for
+// map-growth timing across Go releases. joinBytesBudget pins the bytes: 276
+// measured, against 627 with the write-back, a pre-sized constraint cache, a
+// map for the dedupe index and edge arrays regrown by a quarter.
+const (
+	joinAllocBudget = 0.11
+	joinBytesBudget = 350
+)

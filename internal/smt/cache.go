@@ -43,7 +43,9 @@ type cacheEntry struct {
 }
 
 // NewCache returns an LRU cache holding up to capacity verdicts in total,
-// spread across its shards.
+// spread across its shards. The shard maps start empty and grow: a check ends
+// with a small fraction of the default capacity in use, and zeroing sixteen
+// maps sized for all of it cost each engine more than the growth does.
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = 1 << 16
@@ -57,7 +59,7 @@ func NewCache(capacity int) *Cache {
 		c.shards[i] = cacheShard{
 			capacity: per,
 			ll:       list.New(),
-			items:    make(map[string]*list.Element, per),
+			items:    map[string]*list.Element{},
 		}
 	}
 	return c

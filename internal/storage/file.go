@@ -423,8 +423,9 @@ func readPart(path string, dst []Edge, decode blockDecoder) ([]Edge, PartInfo, i
 // call: the next block is decoded over them. Verification is ReadPart's — a
 // missing file visits nothing, any damage wraps ErrCorrupt — but block by
 // block: damage behind edges already visited is still reported, so a caller
-// must discard what it gathered when VisitPart returns an error.
-func VisitPart(path string, visit func(*Edge) bool) error {
+// must discard what it gathered when VisitPart returns an error. Returns the
+// bytes read, like ReadPart.
+func VisitPart(path string, visit func(*Edge) bool) (int64, error) {
 	var cur blockCursor
 	var block []Edge
 	stopped := false
@@ -443,11 +444,11 @@ func VisitPart(path string, visit func(*Edge) bool) error {
 	})
 	switch {
 	case stopped || errors.Is(err, os.ErrNotExist):
-		return nil
+		return s.bytes, nil
 	case err != nil:
-		return err
+		return s.bytes, err
 	}
-	return s.end
+	return s.bytes, s.end
 }
 
 // ReadPartPrefix reads the first n edges of a partition file, tolerating

@@ -112,7 +112,7 @@ func FuzzReadPart(f *testing.F) {
 		// The block-by-block reader accepts exactly what ReadPart accepts, and
 		// visits its edges in its order.
 		var visited []Edge
-		verr := VisitPart(path, func(e *Edge) bool {
+		_, verr := VisitPart(path, func(e *Edge) bool {
 			c := *e
 			c.Enc = e.Enc.Clone()
 			visited = append(visited, c)

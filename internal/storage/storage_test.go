@@ -380,7 +380,7 @@ func TestCorruptionMatrix(t *testing.T) {
 			// visits whole verified blocks only: of this one-block file all
 			// edges (the damage sits behind the block, in the trailer) or none.
 			visited := 0
-			err = VisitPart(path, func(*Edge) bool { visited++; return true })
+			_, err = VisitPart(path, func(*Edge) bool { visited++; return true })
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("VisitPart: %v", err)
 			}
@@ -456,11 +456,11 @@ func TestReadMissingFileIsEmpty(t *testing.T) {
 	if err != nil || len(got) != 0 {
 		t.Fatalf("missing file: %v %v", got, err)
 	}
-	if err := VisitPart(filepath.Join(t.TempDir(), "nope.edges"), func(*Edge) bool {
+	if n, err := VisitPart(filepath.Join(t.TempDir(), "nope.edges"), func(*Edge) bool {
 		t.Fatal("visited an edge of a missing file")
 		return true
-	}); err != nil {
-		t.Fatalf("VisitPart of a missing file: %v", err)
+	}); err != nil || n != 0 {
+		t.Fatalf("VisitPart of a missing file: %d bytes, %v", n, err)
 	}
 }
 
@@ -486,7 +486,7 @@ func TestVisitPart(t *testing.T) {
 	}
 	var first *Edge
 	n := 0
-	if err := VisitPart(path, func(e *Edge) bool {
+	read, err := VisitPart(path, func(e *Edge) bool {
 		if n == 0 {
 			first = e
 		}
@@ -495,18 +495,19 @@ func TestVisitPart(t *testing.T) {
 		}
 		n++
 		return true
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(want) {
-		t.Fatalf("visited %d edges of %d", n, len(want))
+	if n != len(want) || read != size {
+		t.Fatalf("visited %d edges of %d, read %d bytes of %d", n, len(want), read, size)
 	}
 	if edgesEqual(*first, want[0]) {
 		t.Fatal("the first block's buffer was not reused: the visit holds more than a block")
 	}
 
 	n = 0
-	if err := VisitPart(path, func(*Edge) bool { n++; return n < 10000 }); err != nil || n != 10000 {
+	if _, err := VisitPart(path, func(*Edge) bool { n++; return n < 10000 }); err != nil || n != 10000 {
 		t.Fatalf("stopped visit: %d edges visited, err %v; want 10000 and none", n, err)
 	}
 
@@ -519,7 +520,7 @@ func TestVisitPart(t *testing.T) {
 		t.Fatal(err)
 	}
 	n = 0
-	err = VisitPart(path, func(*Edge) bool { n++; return true })
+	_, err = VisitPart(path, func(*Edge) bool { n++; return true })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("damaged last block: %v", err)
 	}
