@@ -28,12 +28,16 @@ fmt-check:
 # TestObservedRunIsRaceFree watches a run with eight join workers from two
 # reader goroutines, and cmd/grapple's TestProgressHeartbeatEmits drives batch +
 # heartbeat + status.json end to end, the one place counters still cross
-# goroutines.
+# goroutines. The second line is the decoder and the solver each join worker
+# owns one of, with the scratch they reuse: their differential tests run under
+# the detector at a tenth of the random corpus and on hdfs-half only.
 race:
 	$(GO) test -race ./internal/storage/... ./internal/engine/... ./internal/checker/... ./internal/scheduler/... ./internal/metrics/... ./internal/trace/... ./cmd/grapple/
+	$(GO) test -race ./internal/symbolic/ ./internal/smt/ ./internal/cfet/
 	$(GO) test -race . -run TestAblationIdentity -count=1
 
-# Short fuzzing sessions: SMT cache-keying invariants, the partition
+# Short fuzzing sessions: SMT cache-keying invariants, the solver against its
+# reference (verdict identity, inputs left intact), the partition
 # store's record decoder (the block cursor against the stream-decoder
 # oracle), its whole-file readers (strict and prefix, held to each other),
 # and the journal reader (resume must never crash or silently accept corrupt
@@ -43,6 +47,7 @@ race:
 # hierarchy (every live covering type must stay a dispatch candidate).
 fuzz:
 	$(GO) test ./internal/smt/ -fuzz FuzzCacheKeying -fuzztime 30s
+	$(GO) test ./internal/smt/ -fuzz FuzzSolverMatchesReference -fuzztime 30s
 	$(GO) test ./internal/lang/ -fuzz FuzzParse -fuzztime 20s
 	$(GO) test ./internal/storage/ -fuzz FuzzDecodeRecordV2 -fuzztime 20s
 	$(GO) test ./internal/storage/ -fuzz FuzzReadPart -fuzztime 20s
@@ -131,7 +136,9 @@ bench-e2e:
 
 # Allocation-budget regression gates: the zero-copy read path must stay
 # near zero allocs/record (and under half of the stream-decoder oracle), the
-# dedupe key and a warm SMT-cache probe must not allocate at all, the join as a
+# dedupe key and a warm SMT-cache probe must not allocate at all, nor may what
+# follows a probe that misses — decoding the path and solving it, in a warm
+# Decoder and Solver — the join as a
 # whole must stay within its pinned allocations and bytes per candidate, a
 # check in a temp dir whose graph fits the budget must do no partition I/O at
 # all (loads, writes, appends, bytes, evictions: all 0) and, out of
@@ -156,7 +163,7 @@ alloc-budget: build
 	$(GO) test ./internal/engine/ -run 'TestCacheProbeZeroAlloc|TestJoinAllocBudget' -count=1
 	$(GO) test ./internal/lang/ -run TestParseAllocBudget -count=1
 	$(GO) test ./internal/cfet/ -run TestBuildAllocBudget -count=1
-	$(GO) test ./internal/checker/ -run 'TestFrontendScalesLinearly|TestCrossPassJoinsEachPairOnce|TestOutOfCorePassesPerPartition|TestScratchRunDoesNoPartitionIO' -count=1
+	$(GO) test ./internal/checker/ -run 'TestFrontendScalesLinearly|TestCrossPassJoinsEachPairOnce|TestOutOfCorePassesPerPartition|TestScratchRunDoesNoPartitionIO|TestMissPathZeroAlloc' -count=1
 
 # The size figure CHANGES.md and ROADMAP.md quote: lines of non-test Go
 # outside benchmark/ (and outside what the benchmark builds), counted the

@@ -20,34 +20,34 @@ const SyntheticBase symbolic.Sym = 1 << 29
 // activations' parameter values. A nil *Renamer is the identity.
 type Renamer struct {
 	owned map[symbolic.Sym]bool
-	m     map[symbolic.Sym]symbolic.Sym
+	// pairs is the activation's mapping in order of first use; an activation
+	// renames a handful of symbols, so a scan beats a map.
+	pairs []symPair
 	next  *symbolic.Sym // shared per-decode synthetic counter
+	// arena is where renamed term lists are cut from; nil for the heap.
+	arena *symbolic.Arena
 }
 
-// NewRenamer creates a fresh activation renamer for method m. The tab
-// parameter is retained for API compatibility and unused (synthetic symbols
-// are decode-local; see SyntheticBase).
-func (m *CFET) NewRenamer(tab *symbolic.Table) *Renamer {
-	next := SyntheticBase
-	return &Renamer{owned: m.symSet(), m: map[symbolic.Sym]symbolic.Sym{}, next: &next}
-}
+type symPair struct{ from, to symbolic.Sym }
 
 // newRenamerCounter creates an activation renamer drawing synthetic symbols
 // from a shared per-decode counter.
 func (m *CFET) newRenamerCounter(next *symbolic.Sym) *Renamer {
-	return &Renamer{owned: m.symSet(), m: map[symbolic.Sym]symbolic.Sym{}, next: next}
+	return &Renamer{owned: m.symSet(), next: next}
 }
 
 func (r *Renamer) rename(s symbolic.Sym) (symbolic.Sym, bool) {
 	if r == nil || !r.owned[s] {
 		return s, false
 	}
-	if ns, ok := r.m[s]; ok {
-		return ns, true
+	for _, p := range r.pairs {
+		if p.from == s {
+			return p.to, true
+		}
 	}
 	ns := *r.next
 	*r.next++
-	r.m[s] = ns
+	r.pairs = append(r.pairs, symPair{from: s, to: ns})
 	return ns, true
 }
 
@@ -59,18 +59,33 @@ func (r *Renamer) Atom(a constraint.Atom) constraint.Atom {
 	return constraint.Atom{LHS: r.Expr(a.LHS), Op: a.Op}
 }
 
-// Expr rewrites an expression through the renamer.
+// Expr rewrites an expression through the renamer: every owned symbol is
+// replaced in one pass and the terms put back in symbol order. Renaming is
+// injective and instance symbols are new to e, so no two terms meet. An
+// expression without owned symbols is returned as it is, sharing its terms.
 func (r *Renamer) Expr(e symbolic.Expr) symbolic.Expr {
 	if r == nil {
 		return e
 	}
-	out := e
-	for _, t := range e.Terms {
-		if ns, changed := r.rename(t.Sym); changed {
-			out = out.Subst(t.Sym, symbolic.Var(ns))
-		}
+	first := 0
+	for first < len(e.Terms) && !r.owned[e.Terms[first].Sym] {
+		first++
 	}
-	return out
+	if first == len(e.Terms) {
+		return e
+	}
+	terms := r.arena.Alloc(len(e.Terms))
+	copy(terms, e.Terms[:first])
+	for i := first; i < len(e.Terms); i++ {
+		t := e.Terms[i]
+		t.Sym, _ = r.rename(t.Sym)
+		j := i
+		for ; j > 0 && terms[j-1].Sym > t.Sym; j-- {
+			terms[j] = terms[j-1]
+		}
+		terms[j] = t
+	}
+	return symbolic.Expr{Terms: terms, Const: e.Const}
 }
 
 // symSet returns the method's owned-symbol set (precomputed by Build; the
@@ -91,13 +106,6 @@ func (m *CFET) buildSymSet() {
 	}
 }
 
-// DecodeStats counts decoder work for the Figure-9 breakdown.
-type DecodeStats struct {
-	Decodes    int64
-	Elems      int64
-	FrameDepth int64 // cumulative max depth
-}
-
 // frame is one activation during decoding.
 type frame struct {
 	method  *CFET
@@ -105,6 +113,55 @@ type frame struct {
 	call    *CallEdge // edge that pushed this frame (nil for the root)
 	lastEnd uint64    // deepest node of the last interval decoded here
 	hasEnd  bool
+}
+
+// Decoder decodes encodings against one ICFET in memory it keeps between
+// calls: the conjunction it returns, the frame stack, the activation renamers
+// and the arena every term list it builds is cut from. A warm Decoder
+// allocates nothing. Not safe for concurrent use; the engine gives each join
+// worker its own.
+type Decoder struct {
+	ic    *ICFET
+	conj  constraint.Conj
+	stack []frame
+	// rens[:used] are the current decode's activations; the rest wait for
+	// reuse.
+	rens  []*Renamer
+	used  int
+	synth symbolic.Sym
+	arena symbolic.Arena
+}
+
+// NewDecoder returns a Decoder over ic.
+func (ic *ICFET) NewDecoder() *Decoder { return &Decoder{ic: ic} }
+
+// Decode reconstructs the path constraint of an encoding: Decoder.Decode on a
+// fresh Decoder, so the caller owns the conjunction it returns.
+func (ic *ICFET) Decode(e Enc) (constraint.Conj, error) { return ic.NewDecoder().Decode(e) }
+
+func (d *Decoder) top() *frame {
+	if len(d.stack) == 0 {
+		return nil
+	}
+	return &d.stack[len(d.stack)-1]
+}
+
+// activation returns a renamer for a new activation of m.
+func (d *Decoder) activation(m *CFET) *Renamer {
+	if d.used == len(d.rens) {
+		d.rens = append(d.rens, &Renamer{next: &d.synth, arena: &d.arena})
+	}
+	r := d.rens[d.used]
+	d.used++
+	r.owned, r.pairs = m.symSet(), r.pairs[:0]
+	return r
+}
+
+// bind conjoins s == e.
+func (d *Decoder) bind(s symbolic.Sym, e symbolic.Expr) {
+	v := [1]symbolic.Term{{Sym: s, Coeff: 1}}
+	lhs := symbolic.Expr{Terms: d.arena.AddScaled(v[:], 1, e.Terms, -1), Const: -e.Const}
+	d.conj = d.conj.And(constraint.Atom{LHS: lhs, Op: constraint.EQ})
 }
 
 // Decode reconstructs the path constraint of an encoding (paper §3.2 and
@@ -116,16 +173,15 @@ type frame struct {
 //
 // Decoding is lenient about structurally surprising encodings (fragments
 // from non-connecting merges): they only ever weaken the constraint.
-func (ic *ICFET) Decode(e Enc) (constraint.Conj, error) {
-	var out constraint.Conj
-	var stack []frame
-	synth := SyntheticBase
-	top := func() *frame {
-		if len(stack) == 0 {
-			return nil
-		}
-		return &stack[len(stack)-1]
-	}
+//
+// The conjunction returned, and every term list in it that is not a CFET
+// node's own, is valid until the next call to Decode on d: solve it or copy
+// it before then. Its atoms may share their terms with the CFET's branch
+// conditionals and must not be written.
+func (d *Decoder) Decode(e Enc) (constraint.Conj, error) {
+	ic := d.ic
+	d.arena.Reset()
+	d.conj, d.stack, d.used, d.synth = d.conj[:0], d.stack[:0], 0, SyntheticBase
 	for _, el := range e {
 		switch el.Kind {
 		case KInterval:
@@ -133,15 +189,15 @@ func (ic *ICFET) Decode(e Enc) (constraint.Conj, error) {
 				return nil, fmt.Errorf("decode: bad method %d", el.Method)
 			}
 			m := ic.Methods[el.Method]
-			t := top()
+			t := d.top()
 			if t == nil || t.method != m {
 				// Root fragment (or fragment outside frame structure):
 				// identity renaming.
-				stack = append(stack, frame{method: m})
-				t = top()
+				d.stack = append(d.stack, frame{method: m})
+				t = d.top()
 			}
 			var err error
-			out, err = m.PathConstraint(el.Start, el.End, t.ren, out)
+			d.conj, err = m.PathConstraint(el.Start, el.End, t.ren, d.conj)
 			if err != nil {
 				return nil, err
 			}
@@ -152,53 +208,45 @@ func (ic *ICFET) Decode(e Enc) (constraint.Conj, error) {
 			}
 			ce := ic.CallEdges[el.Call]
 			callerRen := (*Renamer)(nil)
-			if t := top(); t != nil {
+			if t := d.top(); t != nil {
 				callerRen = t.ren
 			}
 			callee := ic.Methods[ce.Callee]
-			nf := frame{method: callee, ren: callee.newRenamerCounter(&synth), call: ce}
+			nf := frame{method: callee, ren: d.activation(callee), call: ce}
 			for _, eq := range ce.ParamEqs {
 				ps, _ := nf.ren.rename(eq.Sym)
-				arg := callerRen.Expr(eq.Expr)
-				out = out.And(constraint.NewAtom(symbolic.Var(ps), constraint.EQ, arg))
+				d.bind(ps, callerRen.Expr(eq.Expr))
 			}
-			stack = append(stack, nf)
+			d.stack = append(d.stack, nf)
 		case KRet:
 			if int(el.Call) >= len(ic.CallEdges) {
 				return nil, fmt.Errorf("decode: bad return edge %d", el.Call)
 			}
 			ce := ic.CallEdges[el.Call]
-			t := top()
+			t := d.top()
 			if t == nil || t.call == nil || t.call.ID != ce.ID {
 				// Unmatched return: no constraint (lenient).
-				if len(stack) > 0 {
-					stack = stack[:len(stack)-1]
+				if len(d.stack) > 0 {
+					d.stack = d.stack[:len(d.stack)-1]
 				}
 				continue
 			}
 			calleeRen := t.ren
 			leafEnd, hasLeaf := t.lastEnd, t.hasEnd
-			stack = stack[:len(stack)-1]
+			d.stack = d.stack[:len(d.stack)-1]
 			if ce.RetSym != symbolic.NoSym && hasLeaf {
 				callee := ic.Methods[ce.Callee]
 				if leaf := callee.Nodes[leafEnd]; leaf != nil && leaf.Ret.HasExpr {
 					callerRen := (*Renamer)(nil)
-					if nt := top(); nt != nil {
+					if nt := d.top(); nt != nil {
 						callerRen = nt.ren
 					}
 					ret := calleeRen.Expr(leaf.Ret.Expr)
-					lhsSym, _ := rename2(callerRen, ce.RetSym)
-					out = out.And(constraint.NewAtom(symbolic.Var(lhsSym), constraint.EQ, ret))
+					lhsSym, _ := callerRen.rename(ce.RetSym)
+					d.bind(lhsSym, ret)
 				}
 			}
 		}
 	}
-	return out, nil
-}
-
-func rename2(r *Renamer, s symbolic.Sym) (symbolic.Sym, bool) {
-	if r == nil {
-		return s, false
-	}
-	return r.rename(s)
+	return d.conj, nil
 }

@@ -30,15 +30,19 @@ type candidate struct {
 
 // joinScratch is one join worker's reusable buffers: the candidate batch the
 // worker produces, the buffer every candidate's path encoding is merged
-// into, and the SMT-cache key scratch its probes encode into. The superstep
-// loop is single-threaded, so a worker's batch from superstep N is fully
-// consumed (inserted) before superstep N+1 hands the same scratch to
-// another goroutine; within a superstep each worker owns its scratch
-// exclusively, across all the chunks it claims.
+// into, the SMT-cache key scratch its probes encode into, and the decoder
+// and solver a probe that misses runs in — each with scratch of its own, so
+// that a miss allocates nothing either. The superstep loop is
+// single-threaded, so a worker's batch from superstep N is fully consumed
+// (inserted) before superstep N+1 hands the same scratch to another
+// goroutine; within a superstep each worker owns its scratch exclusively,
+// across all the chunks it claims.
 type joinScratch struct {
 	out    []candidate
 	encBuf cfet.Enc
 	keyBuf []byte
+	dec    *cfet.Decoder
+	solver *smt.Solver
 	// counts is the worker's tally for the superstep, left for processPair to
 	// fold into Engine.stats once wg.Wait() has seen the worker return.
 	counts joinCounts
@@ -220,7 +224,7 @@ func (en *Engine) processPair(i, j int) (int, error) {
 	jn.chunks = slices.Grow(en.chunkBuf[:0], nChunks)[:nChunks]
 	en.chunkBuf = jn.chunks
 	for len(en.scratch) < workers {
-		en.scratch = append(en.scratch, &joinScratch{})
+		en.scratch = append(en.scratch, &joinScratch{dec: en.ic.NewDecoder(), solver: smt.New(smt.DefaultOptions())})
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -369,15 +373,15 @@ func (en *Engine) fold(c *joinCounts) {
 }
 
 // joinWorker claims chunks of the frontier from next until none are left,
-// joins each into scr.out and records the segment it produced. The solver,
-// the scratch buffers and the survivor arena are the worker's, not the
-// chunk's: they are set up, and the tally left in scr.counts, once per
-// worker per superstep. Runs concurrently; touches only read-only engine
-// state plus its own solver and scratch and the chunk entries it claimed.
+// joins each into scr.out and records the segment it produced. The scratch
+// buffers, decoder, solver and survivor arena are the worker's, not the
+// chunk's; the tally is left in scr.counts once per worker per superstep.
+// Runs concurrently; touches only read-only engine state plus its own
+// scratch and the chunk entries it claimed.
 func (en *Engine) joinWorker(jn *passJoin, scr *joinScratch, next *atomic.Int64) {
-	solver := smt.New(smt.DefaultOptions())
 	scr.out = scr.out[:0]
 	var c joinCounts
+	solvesBefore := scr.solver.Calls
 	computeStart := time.Now()
 	for {
 		k := int(next.Add(1)) - 1
@@ -388,20 +392,20 @@ func (en *Engine) joinWorker(jn *passJoin, scr *joinScratch, next *atomic.Int64)
 		hi := min(lo+jn.chunkEdges, len(jn.firsts))
 		ch := &jn.chunks[k]
 		ch.scr, ch.lo = scr, len(scr.out)
-		en.joinRange(jn, lo, hi, solver, scr, &c)
+		en.joinRange(jn, lo, hi, scr, &c)
 		ch.hi = len(scr.out)
 	}
 	c.computeTime = time.Since(computeStart)
 	if c.mergesTimed > 0 {
 		c.decodeTime += time.Duration(int64(c.mergeTimed) * c.merges / c.mergesTimed)
 	}
-	c.solves = solver.Calls
+	c.solves = scr.solver.Calls - solvesBefore
 	scr.counts = c
 }
 
 // joinRange joins firsts[lo:hi] against the loaded second edges and appends
 // the constraint-validated candidates to scr.out.
-func (en *Engine) joinRange(jn *passJoin, lo, hi int, solver *smt.Solver, scr *joinScratch, c *joinCounts) {
+func (en *Engine) joinRange(jn *passJoin, lo, hi int, scr *joinScratch, c *joinCounts) {
 	out := scr.out
 	encBuf, keyBuf := scr.encBuf, scr.keyBuf
 	for k := lo; k < hi; k++ {
@@ -470,14 +474,17 @@ func (en *Engine) joinRange(jn *passJoin, lo, hi int, solver *smt.Solver, scr *j
 					}
 				}
 				if !hit {
-					decodeStart := time.Now()
-					conj, derr := en.ic.Decode(enc)
-					c.decodeTime += time.Since(decodeStart)
+					// conj is the decoder's until its next Decode: solved
+					// at once, kept nowhere. One clock read separates the
+					// two.
+					t0 := time.Now()
+					conj, derr := scr.dec.Decode(enc)
+					t1 := time.Now()
+					c.decodeTime += t1.Sub(t0)
 					verdict = smt.Sat
 					if derr == nil && len(conj) > 0 {
-						solveStart := time.Now()
-						verdict = solver.Solve(conj)
-						d := time.Since(solveStart)
+						verdict = scr.solver.Solve(conj)
+						d := time.Since(t1)
 						c.solveTime += d
 						c.solveLatency.Observe(metrics.SolveLatencyBuckets, d)
 					}

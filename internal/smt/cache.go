@@ -4,8 +4,6 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-
-	"github.com/grapple-system/grapple/internal/constraint"
 )
 
 // Cache is the LRU constraint-memoization cache of paper §4.3. Keys are
@@ -65,23 +63,7 @@ func NewCache(capacity int) *Cache {
 	return c
 }
 
-// shardFor selects the segment owning key (FNV-1a, masked).
-func (c *Cache) shardFor(key string) *cacheShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return &c.shards[h&(cacheShards-1)]
-}
-
-// shardForBytes is shardFor over a byte-slice key. Kept as a separate body
-// (rather than shardFor(string(key))) so callers on the engine hot path pay
-// no conversion allocation.
+// shardForBytes selects the segment owning key (FNV-1a, masked).
 func (c *Cache) shardForBytes(key []byte) *cacheShard {
 	const (
 		offset64 = 14695981039346656037
@@ -95,11 +77,11 @@ func (c *Cache) shardForBytes(key []byte) *cacheShard {
 	return &c.shards[h&(cacheShards-1)]
 }
 
-// GetBytes is Get with a byte-slice key. The map index m[string(key)] form
-// compiles allocation-free, so a cache probe costs no per-lookup garbage —
-// the engine probes once per join candidate, which dominates allocation
-// profiles without this. The caller may reuse key's backing array freely
-// after the call.
+// GetBytes returns the memoized verdict for key if present. The map index
+// m[string(key)] form compiles allocation-free, so a cache probe costs no
+// per-lookup garbage — the engine probes once per join candidate, which
+// dominates allocation profiles without this. The caller may reuse key's
+// backing array freely after the call.
 func (c *Cache) GetBytes(key []byte) (Result, bool) {
 	c.lookups.Add(1)
 	s := c.shardForBytes(key)
@@ -114,9 +96,10 @@ func (c *Cache) GetBytes(key []byte) (Result, bool) {
 	return el.Value.(*cacheEntry).res, true
 }
 
-// PutBytes is Put with a byte-slice key; the key string is materialized
-// only when a new entry is actually inserted. The caller may reuse key's
-// backing array after the call.
+// PutBytes records a verdict, evicting the shard's least recently used entry
+// when its segment is full; the key string is materialized only when a new
+// entry is actually inserted. The caller may reuse key's backing array after
+// the call.
 func (c *Cache) PutBytes(key []byte, res Result) {
 	s := c.shardForBytes(key)
 	s.mu.Lock()
@@ -128,41 +111,6 @@ func (c *Cache) PutBytes(key []byte, res Result) {
 	}
 	el := s.ll.PushFront(&cacheEntry{key: string(key), res: res})
 	s.items[string(key)] = el
-	if s.ll.Len() > s.capacity {
-		last := s.ll.Back()
-		s.ll.Remove(last)
-		delete(s.items, last.Value.(*cacheEntry).key)
-	}
-}
-
-// Get returns the memoized verdict for key if present.
-func (c *Cache) Get(key string) (Result, bool) {
-	c.lookups.Add(1)
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
-		return Unknown, false
-	}
-	c.hits.Add(1)
-	s.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
-}
-
-// Put records a verdict, evicting the shard's least recently used entry
-// when its segment is full.
-func (c *Cache) Put(key string, res Result) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		el.Value.(*cacheEntry).res = res
-		s.ll.MoveToFront(el)
-		return
-	}
-	el := s.ll.PushFront(&cacheEntry{key: key, res: res})
-	s.items[key] = el
 	if s.ll.Len() > s.capacity {
 		last := s.ll.Back()
 		s.ll.Remove(last)
@@ -182,10 +130,10 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Lookups reports the total number of Get calls.
+// Lookups reports the total number of GetBytes calls.
 func (c *Cache) Lookups() int64 { return c.lookups.Load() }
 
-// Hits reports how many Get calls were served from the cache.
+// Hits reports how many GetBytes calls were served from the cache.
 func (c *Cache) Hits() int64 { return c.hits.Load() }
 
 // HitRate reports the fraction of lookups served from the cache.
@@ -195,31 +143,4 @@ func (c *Cache) HitRate() float64 {
 		return 0
 	}
 	return float64(c.hits.Load()) / float64(l)
-}
-
-// CachedSolver pairs a Solver with a shared Cache.
-type CachedSolver struct {
-	S     *Solver
-	Cache *Cache // nil disables memoization
-}
-
-// Solve decides c, consulting the cache first when one is configured. The
-// solver runs on the *canonical* form of c — the underlying Solver's
-// incomplete integer reasoning can be sensitive to atom order, and the memo
-// key is order-blind, so solving anything other than the canonical form
-// would let the first caller's atom order decide what every logically-equal
-// conjunction gets back. Canonicalizing makes the verdict a pure function
-// of the key.
-func (cs *CachedSolver) Solve(c constraint.Conj) Result {
-	canon := c.Canon()
-	if cs.Cache == nil {
-		return cs.S.Solve(canon)
-	}
-	key := canon.Key()
-	if r, ok := cs.Cache.Get(key); ok {
-		return r
-	}
-	r := cs.S.Solve(canon)
-	cs.Cache.Put(key, r)
-	return r
 }

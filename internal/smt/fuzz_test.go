@@ -71,24 +71,23 @@ func FuzzCacheKeying(f *testing.F) {
 		// the canonical key). The memoized verdict is a pure function of the
 		// key, never of the atom order the first caller happened to use.
 		want := New(DefaultOptions()).Solve(c.Canon())
-		cs := &CachedSolver{S: New(DefaultOptions()), Cache: NewCache(64)}
+		s, cache := New(DefaultOptions()), NewCache(64)
 		for _, variant := range []constraint.Conj{c, c, rotated, dup} {
-			if got := cs.Solve(variant); got != want {
+			if got := cachedSolve(s, cache, variant); got != want {
 				t.Fatalf("cached solve = %v, uncached canonical = %v", got, want)
 			}
 		}
-		if cs.Cache.Hits() < 3 {
-			t.Fatalf("expected >=3 cache hits, got %d", cs.Cache.Hits())
+		if cache.Hits() < 3 {
+			t.Fatalf("expected >=3 cache hits, got %d", cache.Hits())
 		}
 
 		// Unsat is the load-bearing verdict (it prunes paths; Sat and
 		// Unknown both mean "not proven infeasible"), so cross-check it by
 		// brute force: if any small integer assignment satisfies every atom,
 		// no ordering may claim Unsat.
-		uncached := &CachedSolver{S: New(DefaultOptions())}
 		if hasSmallModel(c) {
 			for _, variant := range []constraint.Conj{c, rotated, dup} {
-				if uncached.Solve(variant) == Unsat {
+				if cachedSolve(s, nil, variant) == Unsat {
 					t.Fatalf("Unsat for a satisfiable conjunction (order %v)", variant)
 				}
 			}

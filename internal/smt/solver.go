@@ -58,9 +58,11 @@ func DefaultOptions() Options {
 	return Options{MaxNESplits: 8, MaxVars: 128, MaxIneqs: 4096}
 }
 
-// Solver decides conjunctions. It is stateless apart from statistics and is
-// safe for concurrent use only through independent instances; the engine
-// gives each worker its own Solver (sharing one memo cache).
+// Solver decides conjunctions. Apart from statistics it keeps only scratch:
+// every row a Solve builds lives in memory the Solver reuses on the next call,
+// so a warm Solver allocates nothing. It is safe for concurrent use only
+// through independent instances; the engine gives each worker its own Solver
+// (sharing one memo cache).
 type Solver struct {
 	opts Options
 
@@ -69,6 +71,16 @@ type Solver struct {
 	UnsatN   int64
 	SatN     int64
 	UnknownN int64
+
+	// arena holds the term lists of the rows the current Solve derives; the
+	// rows it only reads keep pointing at their atoms' own terms, which Solve
+	// never writes. ineqs is a stack: the disequality case split pushes one
+	// row, recurses and pops.
+	arena           symbolic.Arena
+	eqs, nes, ineqs []ineq
+	work, next      []ineq // fourierMotzkin: this round's rows, the next round's
+	lowers, uppers  []ineq
+	counts          []symCount
 }
 
 // New returns a Solver with the given options.
@@ -82,14 +94,18 @@ func New(opts Options) *Solver {
 // ineq represents sum(coeffs)*vars + c <= 0 over int64 rationals scaled to
 // integers (all coefficients integer; we keep them integer throughout and
 // tighten bounds, which is sound and complete for integer feasibility of the
-// shapes symbolic execution emits, and sound in general).
+// shapes symbolic execution emits, and sound in general). The equality and
+// disequality rows use the same type for sum + c == 0 and sum + c != 0.
 type ineq struct {
 	terms  []symbolic.Term
 	c      int64
 	strict bool // sum + c < 0
 }
 
-// Solve decides the conjunction c.
+func (in ineq) isConst() bool { return len(in.terms) == 0 }
+
+// Solve decides the conjunction c. It does not write to c or to the term
+// lists c's atoms point at, and keeps no reference to either.
 func (s *Solver) Solve(c constraint.Conj) Result {
 	s.Calls++
 	res := s.solve(c)
@@ -104,9 +120,15 @@ func (s *Solver) Solve(c constraint.Conj) Result {
 	return res
 }
 
+// neg returns the terms of -terms.
+func (s *Solver) neg(terms []symbolic.Term) []symbolic.Term {
+	return s.arena.AddScaled(terms, -1, nil, 0)
+}
+
+// solve substitutes equalities away, splits disequalities, then runs FM.
 func (s *Solver) solve(c constraint.Conj) Result {
-	var eqs, nes []constraint.Atom
-	var ineqs []ineq
+	s.arena.Reset()
+	s.eqs, s.nes, s.ineqs = s.eqs[:0], s.nes[:0], s.ineqs[:0]
 	for _, a := range c {
 		if a.IsTrivialFalse() {
 			return Unsat
@@ -114,123 +136,102 @@ func (s *Solver) solve(c constraint.Conj) Result {
 		if a.IsTrivialTrue() {
 			continue
 		}
+		row := ineq{terms: a.LHS.Terms, c: a.LHS.Const}
 		switch a.Op {
 		case constraint.EQ:
-			eqs = append(eqs, a)
+			s.eqs = append(s.eqs, row)
 		case constraint.NE:
-			nes = append(nes, a)
+			s.nes = append(s.nes, row)
 		case constraint.LE:
-			ineqs = append(ineqs, ineq{terms: a.LHS.Terms, c: a.LHS.Const})
+			s.ineqs = append(s.ineqs, row)
 		case constraint.LT:
-			ineqs = append(ineqs, ineq{terms: a.LHS.Terms, c: a.LHS.Const, strict: true})
+			row.strict = true
+			s.ineqs = append(s.ineqs, row)
 		case constraint.GE:
-			neg := a.LHS.Neg()
-			ineqs = append(ineqs, ineq{terms: neg.Terms, c: neg.Const})
+			s.ineqs = append(s.ineqs, ineq{terms: s.neg(row.terms), c: -row.c})
 		case constraint.GT:
-			neg := a.LHS.Neg()
-			ineqs = append(ineqs, ineq{terms: neg.Terms, c: neg.Const, strict: true})
+			s.ineqs = append(s.ineqs, ineq{terms: s.neg(row.terms), c: -row.c, strict: true})
 		}
 	}
-	return s.solveParts(eqs, nes, ineqs, s.opts.MaxNESplits)
-}
 
-// solveParts substitutes equalities, splits disequalities, then runs FM.
-func (s *Solver) solveParts(eqs, nes []constraint.Atom, ineqs []ineq, neBudget int) Result {
 	// Substitute equalities with a unit-coefficient variable; other
 	// equalities become a pair of inequalities.
-	for len(eqs) > 0 {
-		a := eqs[len(eqs)-1]
-		eqs = eqs[:len(eqs)-1]
-		if a.LHS.IsConst() {
-			if a.LHS.Const != 0 {
+	for len(s.eqs) > 0 {
+		eq := s.eqs[len(s.eqs)-1]
+		s.eqs = s.eqs[:len(s.eqs)-1]
+		if eq.isConst() {
+			if eq.c != 0 {
 				return Unsat
 			}
 			continue
 		}
-		sym, repl, ok := unitSolve(a.LHS)
+		unit, ok := unitTerm(eq.terms)
 		if !ok {
 			// No unit coefficient: encode as <=0 and >=0.
-			neg := a.LHS.Neg()
-			ineqs = append(ineqs,
-				ineq{terms: a.LHS.Terms, c: a.LHS.Const},
-				ineq{terms: neg.Terms, c: neg.Const})
+			s.ineqs = append(s.ineqs, eq, ineq{terms: s.neg(eq.terms), c: -eq.c})
 			continue
 		}
-		for i := range eqs {
-			eqs[i] = eqs[i].Subst(sym, repl)
-			if eqs[i].IsTrivialFalse() {
+		for i := range s.eqs {
+			s.eqs[i] = s.eliminate(s.eqs[i], eq, unit)
+			if s.eqs[i].isConst() && s.eqs[i].c != 0 {
 				return Unsat
 			}
 		}
-		for i := range nes {
-			nes[i] = nes[i].Subst(sym, repl)
-			if nes[i].IsTrivialFalse() {
+		for i := range s.nes {
+			s.nes[i] = s.eliminate(s.nes[i], eq, unit)
+			if s.nes[i].isConst() && s.nes[i].c == 0 {
 				return Unsat
 			}
 		}
-		for i := range ineqs {
-			ineqs[i] = substIneq(ineqs[i], sym, repl)
-			if constIneqFalse(ineqs[i]) {
+		for i := range s.ineqs {
+			s.ineqs[i] = s.eliminate(s.ineqs[i], eq, unit)
+			if constIneqFalse(s.ineqs[i]) {
 				return Unsat
 			}
 		}
 	}
 
 	// Drop trivially-true disequalities; split the rest.
-	kept := nes[:0]
-	for _, a := range nes {
-		if a.LHS.IsConst() {
-			if a.LHS.Const == 0 {
+	kept := s.nes[:0]
+	for _, ne := range s.nes {
+		if ne.isConst() {
+			if ne.c == 0 {
 				return Unsat
 			}
 			continue
 		}
-		kept = append(kept, a)
+		kept = append(kept, ne)
 	}
-	nes = kept
-	if len(nes) > 0 {
-		if neBudget <= 0 {
-			return Unknown
-		}
-		a := nes[0]
-		rest := nes[1:]
-		// a != 0  ==>  a <= -1  or  a >= 1 (integer semantics).
-		lo := append(cloneIneqs(ineqs), ineq{terms: a.LHS.Terms, c: a.LHS.Const + 1})
-		if r := s.solveParts(nil, cloneAtoms(rest), lo, neBudget-1); r == Sat {
-			return Sat
-		} else if r == Unknown {
-			return Unknown
-		}
-		neg := a.LHS.Neg()
-		hi := append(cloneIneqs(ineqs), ineq{terms: neg.Terms, c: neg.Const + 1})
-		return s.solveParts(nil, cloneAtoms(rest), hi, neBudget-1)
-	}
-
-	return s.fourierMotzkin(ineqs)
+	s.nes = kept
+	return s.split(s.nes, s.opts.MaxNESplits)
 }
 
-// unitSolve finds a symbol with coefficient ±1 in e (where e == 0) and
-// returns the substitution sym -> repl.
-func unitSolve(e symbolic.Expr) (symbolic.Sym, symbolic.Expr, bool) {
-	for _, t := range e.Terms {
+// unitTerm finds the first term of an equality's left-hand side with
+// coefficient ±1: the variable the equality is solved for.
+func unitTerm(terms []symbolic.Term) (symbolic.Term, bool) {
+	for _, t := range terms {
 		if t.Coeff == 1 || t.Coeff == -1 {
-			// t.Coeff*sym + rest = 0  =>  sym = -rest/t.Coeff
-			rest := e.Subst(t.Sym, symbolic.Expr{}) // e without sym
-			repl := rest.Scale(-t.Coeff)            // works since coeff = ±1
-			return t.Sym, repl, true
+			return t, true
 		}
 	}
-	return symbolic.NoSym, symbolic.Expr{}, false
+	return symbolic.Term{}, false
 }
 
-func substIneq(in ineq, sym symbolic.Sym, repl symbolic.Expr) ineq {
-	e := symbolic.Expr{Terms: in.terms, Const: in.c}
-	e = e.Subst(sym, repl)
-	return ineq{terms: e.Terms, c: e.Const, strict: in.strict}
+// eliminate substitutes the variable of unit, a ±1 term of the equality eq,
+// out of in. Solving eq for it and substituting the solution is adding the
+// multiple of eq that cancels it: with u = unit.Coeff and a the variable's
+// coefficient in in, u*u == 1 makes a + (-a*u)*u zero.
+func (s *Solver) eliminate(in, eq ineq, unit symbolic.Term) ineq {
+	a := coeffOf(in, unit.Sym)
+	if a == 0 {
+		return in
+	}
+	k := -a * unit.Coeff
+	return ineq{terms: s.arena.AddScaled(in.terms, 1, eq.terms, k), c: in.c + k*eq.c, strict: in.strict}
 }
 
 func constIneqFalse(in ineq) bool {
-	if len(in.terms) != 0 {
+	if !in.isConst() {
 		return false
 	}
 	if in.strict {
@@ -239,116 +240,131 @@ func constIneqFalse(in ineq) bool {
 	return in.c > 0
 }
 
-func cloneIneqs(in []ineq) []ineq {
-	out := make([]ineq, len(in))
-	copy(out, in)
-	return out
+// split case-splits the disequalities nes in order, low branch first, over
+// the inequalities on the s.ineqs stack, and runs FM once none is left.
+func (s *Solver) split(nes []ineq, neBudget int) Result {
+	if len(nes) == 0 {
+		return s.fourierMotzkin()
+	}
+	if neBudget <= 0 {
+		return Unknown
+	}
+	// a != 0  ==>  a <= -1  or  a >= 1 (integer semantics).
+	a, n := nes[0], len(s.ineqs)
+	s.ineqs = append(s.ineqs, ineq{terms: a.terms, c: a.c + 1})
+	r := s.split(nes[1:], neBudget-1)
+	s.ineqs = s.ineqs[:n]
+	if r != Unsat {
+		return r
+	}
+	s.ineqs = append(s.ineqs, ineq{terms: s.neg(a.terms), c: -a.c + 1})
+	r = s.split(nes[1:], neBudget-1)
+	s.ineqs = s.ineqs[:n]
+	return r
 }
 
-func cloneAtoms(in []constraint.Atom) []constraint.Atom {
-	out := make([]constraint.Atom, len(in))
-	copy(out, in)
-	return out
-}
-
-// fourierMotzkin eliminates variables one at a time. All atoms are integer
-// comparisons, so a strict inequality e < 0 is first tightened to e+1 <= 0
-// and bound combinations are gcd-tightened, giving integer completeness for
-// the unit-ish coefficient systems symbolic execution produces.
-func (s *Solver) fourierMotzkin(ineqs []ineq) Result {
+// fourierMotzkin eliminates variables from s.ineqs one at a time, leaving
+// s.ineqs as it found it. All atoms are integer comparisons, so a strict
+// inequality e < 0 is first tightened to e+1 <= 0 and bound combinations are
+// gcd-tightened, giving integer completeness for the unit-ish coefficient
+// systems symbolic execution produces.
+func (s *Solver) fourierMotzkin() Result {
 	// Integer tightening: strict -> non-strict, divide by gcd with floor.
-	work := make([]ineq, 0, len(ineqs))
-	for _, in := range ineqs {
+	s.work = s.work[:0]
+	for _, in := range s.ineqs {
 		if in.strict {
 			in = ineq{terms: in.terms, c: in.c + 1}
 		}
-		in = gcdTighten(in)
-		if len(in.terms) == 0 {
+		in = s.gcdTighten(in)
+		if in.isConst() {
 			if in.c > 0 {
 				return Unsat
 			}
 			continue
 		}
-		work = append(work, in)
+		s.work = append(s.work, in)
 	}
 
 	for vars := 0; ; vars++ {
-		if len(work) == 0 {
+		if len(s.work) == 0 {
 			return Sat
 		}
-		if vars > s.opts.MaxVars || len(work) > s.opts.MaxIneqs {
+		if vars > s.opts.MaxVars || len(s.work) > s.opts.MaxIneqs {
 			return Unknown
 		}
-		v := pickVar(work)
-		if v == symbolic.NoSym {
-			// Only constant atoms remain.
-			for _, in := range work {
-				if in.c > 0 {
-					return Unsat
-				}
-			}
-			return Sat
-		}
-		var lowers, uppers, others []ineq
-		for _, in := range work {
-			cf := coeffOf(in, v)
-			switch {
+		// Every row of work has a term, so there is a variable to pick. The
+		// rows without it go first, then the combinations, upper-major.
+		v := s.pickVar()
+		s.next, s.lowers, s.uppers = s.next[:0], s.lowers[:0], s.uppers[:0]
+		for _, in := range s.work {
+			switch cf := coeffOf(in, v); {
 			case cf > 0:
-				uppers = append(uppers, in) // cf*v <= -rest
+				s.uppers = append(s.uppers, in) // cf*v <= -rest
 			case cf < 0:
-				lowers = append(lowers, in) // cf*v <= -rest -> v >= ...
+				s.lowers = append(s.lowers, in) // cf*v <= -rest -> v >= ...
 			default:
-				others = append(others, in)
+				s.next = append(s.next, in)
 			}
 		}
-		next := others
-		for _, up := range uppers {
-			for _, lo := range lowers {
-				comb, ok := combine(up, lo, v)
-				if !ok {
-					continue
-				}
-				comb = gcdTighten(comb)
-				if len(comb.terms) == 0 {
+		for _, up := range s.uppers {
+			a := coeffOf(up, v)
+			for _, lo := range s.lowers {
+				// a*v + U <= 0 and b*v + L <= 0  ==>  (-b)*U + a*L <= 0;
+				// v's terms cancel: (-b)*a + a*b = 0.
+				b := coeffOf(lo, v)
+				comb := s.gcdTighten(ineq{
+					terms: s.arena.AddScaled(up.terms, -b, lo.terms, a),
+					c:     -b*up.c + a*lo.c,
+				})
+				if comb.isConst() {
 					if comb.c > 0 {
 						return Unsat
 					}
 					continue
 				}
-				next = append(next, comb)
-				if len(next) > s.opts.MaxIneqs {
+				s.next = append(s.next, comb)
+				if len(s.next) > s.opts.MaxIneqs {
 					return Unknown
 				}
 			}
 		}
-		work = next
+		s.work, s.next = s.next, s.work
 	}
 }
 
-func pickVar(ineqs []ineq) symbolic.Sym {
-	// Pick the variable with the fewest lower*upper products to limit blowup.
-	type cnt struct{ lo, hi int }
-	counts := map[symbolic.Sym]*cnt{}
-	for _, in := range ineqs {
+// symCount is how many rows bound one variable from below and from above.
+type symCount struct {
+	sym    symbolic.Sym
+	lo, hi int
+}
+
+// pickVar picks the variable of s.work with the fewest lower*upper products,
+// to limit blowup; the least symbol among equals.
+func (s *Solver) pickVar() symbolic.Sym {
+	counts := s.counts[:0]
+	for _, in := range s.work {
 		for _, t := range in.terms {
-			c := counts[t.Sym]
-			if c == nil {
-				c = &cnt{}
-				counts[t.Sym] = c
+			k := 0
+			for k < len(counts) && counts[k].sym != t.Sym {
+				k++
+			}
+			if k == len(counts) {
+				counts = append(counts, symCount{sym: t.Sym})
 			}
 			if t.Coeff > 0 {
-				c.hi++
+				counts[k].hi++
 			} else {
-				c.lo++
+				counts[k].lo++
 			}
 		}
 	}
+	s.counts = counts
 	best := symbolic.NoSym
 	bestCost := math.MaxInt64
-	for sym, c := range counts {
+	for _, c := range counts {
 		cost := c.lo * c.hi
-		if cost < bestCost || (cost == bestCost && sym < best) {
-			best, bestCost = sym, cost
+		if cost < bestCost || (cost == bestCost && c.sym < best) {
+			best, bestCost = c.sym, cost
 		}
 	}
 	return best
@@ -363,25 +379,8 @@ func coeffOf(in ineq, v symbolic.Sym) int64 {
 	return 0
 }
 
-// combine eliminates v from up (coeff a>0) and lo (coeff b<0):
-// a*v + U <= 0 and b*v + L <= 0  ==>  (-b)*U + a*L <= 0.
-func combine(up, lo ineq, v symbolic.Sym) (ineq, bool) {
-	a := coeffOf(up, v)
-	b := coeffOf(lo, v)
-	if a <= 0 || b >= 0 {
-		return ineq{}, false
-	}
-	ue := symbolic.Expr{Terms: up.terms, Const: up.c}
-	le := symbolic.Expr{Terms: lo.terms, Const: lo.c}
-	res := ue.Scale(-b).Add(le.Scale(a))
-	// v's terms cancel: (-b)*a + a*b = 0.
-	return ineq{terms: res.Terms, c: res.Const}, true
-}
-
-func gcdTighten(in ineq) ineq {
-	if len(in.terms) == 0 {
-		return in
-	}
+// gcdTighten divides in by the gcd of its coefficients, into a new term list.
+func (s *Solver) gcdTighten(in ineq) ineq {
 	g := int64(0)
 	for _, t := range in.terms {
 		g = gcd64(g, t.Coeff)
@@ -389,7 +388,7 @@ func gcdTighten(in ineq) ineq {
 	if g <= 1 {
 		return in
 	}
-	terms := make([]symbolic.Term, len(in.terms))
+	terms := s.arena.Alloc(len(in.terms))
 	for i, t := range in.terms {
 		terms[i] = symbolic.Term{Sym: t.Sym, Coeff: t.Coeff / g}
 	}

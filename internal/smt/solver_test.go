@@ -278,16 +278,16 @@ func TestQuickCanonKeyStable(t *testing.T) {
 
 func TestCacheBasics(t *testing.T) {
 	c := NewCache(32)
-	c.Put("a", Sat)
-	c.Put("b", Unsat)
-	if r, ok := c.Get("a"); !ok || r != Sat {
+	c.PutBytes([]byte("a"), Sat)
+	c.PutBytes([]byte("b"), Unsat)
+	if r, ok := c.GetBytes([]byte("a")); !ok || r != Sat {
 		t.Fatalf("get a: %v %v", r, ok)
 	}
-	if r, ok := c.Get("b"); !ok || r != Unsat {
+	if r, ok := c.GetBytes([]byte("b")); !ok || r != Unsat {
 		t.Fatalf("get b: %v %v", r, ok)
 	}
-	c.Put("a", Unsat) // update in place, no growth
-	if r, ok := c.Get("a"); !ok || r != Unsat {
+	c.PutBytes([]byte("a"), Unsat) // update in place, no growth
+	if r, ok := c.GetBytes([]byte("a")); !ok || r != Unsat {
 		t.Fatalf("get a after update: %v %v", r, ok)
 	}
 	if c.Len() != 2 {
@@ -303,15 +303,15 @@ func TestCacheEvictionBound(t *testing.T) {
 	// distinct keys are inserted; eviction is per-shard LRU.
 	c := NewCache(32)
 	for i := 0; i < 1000; i++ {
-		c.Put(fmt.Sprintf("key-%d", i), Sat)
+		c.PutBytes([]byte(fmt.Sprintf("key-%d", i)), Sat)
 	}
 	if c.Len() > 32 {
 		t.Fatalf("len = %d want <= 32", c.Len())
 	}
 	// A freshly-inserted key is always retrievable (nothing can evict it
 	// before any other shard traffic).
-	c.Put("fresh", Unsat)
-	if r, ok := c.Get("fresh"); !ok || r != Unsat {
+	c.PutBytes([]byte("fresh"), Unsat)
+	if r, ok := c.GetBytes([]byte("fresh")); !ok || r != Unsat {
 		t.Fatalf("fresh: %v %v", r, ok)
 	}
 }
@@ -319,18 +319,18 @@ func TestCacheEvictionBound(t *testing.T) {
 func TestCachedSolverHitRate(t *testing.T) {
 	tab := symbolic.NewTable()
 	x := symbolic.Var(tab.Intern("x"))
-	cs := &CachedSolver{S: New(DefaultOptions()), Cache: NewCache(16)}
+	s, cache := New(DefaultOptions()), NewCache(16)
 	c := constraint.Conj{atom(x, constraint.GT, symbolic.Const(0))}
 	for i := 0; i < 10; i++ {
-		if cs.Solve(c) != Sat {
+		if cachedSolve(s, cache, c) != Sat {
 			t.Fatal("want sat")
 		}
 	}
-	if cs.Cache.Hits() != 9 {
-		t.Fatalf("hits = %d want 9", cs.Cache.Hits())
+	if cache.Hits() != 9 {
+		t.Fatalf("hits = %d want 9", cache.Hits())
 	}
-	if cs.S.Calls != 1 {
-		t.Fatalf("solver calls = %d want 1", cs.S.Calls)
+	if s.Calls != 1 {
+		t.Fatalf("solver calls = %d want 1", s.Calls)
 	}
 }
 
@@ -342,8 +342,8 @@ func TestCacheConcurrent(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 1000; i++ {
 				key := string(rune('a' + (i+g)%64))
-				c.Put(key, Sat)
-				c.Get(key)
+				c.PutBytes([]byte(key), Sat)
+				c.GetBytes([]byte(key))
 			}
 		}(g)
 	}

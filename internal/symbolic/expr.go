@@ -13,6 +13,7 @@ package symbolic
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -224,12 +225,17 @@ func (e Expr) String(t *Table) string {
 	return b.String()
 }
 
-// Key returns a compact canonical key for use in memoization tables.
+// Key returns a compact canonical key for use in memoization tables:
+// "coeff*sym," per term, then the constant, all in decimal.
 func (e Expr) Key() string {
-	var b strings.Builder
+	var arr [64]byte
+	b := arr[:0]
 	for _, t := range e.Terms {
-		fmt.Fprintf(&b, "%d*%d,", t.Coeff, t.Sym)
+		b = strconv.AppendInt(b, t.Coeff, 10)
+		b = append(b, '*')
+		b = strconv.AppendInt(b, int64(t.Sym), 10)
+		b = append(b, ',')
 	}
-	fmt.Fprintf(&b, "%d", e.Const)
-	return b.String()
+	b = strconv.AppendInt(b, e.Const, 10)
+	return string(b)
 }

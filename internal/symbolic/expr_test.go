@@ -196,3 +196,22 @@ func TestPropertyKeyCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKeyFormat pins the key's text: subsumption keys, canonical orders and
+// constraint-cache keys built from it must not move when how it is built does.
+func TestKeyFormat(t *testing.T) {
+	for _, tc := range []struct {
+		e    Expr
+		want string
+	}{
+		{Expr{}, "0"},
+		{Const(-7), "-7"},
+		{Var(3), "1*3,0"},
+		{Expr{Terms: []Term{{Sym: 0, Coeff: -2}, {Sym: 12, Coeff: 1}, {Sym: 1 << 29, Coeff: 9223372036854775807}}, Const: -9223372036854775808},
+			"-2*0,1*12,9223372036854775807*536870912,-9223372036854775808"},
+	} {
+		if got := tc.e.Key(); got != tc.want {
+			t.Errorf("Key() = %q, want %q", got, tc.want)
+		}
+	}
+}
