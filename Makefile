@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race fuzz golden ci bench bench-e2e alloc-budget lint-self check-self unlowered-budget crash obs-smoke loc
+.PHONY: build test vet fmt-check race fuzz golden ci bench bench-e2e alloc-budget lint-self check-self unlowered-budget crash obs-smoke loc options
 
 build:
 	$(GO) build ./...
@@ -22,9 +22,10 @@ fmt-check:
 # Race-check the concurrent core (engine workers + prefetcher, the storage
 # layer they stream through, the checker pipeline, the batch scheduler,
 # whose determinism test exercises shared-cache and shared-frontend accesses
-# from many workers, plus the observability layer: the trace recorder and the
-# progress tracker, which other goroutines read mid-run). Counters have one
-# writer each and no lock (docs/observability.md): the engine's
+# from many workers (TestBatchMatchesSingleCheck holds every sharing mode to
+# the single check's reports), plus the observability layer: the trace
+# recorder and the progress tracker, which other goroutines read mid-run).
+# Counters have one writer each and no lock (docs/observability.md): the engine's
 # TestObservedRunIsRaceFree watches a run with eight join workers from two
 # reader goroutines, and cmd/grapple's TestProgressHeartbeatEmits drives batch +
 # heartbeat + status.json end to end, the one place counters still cross
@@ -170,5 +171,11 @@ alloc-budget: build
 # same way every time.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
+
+# The settable-value count CHANGES.md and ROADMAP.md quote next to `make loc`:
+# one line per exported field of every options struct, as TestOptionSurface
+# pins them.
+options:
+	@wc -l < testdata/option_surface.txt
 
 ci: vet fmt-check race test crash lint-self check-self unlowered-budget obs-smoke alloc-budget

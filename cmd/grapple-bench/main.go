@@ -80,12 +80,6 @@ var artifacts = []artifact{
 	{"table", "5", "naive string-engine comparison (Table 5)", func(e *env) (string, error) {
 		return text(bench.Table5(e.names, "", 0, e.naiveTimeout))
 	}},
-	{"table", "prune", "infeasible-branch pruning ablation, each subject twice", func(e *env) (string, error) {
-		return text(bench.PruneAblation(e.names, ""))
-	}},
-	{"table", "slice", "property-relevance slicing ablation, each subject x each property, twice", func(e *env) (string, error) {
-		return text(bench.SliceAblation(e.names, ""))
-	}},
 	{"table", "gofront", "synthetic subjects vs a real Go package (-godir)", func(e *env) (string, error) {
 		return text(bench.GofrontTable(e.names, e.goDir, ""))
 	}},

@@ -174,11 +174,12 @@ func TestLintUsageAndParseErrors(t *testing.T) {
 	}
 }
 
+// TestRunNoPruneFlag: pruning is not a switch. The constant branch is pruned
+// on every run (-stats shows it) and the retired -noprune flag is a usage error.
 func TestRunNoPruneFlag(t *testing.T) {
 	dir := t.TempDir()
-	// A program whose constant branch gives the pruner something to remove;
-	// reports must be identical either way.
-	prog := writeFile(t, dir, "p.ml", `
+	// mode > 1 is constant: the pre-analysis decides the branch.
+	prog := writeFile(t, dir, "prune.ml", `
 type FileWriter;
 fun main() {
   var mode: int = 3;
@@ -191,37 +192,16 @@ fun main() {
   return;
 }
 `)
-	// Stats land on stderr now, so each run gets its own stderr buffer.
-	var pruned, unpruned, prunedErr, unprunedErr bytes.Buffer
-	codeP, errP := run([]string{"-stats", prog}, &pruned, &prunedErr)
-	codeU, errU := run([]string{"-stats", "-noprune", prog}, &unpruned, &unprunedErr)
-	if errP != nil || errU != nil || codeP != 1 || codeU != 1 {
-		t.Fatalf("codes=%d/%d errs=%v/%v", codeP, codeU, errP, errU)
-	}
-	if !strings.Contains(prunedErr.String(), "pruned branches: 1") {
-		t.Fatalf("pruned run stats: %q", prunedErr.String())
-	}
-	if !strings.Contains(unprunedErr.String(), "pruned branches: 0") {
-		t.Fatalf("unpruned run stats: %q", unprunedErr.String())
-	}
-	reportLine := func(s string) string {
-		for _, line := range strings.Split(s, "\n") {
-			if strings.Contains(line, "[io]") {
-				return line
-			}
-		}
-		return ""
-	}
-	if rp, ru := reportLine(pruned.String()), reportLine(unpruned.String()); rp == "" || rp != ru {
-		t.Fatalf("reports differ with pruning:\n  pruned:   %q\n  unpruned: %q", rp, ru)
-	}
+	checkRetiredSwitch(t, prog, "pruned branches: 1", "-noprune")
 }
 
+// TestRunNoSliceFlag: slicing is not a switch. A function that touches no
+// tracked object is sliced on every run (-stats shows it) and the retired
+// -noslice flag is a usage error.
 func TestRunNoSliceFlag(t *testing.T) {
 	dir := t.TempDir()
-	// tune touches no tracked object, so the slicer drops it; reports must be
-	// identical either way.
-	prog := writeFile(t, dir, "p.ml", `
+	// tune touches no tracked object, so the slicer drops it.
+	prog := writeFile(t, dir, "slice.ml", `
 type FileWriter;
 fun tune(n: int) {
   var k: int = n + 2;
@@ -238,28 +218,23 @@ fun main() {
   return;
 }
 `)
-	// Stats land on stderr now, so each run gets its own stderr buffer.
-	var sliced, unsliced, slicedErr, unslicedErr bytes.Buffer
-	codeS, errS := run([]string{"-stats", prog}, &sliced, &slicedErr)
-	codeU, errU := run([]string{"-stats", "-noslice", prog}, &unsliced, &unslicedErr)
-	if errS != nil || errU != nil || codeS != 1 || codeU != 1 {
-		t.Fatalf("codes=%d/%d errs=%v/%v", codeS, codeU, errS, errU)
+	checkRetiredSwitch(t, prog, "sliced functions: 1", "-noslice")
+}
+
+// checkRetiredSwitch runs prog with -stats, expecting the leak report and stat,
+// then with the retired flag, expecting exit 2.
+func checkRetiredSwitch(t *testing.T, prog, stat, retired string) {
+	t.Helper()
+	// Stats land on stderr, so the run gets its own stderr buffer.
+	var out, stats bytes.Buffer
+	code, err := run([]string{"-stats", prog}, &out, &stats)
+	if err != nil || code != 1 || !strings.Contains(out.String(), "[io]") {
+		t.Fatalf("code=%d err=%v reports:\n%s", code, err, out.String())
 	}
-	if !strings.Contains(slicedErr.String(), "sliced functions: 1") {
-		t.Fatalf("sliced run stats: %q", slicedErr.String())
+	if !strings.Contains(stats.String(), stat) {
+		t.Fatalf("stats lack %q:\n%s", stat, stats.String())
 	}
-	if !strings.Contains(unslicedErr.String(), "sliced functions: 0") {
-		t.Fatalf("unsliced run stats: %q", unslicedErr.String())
-	}
-	reportLine := func(s string) string {
-		for _, line := range strings.Split(s, "\n") {
-			if strings.Contains(line, "[io]") {
-				return line
-			}
-		}
-		return ""
-	}
-	if rs, ru := reportLine(sliced.String()), reportLine(unsliced.String()); rs == "" || rs != ru {
-		t.Fatalf("reports differ with slicing:\n  sliced:   %q\n  unsliced: %q", rs, ru)
+	if code, _ := run([]string{retired, prog}, &out, &stats); code != 2 {
+		t.Fatalf("%s exit code %d, want 2", retired, code)
 	}
 }

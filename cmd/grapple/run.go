@@ -25,7 +25,6 @@ type checkFlags struct {
 	mem                     int64
 	unroll                  int
 	jsonOut, stats, verbose bool
-	noPrune                 bool
 	journal, resume         bool
 	tracePath, pprofAddr    string
 	progress                time.Duration
@@ -39,7 +38,6 @@ func (c *checkFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.jsonOut, "json", false, "emit reports as JSON lines")
 	fs.BoolVar(&c.stats, "stats", false, "print statistics (stderr)")
 	fs.BoolVar(&c.verbose, "v", false, "verbose reports")
-	fs.BoolVar(&c.noPrune, "noprune", false, "disable constant-driven infeasible-branch pruning")
 	fs.BoolVar(&c.journal, "journal", false, "checkpoint to -workdir (engine state after every superstep; under batch, each finished instance) for crash recovery")
 	fs.BoolVar(&c.resume, "resume", false, "continue a previous -journal run from -workdir (implies -journal)")
 	fs.StringVar(&c.tracePath, "trace", "", "write a Chrome trace-event JSON file here (plus <file>.events.jsonl) covering every pipeline phase")
@@ -56,7 +54,7 @@ func (c *checkFlags) validate() error {
 
 // options lowers the shared flags; the subcommands set what only they offer.
 func (c *checkFlags) options(stderr io.Writer) grapple.Options {
-	opts := grapple.Options{
+	return grapple.Options{
 		WorkDir:      c.workDir,
 		MemoryBudget: c.mem,
 		UnrollDepth:  c.unroll,
@@ -69,10 +67,6 @@ func (c *checkFlags) options(stderr io.Writer) grapple.Options {
 			PprofAddr:      c.pprofAddr,
 		},
 	}
-	if c.noPrune {
-		opts.Prune = grapple.PruneOff
-	}
-	return opts
 }
 
 // fsms loads the -fsm specifications, or the built-in checkers without any.
@@ -166,7 +160,6 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	listPacks := fs.Bool("packs", false, "list the built-in property packs and exit")
 	query := fs.String("query", "", "points-to query 'method.variable' (e.g. main.w)")
 	dotDir := fs.String("dot", "", "write program graphs as Graphviz files into this directory")
-	noSlice := fs.Bool("noslice", false, "disable property-relevance slicing")
 	if err := fs.Parse(args); err != nil {
 		return 2, nil // flag package already printed the error
 	}
@@ -189,9 +182,6 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 
 	opts := cf.options(stderr)
 	opts.DumpDOT = *dotDir
-	if *noSlice {
-		opts.Slice = grapple.SliceOff
-	}
 	if goArgs(fs.Args()) {
 		return runGo(fs.Args(), packNames, opts, &cf, stdout, stderr)
 	}

@@ -154,8 +154,6 @@ type Options struct {
 	Workers int
 	// UnrollDepth statically unrolls loops this many times (default 2).
 	UnrollDepth int
-	// MaxNodesPerMethod bounds per-method symbolic-execution trees.
-	MaxNodesPerMethod int
 	// DisableConstraintCache turns off LRU memoization of solver verdicts
 	// (used by the Table-4 ablation).
 	DisableConstraintCache bool
@@ -165,26 +163,12 @@ type Options struct {
 	// RecordPointsTo retains the alias phase's points-to facts so the
 	// Result can answer "what objects does a variable point to under a
 	// particular context?" (the query class the paper's cloning-based
-	// design exists to support, §2.1).
+	// design exists to support, §2.1). It turns off property-relevance
+	// slicing, since that query class spans untracked variables too.
 	RecordPointsTo bool
 	// DumpDOT, when non-empty, writes the generated program graphs as
 	// Graphviz files (alias.dot, dataflow.dot) into that directory.
 	DumpDOT string
-	// Prune controls constant-driven infeasible-branch pruning (default on).
-	// The IR-level pre-analysis proves branch conditions constant, and CFET
-	// construction then skips the statically-dead arms; the reports are
-	// identical but the trees — and every downstream phase — are smaller.
-	// Set PruneOff for the unpruned baseline.
-	Prune PruneMode
-	// Slice controls property-relevance slicing (default on). A
-	// flow-insensitive points-to pass computes which functions and branches
-	// can possibly affect an object of a checked FSM's type; irrelevant
-	// functions collapse to stubs and irrelevant branches never split the
-	// CFET. Verdicts are preserved (docs/slicing.md gives the argument);
-	// set SliceOff for the unsliced baseline. Slicing is skipped
-	// automatically when RecordPointsTo is set, since that query class
-	// spans untracked variables too.
-	Slice SliceMode
 	// Journal checkpoints the engines' superstep state to per-phase run
 	// journals under WorkDir after every superstep, so a crashed or killed
 	// run can be continued with Resume instead of restarting (docs/
@@ -202,32 +186,6 @@ type Options struct {
 	// the reports.
 	Obs ObsOptions
 }
-
-// PruneMode selects whether infeasible-branch pruning runs.
-type PruneMode = checker.PruneMode
-
-// Prune modes.
-const (
-	// PruneDefault (the zero value) enables pruning.
-	PruneDefault = checker.PruneDefault
-	// PruneOn explicitly enables pruning.
-	PruneOn = checker.PruneOn
-	// PruneOff disables pruning.
-	PruneOff = checker.PruneOff
-)
-
-// SliceMode selects whether property-relevance slicing runs.
-type SliceMode = checker.SliceMode
-
-// Slice modes.
-const (
-	// SliceDefault (the zero value) enables slicing.
-	SliceDefault = checker.SliceDefault
-	// SliceOn explicitly enables slicing.
-	SliceOn = checker.SliceOn
-	// SliceOff disables slicing.
-	SliceOff = checker.SliceOff
-)
 
 // PointsToFact is one alias-phase result: under one clone of Method, Var
 // may reference the object of type ObjType allocated at ObjPos, under
@@ -303,7 +261,7 @@ func checkerOptions(opts Options) checker.Options {
 	if opts.DisableConstraintCache {
 		cacheSize = -1
 	}
-	co := checker.Options{
+	return checker.Options{
 		WorkDir:     opts.WorkDir,
 		UnrollDepth: opts.UnrollDepth,
 		Engine: engine.Options{
@@ -314,15 +272,9 @@ func checkerOptions(opts Options) checker.Options {
 		Bind:           opts.Bind,
 		RecordPointsTo: opts.RecordPointsTo,
 		DumpDOT:        opts.DumpDOT,
-		Prune:          opts.Prune,
-		Slice:          opts.Slice,
 		Journal:        opts.Journal,
 		Resume:         opts.Resume,
 	}
-	if opts.MaxNodesPerMethod > 0 {
-		co.CFET.MaxNodesPerMethod = opts.MaxNodesPerMethod
-	}
-	return co
 }
 
 // publicResult converts the internal checker result.

@@ -3,7 +3,7 @@
 // (TP/FP per checker), Table 3 (graph sizes and times), Figure 9 (cost
 // breakdown), Table 4 (constraint caching), Table 5 (string-constraint
 // naive engine), and the §5.3 traditional-implementation OOM result.
-// cmd/grapple-bench and the root benchmarks both drive this package.
+// cmd/grapple-bench drives this package; its tests run each table on mini-sim.
 package bench
 
 import (
@@ -470,197 +470,6 @@ func graphsFor(name string) (*cfet.ICFET, *pgraph.AliasGraph, []storage.Edge, er
 	}
 	dg := pgraph.BuildDataflow(pr, flows, ag, fsmFor, pgraph.DataflowOptions{})
 	return ic, ag, dg.Edges, nil
-}
-
-// PruneRow is one subject's constant-driven pruning ablation measurement.
-type PruneRow struct {
-	Name            string
-	PathsPruned     int   // CFET paths encoded with pruning on
-	PathsUnpruned   int   // CFET paths encoded with pruning off
-	BranchesRemoved int   // branch sites the pre-analysis decided
-	EdgesPruned     int64 // alias-closure edges joined with pruning on
-	EdgesUnpruned   int64 // alias-closure edges joined with pruning off
-	TimePruned      time.Duration
-	TimeUnpruned    time.Duration
-	ReportsEqual    bool // soundness check: identical report sets
-}
-
-// PruneAblation runs each subject with constant-driven infeasible-branch
-// pruning on and off and reports the encoded-path reduction. The report
-// sets must be identical (pruning only removes statically-decided splits);
-// ReportsEqual records that check per subject.
-func PruneAblation(names []string, workDir string) (string, []PruneRow, error) {
-	var rows []PruneRow
-	run := func(name string, mode checker.PruneMode) (*checker.Result, time.Duration, error) {
-		p, ok := workload.ProfileByName(name)
-		if !ok {
-			return nil, 0, fmt.Errorf("bench: unknown subject %q", name)
-		}
-		s := workload.Generate(p)
-		dir, err := os.MkdirTemp(workDir, "prune-*")
-		if err != nil {
-			return nil, 0, err
-		}
-		defer os.RemoveAll(dir)
-		c := checker.New(fsm.Builtins(), checker.Options{WorkDir: dir, Prune: mode})
-		start := time.Now()
-		res, err := c.CheckSource(s.Source)
-		return res, time.Since(start), err
-	}
-	renderSet := func(res *checker.Result) map[string]int {
-		set := map[string]int{}
-		for _, r := range res.Reports {
-			set[fmt.Sprintf("%d:%d:%s:%s:%s", r.Pos.Line, r.Pos.Col, r.FSM, r.Kind, r.Type)]++
-		}
-		return set
-	}
-	for _, name := range names {
-		on, tOn, err := run(name, checker.PruneOn)
-		if err != nil {
-			return "", nil, err
-		}
-		off, tOff, err := run(name, checker.PruneOff)
-		if err != nil {
-			return "", nil, err
-		}
-		equal := len(on.Reports) == len(off.Reports)
-		if equal {
-			a, b := renderSet(on), renderSet(off)
-			for k, v := range a {
-				if b[k] != v {
-					equal = false
-					break
-				}
-			}
-		}
-		rows = append(rows, PruneRow{
-			Name:            name,
-			PathsPruned:     on.Alias.CFETPaths,
-			PathsUnpruned:   off.Alias.CFETPaths,
-			BranchesRemoved: on.Alias.PrunedBranches,
-			EdgesPruned:     on.Alias.EdgesAfter,
-			EdgesUnpruned:   off.Alias.EdgesAfter,
-			TimePruned:      tOn,
-			TimeUnpruned:    tOff,
-			ReportsEqual:    equal,
-		})
-	}
-	var sb strings.Builder
-	sb.WriteString("Prune ablation: CFET paths encoded and alias edges joined, with/without\n")
-	sb.WriteString("constant-driven pruning\n")
-	sb.WriteString(fmt.Sprintf("%-14s %11s %11s %9s %11s %11s %10s %10s %8s\n",
-		"Subject", "Paths(on)", "Paths(off)", "Branches",
-		"Edges(on)", "Edges(off)", "Time(on)", "Time(off)", "Reports"))
-	for _, r := range rows {
-		eq := "equal"
-		if !r.ReportsEqual {
-			eq = "DIFFER"
-		}
-		sb.WriteString(fmt.Sprintf("%-14s %11d %11d %9d %11d %11d %10s %10s %8s\n",
-			r.Name, r.PathsPruned, r.PathsUnpruned, r.BranchesRemoved,
-			r.EdgesPruned, r.EdgesUnpruned,
-			round(r.TimePruned), round(r.TimeUnpruned), eq))
-	}
-	return sb.String(), rows, nil
-}
-
-// SliceRow is one subject's property-relevance slicing ablation
-// measurement, aggregated over per-property runs.
-type SliceRow struct {
-	Name           string
-	PathsSliced    int   // CFET paths encoded with slicing on, summed over properties
-	PathsUnsliced  int   // CFET paths encoded with slicing off
-	FuncsSliced    int   // function stubs the slicer introduced (summed)
-	BranchesSliced int   // branch sites the slicer skipped (summed)
-	EdgesSliced    int64 // alias-closure edges joined with slicing on
-	EdgesUnsliced  int64 // alias-closure edges joined with slicing off
-	TimeSliced     time.Duration
-	TimeUnsliced   time.Duration
-	ReportsEqual   bool // soundness check: identical report sets per property
-}
-
-// SliceAblation runs each subject once per builtin FSM property — the
-// deployment the slicer targets: Grapple checks one finite-state property
-// at a time, and relevance is computed against that property's event
-// alphabet — with slicing on and off, and reports the aggregated
-// encoded-path and alias-edge reduction. Report sets must match per
-// property; ReportsEqual records that check per subject.
-func SliceAblation(names []string, workDir string) (string, []SliceRow, error) {
-	var rows []SliceRow
-	run := func(src string, f *fsm.FSM, mode checker.SliceMode) (*checker.Result, time.Duration, error) {
-		dir, err := os.MkdirTemp(workDir, "slice-*")
-		if err != nil {
-			return nil, 0, err
-		}
-		defer os.RemoveAll(dir)
-		c := checker.New([]*fsm.FSM{f}, checker.Options{WorkDir: dir, Slice: mode})
-		start := time.Now()
-		res, err := c.CheckSource(src)
-		return res, time.Since(start), err
-	}
-	renderSet := func(res *checker.Result) map[string]int {
-		set := map[string]int{}
-		for _, r := range res.Reports {
-			set[fmt.Sprintf("%d:%d:%s:%s:%s", r.Pos.Line, r.Pos.Col, r.FSM, r.Kind, r.Type)]++
-		}
-		return set
-	}
-	for _, name := range names {
-		p, ok := workload.ProfileByName(name)
-		if !ok {
-			return "", nil, fmt.Errorf("bench: unknown subject %q", name)
-		}
-		s := workload.Generate(p)
-		row := SliceRow{Name: name, ReportsEqual: true}
-		for _, f := range fsm.Builtins() {
-			on, tOn, err := run(s.Source, f, checker.SliceOn)
-			if err != nil {
-				return "", nil, err
-			}
-			off, tOff, err := run(s.Source, f, checker.SliceOff)
-			if err != nil {
-				return "", nil, err
-			}
-			a, b := renderSet(on), renderSet(off)
-			if len(a) != len(b) {
-				row.ReportsEqual = false
-			} else {
-				for k, v := range a {
-					if b[k] != v {
-						row.ReportsEqual = false
-						break
-					}
-				}
-			}
-			row.PathsSliced += on.Alias.CFETPaths
-			row.PathsUnsliced += off.Alias.CFETPaths
-			row.FuncsSliced += on.Alias.SlicedFunctions
-			row.BranchesSliced += on.Alias.SlicedBranches
-			row.EdgesSliced += on.Alias.EdgesAfter
-			row.EdgesUnsliced += off.Alias.EdgesAfter
-			row.TimeSliced += tOn
-			row.TimeUnsliced += tOff
-		}
-		rows = append(rows, row)
-	}
-	var sb strings.Builder
-	sb.WriteString("Slice ablation: CFET paths encoded and alias edges joined per property\n")
-	sb.WriteString("(one checker at a time, summed over builtin properties), with/without\n")
-	sb.WriteString("property-relevance slicing\n")
-	sb.WriteString(fmt.Sprintf("%-14s %11s %11s %6s %8s %11s %11s %10s %10s %8s\n",
-		"Subject", "Paths(on)", "Paths(off)", "Funcs", "Branches",
-		"Edges(on)", "Edges(off)", "Time(on)", "Time(off)", "Reports"))
-	for _, r := range rows {
-		eq := "equal"
-		if !r.ReportsEqual {
-			eq = "DIFFER"
-		}
-		sb.WriteString(fmt.Sprintf("%-14s %11d %11d %6d %8d %11d %11d %10s %10s %8s\n",
-			r.Name, r.PathsSliced, r.PathsUnsliced, r.FuncsSliced, r.BranchesSliced,
-			r.EdgesSliced, r.EdgesUnsliced,
-			round(r.TimeSliced), round(r.TimeUnsliced), eq))
-	}
-	return sb.String(), rows, nil
 }
 
 func cloneEdges(in []storage.Edge) []storage.Edge {

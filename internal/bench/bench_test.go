@@ -89,49 +89,3 @@ func TestUnknownSubject(t *testing.T) {
 		t.Fatal("want error for unknown subject")
 	}
 }
-
-func TestSliceAblationMini(t *testing.T) {
-	out, rows, err := SliceAblation([]string{"mini-sim"}, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("rows: %+v", rows)
-	}
-	r := rows[0]
-	if !r.ReportsEqual {
-		t.Fatalf("slicing changed a report set: %+v", r)
-	}
-	if r.FuncsSliced == 0 {
-		t.Fatalf("no functions sliced on mini-sim: %+v", r)
-	}
-	if r.PathsSliced >= r.PathsUnsliced {
-		t.Fatalf("slicing did not reduce encoded paths: %+v", r)
-	}
-	if !strings.Contains(out, "mini-sim") {
-		t.Fatalf("table output missing subject:\n%s", out)
-	}
-}
-
-func TestPruneAblationMini(t *testing.T) {
-	out, rows, err := PruneAblation([]string{"mini-sim"}, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("rows: %+v", rows)
-	}
-	r := rows[0]
-	if !r.ReportsEqual {
-		t.Fatalf("pruning changed the report set: %+v", r)
-	}
-	if r.BranchesRemoved == 0 {
-		t.Fatalf("no branches pruned on mini-sim: %+v", r)
-	}
-	if r.PathsPruned >= r.PathsUnpruned {
-		t.Fatalf("pruning did not reduce encoded paths: %+v", r)
-	}
-	if !strings.Contains(out, "mini-sim") || !strings.Contains(out, "equal") {
-		t.Errorf("ablation table:\n%s", out)
-	}
-}

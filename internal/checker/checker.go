@@ -33,43 +33,6 @@ import (
 	"github.com/grapple-system/grapple/internal/trace"
 )
 
-// PruneMode controls the pre-analysis infeasible-branch pruning that runs
-// before CFET construction. The zero value enables it.
-type PruneMode uint8
-
-// Prune modes.
-const (
-	// PruneDefault is the zero value: pruning on.
-	PruneDefault PruneMode = iota
-	// PruneOn explicitly enables pruning.
-	PruneOn
-	// PruneOff disables pruning (every branch splits the CFET).
-	PruneOff
-)
-
-// Enabled reports whether the mode turns pruning on.
-func (m PruneMode) Enabled() bool { return m != PruneOff }
-
-// SliceMode controls property-relevance slicing: before CFET construction,
-// an Andersen-style points-to pass and the relevance slicer
-// (internal/analysis) decide which functions and branches can possibly
-// matter to the checked FSM properties; everything else is skipped. The
-// zero value enables it.
-type SliceMode uint8
-
-// Slice modes.
-const (
-	// SliceDefault is the zero value: slicing on.
-	SliceDefault SliceMode = iota
-	// SliceOn explicitly enables slicing.
-	SliceOn
-	// SliceOff disables slicing (every function and branch is encoded).
-	SliceOff
-)
-
-// Enabled reports whether the mode turns slicing on.
-func (m SliceMode) Enabled() bool { return m != SliceOff }
-
 // Options configures a checking run.
 type Options struct {
 	// WorkDir holds the engine's partition files. A directory named here
@@ -79,12 +42,12 @@ type Options struct {
 	WorkDir string
 	// UnrollDepth is the static loop-unroll bound (default 2).
 	UnrollDepth int
-	// CFET tunes ICFET construction.
+	// CFET tunes ICFET construction. The checker fills in BranchVerdict from
+	// the pre-analysis and SliceFunc/SliceBranch from the relevance slicer
+	// unless they are set here: a BranchVerdict that always returns 0 builds
+	// the unpruned CFET, a SliceFunc and SliceBranch that always return false
+	// the unsliced one (the reference runs the property tests compare with).
 	CFET cfet.Options
-	// Clone tunes context cloning.
-	Clone pgraph.Options
-	// Dataflow tunes phase-2 graph generation.
-	Dataflow pgraph.DataflowOptions
 	// Engine tunes both engine runs.
 	Engine engine.Options
 	// Bind maps extra object type names to FSM names (an FSM always applies
@@ -98,21 +61,6 @@ type Options struct {
 	// DumpDOT, when non-empty, writes the generated program graphs as
 	// Graphviz files (alias.dot, dataflow.dot) into that directory.
 	DumpDOT string
-	// Prune controls constant-driven infeasible-branch pruning (default on):
-	// the pre-analysis (internal/analysis) proves branch conditions constant
-	// and CFET construction skips the dead arms. Reports are unaffected —
-	// only statically-impossible subtrees are dropped — but the tree, and
-	// everything downstream of it, is smaller.
-	Prune PruneMode
-	// Slice controls property-relevance slicing (default on): functions that
-	// can never touch an object of a checked FSM's type (and whose scalar
-	// returns no kept caller observes) collapse to stubs, and branches whose
-	// both arms are property-irrelevant do not split the CFET. Verdicts are
-	// preserved (docs/slicing.md); only the trees and the context graph
-	// shrink. Slicing is skipped when the checker has no FSMs or when
-	// RecordPointsTo is set — the points-to query class spans ALL variables,
-	// tracked or not, so sliced facts would be incomplete.
-	Slice SliceMode
 	// Journal checkpoints both engine phases' superstep state to per-phase
 	// run journals under WorkDir (docs/resume.md) so a crashed or killed run
 	// can be continued with Resume. Useless (but harmless) without a
@@ -217,13 +165,14 @@ type PhaseStats struct {
 	// decoding works against; branch pruning shrinks it.
 	CFETPaths int
 	// PrunedBranches counts branch sites the pre-analysis resolved during
-	// CFET construction (0 when Options.Prune is off).
+	// CFET construction.
 	PrunedBranches int
 	// SlicedFunctions counts methods the property-relevance slicer
-	// collapsed to stubs (0 when Options.Slice is off).
+	// collapsed to stubs (0 when the prepare did not slice: no FSMs, or
+	// RecordPointsTo).
 	SlicedFunctions int
 	// SlicedBranches counts branch sites skipped because both arms were
-	// property-irrelevant (0 when Options.Slice is off).
+	// property-irrelevant (0 when the prepare did not slice).
 	SlicedBranches int
 	// Unlowered counts Go constructs the frontend soundly over-approximated
 	// (havocked) instead of modeling precisely. It is a frontend-wide count,
@@ -345,9 +294,7 @@ func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, ic *cf
 		st, err = en.RunContext(ctx, edges, numVerts)
 	}
 	if err != nil {
-		// The phase that failed is the one a trace is opened to find.
-		sp.End(trace.Args{"error": err.Error()})
-		return nil, PhaseStats{}, fmt.Errorf("%s phase: %w", ph.name, err)
+		return nil, PhaseStats{}, fmt.Errorf("%s phase: %w", ph.name, endErr(sp, err))
 	}
 	sp.End(trace.Args{"iterations": st.Iterations, "edges": st.EdgesAfter})
 	return en, PhaseStats{
@@ -355,6 +302,13 @@ func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, ic *cf
 		CFETPaths: ic.PathCount(), PrunedBranches: ic.PrunedBranches(),
 		SlicedFunctions: ic.SlicedFunctions(), SlicedBranches: ic.SlicedBranches(),
 	}, nil
+}
+
+// endErr ends the span of the step that failed with the error as its "error"
+// argument — that step is the one a trace is opened to find — and returns err.
+func endErr(sp trace.Span, err error) error {
+	sp.End(trace.Args{"error": err.Error()})
+	return err
 }
 
 // finishPhase ends a closure phase once its consumer (extractFlows,
@@ -415,19 +369,19 @@ func (c *Checker) lowerSource(src string) (*ir.Program, error) {
 	sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "parse")
 	prog, err := lang.Parse(src)
 	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
+		return nil, fmt.Errorf("parse: %w", endErr(sp, err))
 	}
 	sp.End(trace.Args{"functions": len(prog.Funs), "loc": strings.Count(src, "\n")})
 	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "resolve")
 	info, err := lang.Resolve(prog)
 	if err != nil {
-		return nil, fmt.Errorf("resolve: %w", err)
+		return nil, fmt.Errorf("resolve: %w", endErr(sp, err))
 	}
 	sp.End(trace.Args{"functions": len(prog.Funs)})
 	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "lower")
 	p, err := ir.Lower(info, ir.Options{UnrollDepth: c.Opts.UnrollDepth})
 	if err != nil {
-		return nil, fmt.Errorf("lower: %w", err)
+		return nil, fmt.Errorf("lower: %w", endErr(sp, err))
 	}
 	sp.End(trace.Args{"functions": len(p.Funs)})
 	return p, nil
@@ -447,14 +401,14 @@ func (c *Checker) CheckIRContext(ctx context.Context, p *ir.Program) (*Result, e
 	return c.CheckPrepared(ctx, prep)
 }
 
-// Prepared is the FSM-independent front half of a subject's analysis:
-// the frontend structures (IR, ICFET, context tree, alias graph) plus the
-// phase-1 alias closure's flowsTo facts, everything phase 2 reads. It is
-// immutable once built, so many property groups of the same subject can
-// share one Prepared — including concurrently — instead of each re-running
-// the frontend and the alias fixpoint. It is only valid for CheckPrepared
-// on a Checker whose Options match the preparing Checker's (the FSM set
-// may differ; that is the point).
+// Prepared is the front half of a subject's analysis: the frontend
+// structures (IR, ICFET, context tree, alias graph) plus the phase-1 alias
+// closure's flowsTo facts, everything phase 2 reads. It is immutable once
+// built. A checker with FSMs slices it for them; one prepared by a checker
+// without FSMs is the whole program, so many property groups of the same
+// subject can share it — including concurrently — instead of each re-running
+// the frontend and the alias fixpoint. It is only valid for CheckPrepared on
+// a Checker whose Options match the preparing Checker's.
 type Prepared struct {
 	ic    *cfet.ICFET
 	pr    *pgraph.Program
@@ -485,11 +439,11 @@ func (c *Checker) PrepareSource(ctx context.Context, src string) (*Prepared, err
 	return c.PrepareIR(ctx, p)
 }
 
-// PrepareIR runs the frontend (pre-analysis, ICFET, context tree, alias
-// graph) and the phase-1 alias closure over a lowered program. The flowsTo
-// facts the closure produced are held in memory, which is all phase 2
-// consults (§2.2); the alias engine's partitions outlive the call only in a
-// WorkDir the caller named.
+// PrepareIR runs the frontend (pre-analysis, points-to and, given FSMs,
+// slicing, ICFET, context tree, alias graph) and the phase-1 alias closure
+// over a lowered program. The flowsTo facts the closure produced are held in
+// memory, which is all phase 2 consults (§2.2); the alias engine's partitions
+// outlive the call only in a WorkDir the caller named.
 func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, error) {
 	workDir := c.Opts.WorkDir
 	if c.Opts.Resume && workDir == "" {
@@ -509,11 +463,11 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 	c.Opts.Progress.SetPhase("frontend")
 	genStart := time.Now()
 	cfetOpts := c.Opts.CFET
-	if c.Opts.Prune.Enabled() && cfetOpts.BranchVerdict == nil {
+	if cfetOpts.BranchVerdict == nil {
 		sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "pre-analysis")
 		pre, err := analysis.Run(p, analysis.PruneAnalyzers())
 		if err != nil {
-			return nil, fmt.Errorf("pre-analysis: %w", err)
+			return nil, fmt.Errorf("pre-analysis: %w", endErr(sp, err))
 		}
 		cfetOpts.BranchVerdict = pre.BranchVerdict
 		prep.condsDecided = pre.CondsDecided
@@ -522,10 +476,14 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 	sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "callgraph")
 	cg := callgraph.Build(p)
 	sp.End(trace.Args{"functions": len(p.Funs)})
-	cloneOpts := c.Opts.Clone
+	var cloneOpts pgraph.Options
 	var pts *analysis.PointsToResult
-	if c.Opts.Slice.Enabled() && len(c.FSMs) > 0 && !c.Opts.RecordPointsTo &&
-		cfetOpts.SliceFunc == nil && cfetOpts.SliceBranch == nil {
+	// Slicing is property-directed, so it needs the properties: a checker
+	// without FSMs prepares the whole program, which is what lets one Prepared
+	// serve every property group (the batch). RecordPointsTo's query class
+	// spans untracked variables too, and an injected SliceFunc/SliceBranch
+	// replaces the slicer.
+	if len(c.FSMs) > 0 && !c.Opts.RecordPointsTo && cfetOpts.SliceFunc == nil && cfetOpts.SliceBranch == nil {
 		tracked := map[string]bool{}
 		for _, f := range c.FSMs {
 			tracked[f.Type] = true
@@ -546,29 +504,28 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 		cloneOpts.Skip = drop
 		sp.End(nil)
 	}
-	if len(c.FSMs) > 0 {
-		// Objects handed to an unseen caller through an entry function's
-		// return are not leak candidates at our exit — the caller owns them
-		// now. Entry functions are the call-graph roots: for a whole program
-		// that is main (which returns nothing, so nothing escapes); for a
-		// library-style unit it is every uncalled exported constructor.
-		if pts == nil {
-			pts = analysis.SolvePointsTo(p, cg)
-		}
-		prep.escaped = pts.EscapingSites(cg.Roots())
-		// Objects shared with a spawned task are co-owned: the goroutine may
-		// still release them after the spawner's exit, so "open at exit" is
-		// not evidence of a leak for them either. Programs without spawn
-		// statements get an empty set and identical verdicts.
-		for site := range analysis.ComputeMHP(pts, cg).SharedSites {
-			prep.escaped[site] = true
-		}
+	// The escaped set does not depend on the FSMs, so every prepare computes
+	// it. Objects handed to an unseen caller through an entry function's
+	// return are not leak candidates at our exit — the caller owns them now.
+	// Entry functions are the call-graph roots: for a whole program that is
+	// main (which returns nothing, so nothing escapes); for a library-style
+	// unit it is every uncalled exported constructor.
+	if pts == nil {
+		pts = analysis.SolvePointsTo(p, cg)
+	}
+	prep.escaped = pts.EscapingSites(cg.Roots())
+	// Objects shared with a spawned task are co-owned: the goroutine may still
+	// release them after the spawner's exit, so "open at exit" is not evidence
+	// of a leak for them either. Programs without spawn statements get an
+	// empty set and identical verdicts.
+	for site := range analysis.ComputeMHP(pts, cg).SharedSites {
+		prep.escaped[site] = true
 	}
 	tab := symbolic.NewTable()
 	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "cfet-build")
 	ic, err := cfet.Build(p, tab, cfetOpts)
 	if err != nil {
-		return nil, fmt.Errorf("icfet: %w", err)
+		return nil, fmt.Errorf("icfet: %w", endErr(sp, err))
 	}
 	sp.End(trace.Args{"paths": ic.PathCount(), "prunedBranches": ic.PrunedBranches()})
 	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "context-clone")
@@ -604,7 +561,7 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "extract-flows")
 	flows, nflows, err := extractFlows(aliasEngine, ag)
 	if err != nil {
-		return nil, err
+		return nil, endErr(sp, err)
 	}
 	sp.End(trace.Args{"flows": nflows})
 	if err := c.finishPhase(aliasPhase, aliasEngine, &alias); err != nil {
@@ -645,7 +602,7 @@ func (c *Checker) CheckPrepared(ctx context.Context, prep *Prepared) (*Result, e
 	c.Opts.Progress.SetPhase("dataflow-build")
 	genStart := time.Now()
 	sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "dataflow-build")
-	dg := pgraph.BuildDataflow(pr, prep.flows, ag, c.fsmFor, c.Opts.Dataflow)
+	dg := pgraph.BuildDataflow(pr, prep.flows, ag, c.fsmFor, pgraph.DataflowOptions{})
 	sp.End(trace.Args{"vertices": dg.NumVerts, "edges": len(dg.Edges), "tracked": len(dg.Tracked)})
 	res.GenTime += time.Since(genStart)
 	res.TrackedObjects = len(dg.Tracked)
@@ -668,7 +625,7 @@ func (c *Checker) CheckPrepared(ctx context.Context, prep *Prepared) (*Result, e
 	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "fsm-check")
 	res.Reports, err = checkTyped(dfEngine, dg, ic, prep.escaped)
 	if err != nil {
-		return nil, err
+		return nil, endErr(sp, err)
 	}
 	sp.End(trace.Args{"reports": len(res.Reports)})
 	if err := c.finishPhase(dataflowPhase, dfEngine, &dataflow); err != nil {

@@ -117,33 +117,52 @@ func TestTracingPreservesReports(t *testing.T) {
 	}
 }
 
-// TestFailedPhaseKeepsItsSpan: the trace of a run that dies in a closure
-// phase must still hold that phase's span, carrying the error — the phase
-// that failed is the one the trace is opened to find. A context cancelled
-// before the check starts fails the alias phase at its first superstep.
+// TestFailedPhaseKeepsItsSpan: the trace of a run that dies in some step —
+// a frontend stage or a closure phase — must still hold that step's span,
+// carrying the error: the step that failed is the one the trace is opened to
+// find. A context cancelled before the check starts fails the alias phase at
+// its first superstep.
 func TestFailedPhaseKeepsItsSpan(t *testing.T) {
-	var jsonl bytes.Buffer
-	rec := trace.NewWriters(nil, &jsonl)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c := New(fsm.Builtins(), Options{WorkDir: t.TempDir(), Trace: rec})
-	if _, err := c.CheckSourceContext(ctx, obsIdentitySubjects[0].src); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled check returned %v, want context.Canceled", err)
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var span struct {
-		Args map[string]any `json:"args"`
-	}
-	for _, line := range bytes.Split(jsonl.Bytes(), []byte("\n")) {
-		if bytes.Contains(line, []byte(`"name":"phase.alias"`)) {
-			if err := json.Unmarshal(line, &span); err != nil {
+	for _, tc := range []struct {
+		name, src string
+		cancel    bool
+		// span is the step that must end with the error; the check returns
+		// that error behind prefix.
+		span, prefix string
+	}{
+		{name: "syntax error", src: "fun main( {", span: "parse", prefix: "parse: "},
+		{name: "undefined name", src: "fun main() {\n  y = 1;\n  return;\n}", span: "resolve", prefix: "resolve: "},
+		{name: "cancelled", src: obsIdentitySubjects[0].src, cancel: true, span: "phase.alias", prefix: "alias phase: "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var jsonl bytes.Buffer
+			rec := trace.NewWriters(nil, &jsonl)
+			ctx, cancel := context.WithCancel(context.Background())
+			if tc.cancel {
+				cancel()
+			}
+			defer cancel()
+			c := New(fsm.Builtins(), Options{WorkDir: t.TempDir(), Trace: rec})
+			_, err := c.CheckSourceContext(ctx, tc.src)
+			if err == nil || tc.cancel && !errors.Is(err, context.Canceled) {
+				t.Fatalf("check returned %v", err)
+			}
+			if err := rec.Close(); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	if msg, _ := span.Args["error"].(string); msg != context.Canceled.Error() {
-		t.Fatalf("phase.alias span args %v, want the cancellation as \"error\"; trace:\n%s", span.Args, jsonl.Bytes())
+			var span struct {
+				Args map[string]any `json:"args"`
+			}
+			for _, line := range bytes.Split(jsonl.Bytes(), []byte("\n")) {
+				if bytes.Contains(line, []byte(`"name":"`+tc.span+`"`)) {
+					if err := json.Unmarshal(line, &span); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if msg, _ := span.Args["error"].(string); msg == "" || tc.prefix+msg != err.Error() {
+				t.Fatalf("%s span args %v, want the error %q behind %q; trace:\n%s", tc.span, span.Args, err, tc.prefix, jsonl.Bytes())
+			}
+		})
 	}
 }

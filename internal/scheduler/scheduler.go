@@ -6,10 +6,12 @@
 // checking) and is independently decidable, so instances never communicate;
 // what they *share* is read-only: the SMT constraint-memoization cache
 // (§4.3), which amortizes solver work across instances, and the prepared
-// frontend + alias closure of each subject (checker.Prepared) — the alias
-// phase of one subject is the same no matter which property group is being
-// checked, so only the first instance of a subject computes it and the rest
-// start at phase 2.
+// frontend + alias closure of each subject (checker.Prepared). A subject's
+// frontend is prepared without FSMs — so it is never property-sliced — which
+// makes its alias phase the same no matter which property group is being
+// checked: only the first instance of a subject computes it and the rest
+// start at phase 2. Every instance, shared or not, reaches phase 2 by that
+// one path, so the reports do not depend on the sharing mode.
 //
 // The scheduler guarantees a deterministic merged report stream: results
 // are keyed by (subject, group) and the merge is a total order over report
@@ -150,11 +152,11 @@ type Options struct {
 	Cache     *smt.Cache
 	CacheSize int
 	// noSharedFrontend disables per-subject sharing of the prepared
-	// frontend + alias closure (checker.Prepared); every instance then runs
-	// the full three-phase pipeline itself, as an independent process
-	// would. Only this package's tests set it, as the reference sharing is
-	// held to; sharing is also off in the unshared-cache baseline
-	// (CacheSize < 0 with a nil Cache).
+	// frontend + alias closure (checker.Prepared); every instance then
+	// prepares its own, as an independent process would, by the same path
+	// the shared one takes (no FSMs, so no slicing). Only this package's tests
+	// set it, as the reference sharing is held to; sharing is also off in the
+	// unshared-cache baseline (CacheSize < 0 with a nil Cache).
 	noSharedFrontend bool
 	// WorkDir, when non-empty, hosts one partition subdirectory per
 	// instance; each instance otherwise uses its own temp dir.
@@ -503,11 +505,12 @@ func openCompletionLog(dir string, resume bool) (*completionLog, map[string]*com
 }
 
 // prepStore lazily builds and shares one checker.Prepared per compilation
-// unit. The entry mutex serializes same-subject prepares (the second
-// claimant waits and reuses rather than duplicating the alias fixpoint);
-// distinct subjects prepare concurrently. Errors are not memoized: if the
-// building instance's deadline expires mid-prepare, the next instance of
-// that subject retries under its own deadline.
+// unit; a nil store prepares every time and keeps nothing. The entry mutex
+// serializes same-subject prepares (the second claimant waits and reuses
+// rather than duplicating the alias fixpoint); distinct subjects prepare
+// concurrently. Errors are not memoized: if the building instance's deadline
+// expires mid-prepare, the next instance of that subject retries under its
+// own deadline.
 type prepStore struct {
 	mu      sync.Mutex
 	entries map[string]*prepEntry
@@ -519,6 +522,12 @@ type prepEntry struct {
 }
 
 func (ps *prepStore) get(ctx context.Context, source string, copts checker.Options) (*checker.Prepared, error) {
+	// The frontend is prepared without FSMs, so it is never sliced and serves
+	// every property group alike.
+	prepare := checker.New(nil, copts).PrepareSource
+	if ps == nil {
+		return prepare(ctx, source)
+	}
 	key := sourceKey(source)
 	ps.mu.Lock()
 	e := ps.entries[key]
@@ -532,7 +541,7 @@ func (ps *prepStore) get(ctx context.Context, source string, copts checker.Optio
 	if e.prep != nil {
 		return e.prep, nil
 	}
-	prep, err := checker.New(nil, copts).PrepareSource(ctx, source)
+	prep, err := prepare(ctx, source)
 	if err != nil {
 		return nil, err
 	}
@@ -551,12 +560,6 @@ func runOne(ctx context.Context, in *Instance, opts Options, cache *smt.Cache, p
 		defer cancel()
 	}
 	copts := in.Opts
-	// The batch contract is byte-identical merged reports for any worker
-	// count or sharing mode. Property-relevance slicing is property-directed:
-	// a sliced CFET differs per FSM group, which would defeat per-subject
-	// frontend sharing and perturb witness encodings between sharing modes,
-	// so batch instances always build full CFETs.
-	copts.Slice = checker.SliceOff
 	// Thread the batch's recorder into the instance on this worker's lane.
 	// The batch-level Progress is NOT passed down: concurrent instances would
 	// fight over the phase field; batch progress tracks instance lifecycles.
@@ -574,20 +577,10 @@ func runOne(ctx context.Context, in *Instance, opts Options, cache *smt.Cache, p
 		copts.WorkDir = filepath.Join(opts.WorkDir, pathSafe(in.Subject)+"--"+pathSafe(in.Group))
 	}
 	start := time.Now()
-	c := checker.New(in.FSMs, copts)
+	prep, err := preps.get(ictx, in.Source, copts)
 	var r *checker.Result
-	var err error
-	if preps != nil {
-		// Share the frontend + alias closure across this subject's property
-		// groups: Prepared is immutable, so only the first instance pays
-		// for it and the rest start at phase 2.
-		var prep *checker.Prepared
-		prep, err = preps.get(ictx, in.Source, copts)
-		if err == nil {
-			r, err = c.CheckPrepared(ictx, prep)
-		}
-	} else {
-		r, err = c.CheckSourceContext(ictx, in.Source)
+	if err == nil {
+		r, err = checker.New(in.FSMs, copts).CheckPrepared(ictx, prep)
 	}
 	res.Elapsed = time.Since(start)
 	res.Result, res.Err = r, err

@@ -5,8 +5,10 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/grapple-system/grapple/internal/cfet"
 	"github.com/grapple-system/grapple/internal/checker"
 	"github.com/grapple-system/grapple/internal/fsm"
+	"github.com/grapple-system/grapple/internal/ir"
 )
 
 // propertyProfile is a small randomized profile: big enough to exercise
@@ -36,10 +38,12 @@ func renderReports(reports []checker.Report) []string {
 	return out
 }
 
-// TestPropertyPruningPreservesReports: on random workload programs, running
-// the checker with constant-driven pruning on and off yields the same
-// typestate report set, while the pruned run encodes strictly fewer CFET
-// paths (each subject plants LintDeadBranches constant branch splits).
+// TestPropertyPruningPreservesReports: on random workload programs, the
+// default check (constant-driven pruning on) yields the same typestate report
+// set as the unpruned reference — a BranchVerdict that decides nothing, which
+// is exactly the CFET the pre-analysis would otherwise have trimmed — while the
+// pruned run encodes strictly fewer CFET paths (each subject plants
+// LintDeadBranches constant branch splits).
 func TestPropertyPruningPreservesReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full pipeline twice per seed")
@@ -49,18 +53,16 @@ func TestPropertyPruningPreservesReports(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			s := Generate(propertyProfile(seed))
 
-			run := func(mode checker.PruneMode) *checker.Result {
-				c := checker.New(fsm.Builtins(), checker.Options{
-					WorkDir: t.TempDir(), Prune: mode,
-				})
+			run := func(opts cfet.Options) *checker.Result {
+				c := checker.New(fsm.Builtins(), checker.Options{WorkDir: t.TempDir(), CFET: opts})
 				res, err := c.CheckSource(s.Source)
 				if err != nil {
-					t.Fatalf("prune=%v: %v", mode, err)
+					t.Fatal(err)
 				}
 				return res
 			}
-			pruned := run(checker.PruneOn)
-			unpruned := run(checker.PruneOff)
+			pruned := run(cfet.Options{})
+			unpruned := run(cfet.Options{BranchVerdict: func(*ir.If) int { return 0 }})
 
 			got, want := renderReports(pruned.Reports), renderReports(unpruned.Reports)
 			if len(got) != len(want) {

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/grapple-system/grapple/internal/cfet"
 	"github.com/grapple-system/grapple/internal/checker"
 	"github.com/grapple-system/grapple/internal/fsm"
+	"github.com/grapple-system/grapple/internal/ir"
 )
 
 // sliceProfile is the randomized slice-invariance subject: like
@@ -25,9 +27,11 @@ func sliceProfile(seed int64) Profile {
 
 // TestPropertySlicingPreservesReports: on random workload programs, for
 // every builtin FSM property checked in isolation (and once for the full
-// property set), running with property-relevance slicing on and off yields
-// a byte-identical rendered report set, while the sliced run stubs out at
-// least one function somewhere across the matrix.
+// property set), the default check (property-relevance slicing on) yields a
+// byte-identical rendered report set to the unsliced reference — a SliceFunc
+// and SliceBranch that keep everything, which is exactly the CFET and context
+// tree the slicer would otherwise have trimmed — while the sliced run stubs out
+// at least one function somewhere across the matrix.
 func TestPropertySlicingPreservesReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full pipeline twice per (seed, property)")
@@ -46,18 +50,19 @@ func TestPropertySlicingPreservesReports(t *testing.T) {
 		s := Generate(sliceProfile(seed))
 		for name, fsms := range sets {
 			t.Run(fmt.Sprintf("seed%d/%s", seed, name), func(t *testing.T) {
-				run := func(mode checker.SliceMode) *checker.Result {
-					c := checker.New(fsms, checker.Options{
-						WorkDir: t.TempDir(), Slice: mode,
-					})
+				run := func(opts cfet.Options) *checker.Result {
+					c := checker.New(fsms, checker.Options{WorkDir: t.TempDir(), CFET: opts})
 					res, err := c.CheckSource(s.Source)
 					if err != nil {
-						t.Fatalf("slice=%v: %v", mode, err)
+						t.Fatal(err)
 					}
 					return res
 				}
-				sliced := run(checker.SliceOn)
-				unsliced := run(checker.SliceOff)
+				sliced := run(cfet.Options{})
+				unsliced := run(cfet.Options{
+					SliceFunc:   func(string) bool { return false },
+					SliceBranch: func(*ir.If) bool { return false },
+				})
 
 				got := strings.Join(renderReports(sliced.Reports), "\n")
 				want := strings.Join(renderReports(unsliced.Reports), "\n")
