@@ -37,7 +37,9 @@ race:
 	$(GO) test -race ./internal/symbolic/ ./internal/smt/ ./internal/cfet/
 	$(GO) test -race . -run TestAblationIdentity -count=1
 
-# Short fuzzing sessions: SMT cache-keying invariants, the solver against its
+# Short fuzzing sessions: SMT cache-keying invariants, the constraint cache
+# against the LRU it replaced (identical answers while nothing is evicted,
+# exact hits and the capacity bound under pressure), the solver against its
 # reference (verdict identity, inputs left intact), the partition
 # store's record decoder (the block cursor against the stream-decoder
 # oracle), its whole-file readers (strict and prefix, held to each other),
@@ -48,6 +50,7 @@ race:
 # hierarchy (every live covering type must stay a dispatch candidate).
 fuzz:
 	$(GO) test ./internal/smt/ -fuzz FuzzCacheKeying -fuzztime 30s
+	$(GO) test ./internal/smt/ -fuzz FuzzCacheMatchesReference -fuzztime 30s
 	$(GO) test ./internal/smt/ -fuzz FuzzSolverMatchesReference -fuzztime 30s
 	$(GO) test ./internal/lang/ -fuzz FuzzParse -fuzztime 20s
 	$(GO) test ./internal/storage/ -fuzz FuzzDecodeRecordV2 -fuzztime 20s
@@ -139,7 +142,8 @@ bench-e2e:
 # near zero allocs/record (and under half of the stream-decoder oracle), the
 # dedupe key and a warm SMT-cache probe must not allocate at all, nor may what
 # follows a probe that misses — decoding the path and solving it, in a warm
-# Decoder and Solver — the join as a
+# Decoder and Solver — and the cache insert after it only when a shard's
+# table or key arena grows (10 000 inserts, <= 64 allocations), the join as a
 # whole must stay within its pinned allocations and bytes per candidate, a
 # check in a temp dir whose graph fits the budget must do no partition I/O at
 # all (loads, writes, appends, bytes, evictions: all 0) and, out of
@@ -161,6 +165,7 @@ bench-e2e:
 # tests skip themselves under it.
 alloc-budget: build
 	$(GO) test ./internal/storage/ -run 'TestDecodeAllocBudget|TestKeyZeroAlloc' -count=1
+	$(GO) test ./internal/smt/ -run TestCachePutAllocs -count=1
 	$(GO) test ./internal/engine/ -run 'TestCacheProbeZeroAlloc|TestJoinAllocBudget' -count=1
 	$(GO) test ./internal/lang/ -run TestParseAllocBudget -count=1
 	$(GO) test ./internal/cfet/ -run TestBuildAllocBudget -count=1

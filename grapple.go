@@ -154,7 +154,7 @@ type Options struct {
 	Workers int
 	// UnrollDepth statically unrolls loops this many times (default 2).
 	UnrollDepth int
-	// DisableConstraintCache turns off LRU memoization of solver verdicts
+	// DisableConstraintCache turns off memoization of solver verdicts
 	// (used by the Table-4 ablation).
 	DisableConstraintCache bool
 	// Bind maps extra object type names onto FSM names; an FSM always

@@ -18,8 +18,9 @@ import (
 // conjunction. (TestJoinAllocBudget's fixture never decodes or solves.) It
 // runs one Decoder and one Solver, as a worker owns them, over every distinct
 // path encoding of mini-sim's two closed graphs; once a first pass has grown
-// their buffers, a pass allocates nothing. What a miss still allocates is the
-// cache's own insert (smt.Cache.PutBytes: entry, list element, key string).
+// their buffers, a pass allocates nothing. The cache insert that ends a miss
+// allocates only when a shard's table or key arena grows
+// (smt.TestCachePutAllocs).
 func TestMissPathZeroAlloc(t *testing.T) {
 	c := checker.New(fsm.Builtins(), checker.Options{})
 	var encs []cfet.Enc

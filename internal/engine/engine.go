@@ -2,7 +2,7 @@
 // computation (paper §4.3): vertex-interval partitions on SSD, an edge-pair-
 // centric join that loads two partitions per iteration, constraint-guided
 // edge induction (grammar match + path-encoding merge + SMT check), eager
-// repartitioning, semi-naive scheduling, and LRU constraint memoization.
+// repartitioning, semi-naive scheduling, and constraint memoization.
 //
 // Scheduling is per connected pair: a partition pair is owed a pass only
 // while one of the two holds edges the pair's stamp has not seen and a first
@@ -44,7 +44,7 @@ type Options struct {
 	MemoryBudget int64
 	// Workers is the edge-induction parallelism; zero means GOMAXPROCS.
 	Workers int
-	// CacheSize is the constraint-memoization LRU capacity; zero means the
+	// CacheSize is the constraint-memoization cache's capacity; zero means the
 	// default, negative disables memoization (Table 4's "without caching").
 	CacheSize int
 	// Cache, when non-nil, is an externally-owned constraint cache shared

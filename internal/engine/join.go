@@ -317,8 +317,8 @@ func (en *Engine) speculate() {
 
 // appendEncCacheKey appends the memoization key of an encoding's raw
 // elements to dst. Callers reuse dst across probes so a cache lookup costs
-// no allocation; the key string is materialized only when the cache
-// actually inserts an entry (smt.Cache.PutBytes).
+// no allocation; an insert copies the key into the cache's own arena
+// (smt.Cache.PutBytes).
 func appendEncCacheKey(dst []byte, enc cfet.Enc) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	for _, el := range enc {
@@ -459,9 +459,8 @@ func (en *Engine) joinRange(jn *passJoin, lo, hi int, scr *joinScratch, c *joinC
 				// §4.3: "using encoded paths as the keys"): a hit skips
 				// both decoding and solving. The key is encoded into the
 				// worker's scratch buffer and probed with byte-key lookups,
-				// so a probe per join candidate costs no allocation; the
-				// key string only materializes when a miss inserts a new
-				// entry.
+				// so neither a probe per join candidate nor the insert after
+				// a miss allocates, beyond the cache's amortized growth.
 				var verdict smt.Result
 				hit := false
 				if en.cache != nil {

@@ -4,14 +4,15 @@
 // FSM property groups — across a bounded worker pool. Each instance is a
 // complete three-phase pipeline run (alias closure, dataflow closure, FSM
 // checking) and is independently decidable, so instances never communicate;
-// what they *share* is read-only: the SMT constraint-memoization cache
-// (§4.3), which amortizes solver work across instances, and the prepared
-// frontend + alias closure of each subject (checker.Prepared). A subject's
-// frontend is prepared without FSMs — so it is never property-sliced — which
-// makes its alias phase the same no matter which property group is being
-// checked: only the first instance of a subject computes it and the rest
-// start at phase 2. Every instance, shared or not, reaches phase 2 by that
-// one path, so the reports do not depend on the sharing mode.
+// what they *share* is the SMT constraint-memoization cache (§4.3), one
+// smt.Cache behind its shard locks that amortizes solver work across
+// instances, and, read-only, the prepared frontend + alias closure of each
+// subject (checker.Prepared). A subject's frontend is prepared without FSMs —
+// so it is never property-sliced — which makes its alias phase the same no
+// matter which property group is being checked: only the first instance of a
+// subject computes it and the rest start at phase 2. Every instance, shared
+// or not, reaches phase 2 by that one path, so the reports do not depend on
+// the sharing mode.
 //
 // The scheduler guarantees a deterministic merged report stream: results
 // are keyed by (subject, group) and the merge is a total order over report
@@ -148,7 +149,7 @@ type Options struct {
 	// when nil (unless CacheSize is negative, which runs instances with
 	// their own private per-engine caches — the unshared baseline). The
 	// created cache's capacity scales with the number of distinct subjects
-	// so that a big batch does not thrash a single-subject-sized LRU.
+	// so that a big batch does not thrash a single-subject-sized cache.
 	Cache     *smt.Cache
 	CacheSize int
 	// noSharedFrontend disables per-subject sharing of the prepared
@@ -195,7 +196,8 @@ type BatchResult struct {
 	// Sched is the scheduler's queue-depth/latency counters.
 	Sched metrics.SchedSnapshot
 	// CacheLookups/CacheHits/CacheHitRate describe the shared cache (zero
-	// when instances ran with private caches).
+	// when instances ran with private caches), summed from the probes each
+	// instance's engines counted (PhaseStats), a shared alias phase once.
 	CacheLookups int64
 	CacheHits    int64
 	CacheHitRate float64
@@ -363,6 +365,10 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 		return nil, err
 	}
 
+	var lookups, hits int64
+	if cache != nil {
+		lookups, hits = cacheProbes(instances, results, preps != nil)
+	}
 	sort.Slice(results, func(i, j int) bool {
 		if results[i].Subject != results[j].Subject {
 			return results[i].Subject < results[j].Subject
@@ -370,15 +376,15 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 		return results[i].Group < results[j].Group
 	})
 	out := &BatchResult{
-		Instances: results,
-		Reports:   mergeReports(results),
-		Sched:     schedStats(results),
-		Wall:      time.Since(start),
+		Instances:    results,
+		Reports:      mergeReports(results),
+		Sched:        schedStats(results),
+		CacheLookups: lookups,
+		CacheHits:    hits,
+		Wall:         time.Since(start),
 	}
-	if cache != nil {
-		out.CacheLookups = cache.Lookups()
-		out.CacheHits = cache.Hits()
-		out.CacheHitRate = cache.HitRate()
+	if lookups > 0 {
+		out.CacheHitRate = float64(hits) / float64(lookups)
 	}
 	if preps != nil {
 		out.FrontendPrepares = len(preps.entries)
@@ -628,6 +634,32 @@ func schedStats(results []InstanceResult) metrics.SchedSnapshot {
 		s.MaxDepth = max(s.MaxDepth, int64(i+1-picked))
 	}
 	return s
+}
+
+// cacheProbes sums the shared cache's lookups and hits from the probes each
+// instance's engines counted; results[i] is instances[i]'s. Every dataflow
+// phase counts. An alias phase counts once per source when its instances
+// share one prepared alias closure (sharedAlias: its stats are copied into
+// each), else once per instance. A resumed or failed instance counts nothing.
+func cacheProbes(instances []Instance, results []InstanceResult, sharedAlias bool) (lookups, hits int64) {
+	aliasCounted := map[string]bool{}
+	for i := range results {
+		r := results[i].Result
+		if r == nil || results[i].Resumed {
+			continue
+		}
+		lookups += r.Dataflow.CacheLookups
+		hits += r.Dataflow.CacheHits
+		if sharedAlias {
+			if aliasCounted[instances[i].Source] {
+				continue
+			}
+			aliasCounted[instances[i].Source] = true
+		}
+		lookups += r.Alias.CacheLookups
+		hits += r.Alias.CacheHits
+	}
+	return lookups, hits
 }
 
 // sourceKey derives the cache-key namespace for a compilation unit: the

@@ -14,6 +14,7 @@ import (
 	"github.com/grapple-system/grapple/internal/checker"
 	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/metrics"
+	"github.com/grapple-system/grapple/internal/smt"
 	"github.com/grapple-system/grapple/internal/workload"
 )
 
@@ -149,19 +150,69 @@ func TestSharedCacheAcrossInstances(t *testing.T) {
 		t.Fatalf("private-cache run reported shared lookups: %d", private.CacheLookups)
 	}
 	// Per-instance engine stats: with sharing, later instances hit more.
-	var sharedHits, privateHits int64
-	for _, ir := range shared.Instances {
-		sharedHits += ir.Result.Alias.CacheHits + ir.Result.Dataflow.CacheHits
-	}
-	for _, ir := range private.Instances {
-		privateHits += ir.Result.Alias.CacheHits + ir.Result.Dataflow.CacheHits
-	}
-	if sharedHits <= privateHits {
+	if sharedHits, privateHits := instanceHits(shared), instanceHits(private); sharedHits <= privateHits {
 		t.Fatalf("sharing produced no extra hits: shared %d <= private %d", sharedHits, privateHits)
 	}
 	// And identical reports either way (memoization must not change verdicts).
 	if !bytes.Equal(reportBytes(t, shared.Reports), reportBytes(t, private.Reports)) {
 		t.Fatal("shared vs private cache changed the merged reports")
+	}
+}
+
+// instanceHits sums the cache hits every instance's engines counted, a
+// shared alias phase once per instance that carries it.
+func instanceHits(res *BatchResult) int64 {
+	var hits int64
+	for _, ir := range res.Instances {
+		hits += ir.Result.Alias.CacheHits + ir.Result.Dataflow.CacheHits
+	}
+	return hits
+}
+
+// TestCacheProbesCountedOnce: BatchResult's cache counts are summed from the
+// probes the instances' engines counted, each probe once. With one instance
+// and one join worker at a time and a cache that evicts nothing, every miss
+// inserts a key no earlier probe put, so the misses must equal what the cache
+// holds at the end, in both frontend modes. Counting a shared alias phase once
+// per instance would overshoot that; in the unshared mode every instance
+// after a subject's first repeats its alias probes, and each one hits.
+func TestCacheProbesCountedOnce(t *testing.T) {
+	subjects := miniSubjects(t)
+	copts := checker.Options{}
+	copts.Engine.Workers = 1
+	instances := Expand(subjects, GroupPerFSM(fsm.Builtins()), copts)
+	run := func(noSharedFrontend bool) *BatchResult {
+		cache := smt.NewCache(1 << 20)
+		res, err := Run(context.Background(), instances, Options{Workers: 1, Cache: cache, noSharedFrontend: noSharedFrontend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if misses := res.CacheLookups - res.CacheHits; misses != int64(cache.Len()) {
+			t.Fatalf("noSharedFrontend=%v: %d lookups - %d hits = %d misses, but the cache holds %d keys",
+				noSharedFrontend, res.CacheLookups, res.CacheHits, misses, cache.Len())
+		}
+		if want := float64(res.CacheHits) / float64(res.CacheLookups); res.CacheHitRate != want {
+			t.Fatalf("hit rate %v, want %v", res.CacheHitRate, want)
+		}
+		return res
+	}
+	shared, unshared := run(false), run(true)
+	var repeated int64 // alias probes of the instances after each subject's first
+	seen := map[string]bool{}
+	for _, ir := range shared.Instances {
+		a := ir.Result.Alias
+		if seen[ir.Subject] {
+			repeated += a.CacheLookups
+			continue
+		}
+		seen[ir.Subject] = true
+		if a.CacheLookups == a.CacheHits {
+			t.Fatalf("%s: the alias phase misses nothing, so counting it twice would go unseen", ir.Subject)
+		}
+	}
+	if unshared.CacheLookups != shared.CacheLookups+repeated || unshared.CacheHits != shared.CacheHits+repeated {
+		t.Fatalf("unshared frontends: %d/%d lookups/hits, want the shared %d/%d plus %d repeated alias hits",
+			unshared.CacheLookups, unshared.CacheHits, shared.CacheLookups, shared.CacheHits, repeated)
 	}
 }
 

@@ -2,10 +2,28 @@ package smt
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/grapple-system/grapple/internal/constraint"
+	"github.com/grapple-system/grapple/internal/raceflag"
 )
+
+// countingCache counts the probes made through it, the tally the engine
+// keeps per join worker; the cache itself keeps none.
+type countingCache struct {
+	*Cache
+	lookups, hits int
+}
+
+func (c *countingCache) GetBytes(key []byte) (Result, bool) {
+	c.lookups++
+	r, ok := c.Cache.GetBytes(key)
+	if ok {
+		c.hits++
+	}
+	return r, ok
+}
 
 // cachedSolve memoizes s's verdict for c in cache under c's canonical key, the
 // way the engine memoizes under the encoded path (§4.3). The solver runs on
@@ -13,7 +31,7 @@ import (
 // atom order and the key is order-blind, so solving anything else would let
 // the first caller's atom order decide what every logically-equal
 // conjunction gets back. A nil cache solves every time.
-func cachedSolve(s *Solver, cache *Cache, c constraint.Conj) Result {
+func cachedSolve(s *Solver, cache *countingCache, c constraint.Conj) Result {
 	canon := c.Canon()
 	if cache == nil {
 		return s.Solve(canon)
@@ -81,8 +99,8 @@ func TestCacheByteKeyReuseSafe(t *testing.T) {
 	}
 }
 
-// TestCacheByteKeyEviction checks the per-shard LRU: filling a shard past
-// capacity through PutBytes evicts its least-recently-used entries.
+// TestCacheByteKeyEviction checks per-shard eviction: filling a shard past
+// capacity through PutBytes evicts entries nobody has hit.
 func TestCacheByteKeyEviction(t *testing.T) {
 	// capacity 16 -> one slot per shard.
 	c := NewCache(16)
@@ -103,5 +121,98 @@ func TestCacheByteKeyEviction(t *testing.T) {
 	}
 	if !evicted {
 		t.Fatal("no early byte-key entry was evicted")
+	}
+}
+
+// TestCacheCapacityIsABound: NewCache(capacity) never holds more than
+// capacity verdicts, however many distinct keys are put — also when capacity
+// is not a multiple of the shard count — and the evictions that keeps it there
+// leave every shard's table consistent.
+func TestCacheCapacityIsABound(t *testing.T) {
+	for _, capacity := range []int{1, 15, 20, 33, 1000} {
+		c := NewCache(capacity)
+		for i := 0; i < 10*capacity; i++ {
+			c.PutBytes(fmt.Appendf(nil, "bound-%d", i), Sat)
+		}
+		if got := c.Len(); got > capacity {
+			t.Errorf("NewCache(%d) holds %d verdicts after %d distinct puts", capacity, got, 10*capacity)
+		}
+		checkShards(t, c)
+	}
+}
+
+// sameShardKeys returns n distinct keys that hash to one shard.
+func sameShardKeys(n int) [][]byte {
+	var keys [][]byte
+	var shard uint64
+	for i := 0; len(keys) < n; i++ {
+		k := fmt.Appendf(nil, "clock-%d", i)
+		s := cacheHash(k) >> (64 - cacheShardBits)
+		if len(keys) == 0 {
+			shard = s
+		}
+		if s == shard {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// TestCacheClockSecondChance pins the eviction policy of a full shard: a key
+// hit since the CLOCK hand last passed survives the next eviction, and a key
+// nobody hit since then is the one evicted.
+func TestCacheClockSecondChance(t *testing.T) {
+	k := sameShardKeys(3)
+	// Either of the two keys may be the one hit, so it is the reference
+	// bit, not the slot order the hand meets them in, that decides.
+	for hit := 0; hit < 2; hit++ {
+		c := NewCache(2 * cacheShards) // two verdicts per shard
+		c.PutBytes(k[0], Sat)
+		c.PutBytes(k[1], Unsat) // the shard is full
+		if _, ok := c.GetBytes(k[hit]); !ok {
+			t.Fatalf("%s missing before any eviction", k[hit])
+		}
+		c.PutBytes(k[2], Sat) // evicts one of k0, k1
+		if r, ok := c.GetBytes(k[hit]); !ok || r != []Result{Sat, Unsat}[hit] {
+			t.Fatalf("%s, hit since the last sweep, = %v, %v after an eviction", k[hit], r, ok)
+		}
+		if _, ok := c.GetBytes(k[1-hit]); ok {
+			t.Fatalf("the unreferenced %s survived the eviction", k[1-hit])
+		}
+		if r, ok := c.GetBytes(k[2]); !ok || r != Sat {
+			t.Fatalf("%s = %v, %v after its own insert", k[2], r, ok)
+		}
+		if c.Len() != 2 {
+			t.Fatalf("len = %d want 2", c.Len())
+		}
+	}
+}
+
+// TestCachePutAllocs: an insert copies its key into the shard's arena, so
+// inserting allocates only when a table or an arena grows — a few times per
+// shard, not once or more per key.
+func TestCachePutAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime inflates allocation")
+	}
+	keys := make([][]byte, 10000)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "\x00\x01\x02\x03\x04\x05\x06\x07path-%06d", i)
+	}
+	c := NewCache(1 << 16)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, k := range keys {
+		c.PutBytes(k, Sat)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.Mallocs - before.Mallocs
+	t.Logf("%d distinct inserts, %d allocations", len(keys), got)
+	if got > 64 {
+		t.Fatalf("%d distinct inserts allocate %d times, want <= 64", len(keys), got)
+	}
+	if c.Len() != len(keys) {
+		t.Fatalf("len = %d want %d", c.Len(), len(keys))
 	}
 }

@@ -12,9 +12,10 @@ func (c *Cache) Each(f func(key string, res Result)) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for el := s.ll.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*cacheEntry)
-			f(e.key, e.res)
+		for _, sl := range s.slots {
+			if sl.hash != 0 {
+				f(string(s.keys[sl.off:sl.off+sl.n]), sl.verdict)
+			}
 		}
 		s.mu.Unlock()
 	}

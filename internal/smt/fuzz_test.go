@@ -71,14 +71,14 @@ func FuzzCacheKeying(f *testing.F) {
 		// the canonical key). The memoized verdict is a pure function of the
 		// key, never of the atom order the first caller happened to use.
 		want := New(DefaultOptions()).Solve(c.Canon())
-		s, cache := New(DefaultOptions()), NewCache(64)
+		s, cache := New(DefaultOptions()), &countingCache{Cache: NewCache(64)}
 		for _, variant := range []constraint.Conj{c, c, rotated, dup} {
 			if got := cachedSolve(s, cache, variant); got != want {
 				t.Fatalf("cached solve = %v, uncached canonical = %v", got, want)
 			}
 		}
-		if cache.Hits() < 3 {
-			t.Fatalf("expected >=3 cache hits, got %d", cache.Hits())
+		if cache.hits < 3 {
+			t.Fatalf("expected >=3 cache hits, got %d", cache.hits)
 		}
 
 		// Unsat is the load-bearing verdict (it prunes paths; Sat and
