@@ -19,12 +19,15 @@ fmt-check:
 		echo "gofmt -w needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Race-check the concurrent core (engine workers + prefetcher, the storage
-# layer they stream through, the checker pipeline, the batch scheduler,
-# whose determinism test exercises shared-cache and shared-frontend accesses
-# from many workers (TestBatchMatchesSingleCheck holds every sharing mode to
-# the single check's reports), plus the observability layer: the trace
+# Race-check the concurrent core (the engine's join workers, the storage
+# layer the run goroutine streams through, the checker pipeline, the batch
+# scheduler, whose determinism test exercises shared-cache and shared-frontend
+# accesses from many workers (TestBatchMatchesSingleCheck holds every sharing
+# mode to the single check's reports), plus the observability layer: the trace
 # recorder and the progress tracker, which other goroutines read mid-run).
+# The join workers are the only goroutines the engine starts:
+# TestRunLeavesNoGoroutine ends a completed, a cancelled and a failed
+# out-of-core run each with none left over.
 # Counters have one writer each and no lock (docs/observability.md): the engine's
 # TestObservedRunIsRaceFree watches a run with eight join workers from two
 # reader goroutines, and cmd/grapple's TestProgressHeartbeatEmits drives batch +

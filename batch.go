@@ -85,8 +85,8 @@ type BatchResult struct {
 	// batch actually performed; with sharing (the default) it equals the
 	// distinct-subject count rather than the instance count.
 	FrontendPrepares int
-	// IO aggregates partition-store traffic (bytes, cache and prefetch
-	// effectiveness, load latencies) across every instance's phases.
+	// IO aggregates partition-store traffic (bytes, cache effectiveness,
+	// load latencies) across every instance's phases.
 	IO IOStats
 	// Wall is the batch's wall-clock time.
 	Wall time.Duration

@@ -53,3 +53,42 @@ func TestCheckAllWorkDirPerInstance(t *testing.T) {
 		t.Fatalf("%d instance directories under WorkDir, want one per instance (%d): %v", dirs, len(fsms), entries)
 	}
 }
+
+// TestUncachedBatchSharesFrontends: DisableConstraintCache turns off the
+// memoization of solver verdicts and nothing else. A batch run with it still
+// prepares one frontend per distinct subject, probes no cache, and merges the
+// same reports as the cached batch.
+func TestUncachedBatchSharesFrontends(t *testing.T) {
+	second := workload.MiniProfile()
+	second.Name, second.Seed = "mini-b", 43
+	var subjects []Subject
+	for _, p := range []workload.Profile{workload.MiniProfile(), second} {
+		s := workload.Generate(p)
+		subjects = append(subjects, Subject{Name: s.Name, Source: s.Source})
+	}
+	fsms := BuiltinCheckers()
+	run := func(uncached bool) *BatchResult {
+		t.Helper()
+		res, err := CheckAll(subjects, fsms, BatchOptions{
+			Options:      Options{DisableConstraintCache: uncached},
+			BatchWorkers: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failed := res.Failed(); len(failed) != 0 {
+			t.Fatalf("failed instances: %+v", failed)
+		}
+		return res
+	}
+	cached, uncached := run(false), run(true)
+	if uncached.FrontendPrepares != len(subjects) {
+		t.Fatalf("uncached batch prepared %d frontends, want one per subject (%d)", uncached.FrontendPrepares, len(subjects))
+	}
+	if uncached.CacheLookups != 0 {
+		t.Fatalf("uncached batch probed a cache %d times", uncached.CacheLookups)
+	}
+	if want, got := goldenBytes(t, cached.Reports), goldenBytes(t, uncached.Reports); !bytes.Equal(want, got) {
+		t.Fatalf("reports depend on the constraint cache:\n%s", goldenDiff(want, got))
+	}
+}

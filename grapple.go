@@ -203,9 +203,9 @@ type PointsToFact = checker.PointsToFact
 type PhaseStats = checker.PhaseStats
 
 // IOStats is the partition store's traffic summary for one engine phase.
-// Loads count reads that reached the disk; CacheHits count loads served
-// from the in-memory partition cache; PrefetchHits count disk loads whose
-// latency overlapped the previous iteration's computation.
+// Loads count reads that reached the disk, each one synchronous, and
+// LoadLatency their disk time; CacheHits count loads served from the
+// in-memory partition cache.
 type IOStats = metrics.IOSnapshot
 
 // LatencyCounts is a fixed-bucket latency histogram (per-bucket counts

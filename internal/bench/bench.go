@@ -468,7 +468,7 @@ func graphsFor(name string) (*cfet.ICFET, *pgraph.AliasGraph, []storage.Edge, er
 		}
 		return nil
 	}
-	dg := pgraph.BuildDataflow(pr, flows, ag, fsmFor, pgraph.DataflowOptions{})
+	dg := pgraph.BuildDataflow(pr, flows, ag, fsmFor)
 	return ic, ag, dg.Edges, nil
 }
 

@@ -602,7 +602,7 @@ func (c *Checker) CheckPrepared(ctx context.Context, prep *Prepared) (*Result, e
 	c.Opts.Progress.SetPhase("dataflow-build")
 	genStart := time.Now()
 	sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "dataflow-build")
-	dg := pgraph.BuildDataflow(pr, prep.flows, ag, c.fsmFor, pgraph.DataflowOptions{})
+	dg := pgraph.BuildDataflow(pr, prep.flows, ag, c.fsmFor)
 	sp.End(trace.Args{"vertices": dg.NumVerts, "edges": len(dg.Edges), "tracked": len(dg.Tracked)})
 	res.GenTime += time.Since(genStart)
 	res.TrackedObjects = len(dg.Tracked)

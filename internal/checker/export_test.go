@@ -38,7 +38,7 @@ func (c *Checker) CheckSourceAllPairs(src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dg := pgraph.BuildDataflow(prep.pr, prep.flows, prep.ag, c.fsmFor, pgraph.DataflowOptions{})
+	dg := pgraph.BuildDataflow(prep.pr, prep.flows, prep.ag, c.fsmFor)
 	g := grammar.New()
 	flow := g.Intern("flow")
 	g.AddBinary(flow, flow, flow)

@@ -178,7 +178,6 @@ func closeByHand(t *testing.T, f cutFixture, edges []storage.Edge, maxVariants i
 			t.Fatal(err)
 		}
 		en.closeJournal()
-		en.drainPrefetch()
 		segs = append(segs, en.Stats())
 		// A context that is done from the start: ResumeContext restores the
 		// state and returns before the first superstep.
@@ -197,7 +196,6 @@ func closeByHand(t *testing.T, f cutFixture, edges []storage.Edge, maxVariants i
 		t.Fatal(err)
 	}
 	en.closeJournal()
-	en.drainPrefetch()
 	return en, append(segs, en.Stats()), unconnected
 }
 
@@ -389,7 +387,6 @@ func TestCutIsACut(t *testing.T) {
 			Dir: t.TempDir(), MemoryBudget: int64(rng.Intn(6)+1) << 10, Workers: 1, Trace: rec,
 		})
 		en.noSplit = true
-		t.Cleanup(en.drainPrefetch)
 		cuts, err := en.preprocess(edges, nv)
 		if err != nil {
 			t.Fatal(err)

@@ -114,9 +114,9 @@ type Stats struct {
 	// SolveLatency is the per-call SMT solve latency histogram (cache misses
 	// only), bucketed by metrics.SolveLatencyBuckets.
 	SolveLatency metrics.LatencyCounts
-	// IO reports the partition store's traffic: bytes moved, cache and
-	// prefetch effectiveness, the perceived load-latency histogram, and the
-	// run journal's checkpoints and bytes (0 when not journaling).
+	// IO reports the partition store's traffic: bytes moved, cache
+	// effectiveness, the load-latency histogram, and the run journal's
+	// checkpoints and bytes (0 when not journaling).
 	IO metrics.IOSnapshot
 	// Breakdown is the run's Figure-9 cost split, summed across workers.
 	Breakdown metrics.Snapshot
@@ -124,7 +124,7 @@ type Stats struct {
 
 // partition is one vertex-interval partition: its entry in the partition
 // table and, while it is loaded, its edges in memory. It is addressed by
-// pointer everywhere in memory (the hot pair, the prefetcher, the join), by id
+// pointer everywhere in memory (the hot pair, the join), by id
 // in the journal and in lastGen, and by position only in Engine.parts, whose
 // order is interval order. A split moves positions, never pointers or ids.
 type partition struct {
@@ -254,7 +254,6 @@ type Engine struct {
 	ic    *cfet.ICFET
 	g     *grammar.Grammar
 	cache *smt.Cache
-	pf    *prefetcher
 
 	// parts is the partition table, in interval order.
 	parts   []*partition
@@ -280,11 +279,6 @@ type Engine struct {
 	// mirror productions, built once in New.
 	expansions [][]derivation
 
-	// noPrefetch keeps speculate from starting background loads. Prefetching
-	// never changes results or scheduling — only whether the join waits on
-	// the disk — and only this package's tests set this, to run the
-	// reference they hold that claim to.
-	noPrefetch bool
 	// noSplit keeps processPair from repartitioning, so that the only splits
 	// are the ones this package's tests force by hand.
 	noSplit bool
@@ -333,7 +327,6 @@ func New(ic *cfet.ICFET, g *grammar.Grammar, opts Options) *Engine {
 		opts:     opts,
 		ic:       ic,
 		g:        g,
-		pf:       newPrefetcher(),
 		lastGen:  map[[2]int]uint32{},
 		variants: map[storage.Endpoint]int{},
 	}
@@ -374,9 +367,6 @@ func (en *Engine) Run(initial []storage.Edge, numVertices uint32) (*Stats, error
 // done, leaving any partially-computed partitions on disk.
 func (en *Engine) RunContext(ctx context.Context, initial []storage.Edge, numVertices uint32) (*Stats, error) {
 	start := time.Now()
-	// On every exit path, wait out in-flight background loads and close the
-	// journal.
-	defer en.drainPrefetch()
 	defer en.closeJournal()
 	if err := os.MkdirAll(en.opts.Dir, 0o755); err != nil {
 		return nil, err
@@ -442,9 +432,6 @@ func (en *Engine) runLoop(ctx context.Context) (*Stats, error) {
 			return nil, err
 		}
 	}
-	// Drain before the final snapshot so never-consumed prefetches are
-	// counted as wasted in the returned stats.
-	en.drainPrefetch()
 	// A file equals what its partition held when it last left memory: the
 	// edges induced into an unloaded partition since then go after it.
 	if err := en.flushPending(true); err != nil {
@@ -459,13 +446,6 @@ func (en *Engine) finalStats() *Stats {
 	en.stats.EdgesAfter = en.EdgesAfter()
 	s := en.Stats()
 	return &s
-}
-
-// drainPrefetch waits out in-flight background loads, so that no goroutine
-// outlives the run, and counts the ones nothing consumed. Safe to call more
-// than once.
-func (en *Engine) drainPrefetch() {
-	en.stats.IO.PrefetchWasted += en.pf.drain()
 }
 
 // observeSuperstep emits the completed superstep's trace span and progress
@@ -726,23 +706,17 @@ func (en *Engine) partOf(v uint32) *partition {
 }
 
 // nextPair returns the positions of a pair still owed a pass, favoring the
-// hot pair — the two partitions the previous iteration worked on. Scoring
-// against hot rather than the LRU cache's contents keeps the schedule (and so
-// insertion order, widening, and reports) independent of how many partitions
-// happen to fit in memory.
-func (en *Engine) nextPair() (int, int, bool) { return en.pickPair(false) }
-
-// pickPair scans the owed pairs in table order and returns the first of those
-// sharing the most partitions with the hot pair. unloadedOnly passes over
-// pairs already wholly in memory — speculate's variant of the question: the
-// hot pair itself is loaded, so what is left is the pair the scheduler turns
-// to next that will cost a load.
-func (en *Engine) pickPair(unloadedOnly bool) (int, int, bool) {
+// hot pair — the two partitions the previous iteration worked on: it scans the
+// owed pairs in table order and returns the first of those sharing the most
+// partitions with hot. Scoring against hot rather than the LRU cache's
+// contents keeps the schedule (and so insertion order, widening, and reports)
+// independent of how many partitions happen to fit in memory.
+func (en *Engine) nextPair() (int, int, bool) {
 	best, bestScore := [2]int{}, -1
 	for i, pi := range en.parts {
 		for j := i; j < len(en.parts); j++ {
 			pj := en.parts[j]
-			if !en.owed(pi, pj) || unloadedOnly && pi.mem != nil && pj.mem != nil {
+			if !en.owed(pi, pj) {
 				continue
 			}
 			score := 0
@@ -764,7 +738,7 @@ func (en *Engine) pickPair(unloadedOnly bool) (int, int, bool) {
 }
 
 // load brings the partition at table position idx into memory, serving from
-// the LRU cache or a completed prefetch when possible.
+// the LRU cache when possible.
 func (en *Engine) load(idx int) (*partition, error) {
 	p := en.parts[idx]
 	en.tick++
@@ -787,29 +761,20 @@ func (en *Engine) load(idx int) (*partition, error) {
 	return p, nil
 }
 
-// readPart returns the edges of p's file, from a completed prefetch when
-// there is one and from disk otherwise, accounted either way.
+// readPart reads p's file from disk, accounted as one load.
 func (en *Engine) readPart(p *partition) ([]storage.Edge, error) {
-	res, waited, ok := en.pf.take(p)
-	if ok {
-		// The join only waited this long; the disk time itself overlapped
-		// the previous iteration's computation.
-		en.ioDone("prefetch-hit", p.id, res.bytes, waited)
-	} else {
-		ioStart := time.Now()
-		// p.edges counts the file's edges plus the pending ones load merges:
-		// one allocation holds the loaded partition.
-		var err error
-		res.edges, res.info, res.bytes, err = storage.ReadPart(p.path, make([]storage.Edge, 0, p.edges))
-		if err != nil {
-			return nil, err
-		}
-		en.ioDone("load", p.id, res.bytes, time.Since(ioStart))
-	}
-	if err := checkInterval(p.path, res.info, p.lo, p.hi); err != nil {
+	ioStart := time.Now()
+	// p.edges counts the file's edges plus the pending ones load merges: one
+	// allocation holds the loaded partition.
+	edges, info, n, err := storage.ReadPart(p.path, make([]storage.Edge, 0, p.edges))
+	if err != nil {
 		return nil, err
 	}
-	return res.edges, nil
+	en.ioDone("load", p.id, n, time.Since(ioStart))
+	if err := checkInterval(p.path, info, p.lo, p.hi); err != nil {
+		return nil, err
+	}
+	return edges, nil
 }
 
 // checkInterval cross-checks a partition file's recorded vertex interval
@@ -825,10 +790,8 @@ func checkInterval(path string, info storage.PartInfo, lo, hi uint32) error {
 	return nil
 }
 
-// writePart replaces p's file with edges. Any prefetch of the file is
-// invalidated first: the bytes it read predate the write.
+// writePart replaces p's file with edges.
 func (en *Engine) writePart(p *partition, edges []storage.Edge) error {
-	en.invalidatePrefetch(p)
 	ioStart := time.Now()
 	n, err := storage.WritePart(p.path, edges, storage.PartInfo{Lo: p.lo, Hi: p.hi})
 	if err != nil {
@@ -836,13 +799,6 @@ func (en *Engine) writePart(p *partition, edges []storage.Edge) error {
 	}
 	en.ioDone("write", p.id, n, time.Since(ioStart))
 	return nil
-}
-
-// invalidatePrefetch discards any prefetch of p's file ahead of a write to it.
-func (en *Engine) invalidatePrefetch(p *partition) {
-	if en.pf.invalidate(p) {
-		en.stats.IO.PrefetchStale++
-	}
 }
 
 // writeBack makes a loaded partition's file equal to its memory.
@@ -940,11 +896,8 @@ func (en *Engine) flushPending(force bool) error {
 	return nil
 }
 
-// appendPending appends p's buffered edges to its file. Any prefetch of the
-// file is invalidated first: a reader racing the in-place append may see a
-// torn block, and the bytes it read predate the append anyway.
+// appendPending appends p's buffered edges to its file.
 func (en *Engine) appendPending(p *partition) error {
-	en.invalidatePrefetch(p)
 	ioStart := time.Now()
 	n, err := storage.AppendPart(p.path, p.pending)
 	if err != nil {
@@ -964,9 +917,6 @@ func (en *Engine) ioDone(op string, part int, n int64, d time.Duration) {
 	en.stats.Breakdown.IO += d
 	io := &en.stats.IO
 	switch op {
-	case "prefetch-hit":
-		io.PrefetchHits++
-		fallthrough
 	case "load":
 		io.Loads++
 		io.BytesRead += n

@@ -21,7 +21,6 @@ func startEngine(t *testing.T, ic *cfet.ICFET, g *grammar.Grammar, opts Options,
 	}
 	en := New(ic, g, opts)
 	en.noSplit = true
-	t.Cleanup(en.drainPrefetch)
 	if _, err := en.preprocess(edges, nv); err != nil {
 		t.Fatal(err)
 	}

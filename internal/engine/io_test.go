@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -36,21 +38,20 @@ func closureKeys(t *testing.T, en *Engine) []uint64 {
 }
 
 // TestIODoneCounters pins what each storage operation books: its bytes and
-// count, a load-latency observation for the two kinds of load, and the time
-// under Figure 9's I/O share whatever the operation.
+// count, a load-latency observation for a load, and the time under Figure 9's
+// I/O share whatever the operation.
 func TestIODoneCounters(t *testing.T) {
 	en := New(emptyICFET(), grammar.NewDataflow().G, Options{})
 	en.ioDone("load", 0, 1000, 80*time.Microsecond)
-	en.ioDone("prefetch-hit", 1, 3000, 5*time.Microsecond)
 	en.ioDone("write", 0, 500, time.Millisecond)
 	en.ioDone("append", 1, 50, time.Millisecond)
 	en.ioDone("journal", -1, 70, time.Millisecond)
 	want := metrics.IOSnapshot{
-		BytesRead: 4000, BytesWritten: 550, Loads: 2, Writes: 1, Appends: 1,
-		PrefetchHits: 1, JournalAppends: 1, JournalBytes: 70,
-		LoadLatency: metrics.LatencyCounts{0: 1, 1: 1},
+		BytesRead: 1000, BytesWritten: 550, Loads: 1, Writes: 1, Appends: 1,
+		JournalAppends: 1, JournalBytes: 70,
+		LoadLatency: metrics.LatencyCounts{1: 1},
 	}
-	if st := en.Stats(); st.IO != want || st.Breakdown != (metrics.Snapshot{IO: 3085 * time.Microsecond}) {
+	if st := en.Stats(); st.IO != want || st.Breakdown != (metrics.Snapshot{IO: 3080 * time.Microsecond}) {
 		t.Fatalf("booked\n %+v (breakdown %+v), want\n %+v", st.IO, st.Breakdown, want)
 	}
 }
@@ -73,78 +74,6 @@ func TestIOStatsReported(t *testing.T) {
 	}
 	if hist != st.IO.Loads {
 		t.Fatalf("latency histogram covers %d of %d loads", hist, st.IO.Loads)
-	}
-}
-
-func TestPrefetchOverlapsLoads(t *testing.T) {
-	// A tiny budget forces many partitions, so the scheduler keeps paying
-	// for loads — which the prefetcher should be serving.
-	d := allPairs()
-	_, st := runEngine(t, emptyICFET(), d.G, Options{MemoryBudget: 4096}, chainEdges(40, d.Flow), 40)
-	if st.Partitions < 3 {
-		t.Fatalf("want several partitions, got %d", st.Partitions)
-	}
-	if st.IO.PrefetchIssued == 0 {
-		t.Fatalf("prefetcher never ran: %+v", st.IO)
-	}
-	if st.IO.PrefetchHits == 0 {
-		t.Fatalf("no load served by prefetch: %+v", st.IO)
-	}
-	// Every issued prefetch is accounted for: consumed, invalidated, or
-	// wasted.
-	if st.IO.PrefetchIssued != st.IO.PrefetchHits+st.IO.PrefetchStale+st.IO.PrefetchWasted {
-		t.Fatalf("prefetch accounting leak: %+v", st.IO)
-	}
-}
-
-// runEngineNoPrefetch is runEngine with speculation off: the prefetch-off
-// reference, selectable only from inside this package.
-func runEngineNoPrefetch(t *testing.T, g *grammar.Grammar, opts Options, edges []storage.Edge, nv uint32) (*Engine, *Stats) {
-	t.Helper()
-	opts.Dir = t.TempDir()
-	en := New(emptyICFET(), g, opts)
-	en.noPrefetch = true
-	st, err := en.Run(edges, nv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return en, st
-}
-
-func TestPrefetchDisabled(t *testing.T) {
-	d := allPairs()
-	_, st := runEngineNoPrefetch(t, d.G, Options{MemoryBudget: 4096}, chainEdges(40, d.Flow), 40)
-	if st.IO.PrefetchIssued != 0 || st.IO.PrefetchHits != 0 {
-		t.Fatalf("prefetch ran while disabled: %+v", st.IO)
-	}
-}
-
-// TestPrefetchAndCacheDeterminism is the acceptance gate for the I/O layer:
-// the LRU cache and the prefetcher may only change when bytes move, never
-// what the engine computes. The closure (edge identities and generations)
-// must be identical with prefetch on and off, and iteration counts must
-// match — proof that pair scheduling did not shift.
-func TestPrefetchAndCacheDeterminism(t *testing.T) {
-	d := allPairs()
-	edges := chainEdges(48, d.Flow)
-	enOn, stOn := runEngine(t, emptyICFET(), d.G,
-		Options{MemoryBudget: 4096}, edges, 48)
-	enOff, stOff := runEngineNoPrefetch(t, d.G, Options{MemoryBudget: 4096}, edges, 48)
-	if stOn.Iterations != stOff.Iterations {
-		t.Fatalf("schedule shifted: %d vs %d iterations", stOn.Iterations, stOff.Iterations)
-	}
-	if stOn.EdgesAfter != stOff.EdgesAfter || stOn.Repartitions != stOff.Repartitions ||
-		stOn.Widened != stOff.Widened {
-		t.Fatalf("results differ: on=%+v off=%+v", stOn, stOff)
-	}
-	kOn, kOff := closureKeys(t, enOn), closureKeys(t, enOff)
-	if len(kOn) != len(kOff) {
-		t.Fatalf("edge counts differ: %d vs %d", len(kOn), len(kOff))
-	}
-	for i := range kOn {
-		if kOn[i] != kOff[i] {
-			t.Fatalf("edge %d differs", i)
-		}
 	}
 }
 
@@ -179,5 +108,81 @@ func TestLoadRejectsForeignPartitionFile(t *testing.T) {
 	}
 	if _, err := en.load(0); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("load of a foreign partition file: %v, want storage.ErrCorrupt", err)
+	}
+}
+
+// hookCtx calls hook at every ctx.Err() check, on the run goroutine between
+// supersteps, until hook reports that it has acted; it is never done.
+type hookCtx struct {
+	context.Context
+	hook func() bool
+}
+
+func (c *hookCtx) Err() error {
+	if c.hook != nil && c.hook() {
+		c.hook = nil
+	}
+	return nil
+}
+
+// TestRunLeavesNoGoroutine: the join's workers are the only goroutines the
+// engine starts, and every exit of a run outlives none of them. Three
+// out-of-core chain runs — one that completes, one cancelled after its second
+// superstep, one that loads a foreign partition file and fails — each end
+// with the goroutine count no higher than before New.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	const n = 40
+	d := allPairs()
+	runs := []struct {
+		name string
+		ctx  func(en *Engine) context.Context
+		want error
+	}{
+		{"completes", func(*Engine) context.Context { return context.Background() }, nil},
+		{"cancelled", func(*Engine) context.Context {
+			return &countingCtx{Context: context.Background(), left: 2}
+		}, context.DeadlineExceeded},
+		{"foreign file", func(en *Engine) context.Context {
+			return &hookCtx{Context: context.Background(), hook: func() bool {
+				// Rewrite the first evicted partition's file under an interval
+				// that is not its own: the load that brings it back must
+				// refuse it.
+				for _, p := range en.parts {
+					if p.mem != nil {
+						continue
+					}
+					edges, _, _, err := storage.ReadPart(p.path, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := storage.WritePart(p.path, edges, storage.PartInfo{Lo: p.hi, Hi: p.hi + 1}); err != nil {
+						t.Fatal(err)
+					}
+					return true
+				}
+				return false
+			}}
+		}, storage.ErrCorrupt},
+	}
+	for _, r := range runs {
+		before := runtime.NumGoroutine()
+		en := New(emptyICFET(), d.G, Options{Dir: t.TempDir(), MemoryBudget: 4096, Workers: 4})
+		_, err := en.RunContext(r.ctx(en), chainEdges(n, d.Flow), n)
+		if !errors.Is(err, r.want) {
+			t.Fatalf("%s: run returned %v, want %v", r.name, err, r.want)
+		}
+		if r.want == nil && en.stats.IO.Loads == 0 {
+			t.Fatalf("%s: the run never loaded a partition: %+v", r.name, en.stats.IO)
+		}
+		// A join worker that has signalled the wait group may not have
+		// exited yet; one that leaked never does. (A goroutine an earlier test
+		// left exiting may go meanwhile: the count is held to at most before.)
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Errorf("%s: %d goroutines after the run, %d before New", r.name, got, before)
+		}
 	}
 }

@@ -235,12 +235,6 @@ func (en *Engine) processPair(i, j int) (int, error) {
 			en.joinWorker(jn, scr, &next)
 		}()
 	}
-	// While the join computes, start loading the partition the scheduler is
-	// predicted to need next, so the next iteration's disk wait overlaps
-	// this iteration's CPU work.
-	if !en.noPrefetch {
-		en.speculate()
-	}
 	wg.Wait()
 	// The wait orders every worker's writes to its scratch before these reads.
 	for _, scr := range en.scratch[:workers] {
@@ -295,24 +289,6 @@ func (en *Engine) processPair(i, j int) (int, error) {
 		}
 	}
 	return frontier, nil
-}
-
-// speculate predicts the pair the scheduler will pick once the current one
-// goes clean and starts background loads for its unloaded members: it asks
-// nextPair's question of the pairs that are not yet wholly in memory (the
-// current pair is, and re-selecting it costs no I/O). A wrong guess costs one
-// stale or wasted prefetch, never correctness: prefetching only changes when
-// bytes are read, not what the engine computes.
-func (en *Engine) speculate() {
-	i, j, ok := en.pickPair(true)
-	if !ok {
-		return
-	}
-	for _, p := range [2]*partition{en.parts[i], en.parts[j]} {
-		if p.mem == nil && en.pf.start(p) {
-			en.stats.IO.PrefetchIssued++
-		}
-	}
 }
 
 // appendEncCacheKey appends the memoization key of an encoding's raw

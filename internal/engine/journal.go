@@ -190,7 +190,6 @@ func (en *Engine) Resume(numVertices uint32) (*Stats, error) {
 // journal wraps storage.ErrNoJournal, a damaged one storage.ErrCorrupt, a
 // mismatched one ErrStale — resume never silently starts cold.
 func (en *Engine) ResumeContext(ctx context.Context, numVertices uint32) (*Stats, error) {
-	defer en.drainPrefetch()
 	jw, meta, recs, err := storage.OpenJournal(en.opts.Dir, en.opts.Faults)
 	if err != nil {
 		return nil, err

@@ -16,7 +16,7 @@ import (
 // goroutine rewriting status.json every millisecond and a second reader
 // polling Progress.Snapshot() throughout — while the engine does everything
 // that writes a counter: eight join workers, several partitions and a split,
-// eviction, the prefetcher, a journal. The counters have no lock of their
+// eviction, loads, a journal. The counters have no lock of their
 // own: the run goroutine is their only writer and pushes a copy through
 // Progress at each superstep boundary, so under `make race` any other writer
 // or any shared reference shows up here. The last pushed copy must agree
@@ -55,7 +55,7 @@ func TestObservedRunIsRaceFree(t *testing.T) {
 	}
 	stop()
 
-	if len(en.scratch) != 8 || st.Partitions < 3 || st.Repartitions == 0 || st.IO.PrefetchIssued == 0 ||
+	if len(en.scratch) != 8 || st.Partitions < 3 || st.Repartitions == 0 || st.IO.Loads == 0 ||
 		st.IO.Evictions == 0 || st.IO.JournalAppends == 0 || st.ConstraintsSolved == 0 {
 		t.Fatalf("workload too small to mean anything (%d join workers): %+v", len(en.scratch), st)
 	}

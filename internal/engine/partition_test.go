@@ -24,8 +24,8 @@ func fileHas(t *testing.T, p *partition, src, dst uint32) bool {
 
 // TestSplitKeepsPerPartitionState: a split moves table positions, so nothing
 // a partition owns may be found by position. A later partition is given
-// pending edges, an in-flight prefetch and a seat in the hot pair; after
-// partition 0 is split under it, all three must still be that partition's —
+// pending edges and a seat in the hot pair; after partition 0 is split under
+// it, both must still be that partition's —
 // and the next checkpoint must journal the hot pair under its unchanged ids.
 func TestSplitKeepsPerPartitionState(t *testing.T) {
 	const n = 200
@@ -43,7 +43,7 @@ func TestSplitKeepsPerPartitionState(t *testing.T) {
 	otherID, laterID := other.id, later.id
 
 	// The hot seat, by a real pass; then out of memory again, so that the
-	// edge inserted next is buffered and a prefetch can be started.
+	// edge inserted next is buffered.
 	if _, err := en.processPair(1, last); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,6 @@ func TestSplitKeepsPerPartitionState(t *testing.T) {
 	if len(later.pending) != 1 {
 		t.Fatalf("%d pending edges on the unloaded partition, want 1", len(later.pending))
 	}
-	en.pf.start(later)
 
 	if _, err := en.load(0); err != nil {
 		t.Fatal(err)
@@ -74,9 +73,6 @@ func TestSplitKeepsPerPartitionState(t *testing.T) {
 	}
 	if len(later.pending) != 1 {
 		t.Errorf("%d pending edges after the split, want the 1 buffered before it", len(later.pending))
-	}
-	if _, _, ok := en.pf.take(later); !ok {
-		t.Error("the prefetch started before the split is no longer found")
 	}
 
 	// The checkpoint flushes pending buffers and journals the hot pair.

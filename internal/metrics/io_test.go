@@ -18,7 +18,6 @@ func TestIOStatsCounters(t *testing.T) {
 	got.load(1000, 80*time.Microsecond)
 	got.load(2000, 10*time.Millisecond)
 	got.load(3000, 5*time.Microsecond)
-	got.PrefetchHits++
 
 	if got.BytesRead != 6000 || got.Loads != 3 {
 		t.Errorf("read counters: %+v", got)
@@ -27,13 +26,10 @@ func TestIOStatsCounters(t *testing.T) {
 	if got.LoadLatency[0] != 1 || got.LoadLatency[1] != 1 || got.LoadLatency[6] != 1 {
 		t.Errorf("latency histogram: %v", got.LoadLatency)
 	}
-	if r := got.PrefetchHitRate(); r < 0.33 || r > 0.34 {
-		t.Errorf("hit rate = %v, want 1/3", r)
-	}
 }
 
 func TestIOSnapshotAdd(t *testing.T) {
-	a := IOSnapshot{BytesRead: 10, Loads: 2, PrefetchHits: 1, JournalAppends: 1}
+	a := IOSnapshot{BytesRead: 10, Loads: 2, CacheHits: 1, JournalAppends: 1}
 	a.LoadLatency[3] = 4
 	b := IOSnapshot{BytesRead: 5, Loads: 1, Evictions: 7, JournalAppends: 2, JournalBytes: 64}
 	b.LoadLatency[3] = 1
@@ -43,19 +39,16 @@ func TestIOSnapshotAdd(t *testing.T) {
 		t.Errorf("Add: %+v", a)
 	}
 	// Every field is summed: adding a snapshot to itself doubles all of it.
-	full := IOSnapshot{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, LatencyCounts{1, 2, 3, 4, 5, 6, 7, 8}}
+	full := IOSnapshot{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, LatencyCounts{1, 2, 3, 4, 5, 6, 7, 8}}
 	sum := full
 	sum.Add(full)
-	if want := (IOSnapshot{2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, LatencyCounts{2, 4, 6, 8, 10, 12, 14, 16}}); sum != want {
+	if want := (IOSnapshot{2, 4, 6, 8, 10, 12, 14, 16, 18, 20, LatencyCounts{2, 4, 6, 8, 10, 12, 14, 16}}); sum != want {
 		t.Errorf("Add dropped a field:\n got  %+v\n want %+v", sum, want)
 	}
 }
 
 func TestIOSnapshotStrings(t *testing.T) {
 	var zero IOSnapshot
-	if zero.PrefetchHitRate() != 0 {
-		t.Error("zero snapshot must have zero hit rate")
-	}
 	if zero.LatencyString() != "no loads" {
 		t.Errorf("zero latency string: %q", zero.LatencyString())
 	}
@@ -65,7 +58,8 @@ func TestIOSnapshotStrings(t *testing.T) {
 	var snap IOSnapshot
 	snap.load(1<<20, 200*time.Microsecond)
 	snap.load(1<<20, 100*time.Millisecond)
-	if out := snap.String(); !strings.Contains(out, "2 loads") {
+	snap.CacheHits = 5
+	if out := snap.String(); !strings.Contains(out, "2 loads (5 cache hits)") {
 		t.Errorf("String: %q", out)
 	}
 	ls := snap.LatencyString()

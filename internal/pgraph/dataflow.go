@@ -28,15 +28,9 @@ type AliasResult struct {
 	Pointees map[VarKey]int
 }
 
-// DataflowOptions bounds dataflow graph generation.
-type DataflowOptions struct {
-	// MaxCtxsPerObject skips objects whose relevant-context set explodes
-	// (usually via widely shared helpers). Zero means 256.
-	MaxCtxsPerObject int
-	// MaxLeaves bounds per-method exit-edge enumeration; extra leaves get a
-	// single unconstrained exit edge. Zero means 512.
-	MaxLeaves int
-}
+// maxCtxsPerObject skips objects whose relevant-context set explodes
+// (usually via widely shared helpers).
+const maxCtxsPerObject = 256
 
 // DataflowGraph is the phase-2 program graph: per tracked object, a
 // control-flow subgraph whose edges carry FSM transition relations and path
@@ -49,7 +43,7 @@ type DataflowGraph struct {
 	// Tracked lists the objects with graphs, with their source/exit
 	// vertices.
 	Tracked []TrackedObj
-	// SkippedObjects counts objects dropped by MaxCtxsPerObject.
+	// SkippedObjects counts objects dropped by maxCtxsPerObject.
 	SkippedObjects int
 }
 
@@ -95,20 +89,14 @@ const (
 // BuildDataflow generates the phase-2 graph for every tracked object.
 // fsmFor maps an object type to its FSM (nil = untracked).
 func BuildDataflow(pr *Program, flows AliasResult, ag *AliasGraph,
-	fsmFor func(typ string) *fsm.FSM, opts DataflowOptions) *DataflowGraph {
-	if opts.MaxCtxsPerObject <= 0 {
-		opts.MaxCtxsPerObject = 256
-	}
-	if opts.MaxLeaves <= 0 {
-		opts.MaxLeaves = 512
-	}
+	fsmFor func(typ string) *fsm.FSM) *DataflowGraph {
 	dg := &DataflowGraph{D: grammar.NewDataflow()}
 	for _, obj := range ag.Objects {
 		f := fsmFor(obj.Type)
 		if f == nil {
 			continue
 		}
-		b := &objBuilder{pr: pr, dg: dg, obj: obj, fsm: f, opts: opts,
+		b := &objBuilder{pr: pr, dg: dg, obj: obj, fsm: f,
 			pointees: flows.Pointees, points: map[pointKey]uint32{}}
 		b.build(flows.Flows[obj.ID])
 	}
@@ -122,11 +110,10 @@ type pointKey struct {
 }
 
 type objBuilder struct {
-	pr   *Program
-	dg   *DataflowGraph
-	obj  ObjInfo
-	fsm  *fsm.FSM
-	opts DataflowOptions
+	pr  *Program
+	dg  *DataflowGraph
+	obj ObjInfo
+	fsm *fsm.FSM
 
 	points   map[pointKey]uint32
 	pointees map[VarKey]int
@@ -464,7 +451,7 @@ func (b *objBuilder) computeRelevance() bool {
 	for len(work) > 0 {
 		c := work[len(work)-1]
 		work = work[:len(work)-1]
-		if len(b.relevant) > b.opts.MaxCtxsPerObject {
+		if len(b.relevant) > maxCtxsPerObject {
 			return false
 		}
 		cc := b.pr.Contexts[c]

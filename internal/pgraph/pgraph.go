@@ -21,13 +21,16 @@ import (
 	"github.com/grapple-system/grapple/internal/lang"
 )
 
-// Options bounds the cloning.
+// maxContexts caps the number of clones; beyond it new call sites reuse the
+// callee's shared (context-insensitive) clone. maxDepth caps the context-tree
+// depth the same way.
+const (
+	maxContexts = 4096
+	maxDepth    = 32
+)
+
+// Options shapes the cloning.
 type Options struct {
-	// MaxContexts caps the number of clones; beyond it new call sites reuse
-	// the callee's shared (context-insensitive) clone. Zero means 4096.
-	MaxContexts int
-	// MaxDepth caps the context-tree depth the same way. Zero means 32.
-	MaxDepth int
 	// Skip, when non-nil, names methods the property-relevance slicer
 	// dropped: call sites into them get no callee context at all (their
 	// CFETs are single-return stubs anyway), so the context tree never
@@ -81,12 +84,6 @@ type ctxSiteKey struct {
 
 // NewProgram enumerates the context tree from the call-graph roots.
 func NewProgram(p *ir.Program, cg *callgraph.Graph, ic *cfet.ICFET, opts Options) *Program {
-	if opts.MaxContexts <= 0 {
-		opts.MaxContexts = 4096
-	}
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = 32
-	}
 	pr := &Program{
 		IR: p, CG: cg, IC: ic, Opts: opts,
 		children:  map[ctxSiteKey]uint32{},
@@ -143,7 +140,7 @@ func (pr *Program) expand(ctx uint32) {
 		switch {
 		case pr.CG.IsRecursive(call.Callee):
 			pr.setChild(key, pr.shared(calleeID))
-		case len(pr.Contexts) >= pr.Opts.MaxContexts || c.Depth+1 >= pr.Opts.MaxDepth:
+		case len(pr.Contexts) >= maxContexts || c.Depth+1 >= maxDepth:
 			pr.ContextOverflow++
 			pr.setChild(key, pr.shared(calleeID))
 		default:

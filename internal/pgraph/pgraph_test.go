@@ -1,6 +1,7 @@
 package pgraph
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/grapple-system/grapple/internal/callgraph"
@@ -88,24 +89,36 @@ fun main() { fib(10); fib(20); return; }
 	}
 }
 
-func TestContextBudgetOverflow(t *testing.T) {
-	// Deep non-recursive chain with a tiny budget must fall back to shared
-	// clones instead of exploding.
-	src := ""
-	for i := 0; i < 10; i++ {
-		callee := "end"
-		if i > 0 {
-			callee = "f" + string(rune('0'+i-1))
-		}
-		src = "fun f" + string(rune('0'+i)) + "() { " + callee + "(); " + callee + "(); return; }\n" + src
+// doublingChain is a program in which main hands a new R to f<n-1>, each
+// f<i> passes it on to f<i-1> from two call sites and f0 touches it: the full
+// context tree clones f<i> 2^(n-1-i) times.
+func doublingChain(n int) string {
+	src := "type R;\nfun f0(r: R) { r.touch(); return; }\n"
+	for i := 1; i < n; i++ {
+		src += fmt.Sprintf("fun f%d(r: R) { f%d(r); f%d(r); return; }\n", i, i-1, i-1)
 	}
-	src = "fun end() { return; }\n" + src + "fun main() { f9(); return; }\n"
-	pr := buildProgram(t, src, Options{MaxContexts: 20})
-	if len(pr.Contexts) > 40 {
-		t.Fatalf("budget not honored: %d contexts", len(pr.Contexts))
+	return src + fmt.Sprintf("fun main() { var r: R = new R(); f%d(r); return; }\n", n-1)
+}
+
+func TestContextBudgetOverflow(t *testing.T) {
+	// 13 doubling levels want 2^13 - 1 clones of the chain, past maxContexts:
+	// the tree must stop growing there and fall back to shared clones. A
+	// shared clone is at most one per method on top of the budget.
+	pr := buildProgram(t, doublingChain(13), Options{})
+	if methods := len(pr.IC.Methods); len(pr.Contexts) > maxContexts+methods {
+		t.Fatalf("budget not honored: %d contexts for %d methods", len(pr.Contexts), methods)
 	}
 	if pr.ContextOverflow == 0 {
-		t.Fatal("expected overflow fallbacks")
+		t.Fatal("expected overflow fallbacks past maxContexts")
+	}
+	// A linear chain deeper than maxDepth overflows on depth alone.
+	src := "fun g0() { return; }\n"
+	for i := 1; i <= maxDepth; i++ {
+		src += fmt.Sprintf("fun g%d() { g%d(); return; }\n", i, i-1)
+	}
+	pr = buildProgram(t, src+fmt.Sprintf("fun main() { g%d(); return; }\n", maxDepth), Options{})
+	if pr.ContextOverflow != 1 || len(pr.Contexts) > 2*maxDepth {
+		t.Fatalf("depth budget: %d overflows over %d contexts, want 1", pr.ContextOverflow, len(pr.Contexts))
 	}
 }
 
@@ -226,7 +239,7 @@ fun main() {
 			return io
 		}
 		return nil
-	}, DataflowOptions{})
+	})
 	if len(dg.Tracked) != 1 {
 		t.Fatalf("tracked = %d", len(dg.Tracked))
 	}
@@ -258,7 +271,7 @@ fun main() {
 }`, Options{})
 	ag := BuildAlias(pr)
 	dg := BuildDataflow(pr, AliasResult{Flows: map[ObjID][]FlowTarget{}, Pointees: map[VarKey]int{}},
-		ag, func(string) *fsm.FSM { return nil }, DataflowOptions{})
+		ag, func(string) *fsm.FSM { return nil })
 	if len(dg.Tracked) != 0 || len(dg.Edges) != 0 {
 		t.Fatalf("untracked type produced a graph: %d tracked", len(dg.Tracked))
 	}
@@ -389,7 +402,7 @@ fun main() {
 			return io
 		}
 		return nil
-	}, DataflowOptions{})
+	})
 	summary := 0
 	for _, e := range dg.Edges {
 		hasCall, hasRet := false, false
@@ -411,25 +424,10 @@ fun main() {
 	}
 }
 
+// TestDataflowSkipsOverBudgetObjects: an object that flows through more
+// than maxCtxsPerObject contexts is skipped, not tracked. Through 9 doubling
+// levels it reaches 2^9 - 1 clones; through 7, 127, and it is tracked.
 func TestDataflowSkipsOverBudgetObjects(t *testing.T) {
-	pr := buildProgram(t, `
-type R;
-fun use(r: R) { r.touch(); return; }
-fun a(r: R) { use(r); return; }
-fun b(r: R) { use(r); return; }
-fun main() {
-  var r: R = new R();
-  a(r);
-  b(r);
-  return;
-}`, Options{})
-	ag := BuildAlias(pr)
-	flows := AliasResult{Flows: map[ObjID][]FlowTarget{}, Pointees: map[VarKey]int{}}
-	obj := ag.Objects[0]
-	for vk := range ag.VarVert {
-		flows.Flows[obj.ID] = append(flows.Flows[obj.ID], FlowTarget{Var: vk})
-		flows.Pointees[vk] = 1
-	}
 	io := fsm.BuiltinIO()
 	fsmFor := func(typ string) *fsm.FSM {
 		if typ == "R" {
@@ -437,13 +435,27 @@ fun main() {
 		}
 		return nil
 	}
-	dg := BuildDataflow(pr, flows, ag, fsmFor, DataflowOptions{MaxCtxsPerObject: 1})
-	if dg.SkippedObjects != 1 || len(dg.Tracked) != 0 {
-		t.Fatalf("budget not enforced: skipped=%d tracked=%d", dg.SkippedObjects, len(dg.Tracked))
-	}
-	// Generous budget tracks it.
-	dg2 := BuildDataflow(pr, flows, ag, fsmFor, DataflowOptions{})
-	if len(dg2.Tracked) != 1 {
-		t.Fatalf("object not tracked under default budget")
+	for _, tc := range []struct {
+		levels  int
+		skipped bool
+	}{{9, true}, {7, false}} {
+		pr := buildProgram(t, doublingChain(tc.levels), Options{})
+		if pr.ContextOverflow != 0 {
+			t.Fatalf("%d levels: %d context overflows, want the whole tree", tc.levels, pr.ContextOverflow)
+		}
+		ag := BuildAlias(pr)
+		flows := AliasResult{Flows: map[ObjID][]FlowTarget{}, Pointees: map[VarKey]int{}}
+		obj := ag.Objects[0]
+		for vk := range ag.VarVert {
+			flows.Flows[obj.ID] = append(flows.Flows[obj.ID], FlowTarget{Var: vk})
+			flows.Pointees[vk] = 1
+		}
+		dg := BuildDataflow(pr, flows, ag, fsmFor)
+		if tc.skipped && (dg.SkippedObjects != 1 || len(dg.Tracked) != 0) {
+			t.Fatalf("%d levels: budget not enforced: skipped=%d tracked=%d", tc.levels, dg.SkippedObjects, len(dg.Tracked))
+		}
+		if !tc.skipped && (dg.SkippedObjects != 0 || len(dg.Tracked) != 1) {
+			t.Fatalf("%d levels: object not tracked within the budget: skipped=%d tracked=%d", tc.levels, dg.SkippedObjects, len(dg.Tracked))
+		}
 	}
 }

@@ -156,8 +156,7 @@ type Options struct {
 	// frontend + alias closure (checker.Prepared); every instance then
 	// prepares its own, as an independent process would, by the same path
 	// the shared one takes (no FSMs, so no slicing). Only this package's tests
-	// set it, as the reference sharing is held to; sharing is also off in the
-	// unshared-cache baseline (CacheSize < 0 with a nil Cache).
+	// set it, as the reference sharing is held to.
 	noSharedFrontend bool
 	// WorkDir, when non-empty, hosts one partition subdirectory per
 	// instance; each instance otherwise uses its own temp dir.
@@ -282,7 +281,7 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 		cache = smt.NewCache(size)
 	}
 	var preps *prepStore
-	if cache != nil && !opts.noSharedFrontend {
+	if !opts.noSharedFrontend {
 		preps = &prepStore{entries: map[string]*prepEntry{}}
 	}
 

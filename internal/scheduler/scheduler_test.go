@@ -142,7 +142,7 @@ func TestSharedCacheAcrossInstances(t *testing.T) {
 		t.Fatal("shared cache saw no lookups")
 	}
 
-	private, err := Run(context.Background(), instances, Options{Workers: 1, CacheSize: -1})
+	private, err := Run(context.Background(), instances, Options{Workers: 1, CacheSize: -1, noSharedFrontend: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestBatchMatchesSingleCheck(t *testing.T) {
 	}{
 		{"per-FSM groups", GroupPerFSM(fsm.Builtins()), Options{Workers: 2}},
 		{"one group", OneGroup(fsm.Builtins()), Options{Workers: 2}},
-		{"no sharing", GroupPerFSM(fsm.Builtins()), Options{Workers: 2, CacheSize: -1}},
+		{"no sharing", GroupPerFSM(fsm.Builtins()), Options{Workers: 2, CacheSize: -1, noSharedFrontend: true}},
 	} {
 		res, err := Run(context.Background(), Expand(subjects, tc.groups, checker.Options{}), tc.opts)
 		if err != nil {

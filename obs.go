@@ -20,7 +20,7 @@ type ObsOptions struct {
 	// there (loadable in Perfetto or chrome://tracing) and a streamed JSONL
 	// event log to TracePath + ".events.jsonl". Spans cover every pipeline
 	// phase and every engine superstep; instants cover partition loads,
-	// writes, appends, and prefetch hits.
+	// writes and appends.
 	TracePath string
 	// Progress, when positive, emits a one-line status heartbeat to
 	// ProgressWriter every interval (superstep, frontier, dirty pairs, ETA)

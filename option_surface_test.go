@@ -31,7 +31,7 @@ func TestOptionSurface(t *testing.T) {
 	for _, v := range []any{
 		Options{}, BatchOptions{}, ObsOptions{},
 		checker.Options{}, engine.Options{}, gofront.Options{}, scheduler.Options{},
-		cfet.Options{}, pgraph.Options{}, pgraph.DataflowOptions{}, smt.Options{}, ir.Options{},
+		cfet.Options{}, pgraph.Options{}, smt.Options{}, ir.Options{},
 	} {
 		typ := reflect.TypeOf(v)
 		for i := 0; i < typ.NumField(); i++ {
