@@ -158,7 +158,10 @@ bench-e2e:
 # load each partition once (loads <= partitions + splits, bytes read — the
 # loads' and the one scan of what the run left on disk — <= twice the closed
 # graph, supersteps within 10 % of their pinned counts: the pass
-# guard, against scheduling partition pairs that no edge connects), and the
+# guard, against scheduling partition pairs that no edge connects), building
+# the dataflow graph from real alias flows must stay within its allocations
+# per emitted edge on deep-sim, hdfs-half and wide-sim (each method's facts
+# scanned once a build, not once per object and context), and the
 # frontend must stay within
 # its bytes per source byte (Parse: no token slice) and per encoded path
 # (cfet.Build: no environment copy per split), and its allocation per added
@@ -172,7 +175,7 @@ alloc-budget: build
 	$(GO) test ./internal/engine/ -run 'TestCacheProbeZeroAlloc|TestJoinAllocBudget' -count=1
 	$(GO) test ./internal/lang/ -run TestParseAllocBudget -count=1
 	$(GO) test ./internal/cfet/ -run TestBuildAllocBudget -count=1
-	$(GO) test ./internal/checker/ -run 'TestFrontendScalesLinearly|TestCrossPassJoinsEachPairOnce|TestOutOfCorePassesPerPartition|TestScratchRunDoesNoPartitionIO|TestMissPathZeroAlloc' -count=1
+	$(GO) test ./internal/checker/ -run 'TestFrontendScalesLinearly|TestCrossPassJoinsEachPairOnce|TestOutOfCorePassesPerPartition|TestScratchRunDoesNoPartitionIO|TestMissPathZeroAlloc|TestDataflowBuildAllocBudget' -count=1
 
 # The size figure CHANGES.md and ROADMAP.md quote: lines of non-test Go
 # outside benchmark/ (and outside what the benchmark builds), counted the

@@ -17,6 +17,12 @@ func (p *Prepared) JoinInputs() (*cfet.ICFET, *grammar.Grammar) {
 	return p.ic, p.ag.Ptr.G
 }
 
+// BuildDataflow builds the subject's dataflow graph for c's FSMs from the
+// flows its alias closure produced, as CheckPrepared does.
+func (p *Prepared) BuildDataflow(c *Checker) *pgraph.DataflowGraph {
+	return pgraph.BuildDataflow(p.pr, p.flows, p.ag, c.fsmFor)
+}
+
 // OnClosedGraph has f called once per closure phase with the phase's name and
 // the engine's ForEach, after the phase's consumer has read the closed graph and
 // before a named WorkDir is written: f sees the graph exactly as the checker
