@@ -21,8 +21,8 @@ fmt-check:
 
 # Race-check the concurrent core (the engine's join workers, the storage
 # layer the run goroutine streams through, the checker pipeline, the batch
-# scheduler, whose determinism test exercises shared-cache and shared-frontend
-# accesses from many workers (TestBatchMatchesSingleCheck holds every sharing
+# scheduler, whose determinism test exercises shared frontends, and the
+# constraint memo each carries, from many workers (TestBatchMatchesSingleCheck holds every sharing
 # mode to the single check's reports), plus the observability layer: the trace
 # recorder and the progress tracker, which other goroutines read mid-run).
 # The join workers are the only goroutines the engine starts:

@@ -76,8 +76,9 @@ type BatchResult struct {
 	Instances []InstanceStatus
 	// Scheduler reports queue depth and latency for the batch.
 	Scheduler SchedulerStats
-	// CacheLookups/CacheHits/CacheHitRate describe the SMT memo cache
-	// shared across all instances (zeros with DisableConstraintCache).
+	// CacheLookups/CacheHits/CacheHitRate describe the constraint memos, one
+	// per subject and shared by its instances (zeros with
+	// DisableConstraintCache).
 	CacheLookups int64
 	CacheHits    int64
 	CacheHitRate float64
@@ -106,8 +107,9 @@ func (b *BatchResult) Failed() []InstanceStatus {
 // CheckAll analyzes many subjects against the FSM properties as one batch:
 // one checking instance per (subject, property) pair — the paper's §5
 // configuration of hundreds of independent Grapple instances under a
-// load-balancing scheduler — fanned across a bounded worker pool, all
-// instances sharing one SMT constraint-memoization cache.
+// load-balancing scheduler — fanned across a bounded worker pool, the
+// instances of one subject sharing its frontend, alias closure and
+// constraint memo.
 func CheckAll(subjects []Subject, fsms []*FSM, opts BatchOptions) (*BatchResult, error) {
 	return CheckAllContext(context.Background(), subjects, fsms, opts)
 }
@@ -145,9 +147,6 @@ func CheckAllContext(ctx context.Context, subjects []Subject, fsms []*FSM, opts 
 		Resume:   opts.Resume,
 		Trace:    obs.recorder(),
 		Progress: obs.progress(),
-	}
-	if opts.DisableConstraintCache {
-		schedOpts.CacheSize = -1
 	}
 	res, err := scheduler.Run(ctx, instances, schedOpts)
 	obsErr := obs.finish()

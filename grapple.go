@@ -155,7 +155,9 @@ type Options struct {
 	// UnrollDepth statically unrolls loops this many times (default 2).
 	UnrollDepth int
 	// DisableConstraintCache turns off memoization of solver verdicts
-	// (used by the Table-4 ablation).
+	// (used by the Table-4 ablation). Otherwise each compilation unit has one
+	// memo, which both closure phases — and, in a batch, every instance of
+	// the unit — share.
 	DisableConstraintCache bool
 	// Bind maps extra object type names onto FSM names; an FSM always
 	// applies to its own declared type.
@@ -257,23 +259,19 @@ func (r *Result) QueryPointsTo(method, varName string) []PointsToFact {
 
 // checkerOptions lowers public Options into the internal checker's form.
 func checkerOptions(opts Options) checker.Options {
-	cacheSize := 0
-	if opts.DisableConstraintCache {
-		cacheSize = -1
-	}
 	return checker.Options{
 		WorkDir:     opts.WorkDir,
 		UnrollDepth: opts.UnrollDepth,
 		Engine: engine.Options{
 			MemoryBudget: opts.MemoryBudget,
 			Workers:      opts.Workers,
-			CacheSize:    cacheSize,
 		},
-		Bind:           opts.Bind,
-		RecordPointsTo: opts.RecordPointsTo,
-		DumpDOT:        opts.DumpDOT,
-		Journal:        opts.Journal,
-		Resume:         opts.Resume,
+		DisableConstraintCache: opts.DisableConstraintCache,
+		Bind:                   opts.Bind,
+		RecordPointsTo:         opts.RecordPointsTo,
+		DumpDOT:                opts.DumpDOT,
+		Journal:                opts.Journal,
+		Resume:                 opts.Resume,
 	}
 }
 
@@ -514,7 +512,7 @@ func checkLoweredGo(g *gofront.Result, selected []*packs.Pack, opts Options, obs
 	if err != nil {
 		return nil, fmt.Errorf("resolve lowered Go: %w", err)
 	}
-	p, err := ir.Lower(info, ir.Options{})
+	p, err := ir.Lower(info, ir.Options{UnrollDepth: opts.UnrollDepth})
 	if err != nil {
 		return nil, fmt.Errorf("lower lowered Go: %w", err)
 	}

@@ -152,6 +152,48 @@ func TestDisableCacheStillCorrect(t *testing.T) {
 	}
 }
 
+// TestGoInputHonoursUnrollDepth: Go input is lowered under Options.UnrollDepth
+// like MiniLang is, so a deeper unroll of a loop that branches gives the CFET
+// more paths to encode.
+func TestGoInputHonoursUnrollDepth(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "loop.go")
+	src := `package loop
+
+import "os"
+
+func Touch(names []string, n int) error {
+	for i := 0; i < n; i++ {
+		f, err := os.Open(names[i])
+		if err != nil {
+			return err
+		}
+		if i > 2 {
+			f.Close()
+			continue
+		}
+		f.Close()
+	}
+	return nil
+}
+`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prev := 0
+	for _, depth := range []int{1, 2, 4} {
+		res, _, err := CheckGoFiles([]string{path}, []string{"file-handle"}, Options{UnrollDepth: depth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths := res.Alias.CFETPaths
+		t.Logf("unroll depth %d: %d CFET paths", depth, paths)
+		if paths <= prev {
+			t.Fatalf("unroll depth %d gives %d CFET paths, not more than the %d of the shallower unroll", depth, paths, prev)
+		}
+		prev = paths
+	}
+}
+
 func TestQueryPointsTo(t *testing.T) {
 	src := `
 type R;

@@ -23,6 +23,7 @@ import (
 	"github.com/grapple-system/grapple/internal/ir"
 	"github.com/grapple-system/grapple/internal/lang"
 	"github.com/grapple-system/grapple/internal/pgraph"
+	"github.com/grapple-system/grapple/internal/smt"
 	"github.com/grapple-system/grapple/internal/storage"
 	"github.com/grapple-system/grapple/internal/symbolic"
 	"github.com/grapple-system/grapple/internal/workload"
@@ -67,16 +68,10 @@ func RunSubject(name string, opts RunOptions) (*SubjectRun, error) {
 	if budget == 0 {
 		budget = 8 << 20
 	}
-	cacheSize := 0
-	if opts.DisableCache {
-		cacheSize = -1
-	}
 	c := checker.New(fsm.Builtins(), checker.Options{
-		WorkDir: workDir,
-		Engine: engine.Options{
-			MemoryBudget: budget,
-			CacheSize:    cacheSize,
-		},
+		WorkDir:                workDir,
+		Engine:                 engine.Options{MemoryBudget: budget},
+		DisableConstraintCache: opts.DisableCache,
 	})
 	start := time.Now()
 	res, err := c.CheckSource(s.Source)
@@ -299,6 +294,7 @@ func Table5(names []string, workDir string, memoryBudget int64, naiveTimeout tim
 		en := engine.New(ic, ag.Ptr.G, engine.Options{
 			Dir:          filepath.Join(dir, name+"-grapple"),
 			MemoryBudget: memoryBudget,
+			Cache:        smt.NewCache(0),
 		})
 		gStats, err := en.Run(cloneEdges(ag.Edges), ag.NumVerts)
 		if err != nil {
@@ -429,7 +425,7 @@ func graphsFor(name string) (*cfet.ICFET, *pgraph.AliasGraph, []storage.Edge, er
 		return nil, nil, nil, err
 	}
 	defer os.RemoveAll(dir)
-	en := engine.New(ic, ag.Ptr.G, engine.Options{Dir: dir})
+	en := engine.New(ic, ag.Ptr.G, engine.Options{Dir: dir, Cache: smt.NewCache(0)})
 	if _, err := en.Run(cloneEdges(ag.Edges), ag.NumVerts); err != nil {
 		return nil, nil, nil, err
 	}

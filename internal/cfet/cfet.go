@@ -138,9 +138,12 @@ type ICFET struct {
 	MethodByName map[string]MethodID
 	CallEdges    []*CallEdge
 	// MaxEncLen caps encoding growth (see Merge); conservative fallback
-	// above it.
+	// above it. Build sets it to maxEncLen.
 	MaxEncLen int
 }
+
+// maxEncLen is the merged-encoding length (elements) Build caps an ICFET at.
+const maxEncLen = 64
 
 // Options tunes CFET construction.
 type Options struct {
@@ -148,8 +151,6 @@ type Options struct {
 	// paths beyond the budget are truncated (counted in CFET.Truncated).
 	// Zero means the default of 4096.
 	MaxNodesPerMethod int
-	// MaxEncLen caps merged encoding length (elements); zero means 64.
-	MaxEncLen int
 	// BranchVerdict, when non-nil, supplies statically-proven branch
 	// verdicts (from the pre-analysis constant propagation): +1 the
 	// condition always holds, -1 it never holds, 0 unknown. The walker asks
@@ -185,14 +186,11 @@ func Build(p *ir.Program, syms *symbolic.Table, opts Options) (*ICFET, error) {
 	if opts.MaxNodesPerMethod <= 0 {
 		opts.MaxNodesPerMethod = 4096
 	}
-	if opts.MaxEncLen <= 0 {
-		opts.MaxEncLen = 64
-	}
 	ic := &ICFET{
 		Syms:         syms,
 		Methods:      make([]*CFET, 0, len(p.Funs)),
 		MethodByName: make(map[string]MethodID, len(p.Funs)),
-		MaxEncLen:    opts.MaxEncLen,
+		MaxEncLen:    maxEncLen,
 	}
 	// Assign method IDs first so call edges can reference forward.
 	for i, fn := range p.Funs {

@@ -34,13 +34,10 @@ func buildCloneReference(p *ir.Program, syms *symbolic.Table, opts Options) (*IC
 	if opts.MaxNodesPerMethod <= 0 {
 		opts.MaxNodesPerMethod = 4096
 	}
-	if opts.MaxEncLen <= 0 {
-		opts.MaxEncLen = 64
-	}
 	ic := &ICFET{
 		Syms:         syms,
 		MethodByName: map[string]MethodID{},
-		MaxEncLen:    opts.MaxEncLen,
+		MaxEncLen:    maxEncLen,
 	}
 	for i, fn := range p.Funs {
 		id := MethodID(i)

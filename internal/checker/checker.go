@@ -28,6 +28,7 @@ import (
 	"github.com/grapple-system/grapple/internal/lang"
 	"github.com/grapple-system/grapple/internal/metrics"
 	"github.com/grapple-system/grapple/internal/pgraph"
+	"github.com/grapple-system/grapple/internal/smt"
 	"github.com/grapple-system/grapple/internal/storage"
 	"github.com/grapple-system/grapple/internal/symbolic"
 	"github.com/grapple-system/grapple/internal/trace"
@@ -48,8 +49,16 @@ type Options struct {
 	// the unpruned CFET, a SliceFunc and SliceBranch that always return false
 	// the unsliced one (the reference runs the property tests compare with).
 	CFET cfet.Options
-	// Engine tunes both engine runs.
+	// Engine tunes both engine runs. Its Cache, when set, replaces the
+	// constraint memo PrepareIR would create. It is a seam for tests that
+	// read the memo back, and valid for one compilation unit only: its keys
+	// are that unit's encoded paths, so a Checker carrying one must prepare
+	// one source.
 	Engine engine.Options
+	// DisableConstraintCache prepares without a constraint memo, so neither
+	// phase memoizes solver verdicts (Table 4's "without caching"). It
+	// overrides a caller-set Engine.Cache.
+	DisableConstraintCache bool
 	// Bind maps extra object type names to FSM names (an FSM always applies
 	// to its own Type).
 	Bind map[string]string
@@ -266,15 +275,18 @@ var (
 )
 
 // runPhase runs one closure phase to fixpoint in its own engine under
-// workDir/<phase>: it lowers the checker's options onto the engine's,
-// fingerprints the phase's input into the journal tag, and either starts cold
-// or — under Options.Resume — continues from the phase's journal.
-func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, ic *cfet.ICFET, g *grammar.Grammar,
+// workDir/<phase>, over the prepared unit's ICFET and with its constraint
+// memo: it lowers the checker's options onto the engine's, fingerprints the
+// phase's input into the journal tag, and either starts cold or — under
+// Options.Resume — continues from the phase's journal.
+func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, prep *Prepared, g *grammar.Grammar,
 	edges []storage.Edge, numVerts uint32) (*engine.Engine, PhaseStats, error) {
 	c.Opts.Progress.SetPhase(ph.name)
+	ic := prep.ic
 	opts := c.Opts.Engine
 	opts.Dir = filepath.Join(workDir, ph.name)
 	opts.UseRel = ph.useRel
+	opts.Cache = prep.memo
 	opts.Trace, opts.TraceTID, opts.Progress = c.Opts.Trace, c.Opts.TraceTID, c.Opts.Progress
 	if c.Opts.Journal || c.Opts.Resume {
 		opts.Journal = true
@@ -403,17 +415,22 @@ func (c *Checker) CheckIRContext(ctx context.Context, p *ir.Program) (*Result, e
 
 // Prepared is the front half of a subject's analysis: the frontend
 // structures (IR, ICFET, context tree, alias graph) plus the phase-1 alias
-// closure's flowsTo facts, everything phase 2 reads. It is immutable once
-// built. A checker with FSMs slices it for them; one prepared by a checker
-// without FSMs is the whole program, so many property groups of the same
-// subject can share it — including concurrently — instead of each re-running
-// the frontend and the alias fixpoint. It is only valid for CheckPrepared on
-// a Checker whose Options match the preparing Checker's.
+// closure's flowsTo facts, everything phase 2 reads, and the compilation
+// unit's constraint memo. It is immutable once built, but for the memo, which
+// is safe for concurrent use. A checker with FSMs slices it for them; one
+// prepared by a checker without FSMs is the whole program, so many property
+// groups of the same subject can share it — including concurrently — instead
+// of each re-running the frontend and the alias fixpoint. It is only valid
+// for CheckPrepared on a Checker whose Options match the preparing Checker's.
 type Prepared struct {
 	ic    *cfet.ICFET
 	pr    *pgraph.Program
 	ag    *pgraph.AliasGraph
 	flows pgraph.AliasResult
+	// memo is the unit's constraint memo (§4.3), keyed by encoded paths into
+	// ic: the alias phase fills it, and every dataflow phase run against this
+	// Prepared probes and extends it. Nil under DisableConstraintCache.
+	memo *smt.Cache
 
 	// escaped holds the allocation sites whose objects may leave the unit
 	// through an entry function's return value; leak verdicts on them are
@@ -443,7 +460,9 @@ func (c *Checker) PrepareSource(ctx context.Context, src string) (*Prepared, err
 // slicing, ICFET, context tree, alias graph) and the phase-1 alias closure
 // over a lowered program. The flowsTo facts the closure produced are held in
 // memory, which is all phase 2 consults (§2.2); the alias engine's partitions
-// outlive the call only in a WorkDir the caller named.
+// outlive the call only in a WorkDir the caller named. It creates the unit's
+// constraint memo, which the alias phase fills and every CheckPrepared on the
+// result reuses.
 func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, error) {
 	workDir := c.Opts.WorkDir
 	if c.Opts.Resume && workDir == "" {
@@ -457,7 +476,12 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 		defer os.RemoveAll(dir)
 		workDir = dir
 	}
-	prep := &Prepared{}
+	prep := &Prepared{memo: c.Opts.Engine.Cache}
+	if c.Opts.DisableConstraintCache {
+		prep.memo = nil
+	} else if prep.memo == nil {
+		prep.memo = smt.NewCache(0)
+	}
 
 	// --- Frontend: pre-analysis + ICFET (index) + context tree + alias graph. ---
 	c.Opts.Progress.SetPhase("frontend")
@@ -552,7 +576,7 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 	computeStart := time.Now()
 
 	// --- Phase 1: path-sensitive alias closure. ---
-	aliasEngine, alias, err := c.runPhase(ctx, aliasPhase, workDir, ic, ag.Ptr.G, ag.Edges, ag.NumVerts)
+	aliasEngine, alias, err := c.runPhase(ctx, aliasPhase, workDir, prep, ag.Ptr.G, ag.Edges, ag.NumVerts)
 	if err != nil {
 		return nil, err
 	}
@@ -615,7 +639,7 @@ func (c *Checker) CheckPrepared(ctx context.Context, prep *Prepared) (*Result, e
 	}
 
 	computeStart := time.Now()
-	dfEngine, dataflow, err := c.runPhase(ctx, dataflowPhase, workDir, ic, dg.D.G, dg.Edges, dg.NumVerts)
+	dfEngine, dataflow, err := c.runPhase(ctx, dataflowPhase, workDir, prep, dg.D.G, dg.Edges, dg.NumVerts)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/grammar"
 	"github.com/grapple-system/grapple/internal/pgraph"
+	"github.com/grapple-system/grapple/internal/smt"
 	"github.com/grapple-system/grapple/internal/storage"
 )
 
@@ -16,6 +17,10 @@ import (
 func (p *Prepared) JoinInputs() (*cfet.ICFET, *grammar.Grammar) {
 	return p.ic, p.ag.Ptr.G
 }
+
+// Memo is the compilation unit's constraint memo, which both closure phases
+// probe; nil when prepared under DisableConstraintCache.
+func (p *Prepared) Memo() *smt.Cache { return p.memo }
 
 // BuildDataflow builds the subject's dataflow graph for c's FSMs from the
 // flows its alias closure produced, as CheckPrepared does.
@@ -53,7 +58,7 @@ func (c *Checker) CheckSourceAllPairs(src string) (*Result, error) {
 	for i := range dg.Edges {
 		dg.Edges[i].Label = flow
 	}
-	en, dataflow, err := c.runPhase(ctx, dataflowPhase, c.Opts.WorkDir, prep.ic, g, dg.Edges, dg.NumVerts)
+	en, dataflow, err := c.runPhase(ctx, dataflowPhase, c.Opts.WorkDir, prep, g, dg.Edges, dg.NumVerts)
 	if err != nil {
 		return nil, err
 	}

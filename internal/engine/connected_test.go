@@ -132,7 +132,7 @@ func closeByHand(t *testing.T, f cutFixture, edges []storage.Edge, maxVariants i
 	en.stampsOnly = stampsOnly
 	opts.Dir = en.opts.Dir
 	fresh := func() *Engine {
-		en := New(f.ic, f.g, opts)
+		en := New(f.ic, f.g, withMemo(opts))
 		en.noSplit, en.stampsOnly = true, stampsOnly
 		return en
 	}

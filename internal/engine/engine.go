@@ -2,7 +2,9 @@
 // computation (paper §4.3): vertex-interval partitions on SSD, an edge-pair-
 // centric join that loads two partitions per iteration, constraint-guided
 // edge induction (grammar match + path-encoding merge + SMT check), eager
-// repartitioning, semi-naive scheduling, and constraint memoization.
+// repartitioning, semi-naive scheduling, and constraint memoization into a
+// memo the caller owns (Options.Cache): the checker keeps one per compilation
+// unit, which both closure phases probe.
 //
 // Scheduling is per connected pair: a partition pair is owed a pass only
 // while one of the two holds edges the pair's stamp has not seen and a first
@@ -44,20 +46,12 @@ type Options struct {
 	MemoryBudget int64
 	// Workers is the edge-induction parallelism; zero means GOMAXPROCS.
 	Workers int
-	// CacheSize is the constraint-memoization cache's capacity; zero means the
-	// default, negative disables memoization (Table 4's "without caching").
-	CacheSize int
-	// Cache, when non-nil, is an externally-owned constraint cache shared
-	// with other engine instances (the batch scheduler's single cross-
-	// instance memo store). It overrides CacheSize.
+	// Cache is the constraint memo (§4.3), keyed by encoded path; nil means
+	// no memoization (Table 4's "without caching"). The engine never builds
+	// one: an encoded path means something only inside one compilation unit's
+	// ICFET, so the memo is the unit's (checker.Prepared owns it) and every
+	// engine sharing one must run over that unit's ICFET.
 	Cache *smt.Cache
-	// CacheKeyPrefix namespaces this engine's memoization keys. Encoded-
-	// path keys are positional (method/call indices of one compilation
-	// unit's ICFET), so two different programs produce colliding keys for
-	// unrelated constraints; when a Cache is shared across programs, every
-	// engine working on the same compilation unit must use the same prefix
-	// and engines on different units must use different ones.
-	CacheKeyPrefix string
 	// MaxVariants caps distinct constraint variants kept per (src, dst,
 	// label); beyond it the edge widens to the unconstrained variant. Zero
 	// means 6.
@@ -250,10 +244,9 @@ func (p *partition) add(e storage.Edge, sz int64, first, second bool) {
 
 // Engine runs one analysis (one graph) to fixpoint.
 type Engine struct {
-	opts  Options
-	ic    *cfet.ICFET
-	g     *grammar.Grammar
-	cache *smt.Cache
+	opts Options
+	ic   *cfet.ICFET
+	g    *grammar.Grammar
 
 	// parts is the partition table, in interval order.
 	parts   []*partition
@@ -334,18 +327,12 @@ func New(ic *cfet.ICFET, g *grammar.Grammar, opts Options) *Engine {
 	for l := range e.expansions {
 		e.expansions[l] = buildExpansion(g, grammar.Label(l))
 	}
-	switch {
-	case opts.Cache != nil:
-		e.cache = opts.Cache
-	case opts.CacheSize >= 0:
-		e.cache = smt.NewCache(opts.CacheSize)
-	}
 	return e
 }
 
 // Stats returns a copy of the engine's counters. Cache lookups and hits are
-// counted by this engine's own probes, so they stay per-instance even when
-// Options.Cache shares one store across many engines. It reads the run
+// counted by this engine's own probes, so they stay per-engine even when
+// Options.Cache is shared with other engines. It reads the run
 // goroutine's state without synchronisation: call it on that goroutine or
 // once the run has returned. A live run is watched through Options.Progress.
 func (en *Engine) Stats() Stats {

@@ -11,7 +11,8 @@ import (
 )
 
 // startEngine preprocesses the initial edges and stops before the first
-// superstep, so a test can drive the pair loop by hand. The engine never
+// superstep, so a test can drive the pair loop by hand; like runEngine it
+// gives the engine a fresh memo unless opts has one. The engine never
 // splits on its own (noSplit): the only splits are the ones the test forces.
 func startEngine(t *testing.T, ic *cfet.ICFET, g *grammar.Grammar, opts Options, edges []storage.Edge, nv uint32) *Engine {
 	t.Helper()
@@ -19,7 +20,7 @@ func startEngine(t *testing.T, ic *cfet.ICFET, g *grammar.Grammar, opts Options,
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	en := New(ic, g, opts)
+	en := New(ic, g, withMemo(opts))
 	en.noSplit = true
 	if _, err := en.preprocess(edges, nv); err != nil {
 		t.Fatal(err)

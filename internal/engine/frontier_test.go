@@ -142,10 +142,10 @@ func runCut(t *testing.T, f cutFixture, dir string, budget int64, whole, resume 
 	t.Helper()
 	var events bytes.Buffer
 	rec := trace.NewWriters(nil, &events)
-	en := New(f.ic, f.g, Options{
+	en := New(f.ic, f.g, withMemo(Options{
 		Dir: dir, MemoryBudget: budget, Workers: 2, MaxVariants: 2, Journal: true, JournalTag: 0xc07,
 		Faults: faults, Trace: rec,
-	})
+	}))
 	en.wholeFrontier = whole
 	var err error
 	if resume {

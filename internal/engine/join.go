@@ -384,6 +384,7 @@ func (en *Engine) joinWorker(jn *passJoin, scr *joinScratch, next *atomic.Int64)
 func (en *Engine) joinRange(jn *passJoin, lo, hi int, scr *joinScratch, c *joinCounts) {
 	out := scr.out
 	encBuf, keyBuf := scr.encBuf, scr.keyBuf
+	cache := en.opts.Cache
 	for k := lo; k < hi; k++ {
 		e1 := jn.firsts[k]
 		idxs, mp, st := jn.seconds(k, e1.Dst)
@@ -439,11 +440,10 @@ func (en *Engine) joinRange(jn *passJoin, lo, hi int, scr *joinScratch, c *joinC
 				// a miss allocates, beyond the cache's amortized growth.
 				var verdict smt.Result
 				hit := false
-				if en.cache != nil {
+				if cache != nil {
 					c.cacheLookups++
-					keyBuf = append(keyBuf[:0], en.opts.CacheKeyPrefix...)
-					keyBuf = appendEncCacheKey(keyBuf, enc)
-					verdict, hit = en.cache.GetBytes(keyBuf)
+					keyBuf = appendEncCacheKey(keyBuf[:0], enc)
+					verdict, hit = cache.GetBytes(keyBuf)
 					if hit {
 						c.cacheHits++
 					}
@@ -463,8 +463,8 @@ func (en *Engine) joinRange(jn *passJoin, lo, hi int, scr *joinScratch, c *joinC
 						c.solveTime += d
 						c.solveLatency.Observe(metrics.SolveLatencyBuckets, d)
 					}
-					if en.cache != nil {
-						en.cache.PutBytes(keyBuf, verdict)
+					if cache != nil {
+						cache.PutBytes(keyBuf, verdict)
 					}
 				}
 				if verdict == smt.Unsat {

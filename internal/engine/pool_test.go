@@ -75,19 +75,27 @@ func TestFrozenIndexUnderParallelJoin(t *testing.T) {
 func TestWorkerFoldMatchesOneWorker(t *testing.T) {
 	const n = 192
 	ic, d, edges := joinChain(t, n)
-	for _, cacheSize := range []int{0, -1} {
+	for _, cached := range []bool{true, false} {
 		var base *Stats
 		for _, workers := range []int{1, 8} {
-			en, st := runEngine(t, ic, d.G, Options{Workers: workers, CacheSize: cacheSize}, edges, n)
+			opts := Options{Dir: t.TempDir(), Workers: workers}
+			if cached {
+				opts.Cache = smt.NewCache(0)
+			}
+			en := New(ic, d.G, opts)
+			st, err := en.Run(edges, n)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(en.scratch) != workers {
 				t.Fatalf("%d join workers ran, want %d", len(en.scratch), workers)
 			}
 			if st.ConstraintsSolved == 0 || st.SolveLatency.Total() != st.ConstraintsSolved {
-				t.Fatalf("cache %d, %d workers: solve histogram holds %d observations, solver was called %d times",
-					cacheSize, workers, st.SolveLatency.Total(), st.ConstraintsSolved)
+				t.Fatalf("cached %v, %d workers: solve histogram holds %d observations, solver was called %d times",
+					cached, workers, st.SolveLatency.Total(), st.ConstraintsSolved)
 			}
 			if st.Breakdown.Solve != st.SolveTime || st.Breakdown.Compute <= 0 || st.Breakdown.Decode <= 0 {
-				t.Fatalf("cache %d, %d workers: breakdown %+v against solve time %v", cacheSize, workers, st.Breakdown, st.SolveTime)
+				t.Fatalf("cached %v, %d workers: breakdown %+v against solve time %v", cached, workers, st.Breakdown, st.SolveTime)
 			}
 			if base == nil {
 				base = st
@@ -95,11 +103,14 @@ func TestWorkerFoldMatchesOneWorker(t *testing.T) {
 			}
 			if st.CacheLookups != base.CacheLookups || st.RejectedUnsat != base.RejectedUnsat ||
 				st.RejectedConflict != base.RejectedConflict || st.EdgesAfter != base.EdgesAfter ||
-				cacheSize < 0 && st.ConstraintsSolved != base.ConstraintsSolved {
-				t.Fatalf("cache %d: folded counts differ between 1 and %d workers:\n  %+v\n  %+v", cacheSize, workers, base, st)
+				!cached && st.ConstraintsSolved != base.ConstraintsSolved {
+				t.Fatalf("cached %v: folded counts differ between 1 and %d workers:\n  %+v\n  %+v", cached, workers, base, st)
 			}
 		}
-		if cacheSize < 0 && base.ConstraintsSolved < 100 {
+		if cached && base.CacheLookups == 0 {
+			t.Fatal("cached run probed no memo")
+		}
+		if !cached && base.ConstraintsSolved < 100 {
 			t.Fatalf("uncached run solved only %d constraints", base.ConstraintsSolved)
 		}
 	}
@@ -116,8 +127,7 @@ func TestCacheProbeZeroAlloc(t *testing.T) {
 		cfet.Interval(4, 0, 1<<18),
 	}
 	cache := smt.NewCache(64)
-	const prefix = "unit0:"
-	warm := append([]byte(prefix), appendEncCacheKey(nil, enc)...)
+	warm := appendEncCacheKey(nil, enc)
 	cache.PutBytes(warm, smt.Sat)
 	if v, ok := cache.GetBytes(warm); !ok || v != smt.Sat {
 		t.Fatalf("byte-key round trip failed: %v %v", v, ok)
@@ -128,8 +138,7 @@ func TestCacheProbeZeroAlloc(t *testing.T) {
 	}
 	keyBuf := make([]byte, 0, 64)
 	allocs := testing.AllocsPerRun(100, func() {
-		keyBuf = append(keyBuf[:0], prefix...)
-		keyBuf = appendEncCacheKey(keyBuf, enc)
+		keyBuf = appendEncCacheKey(keyBuf[:0], enc)
 		if _, ok := cache.GetBytes(keyBuf); !ok {
 			t.Fatal("warm probe missed")
 		}
@@ -189,7 +198,7 @@ func BenchmarkEdgeJoin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		en := New(ic, d.G, Options{Dir: b.TempDir(), MemoryBudget: 8 << 10, Workers: 4})
+		en := New(ic, d.G, Options{Dir: b.TempDir(), MemoryBudget: 8 << 10, Workers: 4, Cache: smt.NewCache(0)})
 		b.StartTimer()
 		st, err := en.Run(edges, n)
 		if err != nil {
@@ -216,7 +225,7 @@ func joinAllocsPerCandidate(tb testing.TB) (allocs, bytes float64, candidates in
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	st, err := New(ic, d.G, Options{Dir: dir, Workers: 1}).Run(edges, n)
+	st, err := New(ic, d.G, Options{Dir: dir, Workers: 1, Cache: smt.NewCache(0)}).Run(edges, n)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		tb.Fatal(err)

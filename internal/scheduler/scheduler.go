@@ -4,15 +4,15 @@
 // FSM property groups — across a bounded worker pool. Each instance is a
 // complete three-phase pipeline run (alias closure, dataflow closure, FSM
 // checking) and is independently decidable, so instances never communicate;
-// what they *share* is the SMT constraint-memoization cache (§4.3), one
-// smt.Cache behind its shard locks that amortizes solver work across
-// instances, and, read-only, the prepared frontend + alias closure of each
-// subject (checker.Prepared). A subject's frontend is prepared without FSMs —
-// so it is never property-sliced — which makes its alias phase the same no
-// matter which property group is being checked: only the first instance of a
-// subject computes it and the rest start at phase 2. Every instance, shared
-// or not, reaches phase 2 by that one path, so the reports do not depend on
-// the sharing mode.
+// what the instances of one subject *share* is one thing, the subject's
+// checker.Prepared: its frontend + alias closure, read-only, and the
+// constraint memo (§4.3) it carries, which amortizes solver work across the
+// subject's instances behind its shard locks. A subject's frontend is
+// prepared without FSMs — so it is never property-sliced — which makes its
+// alias phase the same no matter which property group is being checked: only
+// the first instance of a subject computes it and the rest start at phase 2.
+// Every instance, shared or not, reaches phase 2 by that one path, so the
+// reports do not depend on the sharing mode.
 //
 // The scheduler guarantees a deterministic merged report stream: results
 // are keyed by (subject, group) and the merge is a total order over report
@@ -41,7 +41,6 @@ import (
 	"github.com/grapple-system/grapple/internal/faultpoint"
 	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/metrics"
-	"github.com/grapple-system/grapple/internal/smt"
 	"github.com/grapple-system/grapple/internal/storage"
 	"github.com/grapple-system/grapple/internal/trace"
 )
@@ -87,8 +86,7 @@ type Instance struct {
 	Group   string
 	Source  string
 	FSMs    []*fsm.FSM
-	// Opts configures this instance's checker. Engine.Cache is overwritten
-	// with the batch's shared cache when one is in use.
+	// Opts configures this instance's checker.
 	Opts checker.Options
 }
 
@@ -145,18 +143,11 @@ type Options struct {
 	// Timeout bounds each instance (0 = none); an expired instance is
 	// recorded as failed with TimedOut set, and the batch continues.
 	Timeout time.Duration
-	// Cache is the SMT memo cache shared by every instance; one is created
-	// when nil (unless CacheSize is negative, which runs instances with
-	// their own private per-engine caches — the unshared baseline). The
-	// created cache's capacity scales with the number of distinct subjects
-	// so that a big batch does not thrash a single-subject-sized cache.
-	Cache     *smt.Cache
-	CacheSize int
-	// noSharedFrontend disables per-subject sharing of the prepared
-	// frontend + alias closure (checker.Prepared); every instance then
-	// prepares its own, as an independent process would, by the same path
-	// the shared one takes (no FSMs, so no slicing). Only this package's tests
-	// set it, as the reference sharing is held to.
+	// noSharedFrontend disables per-subject sharing of checker.Prepared;
+	// every instance then prepares its own frontend, alias closure and
+	// constraint memo, as an independent process would, by the same path the
+	// shared one takes (no FSMs, so no slicing). Only this package's tests set
+	// it, as the reference sharing is held to.
 	noSharedFrontend bool
 	// WorkDir, when non-empty, hosts one partition subdirectory per
 	// instance; each instance otherwise uses its own temp dir.
@@ -194,9 +185,10 @@ type BatchResult struct {
 	Reports []Report
 	// Sched is the scheduler's queue-depth/latency counters.
 	Sched metrics.SchedSnapshot
-	// CacheLookups/CacheHits/CacheHitRate describe the shared cache (zero
-	// when instances ran with private caches), summed from the probes each
-	// instance's engines counted (PhaseStats), a shared alias phase once.
+	// CacheLookups/CacheHits/CacheHitRate describe the subjects' constraint
+	// memos (zero when the instances prepared without one), summed from the
+	// probes each instance's engines counted (PhaseStats), a shared alias
+	// phase once.
 	CacheLookups int64
 	CacheHits    int64
 	CacheHitRate float64
@@ -261,25 +253,6 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 	if workers > pending {
 		workers = pending
 	}
-	cache := opts.Cache
-	if cache == nil && opts.CacheSize >= 0 {
-		size := opts.CacheSize
-		if size == 0 {
-			subjects := make(map[string]bool, len(instances))
-			for i := range instances {
-				subjects[instances[i].Subject] = true
-			}
-			// One default-cache's worth of entries per distinct subject,
-			// bounded; a subject's instances share a namespace, so capacity
-			// must grow with the subject count or eviction churn erases the
-			// cross-instance hits sharing exists for.
-			size = len(subjects) * (1 << 16)
-			if size > 1<<21 {
-				size = 1 << 21
-			}
-		}
-		cache = smt.NewCache(size)
-	}
 	var preps *prepStore
 	if !opts.noSharedFrontend {
 		preps = &prepStore{entries: map[string]*prepEntry{}}
@@ -310,7 +283,7 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 				wait := time.Since(jb.enq)
 				opts.Progress.InstanceStart()
 				sp := opts.Trace.Start(tid, "scheduler", "instance")
-				r := runOne(runCtx, &instances[jb.idx], opts, cache, preps, tid)
+				r := runOne(runCtx, &instances[jb.idx], opts, preps, tid)
 				sp.End(trace.Args{
 					"subject": r.Subject, "group": r.Group,
 					"waitUs": wait.Microseconds(), "ok": r.Err == nil,
@@ -364,10 +337,7 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 		return nil, err
 	}
 
-	var lookups, hits int64
-	if cache != nil {
-		lookups, hits = cacheProbes(instances, results, preps != nil)
-	}
+	lookups, hits := cacheProbes(instances, results, preps != nil)
 	sort.Slice(results, func(i, j int) bool {
 		if results[i].Subject != results[j].Subject {
 			return results[i].Subject < results[j].Subject
@@ -510,7 +480,8 @@ func openCompletionLog(dir string, resume bool) (*completionLog, map[string]*com
 }
 
 // prepStore lazily builds and shares one checker.Prepared per compilation
-// unit; a nil store prepares every time and keeps nothing. The entry mutex
+// unit, and with it the unit's constraint memo; a nil store prepares every
+// time and keeps nothing. The entry mutex
 // serializes same-subject prepares (the second claimant waits and reuses
 // rather than duplicating the alias fixpoint); distinct subjects prepare
 // concurrently. Errors are not memoized: if the building instance's deadline
@@ -556,7 +527,7 @@ func (ps *prepStore) get(ctx context.Context, source string, copts checker.Optio
 
 // runOne executes a single instance under its per-instance deadline. tid is
 // the worker's trace lane; the instance's checker (and engines) emit onto it.
-func runOne(ctx context.Context, in *Instance, opts Options, cache *smt.Cache, preps *prepStore, tid uint64) InstanceResult {
+func runOne(ctx context.Context, in *Instance, opts Options, preps *prepStore, tid uint64) InstanceResult {
 	res := InstanceResult{Subject: in.Subject, Group: in.Group}
 	ictx := ctx
 	if opts.Timeout > 0 {
@@ -571,13 +542,6 @@ func runOne(ctx context.Context, in *Instance, opts Options, cache *smt.Cache, p
 	copts.Trace = opts.Trace
 	copts.TraceTID = tid
 	copts.Progress = nil
-	if cache != nil {
-		copts.Engine.Cache = cache
-		// Encoded-path memo keys are positional within one compilation
-		// unit; namespace by source content so instances of the same
-		// subject share entries while different subjects never collide.
-		copts.Engine.CacheKeyPrefix = sourceKey(in.Source)
-	}
 	if opts.WorkDir != "" && copts.WorkDir == "" {
 		copts.WorkDir = filepath.Join(opts.WorkDir, pathSafe(in.Subject)+"--"+pathSafe(in.Group))
 	}
@@ -635,7 +599,7 @@ func schedStats(results []InstanceResult) metrics.SchedSnapshot {
 	return s
 }
 
-// cacheProbes sums the shared cache's lookups and hits from the probes each
+// cacheProbes sums the memos' lookups and hits from the probes each
 // instance's engines counted; results[i] is instances[i]'s. Every dataflow
 // phase counts. An alias phase counts once per source when its instances
 // share one prepared alias closure (sharedAlias: its stats are copied into
@@ -661,8 +625,8 @@ func cacheProbes(instances []Instance, results []InstanceResult, sharedAlias boo
 	return lookups, hits
 }
 
-// sourceKey derives the cache-key namespace for a compilation unit: the
-// FNV-64a of its source, as 8 raw bytes.
+// sourceKey derives a compilation unit's prepStore key: the FNV-64a of its
+// source, as 8 raw bytes.
 func sourceKey(src string) string {
 	h := fnv.New64a()
 	h.Write([]byte(src))

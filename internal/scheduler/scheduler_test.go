@@ -125,10 +125,11 @@ func TestSplitEqualsCombined(t *testing.T) {
 	}
 }
 
-// TestSharedCacheAcrossInstances: a shared cache must see cross-instance
-// hits — the alias phase of a subject poses identical constraints in every
-// property group, so the 2nd..Nth instances of the same subject hit what
-// the first one filled in.
+// TestSharedCacheAcrossInstances: a subject's memo, shared through its
+// Prepared, must see cross-instance hits — the dataflow phases of different
+// property groups pose many of the same constraints, so the 2nd..Nth
+// instances of the same subject hit what the earlier ones filled in, which
+// instances that each prepare their own memo cannot.
 func TestSharedCacheAcrossInstances(t *testing.T) {
 	mini := workload.Generate(workload.MiniProfile())
 	subjects := []Subject{{Name: mini.Name, Source: mini.Source}}
@@ -142,12 +143,9 @@ func TestSharedCacheAcrossInstances(t *testing.T) {
 		t.Fatal("shared cache saw no lookups")
 	}
 
-	private, err := Run(context.Background(), instances, Options{Workers: 1, CacheSize: -1, noSharedFrontend: true})
+	private, err := Run(context.Background(), instances, Options{Workers: 1, noSharedFrontend: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if private.CacheLookups != 0 {
-		t.Fatalf("private-cache run reported shared lookups: %d", private.CacheLookups)
 	}
 	// Per-instance engine stats: with sharing, later instances hit more.
 	if sharedHits, privateHits := instanceHits(shared), instanceHits(private); sharedHits <= privateHits {
@@ -170,26 +168,46 @@ func instanceHits(res *BatchResult) int64 {
 }
 
 // TestCacheProbesCountedOnce: BatchResult's cache counts are summed from the
-// probes the instances' engines counted, each probe once. With one instance
-// and one join worker at a time and a cache that evicts nothing, every miss
-// inserts a key no earlier probe put, so the misses must equal what the cache
-// holds at the end, in both frontend modes. Counting a shared alias phase once
-// per instance would overshoot that; in the unshared mode every instance
-// after a subject's first repeats its alias probes, and each one hits.
+// probes the instances' engines counted, each probe once. Each compilation
+// unit's memo is one the test hands in through Engine.Cache: a subject's in
+// the shared batch, each instance's in the unshared one, where every instance
+// prepares its own unit. With one instance and one join worker at a time and
+// memos that evict nothing, every miss inserts a key no earlier probe put, so
+// the misses must equal what the memos hold at the end, in both modes.
+// Counting a shared alias phase once per instance would overshoot that, and
+// dropping a phase would undershoot it. Lookups do not depend on sharing
+// either: the unshared batch probes exactly what the shared one probes plus
+// the alias probes of each subject's instances after the first, each of those
+// repeated alias phases the shared one probe for probe, hits included.
 func TestCacheProbesCountedOnce(t *testing.T) {
 	subjects := miniSubjects(t)
 	copts := checker.Options{}
 	copts.Engine.Workers = 1
 	instances := Expand(subjects, GroupPerFSM(fsm.Builtins()), copts)
 	run := func(noSharedFrontend bool) *BatchResult {
-		cache := smt.NewCache(1 << 20)
-		res, err := Run(context.Background(), instances, Options{Workers: 1, Cache: cache, noSharedFrontend: noSharedFrontend})
+		ins := append([]Instance(nil), instances...)
+		memos := map[string]*smt.Cache{}
+		for i := range ins {
+			key := ins[i].Subject
+			if noSharedFrontend {
+				key += "/" + ins[i].Group
+			}
+			if memos[key] == nil {
+				memos[key] = smt.NewCache(1 << 20)
+			}
+			ins[i].Opts.Engine.Cache = memos[key]
+		}
+		res, err := Run(context.Background(), ins, Options{Workers: 1, noSharedFrontend: noSharedFrontend})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if misses := res.CacheLookups - res.CacheHits; misses != int64(cache.Len()) {
-			t.Fatalf("noSharedFrontend=%v: %d lookups - %d hits = %d misses, but the cache holds %d keys",
-				noSharedFrontend, res.CacheLookups, res.CacheHits, misses, cache.Len())
+		var held int64
+		for _, m := range memos {
+			held += int64(m.Len())
+		}
+		if misses := res.CacheLookups - res.CacheHits; misses != held {
+			t.Fatalf("noSharedFrontend=%v: %d lookups - %d hits = %d misses, but the %d memos hold %d keys",
+				noSharedFrontend, res.CacheLookups, res.CacheHits, misses, len(memos), held)
 		}
 		if want := float64(res.CacheHits) / float64(res.CacheLookups); res.CacheHitRate != want {
 			t.Fatalf("hit rate %v, want %v", res.CacheHitRate, want)
@@ -199,20 +217,24 @@ func TestCacheProbesCountedOnce(t *testing.T) {
 	shared, unshared := run(false), run(true)
 	var repeated int64 // alias probes of the instances after each subject's first
 	seen := map[string]bool{}
-	for _, ir := range shared.Instances {
-		a := ir.Result.Alias
+	for i, ir := range shared.Instances {
+		a, ua := ir.Result.Alias, unshared.Instances[i].Result.Alias
+		if ua.CacheLookups != a.CacheLookups || ua.CacheHits != a.CacheHits {
+			t.Fatalf("%s/%s: its own alias phase probed %d/%d lookups/hits, the shared one %d/%d",
+				ir.Subject, ir.Group, ua.CacheLookups, ua.CacheHits, a.CacheLookups, a.CacheHits)
+		}
 		if seen[ir.Subject] {
 			repeated += a.CacheLookups
 			continue
 		}
 		seen[ir.Subject] = true
 		if a.CacheLookups == a.CacheHits {
-			t.Fatalf("%s: the alias phase misses nothing, so counting it twice would go unseen", ir.Subject)
+			t.Fatalf("%s: the alias phase misses nothing, so the memo is not exercised", ir.Subject)
 		}
 	}
-	if unshared.CacheLookups != shared.CacheLookups+repeated || unshared.CacheHits != shared.CacheHits+repeated {
-		t.Fatalf("unshared frontends: %d/%d lookups/hits, want the shared %d/%d plus %d repeated alias hits",
-			unshared.CacheLookups, unshared.CacheHits, shared.CacheLookups, shared.CacheHits, repeated)
+	if repeated == 0 || unshared.CacheLookups != shared.CacheLookups+repeated {
+		t.Fatalf("unshared frontends: %d lookups, want the shared %d plus %d repeated alias probes",
+			unshared.CacheLookups, shared.CacheLookups, repeated)
 	}
 }
 
@@ -394,7 +416,7 @@ func TestBatchMatchesSingleCheck(t *testing.T) {
 	}{
 		{"per-FSM groups", GroupPerFSM(fsm.Builtins()), Options{Workers: 2}},
 		{"one group", OneGroup(fsm.Builtins()), Options{Workers: 2}},
-		{"no sharing", GroupPerFSM(fsm.Builtins()), Options{Workers: 2, CacheSize: -1, noSharedFrontend: true}},
+		{"no sharing", GroupPerFSM(fsm.Builtins()), Options{Workers: 2, noSharedFrontend: true}},
 	} {
 		res, err := Run(context.Background(), Expand(subjects, tc.groups, checker.Options{}), tc.opts)
 		if err != nil {

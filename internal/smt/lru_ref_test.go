@@ -53,7 +53,8 @@ func (c *lruRef) put(key []byte, res Result) {
 // the fuzz bytes themselves: the empty key; keys that are prefixes of one
 // another, across the hash's 8- and 16-byte word boundaries; keys that differ
 // only in trailing zero bytes, which the hash pads with; keys over 256 bytes;
-// and 8-byte batch namespaces (scheduler.sourceKey) in front of one path.
+// and three 8-byte heads, which differ in one byte, each alone and in front
+// of the same two paths.
 func refKeys() [][]byte {
 	long := bytes.Repeat([]byte("0123456789abcdef"), 20)
 	keys := [][]byte{{}, []byte("a"), []byte("a\x00"), []byte("a\x00\x00\x00\x00\x00\x00\x00"), []byte("\x00")}

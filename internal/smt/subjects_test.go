@@ -75,7 +75,7 @@ func buildICFET(t *testing.T, src string) *cfet.ICFET {
 }
 
 // encOfKey reads a path encoding back out of the key the engine memoizes its
-// verdict under (engine.appendEncCacheKey, with no key prefix): per element
+// verdict under (engine.appendEncCacheKey): per element
 // the kind, then method, start and end of an interval or the call edge.
 func encOfKey(t *testing.T, key string) cfet.Enc {
 	t.Helper()
@@ -108,12 +108,12 @@ func encOfKey(t *testing.T, key string) cfet.Enc {
 }
 
 // TestSolverMatchesReferenceOnSubjects runs a real check of each closure
-// subject with a constraint cache of the test's own (engine.Options.Cache,
-// the seam the batch scheduler shares one cache through) large enough to
-// evict nothing, so that afterwards it holds every path the check's join
-// workers decoded and solved, with the verdict they recorded. Each is decoded
-// again and decided by one reused Solver and by the reference: the three
-// verdicts must agree, and the two solvers' counters.
+// subject with a constraint cache of the test's own (the check's
+// Engine.Cache, which replaces the memo it would create for the compilation
+// unit) large enough to evict nothing, so that afterwards it holds every path
+// both phases' join workers decoded and solved, with the verdict they
+// recorded. Each is decoded again and decided by one reused Solver and by the
+// reference: the three verdicts must agree, and the two solvers' counters.
 func TestSolverMatchesReferenceOnSubjects(t *testing.T) {
 	for _, prof := range closureSubjects() {
 		src := workload.Generate(prof).Source

@@ -24,15 +24,12 @@ type ObsOptions struct {
 	TracePath string
 	// Progress, when positive, emits a one-line status heartbeat to
 	// ProgressWriter every interval (superstep, frontier, dirty pairs, ETA)
-	// and atomically rewrites StatusPath with a JSON snapshot.
+	// and, when the run has a persistent WorkDir, atomically rewrites
+	// WorkDir/status.json with a JSON snapshot (crash-safe: temp file, fsync,
+	// rename).
 	Progress time.Duration
 	// ProgressWriter receives heartbeat lines; os.Stderr when nil.
 	ProgressWriter io.Writer
-	// StatusPath is the JSON status file the heartbeat rewrites (crash-safe:
-	// temp file, fsync, rename). Defaults to WorkDir/status.json when
-	// Progress is set and the run has a persistent WorkDir; empty with no
-	// WorkDir means no status file.
-	StatusPath string
 	// PprofAddr, when non-empty (host:port; ":0" picks a free port), serves
 	// net/http/pprof profiles and an expvar mirror of the live progress
 	// counters for the duration of the run.
@@ -54,8 +51,8 @@ type obsSession struct {
 	stopSrv func() error
 }
 
-// startObs materializes ObsOptions into a session. workDir anchors the
-// default status.json location. Returns nil (a no-op session) when every
+// startObs materializes ObsOptions into a session. workDir holds status.json;
+// without one there is no status file. Returns nil (a no-op session) when every
 // feature is disabled.
 func startObs(o ObsOptions, workDir string) (*obsSession, error) {
 	if !o.enabled() {
@@ -77,8 +74,8 @@ func startObs(o ObsOptions, workDir string) (*obsSession, error) {
 		if w == nil {
 			w = os.Stderr
 		}
-		statusPath := o.StatusPath
-		if statusPath == "" && workDir != "" {
+		statusPath := ""
+		if workDir != "" {
 			statusPath = filepath.Join(workDir, "status.json")
 		}
 		s.stopHB = s.prog.Heartbeat(o.Progress, w, statusPath)
