@@ -143,7 +143,8 @@ bench-e2e:
 
 # Allocation-budget regression gates: the zero-copy read path must stay
 # near zero allocs/record (and under half of the stream-decoder oracle), the
-# dedupe key and a warm SMT-cache probe must not allocate at all, nor may what
+# dedupe key, a warm SMT-cache probe and a warm variant-count probe and
+# increment (insert's per-endpoint cap) must not allocate at all, nor may what
 # follows a probe that misses — decoding the path and solving it, in a warm
 # Decoder and Solver — and the cache insert after it only when a shard's
 # table or key arena grows (10 000 inserts, <= 64 allocations), the join as a
@@ -172,7 +173,7 @@ bench-e2e:
 alloc-budget: build
 	$(GO) test ./internal/storage/ -run 'TestDecodeAllocBudget|TestKeyZeroAlloc' -count=1
 	$(GO) test ./internal/smt/ -run TestCachePutAllocs -count=1
-	$(GO) test ./internal/engine/ -run 'TestCacheProbeZeroAlloc|TestJoinAllocBudget' -count=1
+	$(GO) test ./internal/engine/ -run 'TestCacheProbeZeroAlloc|TestEndpointCountZeroAlloc|TestJoinAllocBudget' -count=1
 	$(GO) test ./internal/lang/ -run TestParseAllocBudget -count=1
 	$(GO) test ./internal/cfet/ -run TestBuildAllocBudget -count=1
 	$(GO) test ./internal/checker/ -run 'TestFrontendScalesLinearly|TestCrossPassJoinsEachPairOnce|TestOutOfCorePassesPerPartition|TestScratchRunDoesNoPartitionIO|TestMissPathZeroAlloc|TestDataflowBuildAllocBudget' -count=1

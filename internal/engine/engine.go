@@ -151,11 +151,18 @@ type partition struct {
 
 // memPart is a partition's loaded form.
 type memPart struct {
+	// edges is in non-decreasing Gen order: preprocess writes generation 0
+	// only, add appends the current generation, a load puts the pending edges —
+	// induced after the file was last written — after the file's, and
+	// repartition filters without reordering. processPair's collect finds the
+	// frontier by binary search on it (TestPartitionEdgesInGenerationOrder).
 	edges []storage.Edge
 	// bySrc lists, per source vertex, the edges the grammar can use as the
 	// second of a pair (Grammar.HasRight): the only ones the join looks up. An
 	// edge that can only start a pair, or only be a result, is not indexed.
-	bySrc map[uint32][]int32
+	// Entry i is source lo+i, lo being the partition's first vertex; a source
+	// past the end has none (seconds).
+	bySrc [][]int32
 	// maxRightGen is the newest generation among the indexed edges: while it
 	// is at most a sub-join's stamp, every second of that sub-join is old.
 	maxRightGen uint32
@@ -165,38 +172,53 @@ type memPart struct {
 	lastUse int64
 }
 
-// index rebuilds bySrc and maxRightGen from mp.edges, CSR-style — counting
-// pass, one shared backing array, capped subslices — so a partition load costs
-// two allocations for the index instead of one per distinct source. The capped
-// subslices make later appends by partition.add spill into fresh arrays,
-// never into a neighbor's range. Indices appear in increasing edge order.
-func (mp *memPart) index(g *grammar.Grammar) {
-	counts := make(map[uint32]int32, 64)
+// index rebuilds bySrc and maxRightGen from mp.edges, whose sources are at
+// least lo, CSR-style — counting pass, one shared backing array, capped
+// subslices — over the sources from lo to the last indexed one, so a partition
+// load costs three allocations for the index instead of one per distinct
+// source. The capped subslices make later appends by partition.add spill into
+// fresh arrays, never into a neighbor's range. Indices appear in increasing
+// edge order.
+func (mp *memPart) index(g *grammar.Grammar, lo uint32) {
+	n := 0
+	for i := range mp.edges {
+		if g.HasRight(mp.edges[i].Label) {
+			n = max(n, int(mp.edges[i].Src-lo)+1)
+		}
+	}
+	counts := make([]int32, n)
 	total := 0
 	for i := range mp.edges {
 		if g.HasRight(mp.edges[i].Label) {
-			counts[mp.edges[i].Src]++
+			counts[mp.edges[i].Src-lo]++
 			total++
 		}
 	}
-	backing := make([]int32, 0, total)
-	mp.bySrc = make(map[uint32][]int32, len(counts))
+	backing := make([]int32, total)
+	mp.bySrc = make([][]int32, n)
+	off := 0
+	for v, c := range counts {
+		mp.bySrc[v] = backing[off : off : off+int(c)]
+		off += int(c)
+	}
 	mp.maxRightGen = 0
 	for i := range mp.edges {
 		e := &mp.edges[i]
-		if !g.HasRight(e.Label) {
-			continue
+		if g.HasRight(e.Label) {
+			mp.bySrc[e.Src-lo] = append(mp.bySrc[e.Src-lo], int32(i))
+			mp.maxRightGen = max(mp.maxRightGen, e.Gen)
 		}
-		s, ok := mp.bySrc[e.Src]
-		if !ok {
-			lo := len(backing)
-			hi := lo + int(counts[e.Src])
-			backing = backing[:hi]
-			s = backing[lo:lo:hi]
-		}
-		mp.bySrc[e.Src] = append(s, int32(i))
-		mp.maxRightGen = max(mp.maxRightGen, e.Gen)
 	}
+}
+
+// seconds returns the indexed edges that start at src, a vertex of the
+// partition whose interval starts at lo: none for a source past the indexed
+// ones, or below lo (src-lo wraps past them).
+func (mp *memPart) seconds(lo, src uint32) []int32 {
+	if i := src - lo; i < uint32(len(mp.bySrc)) {
+		return mp.bySrc[i]
+	}
+	return nil
 }
 
 // owns reports whether vertex v lies in the partition's interval.
@@ -230,7 +252,14 @@ func (p *partition) add(e storage.Edge, sz int64, first, second bool) {
 		return
 	}
 	if second {
-		mp.bySrc[e.Src] = append(mp.bySrc[e.Src], int32(len(mp.edges)))
+		i := int(e.Src - p.lo)
+		if i >= len(mp.bySrc) {
+			// A source past the indexed ones: the last partition's, whose
+			// interval preprocess widens after indexing it, or one that had no
+			// second when the index was built.
+			mp.bySrc = append(mp.bySrc, make([][]int32, i+1-len(mp.bySrc))...)
+		}
+		mp.bySrc[i] = append(mp.bySrc[i], int32(len(mp.edges)))
 		mp.maxRightGen = max(mp.maxRightGen, e.Gen)
 	}
 	if len(mp.edges) == cap(mp.edges) {
@@ -266,7 +295,7 @@ type Engine struct {
 	// hasKey).
 	keys keySet
 	// variants counts constraint variants per endpoint triple.
-	variants map[storage.Endpoint]int
+	variants endpointCounts
 
 	// expansions[l] is the closure of label l under the grammar's unary and
 	// mirror productions, built once in New.
@@ -317,11 +346,10 @@ func New(ic *cfet.ICFET, g *grammar.Grammar, opts Options) *Engine {
 		opts.MaxVariants = 6
 	}
 	e := &Engine{
-		opts:     opts,
-		ic:       ic,
-		g:        g,
-		lastGen:  map[[2]int]uint32{},
-		variants: map[storage.Endpoint]int{},
+		opts:    opts,
+		ic:      ic,
+		g:       g,
+		lastGen: map[[2]int]uint32{},
 	}
 	e.expansions = make([][]derivation, g.NumLabels())
 	for l := range e.expansions {
@@ -501,7 +529,7 @@ func (en *Engine) dirtyPairs() int {
 // partitions, if loaded together, would not exceed the memory capacity"). It
 // returns how many of the boundaries it drew are cuts of the input (markCuts).
 func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) (cuts int, err error) {
-	var all []storage.Edge
+	all := make([]storage.Edge, 0, len(initial))
 	for _, e := range initial {
 		e.Gen = 0
 		payload := e.PayloadHash()
@@ -513,7 +541,7 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) (cuts i
 			if !en.keys.add(k) {
 				continue
 			}
-			en.variants[v.Endpoint()]++
+			*en.variants.at(v.Endpoint())++
 			all = append(all, v)
 		}
 	}
@@ -554,7 +582,7 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) (cuts i
 		// that the budget has no room for leaves through evict like any other,
 		// the earliest built first (lastUse 0: before anything a pass loads).
 		p.mem = &memPart{edges: cur, dirty: true}
-		p.mem.index(en.g)
+		p.mem.index(en.g, p.lo)
 		en.parts = append(en.parts, p)
 		cur, curBytes = nil, 0
 		lo = hi
@@ -744,7 +772,7 @@ func (en *Engine) load(idx int) (*partition, error) {
 	edges = append(edges, p.pending...)
 	p.pending = nil
 	p.mem = &memPart{edges: edges, dirty: dirty, lastUse: en.tick}
-	p.mem.index(en.g)
+	p.mem.index(en.g, p.lo)
 	return p, nil
 }
 

@@ -298,7 +298,11 @@ func TestFrontierCutMatchesWholeFrontier(t *testing.T) {
 // TestBySrcHoldsOnlySeconds checks the index the pair walk reads: after a
 // load, after inserts into the loaded partition and after a split, bySrc
 // names exactly the right-capable edges of the partition, each under its
-// source and once, and maxRightGen is the newest of them.
+// source and once, and maxRightGen is the newest of them. The index is dense
+// from the partition's first vertex to its last indexed source: a lookup
+// below the one or past the other finds nothing, and an edge added past the
+// other — into the last partition, whose interval preprocess widens after
+// indexing it — extends it.
 func TestBySrcHoldsOnlySeconds(t *testing.T) {
 	check := func(t *testing.T, en *Engine, when string, induced bool) {
 		t.Helper()
@@ -310,7 +314,8 @@ func TestBySrcHoldsOnlySeconds(t *testing.T) {
 			}
 			indexed := map[int32]bool{}
 			var newest uint32
-			for src, idxs := range mp.bySrc {
+			for i, idxs := range mp.bySrc {
+				src := p.lo + uint32(i)
 				for _, x := range idxs {
 					e := &mp.edges[x]
 					if e.Src != src || !en.g.HasRight(e.Label) || indexed[x] {
@@ -328,6 +333,12 @@ func TestBySrcHoldsOnlySeconds(t *testing.T) {
 			}
 			if mp.maxRightGen != newest {
 				t.Fatalf("%s: partition %d: maxRightGen %d, newest indexed edge %d", when, p.id, mp.maxRightGen, newest)
+			}
+			if p.lo > 0 && mp.seconds(p.lo, p.lo-1) != nil {
+				t.Fatalf("%s: partition %d finds seconds below its interval", when, p.id)
+			}
+			if mp.seconds(p.lo, p.lo+uint32(len(mp.bySrc))) != nil {
+				t.Fatalf("%s: partition %d finds seconds past its indexed sources", when, p.id)
 			}
 			seconds += len(indexed)
 			total += len(mp.edges)
@@ -370,6 +381,47 @@ func TestBySrcHoldsOnlySeconds(t *testing.T) {
 			check(t, en, "at fixpoint", true)
 		})
 	}
+
+	// The widened last partition, and lookups outside the index through the
+	// pair walk: a chain's last vertex starts no edge, so it lies inside the
+	// last partition's interval and past its indexed sources.
+	t.Run("widened", func(t *testing.T) {
+		f := cutFixtures(t)[0]
+		en := startEngine(t, f.ic, f.g, Options{MemoryBudget: 2 << 10, Workers: 2}, f.edges, f.nv)
+		last := len(en.parts) - 1
+		p, err := en.load(last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(en.parts) < 2 || p.lo == 0 {
+			t.Fatalf("%d partitions: the last one starts at vertex 0", len(en.parts))
+		}
+		end := p.lo + uint32(len(p.mem.bySrc))
+		if end != f.nv-1 || !p.owns(end) {
+			t.Fatalf("last partition [%d,%d) indexes sources up to %d, want up to %d", p.lo, p.hi, end, f.nv-1)
+		}
+		jn := &passJoin{pi: p, pj: p}
+		for _, v := range []uint32{p.lo - 1, end, f.nv} {
+			if idxs, _, _ := jn.seconds(0, v); idxs != nil {
+				t.Fatalf("seconds(%d) = %v on [%d,%d) indexed up to %d", v, idxs, p.lo, p.hi, end)
+			}
+		}
+		// What preprocess does when the last chunk leaves no room for a new
+		// partition: widen the interval of one already indexed.
+		p.hi = f.nv + 8
+		e := flowEdge(f.nv+4, f.nv+5, f.edges[0].Label)
+		e.Gen = 1
+		p.add(e, storage.RecordSize(&e), true, true)
+		check(t, en, "after an add past the indexed sources", false)
+		if idxs, _, _ := jn.seconds(0, f.nv+4); len(idxs) != 1 || p.mem.edges[idxs[0]].Src != f.nv+4 {
+			t.Fatalf("seconds(%d) = %v after the add", f.nv+4, idxs)
+		}
+		for _, v := range []uint32{f.nv, f.nv + 3, f.nv + 5} {
+			if idxs, _, _ := jn.seconds(0, v); idxs != nil {
+				t.Fatalf("seconds(%d) = %v after the add", v, idxs)
+			}
+		}
+	})
 }
 
 // TestFrontierBufferReleasesEvictedEdges: the frontier buffer and the

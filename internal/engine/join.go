@@ -7,6 +7,7 @@ import (
 	"math"
 	"path/filepath"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,7 +123,7 @@ func (jn *passJoin) seconds(k int, src uint32) ([]int32, *memPart, stamp) {
 	if to != from {
 		st = jn.cross
 	}
-	return to.mem.bySrc[src], to.mem, st
+	return to.mem.seconds(to.lo, src), to.mem, st
 }
 
 // mergeTimeStride is how many candidates share one timed Merge.
@@ -186,6 +187,9 @@ func (en *Engine) processPair(i, j int) (int, error) {
 	// grammar whose right symbols are never derived (the dataflow grammar)
 	// meets the condition on every pass after a pair's first.
 	//
+	// A partition's edges are in generation order (memPart.edges), so the
+	// firsts newer than the smaller stamp are a suffix, found by binary search.
+	//
 	// The frontier slice is reused across supersteps: the previous superstep's
 	// frontier is dead by the time the loop comes back here (its candidates
 	// were inserted before the superstep ended).
@@ -194,14 +198,14 @@ func (en *Engine) processPair(i, j int) (int, error) {
 		return st.seen && to.mem.maxRightGen <= st.last
 	}
 	collect := func(from, other *partition, self stamp) {
-		after := int64(-1) // collect firsts of a generation above this
-		if !en.wholeFrontier && settled(from, self) && settled(other, jn.cross) {
-			after = int64(min(self.last, jn.cross.last))
-		}
 		edges := from.mem.edges
-		for k := range edges {
-			e := &edges[k]
-			if int64(e.Gen) > after && en.g.HasLeft(e.Label) {
+		k := 0
+		if !en.wholeFrontier && settled(from, self) && settled(other, jn.cross) {
+			after := min(self.last, jn.cross.last)
+			k = sort.Search(len(edges), func(k int) bool { return edges[k].Gen > after })
+		}
+		for ; k < len(edges); k++ {
+			if e := &edges[k]; en.g.HasLeft(e.Label) {
 				firsts = append(firsts, e)
 			}
 		}
@@ -490,10 +494,11 @@ func (en *Engine) stamp(a, b int) stamp {
 }
 
 // hasKey probes the global dedupe index without a lock. That is safe from
-// join workers because the index is frozen while they run: en.keys and
-// en.variants are written only by preprocess, by resume, and by insert, and
-// processPair calls insert only after wg.Wait() has seen every worker of the
-// superstep return.
+// join workers because the index is frozen while they run: en.keys (and
+// en.variants, which workers never read) are written only by preprocess, by
+// resume, and by insert, and processPair calls insert only after wg.Wait()
+// has seen every worker of the superstep return. So are the loaded
+// partitions' edges and bySrc, which workers read through passJoin.seconds.
 func (en *Engine) hasKey(k uint64) bool { return en.keys.has(k) }
 
 // insert adds one induced edge and its unary/mirror expansions to their
@@ -503,11 +508,14 @@ func (en *Engine) insert(e *storage.Edge, payload uint64) {
 	for _, d := range en.expansion(e.Label) {
 		src, dst := d.endpoints(e)
 		k := storage.KeyOf(src, dst, d.label, payload)
-		ep := storage.Endpoint{Src: src, Dst: dst, Label: d.label}
+		// One probe finds the endpoint's variant count or claims a slot for it,
+		// and the claim is never wasted: a key already in the index always has
+		// its endpoint counted, so an endpoint without a count has a new edge.
+		variants := en.variants.at(storage.Endpoint{Src: src, Dst: dst, Label: d.label})
 		// Below the cap one probe both asks whether the edge is new and records
 		// it. Past the cap the index records the key of the widened edge, not
 		// k, so whether k was seen is only asked.
-		widen := en.variants[ep] >= en.opts.MaxVariants && len(e.Enc) > 0
+		widen := int(*variants) >= en.opts.MaxVariants && len(e.Enc) > 0
 		if widen && en.keys.has(k) || !widen && !en.keys.add(k) {
 			continue
 		}
@@ -522,7 +530,7 @@ func (en *Engine) insert(e *storage.Edge, payload uint64) {
 			// fully unconstrained variant. The skeleton is hashed in place
 			// and built only if the widened edge turns out to be new.
 			skHash, skLen := v.SkeletonPayloadHash()
-			skeleton := skLen > 0 && en.variants[ep] < 2*en.opts.MaxVariants
+			skeleton := skLen > 0 && int(*variants) < 2*en.opts.MaxVariants
 			if skeleton {
 				k = storage.KeyOf(src, dst, d.label, skHash)
 			} else {
@@ -537,7 +545,7 @@ func (en *Engine) insert(e *storage.Edge, payload uint64) {
 			}
 			en.stats.Widened++
 		}
-		en.variants[ep]++
+		*variants++
 		en.partOf(v.Src).add(v, storage.RecordSize(&v), en.g.HasLeft(v.Label), en.g.HasRight(v.Label))
 	}
 }
@@ -622,7 +630,7 @@ func (en *Engine) repartition(idx int) error {
 			trace.Args{"part": p.id, "newPart": np.id, "mid": mid, "cut": isCut})
 	}
 	mp.edges = loEdges
-	mp.index(en.g)
+	mp.index(en.g, p.lo)
 	mp.dirty = true
 
 	// The new partition inherits the join history of the one it was cut from:

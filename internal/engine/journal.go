@@ -253,7 +253,7 @@ func (en *Engine) restoreFrom(rec *storage.JournalRecord, numVertices uint32) er
 			if !en.keys.add(e.Key()) {
 				return fmt.Errorf("engine: %s: %w: duplicate edge in checkpointed prefix", path, storage.ErrCorrupt)
 			}
-			en.variants[e.Endpoint()]++
+			*en.variants.at(e.Endpoint())++
 			if en.g.HasLeft(e.Label) {
 				p.reach(e.Dst)
 			}

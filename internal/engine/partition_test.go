@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -210,5 +212,121 @@ func TestForEachMixedResidency(t *testing.T) {
 		if calls != stop {
 			t.Fatalf("f returned false at edge %d, ForEach went on to %d", stop, calls)
 		}
+	}
+}
+
+// TestPartitionEdgesInGenerationOrder checks the invariant the frontier's
+// binary search rests on (memPart.edges): every loaded partition's edges are
+// in non-decreasing generation order after preprocess, after each superstep's
+// loads — which merge pending edges after the file's — and after its inserts
+// and splits, over the cut fixtures at budgets that split partitions; and so
+// they are in a run killed at its midpoint and resumed from the journal by a
+// fresh engine. A partition of a superstep is loaded and checked before the
+// pass joins it, the pass's own loads then being cache hits.
+func TestPartitionEdgesInGenerationOrder(t *testing.T) {
+	ordered := func(t *testing.T, en *Engine, when string) {
+		t.Helper()
+		for _, p := range en.parts {
+			if p.mem == nil {
+				continue
+			}
+			for k := 1; k < len(p.mem.edges); k++ {
+				if a, b := p.mem.edges[k-1].Gen, p.mem.edges[k].Gen; a > b {
+					t.Fatalf("%s: partition %d holds generation %d at %d after %d at %d", when, p.id, b, k, a, k-1)
+				}
+			}
+		}
+	}
+	// drive runs at most limit supersteps, checkpointing each if the run is
+	// journaled, and returns how many it ran and how many of their loads merged
+	// pending edges into a partition whose file holds edges. (A checkpoint
+	// appends every pending buffer to its file, so only an unjournaled run's
+	// loads merge any.)
+	drive := func(t *testing.T, en *Engine, limit int) (steps, merges int) {
+		t.Helper()
+		for ; steps < limit; steps++ {
+			i, j, ok := en.nextPair()
+			if !ok {
+				break
+			}
+			if err := en.ensureBudget(en.parts[i], en.parts[j]); err != nil {
+				t.Fatal(err)
+			}
+			for _, idx := range []int{i, j} {
+				if p := en.parts[idx]; p.mem == nil && len(p.pending) > 0 && p.edges > int64(len(p.pending)) {
+					merges++
+				}
+				if _, err := en.load(idx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ordered(t, en, fmt.Sprintf("superstep %d, loaded", steps))
+			if _, err := en.processPair(i, j); err != nil {
+				t.Fatal(err)
+			}
+			ordered(t, en, fmt.Sprintf("superstep %d, inserted", steps))
+			if en.jw == nil {
+				continue
+			}
+			if err := en.checkpoint(false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return steps, merges
+	}
+	engine := func(t *testing.T, f cutFixture, budget int64, dir string, journal bool) *Engine {
+		en := New(f.ic, f.g, withMemo(Options{Dir: dir, MemoryBudget: budget, Workers: 2, MaxVariants: 2, Journal: journal, JournalTag: 0x6e6}))
+		t.Cleanup(en.closeJournal)
+		return en
+	}
+	start := func(t *testing.T, en *Engine, f cutFixture) {
+		t.Helper()
+		if _, err := en.preprocess(f.edges, f.nv); err != nil {
+			t.Fatal(err)
+		}
+		ordered(t, en, "after preprocess")
+		if en.opts.Journal {
+			if err := en.startJournal(f.nv); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	merges := 0
+	for _, f := range cutFixtures(t) {
+		for _, budget := range []int64{f.budget, f.budget / 2} {
+			t.Run(fmt.Sprintf("%s/%d", f.name, budget), func(t *testing.T) {
+				whole := engine(t, f, budget, t.TempDir(), false)
+				start(t, whole, f)
+				steps, m := drive(t, whole, math.MaxInt)
+				if whole.stats.Repartitions == 0 {
+					t.Fatalf("%d supersteps split no partition", steps)
+				}
+				dir := t.TempDir()
+				killed := engine(t, f, budget, dir, true)
+				start(t, killed, f)
+				drive(t, killed, steps/2)
+				killed.closeJournal()
+				jw, _, recs, err := storage.OpenJournal(dir, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resumed := engine(t, f, budget, dir, true)
+				resumed.jw = jw
+				rec := recs[len(recs)-1]
+				if err := resumed.restoreFrom(rec, f.nv); err != nil {
+					t.Fatal(err)
+				}
+				resumed.jseq = rec.Seq + 1
+				rest, _ := drive(t, resumed, math.MaxInt)
+				if rest == 0 || steps/2+rest < steps {
+					t.Fatalf("resumed at superstep %d of %d, ran %d more", steps/2, steps, rest)
+				}
+				t.Logf("%d supersteps, %d splits, %d loads merging pending edges", steps, whole.stats.Repartitions, m)
+				merges += m
+			})
+		}
+	}
+	if merges == 0 {
+		t.Fatal("no load merged pending edges into a partition file: the load order is not exercised")
 	}
 }
