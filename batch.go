@@ -140,13 +140,12 @@ func CheckAllContext(ctx context.Context, subjects []Subject, fsms []*FSM, opts 
 		return nil, err
 	}
 	schedOpts := scheduler.Options{
-		Workers:  opts.BatchWorkers,
-		Timeout:  opts.InstanceTimeout,
-		WorkDir:  opts.WorkDir,
-		Journal:  opts.Journal,
-		Resume:   opts.Resume,
-		Trace:    obs.recorder(),
-		Progress: obs.progress(),
+		Workers: opts.BatchWorkers,
+		Timeout: opts.InstanceTimeout,
+		WorkDir: opts.WorkDir,
+		Journal: opts.Journal,
+		Resume:  opts.Resume,
+		Scope:   obs.scope(),
 	}
 	res, err := scheduler.Run(ctx, instances, schedOpts)
 	obsErr := obs.finish()

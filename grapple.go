@@ -300,7 +300,7 @@ func Check(source string, fsms []*FSM, opts Options) (*Result, error) {
 		return nil, err
 	}
 	co := checkerOptions(opts)
-	obs.bind(&co)
+	co.Scope = obs.scope()
 	c := checker.New(inner, co)
 	res, err := c.CheckSource(source)
 	obsErr := obs.finish()
@@ -521,7 +521,7 @@ func checkLoweredGo(g *gofront.Result, selected []*packs.Pack, opts Options, obs
 		inner[i] = pk.FSM
 	}
 	co := checkerOptions(opts)
-	obs.bind(&co)
+	co.Scope = obs.scope()
 	if co.Engine.MaxVariants == 0 {
 		// Real-Go subjects produce more per-edge path variants than
 		// hand-written MiniLang (lifted closures, defer flushing, and
@@ -570,7 +570,7 @@ func checkGo(packNames []string, opts Options, lower func(*gofront.Rules) (*gofr
 	if err != nil {
 		return nil, nil, err
 	}
-	sp := obs.span("gofront", "gofront-lower")
+	sp := obs.scope().Start("gofront", "gofront-lower")
 	g, err := lower(packs.MergedRules(selected))
 	if err != nil {
 		obs.finish()

@@ -129,7 +129,7 @@ func runResume(name, workDir string) (ResumeRow, error) {
 	counter := faultpoint.New()
 	jOpts := resumeCheckerOpts(jDir)
 	jOpts.Journal = true
-	jOpts.Faults = counter
+	jOpts.Scope.Faults = counter
 	start = time.Now()
 	jres, err := checker.New(fsm.Builtins(), jOpts).CheckSource(s.Source)
 	if err != nil {
@@ -157,7 +157,7 @@ func runResume(name, workDir string) (ResumeRow, error) {
 	killer.Arm(faultpoint.EngineSuperstep, row.KillAt)
 	kOpts := resumeCheckerOpts(kDir)
 	kOpts.Journal = true
-	kOpts.Faults = killer
+	kOpts.Scope.Faults = killer
 	if _, err := checker.New(fsm.Builtins(), kOpts).CheckSource(s.Source); !errors.Is(err, faultpoint.ErrInjected) {
 		return row, fmt.Errorf("bench: %s: kill did not fire: %v", name, err)
 	}

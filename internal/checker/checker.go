@@ -21,7 +21,6 @@ import (
 	"github.com/grapple-system/grapple/internal/callgraph"
 	"github.com/grapple-system/grapple/internal/cfet"
 	"github.com/grapple-system/grapple/internal/engine"
-	"github.com/grapple-system/grapple/internal/faultpoint"
 	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/grammar"
 	"github.com/grapple-system/grapple/internal/ir"
@@ -34,7 +33,9 @@ import (
 	"github.com/grapple-system/grapple/internal/trace"
 )
 
-// Options configures a checking run.
+// Options configures a checking run. Scope is decided above the checker and
+// passed down unchanged; Engine carries only the caller's engine tuning, and
+// runPhase sets the rest of each phase's engine options.
 type Options struct {
 	// WorkDir holds the engine's partition files. A directory named here
 	// holds both phases' closed graphs when the check returns. When empty the
@@ -49,11 +50,13 @@ type Options struct {
 	// the unpruned CFET, a SliceFunc and SliceBranch that always return false
 	// the unsliced one (the reference runs the property tests compare with).
 	CFET cfet.Options
-	// Engine tunes both engine runs. Its Cache, when set, replaces the
-	// constraint memo PrepareIR would create. It is a seam for tests that
+	// Engine tunes both engine runs. Only its MemoryBudget, Workers and
+	// MaxVariants are read, and its Cache: when set, that replaces the
+	// constraint memo PrepareIR would create. Cache is a seam for tests that
 	// read the memo back, and valid for one compilation unit only: its keys
 	// are that unit's encoded paths, so a Checker carrying one must prepare
-	// one source.
+	// one source. Every other engine field is the phase's, which runPhase
+	// sets: Dir, Cache, Journal, JournalTag and Scope.
 	Engine engine.Options
 	// DisableConstraintCache prepares without a constraint memo, so neither
 	// phase memoizes solver verdicts (Table 4's "without caching"). It
@@ -82,19 +85,14 @@ type Options struct {
 	// a different subject or property set is rejected with engine.ErrStale —
 	// resume never silently restarts from scratch.
 	Resume bool
-	// Faults injects deterministic crash points into the engines and the
-	// journal write path (crash-injection tests only).
-	Faults *faultpoint.Set
-	// Trace, when non-nil, receives a span per pipeline phase (pre-analysis,
-	// slicing, CFET build, context cloning, both engine closures, FSM
-	// checking) and is threaded into both engines for superstep and storage
-	// events. Tracing is observation only: it never changes reports.
-	Trace *trace.Recorder
-	// TraceTID is the trace thread lane this checker's events land on.
-	TraceTID uint64
-	// Progress, when non-nil, tracks the current phase and engine supersteps
-	// for the heartbeat and status.json machinery. Observation only.
-	Progress *trace.Progress
+	// Scope is the run's recorder and lane, progress tracker and fault set,
+	// handed unchanged to both engines: a span per pipeline phase
+	// (pre-analysis, slicing, CFET build, context cloning, both engine
+	// closures, FSM checking) plus the engines' superstep and storage events,
+	// the current phase for the heartbeat and status.json, and the crash
+	// points of the engines' journal write path. Observation never changes
+	// reports.
+	Scope trace.Scope
 }
 
 // PointsToFact is one phase-1 result: under clone Ctx of Method, variable
@@ -259,8 +257,6 @@ func (c *Checker) journalTag(phase string, numVerts uint32, numEdges, paths int)
 // the other.
 type phase struct {
 	name string
-	// useRel composes FSM transition relations along induced edges.
-	useRel bool
 	// coldOK lets a resumed check start this phase cold when it has no
 	// journal: a run killed during the alias phase never created the
 	// dataflow journal. (It starts journaled, so a later kill is resumable
@@ -271,7 +267,7 @@ type phase struct {
 
 var (
 	aliasPhase    = phase{name: "alias"}
-	dataflowPhase = phase{name: "dataflow", useRel: true, coldOK: true}
+	dataflowPhase = phase{name: "dataflow", coldOK: true}
 )
 
 // runPhase runs one closure phase to fixpoint in its own engine under
@@ -281,21 +277,17 @@ var (
 // Options.Resume — continues from the phase's journal.
 func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, prep *Prepared, g *grammar.Grammar,
 	edges []storage.Edge, numVerts uint32) (*engine.Engine, PhaseStats, error) {
-	c.Opts.Progress.SetPhase(ph.name)
+	c.Opts.Scope.Progress.SetPhase(ph.name)
 	ic := prep.ic
 	opts := c.Opts.Engine
 	opts.Dir = filepath.Join(workDir, ph.name)
-	opts.UseRel = ph.useRel
 	opts.Cache = prep.memo
-	opts.Trace, opts.TraceTID, opts.Progress = c.Opts.Trace, c.Opts.TraceTID, c.Opts.Progress
-	if c.Opts.Journal || c.Opts.Resume {
-		opts.Journal = true
-		opts.JournalTag = c.journalTag(ph.name, numVerts, len(edges), ic.PathCount())
-		opts.Faults = c.Opts.Faults
-	}
+	opts.Journal = c.Opts.Journal || c.Opts.Resume
+	opts.JournalTag = c.journalTag(ph.name, numVerts, len(edges), ic.PathCount())
+	opts.Scope = c.Opts.Scope
 	// The span opens first: building the engine is part of what the phase
 	// costs.
-	sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "phase."+ph.name)
+	sp := c.Opts.Scope.Start("checker", "phase."+ph.name)
 	en := engine.New(ic, g, opts)
 	var st *engine.Stats
 	var err error
@@ -378,19 +370,19 @@ func (c *Checker) CheckSourceContext(ctx context.Context, src string) (*Result, 
 // lowerSource runs the MiniLang frontend's first three stages — parse,
 // resolve, lower — each under its own trace span.
 func (c *Checker) lowerSource(src string) (*ir.Program, error) {
-	sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "parse")
+	sp := c.Opts.Scope.Start("checker", "parse")
 	prog, err := lang.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", endErr(sp, err))
 	}
 	sp.End(trace.Args{"functions": len(prog.Funs), "loc": strings.Count(src, "\n")})
-	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "resolve")
+	sp = c.Opts.Scope.Start("checker", "resolve")
 	info, err := lang.Resolve(prog)
 	if err != nil {
 		return nil, fmt.Errorf("resolve: %w", endErr(sp, err))
 	}
 	sp.End(trace.Args{"functions": len(prog.Funs)})
-	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "lower")
+	sp = c.Opts.Scope.Start("checker", "lower")
 	p, err := ir.Lower(info, ir.Options{UnrollDepth: c.Opts.UnrollDepth})
 	if err != nil {
 		return nil, fmt.Errorf("lower: %w", endErr(sp, err))
@@ -484,11 +476,11 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 	}
 
 	// --- Frontend: pre-analysis + ICFET (index) + context tree + alias graph. ---
-	c.Opts.Progress.SetPhase("frontend")
+	c.Opts.Scope.Progress.SetPhase("frontend")
 	genStart := time.Now()
 	cfetOpts := c.Opts.CFET
 	if cfetOpts.BranchVerdict == nil {
-		sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "pre-analysis")
+		sp := c.Opts.Scope.Start("checker", "pre-analysis")
 		pre, err := analysis.Run(p, analysis.PruneAnalyzers())
 		if err != nil {
 			return nil, fmt.Errorf("pre-analysis: %w", endErr(sp, err))
@@ -497,7 +489,7 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 		prep.condsDecided = pre.CondsDecided
 		sp.End(trace.Args{"condsDecided": prep.condsDecided})
 	}
-	sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "callgraph")
+	sp := c.Opts.Scope.Start("checker", "callgraph")
 	cg := callgraph.Build(p)
 	sp.End(trace.Args{"functions": len(p.Funs)})
 	var cloneOpts pgraph.Options
@@ -519,7 +511,7 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 				}
 			}
 		}
-		sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "points-to+slice")
+		sp = c.Opts.Scope.Start("checker", "points-to+slice")
 		pts = analysis.SolvePointsTo(p, cg)
 		rel := analysis.ComputeRelevance(p, cg, pts, tracked)
 		drop := func(name string) bool { return !rel.KeepFunc(name) }
@@ -546,13 +538,13 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 		prep.escaped[site] = true
 	}
 	tab := symbolic.NewTable()
-	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "cfet-build")
+	sp = c.Opts.Scope.Start("checker", "cfet-build")
 	ic, err := cfet.Build(p, tab, cfetOpts)
 	if err != nil {
 		return nil, fmt.Errorf("icfet: %w", endErr(sp, err))
 	}
 	sp.End(trace.Args{"paths": ic.PathCount(), "prunedBranches": ic.PrunedBranches()})
-	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "context-clone")
+	sp = c.Opts.Scope.Start("checker", "context-clone")
 	pr := pgraph.NewProgram(p, cg, ic, cloneOpts)
 	ag := pgraph.BuildAlias(pr)
 	sp.End(trace.Args{"vertices": ag.NumVerts, "edges": len(ag.Edges)})
@@ -582,7 +574,7 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 	}
 
 	// Extract flowsTo facts; held in memory for phase 2 (paper §2.2).
-	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "extract-flows")
+	sp = c.Opts.Scope.Start("checker", "extract-flows")
 	flows, nflows, err := extractFlows(aliasEngine, ag)
 	if err != nil {
 		return nil, endErr(sp, err)
@@ -623,9 +615,9 @@ func (c *Checker) CheckPrepared(ctx context.Context, prep *Prepared) (*Result, e
 	}
 
 	// --- Phase 2: path-sensitive dataflow/typestate closure. ---
-	c.Opts.Progress.SetPhase("dataflow-build")
+	c.Opts.Scope.Progress.SetPhase("dataflow-build")
 	genStart := time.Now()
-	sp := c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "dataflow-build")
+	sp := c.Opts.Scope.Start("checker", "dataflow-build")
 	dg := pgraph.BuildDataflow(pr, prep.flows, ag, c.fsmFor)
 	sp.End(trace.Args{"vertices": dg.NumVerts, "edges": len(dg.Edges), "tracked": len(dg.Tracked)})
 	res.GenTime += time.Since(genStart)
@@ -645,8 +637,8 @@ func (c *Checker) CheckPrepared(ctx context.Context, prep *Prepared) (*Result, e
 	}
 
 	// --- Phase 3: FSM checking of source->exit relations. ---
-	c.Opts.Progress.SetPhase("fsm-check")
-	sp = c.Opts.Trace.Start(c.Opts.TraceTID, "checker", "fsm-check")
+	c.Opts.Scope.Progress.SetPhase("fsm-check")
+	sp = c.Opts.Scope.Start("checker", "fsm-check")
 	res.Reports, err = checkTyped(dfEngine, dg, ic, prep.escaped)
 	if err != nil {
 		return nil, endErr(sp, err)

@@ -79,10 +79,8 @@ func TestTracingPreservesReports(t *testing.T) {
 			rec := trace.NewWriters(&chrome, &jsonl)
 			prog := trace.NewProgress()
 			traced := New(fsm.Builtins(), Options{
-				WorkDir:  t.TempDir(),
-				Trace:    rec,
-				TraceTID: rec.Thread("checker-test"),
-				Progress: prog,
+				WorkDir: t.TempDir(),
+				Scope:   trace.Scope{Rec: rec, Progress: prog}.Lane("checker-test"),
 			})
 			resTraced, err := traced.CheckSource(sub.src)
 			if err != nil {
@@ -142,7 +140,7 @@ func TestFailedPhaseKeepsItsSpan(t *testing.T) {
 				cancel()
 			}
 			defer cancel()
-			c := New(fsm.Builtins(), Options{WorkDir: t.TempDir(), Trace: rec})
+			c := New(fsm.Builtins(), Options{WorkDir: t.TempDir(), Scope: trace.Scope{Rec: rec}})
 			_, err := c.CheckSourceContext(ctx, tc.src)
 			if err == nil || tc.cancel && !errors.Is(err, context.Canceled) {
 				t.Fatalf("check returned %v", err)

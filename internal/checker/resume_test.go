@@ -139,7 +139,7 @@ func TestCheckerResumeAtEveryBoundary(t *testing.T) {
 			var events bytes.Buffer
 			rec := trace.NewWriters(nil, &events)
 			refOpts := opts(t.TempDir())
-			refOpts.Faults, refOpts.Trace = refFaults, rec
+			refOpts.Scope = trace.Scope{Rec: rec, Faults: refFaults}
 			ref, err := New(fsm.Builtins(), refOpts).CheckSource(src)
 			if err != nil {
 				t.Fatal(err)
@@ -214,7 +214,7 @@ func TestCheckerResumeAtEveryBoundary(t *testing.T) {
 				faults := faultpoint.New()
 				faults.Arm(faultpoint.EngineSuperstep, k)
 				kopts := opts(dir)
-				kopts.Faults = faults
+				kopts.Scope.Faults = faults
 				if _, err := New(fsm.Builtins(), kopts).CheckSource(src); !errors.Is(err, faultpoint.ErrInjected) {
 					t.Fatalf("k=%d: kill did not fire: %v", k, err)
 				}
@@ -293,7 +293,7 @@ func TestCheckerResumeJournalWithoutSelfStamps(t *testing.T) {
 	src := resumeSource(t)
 	refFaults := faultpoint.New()
 	refOpts := resumeOpts(t.TempDir())
-	refOpts.Faults = refFaults
+	refOpts.Scope.Faults = refFaults
 	ref, err := New(fsm.Builtins(), refOpts).CheckSource(src)
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +305,7 @@ func TestCheckerResumeJournalWithoutSelfStamps(t *testing.T) {
 		faults := faultpoint.New()
 		faults.Arm(faultpoint.EngineSuperstep, k)
 		opts := resumeOpts(dir)
-		opts.Faults = faults
+		opts.Scope.Faults = faults
 		if _, err := New(fsm.Builtins(), opts).CheckSource(src); !errors.Is(err, faultpoint.ErrInjected) {
 			t.Fatalf("k=%d: kill did not fire: %v", k, err)
 		}
@@ -344,7 +344,7 @@ func TestCheckerResumeTornJournal(t *testing.T) {
 		faults := faultpoint.New()
 		faults.Arm(faultpoint.JournalAppendMid, 1)
 		opts := resumeOpts(dir)
-		opts.Faults = faults
+		opts.Scope.Faults = faults
 		if _, err := New(fsm.Builtins(), opts).CheckSource(src); !errors.Is(err, faultpoint.ErrInjected) {
 			t.Fatalf("kill did not fire: %v", err)
 		}
@@ -360,7 +360,7 @@ func TestCheckerResumeTornJournal(t *testing.T) {
 		faults := faultpoint.New()
 		faults.Arm(faultpoint.JournalAppendMid, k)
 		opts := resumeOpts(dir)
-		opts.Faults = faults
+		opts.Scope.Faults = faults
 		if _, err := New(fsm.Builtins(), opts).CheckSource(src); !errors.Is(err, faultpoint.ErrInjected) {
 			t.Fatalf("k=%d: kill did not fire: %v", k, err)
 		}
@@ -392,6 +392,21 @@ func TestCheckerResumeRequiresWorkDir(t *testing.T) {
 	_, err := New(fsm.Builtins(), opts).CheckSource(resumeSource(t))
 	if err == nil || !strings.Contains(err.Error(), "WorkDir") {
 		t.Fatalf("resume without a workdir: %v", err)
+	}
+}
+
+// TestEngineJournalDoesNotLeak: the phase's journaling is the checker's to
+// decide, so a Journal set on the caller's engine options journals nothing.
+func TestEngineJournalDoesNotLeak(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{WorkDir: dir, Engine: engine.Options{MemoryBudget: 65536, Workers: 2, Journal: true}}
+	if _, err := New(fsm.Builtins(), opts).CheckSource(resumeSource(t)); err != nil {
+		t.Fatal(err)
+	}
+	for _, ph := range []string{"alias", "dataflow"} {
+		if _, err := os.Stat(filepath.Join(dir, ph, storage.JournalName)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: a journal was written (stat: %v)", ph, err)
+		}
 	}
 }
 

@@ -384,7 +384,7 @@ func TestCutIsACut(t *testing.T) {
 		var events bytes.Buffer
 		rec := trace.NewWriters(nil, &events)
 		en := New(emptyICFET(), d.G, Options{
-			Dir: t.TempDir(), MemoryBudget: int64(rng.Intn(6)+1) << 10, Workers: 1, Trace: rec,
+			Dir: t.TempDir(), MemoryBudget: int64(rng.Intn(6)+1) << 10, Workers: 1, Scope: trace.Scope{Rec: rec},
 		})
 		en.noSplit = true
 		cuts, err := en.preprocess(edges, nv)

@@ -37,7 +37,9 @@ import (
 	"github.com/grapple-system/grapple/internal/trace"
 )
 
-// Options configures the engine.
+// Options configures the engine. The checker sets Dir, Cache, Journal,
+// JournalTag and Scope for each phase; MemoryBudget, Workers and MaxVariants
+// are the caller's.
 type Options struct {
 	// Dir is the on-disk partition directory.
 	Dir string
@@ -56,9 +58,6 @@ type Options struct {
 	// label); beyond it the edge widens to the unconstrained variant. Zero
 	// means 6.
 	MaxVariants int
-	// UseRel composes FSM transition relations along induced edges
-	// (dataflow/typestate graphs).
-	UseRel bool
 	// Journal makes superstep state durable: after every superstep a
 	// checkpoint flushes every partition and appends one record to a per-run
 	// journal in Dir, so a killed run can continue via ResumeContext.
@@ -68,20 +67,12 @@ type Options struct {
 	// JournalTag fingerprints the run's inputs. ResumeContext refuses a
 	// journal whose tag differs (ErrStale): same directory, different graph.
 	JournalTag uint64
-	// Faults is the crash-injection switchboard threaded through the
-	// checkpoint and journal write sites; nil (the default) is inert.
-	Faults *faultpoint.Set
-	// Trace, when non-nil, receives a span per superstep and checkpoint and
-	// an instant per partition load/write/append. Tracing is observation
-	// only: it never alters pair scheduling, insertion order, widening, or
-	// reports.
-	Trace *trace.Recorder
-	// TraceTID is the trace thread lane this engine's events land on
-	// (allocated by Recorder.Thread); zero is the process root lane.
-	TraceTID uint64
-	// Progress, when non-nil, receives one update per superstep for the
-	// heartbeat and status.json machinery. Observation only, like Trace.
-	Progress *trace.Progress
+	// Scope is the run's recorder, lane, progress tracker and fault set: a
+	// span per superstep and checkpoint, an instant per partition
+	// load/write/append, one progress update per superstep, and crash points
+	// at the checkpoint and journal write sites. Observation never alters
+	// pair scheduling, insertion order, widening, or reports.
+	Scope trace.Scope
 }
 
 // Stats is the engine's counters — everything the evaluation tables need —
@@ -89,7 +80,7 @@ type Options struct {
 // RunContext or ResumeContext is its only writer. Join workers tally into
 // their own joinScratch.counts and processPair folds those in after the
 // superstep's wg.Wait(); observers on other goroutines get a copy pushed
-// through Options.Progress at superstep boundaries.
+// through Options.Scope.Progress at superstep boundaries.
 type Stats struct {
 	EdgesBefore       int64
 	EdgesAfter        int64
@@ -362,7 +353,8 @@ func New(ic *cfet.ICFET, g *grammar.Grammar, opts Options) *Engine {
 // counted by this engine's own probes, so they stay per-engine even when
 // Options.Cache is shared with other engines. It reads the run
 // goroutine's state without synchronisation: call it on that goroutine or
-// once the run has returned. A live run is watched through Options.Progress.
+// once the run has returned. A live run is watched through the scope's
+// Progress.
 func (en *Engine) Stats() Stats {
 	s := en.stats
 	s.Partitions = len(en.parts)
@@ -393,7 +385,7 @@ func (en *Engine) RunContext(ctx context.Context, initial []storage.Edge, numVer
 			return nil, err
 		}
 	}
-	sp := en.opts.Trace.Start(en.opts.TraceTID, "engine", "preprocess")
+	sp := en.opts.Scope.Start("engine", "preprocess")
 	cuts, err := en.preprocess(initial, numVertices)
 	if err != nil {
 		return nil, err
@@ -413,7 +405,7 @@ func (en *Engine) RunContext(ctx context.Context, initial []storage.Edge, numVer
 // close the journal on the way out, however the loop ends.
 func (en *Engine) runLoop(ctx context.Context) (*Stats, error) {
 	computeStart := time.Now()
-	observe := en.opts.Trace.Enabled() || en.opts.Progress != nil
+	observe := en.opts.Scope.Rec.Enabled() || en.opts.Scope.Progress != nil
 	for {
 		// On cancellation the last superstep's checkpoint is already
 		// durable: a deadline-killed run resumes from right here.
@@ -424,7 +416,7 @@ func (en *Engine) runLoop(ctx context.Context) (*Stats, error) {
 		if !ok {
 			break
 		}
-		sp := en.opts.Trace.Start(en.opts.TraceTID, "engine", "superstep")
+		sp := en.opts.Scope.Start("engine", "superstep")
 		firsts, err := en.processPair(i, j)
 		if err != nil {
 			return nil, err
@@ -434,7 +426,7 @@ func (en *Engine) runLoop(ctx context.Context) (*Stats, error) {
 			en.observeSuperstep(sp, i, j, firsts)
 		}
 		if en.jw != nil {
-			if err := en.opts.Faults.Hit(faultpoint.EngineCheckpointPre); err != nil {
+			if err := en.opts.Scope.Faults.Hit(faultpoint.EngineCheckpointPre); err != nil {
 				return nil, err
 			}
 			if err := en.checkpoint(false); err != nil {
@@ -481,7 +473,7 @@ func (en *Engine) observeSuperstep(sp trace.Span, i, j, firsts int) {
 		"cacheLookups": s.CacheLookups,
 		"journalBytes": s.IO.JournalBytes,
 	})
-	en.opts.Progress.Update(trace.EngineUpdate{
+	en.opts.Scope.Progress.Update(trace.EngineUpdate{
 		Frontier:   int64(firsts),
 		DirtyPairs: int64(dirty),
 		Edges:      edges,
@@ -850,7 +842,7 @@ func (en *Engine) evict(p *partition) error {
 // a journaled run every file is current already and Persist writes nothing. It
 // is traced as a checkpoint, which is what it does bar the journal record.
 func (en *Engine) Persist() error {
-	sp := en.opts.Trace.Start(en.opts.TraceTID, "engine", "checkpoint")
+	sp := en.opts.Scope.Start("engine", "checkpoint")
 	err := en.flushPending(true)
 	for _, p := range en.parts {
 		if err != nil {
@@ -952,8 +944,8 @@ func (en *Engine) ioDone(op string, part int, n int64, d time.Duration) {
 		return
 	}
 	// The enabled check keeps the disabled path allocation-free.
-	if en.opts.Trace.Enabled() {
-		en.opts.Trace.Instant(en.opts.TraceTID, "storage", op, trace.Args{
+	if en.opts.Scope.Rec.Enabled() {
+		en.opts.Scope.Instant("storage", op, trace.Args{
 			"part": part, "bytes": n, "us": d.Microseconds(),
 		})
 	}

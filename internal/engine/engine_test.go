@@ -215,7 +215,7 @@ func TestRelComposition(t *testing.T) {
 		{Src: 1, Dst: 2, Label: d.Flow, HasRel: true, Rel: writeRel},
 		{Src: 2, Dst: 3, Label: d.Flow, HasRel: true, Rel: closeRel},
 	}
-	en, _ := runEngine(t, emptyICFET(), d.G, Options{UseRel: true}, edges, 4)
+	en, _ := runEngine(t, emptyICFET(), d.G, Options{}, edges, 4)
 	var final *storage.Edge
 	if err := en.ForEach(func(e *storage.Edge) bool {
 		if e.Src == 0 && e.Dst == 3 {

@@ -144,7 +144,7 @@ func runCut(t *testing.T, f cutFixture, dir string, budget int64, whole, resume 
 	rec := trace.NewWriters(nil, &events)
 	en := New(f.ic, f.g, withMemo(Options{
 		Dir: dir, MemoryBudget: budget, Workers: 2, MaxVariants: 2, Journal: true, JournalTag: 0xc07,
-		Faults: faults, Trace: rec,
+		Scope: trace.Scope{Rec: rec, Faults: faults},
 	}))
 	en.wholeFrontier = whole
 	var err error

@@ -420,7 +420,7 @@ func (en *Engine) joinRange(jn *passJoin, lo, hi int, scr *joinScratch, c *joinC
 			// Global-dedupe pre-check against the frozen index (see
 			// hasKey); insert re-checks each survivor against the index
 			// as it grows.
-			cand := storage.Edge{Src: e1.Src, Dst: e2.Dst, Gen: jn.gen, HasRel: en.opts.UseRel, Enc: enc}
+			cand := storage.Edge{Src: e1.Src, Dst: e2.Dst, Gen: jn.gen, HasRel: e1.HasRel, Enc: enc}
 			if cand.HasRel {
 				cand.Rel = fsm.Compose(e1.Rel, e2.Rel)
 			}
@@ -625,8 +625,8 @@ func (en *Engine) repartition(idx int) error {
 	if err := en.writePart(np, hiEdges); err != nil {
 		return err
 	}
-	if en.opts.Trace.Enabled() {
-		en.opts.Trace.Instant(en.opts.TraceTID, "engine", "repartition",
+	if en.opts.Scope.Rec.Enabled() {
+		en.opts.Scope.Instant("engine", "repartition",
 			trace.Args{"part": p.id, "newPart": np.id, "mid": mid, "cut": isCut})
 	}
 	mp.edges = loEdges

@@ -73,7 +73,7 @@ func (en *Engine) clearRunDir() error {
 // durable as the seq-0 baseline record.
 func (en *Engine) startJournal(numVertices uint32) error {
 	jw, err := storage.CreateJournal(en.opts.Dir,
-		storage.JournalMeta{NumVertices: numVertices, Tag: en.opts.JournalTag}, en.opts.Faults)
+		storage.JournalMeta{NumVertices: numVertices, Tag: en.opts.JournalTag}, en.opts.Scope.Faults)
 	if err != nil {
 		return err
 	}
@@ -93,7 +93,7 @@ func (en *Engine) closeJournal() {
 // journal record committing that state. Partitions stay loaded (and clean),
 // so checkpointing does not perturb the LRU cache or pair scheduling.
 func (en *Engine) checkpoint(completed bool) error {
-	sp := en.opts.Trace.Start(en.opts.TraceTID, "engine", "checkpoint")
+	sp := en.opts.Scope.Start("engine", "checkpoint")
 	if err := en.flushPending(true); err != nil {
 		return err
 	}
@@ -153,7 +153,7 @@ func (en *Engine) checkpoint(completed bool) error {
 	}
 	// The canonical kill site: everything up to and including this record is
 	// durable; a crash here loses nothing.
-	return en.opts.Faults.Hit(faultpoint.EngineSuperstep)
+	return en.opts.Scope.Faults.Hit(faultpoint.EngineSuperstep)
 }
 
 // removeUnreferenced deletes partition files the current partition table no
@@ -190,7 +190,7 @@ func (en *Engine) Resume(numVertices uint32) (*Stats, error) {
 // journal wraps storage.ErrNoJournal, a damaged one storage.ErrCorrupt, a
 // mismatched one ErrStale — resume never silently starts cold.
 func (en *Engine) ResumeContext(ctx context.Context, numVertices uint32) (*Stats, error) {
-	jw, meta, recs, err := storage.OpenJournal(en.opts.Dir, en.opts.Faults)
+	jw, meta, recs, err := storage.OpenJournal(en.opts.Dir, en.opts.Scope.Faults)
 	if err != nil {
 		return nil, err
 	}

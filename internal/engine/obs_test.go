@@ -47,7 +47,7 @@ func TestObservedRunIsRaceFree(t *testing.T) {
 		}
 	}()
 	en, st := runEngine(t, ic, d.G, Options{
-		MemoryBudget: 64 << 10, Workers: 8, Journal: true, JournalTag: 7, Progress: prog,
+		MemoryBudget: 64 << 10, Workers: 8, Journal: true, JournalTag: 7, Scope: trace.Scope{Progress: prog},
 	}, edges, n)
 	close(quit)
 	if polls := <-polled; polls == 0 {
@@ -88,9 +88,7 @@ func TestTraceDoesNotChangeClosure(t *testing.T) {
 	opts := Options{
 		MemoryBudget: 4096,
 		Dir:          t.TempDir(),
-		Trace:        rec,
-		TraceTID:     rec.Thread("engine-test"),
-		Progress:     prog,
+		Scope:        trace.Scope{Rec: rec, Progress: prog}.Lane("engine-test"),
 	}
 	enObs := New(emptyICFET(), d.G, opts)
 	stObs, err := enObs.Run(edges, 48)

@@ -52,7 +52,7 @@ func TestEngineResumeAtEveryBoundary(t *testing.T) {
 	refDir := t.TempDir()
 	refFaults := faultpoint.New()
 	refOpts := smallOpts(refDir, tag)
-	refOpts.Faults = refFaults
+	refOpts.Scope.Faults = refFaults
 	refEn := New(emptyICFET(), d.G, refOpts)
 	refStats, err := refEn.Run(chainEdges(n, d.Flow), n)
 	if err != nil {
@@ -84,7 +84,7 @@ func TestEngineResumeAtEveryBoundary(t *testing.T) {
 		faults := faultpoint.New()
 		faults.Arm(faultpoint.EngineSuperstep, k)
 		opts := smallOpts(dir, tag)
-		opts.Faults = faults
+		opts.Scope.Faults = faults
 		en := New(emptyICFET(), d.G, opts)
 		if _, err := en.Run(chainEdges(n, d.Flow), n); !errors.Is(err, faultpoint.ErrInjected) {
 			t.Fatalf("k=%d: kill did not fire: %v", k, err)
@@ -128,7 +128,7 @@ func TestEngineResumeAfterTornWrites(t *testing.T) {
 		faults := faultpoint.New()
 		faults.Arm(faultpoint.JournalAppendMid, 1)
 		opts := smallOpts(dir, tag)
-		opts.Faults = faults
+		opts.Scope.Faults = faults
 		en := New(emptyICFET(), d.G, opts)
 		if _, err := en.Run(chainEdges(n, d.Flow), n); !errors.Is(err, faultpoint.ErrInjected) {
 			t.Fatalf("kill did not fire: %v", err)
@@ -145,7 +145,7 @@ func TestEngineResumeAfterTornWrites(t *testing.T) {
 			faults := faultpoint.New()
 			faults.Arm(point, k)
 			opts := smallOpts(dir, tag)
-			opts.Faults = faults
+			opts.Scope.Faults = faults
 			en := New(emptyICFET(), d.G, opts)
 			if _, err := en.Run(chainEdges(n, d.Flow), n); !errors.Is(err, faultpoint.ErrInjected) {
 				t.Fatalf("%s k=%d: kill did not fire: %v", point, k, err)

@@ -13,6 +13,7 @@ import (
 	"github.com/grapple-system/grapple/internal/faultpoint"
 	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/storage"
+	"github.com/grapple-system/grapple/internal/trace"
 )
 
 func resumeInstances(t *testing.T) []Instance {
@@ -57,7 +58,7 @@ func TestBatchResumeAtEveryInstanceBoundary(t *testing.T) {
 		faults.Arm(faultpoint.SchedulerInstance, k)
 		// Workers: 1 makes "k completions then crash" deterministic.
 		_, err := Run(context.Background(), instances, Options{
-			Workers: 1, WorkDir: dir, Journal: true, Faults: faults,
+			Workers: 1, WorkDir: dir, Journal: true, Scope: trace.Scope{Faults: faults},
 		})
 		if !errors.Is(err, faultpoint.ErrInjected) {
 			t.Fatalf("k=%d: kill did not fire: %v", k, err)

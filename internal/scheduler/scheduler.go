@@ -86,7 +86,9 @@ type Instance struct {
 	Group   string
 	Source  string
 	FSMs    []*fsm.FSM
-	// Opts configures this instance's checker.
+	// Opts configures this instance's checker. The scheduler replaces its
+	// Scope's recorder and progress tracker with the worker's lane (see
+	// Options); its fault set is kept.
 	Opts checker.Options
 }
 
@@ -135,7 +137,10 @@ type Report struct {
 	checker.Report
 }
 
-// Options configures a batch run.
+// Options configures a batch run. Each instance's checker options are its
+// Instance.Opts, with WorkDir defaulted under this WorkDir and Scope on the
+// worker's trace lane, with no progress tracker and the instance's own fault
+// set.
 type Options struct {
 	// Workers bounds pool concurrency (default GOMAXPROCS, capped at the
 	// instance count).
@@ -164,16 +169,13 @@ type Options struct {
 	// mid-append — is the one tolerated damage: that instance just reruns).
 	// Implies Journal.
 	Resume bool
-	// Faults injects deterministic crash points after instance completions
-	// (crash-injection tests only).
-	Faults *faultpoint.Set
-	// Trace, when non-nil, records one span per instance on a per-worker
-	// thread lane and is threaded into each instance's checker (and engines).
-	// Observation only: the merged report stream is unaffected.
-	Trace *trace.Recorder
-	// Progress, when non-nil, tracks batch completion (instances started,
-	// done, still running) for the heartbeat and status.json machinery.
-	Progress *trace.Progress
+	// Scope is the batch's recorder, progress tracker and fault set. The
+	// recorder gets one span per instance on a per-worker lane (the scope's
+	// own lane carries nothing: the scheduler emits only inside a worker),
+	// the progress tracker the instance lifecycle (started, done, still
+	// running), and the fault set a crash point after each instance
+	// completion. Observation only: the merged report stream is unaffected.
+	Scope trace.Scope
 }
 
 // BatchResult is a batch run's outcome.
@@ -268,27 +270,31 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 	defer cancelRun()
 	var injectMu sync.Mutex
 	var injected error
-	opts.Progress.SetBatch(pending)
+	opts.Scope.Progress.SetBatch(pending)
 	jobs := make(chan job, len(instances))
 	results := make([]InstanceResult, len(instances))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		// One trace lane per worker, so instance spans of concurrent workers
-		// render as parallel tracks instead of overlapping on one line.
-		tid := opts.Trace.Thread(fmt.Sprintf("worker-%02d", w))
+		// render as parallel tracks instead of overlapping on one line. The
+		// worker's scope is that lane alone: no Progress (concurrent
+		// instances would fight over the phase field; batch progress tracks
+		// instance lifecycles) and not the batch's Faults (they count
+		// completions).
+		ws := trace.Scope{Rec: opts.Scope.Rec}.Lane(fmt.Sprintf("worker-%02d", w))
 		go func() {
 			defer wg.Done()
 			for jb := range jobs {
 				wait := time.Since(jb.enq)
-				opts.Progress.InstanceStart()
-				sp := opts.Trace.Start(tid, "scheduler", "instance")
-				r := runOne(runCtx, &instances[jb.idx], opts, preps, tid)
+				opts.Scope.Progress.InstanceStart()
+				sp := ws.Start("scheduler", "instance")
+				r := runOne(runCtx, &instances[jb.idx], opts, preps, ws)
 				sp.End(trace.Args{
 					"subject": r.Subject, "group": r.Group,
 					"waitUs": wait.Microseconds(), "ok": r.Err == nil,
 				})
-				opts.Progress.InstanceDone()
+				opts.Scope.Progress.InstanceDone()
 				if r.Err == nil && clog != nil {
 					if err := clog.append(&completionRecord{
 						Subject: r.Subject, Group: r.Group,
@@ -301,7 +307,7 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 				results[jb.idx] = r
 				// The kill switch fires after the completion record is
 				// durable — the crash a real batch can hit between instances.
-				if err := opts.Faults.Hit(faultpoint.SchedulerInstance); err != nil {
+				if err := opts.Scope.Faults.Hit(faultpoint.SchedulerInstance); err != nil {
 					injectMu.Lock()
 					if injected == nil {
 						injected = err
@@ -525,9 +531,9 @@ func (ps *prepStore) get(ctx context.Context, source string, copts checker.Optio
 	return prep, nil
 }
 
-// runOne executes a single instance under its per-instance deadline. tid is
-// the worker's trace lane; the instance's checker (and engines) emit onto it.
-func runOne(ctx context.Context, in *Instance, opts Options, preps *prepStore, tid uint64) InstanceResult {
+// runOne executes a single instance under its per-instance deadline, in the
+// worker's scope.
+func runOne(ctx context.Context, in *Instance, opts Options, preps *prepStore, scope trace.Scope) InstanceResult {
 	res := InstanceResult{Subject: in.Subject, Group: in.Group}
 	ictx := ctx
 	if opts.Timeout > 0 {
@@ -536,12 +542,10 @@ func runOne(ctx context.Context, in *Instance, opts Options, preps *prepStore, t
 		defer cancel()
 	}
 	copts := in.Opts
-	// Thread the batch's recorder into the instance on this worker's lane.
-	// The batch-level Progress is NOT passed down: concurrent instances would
-	// fight over the phase field; batch progress tracks instance lifecycles.
-	copts.Trace = opts.Trace
-	copts.TraceTID = tid
-	copts.Progress = nil
+	// The worker's lane replaces the instance's recorder and progress
+	// tracker; the instance keeps its own fault set.
+	scope.Faults = in.Opts.Scope.Faults
+	copts.Scope = scope
 	if opts.WorkDir != "" && copts.WorkDir == "" {
 		copts.WorkDir = filepath.Join(opts.WorkDir, pathSafe(in.Subject)+"--"+pathSafe(in.Group))
 	}

@@ -12,9 +12,11 @@ import (
 	"time"
 
 	"github.com/grapple-system/grapple/internal/checker"
+	"github.com/grapple-system/grapple/internal/faultpoint"
 	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/metrics"
 	"github.com/grapple-system/grapple/internal/smt"
+	"github.com/grapple-system/grapple/internal/trace"
 	"github.com/grapple-system/grapple/internal/workload"
 )
 
@@ -431,5 +433,88 @@ func TestBatchMatchesSingleCheck(t *testing.T) {
 			t.Errorf("%s: batch reports %d warnings, the single check %d:\nbatch:\n%s\nsingle:\n%s",
 				tc.name, len(got), len(want), strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
+	}
+}
+
+// TestInstanceScope: each instance runs in its worker's scope — the worker's
+// trace lane and nothing else. Every checker and engine event lands on a
+// worker-NN lane, never on the root lane; the batch Progress sees instance
+// lifecycles only, no phase and no superstep; and the batch fault set counts
+// completions only, although every instance journals and so passes the
+// engine's superstep crash point. An instance's own fault set is kept (its
+// engines hit it) and its own progress tracker is replaced (nothing reaches
+// it).
+func TestInstanceScope(t *testing.T) {
+	instances := Expand(miniSubjects(t), GroupPerFSM(fsm.Builtins()), checker.Options{Journal: true})
+	if len(instances) < 4 {
+		t.Fatalf("%d instances, want at least 4", len(instances))
+	}
+	ownFaults, ownProg := faultpoint.New(), trace.NewProgress()
+	instances[0].Opts.Scope = trace.Scope{Progress: ownProg, Faults: ownFaults}
+	var jsonl bytes.Buffer
+	rec := trace.NewWriters(nil, &jsonl)
+	prog := trace.NewProgress()
+	faults := faultpoint.New()
+	res, err := Run(context.Background(), instances, Options{
+		Workers: 2, WorkDir: t.TempDir(),
+		Scope: trace.Scope{Rec: rec, Progress: prog, Faults: faults},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ir := range res.Instances {
+		if ir.Err != nil {
+			t.Fatalf("instance %s/%s: %v", ir.Subject, ir.Group, ir.Err)
+		}
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	lanes := map[uint64]string{}
+	spans := map[string]int{}
+	dec := json.NewDecoder(&jsonl)
+	for dec.More() {
+		var ev struct {
+			Type, Cat, Name string
+			TID             uint64
+			Args            map[string]any
+		}
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Type == "meta" {
+			lanes[ev.TID], _ = ev.Args["name"].(string)
+			continue
+		}
+		if ev.Cat != "checker" && ev.Cat != "engine" && ev.Cat != "storage" {
+			continue
+		}
+		spans[ev.Cat]++
+		if lane := lanes[ev.TID]; ev.TID == 0 || !strings.HasPrefix(lane, "worker-") {
+			t.Fatalf("%s/%s on lane %d (%q), want a worker lane", ev.Cat, ev.Name, ev.TID, lane)
+		}
+	}
+	if spans["checker"] == 0 || spans["engine"] == 0 {
+		t.Fatalf("trace holds %v, want checker and engine events", spans)
+	}
+
+	snap := prog.Snapshot()
+	if snap.Phase != "" || snap.Superstep != 0 || snap.BatchDone != int64(len(instances)) {
+		t.Fatalf("batch progress: phase %q, superstep %d, done %d; want \"\", 0, %d",
+			snap.Phase, snap.Superstep, snap.BatchDone, len(instances))
+	}
+	if got := faults.Count(faultpoint.SchedulerInstance); got != len(instances) {
+		t.Fatalf("%d instance hits, want %d", got, len(instances))
+	}
+	if got := faults.Count(faultpoint.EngineSuperstep); got != 0 {
+		t.Fatalf("%d engine superstep hits reached the batch fault set", got)
+	}
+	if ownFaults.Count(faultpoint.EngineSuperstep) == 0 || ownFaults.Count(faultpoint.SchedulerInstance) != 0 {
+		t.Fatalf("instance's own fault set: %d superstep, %d instance hits; want some, 0",
+			ownFaults.Count(faultpoint.EngineSuperstep), ownFaults.Count(faultpoint.SchedulerInstance))
+	}
+	if snap := ownProg.Snapshot(); snap.Phase != "" || snap.Superstep != 0 {
+		t.Fatalf("instance's own progress saw phase %q, superstep %d", snap.Phase, snap.Superstep)
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // tightOptions are limits small enough that random conjunctions hit every one
 // of them: the verdicts that say "gave up here" must not move either.
-var tightOptions = Options{MaxNESplits: 2, MaxVars: 3, MaxIneqs: 12}
+var tightOptions = Options{maxNESplits: 2, maxVars: 3, maxIneqs: 12}
 
 // diffCoeffs are the coefficients of the differential tests' atoms: units,
 // which equalities are solved through, and pairs with common factors, which

@@ -21,7 +21,7 @@ type refSolver struct {
 }
 
 func newRef(opts Options) *refSolver {
-	if opts.MaxNESplits == 0 {
+	if opts.maxNESplits == 0 {
 		opts = DefaultOptions()
 	}
 	return &refSolver{opts: opts}
@@ -79,7 +79,7 @@ func (s *refSolver) solve(c constraint.Conj) Result {
 			ineqs = append(ineqs, refIneq{terms: neg.Terms, c: neg.Const, strict: true})
 		}
 	}
-	return s.solveParts(eqs, nes, ineqs, s.opts.MaxNESplits)
+	return s.solveParts(eqs, nes, ineqs, s.opts.maxNESplits)
 }
 
 // solveParts substitutes equalities, splits disequalities, then runs FM.
@@ -224,7 +224,7 @@ func (s *refSolver) fourierMotzkin(ineqs []refIneq) Result {
 		if len(work) == 0 {
 			return Sat
 		}
-		if vars > s.opts.MaxVars || len(work) > s.opts.MaxIneqs {
+		if vars > s.opts.maxVars || len(work) > s.opts.maxIneqs {
 			return Unknown
 		}
 		v := refPickVar(work)
@@ -264,7 +264,7 @@ func (s *refSolver) fourierMotzkin(ineqs []refIneq) Result {
 					continue
 				}
 				next = append(next, comb)
-				if len(next) > s.opts.MaxIneqs {
+				if len(next) > s.opts.maxIneqs {
 					return Unknown
 				}
 			}

@@ -40,22 +40,24 @@ func (r Result) String() string {
 	}
 }
 
-// Options tunes the solver.
+// Options tunes the solver. Its limits are unexported: every production
+// solver is New(DefaultOptions()), and only this package's tests set tighter
+// ones.
 type Options struct {
-	// MaxNESplits bounds the number of disequality atoms case-split before
-	// giving up with Unknown. 2^MaxNESplits branches are explored.
-	MaxNESplits int
-	// MaxVars bounds the number of distinct variables eliminated by
+	// maxNESplits bounds the number of disequality atoms case-split before
+	// giving up with Unknown. 2^maxNESplits branches are explored.
+	maxNESplits int
+	// maxVars bounds the number of distinct variables eliminated by
 	// Fourier–Motzkin before giving up with Unknown.
-	MaxVars int
-	// MaxIneqs aborts with Unknown if elimination inflates the inequality
+	maxVars int
+	// maxIneqs aborts with Unknown if elimination inflates the inequality
 	// set beyond this size (FM is worst-case exponential).
-	MaxIneqs int
+	maxIneqs int
 }
 
 // DefaultOptions are generous for the constraint sizes path decoding emits.
 func DefaultOptions() Options {
-	return Options{MaxNESplits: 8, MaxVars: 128, MaxIneqs: 4096}
+	return Options{maxNESplits: 8, maxVars: 128, maxIneqs: 4096}
 }
 
 // Solver decides conjunctions. Apart from statistics it keeps only scratch:
@@ -85,7 +87,7 @@ type Solver struct {
 
 // New returns a Solver with the given options.
 func New(opts Options) *Solver {
-	if opts.MaxNESplits == 0 {
+	if opts.maxNESplits == 0 {
 		opts = DefaultOptions()
 	}
 	return &Solver{opts: opts}
@@ -203,7 +205,7 @@ func (s *Solver) solve(c constraint.Conj) Result {
 		kept = append(kept, ne)
 	}
 	s.nes = kept
-	return s.split(s.nes, s.opts.MaxNESplits)
+	return s.split(s.nes, s.opts.maxNESplits)
 }
 
 // unitTerm finds the first term of an equality's left-hand side with
@@ -289,7 +291,7 @@ func (s *Solver) fourierMotzkin() Result {
 		if len(s.work) == 0 {
 			return Sat
 		}
-		if vars > s.opts.MaxVars || len(s.work) > s.opts.MaxIneqs {
+		if vars > s.opts.maxVars || len(s.work) > s.opts.maxIneqs {
 			return Unknown
 		}
 		// Every row of work has a term, so there is a variable to pick. The
@@ -323,7 +325,7 @@ func (s *Solver) fourierMotzkin() Result {
 					continue
 				}
 				s.next = append(s.next, comb)
-				if len(s.next) > s.opts.MaxIneqs {
+				if len(s.next) > s.opts.maxIneqs {
 					return Unknown
 				}
 			}

@@ -360,7 +360,7 @@ func TestDisequalityBudgetUnknown(t *testing.T) {
 	// More disequalities than the split budget: Unknown (treated as SAT by
 	// the engine — over-approximation, never a missed path).
 	tab := symbolic.NewTable()
-	s := New(Options{MaxNESplits: 2, MaxVars: 128, MaxIneqs: 4096})
+	s := New(Options{maxNESplits: 2, maxVars: 128, maxIneqs: 4096})
 	var c constraint.Conj
 	for i := 0; i < 6; i++ {
 		v := symbolic.Var(tab.Fresh("d"))

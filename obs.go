@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"github.com/grapple-system/grapple/internal/checker"
 	"github.com/grapple-system/grapple/internal/trace"
 )
 
@@ -91,39 +90,13 @@ func startObs(o ObsOptions, workDir string) (*obsSession, error) {
 	return s, nil
 }
 
-// bind threads the session's recorder and progress tracker into one
-// checker's options. Safe on a nil session.
-func (s *obsSession) bind(co *checker.Options) {
+// scope is the run's scope: the session's recorder on the root lane and its
+// progress tracker. A nil session gives the inert zero Scope.
+func (s *obsSession) scope() trace.Scope {
 	if s == nil {
-		return
+		return trace.Scope{}
 	}
-	co.Trace = s.rec
-	co.Progress = s.prog
-}
-
-// recorder returns the session's trace recorder (nil when tracing is off or
-// the session is nil; both are valid inert recorders).
-func (s *obsSession) recorder() *trace.Recorder {
-	if s == nil {
-		return nil
-	}
-	return s.rec
-}
-
-// progress returns the session's progress tracker, nil when none.
-func (s *obsSession) progress() *trace.Progress {
-	if s == nil {
-		return nil
-	}
-	return s.prog
-}
-
-// span opens a top-level pipeline span (no-op on a nil session).
-func (s *obsSession) span(cat, name string) trace.Span {
-	if s == nil {
-		return trace.Span{}
-	}
-	return s.rec.Start(0, cat, name)
+	return trace.Scope{Rec: s.rec, Progress: s.prog}
 }
 
 // finish stops the heartbeat (writing one final status snapshot), shuts the

@@ -17,13 +17,14 @@ import (
 	"github.com/grapple-system/grapple/internal/pgraph"
 	"github.com/grapple-system/grapple/internal/scheduler"
 	"github.com/grapple-system/grapple/internal/smt"
+	"github.com/grapple-system/grapple/internal/trace"
 )
 
 // TestOptionSurface pins the knob count: every exported field of every
-// options struct, down to the per-layer ones (cfet, pgraph, smt, ir), as
-// "Type.Field type", sorted, against testdata/option_surface.txt. A new
-// option fails here until it is banked in a reviewed diff (the way
-// unlowered_budget.json banks havocs):
+// options struct, down to the per-layer ones (cfet, pgraph, smt, ir) and the
+// run scope they share (trace.Scope), as "Type.Field type", sorted, against
+// testdata/option_surface.txt. A new option fails here until it is banked in
+// a reviewed diff (the way unlowered_budget.json banks havocs):
 //
 //	go test -run TestOptionSurface -update .
 func TestOptionSurface(t *testing.T) {
@@ -31,7 +32,7 @@ func TestOptionSurface(t *testing.T) {
 	for _, v := range []any{
 		Options{}, BatchOptions{}, ObsOptions{},
 		checker.Options{}, engine.Options{}, gofront.Options{}, scheduler.Options{},
-		cfet.Options{}, pgraph.Options{}, smt.Options{}, ir.Options{},
+		cfet.Options{}, pgraph.Options{}, smt.Options{}, ir.Options{}, trace.Scope{},
 	} {
 		typ := reflect.TypeOf(v)
 		for i := 0; i < typ.NumField(); i++ {
