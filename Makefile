@@ -46,8 +46,8 @@ race:
 # reference (verdict identity, inputs left intact), the partition
 # store's record decoder (the block cursor against the stream-decoder
 # oracle), its whole-file readers (strict and prefix, held to each other),
-# and the journal reader (resume must never crash or silently accept corrupt
-# state), then
+# and the durable-log reader, seeded with an engine journal and a batch log
+# (resume must never crash or silently accept corrupt state), then
 # the interprocedural points-to solver (termination bound + summary
 # idempotence on arbitrary MiniLang inputs) and the devirtualization
 # hierarchy (every live covering type must stay a dispatch candidate).
@@ -66,8 +66,10 @@ fuzz:
 # Crash-injection harness: kill the engine at EVERY superstep boundary (and
 # mid-journal-write for torn-record coverage), resume from the journal, and
 # require a byte-identical final report; same at checker granularity (both
-# closure phases) and batch granularity (kill between instances, resume
-# reruns only the unfinished ones). Superstep counts are bounded by small
+# closure phases) and batch granularity (kill between instances or tear a
+# batch-log record, resume reruns only the unfinished ones). The storage
+# package's torn-tail and corruption tests gate with them: the engine
+# journal and the batch log are one durable log, read by one reader. Superstep counts are bounded by small
 # workloads so the every-boundary sweep stays fast. The checker sweep
 # (TestCheckerResumeAtEveryBoundary) runs at two multi-partition budgets: one
 # whose partitions hold whole per-object subgraphs and are never paired, and
@@ -78,7 +80,7 @@ fuzz:
 # from journals stripped of their self stamps, as an engine that kept one
 # stamp per pass wrote them.
 crash: build
-	$(GO) test ./internal/engine/ ./internal/checker/ ./internal/scheduler/ ./cmd/grapple/ -run 'Resume|Torn|Journal' -count=1
+	$(GO) test ./internal/storage/ ./internal/engine/ ./internal/checker/ ./internal/scheduler/ ./cmd/grapple/ -run 'Resume|Torn|Journal' -count=1
 
 # Self-lint: every shipped example's embedded MiniLang program must pass
 # `grapple lint` (all rules, including the interprocedural ones) with no

@@ -28,7 +28,7 @@ type InstanceStatus struct {
 	Err      error
 	TimedOut bool
 	// Resumed marks an instance restored from a previous journaled batch's
-	// completion log (BatchOptions.Resume) rather than recomputed; only the
+	// log (BatchOptions.Resume) rather than recomputed; only the
 	// report set and Elapsed survive, so phase stats are zero.
 	Resumed bool
 	// Wait is time spent queued for a worker; Elapsed the run itself.
@@ -46,9 +46,13 @@ type SchedulerStats = metrics.SchedSnapshot
 
 // BatchOptions tunes CheckAll. The embedded Options apply to every
 // instance, except Journal and Resume, which act at batch granularity:
-// Journal logs each finished instance's reports to WorkDir, and Resume
-// reruns only the instances a previous journaled batch did not finish,
-// merging restored and fresh results into a byte-identical report stream.
+// Journal appends each finished instance's reports to the batch log in
+// WorkDir (batch.grj, a record log of the same format as the engines'
+// journals), and Resume reruns only the instances a previous journaled
+// batch did not finish, merging restored and fresh results into a
+// byte-identical report stream. Resume refuses a log written for another
+// instance set — an edited subject, a different property set or grouping —
+// rather than replay reports of other sources.
 type BatchOptions struct {
 	Options
 	// BatchWorkers bounds how many checking instances run concurrently
@@ -125,8 +129,8 @@ func CheckAllContext(ctx context.Context, subjects []Subject, fsms []*FSM, opts 
 	if opts.CombineProperties {
 		groups = scheduler.OneGroup(innerFSMs)
 	}
-	// Batch crash recovery is instance-granular: the scheduler's completion
-	// log (not per-engine journals) decides what reruns, so the per-instance
+	// Batch crash recovery is instance-granular: the scheduler's batch log
+	// (not per-engine journals) decides what reruns, so the per-instance
 	// checker options carry no journal flags.
 	iopts := opts.Options
 	iopts.Journal, iopts.Resume = false, false

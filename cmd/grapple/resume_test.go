@@ -89,3 +89,22 @@ fun main() {
 		t.Fatalf("resumed merged stream differs:\n%q\nvs\n%q", out2.String(), out1.String())
 	}
 }
+
+// TestBatchResumeEditedSubjectExits2: a batch log records the sources it was
+// written for, so resuming after a subject was edited is refused, not
+// answered with the old reports.
+func TestBatchResumeEditedSubjectExits2(t *testing.T) {
+	dir := t.TempDir()
+	a := writeFile(t, dir, "a.ml", leakySrc)
+	work := t.TempDir()
+	var out1, err1 bytes.Buffer
+	if code, err := run([]string{"batch", "-journal", "-workdir", work, a}, &out1, &err1); err != nil || code != 1 {
+		t.Fatalf("journaled batch: code=%d err=%v stderr=%s", code, err, err1.String())
+	}
+	writeFile(t, dir, "a.ml", leakySrc+"\nfun unused() { return; }\n")
+	var out2, err2 bytes.Buffer
+	code, err := run([]string{"batch", "-resume", "-workdir", work, a}, &out2, &err2)
+	if code != 2 || err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("resume over an edited subject: code=%d err=%v stdout=%q", code, err, out2.String())
+	}
+}

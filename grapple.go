@@ -179,8 +179,11 @@ type Options struct {
 	// Resume continues a previously journaled run from WorkDir, replaying
 	// each phase from its last durable checkpoint; the reports are identical
 	// to an uninterrupted run. Requires WorkDir and implies Journal. A
-	// missing, corrupt, or mismatched journal is an error — resume never
-	// silently starts cold.
+	// missing journal, a damaged one, or one written for another subject or
+	// property set (its tag differs) is an error — resume never silently
+	// starts cold. In CheckAll, Resume instead reruns the instances the
+	// batch log does not record finished, and refuses a log written for
+	// another instance set (see BatchOptions).
 	Resume bool
 	// Obs configures the observability layer — execution tracing, the
 	// progress heartbeat, and the pprof debug server (docs/observability.md).

@@ -82,7 +82,7 @@ type Options struct {
 	// starting cold, replaying each phase from its last durable checkpoint.
 	// It requires a non-empty WorkDir and implies Journal. A missing alias
 	// journal is an error wrapping storage.ErrNoJournal, and a journal from
-	// a different subject or property set is rejected with engine.ErrStale —
+	// a different subject or property set is rejected with storage.ErrStale —
 	// resume never silently restarts from scratch.
 	Resume bool
 	// Scope is the run's recorder and lane, progress tracker and fault set,
@@ -242,7 +242,7 @@ func New(fsms []*fsm.FSM, opts Options) *Checker {
 
 // journalTag fingerprints one phase's input — phase name, graph shape, CFET
 // path count, and the property set — so Resume rejects a journal left behind
-// by a different subject, property group, or phase (engine.ErrStale) instead
+// by a different subject, property group, or phase (storage.ErrStale) instead
 // of replaying checkpoints into the wrong graph.
 func (c *Checker) journalTag(phase string, numVerts uint32, numEdges, paths int) uint64 {
 	h := fnv.New64a()

@@ -251,14 +251,15 @@ func TestCheckerResumeAtEveryBoundary(t *testing.T) {
 // how many entries it dropped.
 func stripSelfStamps(t *testing.T, dir string) int {
 	t.Helper()
-	meta, recs, _, err := storage.ReadJournal(dir)
+	path := filepath.Join(dir, engine.JournalName)
+	tag, recs, _, err := storage.ReadJournal[engine.JournalRecord](path)
 	if errors.Is(err, storage.ErrNoJournal) {
 		return 0
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := recs[len(recs)-1]
+	last := &recs[len(recs)-1]
 	if last.Completed {
 		return 0
 	}
@@ -270,13 +271,13 @@ func stripSelfStamps(t *testing.T, dir string) int {
 	}
 	dropped := len(last.LastGen) - len(kept)
 	last.LastGen = kept
-	jw, err := storage.CreateJournal(dir, meta, nil)
+	jw, err := storage.CreateJournal(path, tag, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jw.Close()
-	for _, rec := range recs {
-		if _, err := jw.Append(rec); err != nil {
+	for i := range recs {
+		if _, err := jw.Append(&recs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -404,7 +405,7 @@ func TestEngineJournalDoesNotLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ph := range []string{"alias", "dataflow"} {
-		if _, err := os.Stat(filepath.Join(dir, ph, storage.JournalName)); !errors.Is(err, os.ErrNotExist) {
+		if _, err := os.Stat(filepath.Join(dir, ph, engine.JournalName)); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("%s: a journal was written (stat: %v)", ph, err)
 		}
 	}
@@ -422,7 +423,7 @@ func TestCheckerResumeStaleJournal(t *testing.T) {
 	ropts := resumeOpts(dir)
 	ropts.Resume = true
 	_, err := New(fsm.Builtins()[:1], ropts).CheckSource(src)
-	if !errors.Is(err, engine.ErrStale) {
+	if !errors.Is(err, storage.ErrStale) {
 		t.Fatalf("resume under a different FSM set: %v", err)
 	}
 }
@@ -433,7 +434,7 @@ func TestCheckerResumeCorruptJournal(t *testing.T) {
 	if _, err := New(fsm.Builtins(), resumeOpts(dir)).CheckSource(src); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "alias", storage.JournalName)
+	path := filepath.Join(dir, "alias", engine.JournalName)
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)

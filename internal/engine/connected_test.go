@@ -185,11 +185,9 @@ func closeByHand(t *testing.T, f cutFixture, edges []storage.Edge, maxVariants i
 		if _, err := en.ResumeContext(&countingCtx{Context: context.Background()}, f.nv); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("resume: %v", err)
 		}
-		jw, _, _, err := storage.OpenJournal(opts.Dir, nil)
-		if err != nil {
+		if _, err := en.openJournal(f.nv); err != nil {
 			t.Fatal(err)
 		}
-		en.jw = jw
 		hiddenPair(t, en, "after resume")
 	}
 	if err := en.Persist(); err != nil {

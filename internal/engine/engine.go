@@ -65,7 +65,8 @@ type Options struct {
 	// crash.
 	Journal bool
 	// JournalTag fingerprints the run's inputs. ResumeContext refuses a
-	// journal whose tag differs (ErrStale): same directory, different graph.
+	// journal whose tag differs (storage.ErrStale): same directory,
+	// different graph.
 	JournalTag uint64
 	// Scope is the run's recorder, lane, progress tracker and fault set: a
 	// span per superstep and checkpoint, an instant per partition

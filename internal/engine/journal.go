@@ -43,16 +43,82 @@ import (
 	"github.com/grapple-system/grapple/internal/trace"
 )
 
-// ErrStale reports a journal that parsed cleanly but was written by a
-// different run (vertex space or tag mismatch): resuming under it would
-// silently compute over the wrong graph, so it is rejected instead.
-var ErrStale = errors.New("engine: journal does not match this run")
+// JournalName is the journal's file name inside Options.Dir.
+const JournalName = "journal.grj"
+
+// JournalPart records one partition's durable state at a checkpoint.
+type JournalPart struct {
+	ID     int    // stable partition identity (survives repartitioning)
+	Lo, Hi uint32 // vertex interval [Lo, Hi)
+	Edges  int64  // edge count at the checkpoint; resume reads exactly this prefix
+	MaxGen uint32
+	Path   string // file basename inside the engine directory
+}
+
+// JournalGen records the last-joined generation for one partition pair.
+type JournalGen struct {
+	A, B int
+	Gen  uint32
+}
+
+// JournalRecord is one durable superstep checkpoint, a JSON record in
+// storage's durable log.
+type JournalRecord struct {
+	Seq          uint64 // 0 for the post-preprocess baseline, then 1, 2, ...
+	Completed    bool   // true on the final record of a finished run
+	Iterations   int64
+	CurGen       uint32
+	EdgesBefore  int64
+	Repartitions int64
+	Widened      int64
+	// HotA, HotB are the partition IDs of the last-joined pair (-1, -1 when
+	// none). The pair scheduler consults them, so they are part of the
+	// deterministic resume state.
+	HotA, HotB int
+	Parts      []JournalPart
+	LastGen    []JournalGen
+}
+
+// validate refuses what no engine writes: negative counters or ids, a hot
+// pair below -1, and a part path that is not a bare filename — that is
+// either corruption or an attempt to escape the engine directory. Values
+// outside their field's type the JSON decoder refuses already.
+func (rec *JournalRecord) validate() error {
+	if rec.Iterations < 0 || rec.EdgesBefore < 0 || rec.Repartitions < 0 || rec.Widened < 0 {
+		return errors.New("negative counter")
+	}
+	if rec.HotA < -1 || rec.HotB < -1 {
+		return fmt.Errorf("hot pair %d,%d", rec.HotA, rec.HotB)
+	}
+	for _, p := range rec.Parts {
+		if p.ID < 0 || p.Edges < 0 {
+			return fmt.Errorf("part %d holds %d edges", p.ID, p.Edges)
+		}
+		if p.Path == "" || p.Path != filepath.Base(p.Path) {
+			return fmt.Errorf("part path %q is not a bare filename", p.Path)
+		}
+	}
+	for _, g := range rec.LastGen {
+		if g.A < 0 || g.B < 0 {
+			return fmt.Errorf("generation of pair %d,%d", g.A, g.B)
+		}
+	}
+	return nil
+}
+
+// journalTag is the tag in the journal's header: Options.JournalTag with
+// the vertex-space size mixed in, so a journal written over another vertex
+// space is as stale as one written under another tag. (The odd multiplier
+// keeps the tag one-to-one in either input with the other fixed.)
+func (en *Engine) journalTag(numVertices uint32) uint64 {
+	return en.opts.JournalTag*0x9e3779b97f4a7c15 ^ uint64(numVertices)
+}
 
 // clearRunDir removes a previous run's journal and partition files so a
 // cold journaled start cannot interleave with stale state. Only journaled
 // runs clear: unjournaled engines keep their historical behavior.
 func (en *Engine) clearRunDir() error {
-	if err := os.Remove(filepath.Join(en.opts.Dir, storage.JournalName)); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(filepath.Join(en.opts.Dir, JournalName)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	for _, pat := range []string{"part-*.edges", "part-*.edges.tmp"} {
@@ -72,8 +138,8 @@ func (en *Engine) clearRunDir() error {
 // startJournal creates the run journal and makes the post-preprocess state
 // durable as the seq-0 baseline record.
 func (en *Engine) startJournal(numVertices uint32) error {
-	jw, err := storage.CreateJournal(en.opts.Dir,
-		storage.JournalMeta{NumVertices: numVertices, Tag: en.opts.JournalTag}, en.opts.Scope.Faults)
+	jw, err := storage.CreateJournal(filepath.Join(en.opts.Dir, JournalName),
+		en.journalTag(numVertices), en.opts.Scope.Faults)
 	if err != nil {
 		return err
 	}
@@ -102,7 +168,7 @@ func (en *Engine) checkpoint(completed bool) error {
 			return err
 		}
 	}
-	rec := &storage.JournalRecord{
+	rec := &JournalRecord{
 		Seq:          en.jseq,
 		Completed:    completed,
 		Iterations:   en.stats.Iterations,
@@ -120,7 +186,7 @@ func (en *Engine) checkpoint(completed bool) error {
 		rec.HotB = en.hot[1].id
 	}
 	for _, p := range en.parts {
-		rec.Parts = append(rec.Parts, storage.JournalPart{
+		rec.Parts = append(rec.Parts, JournalPart{
 			ID: p.id, Lo: p.lo, Hi: p.hi,
 			Edges: p.edges, MaxGen: p.maxGen,
 			Path: filepath.Base(p.path),
@@ -137,7 +203,7 @@ func (en *Engine) checkpoint(completed bool) error {
 		return pairs[a][1] < pairs[b][1]
 	})
 	for _, k := range pairs {
-		rec.LastGen = append(rec.LastGen, storage.JournalGen{A: k[0], B: k[1], Gen: en.lastGen[k]})
+		rec.LastGen = append(rec.LastGen, JournalGen{A: k[0], B: k[1], Gen: en.lastGen[k]})
 	}
 	ioStart := time.Now()
 	n, err := en.jw.Append(rec)
@@ -183,29 +249,19 @@ func (en *Engine) Resume(numVertices uint32) (*Stats, error) {
 }
 
 // ResumeContext validates the journal in Options.Dir against this run
-// (format, checksums, vertex space, tag) and against the partition
-// directory (per-partition edge counts, intervals, generations), replays
-// the repartition history embedded in the last record's partition table,
-// and continues the fixpoint from the last completed superstep. A missing
-// journal wraps storage.ErrNoJournal, a damaged one storage.ErrCorrupt, a
-// mismatched one ErrStale — resume never silently starts cold.
+// (format, checksums, and a tag covering vertex space and JournalTag) and
+// against the partition directory (per-partition edge counts, intervals,
+// generations), replays the repartition history embedded in the last
+// record's partition table, and continues the fixpoint from the last
+// completed superstep. A missing journal wraps storage.ErrNoJournal, a
+// damaged one storage.ErrCorrupt, a mismatched one storage.ErrStale — resume
+// never silently starts cold.
 func (en *Engine) ResumeContext(ctx context.Context, numVertices uint32) (*Stats, error) {
-	jw, meta, recs, err := storage.OpenJournal(en.opts.Dir, en.opts.Scope.Faults)
+	defer en.closeJournal()
+	rec, err := en.openJournal(numVertices)
 	if err != nil {
 		return nil, err
 	}
-	en.jw = jw
-	defer en.closeJournal()
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("engine: %s: %w: journal has no usable checkpoint record",
-			en.opts.Dir, storage.ErrCorrupt)
-	}
-	if meta.NumVertices != numVertices || meta.Tag != en.opts.JournalTag {
-		return nil, fmt.Errorf("%w: journal written for vertices=%d tag=%#x, this run is vertices=%d tag=%#x (delete %s to start cold)",
-			ErrStale, meta.NumVertices, meta.Tag, numVertices, en.opts.JournalTag,
-			filepath.Join(en.opts.Dir, storage.JournalName))
-	}
-	rec := recs[len(recs)-1]
 	if err := en.restoreFrom(rec, numVertices); err != nil {
 		return nil, err
 	}
@@ -217,11 +273,30 @@ func (en *Engine) ResumeContext(ctx context.Context, numVertices uint32) (*Stats
 	return en.runLoop(ctx)
 }
 
+// openJournal opens the journal in Options.Dir for further appends under
+// this run's tag and returns its last record, validated.
+func (en *Engine) openJournal(numVertices uint32) (*JournalRecord, error) {
+	path := filepath.Join(en.opts.Dir, JournalName)
+	jw, recs, err := storage.OpenJournal[JournalRecord](path, en.journalTag(numVertices), en.opts.Scope.Faults)
+	if err != nil {
+		return nil, err
+	}
+	en.jw = jw
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("engine: %s: %w: journal has no usable checkpoint record", path, storage.ErrCorrupt)
+	}
+	rec := &recs[len(recs)-1]
+	if err := rec.validate(); err != nil {
+		return nil, fmt.Errorf("engine: %s: %w: %v", path, storage.ErrCorrupt, err)
+	}
+	return rec, nil
+}
+
 // restoreFrom rebuilds the engine's in-memory state from one journal
 // record: the partition table, the global dedupe index, the variant
 // counters and each partition's destination range (from the surviving edges
 // themselves), pair generations, and the scheduler's hot pair.
-func (en *Engine) restoreFrom(rec *storage.JournalRecord, numVertices uint32) error {
+func (en *Engine) restoreFrom(rec *JournalRecord, numVertices uint32) error {
 	for _, jp := range rec.Parts {
 		path := filepath.Join(en.opts.Dir, jp.Path)
 		ioStart := time.Now()

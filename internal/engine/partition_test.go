@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -89,7 +90,7 @@ func TestSplitKeepsPerPartitionState(t *testing.T) {
 			t.Errorf("the pending edge was flushed into partition %d's file", p.id)
 		}
 	}
-	_, recs, _, err := storage.ReadJournal(en.opts.Dir)
+	_, recs, _, err := storage.ReadJournal[JournalRecord](filepath.Join(en.opts.Dir, JournalName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,13 +307,11 @@ func TestPartitionEdgesInGenerationOrder(t *testing.T) {
 				start(t, killed, f)
 				drive(t, killed, steps/2)
 				killed.closeJournal()
-				jw, _, recs, err := storage.OpenJournal(dir, nil)
+				resumed := engine(t, f, budget, dir, true)
+				rec, err := resumed.openJournal(f.nv)
 				if err != nil {
 					t.Fatal(err)
 				}
-				resumed := engine(t, f, budget, dir, true)
-				resumed.jw = jw
-				rec := recs[len(recs)-1]
 				if err := resumed.restoreFrom(rec, f.nv); err != nil {
 					t.Fatal(err)
 				}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/grapple-system/grapple/internal/faultpoint"
@@ -183,12 +184,12 @@ func TestEngineResumeStaleJournal(t *testing.T) {
 	}
 	// Wrong tag.
 	ren := New(emptyICFET(), d.G, smallOpts(dir, 2))
-	if _, err := ren.Resume(n); !errors.Is(err, ErrStale) {
+	if _, err := ren.Resume(n); !errors.Is(err, storage.ErrStale) {
 		t.Fatalf("tag mismatch: %v", err)
 	}
 	// Wrong vertex space.
 	ren = New(emptyICFET(), d.G, smallOpts(dir, 1))
-	if _, err := ren.Resume(n + 1); !errors.Is(err, ErrStale) {
+	if _, err := ren.Resume(n + 1); !errors.Is(err, storage.ErrStale) {
 		t.Fatalf("vertex mismatch: %v", err)
 	}
 }
@@ -202,13 +203,51 @@ func TestEngineResumeCorruptJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Smash the journal header.
-	path := dir + "/" + storage.JournalName
+	path := dir + "/" + JournalName
 	if err := overwriteByte(path, 2, 'X'); err != nil {
 		t.Fatal(err)
 	}
 	ren := New(emptyICFET(), d.G, smallOpts(dir, 1))
 	if _, err := ren.Resume(n); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("corrupt journal: %v", err)
+	}
+}
+
+// TestJournalRejectsEvilPartPath: a checkpoint no engine writes — a part
+// path that would escape the engine directory, a negative id, count or pair —
+// is refused as corrupt before any partition file is opened.
+func TestJournalRejectsEvilPartPath(t *testing.T) {
+	for name, mutate := range map[string]func(*JournalRecord){
+		"path traversal": func(r *JournalRecord) { r.Parts[0].Path = "../escape.edges" },
+		"empty path":     func(r *JournalRecord) { r.Parts[0].Path = "" },
+		"negative id":    func(r *JournalRecord) { r.Parts[0].ID = -2 },
+		"negative edges": func(r *JournalRecord) { r.Parts[0].Edges = -1 },
+		"negative count": func(r *JournalRecord) { r.Iterations = -1 },
+		"hot pair":       func(r *JournalRecord) { r.HotB = -2 },
+		"negative pair":  func(r *JournalRecord) { r.LastGen[0].A = -1 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			const n = 10
+			dir := t.TempDir()
+			en := New(emptyICFET(), allPairs().G, smallOpts(dir, 1))
+			jw, err := storage.CreateJournal(filepath.Join(dir, JournalName), en.journalTag(n), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &JournalRecord{
+				HotA: -1, HotB: -1,
+				Parts:   []JournalPart{{Hi: n, Path: "part-000000.edges"}},
+				LastGen: []JournalGen{{A: 0, B: 0, Gen: 0}},
+			}
+			mutate(rec)
+			if _, err := jw.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			jw.Close()
+			if _, err := en.Resume(n); !errors.Is(err, storage.ErrCorrupt) {
+				t.Fatalf("resume accepted the record: %v", err)
+			}
+		})
 	}
 }
 
@@ -271,7 +310,7 @@ func TestEngineCancelFlushesFinalRecord(t *testing.T) {
 	if _, err := en.RunContext(ctx, chainEdges(n, d.Flow), n); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cancel did not fire: %v", err)
 	}
-	_, recs, _, err := storage.ReadJournal(dir)
+	_, recs, _, err := storage.ReadJournal[JournalRecord](filepath.Join(dir, JournalName))
 	if err != nil {
 		t.Fatal(err)
 	}

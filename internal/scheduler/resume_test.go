@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,8 +34,9 @@ func countResumed(res *BatchResult) int {
 
 // TestBatchResumeAtEveryInstanceBoundary kills the batch after each k-th
 // instance completion (the completion record is durable before the kill
-// fires), resumes, and requires the merged report stream byte-identical to
-// an uninterrupted run — with exactly the k finished instances skipped.
+// fires) and, in the torn variant, in the middle of the k-th record's append;
+// resumes; and requires the merged report stream byte-identical to an
+// uninterrupted run — with exactly the durably finished instances skipped.
 // Runs under -race via the Makefile race target and -shuffle=on via test.
 func TestBatchResumeAtEveryInstanceBoundary(t *testing.T) {
 	instances := resumeInstances(t)
@@ -52,29 +54,69 @@ func TestBatchResumeAtEveryInstanceBoundary(t *testing.T) {
 		t.Fatal("fresh journaled run claims resumed instances")
 	}
 
-	for k := 1; k < len(instances); k++ {
-		dir := t.TempDir()
-		faults := faultpoint.New()
-		faults.Arm(faultpoint.SchedulerInstance, k)
-		// Workers: 1 makes "k completions then crash" deterministic.
-		_, err := Run(context.Background(), instances, Options{
-			Workers: 1, WorkDir: dir, Journal: true, Scope: trace.Scope{Faults: faults},
+	for _, kill := range []struct {
+		point string
+		last  int // the highest k swept
+		lost  int // finished instances the kill leaves unrecorded
+	}{
+		{faultpoint.SchedulerInstance, len(instances) - 1, 0},
+		{faultpoint.JournalAppendMid, len(instances), 1},
+	} {
+		for k := 1; k <= kill.last; k++ {
+			dir := t.TempDir()
+			faults := faultpoint.New()
+			faults.Arm(kill.point, k)
+			// Workers: 1 makes "k completions then crash" deterministic.
+			_, err := Run(context.Background(), instances, Options{
+				Workers: 1, WorkDir: dir, Journal: true, Scope: trace.Scope{Faults: faults},
+			})
+			if !errors.Is(err, faultpoint.ErrInjected) {
+				t.Fatalf("%s k=%d: kill did not fire: %v", kill.point, k, err)
+			}
+			res, err := Run(context.Background(), instances, Options{
+				Workers: 2, WorkDir: dir, Resume: true,
+			})
+			if err != nil {
+				t.Fatalf("%s k=%d: resume: %v", kill.point, k, err)
+			}
+			if got := countResumed(res); got != k-kill.lost {
+				t.Fatalf("%s k=%d: resumed %d instances, want %d", kill.point, k, got, k-kill.lost)
+			}
+			if got := reportBytes(t, res.Reports); !bytes.Equal(got, want) {
+				t.Fatalf("%s k=%d: resumed merged reports differ", kill.point, k)
+			}
+		}
+	}
+}
+
+// TestBatchResumeRejectsStaleLog: a batch log belongs to one instance set.
+// Resumed over an edited subject, or without one of the property groups it
+// was written for, it is refused with storage.ErrStale and no instance is
+// restored from it.
+func TestBatchResumeRejectsStaleLog(t *testing.T) {
+	subjects := miniSubjects(t)
+	groups := GroupPerFSM(fsm.Builtins())
+	edited := slices.Clone(subjects)
+	edited[0].Source = subjects[1].Source
+	for name, instances := range map[string][]Instance{
+		"edited subject": Expand(edited, groups, checker.Options{}),
+		"dropped group":  Expand(subjects, groups[1:], checker.Options{}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := Run(context.Background(), Expand(subjects, groups, checker.Options{}), Options{
+				Workers: 2, WorkDir: dir, Journal: true,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(context.Background(), instances, Options{Workers: 2, WorkDir: dir, Resume: true})
+			if !errors.Is(err, storage.ErrStale) {
+				t.Fatalf("resume over another instance set: %v", err)
+			}
+			if res != nil {
+				t.Fatalf("a refused resume returned %d instances (%d restored)", len(res.Instances), countResumed(res))
+			}
 		})
-		if !errors.Is(err, faultpoint.ErrInjected) {
-			t.Fatalf("k=%d: kill did not fire: %v", k, err)
-		}
-		res, err := Run(context.Background(), instances, Options{
-			Workers: 2, WorkDir: dir, Resume: true,
-		})
-		if err != nil {
-			t.Fatalf("k=%d: resume: %v", k, err)
-		}
-		if got := countResumed(res); got != k {
-			t.Fatalf("k=%d: resumed %d instances", k, got)
-		}
-		if got := reportBytes(t, res.Reports); !bytes.Equal(got, want) {
-			t.Fatalf("k=%d: resumed merged reports differ", k)
-		}
 	}
 }
 
@@ -151,9 +193,9 @@ func TestBatchJournalRequiresWorkDir(t *testing.T) {
 	}
 }
 
-// TestBatchResumeLogDamage: a torn final line (the crash landing mid-append)
-// is dropped and that instance reruns; garbage anywhere earlier is corruption
-// and resume refuses.
+// TestBatchResumeLogDamage: a torn final record (the crash landing
+// mid-append) is dropped and that instance reruns; damage to an earlier
+// record is corruption and resume refuses.
 func TestBatchResumeLogDamage(t *testing.T) {
 	instances := resumeInstances(t)
 	dir := t.TempDir()
@@ -162,7 +204,7 @@ func TestBatchResumeLogDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := reportBytes(t, ref.Reports)
-	path := filepath.Join(dir, CompletionLogName)
+	path := filepath.Join(dir, JournalName)
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -181,20 +223,17 @@ func TestBatchResumeLogDamage(t *testing.T) {
 			t.Fatalf("resumed %d instances, want %d", got, len(instances)-1)
 		}
 		if !bytes.Equal(reportBytes(t, res.Reports), want) {
-			t.Fatal("merged reports differ after torn-line recovery")
+			t.Fatal("merged reports differ after torn-record recovery")
 		}
 	})
 
 	t.Run("garbage mid-log refuses resume", func(t *testing.T) {
-		lines := bytes.SplitAfter(pristine, []byte("\n"))
-		if len(lines) < 3 {
-			t.Fatalf("log too short to mangle: %d lines", len(lines))
+		mangled := bytes.Clone(pristine)
+		first := bytes.Index(mangled, []byte(`"subject"`)) // inside the first record
+		if first < 0 {
+			t.Fatal("no record in the log")
 		}
-		mangled := append([]byte(nil), lines[0]...)
-		mangled = append(mangled, []byte("{definitely not json\n")...)
-		for _, l := range lines[2:] {
-			mangled = append(mangled, l...)
-		}
+		mangled[first+1] ^= 0x20
 		if err := os.WriteFile(path, mangled, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -21,10 +21,8 @@
 package scheduler
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -118,7 +116,7 @@ type InstanceResult struct {
 	Err    error
 	// TimedOut marks Err as the per-instance deadline expiring.
 	TimedOut bool
-	// Resumed marks a result restored from a previous run's completion log
+	// Resumed marks a result restored from a previous run's batch log
 	// (Options.Resume) rather than recomputed; only Reports, Elapsed and the
 	// key survive the round trip, so Result carries no phase stats.
 	Resumed bool
@@ -157,24 +155,27 @@ type Options struct {
 	// WorkDir, when non-empty, hosts one partition subdirectory per
 	// instance; each instance otherwise uses its own temp dir.
 	WorkDir string
-	// Journal persists a completion record (key, reports, elapsed) to
-	// WorkDir after each successful instance, so a later run with Resume
-	// skips the finished ones. Requires WorkDir.
+	// Journal appends a completion record (key, reports, elapsed) to the
+	// batch log in WorkDir (JournalName) after each successful instance, so
+	// a later run with Resume skips the finished ones. A record that cannot
+	// be written stops the batch with an error. Requires WorkDir.
 	Journal bool
-	// Resume loads a previous journaled batch's completion log from WorkDir
-	// and re-runs only the instances not recorded complete; restored and
-	// recomputed results merge into a byte-identical report stream. A
-	// missing log is an error wrapping storage.ErrNoJournal and a mangled
-	// one wraps storage.ErrCorrupt (a torn final line — the crash landing
-	// mid-append — is the one tolerated damage: that instance just reruns).
-	// Implies Journal.
+	// Resume loads a previous journaled batch's log from WorkDir and re-runs
+	// only the instances not recorded complete; restored and recomputed
+	// results merge into a byte-identical report stream. A missing log is an
+	// error wrapping storage.ErrNoJournal, a damaged one storage.ErrCorrupt
+	// (a torn final record — the crash landing mid-append — is the one
+	// tolerated damage: that instance just reruns), and a log written for
+	// another instance set — an edited source, another property group —
+	// storage.ErrStale, with no instance restored. Implies Journal.
 	Resume bool
 	// Scope is the batch's recorder, progress tracker and fault set. The
 	// recorder gets one span per instance on a per-worker lane (the scope's
 	// own lane carries nothing: the scheduler emits only inside a worker),
 	// the progress tracker the instance lifecycle (started, done, still
 	// running), and the fault set a crash point after each instance
-	// completion. Observation only: the merged report stream is unaffected.
+	// completion and a torn-write point in the batch log's appends.
+	// Observation only: the merged report stream is unaffected.
 	Scope trace.Scope
 }
 
@@ -218,7 +219,8 @@ func (b *BatchResult) Failed() []InstanceResult {
 // per-instance timeouts) do not fail the batch; they are reported on the
 // corresponding InstanceResult. Run itself errors only on invalid input —
 // duplicate (subject, group) keys, which would make the merge ambiguous —
-// or when ctx is canceled before all instances finish.
+// on a batch log it cannot open or append to (see Options.Resume), or when
+// ctx is canceled before all instances finish.
 func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult, error) {
 	start := time.Now()
 	seen := make(map[string]bool, len(instances))
@@ -232,15 +234,15 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 	if (opts.Journal || opts.Resume) && opts.WorkDir == "" {
 		return nil, fmt.Errorf("scheduler: Journal/Resume require a persistent WorkDir")
 	}
-	var clog *completionLog
-	var done map[string]*completionRecord
+	var blog *storage.JournalWriter
+	var done map[string]*completion
 	if opts.Journal || opts.Resume {
 		var err error
-		clog, done, err = openCompletionLog(opts.WorkDir, opts.Resume)
+		blog, done, err = openBatchLog(opts.WorkDir, batchTag(instances), opts.Resume, opts.Scope.Faults)
 		if err != nil {
 			return nil, err
 		}
-		defer clog.close()
+		defer blog.Close()
 	}
 	pending := 0
 	for i := range instances {
@@ -264,12 +266,21 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 		idx int
 		enq time.Time
 	}
-	// Crash injection cancels in-flight work through a batch-local context so
-	// the parent ctx (and its error contract) is untouched.
+	// A crash, injected or the batch log failing, cancels in-flight work
+	// through a batch-local context so the parent ctx (and its error
+	// contract) is untouched.
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
-	var injectMu sync.Mutex
-	var injected error
+	var stopMu sync.Mutex
+	var stopErr error
+	stop := func(err error) {
+		stopMu.Lock()
+		if stopErr == nil {
+			stopErr = err
+		}
+		stopMu.Unlock()
+		cancelRun()
+	}
 	opts.Scope.Progress.SetBatch(pending)
 	jobs := make(chan job, len(instances))
 	results := make([]InstanceResult, len(instances))
@@ -295,12 +306,14 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 					"waitUs": wait.Microseconds(), "ok": r.Err == nil,
 				})
 				opts.Scope.Progress.InstanceDone()
-				if r.Err == nil && clog != nil {
-					if err := clog.append(&completionRecord{
+				if r.Err == nil && blog != nil {
+					// A record that did not stick may have left a torn frame;
+					// the batch stops as a crash there would.
+					if _, err := blog.Append(&completion{
 						Subject: r.Subject, Group: r.Group,
 						Elapsed: r.Elapsed, Reports: r.Result.Reports,
 					}); err != nil {
-						r.Err = fmt.Errorf("completion log: %w", err)
+						stop(fmt.Errorf("scheduler: batch log: %w", err))
 					}
 				}
 				r.Wait, r.enq = wait, jb.enq
@@ -308,12 +321,7 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 				// The kill switch fires after the completion record is
 				// durable — the crash a real batch can hit between instances.
 				if err := opts.Scope.Faults.Hit(faultpoint.SchedulerInstance); err != nil {
-					injectMu.Lock()
-					if injected == nil {
-						injected = err
-					}
-					injectMu.Unlock()
-					cancelRun()
+					stop(err)
 				}
 			}
 		}()
@@ -333,11 +341,11 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 	}
 	close(jobs)
 	wg.Wait()
-	injectMu.Lock()
-	injErr := injected
-	injectMu.Unlock()
-	if injErr != nil {
-		return nil, injErr
+	stopMu.Lock()
+	err := stopErr
+	stopMu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -369,120 +377,65 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 	return out, nil
 }
 
-// CompletionLogName is the batch completion log's file name under
-// Options.WorkDir: one JSON line per successfully finished instance,
-// fsynced as it is appended, read back by Options.Resume.
-const CompletionLogName = "batch.completed.jsonl"
+// JournalName is the batch log's file name under Options.WorkDir: storage's
+// durable log, one record per successfully finished instance, read back by
+// Options.Resume.
+const JournalName = "batch.grj"
 
-// completionRecord is one logged instance outcome. Reports are persisted in
-// full so a resumed batch reproduces the merged stream byte-for-byte without
-// re-checking the instance.
-type completionRecord struct {
+// completion is one finished instance's record in the batch log. Reports are
+// persisted in full so a resumed batch reproduces the merged stream
+// byte-for-byte without re-checking the instance.
+type completion struct {
 	Subject string           `json:"subject"`
 	Group   string           `json:"group"`
 	Elapsed time.Duration    `json:"elapsedNs"`
 	Reports []checker.Report `json:"reports,omitempty"`
 }
 
-// completionLog appends completion records durably; safe for concurrent use
-// by the worker pool.
-type completionLog struct {
-	mu sync.Mutex
-	f  *os.File
+// openBatchLog creates dir's batch log under tag or, when resuming, opens it
+// and returns the completions of a previous run by instance key. A fresh
+// batch replaces any old log, so old completions can never satisfy a later
+// Resume by accident; a resumed one refuses a log written for another
+// instance set (storage.ErrStale).
+func openBatchLog(dir string, tag uint64, resume bool, faults *faultpoint.Set) (*storage.JournalWriter, map[string]*completion, error) {
+	path := filepath.Join(dir, JournalName)
+	if !resume {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, nil, err
+		}
+		w, err := storage.CreateJournal(path, tag, faults)
+		return w, nil, err
+	}
+	w, recs, err := storage.OpenJournal[completion](path, tag, faults)
+	if err != nil {
+		return nil, nil, fmt.Errorf("scheduler: resume: %w", err)
+	}
+	done := make(map[string]*completion, len(recs))
+	for i := range recs {
+		done[recs[i].Subject+"\x00"+recs[i].Group] = &recs[i]
+	}
+	return w, done, nil
 }
 
-func (cl *completionLog) append(rec *completionRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
+// batchTag fingerprints an instance set: each instance's key, a hash of its
+// source and its FSM names, in key order. A batch log written for another
+// set — an edited subject, a dropped property group — carries another tag.
+func batchTag(instances []Instance) uint64 {
+	lines := make([]string, len(instances))
+	for i := range instances {
+		in := &instances[i]
+		names := make([]string, len(in.FSMs))
+		for j, f := range in.FSMs {
+			names[j] = f.Name
+		}
+		lines[i] = fmt.Sprintf("%q %q %q\n", in.Key(), sourceKey(in.Source), names)
 	}
-	line = append(line, '\n')
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if _, err := cl.f.Write(line); err != nil {
-		return err
+	slices.Sort(lines)
+	h := fnv.New64a()
+	for _, l := range lines {
+		h.Write([]byte(l))
 	}
-	return cl.f.Sync()
-}
-
-func (cl *completionLog) close() error { return cl.f.Close() }
-
-// openCompletionLog opens dir's completion log for appending and, when
-// resuming, returns the records of a previous run. A fresh (non-resume)
-// batch truncates any stale log first, so old completions can never satisfy
-// a later Resume of a different batch by accident. On resume, a torn final
-// line is dropped (the crash landed mid-append; that instance reruns) and
-// the file is truncated back to the valid prefix; damage anywhere else is a
-// corrupt-log error.
-func openCompletionLog(dir string, resume bool) (*completionLog, map[string]*completionRecord, error) {
-	path := filepath.Join(dir, CompletionLogName)
-	done := map[string]*completionRecord{}
-	validLen := int64(0)
-	needNL := false // last line parsed but lost its newline to a torn write
-	if resume {
-		data, err := os.ReadFile(path)
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil, fmt.Errorf("scheduler: resume: %s: %w (run with Journal first, or drop Resume to start cold)", path, storage.ErrNoJournal)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		for off := 0; off < len(data); {
-			nl := bytes.IndexByte(data[off:], '\n')
-			end := len(data)
-			last := nl < 0
-			if !last {
-				end = off + nl
-			}
-			line := bytes.TrimSpace(data[off:end])
-			if len(line) > 0 {
-				rec := &completionRecord{}
-				if err := json.Unmarshal(line, rec); err != nil {
-					if last {
-						break // torn final append: rerun that instance
-					}
-					return nil, nil, fmt.Errorf("scheduler: resume: %s: line at byte %d: %v: %w", path, off, err, storage.ErrCorrupt)
-				}
-				done[rec.Subject+"\x00"+rec.Group] = rec
-				if last {
-					needNL = true
-				}
-			}
-			if last {
-				validLen = int64(len(data))
-				break
-			}
-			off = end + 1
-			validLen = int64(off)
-		}
-		f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := f.Truncate(validLen); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if _, err := f.Seek(validLen, 0); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if needNL {
-			if _, err := f.Write([]byte("\n")); err != nil {
-				f.Close()
-				return nil, nil, err
-			}
-		}
-		return &completionLog{f: f}, done, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &completionLog{f: f}, done, nil
+	return h.Sum64()
 }
 
 // prepStore lazily builds and shares one checker.Prepared per compilation
@@ -566,8 +519,7 @@ func runOne(ctx context.Context, in *Instance, opts Options, preps *prepStore, s
 // schedStats computes a finished batch's scheduler counters from what each
 // instance result already holds. Resumed instances never entered the queue
 // and are not counted; every other one was enqueued, picked up and ended ok or
-// failed (an analysis error, a timeout, or a completion-log write that did
-// not stick). The ready queue is deepest right after some enqueue: that many
+// failed (an analysis error or a timeout). The ready queue is deepest right after some enqueue: that many
 // have been enqueued by then, less the ones a worker picked up before it.
 func schedStats(results []InstanceResult) metrics.SchedSnapshot {
 	var s metrics.SchedSnapshot

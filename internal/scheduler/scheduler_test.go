@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -328,7 +329,7 @@ func TestSchedStatsFromResults(t *testing.T) {
 	}{
 		{name: "no instances"},
 		{
-			name:    "everything restored from the completion log",
+			name:    "everything restored from the batch log",
 			results: []InstanceResult{{Resumed: true, Elapsed: 9 * sec}, {Resumed: true, Elapsed: sec}},
 		},
 		{
@@ -368,8 +369,12 @@ func TestSchedStatsFromResults(t *testing.T) {
 	instances := resumeInstances(t)
 	dir := t.TempDir()
 	const finished = 3
-	if _, err := Run(context.Background(), instances[:finished], Options{Workers: 3, WorkDir: dir, Journal: true}); err != nil {
-		t.Fatal(err)
+	faults := faultpoint.New()
+	faults.Arm(faultpoint.SchedulerInstance, finished)
+	if _, err := Run(context.Background(), instances, Options{
+		Workers: 1, WorkDir: dir, Journal: true, Scope: trace.Scope{Faults: faults},
+	}); !errors.Is(err, faultpoint.ErrInjected) {
+		t.Fatalf("kill after %d instances did not fire: %v", finished, err)
 	}
 	res, err := Run(context.Background(), instances, Options{Workers: 3, WorkDir: dir, Resume: true})
 	if err != nil {

@@ -2,10 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -162,66 +164,74 @@ func FuzzReadPart(f *testing.F) {
 	})
 }
 
-// FuzzReadJournal exercises the run-journal reader on arbitrary file
-// contents: decode must never panic, a corrupt header must wrap ErrCorrupt,
-// and whatever records survive must re-encode to records that decode back
-// equal (corruption is never half-visible). Run with:
+// FuzzReadJournal exercises the durable-log reader on arbitrary file
+// contents, seeded with an engine journal and a batch log: reading must
+// never panic, any damage but a torn final frame must wrap ErrCorrupt, and
+// what survives is whole — cutting the file to validLen, as OpenJournal
+// does, reads back the same records and nothing torn. Run with:
 // go test -fuzz=FuzzReadJournal ./internal/storage
 func FuzzReadJournal(f *testing.F) {
-	dir := f.TempDir()
-	w, err := CreateJournal(dir, JournalMeta{NumVertices: 64, Tag: 0xfeed}, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for seq := uint64(0); seq < 3; seq++ {
-		rec := &JournalRecord{
-			Seq: seq, Iterations: int64(seq), CurGen: uint32(seq),
-			HotA: -1, HotB: -1,
-			Parts: []JournalPart{
-				{ID: 0, Lo: 0, Hi: 32, Edges: 10, MaxGen: 1, Path: "part-0.edges"},
-			},
-			LastGen: []JournalGen{{A: 0, B: 0, Gen: 1}},
-		}
-		if seq == 2 {
-			rec.Completed = true
-		}
-		if _, err := w.Append(rec); err != nil {
+	log := func(tag uint64, recs ...any) []byte {
+		path := filepath.Join(f.TempDir(), "j")
+		w, err := CreateJournal(path, tag, nil)
+		if err != nil {
 			f.Fatal(err)
 		}
+		for _, rec := range recs {
+			if _, err := w.Append(rec); err != nil {
+				f.Fatal(err)
+			}
+		}
+		w.Close()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
 	}
-	w.Close()
-	good, err := os.ReadFile(filepath.Join(dir, JournalName))
-	if err != nil {
-		f.Fatal(err)
+	var checkpoints []any
+	for seq := 0; seq < 3; seq++ {
+		checkpoints = append(checkpoints, map[string]any{
+			"Seq": seq, "Completed": seq == 2, "Iterations": seq, "CurGen": seq,
+			"HotA": -1, "HotB": -1,
+			"Parts":   []any{map[string]any{"ID": 0, "Lo": 0, "Hi": 32, "Edges": 10, "MaxGen": 1, "Path": "part-0.edges"}},
+			"LastGen": []any{map[string]any{"A": 0, "B": 0, "Gen": 1}},
+		})
 	}
-	f.Add(good)
-	f.Add(good[:len(good)/2])
-	f.Add(good[:journalHeaderSize])
+	engine := log(0xfeed, checkpoints...)
+	batch := log(0xbeef,
+		map[string]any{"subject": "mini", "group": "FileHandle", "elapsedNs": 1500000,
+			"reports": []any{map[string]any{"FSM": "FileHandle", "Kind": "leak", "Object": "f"}}},
+		map[string]any{"subject": "mini", "group": "Lock", "elapsedNs": 900000})
+	f.Add(engine)
+	f.Add(engine[:len(engine)/2])
+	f.Add(engine[:journalHeaderSize])
 	f.Add([]byte{})
 	f.Add([]byte("GPLJ"))
 	f.Add(bytes.Repeat([]byte{0x00}, journalHeaderSize+16))
+	f.Add(batch)
+	f.Add(batch[:len(batch)-3])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, JournalName), data, 0o644); err != nil {
+		path := filepath.Join(t.TempDir(), "j")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		_, recs, validLen, err := ReadJournal(dir)
+		tag, recs, validLen, err := ReadJournal[json.RawMessage](path)
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("damage not reported as ErrCorrupt: %v", err)
+			}
 			return
 		}
 		if validLen < journalHeaderSize || validLen > int64(len(data)) {
 			t.Fatalf("validLen %d outside file of %d bytes", validLen, len(data))
 		}
-		// Surviving records must be fully formed: re-encode and re-decode.
-		for _, rec := range recs {
-			payload := encodeJournalRecord(nil, rec)
-			back, err := decodeJournalRecord(payload)
-			if err != nil {
-				t.Fatalf("surviving record does not re-encode: %v", err)
-			}
-			if back.Seq != rec.Seq || len(back.Parts) != len(rec.Parts) {
-				t.Fatal("re-encode round trip mismatch")
-			}
+		if err := os.WriteFile(path, data[:validLen], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tag2, recs2, validLen2, err := ReadJournal[json.RawMessage](path)
+		if err != nil || tag2 != tag || validLen2 != validLen || !reflect.DeepEqual(recs2, recs) {
+			t.Fatalf("the cut log reads back differently: %d records up to %d, %v", len(recs2), validLen2, err)
 		}
 	})
 }

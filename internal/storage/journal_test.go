@@ -1,98 +1,75 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/grapple-system/grapple/internal/faultpoint"
 )
 
-func testRecord(seq uint64) *JournalRecord {
-	return &JournalRecord{
-		Seq:          seq,
-		Iterations:   int64(seq) * 3,
-		CurGen:       uint32(seq) + 1,
-		EdgesBefore:  100,
-		Repartitions: int64(seq) / 2,
-		Widened:      int64(seq),
-		HotA:         int(seq % 4),
-		HotB:         int(seq%4) + 1,
-		Parts: []JournalPart{
-			{ID: 0, Lo: 0, Hi: 50, Edges: 120 + int64(seq), MaxGen: uint32(seq), Path: "part-0.edges"},
-			{ID: 1, Lo: 50, Hi: 100, Edges: 80, MaxGen: 2, Path: "part-1-g3.edges"},
-		},
-		LastGen: []JournalGen{{A: 0, B: 0, Gen: 1}, {A: 0, B: 1, Gen: uint32(seq)}},
+// testRecord is a record of the log's tests: any JSON-encodable value
+// round-trips, these fields stand in for a checkpoint's.
+type testRecord struct {
+	Seq       uint64
+	Completed bool
+	HotA      int
+	Parts     []string
+	LastGen   map[string]uint32
+}
+
+func newTestRecord(seq uint64) *testRecord {
+	return &testRecord{
+		Seq:     seq,
+		HotA:    int(seq%4) - 1,
+		Parts:   []string{"part-0.edges", "part-1-g3.edges"},
+		LastGen: map[string]uint32{"0,0": 1, "0,1": uint32(seq)},
 	}
 }
 
-func recordsEqual(a, b *JournalRecord) bool {
-	if a.Seq != b.Seq || a.Completed != b.Completed || a.Iterations != b.Iterations ||
-		a.CurGen != b.CurGen || a.EdgesBefore != b.EdgesBefore ||
-		a.Repartitions != b.Repartitions || a.Widened != b.Widened ||
-		a.HotA != b.HotA || a.HotB != b.HotB ||
-		len(a.Parts) != len(b.Parts) || len(a.LastGen) != len(b.LastGen) {
-		return false
-	}
-	for i := range a.Parts {
-		if a.Parts[i] != b.Parts[i] {
-			return false
-		}
-	}
-	for i := range a.LastGen {
-		if a.LastGen[i] != b.LastGen[i] {
-			return false
-		}
-	}
-	return true
+// sameRecords compares record lists, nil and empty alike.
+func sameRecords(a, b []testRecord) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
 
 func TestJournalRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	meta := JournalMeta{NumVertices: 1234, Tag: 0xdeadbeefcafe}
-	w, err := CreateJournal(dir, meta, nil)
+	path := filepath.Join(t.TempDir(), "j")
+	const tag = 0xdeadbeefcafe
+	w, err := CreateJournal(path, tag, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []*JournalRecord
+	var want []testRecord
 	for seq := uint64(0); seq < 5; seq++ {
-		rec := testRecord(seq)
-		if seq == 4 {
-			rec.Completed = true
-			rec.HotA, rec.HotB = -1, -1
-		}
+		rec := newTestRecord(seq)
+		rec.Completed = seq == 4
 		if _, err := w.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, rec)
+		want = append(want, *rec)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	gotMeta, recs, _, err := ReadJournal(dir)
+	gotTag, recs, _, err := ReadJournal[testRecord](path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotMeta != meta {
-		t.Fatalf("meta round trip: got %+v want %+v", gotMeta, meta)
+	if gotTag != tag {
+		t.Fatalf("tag round trip: got %#x want %#x", gotTag, tag)
 	}
-	if len(recs) != len(want) {
-		t.Fatalf("got %d records want %d", len(recs), len(want))
-	}
-	for i := range want {
-		if !recordsEqual(recs[i], want[i]) {
-			t.Fatalf("record %d mismatch:\ngot  %+v\nwant %+v", i, recs[i], want[i])
-		}
-	}
-	if !recs[4].Completed {
-		t.Fatal("final record lost its Completed flag")
+	if !sameRecords(recs, want) {
+		t.Fatalf("records mismatch:\ngot  %+v\nwant %+v", recs, want)
 	}
 }
 
 func TestJournalMissingFile(t *testing.T) {
-	_, _, _, err := ReadJournal(t.TempDir())
+	_, _, _, err := ReadJournal[testRecord](filepath.Join(t.TempDir(), "j"))
 	if !errors.Is(err, ErrNoJournal) {
 		t.Fatalf("missing journal: %v", err)
 	}
@@ -101,111 +78,132 @@ func TestJournalMissingFile(t *testing.T) {
 	}
 }
 
-// writeTestJournal creates a journal with n records and returns its raw
-// bytes plus the parsed records.
-func writeTestJournal(t *testing.T, dir string, n int) ([]byte, []*JournalRecord) {
+// TestOpenJournalChecksTag: a log written under another tag is stale, never
+// replayed, and left as it was.
+func TestOpenJournalChecksTag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	raw, _ := writeTestJournal(t, path, 2)
+	if _, _, err := OpenJournal[testRecord](path, 8, nil); !errors.Is(err, ErrStale) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open under another tag: %v", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, raw) {
+		t.Fatalf("a refused open changed the log (%v)", err)
+	}
+}
+
+// writeTestJournal creates a log at path with n records under tag 7 and
+// returns its raw bytes plus the records.
+func writeTestJournal(t *testing.T, path string, n int) ([]byte, []testRecord) {
 	t.Helper()
-	w, err := CreateJournal(dir, JournalMeta{NumVertices: 10, Tag: 7}, nil)
+	w, err := CreateJournal(path, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []*JournalRecord
+	var recs []testRecord
 	for seq := 0; seq < n; seq++ {
-		rec := testRecord(uint64(seq))
+		rec := newTestRecord(uint64(seq))
 		if _, err := w.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-		recs = append(recs, rec)
+		recs = append(recs, *rec)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, JournalName))
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return raw, recs
 }
 
-// TestJournalCorruptionMatrix mirrors the partition-store corruption matrix:
-// header damage is ErrCorrupt, anything that damages the record stream
-// surfaces as a shorter valid prefix — never a panic, never a half-parsed
-// record.
+// TestJournalCorruptionMatrix holds the reader to its one damage rule:
+// header damage is ErrCorrupt; a bad frame that ends the file is a torn
+// append and only it is dropped; a bad frame with a valid one after it is
+// ErrCorrupt — never a panic, never a half-parsed record.
 func TestJournalCorruptionMatrix(t *testing.T) {
-	base := t.TempDir()
-	raw, recs := writeTestJournal(t, base, 4)
+	raw, recs := writeTestJournal(t, filepath.Join(t.TempDir(), "j"), 4)
+	// starts[i] is record i's frame offset; starts[len(recs)] the file's end.
+	starts := []int{journalHeaderSize}
+	for off := journalHeaderSize; off < len(raw); {
+		off += 8 + int(binary.LittleEndian.Uint32(raw[off:]))
+		starts = append(starts, off)
+	}
+	if len(starts) != len(recs)+1 || starts[len(recs)] != len(raw) {
+		t.Fatalf("frame offsets %v do not cover %d records", starts, len(recs))
+	}
 
-	reread := func(t *testing.T, data []byte) (JournalMeta, []*JournalRecord, int64, error) {
+	reread := func(t *testing.T, data []byte) ([]testRecord, int64, error) {
 		t.Helper()
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, JournalName), data, 0o644); err != nil {
+		path := filepath.Join(t.TempDir(), "j")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return ReadJournal(dir)
+		_, got, validLen, err := ReadJournal[testRecord](path)
+		return got, validLen, err
+	}
+	flip := func(off int) []byte {
+		data := bytes.Clone(raw)
+		data[off] ^= 0x01
+		return data
 	}
 
 	t.Run("header damage is corrupt", func(t *testing.T) {
-		for _, mutate := range []func([]byte) []byte{
-			func(b []byte) []byte { return b[:journalHeaderSize-2] }, // short header
-			func(b []byte) []byte { b[0] = 'X'; return b },           // bad magic
-			func(b []byte) []byte { b[13] ^= 0x10; return b },        // tag bit flip under the CRC
-			func(b []byte) []byte { b[4] = 99; return b },            // version flip (caught by header CRC)
+		v1 := bytes.Clone(raw)
+		binary.LittleEndian.PutUint16(v1[4:], 1)
+		for name, data := range map[string][]byte{
+			"short header":      raw[:journalHeaderSize-2],
+			"bad magic":         append([]byte{'X'}, raw[1:]...),
+			"tag bit flip":      flip(9),
+			"checksum bit flip": flip(journalHeaderSize - 1),
+			"version 1":         v1,
 		} {
-			_, _, _, err := reread(t, mutate(append([]byte{}, raw...)))
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("header damage not ErrCorrupt: %v", err)
+			if _, _, err := reread(t, data); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: not ErrCorrupt: %v", name, err)
 			}
 		}
 	})
 
 	t.Run("truncation at every byte yields a valid prefix", func(t *testing.T) {
 		for cut := journalHeaderSize; cut <= len(raw); cut++ {
-			_, got, validLen, err := reread(t, raw[:cut])
+			got, validLen, err := reread(t, raw[:cut])
 			if err != nil {
 				t.Fatalf("cut=%d: %v", cut, err)
 			}
-			if validLen > int64(cut) {
-				t.Fatalf("cut=%d: validLen %d beyond file", cut, validLen)
+			whole := 0 // records whose frames end at or before the cut
+			for whole < len(recs) && starts[whole+1] <= cut {
+				whole++
 			}
-			for i, rec := range got {
-				if !recordsEqual(rec, recs[i]) {
-					t.Fatalf("cut=%d: surviving record %d mismatch", cut, i)
-				}
+			if !sameRecords(got, recs[:whole]) || validLen != int64(starts[whole]) {
+				t.Fatalf("cut=%d: %d records up to byte %d, want %d up to %d", cut, len(got), validLen, whole, starts[whole])
 			}
-			// A record either survives whole or not at all.
-			if len(got) > len(recs) {
-				t.Fatalf("cut=%d: %d records from %d written", cut, len(got), len(recs))
-			}
-		}
-		// Full file parses everything.
-		_, got, _, err := reread(t, raw)
-		if err != nil || len(got) != len(recs) {
-			t.Fatalf("pristine journal: %d records, %v", len(got), err)
 		}
 	})
 
-	t.Run("record bit flip drops the tail", func(t *testing.T) {
-		for _, off := range []int{journalHeaderSize + 6, len(raw) - 5} {
-			data := append([]byte{}, raw...)
-			data[off] ^= 0x01
-			_, got, _, err := reread(t, data)
+	t.Run("flip in the last record drops only it", func(t *testing.T) {
+		last := len(recs) - 1
+		for off := starts[last]; off < len(raw); off++ {
+			got, validLen, err := reread(t, flip(off))
 			if err != nil {
 				t.Fatalf("off=%d: %v", off, err)
 			}
-			for i, rec := range got {
-				if !recordsEqual(rec, recs[i]) {
-					t.Fatalf("off=%d: surviving record %d corrupted", off, i)
-				}
+			if !sameRecords(got, recs[:last]) || validLen != int64(starts[last]) {
+				t.Fatalf("off=%d: %d records up to byte %d", off, len(got), validLen)
 			}
-			if len(got) == len(recs) {
-				t.Fatalf("off=%d: flip inside a record went undetected", off)
+		}
+	})
+
+	t.Run("flip in an earlier record is corrupt", func(t *testing.T) {
+		for off := journalHeaderSize; off < starts[len(recs)-1]; off++ {
+			if _, _, err := reread(t, flip(off)); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("off=%d: not ErrCorrupt: %v", off, err)
 			}
 		}
 	})
 
 	t.Run("trailing garbage keeps the prefix", func(t *testing.T) {
-		data := append(append([]byte{}, raw...), 0xFF, 0xFF, 0xFF, 0xFF, 0xAB)
-		_, got, validLen, err := reread(t, data)
+		data := append(bytes.Clone(raw), 0xFF, 0xFF, 0xFF, 0xFF, 0xAB)
+		got, validLen, err := reread(t, data)
 		if err != nil || len(got) != len(recs) {
 			t.Fatalf("trailing garbage: %d records, %v", len(got), err)
 		}
@@ -213,69 +211,86 @@ func TestJournalCorruptionMatrix(t *testing.T) {
 			t.Fatalf("validLen %d, want %d", validLen, len(raw))
 		}
 	})
+
+	t.Run("checksummed payload that does not decode is corrupt", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "j")
+		w, err := CreateJournal(path, 7, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Append(map[string]string{"Seq": "not a number"}); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		if _, _, _, err := ReadJournal[testRecord](path); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("undecodable record: %v", err)
+		}
+	})
 }
 
 // TestOpenJournalTruncatesTornTail checks the reopen path: a torn frame is
-// cut off and subsequent appends produce a journal whose records are the
+// cut off and subsequent appends produce a log whose records are the
 // surviving prefix plus the new appends.
 func TestOpenJournalTruncatesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	raw, recs := writeTestJournal(t, dir, 3)
-	path := filepath.Join(dir, JournalName)
+	path := filepath.Join(t.TempDir(), "j")
+	raw, recs := writeTestJournal(t, path, 3)
 	// Tear the last frame in half.
 	if err := os.WriteFile(path, raw[:len(raw)-9], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, meta, got, err := OpenJournal(dir, nil)
+	w, got, err := OpenJournal[testRecord](path, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Tag != 7 {
-		t.Fatalf("meta tag %d", meta.Tag)
-	}
-	if len(got) != 2 {
+	if !sameRecords(got, recs[:2]) {
 		t.Fatalf("torn journal yielded %d records, want 2", len(got))
 	}
-	next := testRecord(9)
+	next := newTestRecord(9)
 	if _, err := w.Append(next); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, after, _, err := ReadJournal(dir)
+	_, after, _, err := ReadJournal[testRecord](path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after) != 3 {
-		t.Fatalf("after reopen+append: %d records", len(after))
-	}
-	if !recordsEqual(after[0], recs[0]) || !recordsEqual(after[1], recs[1]) || !recordsEqual(after[2], next) {
-		t.Fatal("reopened journal content mismatch")
+	if !sameRecords(after, append(recs[:2], *next)) {
+		t.Fatalf("reopened journal content mismatch: %d records", len(after))
 	}
 }
 
 // TestJournalTornAppendFaultpoint drives the mid-write fault point: the
-// injected crash leaves a half-written frame that the next read drops.
+// injected crash leaves a half-written frame that the next read drops, and
+// the writer appends nothing after it.
 func TestJournalTornAppendFaultpoint(t *testing.T) {
-	dir := t.TempDir()
+	path := filepath.Join(t.TempDir(), "j")
 	faults := faultpoint.New()
 	faults.Arm(faultpoint.JournalAppendMid, 3)
-	w, err := CreateJournal(dir, JournalMeta{NumVertices: 5, Tag: 1}, faults)
+	w, err := CreateJournal(path, 1, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var appendErr error
-	for seq := uint64(0); seq < 5; seq++ {
-		if _, appendErr = w.Append(testRecord(seq)); appendErr != nil {
-			break
-		}
+	for seq := uint64(0); seq < 3; seq++ {
+		_, appendErr = w.Append(newTestRecord(seq))
 	}
-	w.Close()
 	if !errors.Is(appendErr, faultpoint.ErrInjected) {
 		t.Fatalf("fault point did not fire: %v", appendErr)
 	}
-	_, recs, _, err := ReadJournal(dir)
+	torn, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append(newTestRecord(3)); !errors.Is(err, faultpoint.ErrInjected) {
+		t.Fatalf("append after a torn one: %v", err)
+	}
+	w.Close()
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, torn) {
+		t.Fatalf("a write followed the torn frame (%v)", err)
+	}
+	_, recs, _, err := ReadJournal[testRecord](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,57 +298,34 @@ func TestJournalTornAppendFaultpoint(t *testing.T) {
 		t.Fatalf("torn append visible: %d records, want 2", len(recs))
 	}
 	// And the journal is reopenable for further appends.
-	w2, _, _, err := OpenJournal(dir, nil)
+	w2, _, err := OpenJournal[testRecord](path, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w2.Append(testRecord(10)); err != nil {
+	if _, err := w2.Append(newTestRecord(10)); err != nil {
 		t.Fatal(err)
 	}
 	w2.Close()
-	_, recs, _, err = ReadJournal(dir)
+	_, recs, _, err = ReadJournal[testRecord](path)
 	if err != nil || len(recs) != 3 {
 		t.Fatalf("append after torn tail: %d records, %v", len(recs), err)
 	}
 }
 
-func TestJournalRejectsEvilPartPath(t *testing.T) {
-	dir := t.TempDir()
-	w, err := CreateJournal(dir, JournalMeta{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := testRecord(0)
-	rec.Parts[0].Path = "../escape.edges"
-	if _, err := w.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	// The writer does not validate (engine paths are trusted), but the
-	// decoder must refuse to hand back a non-basename path.
-	_, recs, _, err := ReadJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
-		t.Fatal("record with a path-traversal part path was accepted")
-	}
-}
-
 func TestCreateJournalReplacesExisting(t *testing.T) {
-	dir := t.TempDir()
-	writeTestJournal(t, dir, 3)
-	w, err := CreateJournal(dir, JournalMeta{NumVertices: 2, Tag: 99}, nil)
+	path := filepath.Join(t.TempDir(), "j")
+	writeTestJournal(t, path, 3)
+	w, err := CreateJournal(path, 99, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
-	meta, recs, _, err := ReadJournal(dir)
+	tag, recs, _, err := ReadJournal[testRecord](path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Tag != 99 || len(recs) != 0 {
-		t.Fatalf("CreateJournal did not replace: tag %d, %d records", meta.Tag, len(recs))
+	if tag != 99 || len(recs) != 0 {
+		t.Fatalf("CreateJournal did not replace: tag %d, %d records", tag, len(recs))
 	}
 }
 
