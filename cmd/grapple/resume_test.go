@@ -108,3 +108,34 @@ func TestBatchResumeEditedSubjectExits2(t *testing.T) {
 		t.Fatalf("resume over an edited subject: code=%d err=%v stdout=%q", code, err, out2.String())
 	}
 }
+
+// TestBatchResumeEditedFSMBodyExits2: a batch log records the FSM
+// definitions it was written for, not just their names, so resuming with a
+// spec whose io FSM now accepts only Init — same name, edited body — is
+// refused, not answered with the old reports.
+func TestBatchResumeEditedFSMBodyExits2(t *testing.T) {
+	dir := t.TempDir()
+	a := writeFile(t, dir, "a.ml", leakySrc)
+	spec := func(accept string) string {
+		return writeFile(t, dir, "io.fsm", `
+fsm io for FileWriter {
+  states Init Open Close;
+  init Init;
+  accept `+accept+`;
+  new: Init -> Open;
+  write: Open -> Open;
+  close: Open -> Close;
+}
+`)
+	}
+	work := t.TempDir()
+	var out1, err1 bytes.Buffer
+	if code, err := run([]string{"batch", "-journal", "-workdir", work, "-fsm", spec("Init Close"), a}, &out1, &err1); err != nil || code != 1 {
+		t.Fatalf("journaled batch: code=%d err=%v stderr=%s", code, err, err1.String())
+	}
+	var out2, err2 bytes.Buffer
+	code, err := run([]string{"batch", "-resume", "-workdir", work, "-fsm", spec("Init"), a}, &out2, &err2)
+	if code != 2 || err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("resume with an edited FSM body: code=%d err=%v stdout=%q", code, err, out2.String())
+	}
+}

@@ -9,7 +9,8 @@ import (
 type SCCPFacts struct {
 	// Verdicts maps each If whose condition is statically decided on every
 	// executable path reaching it: +1 the condition always holds, -1 it never
-	// holds. Ifs with unknown or path-dependent conditions are absent.
+	// holds. Ifs with unknown or path-dependent conditions are absent (nil
+	// when the function decides none).
 	Verdicts map[*ir.If]int
 	// Exec[b] reports whether CFG block b is reachable once decided branches
 	// are respected (entry is always executable).
@@ -29,79 +30,115 @@ var SCCP = &Analyzer{
 	Run:  runSCCP,
 }
 
-// constEnv holds the variables proven constant at a program point. A missing
-// key means "not a constant" — the analysis is must-constant, so values only
-// ever leave the maps as facts weaken, which guarantees termination.
-type constEnv struct {
-	ints  map[string]int64
-	bools map[string]bool
+// constEnv holds what is proven constant at a program point: one slot per
+// variable an IntAssign or BoolAssign of the function writes (no other
+// statement can make a variable constant, so every other variable never is
+// one). A clear flag means "not a constant" — the analysis is
+// must-constant, so flags only ever clear as facts weaken. Ints and bools
+// are separate facts, as they are separate namespaces in the IR.
+type constEnv []constSlot
+
+type constSlot struct {
+	i          int64
+	hasI, hasB bool
+	b          bool
 }
 
-func newConstEnv() *constEnv {
-	return &constEnv{ints: map[string]int64{}, bools: map[string]bool{}}
-}
+// constVars numbers the variables a function's constEnv slots stand for.
+type constVars map[string]int32
 
-func (e *constEnv) clone() *constEnv {
-	c := newConstEnv()
-	for k, v := range e.ints {
-		c.ints[k] = v
-	}
-	for k, v := range e.bools {
-		c.bools[k] = v
-	}
-	return c
-}
-
-// meet intersects other into e (agreeing constants survive). It reports
-// whether e changed.
-func (e *constEnv) meet(other *constEnv) bool {
-	changed := false
-	for k, v := range e.ints {
-		if ov, ok := other.ints[k]; !ok || ov != v {
-			delete(e.ints, k)
-			changed = true
+// slotVars numbers every variable an IntAssign or BoolAssign in cfg writes.
+func slotVars(cfg *ir.CFG) constVars {
+	writes := 0
+	for _, b := range cfg.Blocks {
+		for _, s := range b.Stmts {
+			switch s.(type) {
+			case *ir.IntAssign, *ir.BoolAssign:
+				writes++
+			}
 		}
 	}
-	for k, v := range e.bools {
-		if ov, ok := other.bools[k]; !ok || ov != v {
-			delete(e.bools, k)
-			changed = true
+	if writes == 0 {
+		return nil
+	}
+	vars := make(constVars, writes)
+	for _, b := range cfg.Blocks {
+		for _, s := range b.Stmts {
+			var dst string
+			switch s := s.(type) {
+			case *ir.IntAssign:
+				dst = s.Dst
+			case *ir.BoolAssign:
+				dst = s.Dst
+			default:
+				continue
+			}
+			if _, ok := vars[dst]; !ok {
+				vars[dst] = int32(len(vars))
+			}
 		}
 	}
-	return changed
+	return vars
+}
+
+// meet intersects other into e (agreeing constants survive).
+func (e constEnv) meet(other constEnv) {
+	for k := range e {
+		s, o := &e[k], &other[k]
+		if s.hasI && (!o.hasI || o.i != s.i) {
+			s.hasI = false
+		}
+		if s.hasB && (!o.hasB || o.b != s.b) {
+			s.hasB = false
+		}
+	}
 }
 
 func runSCCP(p *Pass) (any, error) {
 	cfg := p.CFG
 	n := len(cfg.Blocks)
-	facts := &SCCPFacts{Verdicts: map[*ir.If]int{}, Exec: make([]bool, n)}
+	facts := &SCCPFacts{Exec: make([]bool, n)}
+	vars := slotVars(cfg)
 
-	in := make([]*constEnv, n)
-	in[0] = newConstEnv()
+	// The CFG is acyclic, so one sweep in reverse postorder meets every
+	// executable predecessor into a block before the block is processed:
+	// each block is processed once, on its final in-state, which is the
+	// fixpoint a worklist would reach. A block's in-state exists from the
+	// moment a predecessor first reaches it until it is processed, when it
+	// becomes the working state; after the successors have met it, it is
+	// recycled. So a function holds only as many states as its widest
+	// frontier, and entering a successor is a single copy.
+	in := make([]constEnv, n)
+	var free []constEnv
+	state := func() constEnv {
+		if k := len(free); k > 0 {
+			s := free[k-1]
+			free = free[:k-1]
+			return s
+		}
+		return make(constEnv, len(vars))
+	}
+	in[0] = state() // nothing is constant at entry
 	facts.Exec[0] = true
-
-	// Worklist over blocks. The CFG is acyclic and constants only decay, so
-	// this terminates quickly; revisits happen when a join's in-state weakens
-	// or a new edge becomes executable.
-	work := []int{0}
-	inWork := make([]bool, n)
-	inWork[0] = true
-	for len(work) > 0 {
-		bi := work[0]
-		work = work[1:]
-		inWork[bi] = false
+	for _, bi := range cfg.RPO() {
+		if !facts.Exec[bi] {
+			continue
+		}
+		env := in[bi]
+		in[bi] = nil
 		b := cfg.Blocks[bi]
-
-		env := in[bi].clone()
 		for _, s := range b.Stmts {
-			transferConst(env, s)
+			transferConst(vars, env, s)
 		}
 
 		succs := b.Succs
 		if b.Branch != nil {
-			if v, ok := evalCond(env, b.Branch.Cond); ok {
+			if v, ok := evalCond(vars, env, b.Branch.Cond); ok {
 				// Succs is [then, else]; a decided condition makes only one
 				// executable.
+				if facts.Verdicts == nil {
+					facts.Verdicts = map[*ir.If]int{}
+				}
 				if v {
 					facts.Verdicts[b.Branch] = 1
 					succs = b.Succs[:1]
@@ -109,24 +146,19 @@ func runSCCP(p *Pass) (any, error) {
 					facts.Verdicts[b.Branch] = -1
 					succs = b.Succs[1:]
 				}
-			} else {
-				delete(facts.Verdicts, b.Branch)
 			}
 		}
 		for _, si := range succs {
-			changed := false
-			if in[si] == nil {
-				in[si] = env.clone()
-				facts.Exec[si] = true
-				changed = true
-			} else if in[si].meet(env) {
-				changed = true
+			if facts.Exec[si] {
+				in[si].meet(env)
+				continue
 			}
-			if changed && !inWork[si] {
-				work = append(work, si)
-				inWork[si] = true
-			}
+			s := state()
+			copy(s, env)
+			in[si] = s
+			facts.Exec[si] = true
 		}
+		free = append(free, env)
 	}
 	return facts, nil
 }
@@ -134,43 +166,39 @@ func runSCCP(p *Pass) (any, error) {
 // transferConst updates the constant environment across one statement.
 // Anything not provably constant (opaque reads, call results, event results)
 // kills its destination.
-func transferConst(env *constEnv, s ir.Stmt) {
+func transferConst(vars constVars, env constEnv, s ir.Stmt) {
 	switch s := s.(type) {
 	case *ir.IntAssign:
-		if v, ok := evalArith(env, s); ok {
-			env.ints[s.Dst] = v
-		} else {
-			delete(env.ints, s.Dst)
-		}
+		slot := &env[vars[s.Dst]]
+		slot.i, slot.hasI = evalArith(vars, env, s)
 	case *ir.BoolAssign:
-		if v, ok := evalCond(env, s.Cond); ok {
-			env.bools[s.Dst] = v
-		} else {
-			delete(env.bools, s.Dst)
-		}
+		slot := &env[vars[s.Dst]]
+		slot.b, slot.hasB = evalCond(vars, env, s.Cond)
 	default:
 		// Object statements don't touch scalars; Call/Event/Load/CatchBind
 		// destinations are unknown values.
-		for _, d := range ir.Defs(s) {
-			delete(env.ints, d)
-			delete(env.bools, d)
+		if k, ok := vars[ir.Def(s)]; ok {
+			env[k] = constSlot{}
 		}
 	}
 }
 
-func evalOperand(env *constEnv, o ir.Operand) (int64, bool) {
+func evalOperand(vars constVars, env constEnv, o ir.Operand) (int64, bool) {
 	if o.IsConst() {
 		return o.Const, true
 	}
-	v, ok := env.ints[o.Var]
-	return v, ok
+	k, ok := vars[o.Var]
+	if !ok {
+		return 0, false
+	}
+	return env[k].i, env[k].hasI
 }
 
-func evalArith(env *constEnv, s *ir.IntAssign) (int64, bool) {
+func evalArith(vars constVars, env constEnv, s *ir.IntAssign) (int64, bool) {
 	if s.Op == ir.Opaque {
 		return 0, false
 	}
-	a, ok := evalOperand(env, s.A)
+	a, ok := evalOperand(vars, env, s.A)
 	if !ok {
 		return 0, false
 	}
@@ -180,7 +208,7 @@ func evalArith(env *constEnv, s *ir.IntAssign) (int64, bool) {
 	case ir.Neg:
 		return -a, true
 	}
-	b, ok := evalOperand(env, s.B)
+	b, ok := evalOperand(vars, env, s.B)
 	if !ok {
 		return 0, false
 	}
@@ -196,23 +224,23 @@ func evalArith(env *constEnv, s *ir.IntAssign) (int64, bool) {
 }
 
 // evalCond decides a branch condition under the constant environment.
-func evalCond(env *constEnv, c ir.Cond) (bool, bool) {
+func evalCond(vars constVars, env constEnv, c ir.Cond) (bool, bool) {
 	var v bool
 	switch {
 	case c.IsOpaque():
 		return false, false
 	case c.BoolVar != "":
-		bv, ok := env.bools[c.BoolVar]
-		if !ok {
+		k, ok := vars[c.BoolVar]
+		if !ok || !env[k].hasB {
 			return false, false
 		}
-		v = bv
+		v = env[k].b
 	default:
-		a, ok := evalOperand(env, c.A)
+		a, ok := evalOperand(vars, env, c.A)
 		if !ok {
 			return false, false
 		}
-		b, ok := evalOperand(env, c.B)
+		b, ok := evalOperand(vars, env, c.B)
 		if !ok {
 			return false, false
 		}

@@ -70,11 +70,21 @@ type Node struct {
 	Cond constraint.Atom
 	// CondPos is the source position of the branch conditional.
 	CondPos lang.Pos
-	// CondText is the conditional as written (for witness explanations).
-	CondText string
-	Stmts    []PlacedStmt
-	Leaf     LeafKind
-	Ret      RetInfo
+	// Branch is the IR conditional the node splits on; CondText renders it.
+	Branch *ir.If
+	Stmts  []PlacedStmt
+	Leaf   LeafKind
+	Ret    RetInfo
+}
+
+// CondText is the branch conditional as written, for witness explanations;
+// "" for a node that does not split. It is rendered on demand: only an
+// explained witness reads it.
+func (n *Node) CondText() string {
+	if n.Branch == nil {
+		return ""
+	}
+	return n.Branch.Cond.String()
 }
 
 // CFET is the control-flow execution tree of one method.
@@ -192,6 +202,7 @@ func Build(p *ir.Program, syms *symbolic.Table, opts Options) (*ICFET, error) {
 		MethodByName: make(map[string]MethodID, len(p.Funs)),
 		MaxEncLen:    maxEncLen,
 	}
+	sl := &buildSlabs{}
 	// Assign method IDs first so call edges can reference forward.
 	for i, fn := range p.Funs {
 		id := MethodID(i)
@@ -211,6 +222,7 @@ func Build(p *ir.Program, syms *symbolic.Table, opts Options) (*ICFET, error) {
 			budget:  opts.MaxNodesPerMethod,
 			verdict: opts.BranchVerdict,
 			slice:   opts.SliceBranch,
+			slabs:   sl,
 		}
 		if opts.SliceFunc != nil && opts.SliceFunc(fn.Name) {
 			b.stub(fn)
@@ -354,16 +366,30 @@ type walker struct {
 	slice   func(*ir.If) bool
 	// opqSyms caches stable symbols for opaque branch conditions.
 	opqSyms map[int32]symbolic.Sym
+	slabs   *buildSlabs
+}
+
+// buildSlabs allocates what one Build call makes many of: tree nodes, the
+// continuation frames of the walk, call edges, the statement and equation
+// lists of nodes and edges, cut to their exact length, and the term lists
+// of the symbolic values the walk computes.
+type buildSlabs struct {
+	terms  symbolic.Arena
+	nodes  lang.Slab[Node]
+	conts  lang.Slab[contFrame]
+	edges  lang.Slab[CallEdge]
+	placed lang.ListSlab[PlacedStmt]
+	eqs    lang.ListSlab[Equation]
 }
 
 func (w *walker) fresh(prefix string) symbolic.Sym {
-	s := w.ic.Syms.Fresh(w.m.Name + "." + prefix)
+	s := w.ic.Syms.FreshIn(w.m.Name, prefix)
 	w.m.Syms = append(w.m.Syms, s)
 	return s
 }
 
 func (w *walker) intern(name string) symbolic.Sym {
-	s := w.ic.Syms.Intern(w.m.Name + "." + name)
+	s := w.ic.Syms.InternIn(w.m.Name, name)
 	w.m.Syms = append(w.m.Syms, s)
 	return s
 }
@@ -382,11 +408,21 @@ func (w *walker) opaqueSym(id int32) symbolic.Sym {
 }
 
 func (w *walker) newNode(id uint64) *Node {
-	n := &Node{ID: id}
+	n := w.slabs.nodes.New(Node{ID: id})
 	w.m.Nodes[id] = n
 	w.nodes++
 	return n
 }
+
+// place appends a statement to the node being walked. A node's statements
+// are complete when it splits or ends in a leaf, before any other node
+// gets one, so they collect on the slab's scratch and seal cuts them.
+func (w *walker) place(s ir.Stmt, callEdge int32, eventSym symbolic.Sym) {
+	w.slabs.placed.Push(PlacedStmt{Stmt: s, CallEdge: callEdge, EventResultSym: eventSym})
+}
+
+// seal gives n the statements placed since it was started.
+func (w *walker) seal(n *Node) { n.Stmts = w.slabs.placed.Cut(0) }
 
 // contFrame lets statements after an If run inside both branches.
 type contFrame struct {
@@ -400,7 +436,7 @@ func (w *walker) run(fn *ir.Func) error {
 		s := w.intern(p.Name)
 		w.m.ParamSym[p.Name] = s
 		if p.Type == "int" || p.Type == "bool" {
-			e.setInt(p.Name, symbolic.Var(s))
+			e.setInt(p.Name, w.slabs.terms.Var(s))
 		}
 	}
 	root := w.newNode(0)
@@ -437,30 +473,29 @@ func (w *walker) walk(stmts []ir.Stmt, k *contFrame, n *Node, e *env) {
 		switch s := s.(type) {
 		case *ir.IntAssign:
 			e.setInt(s.Dst, w.evalArith(s, e))
-			n.Stmts = append(n.Stmts, PlacedStmt{Stmt: s, CallEdge: -1, EventResultSym: symbolic.NoSym})
+			w.place(s, -1, symbolic.NoSym)
 		case *ir.BoolAssign:
 			e.setBool(s.Dst, w.evalCondVal(s.Cond, e))
-			n.Stmts = append(n.Stmts, PlacedStmt{Stmt: s, CallEdge: -1, EventResultSym: symbolic.NoSym})
+			w.place(s, -1, symbolic.NoSym)
 		case *ir.ObjAssign, *ir.NewObj, *ir.Store, *ir.Load, *ir.CatchBind:
-			n.Stmts = append(n.Stmts, PlacedStmt{Stmt: s, CallEdge: -1, EventResultSym: symbolic.NoSym})
+			w.place(s, -1, symbolic.NoSym)
 		case *ir.Event:
-			ps := PlacedStmt{Stmt: s, CallEdge: -1, EventResultSym: symbolic.NoSym}
+			sym := symbolic.NoSym
 			if s.Dst != "" {
-				sym := w.fresh("ev_" + s.Method)
-				e.setInt(s.Dst, symbolic.Var(sym))
-				ps.EventResultSym = sym
+				sym = w.fresh("ev_" + s.Method)
+				e.setInt(s.Dst, w.slabs.terms.Var(sym))
 			}
-			n.Stmts = append(n.Stmts, ps)
+			w.place(s, -1, sym)
 		case *ir.Call:
 			ce := w.makeCallEdge(s, n, e)
 			if s.Dst != "" && !s.DstIsObject && ce != nil {
-				e.setInt(s.Dst, symbolic.Var(ce.RetSym))
+				e.setInt(s.Dst, w.slabs.terms.Var(ce.RetSym))
 			}
 			id := int32(-1)
 			if ce != nil {
 				id = ce.ID
 			}
-			n.Stmts = append(n.Stmts, PlacedStmt{Stmt: s, CallEdge: id, EventResultSym: symbolic.NoSym})
+			w.place(s, id, symbolic.NoSym)
 		case *ir.Return:
 			ri := RetInfo{Kind: LeafReturn}
 			if s.SrcIsObject {
@@ -469,11 +504,11 @@ func (w *walker) walk(stmts []ir.Stmt, k *contFrame, n *Node, e *env) {
 				ri.HasExpr = true
 				ri.Expr = w.evalOperand(s.Src, e)
 			}
-			n.Stmts = append(n.Stmts, PlacedStmt{Stmt: s, CallEdge: -1, EventResultSym: symbolic.NoSym})
+			w.place(s, -1, symbolic.NoSym)
 			w.endLeaf(n, LeafReturn, ri)
 			return
 		case *ir.ThrowExit:
-			n.Stmts = append(n.Stmts, PlacedStmt{Stmt: s, CallEdge: -1, EventResultSym: symbolic.NoSym})
+			w.place(s, -1, symbolic.NoSym)
 			w.endLeaf(n, LeafThrow, RetInfo{Kind: LeafThrow})
 			return
 		case *ir.If:
@@ -494,7 +529,7 @@ func (w *walker) walk(stmts []ir.Stmt, k *contFrame, n *Node, e *env) {
 						arm = s.Else
 					}
 					if len(rest) > 0 {
-						k = &contFrame{stmts: rest, next: k}
+						k = w.slabs.conts.New(contFrame{stmts: rest, next: k})
 					}
 					stmts = arm.Stmts
 					continue
@@ -506,7 +541,7 @@ func (w *walker) walk(stmts []ir.Stmt, k *contFrame, n *Node, e *env) {
 			n.HasCond = true
 			n.Cond = atom
 			n.CondPos = s.Pos
-			n.CondText = s.Cond.String()
+			n.Branch = s
 			falseID, trueID := 2*n.ID+1, 2*n.ID+2
 			if trueID >= maxNodeID || w.nodes+2 > w.budget {
 				// Budget or depth exhausted: truncate both branches.
@@ -515,9 +550,10 @@ func (w *walker) walk(stmts []ir.Stmt, k *contFrame, n *Node, e *env) {
 				w.endLeaf(n, LeafTruncate, RetInfo{Kind: LeafTruncate})
 				return
 			}
+			w.seal(n)
 			nk := k
 			if len(rest) > 0 {
-				nk = &contFrame{stmts: rest, next: k}
+				nk = w.slabs.conts.New(contFrame{stmts: rest, next: k})
 			}
 			tn := w.newNode(trueID)
 			mark := e.mark()
@@ -547,6 +583,7 @@ func (w *walker) endLeaf(n *Node, kind LeafKind, ri RetInfo) {
 	if n.Leaf != LeafNone {
 		return
 	}
+	w.seal(n)
 	n.Leaf = kind
 	n.Ret = ri
 	w.m.Leaves = append(w.m.Leaves, n.ID)
@@ -558,25 +595,27 @@ func (w *walker) makeCallEdge(c *ir.Call, n *Node, e *env) *CallEdge {
 		return nil
 	}
 	callee := w.ic.Methods[calleeID]
-	ce := &CallEdge{
+	ce := w.slabs.edges.New(CallEdge{
 		ID:         int32(len(w.ic.CallEdges)),
 		Caller:     w.m.Method,
 		CallerNode: n.ID,
 		Callee:     calleeID,
 		RetSym:     symbolic.NoSym,
 		Site:       c.Site,
-	}
+	})
+	mark := w.slabs.eqs.Mark()
 	for _, a := range c.IntArgs {
 		// The callee's parameter symbol is interned under the callee's
 		// namespace; intern here in case the callee is processed later.
 		ps, exists := callee.ParamSym[a.Formal]
 		if !exists {
-			ps = w.ic.Syms.Intern(c.Callee + "." + a.Formal)
+			ps = w.ic.Syms.InternIn(c.Callee, a.Formal)
 			callee.ParamSym[a.Formal] = ps
 			callee.Syms = append(callee.Syms, ps)
 		}
-		ce.ParamEqs = append(ce.ParamEqs, Equation{Sym: ps, Expr: w.evalOperand(a.Arg, e)})
+		w.slabs.eqs.Push(Equation{Sym: ps, Expr: w.evalOperand(a.Arg, e)})
 	}
+	ce.ParamEqs = w.slabs.eqs.Cut(mark)
 	if c.Dst != "" && !c.DstIsObject {
 		var buf [24]byte
 		name := strconv.AppendInt(append(buf[:0], "call"...), int64(c.Site), 10)
@@ -594,7 +633,7 @@ func (w *walker) evalOperand(o ir.Operand, e *env) symbolic.Expr {
 		return v
 	}
 	// Unknown variable (e.g. used before def): opaque.
-	v := symbolic.Var(w.fresh("undef_" + o.Var))
+	v := w.slabs.terms.Var(w.fresh("undef_" + o.Var))
 	e.setInt(o.Var, v)
 	return v
 }
@@ -604,23 +643,23 @@ func (w *walker) evalArith(s *ir.IntAssign, e *env) symbolic.Expr {
 	case ir.Mov:
 		return w.evalOperand(s.A, e)
 	case ir.Add:
-		return w.evalOperand(s.A, e).Add(w.evalOperand(s.B, e))
+		return w.slabs.terms.Combine(w.evalOperand(s.A, e), 1, w.evalOperand(s.B, e), 1)
 	case ir.Sub:
-		return w.evalOperand(s.A, e).Sub(w.evalOperand(s.B, e))
+		return w.slabs.terms.Combine(w.evalOperand(s.A, e), 1, w.evalOperand(s.B, e), -1)
 	case ir.Neg:
-		return w.evalOperand(s.A, e).Neg()
+		return w.slabs.terms.Combine(w.evalOperand(s.A, e), -1, symbolic.Expr{}, 0)
 	case ir.Mul:
 		a, b := w.evalOperand(s.A, e), w.evalOperand(s.B, e)
 		if a.IsConst() {
-			return b.Scale(a.Const)
+			return w.slabs.terms.Combine(b, a.Const, symbolic.Expr{}, 0)
 		}
 		if b.IsConst() {
-			return a.Scale(b.Const)
+			return w.slabs.terms.Combine(a, b.Const, symbolic.Expr{}, 0)
 		}
 		// Non-linear: over-approximate with a fresh symbol.
-		return symbolic.Var(w.fresh("nonlin"))
+		return w.slabs.terms.Var(w.fresh("nonlin"))
 	default: // Opaque
-		return symbolic.Var(w.fresh("in"))
+		return w.slabs.terms.Var(w.fresh("in"))
 	}
 }
 
@@ -637,10 +676,10 @@ func (w *walker) evalCondAtom(c ir.Cond, e *env) constraint.Atom {
 		if bv.known {
 			a = bv.atom
 		} else {
-			a = constraint.Atom{LHS: symbolic.Var(bv.opq), Op: constraint.NE}
+			a = constraint.Atom{LHS: w.slabs.terms.Var(bv.opq), Op: constraint.NE}
 		}
 	case c.IsOpaque():
-		a = constraint.Atom{LHS: symbolic.Var(w.opaqueSym(c.OpaqueID)), Op: constraint.NE}
+		a = constraint.Atom{LHS: w.slabs.terms.Var(w.opaqueSym(c.OpaqueID)), Op: constraint.NE}
 	default:
 		l := w.evalOperand(c.A, e)
 		r := w.evalOperand(c.B, e)
@@ -659,7 +698,7 @@ func (w *walker) evalCondAtom(c ir.Cond, e *env) constraint.Atom {
 		default:
 			op = constraint.GE
 		}
-		a = constraint.NewAtom(l, op, r)
+		a = constraint.Atom{LHS: w.slabs.terms.Combine(l, 1, r, -1), Op: op}
 	}
 	if c.Negated {
 		a = a.Negate()

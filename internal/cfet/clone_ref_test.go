@@ -11,8 +11,8 @@ import (
 // trail. Every split hands each arm its own copy of both maps, so no arm can
 // see a sibling's writes by construction — which is what makes it the oracle
 // for the trail version. It shares the walker's statement evaluation
-// (evalArith, evalCondAtom, makeCallEdge, …) and differs only in how the
-// environment crosses a split.
+// (evalArith, evalCondAtom, makeCallEdge, place, seal, …) and differs only
+// in how the environment crosses a split.
 
 // clone copies the bindings into a fresh environment with an empty trail.
 func (e *env) clone() *env {
@@ -50,6 +50,7 @@ func buildCloneReference(p *ir.Program, syms *symbolic.Table, opts Options) (*IC
 			ParamSym: map[string]symbolic.Sym{},
 		})
 	}
+	sl := &buildSlabs{}
 	for i, fn := range p.Funs {
 		w := &walker{
 			ic:      ic,
@@ -57,6 +58,7 @@ func buildCloneReference(p *ir.Program, syms *symbolic.Table, opts Options) (*IC
 			budget:  opts.MaxNodesPerMethod,
 			verdict: opts.BranchVerdict,
 			slice:   opts.SliceBranch,
+			slabs:   sl,
 		}
 		if opts.SliceFunc != nil && opts.SliceFunc(fn.Name) {
 			w.stub(fn)
@@ -93,20 +95,19 @@ func (w *walker) walkCloneReference(stmts []ir.Stmt, k *contFrame, n *Node, e *e
 		switch s := s.(type) {
 		case *ir.IntAssign:
 			e.ints[s.Dst] = w.evalArith(s, e)
-			n.Stmts = append(n.Stmts, PlacedStmt{Stmt: s, CallEdge: -1, EventResultSym: symbolic.NoSym})
+			w.place(s, -1, symbolic.NoSym)
 		case *ir.BoolAssign:
 			e.bools[s.Dst] = w.evalCondVal(s.Cond, e)
-			n.Stmts = append(n.Stmts, PlacedStmt{Stmt: s, CallEdge: -1, EventResultSym: symbolic.NoSym})
+			w.place(s, -1, symbolic.NoSym)
 		case *ir.ObjAssign, *ir.NewObj, *ir.Store, *ir.Load, *ir.CatchBind:
-			n.Stmts = append(n.Stmts, PlacedStmt{Stmt: s, CallEdge: -1, EventResultSym: symbolic.NoSym})
+			w.place(s, -1, symbolic.NoSym)
 		case *ir.Event:
-			ps := PlacedStmt{Stmt: s, CallEdge: -1, EventResultSym: symbolic.NoSym}
+			sym := symbolic.NoSym
 			if s.Dst != "" {
-				sym := w.fresh("ev_" + s.Method)
+				sym = w.fresh("ev_" + s.Method)
 				e.ints[s.Dst] = symbolic.Var(sym)
-				ps.EventResultSym = sym
 			}
-			n.Stmts = append(n.Stmts, ps)
+			w.place(s, -1, sym)
 		case *ir.Call:
 			ce := w.makeCallEdge(s, n, e)
 			if s.Dst != "" && !s.DstIsObject && ce != nil {
@@ -116,7 +117,7 @@ func (w *walker) walkCloneReference(stmts []ir.Stmt, k *contFrame, n *Node, e *e
 			if ce != nil {
 				id = ce.ID
 			}
-			n.Stmts = append(n.Stmts, PlacedStmt{Stmt: s, CallEdge: id, EventResultSym: symbolic.NoSym})
+			w.place(s, id, symbolic.NoSym)
 		case *ir.Return:
 			ri := RetInfo{Kind: LeafReturn}
 			if s.SrcIsObject {
@@ -125,11 +126,11 @@ func (w *walker) walkCloneReference(stmts []ir.Stmt, k *contFrame, n *Node, e *e
 				ri.HasExpr = true
 				ri.Expr = w.evalOperand(s.Src, e)
 			}
-			n.Stmts = append(n.Stmts, PlacedStmt{Stmt: s, CallEdge: -1, EventResultSym: symbolic.NoSym})
+			w.place(s, -1, symbolic.NoSym)
 			w.endLeaf(n, LeafReturn, ri)
 			return
 		case *ir.ThrowExit:
-			n.Stmts = append(n.Stmts, PlacedStmt{Stmt: s, CallEdge: -1, EventResultSym: symbolic.NoSym})
+			w.place(s, -1, symbolic.NoSym)
 			w.endLeaf(n, LeafThrow, RetInfo{Kind: LeafThrow})
 			return
 		case *ir.If:
@@ -156,7 +157,7 @@ func (w *walker) walkCloneReference(stmts []ir.Stmt, k *contFrame, n *Node, e *e
 			n.HasCond = true
 			n.Cond = atom
 			n.CondPos = s.Pos
-			n.CondText = s.Cond.String()
+			n.Branch = s
 			falseID, trueID := 2*n.ID+1, 2*n.ID+2
 			if trueID >= maxNodeID || w.nodes+2 > w.budget {
 				n.HasCond = false
@@ -164,6 +165,7 @@ func (w *walker) walkCloneReference(stmts []ir.Stmt, k *contFrame, n *Node, e *e
 				w.endLeaf(n, LeafTruncate, RetInfo{Kind: LeafTruncate})
 				return
 			}
+			w.seal(n)
 			nk := k
 			if len(rest) > 0 {
 				nk = &contFrame{stmts: rest, next: k}

@@ -241,14 +241,16 @@ func New(fsms []*fsm.FSM, opts Options) *Checker {
 }
 
 // journalTag fingerprints one phase's input — phase name, graph shape, CFET
-// path count, and the property set — so Resume rejects a journal left behind
-// by a different subject, property group, or phase (storage.ErrStale) instead
-// of replaying checkpoints into the wrong graph.
+// path count, and the property set, each FSM by its definition
+// (fsm.Fingerprint), not its name — so Resume rejects a journal left behind
+// by a different subject, property group, phase or FSM body
+// (storage.ErrStale) instead of replaying checkpoints into the wrong graph.
+// An edit to the source that keeps the graph's shape is not covered yet.
 func (c *Checker) journalTag(phase string, numVerts uint32, numEdges, paths int) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%d|%d|%d", phase, numVerts, numEdges, paths)
 	for _, f := range c.FSMs {
-		fmt.Fprintf(h, "|%s", f.Name)
+		fmt.Fprintf(h, "|%x", f.Fingerprint())
 	}
 	return h.Sum64()
 }
@@ -778,7 +780,7 @@ func explainWitness(ic *cfet.ICFET, enc cfet.Enc) []WitnessStep {
 					}
 					rev = append(rev, WitnessStep{
 						Pos:  pn.CondPos,
-						Desc: fmt.Sprintf("in %s: take the %s branch of (%s)", m.Name, branch, pn.CondText),
+						Desc: fmt.Sprintf("in %s: take the %s branch of (%s)", m.Name, branch, pn.CondText()),
 					})
 				}
 				cur = parent

@@ -428,6 +428,28 @@ func TestCheckerResumeStaleJournal(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsEditedFSMBody: a journal belongs to the FSM definitions
+// it was written under, not to their names. Resumed with the io FSM edited
+// under the same name — it now accepts only Init, so a closed writer is a
+// bug — the run is refused with storage.ErrStale instead of replaying the
+// old closure.
+func TestResumeRejectsEditedFSMBody(t *testing.T) {
+	src := resumeSource(t)
+	dir := t.TempDir()
+	if _, err := New(fsm.Builtins(), resumeOpts(dir)).CheckSource(src); err != nil {
+		t.Fatal(err)
+	}
+	edited := fsm.Builtins()
+	if err := edited[0].SetAccept("Init"); err != nil {
+		t.Fatal(err)
+	}
+	ropts := resumeOpts(dir)
+	ropts.Resume = true
+	if _, err := New(edited, ropts).CheckSource(src); !errors.Is(err, storage.ErrStale) {
+		t.Fatalf("resume with an edited FSM body: %v", err)
+	}
+}
+
 func TestCheckerResumeCorruptJournal(t *testing.T) {
 	src := resumeSource(t)
 	dir := t.TempDir()

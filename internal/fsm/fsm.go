@@ -14,6 +14,8 @@ package fsm
 
 import (
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -137,6 +139,32 @@ func (f *FSM) Events() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Fingerprint is a canonical digest of everything the FSM checks: its
+// name, object type, states in order, initial state, accept set, every
+// transition (sorted) and its concurrency-safe events (sorted). Two FSMs
+// built in different orders from one definition share it; an edited body
+// under the same name does not. Resume tags hash it, so a journal written
+// for one definition is not replayed under another.
+func (f *FSM) Fingerprint() uint64 {
+	lines := []string{fmt.Sprintf("fsm %q for %q states %q init %d accept %#x",
+		f.Name, f.Type, f.States, f.Init, f.Accept)}
+	for from, m := range f.trans {
+		for ev, to := range m {
+			lines = append(lines, fmt.Sprintf("trans %d %q %d", from, ev, to))
+		}
+	}
+	for ev := range f.safeEvents {
+		lines = append(lines, fmt.Sprintf("safe %q", ev))
+	}
+	slices.Sort(lines[1:])
+	h := fnv.New64a()
+	for _, l := range lines {
+		h.Write([]byte(l))
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
 }
 
 // IsAccept reports whether state s is acceptable at exit.

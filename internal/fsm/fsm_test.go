@@ -248,3 +248,61 @@ func TestBuiltinsConstructCleanly(t *testing.T) {
 		t.Fatalf("builtin construction failed: %v", err)
 	}
 }
+
+// TestFingerprint: the fingerprint is a function of the definition — the
+// same FSM built with its transitions in another order, or parsed from its
+// spec, shares it — and every edit to the body under the same name, as well
+// as a rename, changes it.
+func TestFingerprint(t *testing.T) {
+	base := BuiltinIO()
+	reordered, _ := New("io", "FileWriter", "Init", "Open", "Close")
+	_ = reordered.SetAccept("Close", "Init")
+	for _, tr := range [][3]string{
+		{"Close", "close", "Close"}, {"Open", "close", "Close"}, {"Open", "flush", "Open"},
+		{"Open", "write", "Open"}, {"Init", "new", "Open"},
+	} {
+		if err := reordered.AddTransition(tr[0], tr[1], tr[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parsed, err := ParseSpec(`
+fsm io for FileWriter {
+  states Init Open Close;
+  init Init;
+  accept Init Close;
+  new: Init -> Open;
+  write: Open -> Open;
+  flush: Open -> Open;
+  close: Open -> Close;
+  close: Close -> Close;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]*FSM{"reordered": reordered, "parsed": parsed[0]} {
+		if f.Fingerprint() != base.Fingerprint() {
+			t.Errorf("%s: the same definition has another fingerprint", name)
+		}
+	}
+	edits := map[string]func(f *FSM) error{
+		"accept set": func(f *FSM) error { return f.SetAccept("Init") },
+		"init":       func(f *FSM) error { return f.SetInit("Open") },
+		"transition": func(f *FSM) error { return f.AddTransition("Close", "flush", "Close") },
+		"safe event": func(f *FSM) error { f.MarkConcurrencySafe("write"); return nil },
+		"type":       func(f *FSM) error { f.Type = "Writer"; return nil },
+		"name":       func(f *FSM) error { f.Name = "io2"; return nil },
+	}
+	for name, edit := range edits {
+		f := BuiltinIO()
+		if err := edit(f); err != nil {
+			t.Fatal(err)
+		}
+		if f.Fingerprint() == base.Fingerprint() {
+			t.Errorf("edited %s: fingerprint unchanged", name)
+		}
+	}
+	other, _ := New("io", "FileWriter", "Init", "Closed", "Open")
+	if other.Fingerprint() == base.Fingerprint() {
+		t.Error("edited states: fingerprint unchanged")
+	}
+}

@@ -33,8 +33,19 @@ type CFG struct {
 }
 
 // BuildCFG linearizes a lowered function's structured body into a CFG.
+// Blocks, their statement lists and their edge lists are cut from arrays
+// sized by one count of the body, so a CFG costs a handful of allocations
+// whatever its size.
 func BuildCFG(fn *Func) *CFG {
-	b := &cfgBuilder{cfg: &CFG{Fn: fn}}
+	blocks, stmts := countBlocks(fn.Body.Stmts, false)
+	b := &cfgBuilder{
+		cfg:    &CFG{Fn: fn, Blocks: make([]*CFGBlock, 0, blocks)},
+		blocks: make([]CFGBlock, 0, blocks),
+		stmts:  make([]Stmt, 0, stmts),
+		// At most two successors a block, as many predecessors, and one
+		// in-degree count each.
+		ints: make([]int, 0, 5*blocks),
+	}
 	entry := b.seq(fn.Body.Stmts, -1)
 	// Entry must be block 0 for analyses; swap if the builder placed it
 	// elsewhere (it builds continuations first).
@@ -53,6 +64,15 @@ func BuildCFG(fn *Func) *CFG {
 		b.cfg.Blocks[0].Index = 0
 		b.cfg.Blocks[entry].Index = entry
 	}
+	indeg := b.cut(len(b.cfg.Blocks))
+	for _, blk := range b.cfg.Blocks {
+		for _, s := range blk.Succs {
+			indeg[s]++
+		}
+	}
+	for i, blk := range b.cfg.Blocks {
+		blk.Preds = b.cut(indeg[i])[:0]
+	}
 	for _, blk := range b.cfg.Blocks {
 		for _, s := range blk.Succs {
 			b.cfg.Blocks[s].Preds = append(b.cfg.Blocks[s].Preds, blk.Index)
@@ -61,14 +81,72 @@ func BuildCFG(fn *Func) *CFG {
 	return b.cfg
 }
 
+// countBlocks counts the blocks and block statements seq makes of stmts,
+// following seq's recursion; hasNext is seq's next >= 0.
+func countBlocks(stmts []Stmt, hasNext bool) (blocks, placed int) {
+	for i, s := range stmts {
+		switch s := s.(type) {
+		case *If:
+			if i+1 < len(stmts) {
+				blocks, placed = countBlocks(stmts[i+1:], hasNext)
+				hasNext = true
+			}
+			tb, tp := countBlocks(s.Then.Stmts, hasNext)
+			eb, ep := countBlocks(s.Else.Stmts, hasNext)
+			return blocks + tb + eb + 1, placed + tp + ep + i
+		case *Return, *ThrowExit:
+			return 1, i + 1
+		}
+	}
+	if len(stmts) == 0 && hasNext {
+		return 0, 0
+	}
+	return 1, len(stmts)
+}
+
+// cfgBuilder cuts blocks and lists from arrays BuildCFG sized up front.
 type cfgBuilder struct {
-	cfg *CFG
+	cfg    *CFG
+	blocks []CFGBlock
+	stmts  []Stmt
+	ints   []int
 }
 
 func (b *cfgBuilder) newBlock() *CFGBlock {
-	blk := &CFGBlock{Index: len(b.cfg.Blocks)}
+	b.blocks = append(b.blocks, CFGBlock{Index: len(b.cfg.Blocks)})
+	blk := &b.blocks[len(b.blocks)-1]
 	b.cfg.Blocks = append(b.cfg.Blocks, blk)
 	return blk
+}
+
+// cut returns n zeroed ints, or nil for n == 0.
+func (b *cfgBuilder) cut(n int) []int {
+	if n == 0 {
+		return nil
+	}
+	if n > cap(b.ints)-len(b.ints) {
+		b.ints = make([]int, 0, max(n, cap(b.ints)))
+	}
+	lo := len(b.ints)
+	b.ints = b.ints[:lo+n]
+	return b.ints[lo : lo+n : lo+n]
+}
+
+// copyStmts returns a copy of list, or nil when it is empty.
+func (b *cfgBuilder) copyStmts(list []Stmt) []Stmt {
+	if len(list) == 0 {
+		return nil
+	}
+	lo := len(b.stmts)
+	b.stmts = append(b.stmts, list...)
+	return b.stmts[lo:len(b.stmts):len(b.stmts)]
+}
+
+// succs returns the successor list of the given block indices.
+func (b *cfgBuilder) succs(to ...int) []int {
+	out := b.cut(len(to))
+	copy(out, to)
+	return out
 }
 
 // seq builds blocks for a statement sequence whose continuation is block
@@ -84,13 +162,13 @@ func (b *cfgBuilder) seq(stmts []Stmt, next int) int {
 			t := b.seq(s.Then.Stmts, cont)
 			f := b.seq(s.Else.Stmts, cont)
 			blk := b.newBlock()
-			blk.Stmts = append(blk.Stmts, stmts[:i]...)
+			blk.Stmts = b.copyStmts(stmts[:i])
 			blk.Branch = s
-			blk.Succs = []int{t, f}
+			blk.Succs = b.succs(t, f)
 			return blk.Index
 		case *Return, *ThrowExit:
 			blk := b.newBlock()
-			blk.Stmts = append(blk.Stmts, stmts[:i+1]...)
+			blk.Stmts = b.copyStmts(stmts[:i+1])
 			return blk.Index
 		}
 	}
@@ -98,9 +176,9 @@ func (b *cfgBuilder) seq(stmts []Stmt, next int) int {
 		return next
 	}
 	blk := b.newBlock()
-	blk.Stmts = append(blk.Stmts, stmts...)
+	blk.Stmts = b.copyStmts(stmts)
 	if next >= 0 {
-		blk.Succs = []int{next}
+		blk.Succs = b.succs(next)
 	}
 	return blk.Index
 }
@@ -132,29 +210,33 @@ func (c *CFG) RPO() []int {
 
 // Defs returns the variables a statement assigns (at most one in this IR).
 func Defs(s Stmt) []string {
-	switch s := s.(type) {
-	case *IntAssign:
-		return []string{s.Dst}
-	case *BoolAssign:
-		return []string{s.Dst}
-	case *ObjAssign:
-		return []string{s.Dst}
-	case *NewObj:
-		return []string{s.Dst}
-	case *Load:
-		return []string{s.Dst}
-	case *Call:
-		if s.Dst != "" {
-			return []string{s.Dst}
-		}
-	case *Event:
-		if s.Dst != "" {
-			return []string{s.Dst}
-		}
-	case *CatchBind:
-		return []string{s.Var}
+	if d := Def(s); d != "" {
+		return []string{d}
 	}
 	return nil
+}
+
+// Def returns the variable a statement assigns, or "" when it assigns none.
+func Def(s Stmt) string {
+	switch s := s.(type) {
+	case *IntAssign:
+		return s.Dst
+	case *BoolAssign:
+		return s.Dst
+	case *ObjAssign:
+		return s.Dst
+	case *NewObj:
+		return s.Dst
+	case *Load:
+		return s.Dst
+	case *Call:
+		return s.Dst
+	case *Event:
+		return s.Dst
+	case *CatchBind:
+		return s.Var
+	}
+	return ""
 }
 
 // Uses returns the variables a statement reads. Branch conditions are not

@@ -164,3 +164,55 @@ func eqStrings(a, b []string) bool {
 	}
 	return true
 }
+
+// TestCFGSizedExactly: BuildCFG counts the body before it builds, so the
+// block array is exactly as long as the blocks seq makes and every block's
+// statements come out of one array sized for them — on straight-line code,
+// nested and early-returning branches, unrolled loops, short-circuit
+// conditions and expanded exceptions alike.
+func TestCFGSizedExactly(t *testing.T) {
+	p := mustLower(t, `
+type E;
+fun thrower(n: int) {
+  if (n > 0) {
+    var e: E = new E();
+    throw e;
+  }
+  return;
+}
+fun straight() {
+  var x: int = 1;
+  x = x + 1;
+}
+fun shapes(a: int, b: int): int {
+  var x: int = a;
+  if (a > 0 && b > 0) { x = 1; } else { if (a < b || b == 2) { return x; } x = 2; }
+  while (x < 10) { x = x + 1; if (x == 5) { return x; } }
+  try {
+    thrower(x);
+    x = 3;
+  } catch (e: E) {
+    x = 4;
+  }
+  thrower(b);
+  if (x > 2) { x = 5; }
+  return x;
+}`, Options{})
+	for _, fn := range p.Funs {
+		c := BuildCFG(fn)
+		blocks, placed := countBlocks(fn.Body.Stmts, false)
+		if len(c.Blocks) != blocks || cap(c.Blocks) != blocks {
+			t.Errorf("%s: %d blocks (capacity %d), counted %d", fn.Name, len(c.Blocks), cap(c.Blocks), blocks)
+		}
+		n := 0
+		for _, blk := range c.Blocks {
+			n += len(blk.Stmts)
+		}
+		if n != placed {
+			t.Errorf("%s: %d statements in blocks, counted %d", fn.Name, n, placed)
+		}
+		if len(c.Blocks) < 2 && fn.Name == "shapes" {
+			t.Errorf("%s: %d blocks", fn.Name, len(c.Blocks))
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package ir
 
+import "github.com/grapple-system/grapple/internal/lang"
+
 // Exception expansion: Grapple models exceptional control flow as ordinary
 // branching on opaque "did it throw" conditions so that the CFET (paper §3)
 // needs only one structured construct. This mirrors the paper's treatment of
@@ -62,9 +64,9 @@ func expandExceptions(p *Program) {
 	}
 	ex := &expander{prog: p}
 	for _, fn := range p.Funs {
-		out := &Block{}
-		ex.expand(fn.Body.Stmts, nil, nil, out)
-		fn.Body = out
+		mark := ex.stmts.Mark()
+		ex.expand(fn.Body.Stmts, nil, nil)
+		fn.Body = &Block{Stmts: ex.stmts.Cut(mark)}
 	}
 }
 
@@ -131,6 +133,32 @@ func blockCallsThrowerOutsideTry(b *Block, p *Program, inTry bool) bool {
 type expander struct {
 	prog    *Program
 	opaqueN int32
+
+	// The expanded bodies are what the rest of the pipeline reads, so their
+	// Ifs (each with its two arms in one allocation) and statement lists come
+	// from slabs owned by this expansion.
+	branches lang.Slab[branch]
+	stmts    lang.ListSlab[Stmt]
+}
+
+// branch is an If allocated together with its two arms.
+type branch struct {
+	If
+	then, els Block
+}
+
+// newIf returns an If on cond whose arms are empty blocks.
+func (ex *expander) newIf(cond Cond, pos lang.Pos) *If {
+	b := ex.branches.New(branch{})
+	b.If = If{Cond: cond, Then: &b.then, Else: &b.els, Pos: pos}
+	return &b.If
+}
+
+// expandArm expands stmts into arm.
+func (ex *expander) expandArm(arm *Block, stmts []Stmt, h *handlerChain, k *cont) {
+	mark := ex.stmts.Mark()
+	ex.expand(stmts, h, k)
+	arm.Stmts = ex.stmts.Cut(mark)
 }
 
 func (ex *expander) freshOpaque() int32 {
@@ -141,8 +169,8 @@ func (ex *expander) freshOpaque() int32 {
 }
 
 // expand processes stmts under handler scope h with continuation k,
-// appending pure IR to out.
-func (ex *expander) expand(stmts []Stmt, h *handlerChain, k *cont, out *Block) {
+// pushing pure IR onto ex.stmts; the caller cuts the list.
+func (ex *expander) expand(stmts []Stmt, h *handlerChain, k *cont) {
 	for {
 		if len(stmts) == 0 {
 			if k == nil {
@@ -156,18 +184,16 @@ func (ex *expander) expand(stmts []Stmt, h *handlerChain, k *cont, out *Block) {
 		switch s := s.(type) {
 		case *Raise:
 			// The raise is a "throw" FSM event on the exception object.
-			out.Stmts = append(out.Stmts, &Event{Recv: s.Src, Method: "throw", Pos: s.Pos})
+			ex.stmts.Push(&Event{Recv: s.Src, Method: "throw", Pos: s.Pos})
 			hc := matchHandler(h, s.Type)
 			if hc == nil {
-				out.Stmts = append(out.Stmts,
-					&ObjAssign{Dst: ExcVar, Src: s.Src, Pos: s.Pos},
-					&ThrowExit{Pos: s.Pos})
+				ex.stmts.Push(&ObjAssign{Dst: ExcVar, Src: s.Src, Pos: s.Pos})
+				ex.stmts.Push(&ThrowExit{Pos: s.Pos})
 				return
 			}
-			out.Stmts = append(out.Stmts,
-				&ObjAssign{Dst: hc.catchVar, Src: s.Src, Pos: s.Pos},
-				&CatchBind{Var: hc.catchVar, Type: s.Type, FromCall: -1, Pos: s.Pos})
-			ex.expand(hc.catch, hc.outer, hc.cont, out)
+			ex.stmts.Push(&ObjAssign{Dst: hc.catchVar, Src: s.Src, Pos: s.Pos})
+			ex.stmts.Push(&CatchBind{Var: hc.catchVar, Type: s.Type, FromCall: -1, Pos: s.Pos})
+			ex.expand(hc.catch, hc.outer, hc.cont)
 			return
 
 		case *TryRegion:
@@ -183,53 +209,53 @@ func (ex *expander) expand(stmts []Stmt, h *handlerChain, k *cont, out *Block) {
 			continue
 
 		case *Call:
-			out.Stmts = append(out.Stmts, s)
+			ex.stmts.Push(s)
 			callee := ex.prog.FunByName[s.Callee]
 			if callee == nil || !callee.MayThrow {
 				stmts = rest
 				continue
 			}
-			branch := &If{Cond: OpaqueCond(ex.freshOpaque()), Then: &Block{}, Else: &Block{}, Pos: s.Pos}
+			branch := ex.newIf(OpaqueCond(ex.freshOpaque()), s.Pos)
 			// Exceptional branch: callee's $exc arrives here.
+			mark := ex.stmts.Mark()
 			if hc := matchHandler(h, ""); hc != nil {
-				branch.Then.Stmts = append(branch.Then.Stmts,
-					&CatchBind{Var: hc.catchVar, Type: hc.catchType, FromCall: s.Site, Pos: s.Pos})
-				ex.expand(hc.catch, hc.outer, hc.cont, branch.Then)
+				ex.stmts.Push(&CatchBind{Var: hc.catchVar, Type: hc.catchType, FromCall: s.Site, Pos: s.Pos})
+				ex.expand(hc.catch, hc.outer, hc.cont)
 			} else {
-				branch.Then.Stmts = append(branch.Then.Stmts,
-					&CatchBind{Var: ExcVar, Type: "", FromCall: s.Site, Pos: s.Pos},
-					&ThrowExit{Pos: s.Pos})
+				ex.stmts.Push(&CatchBind{Var: ExcVar, Type: "", FromCall: s.Site, Pos: s.Pos})
+				ex.stmts.Push(&ThrowExit{Pos: s.Pos})
 			}
-			ex.expand(rest, h, k, branch.Else)
-			out.Stmts = append(out.Stmts, branch)
+			branch.Then.Stmts = ex.stmts.Cut(mark)
+			ex.expandArm(branch.Else, rest, h, k)
+			ex.stmts.Push(branch)
 			return
 
 		case *If:
 			if blockCanRaise(s.Then, ex.prog) || blockCanRaise(s.Else, ex.prog) {
 				// Tail-duplicate the remainder into both branches so a raise
 				// in one branch cannot fall through into post-if code.
-				branch := &If{Cond: s.Cond, Then: &Block{}, Else: &Block{}, Pos: s.Pos}
-				ex.expand(s.Then.Stmts, h, &cont{stmts: rest, handlers: h, next: k}, branch.Then)
-				ex.expand(s.Else.Stmts, h, &cont{stmts: rest, handlers: h, next: k}, branch.Else)
-				out.Stmts = append(out.Stmts, branch)
+				branch := ex.newIf(s.Cond, s.Pos)
+				ex.expandArm(branch.Then, s.Then.Stmts, h, &cont{stmts: rest, handlers: h, next: k})
+				ex.expandArm(branch.Else, s.Else.Stmts, h, &cont{stmts: rest, handlers: h, next: k})
+				ex.stmts.Push(branch)
 				return
 			}
-			branch := &If{Cond: s.Cond, Then: &Block{}, Else: &Block{}, Pos: s.Pos}
-			ex.expand(s.Then.Stmts, h, nil, branch.Then)
-			ex.expand(s.Else.Stmts, h, nil, branch.Else)
-			out.Stmts = append(out.Stmts, branch)
+			branch := ex.newIf(s.Cond, s.Pos)
+			ex.expandArm(branch.Then, s.Then.Stmts, h, nil)
+			ex.expandArm(branch.Else, s.Else.Stmts, h, nil)
+			ex.stmts.Push(branch)
 			stmts = rest
 			continue
 
 		case *Return:
-			out.Stmts = append(out.Stmts, s)
+			ex.stmts.Push(s)
 			return
 		case *ThrowExit:
-			out.Stmts = append(out.Stmts, s)
+			ex.stmts.Push(s)
 			return
 
 		default:
-			out.Stmts = append(out.Stmts, s)
+			ex.stmts.Push(s)
 			stmts = rest
 			continue
 		}

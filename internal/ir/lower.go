@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/grapple-system/grapple/internal/lang"
 )
@@ -65,32 +66,88 @@ type lowerer struct {
 	opts Options
 
 	fun      *lang.FunDecl
-	varTypes map[string]string
+	varTypes map[string]string // reused: cleared per function
 	tempN    int
 	opaqueN  int32
+	// tempNames[i] is "$t<i+1>": temporaries restart at $t1 in every
+	// function, so each name is built once per Lower call.
+	tempNames []string
+
+	// ints is the slab of the IntAssigns lowering emits; they outlive
+	// expansion. ifs, blocks and lists hold the structured body lowering
+	// builds and expansion replaces, so they die with this Lower call.
+	ints   lang.Slab[IntAssign]
+	ifs    lang.Slab[If]
+	blocks lang.Slab[Block]
+	lists  lang.ListSlab[Stmt]
+	// open is the stack of blocks under construction. Lowering fills one
+	// block at a time: a nested block (a branch arm, a loop body, the inner
+	// test of a short-circuit condition) is opened, filled and closed
+	// before its parent gets another statement. So statements collect on
+	// lists' scratch stack and a block's list is cut when it closes.
+	open []pendingBlock
+}
+
+type pendingBlock struct {
+	b    *Block
+	mark int
 }
 
 func (lo *lowerer) lowerFun(f *lang.FunDecl) (*Func, error) {
 	lo.fun = f
 	lo.tempN = 0
-	lo.varTypes = map[string]string{}
+	if lo.varTypes == nil {
+		lo.varTypes = map[string]string{}
+	}
+	clear(lo.varTypes)
 	for k, v := range lo.info.VarTypes[f] {
 		lo.varTypes[k] = v
 	}
 	fn := &Func{Name: f.Name, Params: f.Params, RetType: f.RetType, Pos: f.Pos}
-	body := &Block{}
+	body := lo.openBlock()
 	if err := lo.lowerStmts(f.Body, body); err != nil {
 		return nil, err
 	}
+	lo.closeBlock(body)
 	fn.Body = body
 	return fn, nil
 }
 
 func (lo *lowerer) temp(typ string) string {
 	lo.tempN++
-	name := fmt.Sprintf("$t%d", lo.tempN)
+	for len(lo.tempNames) < lo.tempN {
+		var buf [24]byte
+		lo.tempNames = append(lo.tempNames, string(strconv.AppendInt(append(buf[:0], "$t"...), int64(len(lo.tempNames)+1), 10)))
+	}
+	name := lo.tempNames[lo.tempN-1]
 	lo.varTypes[name] = typ
 	return name
+}
+
+// openBlock starts a block that emit then fills until closeBlock.
+func (lo *lowerer) openBlock() *Block {
+	b := lo.blocks.New(Block{})
+	lo.open = append(lo.open, pendingBlock{b, lo.lists.Mark()})
+	return b
+}
+
+// closeBlock gives b, the innermost open block, the statements emitted
+// into it.
+func (lo *lowerer) closeBlock(b *Block) {
+	top := lo.open[len(lo.open)-1]
+	if top.b != b {
+		panic("ir: lowering closed a block that is not the innermost open one")
+	}
+	lo.open = lo.open[:len(lo.open)-1]
+	b.Stmts = lo.lists.Cut(top.mark)
+}
+
+// emit appends s to out, which must be the innermost open block.
+func (lo *lowerer) emit(out *Block, s Stmt) {
+	if lo.open[len(lo.open)-1].b != out {
+		panic("ir: lowering emitted into a block that is not the innermost open one")
+	}
+	lo.lists.Push(s)
 }
 
 func (lo *lowerer) freshOpaque() int32 {
@@ -147,7 +204,7 @@ func (lo *lowerer) lowerStmt(s lang.Stmt, out *Block) error {
 			if src == "" { // storing null clears the field; no object flow
 				return nil
 			}
-			out.Stmts = append(out.Stmts, &Store{Recv: lhs.Recv.Name, Field: lhs.Field, Src: src, Pos: s.Pos})
+			lo.emit(out, &Store{Recv: lhs.Recv.Name, Field: lhs.Field, Src: src, Pos: s.Pos})
 			return nil
 		}
 		return fmt.Errorf("%s: bad assignment target", s.Pos)
@@ -157,7 +214,7 @@ func (lo *lowerer) lowerStmt(s lang.Stmt, out *Block) error {
 			_, err := lo.lowerCall(x, "", out)
 			return err
 		case *lang.MethodCall:
-			out.Stmts = append(out.Stmts, &Event{Recv: x.Recv.Name, Method: x.Method, Pos: x.Pos})
+			lo.emit(out, &Event{Recv: x.Recv.Name, Method: x.Method, Pos: x.Pos})
 			return nil
 		}
 		return fmt.Errorf("%s: bad expression statement", s.Pos)
@@ -169,19 +226,22 @@ func (lo *lowerer) lowerStmt(s lang.Stmt, out *Block) error {
 		c.Spawn = true
 		return nil
 	case *lang.IfStmt:
-		thenB, elseB := &Block{}, &Block{}
+		thenB := lo.openBlock()
 		if err := lo.lowerStmts(s.Then, thenB); err != nil {
 			return err
 		}
+		lo.closeBlock(thenB)
+		elseB := lo.openBlock()
 		if err := lo.lowerStmts(s.Else, elseB); err != nil {
 			return err
 		}
+		lo.closeBlock(elseB)
 		return lo.lowerCondBranch(s.Cond, thenB, elseB, s.Pos, out)
 	case *lang.WhileStmt:
 		return lo.lowerWhile(s, lo.opts.UnrollDepth, out)
 	case *lang.ReturnStmt:
 		if s.X == nil {
-			out.Stmts = append(out.Stmts, &Return{Pos: s.Pos})
+			lo.emit(out, &Return{Pos: s.Pos})
 			return nil
 		}
 		if lang.IsObjectType(lo.fun.RetType) {
@@ -189,14 +249,14 @@ func (lo *lowerer) lowerStmt(s lang.Stmt, out *Block) error {
 			if err != nil {
 				return err
 			}
-			out.Stmts = append(out.Stmts, &Return{Src: VarOp(src), SrcIsObject: true, Pos: s.Pos})
+			lo.emit(out, &Return{Src: VarOp(src), SrcIsObject: true, Pos: s.Pos})
 			return nil
 		}
 		op, err := lo.lowerIntExpr(s.X, out)
 		if err != nil {
 			return err
 		}
-		out.Stmts = append(out.Stmts, &Return{Src: op, Pos: s.Pos})
+		lo.emit(out, &Return{Src: op, Pos: s.Pos})
 		return nil
 	case *lang.ThrowStmt:
 		src, err := lo.lowerObjExpr(s.X, out)
@@ -206,17 +266,20 @@ func (lo *lowerer) lowerStmt(s lang.Stmt, out *Block) error {
 		if src == "" {
 			return fmt.Errorf("%s: cannot throw null", s.Pos)
 		}
-		out.Stmts = append(out.Stmts, &Raise{Src: src, Type: lo.typeOf(src), Pos: s.Pos})
+		lo.emit(out, &Raise{Src: src, Type: lo.typeOf(src), Pos: s.Pos})
 		return nil
 	case *lang.TryStmt:
-		body, catch := &Block{}, &Block{}
+		body := lo.openBlock()
 		if err := lo.lowerStmts(s.Try, body); err != nil {
 			return err
 		}
+		lo.closeBlock(body)
+		catch := lo.openBlock()
 		if err := lo.lowerStmts(s.Catch, catch); err != nil {
 			return err
 		}
-		out.Stmts = append(out.Stmts, &TryRegion{
+		lo.closeBlock(catch)
+		lo.emit(out, &TryRegion{
 			Body: body, CatchVar: s.CatchVar, CatchType: s.CatchType,
 			Catch: catch, Pos: s.Pos,
 		})
@@ -231,14 +294,15 @@ func (lo *lowerer) lowerWhile(w *lang.WhileStmt, depth int, out *Block) error {
 	if depth == 0 {
 		return nil
 	}
-	inner := &Block{}
+	inner := lo.openBlock()
 	if err := lo.lowerStmts(w.Body, inner); err != nil {
 		return err
 	}
 	if err := lo.lowerWhile(w, depth-1, inner); err != nil {
 		return err
 	}
-	return lo.lowerCondBranch(w.Cond, inner, &Block{}, w.Pos, out)
+	lo.closeBlock(inner)
+	return lo.lowerCondBranch(w.Cond, inner, lo.blocks.New(Block{}), w.Pos, out)
 }
 
 // lowerAssignTo lowers "dst: typ = rhs".
@@ -247,10 +311,10 @@ func (lo *lowerer) lowerAssignTo(dst, typ string, rhs lang.Expr, pos lang.Pos, o
 	case lang.IsObjectType(typ):
 		switch e := rhs.(type) {
 		case *lang.NewExpr:
-			out.Stmts = append(out.Stmts, &NewObj{Dst: dst, Type: e.Type, Site: lo.allocSite(e.Type, e.Pos), Pos: e.Pos})
+			lo.emit(out, &NewObj{Dst: dst, Type: e.Type, Site: lo.allocSite(e.Type, e.Pos), Pos: e.Pos})
 			return nil
 		case *lang.FieldAccess:
-			out.Stmts = append(out.Stmts, &Load{Dst: dst, Recv: e.Recv.Name, Field: e.Field, Pos: e.Pos})
+			lo.emit(out, &Load{Dst: dst, Recv: e.Recv.Name, Field: e.Field, Pos: e.Pos})
 			return nil
 		case *lang.CallExpr:
 			_, err := lo.lowerCall(e, dst, out)
@@ -260,7 +324,7 @@ func (lo *lowerer) lowerAssignTo(dst, typ string, rhs lang.Expr, pos lang.Pos, o
 		if err != nil {
 			return err
 		}
-		out.Stmts = append(out.Stmts, &ObjAssign{Dst: dst, Src: src, Pos: pos})
+		lo.emit(out, &ObjAssign{Dst: dst, Src: src, Pos: pos})
 		return nil
 	case typ == "bool":
 		return lo.lowerBoolAssign(dst, rhs, pos, out)
@@ -279,11 +343,11 @@ func (lo *lowerer) lowerObjExpr(e lang.Expr, out *Block) (string, error) {
 		return e.Name, nil
 	case *lang.NewExpr:
 		t := lo.temp(e.Type)
-		out.Stmts = append(out.Stmts, &NewObj{Dst: t, Type: e.Type, Site: lo.allocSite(e.Type, e.Pos), Pos: e.Pos})
+		lo.emit(out, &NewObj{Dst: t, Type: e.Type, Site: lo.allocSite(e.Type, e.Pos), Pos: e.Pos})
 		return t, nil
 	case *lang.FieldAccess:
 		t := lo.temp("Object")
-		out.Stmts = append(out.Stmts, &Load{Dst: t, Recv: e.Recv.Name, Field: e.Field, Pos: e.Pos})
+		lo.emit(out, &Load{Dst: t, Recv: e.Recv.Name, Field: e.Field, Pos: e.Pos})
 		return t, nil
 	case *lang.CallExpr:
 		f := lo.info.Prog.Fun(e.Name)
@@ -300,19 +364,19 @@ func (lo *lowerer) lowerObjExpr(e lang.Expr, out *Block) (string, error) {
 func (lo *lowerer) lowerIntExprInto(dst string, e lang.Expr, out *Block) error {
 	switch e := e.(type) {
 	case *lang.IntLit:
-		out.Stmts = append(out.Stmts, &IntAssign{Dst: dst, Op: Mov, A: ConstOp(e.Value), Pos: e.Pos})
+		lo.emit(out, lo.ints.New(IntAssign{Dst: dst, Op: Mov, A: ConstOp(e.Value), Pos: e.Pos}))
 		return nil
 	case *lang.Ident:
-		out.Stmts = append(out.Stmts, &IntAssign{Dst: dst, Op: Mov, A: VarOp(e.Name), Pos: e.Pos})
+		lo.emit(out, lo.ints.New(IntAssign{Dst: dst, Op: Mov, A: VarOp(e.Name), Pos: e.Pos}))
 		return nil
 	case *lang.InputExpr:
-		out.Stmts = append(out.Stmts, &IntAssign{Dst: dst, Op: Opaque, Pos: e.Pos})
+		lo.emit(out, lo.ints.New(IntAssign{Dst: dst, Op: Opaque, Pos: e.Pos}))
 		return nil
 	case *lang.CallExpr:
 		_, err := lo.lowerCall(e, dst, out)
 		return err
 	case *lang.MethodCall:
-		out.Stmts = append(out.Stmts, &Event{Recv: e.Recv.Name, Method: e.Method, Dst: dst, Pos: e.Pos})
+		lo.emit(out, &Event{Recv: e.Recv.Name, Method: e.Method, Dst: dst, Pos: e.Pos})
 		return nil
 	case *lang.Binary:
 		a, err := lo.lowerIntExpr(e.L, out)
@@ -334,14 +398,14 @@ func (lo *lowerer) lowerIntExprInto(dst string, e lang.Expr, out *Block) error {
 		default:
 			return fmt.Errorf("%s: %s is not an int operator", e.Pos, e.Op)
 		}
-		out.Stmts = append(out.Stmts, &IntAssign{Dst: dst, Op: op, A: a, B: b, Pos: e.Pos})
+		lo.emit(out, lo.ints.New(IntAssign{Dst: dst, Op: op, A: a, B: b, Pos: e.Pos}))
 		return nil
 	case *lang.Unary:
 		a, err := lo.lowerIntExpr(e.X, out)
 		if err != nil {
 			return err
 		}
-		out.Stmts = append(out.Stmts, &IntAssign{Dst: dst, Op: Neg, A: a, Pos: e.Pos})
+		lo.emit(out, lo.ints.New(IntAssign{Dst: dst, Op: Neg, A: a, Pos: e.Pos}))
 		return nil
 	}
 	return fmt.Errorf("cannot lower %T as int", e)
@@ -368,12 +432,16 @@ func (lo *lowerer) lowerBoolAssign(dst string, e lang.Expr, pos lang.Pos, out *B
 	if c, simple, err := lo.simpleCond(e, out); err != nil {
 		return err
 	} else if simple {
-		out.Stmts = append(out.Stmts, &BoolAssign{Dst: dst, Cond: c, Pos: pos})
+		lo.emit(out, &BoolAssign{Dst: dst, Cond: c, Pos: pos})
 		return nil
 	}
 	// Complex boolean (&&, ||): dst = cond ? true : false.
-	thenB := &Block{Stmts: []Stmt{&BoolAssign{Dst: dst, Cond: trueCond(), Pos: pos}}}
-	elseB := &Block{Stmts: []Stmt{&BoolAssign{Dst: dst, Cond: falseCond(), Pos: pos}}}
+	thenB := lo.openBlock()
+	lo.emit(thenB, &BoolAssign{Dst: dst, Cond: trueCond(), Pos: pos})
+	lo.closeBlock(thenB)
+	elseB := lo.openBlock()
+	lo.emit(elseB, &BoolAssign{Dst: dst, Cond: falseCond(), Pos: pos})
+	lo.closeBlock(elseB)
 	return lo.lowerCondBranch(e, thenB, elseB, pos, out)
 }
 
@@ -471,17 +539,19 @@ func (lo *lowerer) lowerCondBranch(cond lang.Expr, thenB, elseB *Block, pos lang
 		switch e.Op {
 		case lang.OpAnd:
 			// if (a && b) T else E  =>  if a { if b T else E } else E'
-			inner := &Block{}
+			inner := lo.openBlock()
 			if err := lo.lowerCondBranch(e.R, thenB, elseB, pos, inner); err != nil {
 				return err
 			}
+			lo.closeBlock(inner)
 			return lo.lowerCondBranch(e.L, inner, cloneBlock(elseB), pos, out)
 		case lang.OpOr:
 			// if (a || b) T else E  =>  if a T else { if b T' else E }
-			inner := &Block{}
+			inner := lo.openBlock()
 			if err := lo.lowerCondBranch(e.R, cloneBlock(thenB), elseB, pos, inner); err != nil {
 				return err
 			}
+			lo.closeBlock(inner)
 			return lo.lowerCondBranch(e.L, thenB, inner, pos, out)
 		}
 	case *lang.Unary:
@@ -496,7 +566,7 @@ func (lo *lowerer) lowerCondBranch(cond lang.Expr, thenB, elseB *Block, pos lang
 	if !simple {
 		return fmt.Errorf("%s: unsupported condition form", pos)
 	}
-	out.Stmts = append(out.Stmts, &If{Cond: c, Then: thenB, Else: elseB, Pos: pos})
+	lo.emit(out, lo.ifs.New(If{Cond: c, Then: thenB, Else: elseB, Pos: pos}))
 	return nil
 }
 
@@ -591,7 +661,7 @@ func (lo *lowerer) lowerCall(e *lang.CallExpr, dst string, out *Block) (*Call, e
 			// unknown value; path constraints inside the callee treat the
 			// formal as a free variable, which over-approximates feasibility.
 			t := lo.temp("int")
-			out.Stmts = append(out.Stmts, &IntAssign{Dst: t, Op: Opaque, Pos: lang.PosOf(a)})
+			lo.emit(out, lo.ints.New(IntAssign{Dst: t, Op: Opaque, Pos: lang.PosOf(a)}))
 			c.IntArgs = append(c.IntArgs, IntArg{Arg: VarOp(t), Formal: formal.Name})
 			continue
 		}
@@ -601,6 +671,6 @@ func (lo *lowerer) lowerCall(e *lang.CallExpr, dst string, out *Block) (*Call, e
 		}
 		c.IntArgs = append(c.IntArgs, IntArg{Arg: op, Formal: formal.Name})
 	}
-	out.Stmts = append(out.Stmts, c)
+	lo.emit(out, c)
 	return c, nil
 }

@@ -98,10 +98,7 @@ func (l *Lexer) Next() (Token, error) {
 			l.advance()
 		}
 		text := l.src[start:l.off]
-		if k, ok := keywords[text]; ok {
-			return Token{Kind: k, Text: text, Pos: pos}, nil
-		}
-		return Token{Kind: IDENT, Text: text, Pos: pos}, nil
+		return Token{Kind: keyword(text), Text: text, Pos: pos}, nil
 	case c >= '0' && c <= '9':
 		start := l.off
 		for l.off < len(l.src) && l.peek() >= '0' && l.peek() <= '9' {

@@ -21,6 +21,29 @@ type Parser struct {
 	// a synthetic EOF, so the grammar winds down without pulling further, and
 	// parse reports lexErr in place of whatever that EOF made the grammar say.
 	lexErr error
+	nodes  nodeSlabs
+}
+
+// nodeSlabs allocates the AST of one Parse call: the node kinds a program
+// is mostly made of come from typed slabs, and block statement and
+// argument lists are cut to their exact length from shared chunks. The rare
+// kinds (declarations, try, throw, spawn, literals other than ints) are
+// allocated one by one.
+type nodeSlabs struct {
+	idents  Slab[Ident]
+	ints    Slab[IntLit]
+	binarys Slab[Binary]
+	unarys  Slab[Unary]
+	calls   Slab[CallExpr]
+	methods Slab[MethodCall]
+	fields  Slab[FieldAccess]
+	assigns Slab[AssignStmt]
+	decls   Slab[VarDecl]
+	exprs   Slab[ExprStmt]
+	ifs     Slab[IfStmt]
+	returns Slab[ReturnStmt]
+	stmts   ListSlab[Stmt]
+	args    ListSlab[Expr]
 }
 
 // Parse parses a MiniLang compilation unit. Errors come in source order: a
@@ -156,7 +179,7 @@ func (p *Parser) parseBlock() ([]Stmt, error) {
 	if _, err := p.expect(LBrace); err != nil {
 		return nil, err
 	}
-	var stmts []Stmt
+	mark := p.nodes.stmts.Mark()
 	for p.cur().Kind != RBrace {
 		if p.cur().Kind == EOF {
 			return nil, fmt.Errorf("%s: unexpected end of file in block", p.cur().Pos)
@@ -165,10 +188,10 @@ func (p *Parser) parseBlock() ([]Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		stmts = append(stmts, s)
+		p.nodes.stmts.Push(s)
 	}
 	p.next() // RBrace
-	return stmts, nil
+	return p.nodes.stmts.Cut(mark), nil
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
@@ -197,7 +220,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(Semi); err != nil {
 			return nil, err
 		}
-		return &VarDecl{Name: name.Text, Type: typ.Text, Init: init, Pos: t.Pos}, nil
+		return p.nodes.decls.New(VarDecl{Name: name.Text, Type: typ.Text, Init: init, Pos: t.Pos}), nil
 
 	case KwIf:
 		p.next()
@@ -222,7 +245,9 @@ func (p *Parser) parseStmt() (Stmt, error) {
 				if err != nil {
 					return nil, err
 				}
-				els = []Stmt{s}
+				mark := p.nodes.stmts.Mark()
+				p.nodes.stmts.Push(s)
+				els = p.nodes.stmts.Cut(mark)
 			} else {
 				els, err = p.parseBlock()
 				if err != nil {
@@ -230,7 +255,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 				}
 			}
 		}
-		return &IfStmt{Cond: cond, Then: then, Else: els, Pos: t.Pos}, nil
+		return p.nodes.ifs.New(IfStmt{Cond: cond, Then: then, Else: els, Pos: t.Pos}), nil
 
 	case KwWhile:
 		p.next()
@@ -263,7 +288,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(Semi); err != nil {
 			return nil, err
 		}
-		return &ReturnStmt{X: x, Pos: t.Pos}, nil
+		return p.nodes.returns.New(ReturnStmt{X: x, Pos: t.Pos}), nil
 
 	case KwThrow:
 		p.next()
@@ -343,7 +368,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 			if _, err := p.expect(Semi); err != nil {
 				return nil, err
 			}
-			return &AssignStmt{LHS: x, RHS: rhs, Pos: t.Pos}, nil
+			return p.nodes.assigns.New(AssignStmt{LHS: x, RHS: rhs, Pos: t.Pos}), nil
 		}
 		switch x.(type) {
 		case *CallExpr, *MethodCall:
@@ -353,7 +378,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(Semi); err != nil {
 			return nil, err
 		}
-		return &ExprStmt{X: x, Pos: t.Pos}, nil
+		return p.nodes.exprs.New(ExprStmt{X: x, Pos: t.Pos}), nil
 	}
 	return nil, fmt.Errorf("%s: unexpected token %s %q at start of statement", t.Pos, t.Kind, t.Text)
 }
@@ -374,7 +399,7 @@ func (p *Parser) parseOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &Binary{Op: OpOr, L: l, R: r, Pos: pos}
+		l = p.nodes.binarys.New(Binary{Op: OpOr, L: l, R: r, Pos: pos})
 	}
 	return l, nil
 }
@@ -390,13 +415,29 @@ func (p *Parser) parseAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &Binary{Op: OpAnd, L: l, R: r, Pos: pos}
+		l = p.nodes.binarys.New(Binary{Op: OpAnd, L: l, R: r, Pos: pos})
 	}
 	return l, nil
 }
 
-var cmpOps = map[Kind]BinOp{
-	EqEq: OpEq, NotEq: OpNe, Lt: OpLt, LtEq: OpLe, Gt: OpGt, GtEq: OpGe,
+// cmpOp maps a comparison token to its operator; ok is false for any other
+// token.
+func cmpOp(k Kind) (op BinOp, ok bool) {
+	switch k {
+	case EqEq:
+		return OpEq, true
+	case NotEq:
+		return OpNe, true
+	case Lt:
+		return OpLt, true
+	case LtEq:
+		return OpLe, true
+	case Gt:
+		return OpGt, true
+	case GtEq:
+		return OpGe, true
+	}
+	return 0, false
 }
 
 func (p *Parser) parseCmp() (Expr, error) {
@@ -404,13 +445,13 @@ func (p *Parser) parseCmp() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if op, ok := cmpOps[p.cur().Kind]; ok {
+	if op, ok := cmpOp(p.cur().Kind); ok {
 		pos := p.next().Pos
 		r, err := p.parseAdd()
 		if err != nil {
 			return nil, err
 		}
-		return &Binary{Op: op, L: l, R: r, Pos: pos}, nil
+		return p.nodes.binarys.New(Binary{Op: op, L: l, R: r, Pos: pos}), nil
 	}
 	return l, nil
 }
@@ -430,7 +471,7 @@ func (p *Parser) parseAdd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &Binary{Op: op, L: l, R: r, Pos: pos}
+		l = p.nodes.binarys.New(Binary{Op: op, L: l, R: r, Pos: pos})
 	}
 	return l, nil
 }
@@ -446,7 +487,7 @@ func (p *Parser) parseMul() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &Binary{Op: OpMul, L: l, R: r, Pos: pos}
+		l = p.nodes.binarys.New(Binary{Op: OpMul, L: l, R: r, Pos: pos})
 	}
 	return l, nil
 }
@@ -459,14 +500,14 @@ func (p *Parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Op: '!', X: x, Pos: pos}, nil
+		return p.nodes.unarys.New(Unary{Op: '!', X: x, Pos: pos}), nil
 	case Minus:
 		pos := p.next().Pos
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Op: '-', X: x, Pos: pos}, nil
+		return p.nodes.unarys.New(Unary{Op: '-', X: x, Pos: pos}), nil
 	}
 	return p.parsePrimary()
 }
@@ -480,7 +521,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: bad integer literal %q", t.Pos, t.Text)
 		}
-		return &IntLit{Value: v, Pos: t.Pos}, nil
+		return p.nodes.ints.New(IntLit{Value: v, Pos: t.Pos}), nil
 	case KwTrue:
 		p.next()
 		return &BoolLit{Value: true, Pos: t.Pos}, nil
@@ -529,24 +570,24 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			recv := &Ident{Name: t.Text, Pos: t.Pos}
+			recv := p.nodes.idents.New(Ident{Name: t.Text, Pos: t.Pos})
 			if p.cur().Kind == LParen {
 				args, err := p.parseArgs()
 				if err != nil {
 					return nil, err
 				}
-				return &MethodCall{Recv: recv, Method: member.Text, Args: args, Pos: t.Pos}, nil
+				return p.nodes.methods.New(MethodCall{Recv: recv, Method: member.Text, Args: args, Pos: t.Pos}), nil
 			}
-			return &FieldAccess{Recv: recv, Field: member.Text, Pos: t.Pos}, nil
+			return p.nodes.fields.New(FieldAccess{Recv: recv, Field: member.Text, Pos: t.Pos}), nil
 		}
 		if p.cur().Kind == LParen {
 			args, err := p.parseArgs()
 			if err != nil {
 				return nil, err
 			}
-			return &CallExpr{Name: t.Text, Args: args, Pos: t.Pos}, nil
+			return p.nodes.calls.New(CallExpr{Name: t.Text, Args: args, Pos: t.Pos}), nil
 		}
-		return &Ident{Name: t.Text, Pos: t.Pos}, nil
+		return p.nodes.idents.New(Ident{Name: t.Text, Pos: t.Pos}), nil
 	}
 	return nil, fmt.Errorf("%s: unexpected token %s %q in expression", t.Pos, t.Kind, t.Text)
 }
@@ -555,9 +596,9 @@ func (p *Parser) parseArgs() ([]Expr, error) {
 	if _, err := p.expect(LParen); err != nil {
 		return nil, err
 	}
-	var args []Expr
+	mark := p.nodes.args.Mark()
 	for p.cur().Kind != RParen {
-		if len(args) > 0 {
+		if p.nodes.args.Mark() > mark {
 			if _, err := p.expect(Comma); err != nil {
 				return nil, err
 			}
@@ -566,8 +607,8 @@ func (p *Parser) parseArgs() ([]Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, a)
+		p.nodes.args.Push(a)
 	}
 	p.next() // RParen
-	return args, nil
+	return p.nodes.args.Cut(mark), nil
 }

@@ -121,7 +121,8 @@ func TestParseAllocBudget(t *testing.T) {
 	}
 	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(src))
 	t.Logf("%d functions, %d source bytes: %.1f B allocated per source byte", len(prog.Funs), len(src), perByte)
-	if perByte > 12 {
-		t.Errorf("Parse allocates %.1f B per source byte, budget 12", perByte)
+	const budget = 10.8 // 9.4 measured, + 15 % (9.8 before the parse's slabs)
+	if perByte > budget {
+		t.Errorf("Parse allocates %.1f B per source byte, budget %.1f", perByte, budget)
 	}
 }

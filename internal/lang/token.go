@@ -57,7 +57,7 @@ const (
 	GtEq
 )
 
-var kindNames = map[Kind]string{
+var kindNames = [...]string{
 	EOF: "eof", IDENT: "identifier", INT: "int literal",
 	KwFun: "fun", KwVar: "var", KwIf: "if", KwElse: "else", KwWhile: "while",
 	KwReturn: "return", KwNew: "new", KwNull: "null", KwTrue: "true",
@@ -70,17 +70,51 @@ var kindNames = map[Kind]string{
 }
 
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", k)
 }
 
-var keywords = map[string]Kind{
-	"fun": KwFun, "var": KwVar, "if": KwIf, "else": KwElse, "while": KwWhile,
-	"return": KwReturn, "new": KwNew, "null": KwNull, "true": KwTrue,
-	"false": KwFalse, "try": KwTry, "catch": KwCatch, "throw": KwThrow,
-	"type": KwType, "input": KwInput, "spawn": KwSpawn,
+// keyword returns the keyword kind an identifier-shaped word spells, or
+// IDENT. It runs for every identifier the lexer scans, so it is a switch
+// (compiled to compares on length and bytes), not a map probe.
+func keyword(word string) Kind {
+	switch word {
+	case "fun":
+		return KwFun
+	case "var":
+		return KwVar
+	case "if":
+		return KwIf
+	case "else":
+		return KwElse
+	case "while":
+		return KwWhile
+	case "return":
+		return KwReturn
+	case "new":
+		return KwNew
+	case "null":
+		return KwNull
+	case "true":
+		return KwTrue
+	case "false":
+		return KwFalse
+	case "try":
+		return KwTry
+	case "catch":
+		return KwCatch
+	case "throw":
+		return KwThrow
+	case "type":
+		return KwType
+	case "input":
+		return KwInput
+	case "spawn":
+		return KwSpawn
+	}
+	return IDENT
 }
 
 // Pos is a source position (1-based line and column).

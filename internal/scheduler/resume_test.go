@@ -120,6 +120,33 @@ func TestBatchResumeRejectsStaleLog(t *testing.T) {
 	}
 }
 
+// TestBatchResumeRejectsEditedFSMBody: a batch log belongs to the FSM
+// definitions its instances ran under. Resumed with the io FSM edited under
+// the same name — it now accepts only Init — it is refused with
+// storage.ErrStale, not answered with the old reports.
+func TestBatchResumeRejectsEditedFSMBody(t *testing.T) {
+	subjects := miniSubjects(t)
+	dir := t.TempDir()
+	if _, err := Run(context.Background(), Expand(subjects, GroupPerFSM(fsm.Builtins()), checker.Options{}), Options{
+		Workers: 2, WorkDir: dir, Journal: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	edited := fsm.Builtins()
+	if err := edited[0].SetAccept("Init"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), Expand(subjects, GroupPerFSM(edited), checker.Options{}), Options{
+		Workers: 2, WorkDir: dir, Resume: true,
+	})
+	if !errors.Is(err, storage.ErrStale) {
+		t.Fatalf("resume with an edited FSM body: %v", err)
+	}
+	if res != nil {
+		t.Fatalf("a refused resume returned %d instances (%d restored)", len(res.Instances), countResumed(res))
+	}
+}
+
 // TestBatchResumeCompletedRun resumes a fully finished batch: every instance
 // is restored from the log, nothing reruns, and the stream is identical.
 func TestBatchResumeCompletedRun(t *testing.T) {

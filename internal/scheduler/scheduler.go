@@ -418,17 +418,18 @@ func openBatchLog(dir string, tag uint64, resume bool, faults *faultpoint.Set) (
 }
 
 // batchTag fingerprints an instance set: each instance's key, a hash of its
-// source and its FSM names, in key order. A batch log written for another
-// set — an edited subject, a dropped property group — carries another tag.
+// source and each of its FSMs' definitions (fsm.Fingerprint), in key order.
+// A batch log written for another set — an edited subject, a dropped
+// property group, an FSM edited under the same name — carries another tag.
 func batchTag(instances []Instance) uint64 {
 	lines := make([]string, len(instances))
 	for i := range instances {
 		in := &instances[i]
-		names := make([]string, len(in.FSMs))
+		fps := make([]uint64, len(in.FSMs))
 		for j, f := range in.FSMs {
-			names[j] = f.Name
+			fps[j] = f.Fingerprint()
 		}
-		lines[i] = fmt.Sprintf("%q %q %q\n", in.Key(), sourceKey(in.Source), names)
+		lines[i] = fmt.Sprintf("%q %q %x\n", in.Key(), sourceKey(in.Source), fps)
 	}
 	slices.Sort(lines)
 	h := fnv.New64a()

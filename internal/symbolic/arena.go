@@ -5,8 +5,10 @@ package symbolic
 // that a warm owner allocates nothing. A chunk that fills up is left to the
 // lists already cut from it and a larger one started; Reset rewinds the
 // arena and sizes the chunk for everything handed out since the last Reset,
-// after which every list cut before is dead. A nil *Arena allocates each list
-// on the heap. Not safe for concurrent use.
+// after which every list cut before is dead. An owner that never calls
+// Reset — one cfet.Build, whose expressions live as long as the tree — gets
+// a slab: its lists stay valid as long as any of them is reachable. A nil
+// *Arena allocates each list on the heap. Not safe for concurrent use.
 type Arena struct {
 	chunk   []Term
 	retired int // capacity of the chunks filled since the last Reset
@@ -45,11 +47,35 @@ func (a *Arena) Alloc(n int) []Term {
 	}
 	if n > cap(a.chunk)-len(a.chunk) {
 		a.retired += cap(a.chunk)
-		a.chunk = make([]Term, 0, max(n, 2*cap(a.chunk), arenaMinTerms))
+		a.chunk = make([]Term, 0, max(n, min(2*cap(a.chunk), arenaMaxTerms), arenaMinTerms))
 	}
 	lo := len(a.chunk)
 	a.chunk = a.chunk[:lo+n]
 	return a.chunk[lo : lo+n : lo+n]
+}
+
+// Var returns the expression 1*s with its term cut from the arena.
+func (a *Arena) Var(s Sym) Expr {
+	t := a.Alloc(1)
+	t[0] = Term{Sym: s, Coeff: 1}
+	return Expr{Terms: t}
+}
+
+// Combine returns kx*x + ky*y with its terms cut from the arena. Exprs are
+// values whose terms are never written after construction, so a sum in
+// which one side has no terms and the other a unit coefficient shares that
+// side's terms instead.
+func (a *Arena) Combine(x Expr, kx int64, y Expr, ky int64) Expr {
+	c := kx*x.Const + ky*y.Const
+	switch {
+	case len(x.Terms) == 0 && len(y.Terms) == 0:
+		return Expr{Const: c}
+	case len(y.Terms) == 0 && kx == 1:
+		return Expr{Terms: x.Terms, Const: c}
+	case len(x.Terms) == 0 && ky == 1:
+		return Expr{Terms: y.Terms, Const: c}
+	}
+	return Expr{Terms: a.AddScaled(x.Terms, kx, y.Terms, ky), Const: c}
 }
 
 // AddScaled returns the terms of kx*x + ky*y: one merge of two lists that are

@@ -9,7 +9,8 @@ import (
 
 // TestAddScaledMatchesExpr holds the arena's one merge to the expression
 // algebra it replaces on the solver's and the decoder's paths:
-// kx*x + ky*y built with Scale and Add.
+// kx*x + ky*y built with the reference Scale and Add (expr_ref_test.go),
+// Combine included.
 func TestAddScaledMatchesExpr(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	syms := []Sym{0, 1, 2, 5, 9, 1 << 29}
@@ -17,11 +18,14 @@ func TestAddScaledMatchesExpr(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		x, y := randExpr(rng, syms), randExpr(rng, syms)
 		kx, ky := int64(rng.Intn(9)-4), int64(rng.Intn(9)-4)
-		want := x.Scale(kx).Add(y.Scale(ky))
+		want := addRef(scaleRef(x, kx), scaleRef(y, ky))
 		for _, ar := range []*Arena{&a, nil} {
 			got := Expr{Terms: ar.AddScaled(x.Terms, kx, y.Terms, ky), Const: want.Const}
 			if !got.Equal(want) {
 				t.Fatalf("%d*(%s) + %d*(%s) = %s, want %s", kx, x.String(nil), ky, y.String(nil), got.String(nil), want.String(nil))
+			}
+			if got := ar.Combine(x, kx, y, ky); !got.Equal(want) {
+				t.Fatalf("Combine: %d*(%s) + %d*(%s) = %s, want %s", kx, x.String(nil), ky, y.String(nil), got.String(nil), want.String(nil))
 			}
 		}
 		if i%7 == 0 {

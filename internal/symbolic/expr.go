@@ -11,8 +11,9 @@
 package symbolic
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -50,9 +51,35 @@ func (t *Table) Intern(name string) Sym {
 
 // Fresh creates a new symbol that is guaranteed not to collide with any
 // interned name. The prefix appears in diagnostics.
-func (t *Table) Fresh(prefix string) Sym {
-	name := fmt.Sprintf("%s$%d", prefix, len(t.names))
-	return t.Intern(name)
+func (t *Table) Fresh(prefix string) Sym { return t.FreshIn("", prefix) }
+
+// FreshIn is Fresh with the prefix scope + "." + prefix (just prefix for an
+// empty scope), built without an intermediate string.
+func (t *Table) FreshIn(scope, prefix string) Sym {
+	var arr [64]byte
+	b := append(scoped(arr[:0], scope, prefix), '$')
+	return t.internBytes(strconv.AppendInt(b, int64(len(t.names)), 10))
+}
+
+// InternIn is Intern(scope + "." + name), allocating the joined name only
+// when it is new to the table.
+func (t *Table) InternIn(scope, name string) Sym {
+	var arr [64]byte
+	return t.internBytes(scoped(arr[:0], scope, name))
+}
+
+func scoped(b []byte, scope, name string) []byte {
+	if scope != "" {
+		b = append(append(b, scope...), '.')
+	}
+	return append(b, name...)
+}
+
+func (t *Table) internBytes(name []byte) Sym {
+	if s, ok := t.index[string(name)]; ok {
+		return s
+	}
+	return t.Intern(string(name))
 }
 
 // Name returns the name of s, or "?" if s is out of range.
@@ -102,8 +129,12 @@ func (e Expr) Equal(o Expr) bool {
 	return true
 }
 
+// normalize puts terms in canonical form in place: sorted by symbol, terms
+// on one symbol merged, zero coefficients dropped. The sort allocates
+// nothing, and it need not be stable: terms on one symbol are summed, so
+// their order cannot show.
 func normalize(terms []Term, c int64) Expr {
-	sort.Slice(terms, func(i, j int) bool { return terms[i].Sym < terms[j].Sym })
+	slices.SortFunc(terms, func(a, b Term) int { return cmp.Compare(a.Sym, b.Sym) })
 	out := terms[:0]
 	for _, t := range terms {
 		if n := len(out); n > 0 && out[n-1].Sym == t.Sym {
@@ -124,28 +155,23 @@ func normalize(terms []Term, c int64) Expr {
 	return Expr{Terms: kept, Const: c}
 }
 
-// Add returns e + o.
-func (e Expr) Add(o Expr) Expr {
-	terms := make([]Term, 0, len(e.Terms)+len(o.Terms))
-	terms = append(terms, e.Terms...)
-	terms = append(terms, o.Terms...)
-	return normalize(terms, e.Const+o.Const)
-}
+// Add returns e + o. Both must be in canonical form, as every Expr this
+// package builds is: their terms are merged, not sorted again.
+func (e Expr) Add(o Expr) Expr { return onHeap.Combine(e, 1, o, 1) }
 
 // Sub returns e - o.
-func (e Expr) Sub(o Expr) Expr { return e.Add(o.Scale(-1)) }
+func (e Expr) Sub(o Expr) Expr { return onHeap.Combine(e, 1, o, -1) }
 
 // Scale returns k*e.
 func (e Expr) Scale(k int64) Expr {
 	if k == 0 {
 		return Expr{}
 	}
-	terms := make([]Term, len(e.Terms))
-	for i, t := range e.Terms {
-		terms[i] = Term{Sym: t.Sym, Coeff: t.Coeff * k}
-	}
-	return Expr{Terms: terms, Const: e.Const * k}
+	return onHeap.Combine(e, k, Expr{}, 0)
 }
+
+// onHeap is the nil arena: it puts every list it is asked for on the heap.
+var onHeap *Arena
 
 // Neg returns -e.
 func (e Expr) Neg() Expr { return e.Scale(-1) }

@@ -34,6 +34,14 @@ func TestFreshDistinct(t *testing.T) {
 		}
 		seen[s] = true
 	}
+	// The scoped forms name what concatenating the scope would name.
+	if s := tab.FreshIn("main", "ev_read"); tab.Name(s) != "main.ev_read$100" {
+		t.Fatalf("FreshIn named %q", tab.Name(s))
+	}
+	x := tab.InternIn("main", "x")
+	if tab.Name(x) != "main.x" || tab.Intern("main.x") != x || tab.InternIn("main", "x") != x {
+		t.Fatalf("InternIn named %q (sym %d)", tab.Name(x), x)
+	}
 }
 
 func TestArithmetic(t *testing.T) {
