@@ -51,8 +51,8 @@ type SchedulerStats = metrics.SchedSnapshot
 // journals), and Resume reruns only the instances a previous journaled
 // batch did not finish, merging restored and fresh results into a
 // byte-identical report stream. Resume refuses a log written for another
-// instance set — an edited subject, a different property set or grouping —
-// rather than replay reports of other sources.
+// instance set — an edited subject or FSM, a different property set or
+// grouping, other report-affecting Options — rather than replay its reports.
 type BatchOptions struct {
 	Options
 	// BatchWorkers bounds how many checking instances run concurrently

@@ -139,3 +139,93 @@ fsm io for FileWriter {
 		t.Fatalf("resume with an edited FSM body: code=%d err=%v stdout=%q", code, err, out2.String())
 	}
 }
+
+// TestRunResumeSameShapeEditExits2: a run journal belongs to the source it
+// was written for. Flipping one comparison keeps the graph's shape, yet
+// resuming over the edit is refused rather than answered with the old
+// closure's reports.
+func TestRunResumeSameShapeEditExits2(t *testing.T) {
+	dir := t.TempDir()
+	src := `
+type FileWriter;
+fun main() {
+  var w: FileWriter = new FileWriter();
+  var n: int = input();
+  if (n > 0) {
+    w.close();
+  }
+  return;
+}
+`
+	prog := writeFile(t, dir, "p.ml", src)
+	work := t.TempDir()
+	var out1, err1 bytes.Buffer
+	if code, err := run([]string{"-journal", "-workdir", work, prog}, &out1, &err1); err != nil || code != 1 {
+		t.Fatalf("journaled run: code=%d err=%v", code, err)
+	}
+	writeFile(t, dir, "p.ml", strings.Replace(src, "n > 0", "n < 0", 1))
+	var out2, err2 bytes.Buffer
+	code, err := run([]string{"-resume", "-workdir", work, prog}, &out2, &err2)
+	if code != 2 || err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("resume over a same-shape edit: code=%d err=%v stdout=%q", code, err, out2.String())
+	}
+}
+
+// TestBatchResumeOtherUnrollExits2: a batch log belongs to the unroll depth
+// it was written under. The loop below writes after a close only on a second
+// iteration, so a cold -unroll 2 batch reports it and an -unroll 1 one does
+// not; resuming the -unroll 1 log with -unroll 2 is refused, not answered
+// with the clean result.
+func TestBatchResumeOtherUnrollExits2(t *testing.T) {
+	dir := t.TempDir()
+	a := writeFile(t, dir, "a.ml", `
+type FileWriter;
+fun main() {
+  var w: FileWriter = new FileWriter();
+  var n: int = input();
+  var i: int = 0;
+  while (i < n) {
+    if (i == 1) {
+      w.close();
+    }
+    i = i + 1;
+  }
+  w.write();
+  w.close();
+  return;
+}
+`)
+	var cold, coldErr bytes.Buffer
+	if code, err := run([]string{"batch", "-unroll", "2", a}, &cold, &coldErr); err != nil || code != 1 || !strings.Contains(cold.String(), "error-transition") {
+		t.Fatalf("cold -unroll 2 batch: code=%d err=%v stdout=%q", code, err, cold.String())
+	}
+	work := t.TempDir()
+	var out1, err1 bytes.Buffer
+	if code, err := run([]string{"batch", "-unroll", "1", "-journal", "-workdir", work, a}, &out1, &err1); err != nil || code != 0 {
+		t.Fatalf("journaled -unroll 1 batch: code=%d err=%v stdout=%q", code, err, out1.String())
+	}
+	var out2, err2 bytes.Buffer
+	code, err := run([]string{"batch", "-unroll", "2", "-resume", "-workdir", work, a}, &out2, &err2)
+	if code != 2 || err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("resume at another unroll depth: code=%d err=%v stdout=%q", code, err, out2.String())
+	}
+}
+
+// TestGoResumeEditedFileExits2: a Go run's journal belongs to the lowered
+// unit's text, so resuming after a .go file was edited — one comparison
+// flipped, the graph's shape kept — is refused.
+func TestGoResumeEditedFileExits2(t *testing.T) {
+	dir := t.TempDir()
+	writeFile(t, dir, "leak.go", leakyGoSrc)
+	work := t.TempDir()
+	var out1, err1 bytes.Buffer
+	if code, err := run([]string{"run", "-pack", "file-handle", "-journal", "-workdir", work, dir}, &out1, &err1); err != nil || code != 1 {
+		t.Fatalf("journaled Go run: code=%d err=%v stderr=%s", code, err, err1.String())
+	}
+	writeFile(t, dir, "leak.go", strings.Replace(leakyGoSrc, "err != nil", "err == nil", 1))
+	var out2, err2 bytes.Buffer
+	code, err := run([]string{"run", "-pack", "file-handle", "-resume", "-workdir", work, dir}, &out2, &err2)
+	if code != 2 || err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("resume over an edited .go file: code=%d err=%v stdout=%q", code, err, out2.String())
+	}
+}

@@ -28,6 +28,7 @@
 package grapple
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"slices"
@@ -179,11 +180,11 @@ type Options struct {
 	// Resume continues a previously journaled run from WorkDir, replaying
 	// each phase from its last durable checkpoint; the reports are identical
 	// to an uninterrupted run. Requires WorkDir and implies Journal. A
-	// missing journal, a damaged one, or one written for another subject or
-	// property set (its tag differs) is an error — resume never silently
-	// starts cold. In CheckAll, Resume instead reruns the instances the
-	// batch log does not record finished, and refuses a log written for
-	// another instance set (see BatchOptions).
+	// missing journal, a damaged one, or one written for another source, FSM
+	// definition, UnrollDepth, Bind or RecordPointsTo is an error — resume
+	// never silently starts cold. In CheckAll, Resume instead reruns the
+	// instances the batch log does not record finished, and refuses a log
+	// written for another instance set (see BatchOptions).
 	Resume bool
 	// Obs configures the observability layer — execution tracing, the
 	// progress heartbeat, and the pprof debug server (docs/observability.md).
@@ -533,7 +534,11 @@ func checkLoweredGo(g *gofront.Result, selected []*packs.Pack, opts Options, obs
 		// frames honest. A higher cap keeps self-checks report-clean.
 		co.Engine.MaxVariants = 32
 	}
-	res, err := checker.New(inner, co).CheckIR(p)
+	var text string // what a journal's tag fingerprints, rendered only for one
+	if co.Journal || co.Resume {
+		text = g.Source()
+	}
+	res, err := checker.New(inner, co).CheckIR(context.Background(), p, text)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -96,7 +97,7 @@ func GofrontTable(names []string, goDir, workDir string) (string, []GofrontRow, 
 		Engine:  engine.Options{MaxVariants: 32},
 	})
 	start := time.Now()
-	res, err := c.CheckIR(prog)
+	res, err := c.CheckIR(context.Background(), prog, "")
 	elapsed := time.Since(start)
 	if err != nil {
 		return "", nil, fmt.Errorf("bench: check %s: %w", goDir, err)

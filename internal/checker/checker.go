@@ -7,12 +7,14 @@
 package checker
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -76,14 +78,15 @@ type Options struct {
 	// Journal checkpoints both engine phases' superstep state to per-phase
 	// run journals under WorkDir (docs/resume.md) so a crashed or killed run
 	// can be continued with Resume. Useless (but harmless) without a
-	// persistent WorkDir.
+	// persistent WorkDir. An IR entry given no text refuses it.
 	Journal bool
 	// Resume continues a previously journaled run from WorkDir instead of
 	// starting cold, replaying each phase from its last durable checkpoint.
 	// It requires a non-empty WorkDir and implies Journal. A missing alias
-	// journal is an error wrapping storage.ErrNoJournal, and a journal from
-	// a different subject or property set is rejected with storage.ErrStale —
-	// resume never silently restarts from scratch.
+	// journal is an error wrapping storage.ErrNoJournal, and a journal
+	// written for another Checker.Fingerprint is rejected with
+	// storage.ErrStale: resume never silently restarts from scratch, nor
+	// replays another check's closure.
 	Resume bool
 	// Scope is the run's recorder and lane, progress tracker and fault set,
 	// handed unchanged to both engines: a span per pipeline phase
@@ -240,18 +243,41 @@ func New(fsms []*fsm.FSM, opts Options) *Checker {
 	return &Checker{FSMs: fsms, Opts: opts}
 }
 
-// journalTag fingerprints one phase's input — phase name, graph shape, CFET
-// path count, and the property set, each FSM by its definition
-// (fsm.Fingerprint), not its name — so Resume rejects a journal left behind
-// by a different subject, property group, phase or FSM body
-// (storage.ErrStale) instead of replaying checkpoints into the wrong graph.
-// An edit to the source that keeps the graph's shape is not covered yet.
-func (c *Checker) journalTag(phase string, numVerts uint32, numEdges, paths int) uint64 {
+// Fingerprint identifies the result of checking text (MiniLang source, or a
+// lowered Go unit's gofront.Result.Source) with this Checker: an FNV-64a
+// hash of the text, each FSM's definition (fsm.Fingerprint) in order, and
+// the options that can change a report (optionsPrint). Each engine phase's
+// journal tag, the batch log's tag and the batch's shared frontends key on
+// it, so no result is reused for other input.
+//
+// What it leaves out cannot change a report, and a test holds each to that:
+// WorkDir (TestScratchRunDoesNoPartitionIO), Engine.MemoryBudget
+// (TestClosureInvariantAcrossBudgets, TestResumeOverRandomEditRefusedOrCold),
+// Engine.Workers (TestWorkerCountLeavesCheckIdentical,
+// TestResumeOverRandomEditRefusedOrCold), DisableConstraintCache and the
+// Engine.Cache seam (TestOneMemoPerCompilationUnit), DumpDOT and Scope
+// (TestTracingPreservesReports), and CFET's BranchVerdict, SliceFunc and
+// SliceBranch seams (TestPropertyPruningPreservesReports,
+// TestPropertySlicingPreservesReports in internal/workload). Journal and
+// Resume say how a result is kept, not what it is.
+func (c *Checker) Fingerprint(text string) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d|%d", phase, numVerts, numEdges, paths)
+	h.Write([]byte(text))
+	fmt.Fprintf(h, "\x00%d %x", len(text), c.optionsPrint())
 	for _, f := range c.FSMs {
-		fmt.Fprintf(h, "|%x", f.Fingerprint())
+		fmt.Fprintf(h, " %x", f.Fingerprint())
 	}
+	return h.Sum64()
+}
+
+// optionsPrint is the options part of Fingerprint: unroll depth, type
+// bindings (fmt prints a map in key order), RecordPointsTo (which turns
+// slicing off), the CFET's per-method node budget and the engine's variant
+// cap. A Prepared records it; CheckPrepared refuses one prepared under others.
+func (c *Checker) optionsPrint() uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "unroll %d bind %q pointsTo %t maxNodes %d maxVariants %d",
+		c.Opts.UnrollDepth, c.Opts.Bind, c.Opts.RecordPointsTo, c.Opts.CFET.MaxNodesPerMethod, c.Opts.Engine.MaxVariants)
 	return h.Sum64()
 }
 
@@ -274,9 +300,9 @@ var (
 
 // runPhase runs one closure phase to fixpoint in its own engine under
 // workDir/<phase>, over the prepared unit's ICFET and with its constraint
-// memo: it lowers the checker's options onto the engine's, fingerprints the
-// phase's input into the journal tag, and either starts cold or — under
-// Options.Resume — continues from the phase's journal.
+// memo: it lowers the checker's options onto the engine's and either starts
+// cold or — under Options.Resume — continues from the phase's journal, whose
+// tag is the check's Fingerprint with the phase name hashed after it.
 func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, prep *Prepared, g *grammar.Grammar,
 	edges []storage.Edge, numVerts uint32) (*engine.Engine, PhaseStats, error) {
 	c.Opts.Scope.Progress.SetPhase(ph.name)
@@ -285,7 +311,14 @@ func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, prep *
 	opts.Dir = filepath.Join(workDir, ph.name)
 	opts.Cache = prep.memo
 	opts.Journal = c.Opts.Journal || c.Opts.Resume
-	opts.JournalTag = c.journalTag(ph.name, numVerts, len(edges), ic.PathCount())
+	if opts.Journal {
+		if prep.text == "" {
+			return nil, PhaseStats{}, fmt.Errorf("checker: Journal/Resume need the unit's text, and this check was given none")
+		}
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%x %s", c.Fingerprint(prep.text), ph.name)
+		opts.JournalTag = h.Sum64()
+	}
 	opts.Scope = c.Opts.Scope
 	// The span opens first: building the engine is part of what the phase
 	// costs.
@@ -366,7 +399,7 @@ func (c *Checker) CheckSourceContext(ctx context.Context, src string) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	return c.CheckIRContext(ctx, p)
+	return c.CheckIR(ctx, p, src)
 }
 
 // lowerSource runs the MiniLang frontend's first three stages — parse,
@@ -393,14 +426,10 @@ func (c *Checker) lowerSource(src string) (*ir.Program, error) {
 	return p, nil
 }
 
-// CheckIR checks a lowered program.
-func (c *Checker) CheckIR(p *ir.Program) (*Result, error) {
-	return c.CheckIRContext(context.Background(), p)
-}
-
-// CheckIRContext checks a lowered program under a cancellation context.
-func (c *Checker) CheckIRContext(ctx context.Context, p *ir.Program) (*Result, error) {
-	prep, err := c.PrepareIR(ctx, p)
+// CheckIR checks a lowered program under a cancellation context; text is the
+// source it was lowered from (see PrepareIR).
+func (c *Checker) CheckIR(ctx context.Context, p *ir.Program, text string) (*Result, error) {
+	prep, err := c.PrepareIR(ctx, p, text)
 	if err != nil {
 		return nil, err
 	}
@@ -414,13 +443,16 @@ func (c *Checker) CheckIRContext(ctx context.Context, p *ir.Program) (*Result, e
 // is safe for concurrent use. A checker with FSMs slices it for them; one
 // prepared by a checker without FSMs is the whole program, so many property
 // groups of the same subject can share it — including concurrently — instead
-// of each re-running the frontend and the alias fixpoint. It is only valid
-// for CheckPrepared on a Checker whose Options match the preparing Checker's.
+// of each re-running the frontend and the alias fixpoint. It records the
+// options part of its fingerprint, and CheckPrepared refuses it on a Checker
+// whose report-affecting options differ from the preparing Checker's.
 type Prepared struct {
 	ic    *cfet.ICFET
 	pr    *pgraph.Program
 	ag    *pgraph.AliasGraph
 	flows pgraph.AliasResult
+	text  string // what the unit was lowered from (PrepareIR)
+	opts  uint64 // the preparing Checker's optionsPrint
 	// memo is the unit's constraint memo (§4.3), keyed by encoded paths into
 	// ic: the alias phase fills it, and every dataflow phase run against this
 	// Prepared probes and extends it. Nil under DisableConstraintCache.
@@ -447,7 +479,7 @@ func (c *Checker) PrepareSource(ctx context.Context, src string) (*Prepared, err
 	if err != nil {
 		return nil, err
 	}
-	return c.PrepareIR(ctx, p)
+	return c.PrepareIR(ctx, p, src)
 }
 
 // PrepareIR runs the frontend (pre-analysis, points-to and, given FSMs,
@@ -456,8 +488,9 @@ func (c *Checker) PrepareSource(ctx context.Context, src string) (*Prepared, err
 // memory, which is all phase 2 consults (§2.2); the alias engine's partitions
 // outlive the call only in a WorkDir the caller named. It creates the unit's
 // constraint memo, which the alias phase fills and every CheckPrepared on the
-// result reuses.
-func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, error) {
+// result reuses. text is the source p was lowered from, which journal tags
+// fingerprint; given "", Journal and Resume are refused.
+func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program, text string) (*Prepared, error) {
 	workDir := c.Opts.WorkDir
 	if c.Opts.Resume && workDir == "" {
 		return nil, fmt.Errorf("checker: Resume requires a persistent WorkDir")
@@ -470,7 +503,7 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 		defer os.RemoveAll(dir)
 		workDir = dir
 	}
-	prep := &Prepared{memo: c.Opts.Engine.Cache}
+	prep := &Prepared{text: text, opts: c.optionsPrint(), memo: c.Opts.Engine.Cache}
 	if c.Opts.DisableConstraintCache {
 		prep.memo = nil
 	} else if prep.memo == nil {
@@ -596,8 +629,12 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program) (*Prepared, erro
 }
 
 // CheckPrepared runs phases 2 and 3 (dataflow/typestate closure plus FSM
-// checking) against a prepared subject, using this Checker's FSM set.
+// checking) against a prepared subject, using this Checker's FSM set. A
+// subject prepared under other report-affecting options is refused.
 func (c *Checker) CheckPrepared(ctx context.Context, prep *Prepared) (*Result, error) {
+	if own := c.optionsPrint(); own != prep.opts {
+		return nil, fmt.Errorf("checker: subject prepared under options %016x, checked under %016x", prep.opts, own)
+	}
 	workDir := c.Opts.WorkDir
 	if workDir == "" {
 		dir, err := os.MkdirTemp("", "grapple-*")
@@ -875,35 +912,23 @@ func checkTyped(en *engine.Engine, dg *pgraph.DataflowGraph, ic *cfet.ICFET, esc
 		})
 		return true
 	})
-	sortReports(reports)
+	slices.SortStableFunc(reports, CompareReports)
 	return reports, err
 }
 
-// sortReports orders warnings for output. The key is total over everything
-// a report is identified by — line, column, FSM, kind, object and type —
-// because the edge-iteration order feeding checkTyped is not specified: a
-// tie left unbroken (two objects flagged on the same line, say) would let
-// the report stream flip between runs, and batch mode promises byte-
-// identical merged reports regardless of scheduling. SliceStable keeps any
-// fully-identical reports in discovery order.
-func sortReports(reports []Report) {
-	sort.SliceStable(reports, func(i, j int) bool {
-		a, b := reports[i], reports[j]
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Col != b.Pos.Col {
-			return a.Pos.Col < b.Pos.Col
-		}
-		if a.FSM != b.FSM {
-			return a.FSM < b.FSM
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		return a.Type < b.Type
-	})
+// CompareReports is the order warnings are output in, stably sorted. The key
+// is total over everything a report is identified by — line, column, FSM,
+// kind, object and type — because the edge-iteration order feeding
+// checkTyped is not specified: a tie left unbroken (two objects flagged on
+// the same line, say) would let the report stream flip between runs, and
+// batch mode promises byte-identical merged reports regardless of scheduling.
+func CompareReports(a, b Report) int {
+	return cmp.Or(
+		cmp.Compare(a.Pos.Line, b.Pos.Line),
+		cmp.Compare(a.Pos.Col, b.Pos.Col),
+		strings.Compare(a.FSM, b.FSM),
+		cmp.Compare(a.Kind, b.Kind),
+		strings.Compare(a.Object, b.Object),
+		strings.Compare(a.Type, b.Type),
+	)
 }

@@ -68,7 +68,7 @@ func prepareWide(t *testing.T, services, workers int) frontendCost {
 			return pre.BranchVerdict(s)
 		}},
 	})
-	prep, err := c.PrepareIR(context.Background(), p)
+	prep, err := c.PrepareIR(context.Background(), p, "")
 	if err != nil {
 		t.Fatal(err)
 	}

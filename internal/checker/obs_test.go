@@ -64,8 +64,9 @@ fun main() {
 
 // TestTracingPreservesReports is the observation-only property test: for
 // every subject, a run with the full observability stack attached (trace
-// recorder + progress tracker) must produce reports deep-equal to a bare
-// run — same order, same witnesses, same constraints.
+// recorder + progress tracker) and its graphs dumped as DOT must produce
+// reports deep-equal to a bare run — same order, same witnesses, same
+// constraints.
 func TestTracingPreservesReports(t *testing.T) {
 	for _, sub := range obsIdentitySubjects {
 		t.Run(sub.name, func(t *testing.T) {
@@ -80,6 +81,7 @@ func TestTracingPreservesReports(t *testing.T) {
 			prog := trace.NewProgress()
 			traced := New(fsm.Builtins(), Options{
 				WorkDir: t.TempDir(),
+				DumpDOT: t.TempDir(),
 				Scope:   trace.Scope{Rec: rec, Progress: prog}.Lane("checker-test"),
 			})
 			resTraced, err := traced.CheckSource(sub.src)

@@ -450,6 +450,28 @@ func TestResumeRejectsEditedFSMBody(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsSameShapeEdit: a journal belongs to the source it was
+// written for, not to the shape of its graph. Flipping one comparison keeps
+// every vertex, edge and CFET path count, yet the closure is another one, so
+// a resume over the edit is refused with storage.ErrStale instead of
+// replaying the old closure.
+func TestResumeRejectsSameShapeEdit(t *testing.T) {
+	src := resumeSource(t)
+	edited := strings.Replace(src, "if (n > 2)", "if (n < 2)", 1)
+	if edited == src {
+		t.Fatal("the fixture lost the comparison the test flips")
+	}
+	dir := t.TempDir()
+	if _, err := New(fsm.Builtins(), resumeOpts(dir)).CheckSource(src); err != nil {
+		t.Fatal(err)
+	}
+	ropts := resumeOpts(dir)
+	ropts.Resume = true
+	if _, err := New(fsm.Builtins(), ropts).CheckSource(edited); !errors.Is(err, storage.ErrStale) {
+		t.Fatalf("resume over a same-shape edit: %v", err)
+	}
+}
+
 func TestCheckerResumeCorruptJournal(t *testing.T) {
 	src := resumeSource(t)
 	dir := t.TempDir()

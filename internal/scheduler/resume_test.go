@@ -147,6 +147,30 @@ func TestBatchResumeRejectsEditedFSMBody(t *testing.T) {
 	}
 }
 
+// TestBatchResumeRejectsOtherUnroll: a batch log belongs to the options its
+// instances ran under as much as to their sources. Resumed at another unroll
+// depth, which gives the CFET other paths and can change a report, it is
+// refused with storage.ErrStale and no instance is restored.
+func TestBatchResumeRejectsOtherUnroll(t *testing.T) {
+	subjects := miniSubjects(t)
+	groups := GroupPerFSM(fsm.Builtins())
+	dir := t.TempDir()
+	if _, err := Run(context.Background(), Expand(subjects, groups, checker.Options{UnrollDepth: 1}), Options{
+		Workers: 2, WorkDir: dir, Journal: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), Expand(subjects, groups, checker.Options{UnrollDepth: 2}), Options{
+		Workers: 2, WorkDir: dir, Resume: true,
+	})
+	if !errors.Is(err, storage.ErrStale) {
+		t.Fatalf("resume at another unroll depth: %v", err)
+	}
+	if res != nil {
+		t.Fatalf("a refused resume returned %d instances (%d restored)", len(res.Instances), countResumed(res))
+	}
+}
+
 // TestBatchResumeCompletedRun resumes a fully finished batch: every instance
 // is restored from the log, nothing reruns, and the stream is identical.
 func TestBatchResumeCompletedRun(t *testing.T) {

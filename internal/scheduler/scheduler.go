@@ -21,8 +21,8 @@
 package scheduler
 
 import (
+	"cmp"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -124,7 +124,8 @@ type InstanceResult struct {
 	Wait    time.Duration
 	Elapsed time.Duration
 	// enq is when the instance entered the ready queue (zero when Resumed).
-	enq time.Time
+	enq     time.Time
+	prepKey uint64 // the prepStore key of its frontend (0 unshared)
 }
 
 // Report is one warning annotated with the subject and property group that
@@ -166,8 +167,10 @@ type Options struct {
 	// error wrapping storage.ErrNoJournal, a damaged one storage.ErrCorrupt
 	// (a torn final record — the crash landing mid-append — is the one
 	// tolerated damage: that instance just reruns), and a log written for
-	// another instance set — an edited source, another property group —
-	// storage.ErrStale, with no instance restored. Implies Journal.
+	// another instance set — another property group, or an instance whose
+	// checker.Checker.Fingerprint differs (an edited source or FSM, another
+	// UnrollDepth) — storage.ErrStale, with no instance restored. Implies
+	// Journal.
 	Resume bool
 	// Scope is the batch's recorder, progress tracker and fault set. The
 	// recorder gets one span per instance on a per-worker lane (the scope's
@@ -259,7 +262,7 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 	}
 	var preps *prepStore
 	if !opts.noSharedFrontend {
-		preps = &prepStore{entries: map[string]*prepEntry{}}
+		preps = &prepStore{entries: map[uint64]*prepEntry{}}
 	}
 
 	type job struct {
@@ -351,7 +354,7 @@ func Run(ctx context.Context, instances []Instance, opts Options) (*BatchResult,
 		return nil, err
 	}
 
-	lookups, hits := cacheProbes(instances, results, preps != nil)
+	lookups, hits := cacheProbes(results, preps != nil)
 	sort.Slice(results, func(i, j int) bool {
 		if results[i].Subject != results[j].Subject {
 			return results[i].Subject < results[j].Subject
@@ -417,19 +420,15 @@ func openBatchLog(dir string, tag uint64, resume bool, faults *faultpoint.Set) (
 	return w, done, nil
 }
 
-// batchTag fingerprints an instance set: each instance's key, a hash of its
-// source and each of its FSMs' definitions (fsm.Fingerprint), in key order.
-// A batch log written for another set — an edited subject, a dropped
-// property group, an FSM edited under the same name — carries another tag.
+// batchTag fingerprints an instance set: each instance's key and its
+// checker.Checker.Fingerprint, in key order. A batch log written for another
+// set — an edited subject, a dropped property group, an FSM edited under the
+// same name, another unroll depth — carries another tag.
 func batchTag(instances []Instance) uint64 {
 	lines := make([]string, len(instances))
 	for i := range instances {
 		in := &instances[i]
-		fps := make([]uint64, len(in.FSMs))
-		for j, f := range in.FSMs {
-			fps[j] = f.Fingerprint()
-		}
-		lines[i] = fmt.Sprintf("%q %q %x\n", in.Key(), sourceKey(in.Source), fps)
+		lines[i] = fmt.Sprintf("%q %x\n", in.Key(), checker.New(in.FSMs, in.Opts).Fingerprint(in.Source))
 	}
 	slices.Sort(lines)
 	h := fnv.New64a()
@@ -440,16 +439,16 @@ func batchTag(instances []Instance) uint64 {
 }
 
 // prepStore lazily builds and shares one checker.Prepared per compilation
-// unit, and with it the unit's constraint memo; a nil store prepares every
-// time and keeps nothing. The entry mutex
-// serializes same-subject prepares (the second claimant waits and reuses
-// rather than duplicating the alias fixpoint); distinct subjects prepare
-// concurrently. Errors are not memoized: if the building instance's deadline
-// expires mid-prepare, the next instance of that subject retries under its
-// own deadline.
+// unit and options, keyed on the preparing checker's Fingerprint, and with it
+// the unit's constraint memo; a nil store prepares every time and keeps
+// nothing. The entry mutex serializes same-key prepares (the second claimant
+// waits and reuses rather than duplicating the alias fixpoint); distinct keys
+// prepare concurrently. Errors are not memoized: if the building instance's
+// deadline expires mid-prepare, the next instance of that key retries under
+// its own deadline.
 type prepStore struct {
 	mu      sync.Mutex
-	entries map[string]*prepEntry
+	entries map[uint64]*prepEntry
 }
 
 type prepEntry struct {
@@ -457,14 +456,16 @@ type prepEntry struct {
 	prep *checker.Prepared
 }
 
-func (ps *prepStore) get(ctx context.Context, source string, copts checker.Options) (*checker.Prepared, error) {
+// get returns source's Prepared under copts and the key it is stored under.
+func (ps *prepStore) get(ctx context.Context, source string, copts checker.Options) (*checker.Prepared, uint64, error) {
 	// The frontend is prepared without FSMs, so it is never sliced and serves
 	// every property group alike.
-	prepare := checker.New(nil, copts).PrepareSource
+	pc := checker.New(nil, copts)
 	if ps == nil {
-		return prepare(ctx, source)
+		prep, err := pc.PrepareSource(ctx, source)
+		return prep, 0, err
 	}
-	key := sourceKey(source)
+	key := pc.Fingerprint(source)
 	ps.mu.Lock()
 	e := ps.entries[key]
 	if e == nil {
@@ -475,14 +476,14 @@ func (ps *prepStore) get(ctx context.Context, source string, copts checker.Optio
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.prep != nil {
-		return e.prep, nil
+		return e.prep, key, nil
 	}
-	prep, err := prepare(ctx, source)
+	prep, err := pc.PrepareSource(ctx, source)
 	if err != nil {
-		return nil, err
+		return nil, key, err
 	}
 	e.prep = prep
-	return prep, nil
+	return prep, key, nil
 }
 
 // runOne executes a single instance under its per-instance deadline, in the
@@ -504,7 +505,8 @@ func runOne(ctx context.Context, in *Instance, opts Options, preps *prepStore, s
 		copts.WorkDir = filepath.Join(opts.WorkDir, pathSafe(in.Subject)+"--"+pathSafe(in.Group))
 	}
 	start := time.Now()
-	prep, err := preps.get(ictx, in.Source, copts)
+	prep, key, err := preps.get(ictx, in.Source, copts)
+	res.prepKey = key
 	var r *checker.Result
 	if err == nil {
 		r, err = checker.New(in.FSMs, copts).CheckPrepared(ictx, prep)
@@ -557,12 +559,12 @@ func schedStats(results []InstanceResult) metrics.SchedSnapshot {
 }
 
 // cacheProbes sums the memos' lookups and hits from the probes each
-// instance's engines counted; results[i] is instances[i]'s. Every dataflow
-// phase counts. An alias phase counts once per source when its instances
-// share one prepared alias closure (sharedAlias: its stats are copied into
-// each), else once per instance. A resumed or failed instance counts nothing.
-func cacheProbes(instances []Instance, results []InstanceResult, sharedAlias bool) (lookups, hits int64) {
-	aliasCounted := map[string]bool{}
+// instance's engines counted. Every dataflow phase counts. An alias phase
+// counts once per prepStore key when its instances share one prepared alias
+// closure (sharedAlias: its stats are copied into each), else once per
+// instance. A resumed or failed instance counts nothing.
+func cacheProbes(results []InstanceResult, sharedAlias bool) (lookups, hits int64) {
+	aliasCounted := map[uint64]bool{}
 	for i := range results {
 		r := results[i].Result
 		if r == nil || results[i].Resumed {
@@ -571,25 +573,15 @@ func cacheProbes(instances []Instance, results []InstanceResult, sharedAlias boo
 		lookups += r.Dataflow.CacheLookups
 		hits += r.Dataflow.CacheHits
 		if sharedAlias {
-			if aliasCounted[instances[i].Source] {
+			if aliasCounted[results[i].prepKey] {
 				continue
 			}
-			aliasCounted[instances[i].Source] = true
+			aliasCounted[results[i].prepKey] = true
 		}
 		lookups += r.Alias.CacheLookups
 		hits += r.Alias.CacheHits
 	}
 	return lookups, hits
-}
-
-// sourceKey derives a compilation unit's prepStore key: the FNV-64a of its
-// source, as 8 raw bytes.
-func sourceKey(src string) string {
-	h := fnv.New64a()
-	h.Write([]byte(src))
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], h.Sum64())
-	return string(buf[:])
 }
 
 // pathSafe makes a key component usable as a directory name.
@@ -617,30 +609,9 @@ func mergeReports(results []InstanceResult) []Report {
 			merged = append(merged, Report{Subject: ir.Subject, Group: ir.Group, Report: r})
 		}
 	}
-	sort.SliceStable(merged, func(i, j int) bool {
-		a, b := merged[i], merged[j]
-		if a.Subject != b.Subject {
-			return a.Subject < b.Subject
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Col != b.Pos.Col {
-			return a.Pos.Col < b.Pos.Col
-		}
-		if a.FSM != b.FSM {
-			return a.FSM < b.FSM
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		if a.Type != b.Type {
-			return a.Type < b.Type
-		}
-		return a.Group < b.Group
+	slices.SortStableFunc(merged, func(a, b Report) int {
+		return cmp.Or(strings.Compare(a.Subject, b.Subject), checker.CompareReports(a.Report, b.Report),
+			strings.Compare(a.Group, b.Group))
 	})
 	return merged
 }

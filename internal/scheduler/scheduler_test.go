@@ -266,6 +266,64 @@ func TestFrontendSharing(t *testing.T) {
 	}
 }
 
+// loopSrc closes its writer on the loop's second iteration and writes to it
+// after the loop, so only an unroll depth of 2 or more sees the write after
+// close.
+const loopSrc = `
+type FileWriter;
+fun main() {
+  var w: FileWriter = new FileWriter();
+  var n: int = input();
+  var i: int = 0;
+  while (i < n) {
+    if (i == 1) {
+      w.close();
+    }
+    i = i + 1;
+  }
+  w.write();
+  w.close();
+  return;
+}`
+
+// TestSharedPrepareHonoursInstanceOptions: instances share a frontend only
+// when it is the one each would prepare itself. Two subjects over one source,
+// checked at unroll 1 and 2 on one worker, each report and encode exactly
+// what their own single check does — not what the frontend the first of them
+// prepared would give the second.
+func TestSharedPrepareHonoursInstanceOptions(t *testing.T) {
+	group := Group{Name: "io", FSMs: []*fsm.FSM{fsm.BuiltinIO()}}
+	var instances []Instance
+	for _, depth := range []int{1, 2} {
+		instances = append(instances, Instance{
+			Subject: fmt.Sprintf("unroll-%d", depth), Group: group.Name,
+			Source: loopSrc, FSMs: group.FSMs, Opts: checker.Options{UnrollDepth: depth},
+		})
+	}
+	res := runBatch(t, instances, 1)
+	render := func(rs []checker.Report) string {
+		var b strings.Builder
+		for _, r := range rs {
+			fmt.Fprintf(&b, "%s %s|%s|%s\n", r, r.Object, r.Witness, r.WitnessConstraint)
+		}
+		return b.String()
+	}
+	for i, in := range instances {
+		single, err := checker.New(in.FSMs, in.Opts).CheckSource(in.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Instances[i].Result
+		if render(got.Reports) != render(single.Reports) || got.Alias.CFETPaths != single.Alias.CFETPaths {
+			t.Errorf("%s: batch %d CFET paths, reports:\n%s\nits single check %d CFET paths, reports:\n%s",
+				in.Subject, got.Alias.CFETPaths, render(got.Reports), single.Alias.CFETPaths, render(single.Reports))
+		}
+	}
+	if res.FrontendPrepares != 2 {
+		t.Errorf("%d frontends prepared for two unroll depths", res.FrontendPrepares)
+	}
+}
+
 // TestInstanceTimeout: an absurdly small per-instance deadline fails that
 // instance but not the batch.
 func TestInstanceTimeout(t *testing.T) {
