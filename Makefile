@@ -45,9 +45,11 @@ race:
 # exact hits and the capacity bound under pressure), the solver against its
 # reference (verdict identity, inputs left intact), the partition
 # store's record decoder (the block cursor against the stream-decoder
-# oracle), its whole-file readers (strict and prefix, held to each other),
-# and the durable-log reader, seeded with an engine journal and a batch log
-# (resume must never crash or silently accept corrupt state), then
+# oracle), its partition readers (ReadPart, VisitPart and the resume
+# prefix read held to one answer, seeded with clean, torn, appended,
+# damaged and refused v2 files), and the durable-log reader, seeded with an
+# engine journal and a batch log (resume must never crash or silently
+# accept corrupt state), then
 # the interprocedural points-to solver (termination bound + summary
 # idempotence on arbitrary MiniLang inputs) and the devirtualization
 # hierarchy (every live covering type must stay a dispatch candidate).
@@ -64,13 +66,16 @@ fuzz:
 	$(GO) test ./internal/gofront/ -fuzz FuzzLowerGo -fuzztime 20s
 
 # Crash-injection harness: kill the engine at EVERY superstep boundary (and
-# mid-journal-write for torn-record coverage), resume from the journal, and
-# require a byte-identical final report; same at checker granularity (both
-# closure phases) and batch granularity (kill between instances or tear a
-# batch-log record, resume reruns only the unfinished ones). The storage
-# package's torn-tail and corruption tests gate with them: the engine
-# journal and the batch log are one durable log, read by one reader. Superstep counts are bounded by small
-# workloads so the every-boundary sweep stays fast. The checker sweep
+# mid-journal-write for torn-record coverage, and mid-partition-append at
+# every partition frame a run appends for torn-frame coverage), resume from
+# the journal, and require a byte-identical final report and whole partition
+# files; same at checker granularity (both closure phases) and batch
+# granularity (kill between instances or tear a batch-log record, resume
+# reruns only the unfinished ones). The storage package's torn-tail and
+# corruption tests gate with them: engine journals, batch logs and partition
+# files are one durable log, read by one frame scanner under one damage
+# rule. Superstep counts are bounded by small workloads so the
+# every-boundary sweep stays fast. The checker sweep
 # (TestCheckerResumeAtEveryBoundary) runs at two multi-partition budgets: one
 # whose partitions hold whole per-object subgraphs and are never paired, and
 # one that splits a subgraph at its median source, so that passes over two

@@ -158,7 +158,13 @@ type memPart struct {
 	// maxRightGen is the newest generation among the indexed edges: while it
 	// is at most a sub-join's stamp, every second of that sub-join is old.
 	maxRightGen uint32
-	dirty       bool
+	// durable counts the edges, a prefix of edges, that the partition's file
+	// holds: writeBack appends the rest. A load sets it before it merges the
+	// pending edges; it is 0 where no file holds a prefix of edges — one not
+	// written yet, or a repartition's low half — and writeBack then writes the
+	// file whole.
+	durable int
+	dirty   bool
 	// lastUse is the engine's logical clock at the partition's most recent
 	// load or cache hit; ensureBudget evicts the smallest value first.
 	lastUse int64
@@ -761,15 +767,19 @@ func (en *Engine) load(idx int) (*partition, error) {
 	}
 	// Edges merged from pending exist nowhere on disk: the loaded partition
 	// starts dirty so that evicting it writes them.
-	dirty := len(p.pending) > 0
+	durable, dirty := len(edges), len(p.pending) > 0
 	edges = append(edges, p.pending...)
 	p.pending = nil
-	p.mem = &memPart{edges: edges, dirty: dirty, lastUse: en.tick}
+	p.mem = &memPart{edges: edges, durable: durable, dirty: dirty, lastUse: en.tick}
 	p.mem.index(en.g, p.lo)
 	return p, nil
 }
 
-// readPart reads p's file from disk, accounted as one load.
+// readPart reads p's file from disk, accounted as one load, and holds it to
+// the partition table: the file's interval (checkInterval) and its edge
+// count, every edge p owns but the pending ones. A file that holds fewer
+// edges lost an append — a torn one, which the reader drops, or a cut — and
+// is ErrCorrupt, never a shorter partition.
 func (en *Engine) readPart(p *partition) ([]storage.Edge, error) {
 	ioStart := time.Now()
 	// p.edges counts the file's edges plus the pending ones load merges: one
@@ -779,21 +789,35 @@ func (en *Engine) readPart(p *partition) ([]storage.Edge, error) {
 		return nil, err
 	}
 	en.ioDone("load", p.id, n, time.Since(ioStart))
-	if err := checkInterval(p.path, info, p.lo, p.hi); err != nil {
+	if err := checkInterval(p.path, n, info, p.lo, p.hi); err != nil {
+		return nil, err
+	}
+	if err := checkCount(p.path, int64(len(edges)), p.edges-int64(len(p.pending))); err != nil {
 		return nil, err
 	}
 	return edges, nil
 }
 
-// checkInterval cross-checks a partition file's recorded vertex interval
-// against the interval [lo, hi) the partition table or the journal gives it:
-// a swapped or stale file decodes cleanly but holds the wrong vertices. The
-// header's hi may lag behind: preprocess widens the last partition's interval
-// at the end, after the budget may have had it written.
-func checkInterval(path string, info storage.PartInfo, lo, hi uint32) error {
-	if (info.Lo != 0 || info.Hi != 0) && (info.Lo != lo || info.Hi > hi) {
+// checkInterval cross-checks the vertex interval the header of a partition
+// file of size bytes records against the interval [lo, hi) the partition
+// table or the journal gives it: a swapped or stale file decodes cleanly but
+// holds the wrong vertices. A missing file (size 0) records none. The
+// header's hi may lag behind: preprocess widens the last partition's
+// interval at the end, after the budget may have had it written.
+func checkInterval(path string, size int64, info storage.PartInfo, lo, hi uint32) error {
+	if size > 0 && (info.Lo != lo || info.Hi > hi) {
 		return fmt.Errorf("engine: %s: %w: header interval [%d,%d) does not match the partition's [%d,%d)",
 			path, storage.ErrCorrupt, info.Lo, info.Hi, lo, hi)
+	}
+	return nil
+}
+
+// checkCount holds the edges read from a partition file to the count the
+// partition table promises for it: the count is what commits an append.
+func checkCount(path string, got, want int64) error {
+	if got != want {
+		return fmt.Errorf("engine: %s: %w: the file holds %d edges, the partition table %d",
+			path, storage.ErrCorrupt, got, want)
 	}
 	return nil
 }
@@ -809,15 +833,24 @@ func (en *Engine) writePart(p *partition, edges []storage.Edge) error {
 	return nil
 }
 
-// writeBack makes a loaded partition's file equal to its memory.
+// writeBack makes a loaded partition's file equal to its memory: it appends
+// the edges the file does not hold yet, or writes the file whole where it
+// holds no prefix of them.
 func (en *Engine) writeBack(p *partition) error {
-	if p.mem == nil || !p.mem.dirty {
+	mp := p.mem
+	if mp == nil || !mp.dirty {
 		return nil
 	}
-	if err := en.writePart(p, p.mem.edges); err != nil {
+	var err error
+	if mp.durable == 0 {
+		err = en.writePart(p, mp.edges)
+	} else {
+		err = en.appendPart(p, mp.edges[mp.durable:])
+	}
+	if err != nil {
 		return err
 	}
-	p.mem.dirty = false
+	mp.durable, mp.dirty = len(mp.edges), false
 	return nil
 }
 
@@ -897,22 +930,23 @@ func (en *Engine) flushPending(force bool) error {
 		if len(p.pending) == 0 || !force && len(p.pending) < 4096 {
 			continue
 		}
-		if err := en.appendPending(p); err != nil {
+		if err := en.appendPart(p, p.pending); err != nil {
 			return err
 		}
+		p.pending = nil
 	}
 	return nil
 }
 
-// appendPending appends p's buffered edges to its file.
-func (en *Engine) appendPending(p *partition) error {
+// appendPart appends edges to p's file, creating it under p's interval where
+// there is none.
+func (en *Engine) appendPart(p *partition, edges []storage.Edge) error {
 	ioStart := time.Now()
-	n, err := storage.AppendPart(p.path, p.pending)
+	n, err := storage.AppendPart(p.path, edges, storage.PartInfo{Lo: p.lo, Hi: p.hi}, en.opts.Scope.Faults)
 	if err != nil {
 		return err
 	}
 	en.ioDone("append", p.id, n, time.Since(ioStart))
-	p.pending = nil
 	return nil
 }
 

@@ -631,7 +631,7 @@ func (en *Engine) repartition(idx int) error {
 	}
 	mp.edges = loEdges
 	mp.index(en.g, p.lo)
-	mp.dirty = true
+	mp.durable, mp.dirty = 0, true
 
 	// The new partition inherits the join history of the one it was cut from:
 	// its edges were that partition's edges in every pass so far. Within-new
@@ -677,9 +677,10 @@ func (en *Engine) ForEach(f func(*storage.Edge) bool) error {
 			}
 			continue
 		}
-		more := true
+		more, seen := true, int64(0)
 		ioStart := time.Now()
 		n, err := storage.VisitPart(p.path, func(e *storage.Edge) bool {
+			seen++
 			more = f(e)
 			return more
 		})
@@ -687,6 +688,11 @@ func (en *Engine) ForEach(f func(*storage.Edge) bool) error {
 		en.ioDone("scan", p.id, n, time.Since(ioStart))
 		if err != nil {
 			return err
+		}
+		if more {
+			if err := checkCount(p.path, seen, p.edges-int64(len(p.pending))); err != nil {
+				return err
+			}
 		}
 		for i := 0; more && i < len(p.pending); i++ {
 			more = f(&p.pending[i])

@@ -4,18 +4,23 @@
 //
 // The scheme leans on one invariant of the storage layer: between
 // checkpoints a partition file's checkpointed prefix is never disturbed.
-// Appends extend the file past the old (verified) trailer; dirty-partition
-// writebacks rewrite the file in memory order, which is the loaded file
-// order plus newly-inserted edges as a suffix; and the one operation that
-// would shrink a file in place — repartitioning keeping the low half under
-// the original path — is redirected to a fresh path while journaling, so
-// the pre-split file stays frozen until a newer checkpoint supersedes it.
+// Partition files only grow, by appended frames: pending buffers are
+// appended, and a dirty loaded partition appends the edges past the count its
+// file holds, since memory order is the file's order plus newly-inserted
+// edges as a suffix (TestPartitionEdgesInGenerationOrder). A file is written
+// whole only where no file holds a prefix of memory: a new one, and a
+// repartition's halves. The one such write that would replace a
+// checkpointed file — repartitioning keeping the low half under the
+// original path — is redirected to a fresh path while journaling, so the
+// pre-split file stays frozen until a newer checkpoint supersedes it.
 // Resume therefore needs no undo log: the journal records each partition's
-// edge count at the checkpoint, and reading exactly that prefix back
-// (storage.ReadPartPrefix, tolerant of any damage past it) reproduces the
-// checkpoint state byte for byte, including edge order — which is what makes
-// a resumed run's report identical to an uninterrupted one: insertion order
-// drives variant widening, and the journaled hot pair drives scheduling.
+// edge count at the checkpoint, which is also what commits the appends
+// before it. Reading exactly that prefix back (storage.ReadPartPrefix) and
+// truncating the file at the frame that ends it — dropping what a crashed
+// run appended later, a torn append among it — reproduces the checkpoint
+// state byte for byte, including edge order. That is what makes a resumed
+// run's report identical to an uninterrupted one: insertion order drives
+// variant widening, and the journaled hot pair drives scheduling.
 //
 // The in-memory dedupe index and variant counters rebuild exactly from the
 // surviving edges: insert() records only the final (post-widening) key of
@@ -300,14 +305,21 @@ func (en *Engine) restoreFrom(rec *JournalRecord, numVertices uint32) error {
 	for _, jp := range rec.Parts {
 		path := filepath.Join(en.opts.Dir, jp.Path)
 		ioStart := time.Now()
-		edges, info, exact, err := storage.ReadPartPrefix(path, jp.Edges)
+		edges, info, end, err := storage.ReadPartPrefix(path, jp.Edges)
 		if err != nil {
 			return err
 		}
-		en.stats.Breakdown.IO += time.Since(ioStart)
-		if err := checkInterval(path, info, jp.Lo, jp.Hi); err != nil {
+		if err := checkInterval(path, end, info, jp.Lo, jp.Hi); err != nil {
 			return err
 		}
+		// Cut the file back to the checkpointed prefix, dropping what the
+		// crashed run appended after it, so appends land right after it.
+		if end > 0 {
+			if err := os.Truncate(path, end); err != nil {
+				return err
+			}
+		}
+		en.stats.Breakdown.IO += time.Since(ioStart)
 		p := &partition{id: jp.ID, lo: jp.Lo, hi: jp.Hi, path: path, edges: jp.Edges, maxGen: jp.MaxGen,
 			dstMin: math.MaxUint32}
 		var maxGen uint32
@@ -336,15 +348,6 @@ func (en *Engine) restoreFrom(rec *JournalRecord, numVertices uint32) error {
 		if maxGen != jp.MaxGen {
 			return fmt.Errorf("engine: %s: %w: max generation %d does not match journaled %d",
 				path, storage.ErrCorrupt, maxGen, jp.MaxGen)
-		}
-		if !exact {
-			// Cut the file back to exactly the checkpointed prefix (dropping
-			// any post-checkpoint suffix or torn tail) so subsequent appends
-			// land on a pristine v2 file. WritePart is atomic: a crash during
-			// this rewrite leaves a file this same path can recover again.
-			if err := en.writePart(p, edges); err != nil {
-				return err
-			}
 		}
 		if p.id == rec.HotA {
 			en.hot[0] = p

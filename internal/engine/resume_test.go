@@ -28,6 +28,20 @@ func fingerprint(t *testing.T, en *Engine) string {
 	return fmt.Sprintf("%x", h.Sum64())
 }
 
+// checkFiles requires every partition file of a finished journaled run to
+// read back whole: as many edges as the partition table counts outside the
+// pending buffers, with no damage — a torn frame left behind by a resume
+// that did not cut it off would sit before later appends.
+func checkFiles(t *testing.T, en *Engine) {
+	t.Helper()
+	for _, p := range en.parts {
+		edges, _, _, err := storage.ReadPart(p.path, nil)
+		if err != nil || int64(len(edges)) != p.edges-int64(len(p.pending)) {
+			t.Fatalf("%s: %d edges of %d read back: %v", p.path, len(edges), p.edges, err)
+		}
+	}
+}
+
 // smallOpts forces many partitions and repartitions so checkpoints cover
 // the interesting machinery (splits, redirected paths, pending buffers).
 func smallOpts(dir string, tag uint64) Options {
@@ -99,6 +113,7 @@ func TestEngineResumeAtEveryBoundary(t *testing.T) {
 		if got := fingerprint(t, ren); got != want {
 			t.Fatalf("k=%d: resumed graph differs from uninterrupted run", k)
 		}
+		checkFiles(t, ren)
 		if rstats.EdgesAfter != refStats.EdgesAfter || rstats.Iterations != refStats.Iterations {
 			t.Fatalf("k=%d: resumed stats diverge: %d/%d edges, %d/%d iterations",
 				k, rstats.EdgesAfter, refStats.EdgesAfter, rstats.Iterations, refStats.Iterations)
@@ -107,20 +122,27 @@ func TestEngineResumeAtEveryBoundary(t *testing.T) {
 }
 
 // TestEngineResumeAfterTornWrites kills the run inside the journal append
-// (torn record) and before the checkpoint flush; both must resume to the
-// identical graph from the previous durable record.
+// (torn record), inside a partition append (torn frame) and before the
+// checkpoint flush; each must resume to the identical graph from the
+// previous durable record, and leave every partition file whole.
 func TestEngineResumeAfterTornWrites(t *testing.T) {
 	const n = 24
 	const tag = 9
 	d := allPairs()
 
-	refDir := t.TempDir()
-	refEn := New(emptyICFET(), d.G, smallOpts(refDir, tag))
-	refStats, err := refEn.Run(chainEdges(n, d.Flow), n)
-	if err != nil {
-		t.Fatal(err)
+	// ref runs the chain of nv vertices under budget uninterrupted and returns
+	// its graph, its edge count and how many partition frames it appended.
+	ref := func(nv uint32, budget int64) (string, int64, int) {
+		faults := faultpoint.New()
+		opts := smallOpts(t.TempDir(), tag)
+		opts.MemoryBudget, opts.Scope.Faults = budget, faults
+		en := New(emptyICFET(), d.G, opts)
+		st, err := en.Run(chainEdges(nv, d.Flow), nv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fingerprint(t, en), st.EdgesAfter, faults.Count(faultpoint.PartAppendMid)
 	}
-	want := fingerprint(t, refEn)
 
 	// Journal append 1 is the baseline record: tearing it leaves a journal
 	// with no usable checkpoint, and resume must refuse (never start cold).
@@ -140,27 +162,53 @@ func TestEngineResumeAfterTornWrites(t *testing.T) {
 		}
 	})
 
-	for _, point := range []string{faultpoint.JournalAppendMid, faultpoint.EngineCheckpointPre} {
-		for _, k := range []int{2, 3, 4} {
+	// The torn-frame sweep (ks nil) tears every partition frame a run
+	// appends, each at its own checkpoint or eviction. It runs a longer chain
+	// under twice the budget, where fewer repartitions replace a torn file
+	// before the resumed run appends to it again and reads it back.
+	sweeps := []struct {
+		point  string
+		nv     uint32
+		budget int64
+		ks     []int
+	}{
+		{faultpoint.JournalAppendMid, n, 4096, []int{2, 3, 4}},
+		{faultpoint.EngineCheckpointPre, n, 4096, []int{2, 3, 4}},
+		{faultpoint.PartAppendMid, 40, 8192, nil},
+	}
+	for _, sw := range sweeps {
+		point := sw.point
+		want, wantEdges, frames := ref(sw.nv, sw.budget)
+		if sw.ks == nil {
+			if frames < 4 {
+				t.Fatalf("workload too small: %d partition frames appended", frames)
+			}
+			for k := 1; k <= frames; k++ {
+				sw.ks = append(sw.ks, k)
+			}
+		}
+		for _, k := range sw.ks {
 			dir := t.TempDir()
 			faults := faultpoint.New()
 			faults.Arm(point, k)
 			opts := smallOpts(dir, tag)
-			opts.Scope.Faults = faults
+			opts.MemoryBudget, opts.Scope.Faults = sw.budget, faults
 			en := New(emptyICFET(), d.G, opts)
-			if _, err := en.Run(chainEdges(n, d.Flow), n); !errors.Is(err, faultpoint.ErrInjected) {
+			if _, err := en.Run(chainEdges(sw.nv, d.Flow), sw.nv); !errors.Is(err, faultpoint.ErrInjected) {
 				t.Fatalf("%s k=%d: kill did not fire: %v", point, k, err)
 			}
-			ren := New(emptyICFET(), d.G, smallOpts(dir, tag))
-			rstats, err := ren.Resume(n)
+			opts.Scope.Faults = nil
+			ren := New(emptyICFET(), d.G, opts)
+			rstats, err := ren.Resume(sw.nv)
 			if err != nil {
 				t.Fatalf("%s k=%d: resume: %v", point, k, err)
 			}
 			if got := fingerprint(t, ren); got != want {
 				t.Fatalf("%s k=%d: resumed graph differs", point, k)
 			}
-			if rstats.EdgesAfter != refStats.EdgesAfter {
-				t.Fatalf("%s k=%d: %d edges, want %d", point, k, rstats.EdgesAfter, refStats.EdgesAfter)
+			checkFiles(t, ren)
+			if rstats.EdgesAfter != wantEdges {
+				t.Fatalf("%s k=%d: %d edges, want %d", point, k, rstats.EdgesAfter, wantEdges)
 			}
 		}
 	}

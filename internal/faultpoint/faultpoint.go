@@ -1,10 +1,10 @@
 // Package faultpoint is a deterministic crash-injection switchboard for the
 // checkpoint/resume test harness. Write sites in the engine, the journal,
-// and the batch scheduler call Hit(name) at the instants a real process
-// could die; a test arms a point with Arm(name, n) and the n-th hit returns
-// ErrInjected, which the caller propagates upward exactly as it would a
-// fatal I/O error. Because the in-memory state of the aborted run is then
-// discarded (the test constructs a fresh engine/checker to resume), an
+// partition appends and the batch scheduler call Hit(name) at the instants a
+// real process could die; a test arms a point with Arm(name, n) and the n-th
+// hit returns ErrInjected, which the caller propagates upward exactly as it
+// would a fatal I/O error. Because the in-memory state of the aborted run is
+// then discarded (the test constructs a fresh engine/checker to resume), an
 // injected abort is observationally equivalent to `kill -9` at that point —
 // without the cost of a subprocess per boundary.
 //
@@ -34,6 +34,9 @@ const (
 	// JournalAppendMid fires inside JournalWriter.Append after only a prefix
 	// of the record's bytes reached the file — a torn journal write.
 	JournalAppendMid = "journal.append.mid"
+	// PartAppendMid fires inside storage.AppendPart after only a prefix of
+	// one frame's bytes reached the partition file — a torn partition append.
+	PartAppendMid = "part.append.mid"
 	// SchedulerInstance fires in the batch scheduler after an instance's
 	// completion record has been made durable.
 	SchedulerInstance = "scheduler.instance"

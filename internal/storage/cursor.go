@@ -1,10 +1,11 @@
 // Zero-copy v2 record decoding.
 //
-// A whole block is already sitting in memory CRC-verified, so blockCursor
-// decodes records directly out of that buffer with an offset cursor, and
-// backs the decoded path encodings with a chunked element arena shared
-// across the records of a read: allocations are amortized to
-// ~1/arenaChunkElems per record instead of one (or more) per record.
+// A whole block — a frame's records — is already sitting in memory
+// CRC-verified, so blockCursor decodes records directly out of that buffer
+// with an offset cursor, and backs the decoded path encodings with a chunked
+// element arena shared across the records of a read: allocations are
+// amortized to ~1/arenaChunkElems per record instead of one (or more) per
+// record.
 //
 // The field-by-field stream decoder it replaced (io.ReadFull calls against a
 // bytes.Reader, a fresh encoding slice per record) lives in

@@ -285,10 +285,11 @@ func BenchmarkDecodeRecord(b *testing.B) {
 }
 
 // TestCorruptionMatrixMidRecordTruncation extends the corruption matrix with
-// the one class only the record decoder can catch: a block whose payload was
-// cut mid-record but whose header (plen, count, CRC) was rewritten to be
-// self-consistent. The block CRC verifies, so rejection has to come from the
-// decode loop — with either decoder, tagged ErrCorrupt.
+// the one class only the record decoder can catch: a frame whose block was
+// cut mid-record but whose length, count and CRC were rewritten to be
+// self-consistent. The frame CRC verifies, so rejection has to come from the
+// decode loop — with either decoder, tagged ErrCorrupt, although the frame
+// is the file's last.
 func TestCorruptionMatrixMidRecordTruncation(t *testing.T) {
 	dir := t.TempDir()
 	e := longEncEdge(6)
@@ -302,28 +303,14 @@ func TestCorruptionMatrixMidRecordTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Single block: header | blockHeader | payload | trailer.
-	payloadLen := len(good) - headerSize - blockHeaderSize - trailerSize
-	payload := good[headerSize+blockHeaderSize : headerSize+blockHeaderSize+payloadLen]
+	// One frame: header | rlen | count (one byte) | records | crc.
+	records := good[journalHeaderSize+5 : len(good)-4]
 	firstLen := len(appendRecordV2(nil, &edges[0]))
-	// Cut mid-way through the second record, keep count=2, and recompute
-	// plen and the payload CRC so only the record decoder notices.
-	cutPayload := payload[:firstLen+(len(payload)-firstLen)/2]
-	mut := make([]byte, 0, len(good))
-	mut = append(mut, good[:headerSize]...)
-	var bh [blockHeaderSize]byte
-	putU32 := func(b []byte, v uint32) {
-		b[0] = byte(v)
-		b[1] = byte(v >> 8)
-		b[2] = byte(v >> 16)
-		b[3] = byte(v >> 24)
-	}
-	putU32(bh[0:], uint32(len(cutPayload)))
-	putU32(bh[4:], 2)
-	putU32(bh[8:], crcOf(cutPayload))
-	mut = append(mut, bh[:]...)
-	mut = append(mut, cutPayload...)
-	mut = append(mut, good[len(good)-trailerSize:]...)
+	// Cut mid-way through the second record, keep count=2, and reseal the
+	// frame so only the record decoder notices.
+	cut := records[:firstLen+(len(records)-firstLen)/2]
+	mut := append(append([]byte{}, good[:journalHeaderSize+5]...), cut...)
+	mut = sealFrame(mut, journalHeaderSize)
 
 	path := filepath.Join(dir, "midcut.edges")
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
@@ -345,7 +332,7 @@ func TestCorruptionMatrixMidRecordTruncation(t *testing.T) {
 // TestReadPartPrefixCursorEquivalence is the decoder-equivalence test for
 // the resume-path prefix reader, which decodes through the zero-copy cursor:
 // on pristine files, files with a post-checkpoint suffix, and files
-// truncated at every torn-append boundary, its recovered prefix must be
+// truncated at every byte of the appended frame, its recovered prefix must be
 // byte-identical to what the stream decoder reconstructs (readPartStream)
 // from the intact original.
 func TestReadPartPrefixCursorEquivalence(t *testing.T) {
@@ -357,10 +344,11 @@ func TestReadPartPrefixCursorEquivalence(t *testing.T) {
 	}
 	edges = append(edges, longEncEdge(300)) // forces the arena down its big-chunk path
 	path := filepath.Join(dir, "p.edges")
-	if _, err := WritePart(path, edges[:48], PartInfo{Lo: 3, Hi: 17}); err != nil {
+	size, err := WritePart(path, edges[:48], PartInfo{Lo: 3, Hi: 17})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendPart(path, edges[48:]); err != nil {
+	if _, err := AppendPart(path, edges[48:], PartInfo{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	want, _, _, err := readPartStream(path, nil)
@@ -382,7 +370,7 @@ func TestReadPartPrefixCursorEquivalence(t *testing.T) {
 			}
 		}
 	}
-	for _, n := range []int64{0, 1, 48, int64(len(edges))} {
+	for _, n := range []int64{0, 48, int64(len(edges))} {
 		check("intact", n)
 	}
 	// Torn tails: cut the file anywhere inside the appended region; the
@@ -391,7 +379,7 @@ func TestReadPartPrefixCursorEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := len(raw) - 1; cut > len(raw)-trailerSize-8; cut-- {
+	for cut := len(raw) - 1; cut > int(size); cut-- {
 		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}

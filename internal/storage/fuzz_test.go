@@ -2,13 +2,14 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -56,14 +57,36 @@ func FuzzDecodeRecordV2(f *testing.F) {
 	})
 }
 
-// FuzzReadPart exercises the whole-file readers — header, block CRC and
-// trailer commit checks — on arbitrary file contents. Every input must be
-// rejected or decoded without panicking, and because ReadPart and
-// ReadPartPrefix share one block scan they may never disagree about what a
-// valid file is: whatever ReadPart accepts with n edges, ReadPartPrefix(n)
-// returns as an exact prefix and WritePart reproduces; whatever
-// ReadPartPrefix calls exact, ReadPart accepts with that many edges. Run
-// with:
+// v2File is what the v2 writer produced for edges: a 24-byte header (magic,
+// version 2, header size, interval, reserved word, CRC), one block (payload
+// length, record count, CRC, records) and a trailer committing the counts.
+// Built by hand: no v2 encoder is kept.
+func v2File(edges []Edge, lo, hi uint32) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint16([]byte("GPLP"), 2)
+	b = le.AppendUint16(b, 24)
+	b = le.AppendUint32(le.AppendUint32(b, lo), hi)
+	b = le.AppendUint32(b, 0)
+	b = le.AppendUint32(b, crc32.ChecksumIEEE(b))
+	var recs []byte
+	for i := range edges {
+		recs = appendRecordV2(recs, &edges[i])
+	}
+	b = le.AppendUint32(le.AppendUint32(b, uint32(len(recs))), uint32(len(edges)))
+	b = append(le.AppendUint32(b, crc32.ChecksumIEEE(recs)), recs...)
+	tr := le.AppendUint32(le.AppendUint64([]byte("GPLT"), uint64(len(edges))), 1)
+	return append(b, le.AppendUint32(tr, crc32.ChecksumIEEE(tr))...)
+}
+
+// FuzzReadPart exercises the partition readers — header, frame CRCs, the one
+// damage rule, block decoding — on arbitrary file contents, seeded with v3
+// files (clean, torn tail, appended past a prefix, a bad frame before a good
+// one) and with the v1 and v2 formats, which must be refused. Every input
+// must be rejected (ErrCorrupt) or decoded without panicking, and ReadPart,
+// VisitPart and the resume path's prefix read give one answer: the same
+// verdict and the same edges, the prefix read of all of them ending where
+// ReadPart's valid frames do, so that the file cut there reads back the same
+// and WritePart reproduces it. Run with:
 // go test -fuzz=FuzzReadPart ./internal/storage
 func FuzzReadPart(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
@@ -73,20 +96,27 @@ func FuzzReadPart(f *testing.F) {
 	for i := 0; i < 20; i++ {
 		edges = append(edges, randEdge(rng))
 	}
-	if _, err := WritePart(seed, edges, PartInfo{Lo: 3, Hi: 99}); err != nil {
+	if _, err := WritePart(seed, edges[:12], PartInfo{Lo: 3, Hi: 99}); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := AppendPart(seed, edges[12:], PartInfo{}, nil); err != nil {
 		f.Fatal(err)
 	}
 	good, err := os.ReadFile(seed)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(good)
-	f.Add(good[:len(good)/2])
-	v1 := bareV1Stream()
-	f.Add(v1) // the retired format: must be rejected, see below
+	f.Add(good)                   // clean, and appended past a 12-edge prefix
+	f.Add(good[:len(good)-5])     // torn tail
+	badFirst := bytes.Clone(good) // a bad frame before a good one
+	badFirst[journalHeaderSize+9] ^= 0x10
+	f.Add(badFirst)
+	v1, v2 := bareV1Stream(), v2File(edges, 3, 99)
+	f.Add(v1) // the retired formats: must be rejected, see below
+	f.Add(v2)
 	f.Add([]byte{})
 	f.Add([]byte("GPLP"))
-	f.Add(bytes.Repeat([]byte{0x00}, headerSize+trailerSize))
+	f.Add(bytes.Repeat([]byte{0x00}, journalHeaderSize+8))
 	sameEdges := func(t *testing.T, what string, got, want []Edge) {
 		t.Helper()
 		if len(got) != len(want) {
@@ -104,12 +134,12 @@ func FuzzReadPart(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		got, info, _, rerr := ReadPart(path, nil)
+		got, info, valid, rerr := ReadPart(path, nil)
 		if rerr != nil && !errors.Is(rerr, ErrCorrupt) {
 			t.Fatalf("rejection not tagged ErrCorrupt: %v", rerr)
 		}
-		if rerr == nil && bytes.Equal(data, v1) {
-			t.Fatal("bare v1 record stream accepted")
+		if rerr == nil && (bytes.Equal(data, v1) || bytes.Equal(data, v2)) {
+			t.Fatal("a retired format accepted")
 		}
 		// The block-by-block reader accepts exactly what ReadPart accepts, and
 		// visits its edges in its order.
@@ -123,35 +153,26 @@ func FuzzReadPart(f *testing.F) {
 		if (verr == nil) != (rerr == nil) || verr != nil && !errors.Is(verr, ErrCorrupt) {
 			t.Fatalf("VisitPart: %v, ReadPart: %v", verr, rerr)
 		}
-		if rerr == nil {
-			sameEdges(t, "visit", visited, got)
-		}
-		if _, _, _, err := ReadPartPrefix(path, 0); err != nil {
-			if rerr == nil {
-				t.Fatalf("ReadPart accepts a file ReadPartPrefix rejects: %v", err)
-			}
-			return
-		}
-		// k is how many edges the prefix reader can recover (a record takes at
-		// least 16 bytes); exactness can only hold there.
-		k := int64(sort.Search(len(data)/16+1, func(k int) bool {
-			_, _, _, err := ReadPartPrefix(path, int64(k)+1)
-			return err != nil
-		}))
-		prefix, pinfo, exact, err := ReadPartPrefix(path, k)
-		if err != nil {
-			t.Fatalf("ReadPartPrefix(%d): %v", k, err)
-		}
-		if exact != (rerr == nil) {
-			t.Fatalf("ReadPartPrefix(%d) exact=%v, ReadPart: %v", k, exact, rerr)
+		prefix, pinfo, end, perr := ReadPartPrefix(path, int64(len(got)))
+		if (perr == nil) != (rerr == nil) {
+			t.Fatalf("ReadPartPrefix(%d): %v, ReadPart: %v", len(got), perr, rerr)
 		}
 		if rerr != nil {
 			return
 		}
-		if pinfo != info {
-			t.Fatalf("header info differs: %+v vs %+v", pinfo, info)
-		}
+		sameEdges(t, "visit", visited, got)
 		sameEdges(t, "prefix", prefix, got)
+		if pinfo != info || end != valid {
+			t.Fatalf("prefix read: info %+v up to byte %d, ReadPart: %+v up to %d", pinfo, end, info, valid)
+		}
+		if err := os.Truncate(path, end); err != nil {
+			t.Fatal(err)
+		}
+		cut, cinfo, _, err := ReadPart(path, nil)
+		if err != nil || cinfo != info {
+			t.Fatalf("cut file: info %+v/%+v err=%v", cinfo, info, err)
+		}
+		sameEdges(t, "cut", cut, got)
 		again := filepath.Join(dir, "again.edges")
 		if _, err := WritePart(again, got, info); err != nil {
 			t.Fatal(err)

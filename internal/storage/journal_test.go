@@ -331,6 +331,8 @@ func TestCreateJournalReplacesExisting(t *testing.T) {
 
 // --- ReadPartPrefix ----------------------------------------------------
 
+// TestReadPartPrefixExact: a prefix of every edge the file holds ends where
+// the file does.
 func TestReadPartPrefixExact(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.edges")
@@ -339,15 +341,16 @@ func TestReadPartPrefixExact(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		edges = append(edges, randEdge(rng))
 	}
-	if _, err := WritePart(path, edges, PartInfo{Lo: 1, Hi: 9}); err != nil {
-		t.Fatal(err)
-	}
-	got, info, exact, err := ReadPartPrefix(path, 100)
+	size, err := WritePart(path, edges, PartInfo{Lo: 1, Hi: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !exact {
-		t.Fatal("pristine file with matching count not exact")
+	got, info, end, err := ReadPartPrefix(path, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end != size {
+		t.Fatalf("prefix of the whole file ends at byte %d of %d", end, size)
 	}
 	if info != (PartInfo{Lo: 1, Hi: 9}) {
 		t.Fatalf("info %+v", info)
@@ -359,9 +362,10 @@ func TestReadPartPrefixExact(t *testing.T) {
 	}
 }
 
+// TestReadPartPrefixWithSuffix: the checkpointed count is smaller than the
+// file. Post-checkpoint appends form a suffix, and end is where the frames
+// of the prefix end: cut there, the file holds the prefix alone.
 func TestReadPartPrefixWithSuffix(t *testing.T) {
-	// The checkpointed count is smaller than the file: post-checkpoint
-	// appends form a suffix that must be cut off, inexactly.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.edges")
 	rng := rand.New(rand.NewSource(22))
@@ -369,18 +373,19 @@ func TestReadPartPrefixWithSuffix(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		edges = append(edges, randEdge(rng))
 	}
-	if _, err := WritePart(path, edges[:40], PartInfo{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AppendPart(path, edges[40:]); err != nil {
-		t.Fatal(err)
-	}
-	got, _, exact, err := ReadPartPrefix(path, 40)
+	size, err := WritePart(path, edges[:40], PartInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact {
-		t.Fatal("file with extra suffix reported exact")
+	if _, err := AppendPart(path, edges[40:], PartInfo{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, _, end, err := ReadPartPrefix(path, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end != size {
+		t.Fatalf("the 40-edge prefix ends at byte %d, its frames at %d", end, size)
 	}
 	if len(got) != 40 {
 		t.Fatalf("got %d edges", len(got))
@@ -390,11 +395,17 @@ func TestReadPartPrefixWithSuffix(t *testing.T) {
 			t.Fatalf("edge %d mismatch", i)
 		}
 	}
+	if err := os.Truncate(path, end); err != nil {
+		t.Fatal(err)
+	}
+	if back, _, _, err := ReadPart(path, nil); err != nil || len(back) != 40 {
+		t.Fatalf("cut file: %d edges, %v", len(back), err)
+	}
 }
 
+// TestReadPartPrefixTornAppend: a torn append past the prefix still yields
+// the pre-append prefix; plain ReadPart drops the same torn frame.
 func TestReadPartPrefixTornAppend(t *testing.T) {
-	// A torn append (no valid trailer) must still yield the pre-append
-	// prefix; plain ReadPart rejects the same file.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.edges")
 	rng := rand.New(rand.NewSource(23))
@@ -402,29 +413,30 @@ func TestReadPartPrefixTornAppend(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		edges = append(edges, randEdge(rng))
 	}
-	if _, err := WritePart(path, edges[:30], PartInfo{Lo: 2, Hi: 7}); err != nil {
+	size, err := WritePart(path, edges[:30], PartInfo{Lo: 2, Hi: 7})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendPart(path, edges[30:]); err != nil {
+	if _, err := AppendPart(path, edges[30:], PartInfo{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := len(raw) - 1; cut > len(raw)-trailerSize-8; cut-- {
+	for cut := len(raw) - 1; cut > int(size); cut-- {
 		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := ReadPart(path, nil); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("cut=%d: ReadPart accepted a torn file: %v", cut, err)
+		if got, _, _, err := ReadPart(path, nil); err != nil || len(got) != 30 {
+			t.Fatalf("cut=%d: ReadPart read %d edges of a torn file: %v", cut, len(got), err)
 		}
-		got, _, exact, err := ReadPartPrefix(path, 30)
+		got, _, end, err := ReadPartPrefix(path, 30)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
-		if exact {
-			t.Fatalf("cut=%d: torn file reported exact", cut)
+		if end != size {
+			t.Fatalf("cut=%d: prefix ends at byte %d, want %d", cut, end, size)
 		}
 		for i := 0; i < 30; i++ {
 			if !edgesEqual(got[i], edges[i]) {
@@ -434,6 +446,8 @@ func TestReadPartPrefixTornAppend(t *testing.T) {
 	}
 }
 
+// TestReadPartPrefixInsufficient: a count the file cannot back — more edges
+// than it holds, or a prefix that ends inside a frame — is ErrCorrupt.
 func TestReadPartPrefixInsufficient(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.edges")
@@ -445,14 +459,16 @@ func TestReadPartPrefixInsufficient(t *testing.T) {
 	if _, err := WritePart(path, edges, PartInfo{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := ReadPartPrefix(path, 11); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("over-promising journal count: %v", err)
+	for _, n := range []int64{11, 5} {
+		if _, _, _, err := ReadPartPrefix(path, n); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("a count of %d over a 10-edge frame: %v", n, err)
+		}
 	}
 	// Missing file backs only a zero count.
 	missing := filepath.Join(dir, "nope.edges")
-	got, _, exact, err := ReadPartPrefix(missing, 0)
-	if err != nil || !exact || len(got) != 0 {
-		t.Fatalf("missing file, n=0: %v %v %v", got, exact, err)
+	got, _, end, err := ReadPartPrefix(missing, 0)
+	if err != nil || end != 0 || len(got) != 0 {
+		t.Fatalf("missing file, n=0: %v %v %v", got, end, err)
 	}
 	if _, _, _, err := ReadPartPrefix(missing, 1); err == nil {
 		t.Fatal("missing file backed a nonzero count")

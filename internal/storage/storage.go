@@ -6,9 +6,9 @@
 // separate object, trading random access (which the engine never needs; its
 // accesses are sequential) for locality.
 //
-// There is one record encoding and one file format (v2, see file.go): the
-// encoding length is a uvarint, and records live only inside CRC-protected
-// blocks. blockCursor (cursor.go) is the one decoder.
+// There is one record encoding (v2: the encoding length is a uvarint) and
+// one file format (v3, see file.go), in which records live only inside
+// CRC-protected frames. blockCursor (cursor.go) is the one decoder.
 package storage
 
 import (

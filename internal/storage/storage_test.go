@@ -109,8 +109,9 @@ func TestRecordV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestTruncatedRecord cuts a one-record file at every byte: no prefix of a
-// partition file is a partition file.
+// TestTruncatedRecord cuts a one-record file at every byte: a cut into the
+// header is ErrCorrupt, and a cut into the one frame is a torn append, which
+// reads as no edges at all — never as a partial or garbled record.
 func TestTruncatedRecord(t *testing.T) {
 	dir := t.TempDir()
 	e := randEdge(rand.New(rand.NewSource(1)))
@@ -127,8 +128,9 @@ func TestTruncatedRecord(t *testing.T) {
 		if err := os.WriteFile(path, buf[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := ReadPart(path, nil); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("cut=%d: %v", cut, err)
+		got, _, _, err := ReadPart(path, nil)
+		if cut < journalHeaderSize && !errors.Is(err, ErrCorrupt) || cut >= journalHeaderSize && (err != nil || len(got) != 0) {
+			t.Fatalf("cut=%d: %d edges, %v", cut, len(got), err)
 		}
 	}
 }
@@ -224,18 +226,21 @@ func TestAppendFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := []Edge{randEdge(rng), randEdge(rng)}
 	b := []Edge{randEdge(rng)}
-	if _, err := AppendPart(path, a); err != nil {
+	if _, err := AppendPart(path, a, PartInfo{Lo: 4, Hi: 8}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendPart(path, b); err != nil {
+	if _, err := AppendPart(path, b, PartInfo{Lo: 9, Hi: 9}, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _, err := ReadPart(path, nil)
+	got, info, _, err := ReadPart(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 {
 		t.Fatalf("got %d edges", len(got))
+	}
+	if info != (PartInfo{Lo: 4, Hi: 8}) {
+		t.Fatalf("the creating append's interval is not recorded: %+v", info)
 	}
 	if !edgesEqual(got[2], b[0]) {
 		t.Fatal("appended edge mismatch")
@@ -251,7 +256,7 @@ func TestAppendToWrittenPart(t *testing.T) {
 		t.Fatal(err)
 	}
 	more := []Edge{randEdge(rng), longEncEdge(400)}
-	if _, err := AppendPart(path, more); err != nil {
+	if _, err := AppendPart(path, more, PartInfo{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, info, _, err := ReadPart(path, nil)
@@ -290,9 +295,22 @@ func bareV1Stream() []byte {
 	return b
 }
 
-// TestCorruptionMatrix checks that every corruption class is rejected with
-// a diagnosable error (wrapped ErrCorrupt) instead of being misparsed,
-// panicking, or silently decoding zero values.
+// frameEnds returns the offsets at which the frames of the log raw end.
+func frameEnds(raw []byte) []int {
+	var ends []int
+	for off := journalHeaderSize; off+4 <= len(raw); {
+		off += 8 + int(binary.LittleEndian.Uint32(raw[off:]))
+		ends = append(ends, off)
+	}
+	return ends
+}
+
+// TestCorruptionMatrix holds the partition readers to the log's one damage
+// rule, class by class, on a file of three frames (100, 50 and 50 edges):
+// damage that could be a torn append reads as the frames before it, and
+// any other is rejected with a diagnosable error (wrapped ErrCorrupt) —
+// never misparsed, never a panic, never zero values. A shorter read is the
+// engine's to reject (TestPartitionFileShortOfCountIsCorrupt).
 func TestCorruptionMatrix(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(42))
@@ -301,66 +319,71 @@ func TestCorruptionMatrix(t *testing.T) {
 		edges = append(edges, randEdge(rng))
 	}
 	pristine := filepath.Join(dir, "pristine.edges")
-	if _, err := WritePart(pristine, edges, PartInfo{Lo: 0, Hi: 1 << 20}); err != nil {
+	if _, err := WritePart(pristine, edges[:100], PartInfo{Lo: 0, Hi: 1 << 20}); err != nil {
 		t.Fatal(err)
+	}
+	for _, more := range [][]Edge{edges[100:150], edges[150:]} {
+		if _, err := AppendPart(pristine, more, PartInfo{}, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	good, err := os.ReadFile(pristine)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ends := frameEnds(good)
+	if len(ends) != 3 || ends[2] != len(good) {
+		t.Fatalf("frame ends %v in a file of %d bytes", ends, len(good))
+	}
+	flip := func(b []byte, off int, bit byte) []byte {
+		c := append([]byte{}, b...)
+		c[off] ^= bit
+		return c
+	}
 
-	// A case with header set leaves no valid v2 header: besides ReadPart,
-	// ReadPartPrefix and AppendPart must reject it too, and the append must
-	// not touch the file. (Damage after the header is the prefix reader's to
-	// tolerate; the torn-append case below covers AppendPart there.)
+	// want is how many edges ReadPart returns, -1 for ErrCorrupt. A case with
+	// header set leaves no valid v3 header: besides ReadPart, ReadPartPrefix
+	// and AppendPart must reject it too, and the append must not touch the
+	// file.
 	cases := []struct {
 		name   string
+		want   int
 		header bool
 		mutate func([]byte) []byte
 	}{
-		{"truncated mid-block", false, func(b []byte) []byte { return b[:len(b)/2] }},
-		{"truncated trailer", false, func(b []byte) []byte { return b[:len(b)-1] }},
-		{"missing trailer", false, func(b []byte) []byte { return b[:len(b)-trailerSize] }},
-		{"short header", true, func(b []byte) []byte { return b[:headerSize-4] }},
-		{"stale version byte", true, func(b []byte) []byte {
+		{"truncated mid-block", 100, false, func(b []byte) []byte { return b[:(ends[0]+ends[1])/2] }},
+		{"torn final frame", 150, false, func(b []byte) []byte { return b[:len(b)-1] }},
+		{"cut at a frame boundary", 150, false, func(b []byte) []byte { return b[:ends[1]] }},
+		{"short header", -1, true, func(b []byte) []byte { return b[:journalHeaderSize-4] }},
+		{"stale version byte", -1, true, func(b []byte) []byte {
+			// A v2 file's version under the same magic: refused, never misread.
 			c := append([]byte{}, b...)
-			binary.LittleEndian.PutUint16(c[4:], 1) // claim format v1 under the v2 magic
-			binary.LittleEndian.PutUint32(c[20:], crcOf(c[:20]))
+			binary.LittleEndian.PutUint16(c[4:], 2)
+			binary.LittleEndian.PutUint32(c[14:], crcOf(c[:14]))
 			return c
 		}},
-		{"header bit flip", true, func(b []byte) []byte {
-			c := append([]byte{}, b...)
-			c[9] ^= 0x40 // inside lo, covered by the header CRC
-			return c
+		{"header bit flip", -1, true, func(b []byte) []byte { return flip(b, 9, 0x40) }}, // inside the interval
+		{"magic bit flip", -1, true, func(b []byte) []byte { return flip(b, 0, 0x01) }},
+		{"truncated to 3 bytes", -1, true, func(b []byte) []byte { return b[:3] }},
+		{"zero-length file", -1, true, func(b []byte) []byte { return nil }},
+		{"bare v1 record stream", -1, true, func([]byte) []byte { return bareV1Stream() }},
+		{"block payload bit flip", -1, false, func(b []byte) []byte { return flip(b, journalHeaderSize+10, 0x01) }},
+		{"rel payload bit flip", -1, false, func(b []byte) []byte {
+			// A flip in any frame but the last must be caught by the frame CRC
+			// — this is the class that used to silently flip verdicts via a
+			// zero/garbled Rel.
+			return flip(b, ends[1]-7, 0x80)
 		}},
-		{"magic bit flip", true, func(b []byte) []byte {
+		{"last frame bit flip", 150, false, func(b []byte) []byte { return flip(b, ends[1]+10, 0x01) }},
+		{"frame count lie", -1, false, func(b []byte) []byte {
+			// The first frame's record count, checksummed again: the CRC
+			// holds, the block does not decode.
 			c := append([]byte{}, b...)
-			c[0] ^= 0x01
-			return c
+			off := journalHeaderSize
+			c[off+4]--
+			return append(sealFrame(c[:ends[0]-4], off), c[ends[0]:]...)
 		}},
-		{"truncated to 3 bytes", true, func(b []byte) []byte { return b[:3] }},
-		{"zero-length file", true, func(b []byte) []byte { return nil }},
-		{"bare v1 record stream", true, func([]byte) []byte { return bareV1Stream() }},
-		{"block payload bit flip", false, func(b []byte) []byte {
-			c := append([]byte{}, b...)
-			c[headerSize+blockHeaderSize+10] ^= 0x01
-			return c
-		}},
-		{"rel payload bit flip", false, func(b []byte) []byte {
-			// Any in-block flip must be caught by the block CRC — this is the
-			// class that used to silently flip verdicts via a zero/garbled Rel.
-			c := append([]byte{}, b...)
-			c[len(c)-trailerSize-3] ^= 0x80
-			return c
-		}},
-		{"trailer count lie", false, func(b []byte) []byte {
-			c := append([]byte{}, b...)
-			off := len(c) - trailerSize
-			binary.LittleEndian.PutUint64(c[off+4:], 9999)
-			binary.LittleEndian.PutUint32(c[off+16:], crcOf(c[off:off+16]))
-			return c
-		}},
-		{"trailing garbage", false, func(b []byte) []byte { return append(append([]byte{}, b...), 0xAB) }},
+		{"trailing garbage", 200, false, func(b []byte) []byte { return append(append([]byte{}, b...), 0xAB) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -369,23 +392,27 @@ func TestCorruptionMatrix(t *testing.T) {
 			if err := os.WriteFile(path, bad, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, _, _, err := ReadPart(path, nil)
-			if err == nil {
-				t.Fatal("corrupted file accepted")
+			got, _, _, err := ReadPart(path, nil)
+			switch {
+			case tc.want < 0 && !errors.Is(err, ErrCorrupt):
+				t.Fatalf("damage not reported as ErrCorrupt: %d edges, %v", len(got), err)
+			case tc.want >= 0 && (err != nil || len(got) != tc.want):
+				t.Fatalf("read %d edges (%v), want the first %d", len(got), err, tc.want)
 			}
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("error not tagged ErrCorrupt: %v", err)
+			for i := range got {
+				if !edgesEqual(got[i], edges[i]) {
+					t.Fatalf("edge %d misread", i)
+				}
 			}
 			// The block-by-block reader verifies what ReadPart verifies, and
-			// visits whole verified blocks only: of this one-block file all
-			// edges (the damage sits behind the block, in the trailer) or none.
+			// visits whole verified frames only.
 			visited := 0
-			_, err = VisitPart(path, func(*Edge) bool { visited++; return true })
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("VisitPart: %v", err)
+			_, verr := VisitPart(path, func(*Edge) bool { visited++; return true })
+			if (verr == nil) != (err == nil) || verr != nil && !errors.Is(verr, ErrCorrupt) {
+				t.Fatalf("VisitPart: %v, ReadPart: %v", verr, err)
 			}
-			if visited != 0 && visited != len(edges) {
-				t.Fatalf("VisitPart visited %d of the block's %d edges", visited, len(edges))
+			if visited != 0 && visited != 100 && visited != 150 && visited != 200 {
+				t.Fatalf("VisitPart visited %d edges: not whole frames", visited)
 			}
 			if !tc.header {
 				return
@@ -393,7 +420,7 @@ func TestCorruptionMatrix(t *testing.T) {
 			if _, _, _, err := ReadPartPrefix(path, 0); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("ReadPartPrefix: %v", err)
 			}
-			if _, err := AppendPart(path, edges[:1]); !errors.Is(err, ErrCorrupt) {
+			if _, err := AppendPart(path, edges[:1], PartInfo{}, nil); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("AppendPart: %v", err)
 			}
 			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, bad) {
@@ -402,13 +429,19 @@ func TestCorruptionMatrix(t *testing.T) {
 		})
 	}
 
+	// An append after a torn frame puts a valid frame behind a bad one: the
+	// file is damaged, and reads say so instead of skipping the torn frame.
+	// (Resume truncates a torn frame before anything is appended.)
 	t.Run("append to corrupt file", func(t *testing.T) {
 		path := filepath.Join(dir, "corrupt-append.edges")
 		if err := os.WriteFile(path, good[:len(good)-3], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := AppendPart(path, edges[:1]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("append to torn file: %v", err)
+		if _, err := AppendPart(path, edges[:1], PartInfo{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := ReadPart(path, nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("a torn frame followed by an append: %v", err)
 		}
 	})
 }
@@ -515,17 +548,18 @@ func TestVisitPart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)-trailerSize-3] ^= 0x80 // inside the last block
+	ends := frameEnds(raw)
+	raw[ends[len(ends)-2]-7] ^= 0x80 // inside the last block but one
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	n = 0
 	_, err = VisitPart(path, func(*Edge) bool { n++; return true })
 	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("damaged last block: %v", err)
+		t.Fatalf("damaged block before the last: %v", err)
 	}
 	if n == 0 || n >= len(want) {
-		t.Fatalf("visited %d of %d edges before the damaged last block", n, len(want))
+		t.Fatalf("visited %d of %d edges before the damaged block", n, len(want))
 	}
 }
 
