@@ -110,14 +110,15 @@ func (p *Pass) Reportf(code string, pos lang.Pos, format string, args ...any) {
 type Result struct {
 	// Diagnostics holds every finding, ordered by position then code.
 	Diagnostics []Diagnostic
-	// CondsDecided counts the If conditions the SCCP pass proved constant.
+	// CondsDecided counts the If conditions the SCCP pass proved constant
+	// in the analyzed functions.
 	CondsDecided int64
 
 	// facts maps analyzer -> function -> that pass's result.
 	facts map[*Analyzer]map[*ir.Func]any
 	// progFacts maps a program-scoped analyzer to its single result.
 	progFacts map[*Analyzer]any
-	// verdicts is the whole-program branch-verdict index: every function's
+	// verdicts is the branch-verdict index: every analyzed function's
 	// SCCPFacts.Verdicts merged into one map (an *ir.If belongs to exactly
 	// one function, so the merge never collides). Only decided conditions
 	// are stored. Run builds it once; afterwards it is only read, which is
@@ -162,12 +163,20 @@ func PruneAnalyzers() []*Analyzer {
 }
 
 // Run executes the analyzers (plus their transitive requirements) over
-// every function of the program. Program-scoped analyzers (ProgramRun) go
-// first, once; per-function analyzers then run over each function with
-// both kinds of requirement visible through ResultOf. Invalid analyzer
-// graphs are rejected up front with every problem aggregated into one
-// error (not just the first), so a broken suite reads as one report.
+// every function of the program: RunFuncs over prog.Funs.
 func Run(prog *ir.Program, analyzers []*Analyzer) (*Result, error) {
+	return RunFuncs(prog, analyzers, prog.Funs)
+}
+
+// RunFuncs executes the analyzers (plus their transitive requirements) over
+// the functions funs of the program. Program-scoped analyzers (ProgramRun)
+// go first, once, over the whole program; per-function analyzers then run
+// over each function of funs with both kinds of requirement visible through
+// ResultOf. A function outside funs has no facts and no branch verdicts.
+// Invalid analyzer graphs are rejected up front with every problem
+// aggregated into one error (not just the first), so a broken suite reads
+// as one report.
+func RunFuncs(prog *ir.Program, analyzers []*Analyzer, funs []*ir.Func) (*Result, error) {
 	if err := validate(analyzers); err != nil {
 		return nil, err
 	}
@@ -208,7 +217,7 @@ func Run(prog *ir.Program, analyzers []*Analyzer) (*Result, error) {
 		}
 		res.progFacts[a] = out
 	}
-	for _, fn := range prog.Funs {
+	for _, fn := range funs {
 		cfg := ir.BuildCFG(fn)
 		for _, a := range fnOrder {
 			deps := map[*Analyzer]any{}

@@ -19,6 +19,7 @@ package cfet
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"github.com/grapple-system/grapple/internal/constraint"
@@ -93,7 +94,11 @@ type CFET struct {
 	Name   string
 	Fn     *ir.Func
 	Nodes  map[uint64]*Node
-	Leaves []uint64
+	// NodeIDs holds the keys of Nodes in ascending order, so parents before
+	// children: the order graph construction visits nodes in. Build fills it
+	// once, before the ICFET is shared; it is only read afterwards.
+	NodeIDs []uint64
+	Leaves  []uint64
 	// Syms is every symbolic variable created for this method (params,
 	// opaque inputs, call results, branch opaques); decoding renames these
 	// per call-frame instance.
@@ -226,11 +231,10 @@ func Build(p *ir.Program, syms *symbolic.Table, opts Options) (*ICFET, error) {
 		}
 		if opts.SliceFunc != nil && opts.SliceFunc(fn.Name) {
 			b.stub(fn)
-			continue
-		}
-		if err := b.run(fn); err != nil {
+		} else if err := b.run(fn); err != nil {
 			return nil, err
 		}
+		b.sealNodeIDs()
 	}
 	// Materialize owned-symbol sets now: the engine's workers decode
 	// concurrently and must only read CFET state.
@@ -371,8 +375,8 @@ type walker struct {
 
 // buildSlabs allocates what one Build call makes many of: tree nodes, the
 // continuation frames of the walk, call edges, the statement and equation
-// lists of nodes and edges, cut to their exact length, and the term lists
-// of the symbolic values the walk computes.
+// lists of nodes and edges and each method's node IDs, cut to their exact
+// length, and the term lists of the symbolic values the walk computes.
 type buildSlabs struct {
 	terms  symbolic.Arena
 	nodes  lang.Slab[Node]
@@ -380,6 +384,7 @@ type buildSlabs struct {
 	edges  lang.Slab[CallEdge]
 	placed lang.ListSlab[PlacedStmt]
 	eqs    lang.ListSlab[Equation]
+	ids    lang.ListSlab[uint64]
 }
 
 func (w *walker) fresh(prefix string) symbolic.Sym {
@@ -410,8 +415,15 @@ func (w *walker) opaqueSym(id int32) symbolic.Sym {
 func (w *walker) newNode(id uint64) *Node {
 	n := w.slabs.nodes.New(Node{ID: id})
 	w.m.Nodes[id] = n
+	w.slabs.ids.Push(id)
 	w.nodes++
 	return n
+}
+
+// sealNodeIDs gives the method the IDs of the nodes its walk created, sorted.
+func (w *walker) sealNodeIDs() {
+	w.m.NodeIDs = w.slabs.ids.Cut(0)
+	slices.Sort(w.m.NodeIDs)
 }
 
 // place appends a statement to the node being walked. A node's statements

@@ -62,6 +62,7 @@ func buildCloneReference(p *ir.Program, syms *symbolic.Table, opts Options) (*IC
 		}
 		if opts.SliceFunc != nil && opts.SliceFunc(fn.Name) {
 			w.stub(fn)
+			w.sealNodeIDs()
 			continue
 		}
 		e := newEnv()
@@ -73,6 +74,7 @@ func buildCloneReference(p *ir.Program, syms *symbolic.Table, opts Options) (*IC
 			}
 		}
 		w.walkCloneReference(fn.Body.Stmts, nil, w.newNode(0), e)
+		w.sealNodeIDs()
 	}
 	for _, m := range ic.Methods {
 		m.buildSymSet()

@@ -90,7 +90,7 @@ type Options struct {
 	Resume bool
 	// Scope is the run's recorder and lane, progress tracker and fault set,
 	// handed unchanged to both engines: a span per pipeline phase
-	// (pre-analysis, slicing, CFET build, context cloning, both engine
+	// (slicing, pre-analysis, CFET build, context cloning, both engine
 	// closures, FSM checking) plus the engines' superstep and storage events,
 	// the current phase for the heartbeat and status.json, and the crash
 	// points of the engines' journal write path. Observation never changes
@@ -207,9 +207,6 @@ type Result struct {
 	Flows int
 	// PointsTo holds the recorded phase-1 facts (Options.RecordPointsTo).
 	PointsTo []PointsToFact
-	// CondsDecided is how many branch conditions the pre-analysis proved
-	// constant (not all of them are reached during CFET construction).
-	CondsDecided int64
 }
 
 // QueryPointsTo returns the recorded facts for a variable of a method
@@ -465,12 +462,11 @@ type Prepared struct {
 
 	// phase-1 halves of the eventual Result, copied into every
 	// CheckPrepared output.
-	alias        PhaseStats
-	genTime      time.Duration
-	computeTime  time.Duration
-	flowCount    int
-	pointsTo     []PointsToFact
-	condsDecided int64
+	alias       PhaseStats
+	genTime     time.Duration
+	computeTime time.Duration
+	flowCount   int
+	pointsTo    []PointsToFact
 }
 
 // PrepareSource parses, lowers and prepares a MiniLang compilation unit.
@@ -482,11 +478,12 @@ func (c *Checker) PrepareSource(ctx context.Context, src string) (*Prepared, err
 	return c.PrepareIR(ctx, p, src)
 }
 
-// PrepareIR runs the frontend (pre-analysis, points-to and, given FSMs,
-// slicing, ICFET, context tree, alias graph) and the phase-1 alias closure
-// over a lowered program. The flowsTo facts the closure produced are held in
-// memory, which is all phase 2 consults (§2.2); the alias engine's partitions
-// outlive the call only in a WorkDir the caller named. It creates the unit's
+// PrepareIR runs the frontend (points-to and, given FSMs, slicing, then the
+// pre-analysis over the functions the slice keeps, ICFET, context tree,
+// alias graph) and the phase-1 alias closure over a lowered program. The
+// flowsTo facts the closure produced are held in memory, which is all phase
+// 2 consults (§2.2); the alias engine's partitions outlive the call only in
+// a WorkDir the caller named. It creates the unit's
 // constraint memo, which the alias phase fills and every CheckPrepared on the
 // result reuses. text is the source p was lowered from, which journal tags
 // fingerprint; given "", Journal and Resume are refused.
@@ -510,20 +507,10 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program, text string) (*P
 		prep.memo = smt.NewCache(0)
 	}
 
-	// --- Frontend: pre-analysis + ICFET (index) + context tree + alias graph. ---
+	// --- Frontend: slice + pre-analysis + ICFET (index) + context tree + alias graph. ---
 	c.Opts.Scope.Progress.SetPhase("frontend")
 	genStart := time.Now()
 	cfetOpts := c.Opts.CFET
-	if cfetOpts.BranchVerdict == nil {
-		sp := c.Opts.Scope.Start("checker", "pre-analysis")
-		pre, err := analysis.Run(p, analysis.PruneAnalyzers())
-		if err != nil {
-			return nil, fmt.Errorf("pre-analysis: %w", endErr(sp, err))
-		}
-		cfetOpts.BranchVerdict = pre.BranchVerdict
-		prep.condsDecided = pre.CondsDecided
-		sp.End(trace.Args{"condsDecided": prep.condsDecided})
-	}
 	sp := c.Opts.Scope.Start("checker", "callgraph")
 	cg := callgraph.Build(p)
 	sp.End(trace.Args{"functions": len(p.Funs)})
@@ -554,6 +541,27 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program, text string) (*P
 		cfetOpts.SliceBranch = rel.InertBranch
 		cloneOpts.Skip = drop
 		sp.End(nil)
+	}
+	// Constant propagation runs after the slice, over the functions it keeps:
+	// SCCP is per-function, and a sliced-away function is built as a stub
+	// that asks for no verdict (docs/slicing.md).
+	if cfetOpts.BranchVerdict == nil {
+		sp = c.Opts.Scope.Start("checker", "pre-analysis")
+		funs := p.Funs
+		if drop := cfetOpts.SliceFunc; drop != nil {
+			funs = nil
+			for _, fn := range p.Funs {
+				if !drop(fn.Name) {
+					funs = append(funs, fn)
+				}
+			}
+		}
+		pre, err := analysis.RunFuncs(p, analysis.PruneAnalyzers(), funs)
+		if err != nil {
+			return nil, fmt.Errorf("pre-analysis: %w", endErr(sp, err))
+		}
+		cfetOpts.BranchVerdict = pre.BranchVerdict
+		sp.End(trace.Args{"functions": len(funs), "condsDecided": pre.CondsDecided})
 	}
 	// The escaped set does not depend on the FSMs, so every prepare computes
 	// it. Objects handed to an unseen caller through an entry function's
@@ -646,11 +654,10 @@ func (c *Checker) CheckPrepared(ctx context.Context, prep *Prepared) (*Result, e
 	}
 	ic, pr, ag := prep.ic, prep.pr, prep.ag
 	res := &Result{
-		Alias:        prep.alias,
-		GenTime:      prep.genTime,
-		Flows:        prep.flowCount,
-		PointsTo:     prep.pointsTo,
-		CondsDecided: prep.condsDecided,
+		Alias:    prep.alias,
+		GenTime:  prep.genTime,
+		Flows:    prep.flowCount,
+		PointsTo: prep.pointsTo,
 	}
 
 	// --- Phase 2: path-sensitive dataflow/typestate closure. ---

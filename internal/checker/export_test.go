@@ -18,6 +18,9 @@ func (p *Prepared) JoinInputs() (*cfet.ICFET, *grammar.Grammar) {
 	return p.ic, p.ag.Ptr.G
 }
 
+// RenderReports serializes every report field, as renderReports does.
+func RenderReports(rs []Report) string { return renderReports(rs) }
+
 // Memo is the compilation unit's constraint memo, which both closure phases
 // probe; nil when prepared under DisableConstraintCache.
 func (p *Prepared) Memo() *smt.Cache { return p.memo }

@@ -17,18 +17,19 @@ import (
 
 // frontendMallocsPerLine is TestFrontendAllocBudget's pin: heap objects
 // per source line for parse, resolve, lower, pre-analysis and CFET build on
-// wide-sim at 10×10, the measured 0.87 plus 15 %. Before the frontend
+// wide-sim at 10×10, the measured 0.43 plus 15 %. Before the frontend
 // allocated from slabs owned by each build, the same run made 76.2.
-const frontendMallocsPerLine = 1.0
+const frontendMallocsPerLine = 0.5
 
 // TestFrontendAllocBudget pins how many heap objects the frontend makes per
 // source line — parse → resolve → lower → pre-analysis (SCCP) → cfet.Build
 // on a wide-sim subject, against the lock FSM with the checker's slicing as
 // in the benchmark's frontend-wide workload — so that a node, list,
 // environment or name that goes back to one allocation apiece fails here
-// and not only in a profile. The slicing analyses between pre-analysis and
-// the build are outside the count. The count is runtime.MemStats.Mallocs,
-// which does not depend on GC timing.
+// and not only in a profile. The stages run in the checker's order: the
+// slicing analyses after lowering, which are outside the count, then SCCP
+// over the functions the slice keeps, then the build. The count is
+// runtime.MemStats.Mallocs, which does not depend on GC timing.
 func TestFrontendAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race runtime inflates allocation")
@@ -59,23 +60,29 @@ func TestFrontendAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := analysis.Run(p, analysis.PruneAnalyzers())
-	if err != nil {
-		t.Fatal(err)
-	}
 	stop()
 
 	cg := callgraph.Build(p)
 	rel := analysis.ComputeRelevance(p, cg, analysis.SolvePointsTo(p, cg),
 		map[string]bool{fsm.BuiltinLock().Type: true})
-	opts := cfet.Options{
-		BranchVerdict: pre.BranchVerdict,
-		SliceFunc:     func(name string) bool { return !rel.KeepFunc(name) },
-		SliceBranch:   rel.InertBranch,
+	drop := func(name string) bool { return !rel.KeepFunc(name) }
+	var kept []*ir.Func
+	for _, fn := range p.Funs {
+		if !drop(fn.Name) {
+			kept = append(kept, fn)
+		}
 	}
 
 	start()
-	ic, err := cfet.Build(p, symbolic.NewTable(), opts)
+	pre, err := analysis.RunFuncs(p, analysis.PruneAnalyzers(), kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic, err := cfet.Build(p, symbolic.NewTable(), cfet.Options{
+		BranchVerdict: pre.BranchVerdict,
+		SliceFunc:     drop,
+		SliceBranch:   rel.InertBranch,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

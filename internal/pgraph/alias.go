@@ -134,7 +134,7 @@ func (ag *AliasGraph) buildCtx(pr *Program, ctx uint32) {
 			ag.appear(ctx, 0, p.Name)
 		}
 	}
-	for _, node := range sortedNodes(m) {
+	for _, node := range m.NodeIDs {
 		n := m.Nodes[node]
 		for _, ps := range n.Stmts {
 			switch s := ps.Stmt.(type) {
@@ -294,15 +294,4 @@ func (ag *AliasGraph) addArtificialEdges(pr *Program) {
 			}
 		}
 	}
-}
-
-// sortedNodes returns the node IDs of a CFET in ascending order for
-// deterministic graph generation.
-func sortedNodes(m *cfet.CFET) []uint64 {
-	out := make([]uint64, 0, len(m.Nodes))
-	for id := range m.Nodes {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
