@@ -175,7 +175,9 @@ bench-e2e:
 # (cfet.Build: no environment copy per split), within its heap objects per
 # source line from parse to cfet.Build (TestFrontendAllocBudget: nodes,
 # lists, SCCP states and names come from slabs and arrays owned by each
-# build, not one allocation apiece), and its allocation per added
+# build, not one allocation apiece), a sliced-away method must allocate no
+# map of its own (TestStubAllocBudget: its stub, node and symbol lists come
+# from the build's slabs), and its allocation per added
 # function must not depend on the program's size (the scaling guard, which
 # also counts one verdict lookup per If walked), and the pre-analysis must
 # visit exactly the functions the relevance slice keeps, or every function
@@ -188,7 +190,7 @@ alloc-budget: build
 	$(GO) test ./internal/smt/ -run TestCachePutAllocs -count=1
 	$(GO) test ./internal/engine/ -run 'TestCacheProbeZeroAlloc|TestEndpointCountZeroAlloc|TestJoinAllocBudget' -count=1
 	$(GO) test ./internal/lang/ -run TestParseAllocBudget -count=1
-	$(GO) test ./internal/cfet/ -run TestBuildAllocBudget -count=1
+	$(GO) test ./internal/cfet/ -run 'TestBuildAllocBudget|TestStubAllocBudget' -count=1
 	$(GO) test ./internal/checker/ -run 'TestFrontendAllocBudget|TestFrontendScalesLinearly|TestPreAnalysisVisitsKeptFunctionsOnly|TestCrossPassJoinsEachPairOnce|TestOutOfCorePassesPerPartition|TestScratchRunDoesNoPartitionIO|TestMissPathZeroAlloc|TestDataflowBuildAllocBudget' -count=1
 
 # The size figure CHANGES.md and ROADMAP.md quote: lines of non-test Go

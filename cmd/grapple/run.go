@@ -288,8 +288,8 @@ func emitReports(stdout io.Writer, reports []grapple.Report, locate func(int) (s
 // piped report streams).
 func emitStats(w io.Writer, res *grapple.Result) {
 	fmt.Fprintf(w, "\ntracked objects: %d\n", res.TrackedObjects)
-	fmt.Fprintf(w, "cfet paths: %d (pruned branches: %d)\n",
-		res.Alias.CFETPaths, res.Alias.PrunedBranches)
+	fmt.Fprintf(w, "cfet paths: %d (pruned branches: %d, truncated subtrees: %d)\n",
+		res.Alias.CFETPaths, res.Alias.PrunedBranches, res.Alias.TruncatedSubtrees)
 	fmt.Fprintf(w, "sliced functions: %d (sliced branches: %d)\n",
 		res.Alias.SlicedFunctions, res.Alias.SlicedBranches)
 	if res.Alias.Unlowered > 0 {

@@ -201,7 +201,8 @@ type PointsToFact = checker.PointsToFact
 // PhaseStats summarizes one engine phase for the evaluation tables: the
 // graph's size (Vertices, EdgesBefore, EdgesAfter), what the frontend removed
 // before the phase ran (CFETPaths, PrunedBranches, SlicedFunctions,
-// SlicedBranches, and in Go mode the havocked Unlowered constructs), and the
+// SlicedBranches, the TruncatedSubtrees the node budget cut, and in Go mode
+// the havocked Unlowered constructs), and the
 // engine's own counters — Iterations, Partitions, Repartitions, the solver
 // and cache counts with SolveTime and the SolveLatency histogram, the
 // partition store's and the crash-recovery journal's traffic in IO, and the

@@ -30,55 +30,18 @@ var SCCP = &Analyzer{
 	Run:  runSCCP,
 }
 
-// constEnv holds what is proven constant at a program point: one slot per
-// variable an IntAssign or BoolAssign of the function writes (no other
-// statement can make a variable constant, so every other variable never is
-// one). A clear flag means "not a constant" — the analysis is
-// must-constant, so flags only ever clear as facts weaken. Ints and bools
-// are separate facts, as they are separate namespaces in the IR.
+// constEnv holds what is proven constant at a program point, one slot per
+// variable of the function, indexed by the slot lowering put on every
+// operand, destination and boolean condition (ir.Func.NumVars). A clear
+// flag means "not a constant" — the analysis is must-constant, so flags
+// only ever clear as facts weaken. Ints and bools are separate facts, as
+// they are separate namespaces in the IR.
 type constEnv []constSlot
 
 type constSlot struct {
 	i          int64
 	hasI, hasB bool
 	b          bool
-}
-
-// constVars numbers the variables a function's constEnv slots stand for.
-type constVars map[string]int32
-
-// slotVars numbers every variable an IntAssign or BoolAssign in cfg writes.
-func slotVars(cfg *ir.CFG) constVars {
-	writes := 0
-	for _, b := range cfg.Blocks {
-		for _, s := range b.Stmts {
-			switch s.(type) {
-			case *ir.IntAssign, *ir.BoolAssign:
-				writes++
-			}
-		}
-	}
-	if writes == 0 {
-		return nil
-	}
-	vars := make(constVars, writes)
-	for _, b := range cfg.Blocks {
-		for _, s := range b.Stmts {
-			var dst string
-			switch s := s.(type) {
-			case *ir.IntAssign:
-				dst = s.Dst
-			case *ir.BoolAssign:
-				dst = s.Dst
-			default:
-				continue
-			}
-			if _, ok := vars[dst]; !ok {
-				vars[dst] = int32(len(vars))
-			}
-		}
-	}
-	return vars
 }
 
 // meet intersects other into e (agreeing constants survive).
@@ -98,7 +61,7 @@ func runSCCP(p *Pass) (any, error) {
 	cfg := p.CFG
 	n := len(cfg.Blocks)
 	facts := &SCCPFacts{Exec: make([]bool, n)}
-	vars := slotVars(cfg)
+	slots := p.Fn.NumVars + 1
 
 	// The CFG is acyclic, so one sweep in reverse postorder meets every
 	// executable predecessor into a block before the block is processed:
@@ -116,7 +79,7 @@ func runSCCP(p *Pass) (any, error) {
 			free = free[:k-1]
 			return s
 		}
-		return make(constEnv, len(vars))
+		return make(constEnv, slots)
 	}
 	in[0] = state() // nothing is constant at entry
 	facts.Exec[0] = true
@@ -128,12 +91,12 @@ func runSCCP(p *Pass) (any, error) {
 		in[bi] = nil
 		b := cfg.Blocks[bi]
 		for _, s := range b.Stmts {
-			transferConst(vars, env, s)
+			transferConst(env, s)
 		}
 
 		succs := b.Succs
 		if b.Branch != nil {
-			if v, ok := evalCond(vars, env, b.Branch.Cond); ok {
+			if v, ok := evalCond(env, b.Branch.Cond); ok {
 				// Succs is [then, else]; a decided condition makes only one
 				// executable.
 				if facts.Verdicts == nil {
@@ -166,39 +129,36 @@ func runSCCP(p *Pass) (any, error) {
 // transferConst updates the constant environment across one statement.
 // Anything not provably constant (opaque reads, call results, event results)
 // kills its destination.
-func transferConst(vars constVars, env constEnv, s ir.Stmt) {
+func transferConst(env constEnv, s ir.Stmt) {
 	switch s := s.(type) {
 	case *ir.IntAssign:
-		slot := &env[vars[s.Dst]]
-		slot.i, slot.hasI = evalArith(vars, env, s)
+		slot := &env[s.DstSlot]
+		slot.i, slot.hasI = evalArith(env, s)
 	case *ir.BoolAssign:
-		slot := &env[vars[s.Dst]]
-		slot.b, slot.hasB = evalCond(vars, env, s.Cond)
-	default:
-		// Object statements don't touch scalars; Call/Event/Load/CatchBind
-		// destinations are unknown values.
-		if k, ok := vars[ir.Def(s)]; ok {
-			env[k] = constSlot{}
-		}
+		slot := &env[s.DstSlot]
+		slot.b, slot.hasB = evalCond(env, s.Cond)
+	case *ir.Call:
+		// A call's or an event's result is an unknown value. Object
+		// statements (Load, CatchBind, ...) write object variables, which
+		// never hold a constant.
+		env[s.DstSlot] = constSlot{}
+	case *ir.Event:
+		env[s.DstSlot] = constSlot{}
 	}
 }
 
-func evalOperand(vars constVars, env constEnv, o ir.Operand) (int64, bool) {
+func evalOperand(env constEnv, o ir.Operand) (int64, bool) {
 	if o.IsConst() {
 		return o.Const, true
 	}
-	k, ok := vars[o.Var]
-	if !ok {
-		return 0, false
-	}
-	return env[k].i, env[k].hasI
+	return env[o.Slot].i, env[o.Slot].hasI
 }
 
-func evalArith(vars constVars, env constEnv, s *ir.IntAssign) (int64, bool) {
+func evalArith(env constEnv, s *ir.IntAssign) (int64, bool) {
 	if s.Op == ir.Opaque {
 		return 0, false
 	}
-	a, ok := evalOperand(vars, env, s.A)
+	a, ok := evalOperand(env, s.A)
 	if !ok {
 		return 0, false
 	}
@@ -208,7 +168,7 @@ func evalArith(vars constVars, env constEnv, s *ir.IntAssign) (int64, bool) {
 	case ir.Neg:
 		return -a, true
 	}
-	b, ok := evalOperand(vars, env, s.B)
+	b, ok := evalOperand(env, s.B)
 	if !ok {
 		return 0, false
 	}
@@ -224,23 +184,22 @@ func evalArith(vars constVars, env constEnv, s *ir.IntAssign) (int64, bool) {
 }
 
 // evalCond decides a branch condition under the constant environment.
-func evalCond(vars constVars, env constEnv, c ir.Cond) (bool, bool) {
+func evalCond(env constEnv, c ir.Cond) (bool, bool) {
 	var v bool
 	switch {
 	case c.IsOpaque():
 		return false, false
 	case c.BoolVar != "":
-		k, ok := vars[c.BoolVar]
-		if !ok || !env[k].hasB {
+		if !env[c.BoolSlot].hasB {
 			return false, false
 		}
-		v = env[k].b
+		v = env[c.BoolSlot].b
 	default:
-		a, ok := evalOperand(vars, env, c.A)
+		a, ok := evalOperand(env, c.A)
 		if !ok {
 			return false, false
 		}
-		b, ok := evalOperand(vars, env, c.B)
+		b, ok := evalOperand(env, c.B)
 		if !ok {
 			return false, false
 		}

@@ -19,6 +19,7 @@ package cfet
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -63,7 +64,11 @@ type RetInfo struct {
 
 // Node is one extended basic block of a CFET.
 type Node struct {
-	ID      uint64
+	ID uint64
+	// Parent is the node with ID Parent(ID); nil at the root. A walk up the
+	// tree (path constraints, witnesses) follows it instead of looking the
+	// parent up.
+	Parent  *Node
 	HasCond bool
 	// Cond is the symbolic branch conditional evaluated at the end of the
 	// block (only local, per §3.1 — full path constraints are reconstructed
@@ -93,19 +98,23 @@ type CFET struct {
 	Method MethodID
 	Name   string
 	Fn     *ir.Func
-	Nodes  map[uint64]*Node
-	// NodeIDs holds the keys of Nodes in ascending order, so parents before
-	// children: the order graph construction visits nodes in. Build fills it
-	// once, before the ICFET is shared; it is only read afterwards.
+	// Nodes holds the method's nodes in ascending ID order, so parents
+	// before children: the order graph construction visits nodes in.
+	// NodeIDs[i] is Nodes[i].ID, the sorted index Node searches. Build fills
+	// both once, before the ICFET is shared; they are only read afterwards.
+	Nodes   []*Node
 	NodeIDs []uint64
 	Leaves  []uint64
 	// Syms is every symbolic variable created for this method (params,
 	// opaque inputs, call results, branch opaques); decoding renames these
 	// per call-frame instance.
 	Syms []symbolic.Sym
-	// ParamSym maps a formal parameter name to its symbol.
-	ParamSym map[string]symbolic.Sym
-	// Truncated counts paths dropped by the node budget.
+	// ParamSyms[i] is the symbol of the i-th formal parameter (the one in
+	// slot i+1), symbolic.NoSym until the method's walk or a call edge into
+	// it interns it.
+	ParamSyms []symbolic.Sym
+	// Truncated counts subtrees cut by the node budget (or the depth
+	// limit): each one is a path the tree does not enumerate to its end.
 	Truncated int
 	// Pruned counts branch sites resolved by Options.BranchVerdict: each one
 	// continued straight into the statically-live arm instead of splitting
@@ -119,8 +128,14 @@ type CFET struct {
 	// is a single-leaf stub (immediate return) kept so method IDs and call
 	// edges stay well-formed.
 	SlicedAway bool
+}
 
-	symsSet map[symbolic.Sym]bool // lazy cache, see symSet
+// Node returns the node with the given ID, or nil when the tree has none.
+func (m *CFET) Node(id uint64) *Node {
+	if i, ok := slices.BinarySearch(m.NodeIDs, id); ok {
+		return m.Nodes[i]
+	}
+	return nil
 }
 
 // Equation asserts Sym == Expr; used on call edges for parameter passing
@@ -155,6 +170,11 @@ type ICFET struct {
 	// MaxEncLen caps encoding growth (see Merge); conservative fallback
 	// above it. Build sets it to maxEncLen.
 	MaxEncLen int
+
+	// owner[s] is the method whose Syms hold symbol s (-1 for none): what a
+	// decoding activation of that method renames. Build fills it once; the
+	// engine's workers decode concurrently and only read it.
+	owner []MethodID
 }
 
 // maxEncLen is the merged-encoding length (elements) Build caps an ICFET at.
@@ -212,36 +232,47 @@ func Build(p *ir.Program, syms *symbolic.Table, opts Options) (*ICFET, error) {
 	for i, fn := range p.Funs {
 		id := MethodID(i)
 		ic.MethodByName[fn.Name] = id
-		ic.Methods = append(ic.Methods, &CFET{
-			Method:   id,
-			Name:     fn.Name,
-			Fn:       fn,
-			Nodes:    map[uint64]*Node{},
-			ParamSym: map[string]symbolic.Sym{},
-		})
+		m := sl.methods.New(CFET{Method: id, Name: fn.Name, Fn: fn})
+		m.ParamSyms = sl.syms.Alloc(len(fn.Params))
+		for j := range m.ParamSyms {
+			m.ParamSyms[j] = symbolic.NoSym
+		}
+		// Room for the parameters' symbols, which is all a stub's Syms
+		// holds; a walked method's grows past it onto the heap.
+		m.Syms = sl.syms.Alloc(len(fn.Params))[:0]
+		ic.Methods = append(ic.Methods, m)
+	}
+	w := &walker{
+		ic:      ic,
+		budget:  opts.MaxNodesPerMethod,
+		verdict: opts.BranchVerdict,
+		slice:   opts.SliceBranch,
+		slabs:   sl,
 	}
 	for i, fn := range p.Funs {
-		b := &walker{
-			ic:      ic,
-			m:       ic.Methods[i],
-			budget:  opts.MaxNodesPerMethod,
-			verdict: opts.BranchVerdict,
-			slice:   opts.SliceBranch,
-			slabs:   sl,
-		}
+		w.start(ic.Methods[i])
 		if opts.SliceFunc != nil && opts.SliceFunc(fn.Name) {
-			b.stub(fn)
-		} else if err := b.run(fn); err != nil {
+			w.stub(fn)
+		} else if err := w.run(fn); err != nil {
 			return nil, err
 		}
-		b.sealNodeIDs()
+		w.sealNodes()
 	}
-	// Materialize owned-symbol sets now: the engine's workers decode
-	// concurrently and must only read CFET state.
-	for _, m := range ic.Methods {
-		m.buildSymSet()
-	}
+	ic.indexOwners()
 	return ic, nil
+}
+
+// indexOwners records which method owns each symbol of the table.
+func (ic *ICFET) indexOwners() {
+	ic.owner = make([]MethodID, ic.Syms.Len())
+	for i := range ic.owner {
+		ic.owner[i] = -1
+	}
+	for _, m := range ic.Methods {
+		for _, s := range m.Syms {
+			ic.owner[s] = m.Method
+		}
+	}
 }
 
 // PathCount returns the total number of encoded paths (leaves) across all
@@ -276,6 +307,17 @@ func (ic *ICFET) SlicedFunctions() int {
 	return n
 }
 
+// TruncatedSubtrees returns the total number of subtrees the node budget
+// (or the depth limit) cut, across all methods: 0 when every tree was
+// enumerated to its leaves.
+func (ic *ICFET) TruncatedSubtrees() int {
+	n := 0
+	for _, m := range ic.Methods {
+		n += m.Truncated
+	}
+	return n
+}
+
 // SlicedBranches returns the total number of branch sites skipped by
 // Options.SliceBranch across all methods.
 func (ic *ICFET) SlicedBranches() int {
@@ -302,42 +344,59 @@ type boolVal struct {
 	opq   symbolic.Sym // used when !known
 }
 
-// env is a symbolic-execution environment: one pair of maps for the whole
-// method plus an undo trail. The tree walk is depth-first, so the bindings a
-// node sees are exactly the writes on its root-to-node path; instead of
-// copying both maps at every split, the walker marks the trail, walks the
-// true arm, undoes back to the mark and walks the false arm on the same
-// maps. Every write goes through setInt/setBool, which log what they
-// overwrote; the trail is never longer than the writes on the current path.
+// env is a symbolic-execution environment: one pair of arrays for the whole
+// method, indexed by the variable slots lowering numbered (ir.Func.NumVars),
+// plus an undo trail. The tree walk is depth-first, so the bindings a node
+// sees are exactly the writes on its root-to-node path; instead of copying
+// both arrays at every split, the walker marks the trail, walks the true arm,
+// undoes back to the mark and walks the false arm on the same arrays. Every
+// write goes through setInt/setBool, which log what they overwrote; the
+// trail is never longer than the writes on the current path. Ints and bools
+// are separate namespaces, as in the IR: a slot may be bound in both.
 type env struct {
-	ints  map[string]symbolic.Expr
-	bools map[string]boolVal
+	ints  []intSlot
+	bools []boolSlot
 	trail []envUndo
 }
 
-// envUndo restores one overwritten (or newly created) binding.
+// intSlot and boolSlot are a variable's binding; set is false while the
+// variable has none.
+type intSlot struct {
+	v   symbolic.Expr
+	set bool
+}
+
+type boolSlot struct {
+	v   boolVal
+	set bool
+}
+
+// envUndo restores one overwritten binding (an unset one included).
 type envUndo struct {
+	slot    int32
 	isBool  bool
-	existed bool
-	key     string
-	oldInt  symbolic.Expr
-	oldBool boolVal
+	oldInt  intSlot
+	oldBool boolSlot
 }
 
-func newEnv() *env {
-	return &env{ints: map[string]symbolic.Expr{}, bools: map[string]boolVal{}}
+// reset empties e for a function of numVars variables (slots 0..numVars).
+func (e *env) reset(numVars int) {
+	n := numVars + 1
+	e.ints = slices.Grow(e.ints[:0], n)[:n]
+	e.bools = slices.Grow(e.bools[:0], n)[:n]
+	clear(e.ints)
+	clear(e.bools)
+	e.trail = e.trail[:0]
 }
 
-func (e *env) setInt(k string, v symbolic.Expr) {
-	old, existed := e.ints[k]
-	e.trail = append(e.trail, envUndo{key: k, existed: existed, oldInt: old})
-	e.ints[k] = v
+func (e *env) setInt(slot int32, v symbolic.Expr) {
+	e.trail = append(e.trail, envUndo{slot: slot, oldInt: e.ints[slot]})
+	e.ints[slot] = intSlot{v, true}
 }
 
-func (e *env) setBool(k string, v boolVal) {
-	old, existed := e.bools[k]
-	e.trail = append(e.trail, envUndo{isBool: true, key: k, existed: existed, oldBool: old})
-	e.bools[k] = v
+func (e *env) setBool(slot int32, v boolVal) {
+	e.trail = append(e.trail, envUndo{slot: slot, isBool: true, oldBool: e.bools[slot]})
+	e.bools[slot] = boolSlot{v, true}
 }
 
 // mark returns the trail position undo rolls back to.
@@ -346,21 +405,18 @@ func (e *env) mark() int { return len(e.trail) }
 // undo reverts, newest first, every write made since mark.
 func (e *env) undo(mark int) {
 	for i := len(e.trail) - 1; i >= mark; i-- {
-		u := e.trail[i]
-		switch {
-		case u.isBool && u.existed:
-			e.bools[u.key] = u.oldBool
-		case u.isBool:
-			delete(e.bools, u.key)
-		case u.existed:
-			e.ints[u.key] = u.oldInt
-		default:
-			delete(e.ints, u.key)
+		u := &e.trail[i]
+		if u.isBool {
+			e.bools[u.slot] = u.oldBool
+		} else {
+			e.ints[u.slot] = u.oldInt
 		}
 	}
 	e.trail = e.trail[:mark]
 }
 
+// walker builds one method's tree at a time; Build reuses it, with its
+// environment and scratch, for every method.
 type walker struct {
 	ic      *ICFET
 	m       *CFET
@@ -368,23 +424,40 @@ type walker struct {
 	nodes   int
 	verdict func(*ir.If) int
 	slice   func(*ir.If) bool
-	// opqSyms caches stable symbols for opaque branch conditions.
+	env     env
+	// created is the method's nodes in the order the walk made them.
+	created []*Node
+	// opqSyms caches stable symbols for the method's opaque branch
+	// conditions.
 	opqSyms map[int32]symbolic.Sym
 	slabs   *buildSlabs
 }
 
-// buildSlabs allocates what one Build call makes many of: tree nodes, the
-// continuation frames of the walk, call edges, the statement and equation
-// lists of nodes and edges and each method's node IDs, cut to their exact
-// length, and the term lists of the symbolic values the walk computes.
+// buildSlabs allocates what one Build call makes many of: the methods, tree
+// nodes, the continuation frames of the walk, call edges, the statement and
+// equation lists of nodes and edges, each method's nodes, node IDs, leaves
+// and parameter symbols, cut to their exact length, and the term lists of
+// the symbolic values the walk computes.
 type buildSlabs struct {
-	terms  symbolic.Arena
-	nodes  lang.Slab[Node]
-	conts  lang.Slab[contFrame]
-	edges  lang.Slab[CallEdge]
-	placed lang.ListSlab[PlacedStmt]
-	eqs    lang.ListSlab[Equation]
-	ids    lang.ListSlab[uint64]
+	terms   symbolic.Arena
+	methods lang.Slab[CFET]
+	nodes   lang.Slab[Node]
+	conts   lang.Slab[contFrame]
+	edges   lang.Slab[CallEdge]
+	placed  lang.ListSlab[PlacedStmt]
+	eqs     lang.ListSlab[Equation]
+	byID    lang.ListSlab[*Node]
+	ids     lang.ListSlab[uint64]
+	leaves  lang.ListSlab[uint64]
+	syms    lang.ListSlab[symbolic.Sym]
+}
+
+// start points w at m, a method not yet walked.
+func (w *walker) start(m *CFET) {
+	w.m = m
+	w.nodes = 0
+	w.created = w.created[:0]
+	clear(w.opqSyms)
 }
 
 func (w *walker) fresh(prefix string) symbolic.Sym {
@@ -412,19 +485,44 @@ func (w *walker) opaqueSym(id int32) symbolic.Sym {
 	return s
 }
 
-func (w *walker) newNode(id uint64) *Node {
-	n := w.slabs.nodes.New(Node{ID: id})
-	w.m.Nodes[id] = n
-	w.slabs.ids.Push(id)
+func (w *walker) newNode(id uint64, parent *Node) *Node {
+	n := w.slabs.nodes.New(Node{ID: id, Parent: parent})
+	w.created = append(w.created, n)
 	w.nodes++
 	return n
 }
 
-// sealNodeIDs gives the method the IDs of the nodes its walk created, sorted.
-func (w *walker) sealNodeIDs() {
-	w.m.NodeIDs = w.slabs.ids.Cut(0)
-	slices.Sort(w.m.NodeIDs)
+// sealNodes gives the method its nodes and their IDs in ascending ID order,
+// and its leaves in the order the walk reached them. The walk makes nodes
+// depth first, the true child's subtree before the false child's, and at
+// every depth a true subtree's IDs exceed its false sibling's. So the nodes
+// of one depth are made in descending ID order, and a counting sort by depth
+// that fills each depth from its end orders them without comparing IDs.
+func (w *walker) sealNodes() {
+	var end [64]int // end[d]: one past the last index of depth d
+	for _, n := range w.created {
+		end[depth(n.ID)]++
+	}
+	for d := 1; d < len(end); d++ {
+		end[d] += end[d-1]
+	}
+	nodes := w.slabs.byID.Alloc(len(w.created))
+	for _, n := range w.created {
+		d := depth(n.ID)
+		end[d]--
+		nodes[end[d]] = n
+	}
+	ids := w.slabs.ids.Alloc(len(nodes))
+	for i, n := range nodes {
+		ids[i] = n.ID
+	}
+	w.m.Nodes, w.m.NodeIDs = nodes, ids
+	w.m.Leaves = w.slabs.leaves.Cut(0)
 }
+
+// depth is a node's distance from the root: IDs 2^d-1 .. 2^(d+1)-2 are
+// depth d.
+func depth(id uint64) int { return bits.Len64(id+1) - 1 }
 
 // place appends a statement to the node being walked. A node's statements
 // are complete when it splits or ends in a leaf, before any other node
@@ -443,15 +541,16 @@ type contFrame struct {
 }
 
 func (w *walker) run(fn *ir.Func) error {
-	e := newEnv()
-	for _, p := range fn.Params {
+	e := &w.env
+	e.reset(fn.NumVars)
+	for i, p := range fn.Params {
 		s := w.intern(p.Name)
-		w.m.ParamSym[p.Name] = s
+		w.m.ParamSyms[i] = s
 		if p.Type == "int" || p.Type == "bool" {
-			e.setInt(p.Name, w.slabs.terms.Var(s))
+			e.setInt(int32(i+1), w.slabs.terms.Var(s)) // parameter i is slot i+1
 		}
 	}
-	root := w.newNode(0)
+	root := w.newNode(0, nil)
 	w.walk(fn.Body.Stmts, nil, root, e)
 	return nil
 }
@@ -460,10 +559,10 @@ func (w *walker) run(fn *ir.Func) error {
 // leaf. Parameter symbols are still interned so call edges into the stub
 // bind their equations as usual.
 func (w *walker) stub(fn *ir.Func) {
-	for _, p := range fn.Params {
-		w.m.ParamSym[p.Name] = w.intern(p.Name)
+	for i, p := range fn.Params {
+		w.m.ParamSyms[i] = w.intern(p.Name)
 	}
-	root := w.newNode(0)
+	root := w.newNode(0, nil)
 	w.endLeaf(root, LeafReturn, RetInfo{Kind: LeafReturn})
 	w.m.SlicedAway = true
 }
@@ -484,10 +583,10 @@ func (w *walker) walk(stmts []ir.Stmt, k *contFrame, n *Node, e *env) {
 		rest := stmts[1:]
 		switch s := s.(type) {
 		case *ir.IntAssign:
-			e.setInt(s.Dst, w.evalArith(s, e))
+			e.setInt(s.DstSlot, w.evalArith(s, e))
 			w.place(s, -1, symbolic.NoSym)
 		case *ir.BoolAssign:
-			e.setBool(s.Dst, w.evalCondVal(s.Cond, e))
+			e.setBool(s.DstSlot, w.evalCondVal(s.Cond, e))
 			w.place(s, -1, symbolic.NoSym)
 		case *ir.ObjAssign, *ir.NewObj, *ir.Store, *ir.Load, *ir.CatchBind:
 			w.place(s, -1, symbolic.NoSym)
@@ -495,13 +594,13 @@ func (w *walker) walk(stmts []ir.Stmt, k *contFrame, n *Node, e *env) {
 			sym := symbolic.NoSym
 			if s.Dst != "" {
 				sym = w.fresh("ev_" + s.Method)
-				e.setInt(s.Dst, w.slabs.terms.Var(sym))
+				e.setInt(s.DstSlot, w.slabs.terms.Var(sym))
 			}
 			w.place(s, -1, sym)
 		case *ir.Call:
 			ce := w.makeCallEdge(s, n, e)
 			if s.Dst != "" && !s.DstIsObject && ce != nil {
-				e.setInt(s.Dst, w.slabs.terms.Var(ce.RetSym))
+				e.setInt(s.DstSlot, w.slabs.terms.Var(ce.RetSym))
 			}
 			id := int32(-1)
 			if ce != nil {
@@ -567,7 +666,7 @@ func (w *walker) walk(stmts []ir.Stmt, k *contFrame, n *Node, e *env) {
 			if len(rest) > 0 {
 				nk = w.slabs.conts.New(contFrame{stmts: rest, next: k})
 			}
-			tn := w.newNode(trueID)
+			tn := w.newNode(trueID, n)
 			mark := e.mark()
 			w.walk(s.Then.Stmts, nk, tn, e)
 			e.undo(mark)
@@ -581,7 +680,7 @@ func (w *walker) walk(stmts []ir.Stmt, k *contFrame, n *Node, e *env) {
 			// The false arm runs on the same environment: this walk returns
 			// right after it, and whatever it writes is rolled back by the
 			// enclosing split's undo (at the root nobody reads it again).
-			fn := w.newNode(falseID)
+			fn := w.newNode(falseID, n)
 			w.walk(s.Else.Stmts, nk, fn, e)
 			return
 		default:
@@ -598,7 +697,7 @@ func (w *walker) endLeaf(n *Node, kind LeafKind, ri RetInfo) {
 	w.seal(n)
 	n.Leaf = kind
 	n.Ret = ri
-	w.m.Leaves = append(w.m.Leaves, n.ID)
+	w.slabs.leaves.Push(n.ID)
 }
 
 func (w *walker) makeCallEdge(c *ir.Call, n *Node, e *env) *CallEdge {
@@ -619,13 +718,12 @@ func (w *walker) makeCallEdge(c *ir.Call, n *Node, e *env) *CallEdge {
 	for _, a := range c.IntArgs {
 		// The callee's parameter symbol is interned under the callee's
 		// namespace; intern here in case the callee is processed later.
-		ps, exists := callee.ParamSym[a.Formal]
-		if !exists {
-			ps = w.ic.Syms.InternIn(c.Callee, a.Formal)
-			callee.ParamSym[a.Formal] = ps
-			callee.Syms = append(callee.Syms, ps)
+		ps := &callee.ParamSyms[a.FormalSlot-1]
+		if *ps == symbolic.NoSym {
+			*ps = w.ic.Syms.InternIn(c.Callee, a.Formal)
+			callee.Syms = append(callee.Syms, *ps)
 		}
-		w.slabs.eqs.Push(Equation{Sym: ps, Expr: w.evalOperand(a.Arg, e)})
+		w.slabs.eqs.Push(Equation{Sym: *ps, Expr: w.evalOperand(a.Arg, e)})
 	}
 	ce.ParamEqs = w.slabs.eqs.Cut(mark)
 	if c.Dst != "" && !c.DstIsObject {
@@ -641,12 +739,12 @@ func (w *walker) evalOperand(o ir.Operand, e *env) symbolic.Expr {
 	if o.IsConst() {
 		return symbolic.Const(o.Const)
 	}
-	if v, ok := e.ints[o.Var]; ok {
-		return v
+	if v := e.ints[o.Slot]; v.set {
+		return v.v
 	}
 	// Unknown variable (e.g. used before def): opaque.
 	v := w.slabs.terms.Var(w.fresh("undef_" + o.Var))
-	e.setInt(o.Var, v)
+	e.setInt(o.Slot, v)
 	return v
 }
 
@@ -680,10 +778,11 @@ func (w *walker) evalCondAtom(c ir.Cond, e *env) constraint.Atom {
 	var a constraint.Atom
 	switch {
 	case c.BoolVar != "":
-		bv, ok := e.bools[c.BoolVar]
-		if !ok {
+		b := e.bools[c.BoolSlot]
+		bv := b.v
+		if !b.set {
 			bv = boolVal{opq: w.fresh("undefb_" + c.BoolVar)}
-			e.setBool(c.BoolVar, bv)
+			e.setBool(c.BoolSlot, bv)
 		}
 		if bv.known {
 			a = bv.atom
@@ -744,17 +843,21 @@ func IsAncestorOrEqual(a, b uint64) bool {
 
 // PathConstraint reconstructs the branch constraint of the tree path from
 // ancestor `from` down to `to` within this CFET (Algorithm 1), applying the
-// activation renamer (nil for the identity).
+// activation renamer (nil for the identity). It looks up to's parent once
+// and then follows the parent links.
 func (m *CFET) PathConstraint(from, to uint64, ren *Renamer, out constraint.Conj) (constraint.Conj, error) {
 	cur := to
+	var pn *Node
 	for cur != from {
 		if cur == 0 {
 			return out, fmt.Errorf("cfet %s: %d is not an ancestor of %d", m.Name, from, to)
 		}
 		parent := Parent(cur)
-		pn := m.Nodes[parent]
 		if pn == nil {
-			return out, fmt.Errorf("cfet %s: missing node %d", m.Name, parent)
+			pn = m.Node(parent)
+			if pn == nil {
+				return out, fmt.Errorf("cfet %s: missing node %d", m.Name, parent)
+			}
 		}
 		if pn.HasCond {
 			a := pn.Cond
@@ -763,7 +866,7 @@ func (m *CFET) PathConstraint(from, to uint64, ren *Renamer, out constraint.Conj
 			}
 			out = out.And(ren.Atom(a))
 		}
-		cur = parent
+		cur, pn = parent, pn.Parent
 	}
 	return out, nil
 }

@@ -64,7 +64,7 @@ func TestFigure5aCFETShape(t *testing.T) {
 	if m == nil {
 		t.Fatal("no main CFET")
 	}
-	root := m.Nodes[0]
+	root := m.Node(0)
 	if root == nil || !root.HasCond {
 		t.Fatal("root must carry the first conditional")
 	}
@@ -74,9 +74,9 @@ func TestFigure5aCFETShape(t *testing.T) {
 			t.Fatalf("root cond = %s", got)
 		}
 	}
-	n1, n2 := m.Nodes[1], m.Nodes[2]
+	n1, n2 := m.Node(1), m.Node(2)
 	if n1 == nil || n2 == nil {
-		t.Fatalf("children missing: %v", m.Nodes)
+		t.Fatalf("children missing: %v", m.NodeIDs)
 	}
 	// Node 2 (true child): y = x-1, cond y>0 i.e. x-1>0.
 	if !n2.HasCond || n2.Cond.Op != constraint.GT {
@@ -84,7 +84,7 @@ func TestFigure5aCFETShape(t *testing.T) {
 	}
 	// Leaves 3,4,5,6 exist.
 	for _, id := range []uint64{3, 4, 5, 6} {
-		n := m.Nodes[id]
+		n := m.Node(id)
 		if n == nil {
 			t.Fatalf("leaf %d missing", id)
 		}
@@ -97,7 +97,7 @@ func TestFigure5aCFETShape(t *testing.T) {
 	}
 	// The true-true leaf (node 6) contains the write/close events.
 	var events int
-	for _, ps := range m.Nodes[6].Stmts {
+	for _, ps := range m.Node(6).Stmts {
 		if _, ok := ps.Stmt.(*ir.Event); ok {
 			events++
 		}
@@ -422,7 +422,7 @@ fun f(x: int) {
 	m := ic.Method("f")
 	kinds := map[LeafKind]int{}
 	for _, l := range m.Leaves {
-		kinds[m.Nodes[l].Leaf]++
+		kinds[m.Node(l).Leaf]++
 	}
 	if kinds[LeafThrow] != 1 || kinds[LeafReturn] != 1 {
 		t.Fatalf("leaf kinds: %v", kinds)

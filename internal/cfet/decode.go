@@ -19,7 +19,10 @@ const SyntheticBase symbolic.Sym = 1 << 29
 // that a path entering the same callee twice does not conflate the two
 // activations' parameter values. A nil *Renamer is the identity.
 type Renamer struct {
-	owned map[symbolic.Sym]bool
+	// owner and m say which symbols the activation renames: those whose
+	// owner is m (ICFET.owner).
+	owner []MethodID
+	m     MethodID
 	// pairs is the activation's mapping in order of first use; an activation
 	// renames a handful of symbols, so a scan beats a map.
 	pairs []symPair
@@ -30,14 +33,19 @@ type Renamer struct {
 
 type symPair struct{ from, to symbolic.Sym }
 
-// newRenamerCounter creates an activation renamer drawing synthetic symbols
-// from a shared per-decode counter.
-func (m *CFET) newRenamerCounter(next *symbolic.Sym) *Renamer {
-	return &Renamer{owned: m.symSet(), next: next}
+// newRenamerCounter creates an activation renamer of m drawing synthetic
+// symbols from a shared per-decode counter.
+func (ic *ICFET) newRenamerCounter(m *CFET, next *symbolic.Sym) *Renamer {
+	return &Renamer{owner: ic.owner, m: m.Method, next: next}
+}
+
+// owns reports whether the activation renames s.
+func (r *Renamer) owns(s symbolic.Sym) bool {
+	return uint(s) < uint(len(r.owner)) && r.owner[s] == r.m
 }
 
 func (r *Renamer) rename(s symbolic.Sym) (symbolic.Sym, bool) {
-	if r == nil || !r.owned[s] {
+	if r == nil || !r.owns(s) {
 		return s, false
 	}
 	for _, p := range r.pairs {
@@ -68,7 +76,7 @@ func (r *Renamer) Expr(e symbolic.Expr) symbolic.Expr {
 		return e
 	}
 	first := 0
-	for first < len(e.Terms) && !r.owned[e.Terms[first].Sym] {
+	for first < len(e.Terms) && !r.owns(e.Terms[first].Sym) {
 		first++
 	}
 	if first == len(e.Terms) {
@@ -86,24 +94,6 @@ func (r *Renamer) Expr(e symbolic.Expr) symbolic.Expr {
 		terms[j] = t
 	}
 	return symbolic.Expr{Terms: terms, Const: e.Const}
-}
-
-// symSet returns the method's owned-symbol set (precomputed by Build; the
-// fallback path exists for hand-built CFETs in tests).
-func (m *CFET) symSet() map[symbolic.Sym]bool {
-	if m.symsSet == nil {
-		m.buildSymSet()
-	}
-	return m.symsSet
-}
-
-// buildSymSet materializes the owned-symbol set; called once at Build time
-// so concurrent decoders only ever read it.
-func (m *CFET) buildSymSet() {
-	m.symsSet = make(map[symbolic.Sym]bool, len(m.Syms))
-	for _, s := range m.Syms {
-		m.symsSet[s] = true
-	}
 }
 
 // frame is one activation during decoding.
@@ -149,11 +139,11 @@ func (d *Decoder) top() *frame {
 // activation returns a renamer for a new activation of m.
 func (d *Decoder) activation(m *CFET) *Renamer {
 	if d.used == len(d.rens) {
-		d.rens = append(d.rens, &Renamer{next: &d.synth, arena: &d.arena})
+		d.rens = append(d.rens, &Renamer{owner: d.ic.owner, next: &d.synth, arena: &d.arena})
 	}
 	r := d.rens[d.used]
 	d.used++
-	r.owned, r.pairs = m.symSet(), r.pairs[:0]
+	r.m, r.pairs = m.Method, r.pairs[:0]
 	return r
 }
 
@@ -236,7 +226,7 @@ func (d *Decoder) Decode(e Enc) (constraint.Conj, error) {
 			d.stack = d.stack[:len(d.stack)-1]
 			if ce.RetSym != symbolic.NoSym && hasLeaf {
 				callee := ic.Methods[ce.Callee]
-				if leaf := callee.Nodes[leafEnd]; leaf != nil && leaf.Ret.HasExpr {
+				if leaf := callee.Node(leafEnd); leaf != nil && leaf.Ret.HasExpr {
 					callerRen := (*Renamer)(nil)
 					if nt := d.top(); nt != nil {
 						callerRen = nt.ren

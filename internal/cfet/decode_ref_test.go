@@ -2,6 +2,7 @@ package cfet
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/grapple-system/grapple/internal/constraint"
 	"github.com/grapple-system/grapple/internal/symbolic"
@@ -25,6 +26,23 @@ type refRenamer struct {
 // from a shared per-decode counter.
 func (m *CFET) newRefRenamer(next *symbolic.Sym) *refRenamer {
 	return &refRenamer{owned: m.symSet(), m: map[symbolic.Sym]symbolic.Sym{}, next: next}
+}
+
+// refSymSets caches symSet per method.
+var refSymSets sync.Map // *CFET -> map[symbolic.Sym]bool
+
+// symSet is the method's owned-symbol set as the decoder kept it, one map
+// per method, before ICFET.owner replaced it.
+func (m *CFET) symSet() map[symbolic.Sym]bool {
+	if set, ok := refSymSets.Load(m); ok {
+		return set.(map[symbolic.Sym]bool)
+	}
+	set := make(map[symbolic.Sym]bool, len(m.Syms))
+	for _, s := range m.Syms {
+		set[s] = true
+	}
+	refSymSets.Store(m, set)
+	return set
 }
 
 func (r *refRenamer) rename(s symbolic.Sym) (symbolic.Sym, bool) {
@@ -137,7 +155,7 @@ func (ic *ICFET) refDecode(e Enc) (constraint.Conj, error) {
 			stack = stack[:len(stack)-1]
 			if ce.RetSym != symbolic.NoSym && hasLeaf {
 				callee := ic.Methods[ce.Callee]
-				if leaf := callee.Nodes[leafEnd]; leaf != nil && leaf.Ret.HasExpr {
+				if leaf := callee.Node(leafEnd); leaf != nil && leaf.Ret.HasExpr {
 					callerRen := (*refRenamer)(nil)
 					if nt := top(); nt != nil {
 						callerRen = nt.ren
@@ -159,7 +177,8 @@ func refRename2(r *refRenamer, s symbolic.Sym) (symbolic.Sym, bool) {
 	return r.rename(s)
 }
 
-// refPathConstraint is CFET.PathConstraint over a refRenamer.
+// refPathConstraint is CFET.PathConstraint over a refRenamer, looking every
+// ancestor up by ID instead of following parent links.
 func (m *CFET) refPathConstraint(from, to uint64, ren *refRenamer, out constraint.Conj) (constraint.Conj, error) {
 	cur := to
 	for cur != from {
@@ -167,7 +186,7 @@ func (m *CFET) refPathConstraint(from, to uint64, ren *refRenamer, out constrain
 			return out, fmt.Errorf("cfet %s: %d is not an ancestor of %d", m.Name, from, to)
 		}
 		parent := Parent(cur)
-		pn := m.Nodes[parent]
+		pn := m.Node(parent)
 		if pn == nil {
 			return out, fmt.Errorf("cfet %s: missing node %d", m.Name, parent)
 		}

@@ -151,7 +151,7 @@ fun f(a: int, b: int, c: int) {
   return;
 }`)
 	m := ic.Method("f")
-	for id := range m.Nodes {
+	for _, id := range m.NodeIDs {
 		if id == 0 {
 			continue
 		}
@@ -220,9 +220,9 @@ fun f(x: int) {
 	// Two activations within one decode share a synthetic counter and must
 	// get disjoint instance symbols.
 	next := SyntheticBase
-	r1 := g.newRenamerCounter(&next)
-	r2 := g.newRenamerCounter(&next)
-	pSym := g.ParamSym["p"]
+	r1 := ic.newRenamerCounter(g, &next)
+	r2 := ic.newRenamerCounter(g, &next)
+	pSym := g.ParamSyms[0]
 	e := symbolic.Var(pSym)
 	e1 := r1.Expr(e)
 	e2 := r2.Expr(e)

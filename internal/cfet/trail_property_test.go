@@ -37,8 +37,9 @@ func lowerSource(t *testing.T, src string) *ir.Program {
 
 // diffICFET returns the first difference between two ICFETs built from the
 // same ir.Program, or "" when they agree field for field: the symbol table,
-// every method's nodes (ID, Cond, CondText, Stmts, Leaf, Ret), Leaves and
-// Syms in order, the counters, and every call edge.
+// every method's nodes (ID, parent, Cond, CondText, Stmts, Leaf, Ret) in
+// order, NodeIDs, Leaves, Syms and ParamSyms in order, the counters, and
+// every call edge.
 func diffICFET(got, want *cfet.ICFET) string {
 	if !reflect.DeepEqual(got.Syms, want.Syms) {
 		return "symbol tables differ"
@@ -61,19 +62,22 @@ func diffICFET(got, want *cfet.ICFET) string {
 		if !reflect.DeepEqual(g.Syms, w.Syms) {
 			return fmt.Sprintf("%s: Syms %v, want %v", g.Name, g.Syms, w.Syms)
 		}
-		if !reflect.DeepEqual(g.ParamSym, w.ParamSym) {
-			return fmt.Sprintf("%s: ParamSym differs", g.Name)
+		if !reflect.DeepEqual(g.ParamSyms, w.ParamSyms) {
+			return fmt.Sprintf("%s: ParamSyms %v, want %v", g.Name, g.ParamSyms, w.ParamSyms)
 		}
-		if len(g.Nodes) != len(w.Nodes) {
-			return fmt.Sprintf("%s: %d nodes, want %d", g.Name, len(g.Nodes), len(w.Nodes))
+		if !reflect.DeepEqual(g.NodeIDs, w.NodeIDs) {
+			return fmt.Sprintf("%s: NodeIDs %v, want %v", g.Name, g.NodeIDs, w.NodeIDs)
 		}
-		for id, wn := range w.Nodes {
-			gn := g.Nodes[id]
-			if gn == nil {
-				return fmt.Sprintf("%s: node %d missing", g.Name, id)
+		for j, wn := range w.Nodes {
+			// Parents are compared by ID: each is a node compared in turn.
+			gn := *g.Nodes[j]
+			wc := *wn
+			if parentID(gn.Parent) != parentID(wc.Parent) {
+				return fmt.Sprintf("%s: node %d has parent %d, want %d", g.Name, wc.ID, parentID(gn.Parent), parentID(wc.Parent))
 			}
-			if !reflect.DeepEqual(gn, wn) {
-				return fmt.Sprintf("%s: node %d differs:\n got  %+v\n want %+v", g.Name, id, *gn, *wn)
+			gn.Parent, wc.Parent = nil, nil
+			if !reflect.DeepEqual(gn, wc) {
+				return fmt.Sprintf("%s: node %d differs:\n got  %+v\n want %+v", g.Name, wc.ID, gn, wc)
 			}
 		}
 	}
@@ -86,6 +90,14 @@ func diffICFET(got, want *cfet.ICFET) string {
 		}
 	}
 	return ""
+}
+
+// parentID is the ID of a parent link, -1 for none.
+func parentID(n *cfet.Node) int64 {
+	if n == nil {
+		return -1
+	}
+	return int64(n.ID)
 }
 
 // checkerOptions are the options checker.PrepareIR builds the ICFET with by
@@ -249,7 +261,7 @@ func TestBuildAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race runtime inflates allocation")
 	}
-	const budget = 1190 // bytes per encoded path: 1032 measured, + 15 % (1810 before the build's slabs)
+	const budget = 1040 // bytes per encoded path: 901 measured, + 15 % (1059 before the slot environment and slab-cut node lists, 1810 before the build's slabs)
 	p := lowerSource(t, workload.Generate(workload.WideProfile(10, 10)).Source)
 	opts := checkerOptions(t, p, map[string]bool{fsm.BuiltinLock().Type: true})
 	var before, after runtime.MemStats
@@ -264,5 +276,43 @@ func TestBuildAllocBudget(t *testing.T) {
 	t.Logf("%d paths: %.0f B allocated per encoded path", ic.PathCount(), perPath)
 	if perPath > budget {
 		t.Errorf("cfet.Build allocates %.0f B per encoded path, budget %d", perPath, budget)
+	}
+}
+
+// TestStubAllocBudget pins what a sliced-away method costs cfet.Build: its
+// stub, node, node lists and parameter symbols come from the build's slabs,
+// and it allocates no per-method map. On 2 000 functions of two parameters
+// each, all sliced away, the build may allocate one object per symbol it
+// interns (the symbol's name) and at most 0.25 more per method: slab chunks
+// and the table's growth. Before the stub was slab-backed it made 9.05 more
+// per method: maps for its nodes, its parameters and its owned symbols, and
+// its own struct, leaf list and symbol list.
+func TestStubAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime inflates allocation")
+	}
+	const budget = 0.25 // mallocs per stub beyond one per symbol
+	var src strings.Builder
+	src.WriteString("type T;\n")
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&src, "fun f%d(a: int, o: T) { var x: int = a; }\n", i)
+	}
+	p := lowerSource(t, src.String())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ic, err := cfet.Build(p, symbolic.NewTable(), cfet.Options{SliceFunc: func(string) bool { return true }})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ic.SlicedFunctions(); got != len(p.Funs) {
+		t.Fatalf("%d of %d methods sliced away", got, len(p.Funs))
+	}
+	perStub := (float64(after.Mallocs-before.Mallocs) - float64(ic.Syms.Len())) / float64(len(ic.Methods))
+	t.Logf("%d stubs, %d symbols: %d mallocs, %.2f per stub beyond one per symbol",
+		len(ic.Methods), ic.Syms.Len(), after.Mallocs-before.Mallocs, perStub)
+	if perStub > budget {
+		t.Errorf("a sliced-away method makes %.2f heap objects beyond its symbols' names, budget %.2f", perStub, budget)
 	}
 }

@@ -184,6 +184,10 @@ type PhaseStats struct {
 	// SlicedBranches counts branch sites skipped because both arms were
 	// property-irrelevant (0 when the prepare did not slice).
 	SlicedBranches int
+	// TruncatedSubtrees counts CFET subtrees the per-method node budget (or
+	// the depth limit) cut: paths the phase's trees do not enumerate to
+	// their ends. 0 when every tree was built whole.
+	TruncatedSubtrees int
 	// Unlowered counts Go constructs the frontend soundly over-approximated
 	// (havocked) instead of modeling precisely. It is a frontend-wide count,
 	// reported identically on both phases; always 0 in MiniLang mode.
@@ -337,6 +341,7 @@ func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, prep *
 		Vertices: numVerts, Stats: *st,
 		CFETPaths: ic.PathCount(), PrunedBranches: ic.PrunedBranches(),
 		SlicedFunctions: ic.SlicedFunctions(), SlicedBranches: ic.SlicedBranches(),
+		TruncatedSubtrees: ic.TruncatedSubtrees(),
 	}, nil
 }
 
@@ -586,7 +591,8 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program, text string) (*P
 	if err != nil {
 		return nil, fmt.Errorf("icfet: %w", endErr(sp, err))
 	}
-	sp.End(trace.Args{"paths": ic.PathCount(), "prunedBranches": ic.PrunedBranches()})
+	sp.End(trace.Args{"paths": ic.PathCount(), "prunedBranches": ic.PrunedBranches(),
+		"truncatedSubtrees": ic.TruncatedSubtrees()})
 	sp = c.Opts.Scope.Start("checker", "context-clone")
 	pr := pgraph.NewProgram(p, cg, ic, cloneOpts)
 	ag := pgraph.BuildAlias(pr)
@@ -811,12 +817,16 @@ func explainWitness(ic *cfet.ICFET, enc cfet.Enc) []WitnessStep {
 			}
 			m := ic.Methods[el.Method]
 			// Walk child-to-ancestor collecting branch decisions, then
-			// reverse into execution order.
+			// reverse into execution order. The end's parent is looked up
+			// once; from there the walk follows parent links.
 			var rev []WitnessStep
 			cur := el.End
+			var pn *cfet.Node
 			for cur != el.Start && cur != 0 {
 				parent := cfet.Parent(cur)
-				pn := m.Nodes[parent]
+				if pn == nil {
+					pn = m.Node(parent)
+				}
 				if pn != nil && pn.HasCond {
 					branch := "false"
 					if cfet.IsTrueChild(cur) {
@@ -828,6 +838,9 @@ func explainWitness(ic *cfet.ICFET, enc cfet.Enc) []WitnessStep {
 					})
 				}
 				cur = parent
+				if pn != nil {
+					pn = pn.Parent
+				}
 			}
 			for i := len(rev) - 1; i >= 0; i-- {
 				steps = append(steps, rev[i])

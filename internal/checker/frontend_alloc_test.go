@@ -17,9 +17,12 @@ import (
 
 // frontendMallocsPerLine is TestFrontendAllocBudget's pin: heap objects
 // per source line for parse, resolve, lower, pre-analysis and CFET build on
-// wide-sim at 10×10, the measured 0.43 plus 15 %. Before the frontend
-// allocated from slabs owned by each build, the same run made 76.2.
-const frontendMallocsPerLine = 0.5
+// wide-sim at 10×10, the measured 0.21 plus 15 %. Before the resolver
+// numbered variables (no name map per function in lowering, SCCP or the
+// CFET walk) and a sliced-away method stopped allocating maps, the same
+// run made 0.43; before the frontend allocated from slabs owned by each
+// build, 76.2.
+const frontendMallocsPerLine = 0.24
 
 // TestFrontendAllocBudget pins how many heap objects the frontend makes per
 // source line — parse → resolve → lower → pre-analysis (SCCP) → cfet.Build

@@ -35,13 +35,41 @@ func prepareWholeProgramSCCP(t *testing.T, fsms []*fsm.FSM, src string) (*checke
 	return c, prep
 }
 
+// lastKeptDecides is a program whose last kept function, main, holds the
+// only branch SCCP decides; filler is sliced away.
+const lastKeptDecides = `
+type Lock;
+fun filler(n: int): int {
+  var k: int = 2;
+  if (k == 2) { n = n + 1; }
+  return n;
+}
+fun worker(l: Lock) {
+  l.lock();
+  l.unlock();
+}
+fun main() {
+  var l: Lock = new Lock();
+  var mode: int = 1;
+  var x: int = input();
+  filler(x);
+  worker(l);
+  if (mode == 1) {
+    l.lock();
+  }
+  if (x > 0) {
+    l.unlock();
+  }
+}
+`
+
 // TestSlicedPreAnalysisMatchesWholeProgram holds the prepare, which runs
 // SCCP only over the functions the relevance slice keeps, to the reference
 // that runs it over every function before slicing: per method the same
 // leaves, pruned, sliced and sliced-away counts, and byte-identical reports.
 // The subjects are the four paper subjects with all four FSMs and with each
-// alone, wide-sim 10×10 with lock, and 20 seeded random programs, each
-// checked against one FSM.
+// alone, wide-sim 10×10 with lock, lastKeptDecides with lock, and 20 seeded
+// random programs, each checked against one FSM.
 func TestSlicedPreAnalysisMatchesWholeProgram(t *testing.T) {
 	type tc struct {
 		name string
@@ -59,6 +87,11 @@ func TestSlicedPreAnalysisMatchesWholeProgram(t *testing.T) {
 	}
 	cases = append(cases, tc{"wide-sim-10x10/lock", workload.Generate(workload.WideProfile(10, 10)).Source,
 		[]*fsm.FSM{fsm.BuiltinLock()}})
+	// The last function the slice keeps decides a branch of its own, so an
+	// SCCP set that leaves out the last kept function changes its Pruned
+	// count and its reports. (No generated subject's last kept function
+	// decides one.)
+	cases = append(cases, tc{"last-kept-decides/lock", lastKeptDecides, []*fsm.FSM{fsm.BuiltinLock()}})
 	for seed := int64(1); seed <= 20; seed++ {
 		f := builtins[seed%int64(len(builtins))]
 		prof := workload.Profile{

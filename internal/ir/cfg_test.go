@@ -116,18 +116,18 @@ func TestDefsUses(t *testing.T) {
 		defs []string
 		uses []string
 	}{
-		{&IntAssign{Dst: "x", Op: Add, A: VarOp("a"), B: ConstOp(1)}, []string{"x"}, []string{"a"}},
+		{&IntAssign{Dst: "x", Op: Add, A: VarOp("a", 1), B: ConstOp(1)}, []string{"x"}, []string{"a"}},
 		{&IntAssign{Dst: "x", Op: Opaque}, []string{"x"}, nil},
-		{&BoolAssign{Dst: "b", Cond: CmpCond(VarOp("a"), CmpLt, VarOp("c"))}, []string{"b"}, []string{"a", "c"}},
+		{&BoolAssign{Dst: "b", Cond: CmpCond(VarOp("a", 1), CmpLt, VarOp("c", 2))}, []string{"b"}, []string{"a", "c"}},
 		{&ObjAssign{Dst: "o", Src: "p"}, []string{"o"}, []string{"p"}},
 		{&ObjAssign{Dst: "o", Src: ""}, []string{"o"}, nil},
 		{&NewObj{Dst: "o"}, []string{"o"}, nil},
 		{&Store{Recv: "r", Field: "f", Src: "s"}, nil, []string{"r", "s"}},
 		{&Load{Dst: "d", Recv: "r", Field: "f"}, []string{"d"}, []string{"r"}},
-		{&Call{Dst: "d", ObjArgs: []ArgPair{{Arg: "o"}}, IntArgs: []IntArg{{Arg: VarOp("i")}}}, []string{"d"}, []string{"o", "i"}},
+		{&Call{Dst: "d", ObjArgs: []ArgPair{{Arg: "o"}}, IntArgs: []IntArg{{Arg: VarOp("i", 1)}}}, []string{"d"}, []string{"o", "i"}},
 		{&Event{Recv: "r", Method: "m", Dst: "d"}, []string{"d"}, []string{"r"}},
 		{&Event{Recv: "r", Method: "m"}, nil, []string{"r"}},
-		{&Return{Src: VarOp("v")}, nil, []string{"v"}},
+		{&Return{Src: VarOp("v", 1)}, nil, []string{"v"}},
 		{&ThrowExit{}, nil, []string{ExcVar}},
 		{&CatchBind{Var: "e"}, []string{"e"}, nil},
 	}
@@ -142,13 +142,13 @@ func TestDefsUses(t *testing.T) {
 }
 
 func TestCondUses(t *testing.T) {
-	if got := CondUses(BoolCond("b")); !eqStrings(got, []string{"b"}) {
+	if got := CondUses(BoolCond("b", 1)); !eqStrings(got, []string{"b"}) {
 		t.Errorf("bool cond uses %v", got)
 	}
 	if got := CondUses(OpaqueCond(3)); got != nil {
 		t.Errorf("opaque cond uses %v", got)
 	}
-	if got := CondUses(CmpCond(VarOp("x"), CmpEq, ConstOp(4))); !eqStrings(got, []string{"x"}) {
+	if got := CondUses(CmpCond(VarOp("x", 1), CmpEq, ConstOp(4))); !eqStrings(got, []string{"x"}) {
 		t.Errorf("cmp cond uses %v", got)
 	}
 }

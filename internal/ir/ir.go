@@ -44,6 +44,13 @@ type Func struct {
 	// ThrowsLocally is true when the body contains a throw outside any try.
 	ThrowsLocally bool
 	Pos           lang.Pos
+	// NumVars is how many variable slots the function numbers, 1..NumVars:
+	// the resolver's (parameters 1..n in order, then locals in declaration
+	// order), then lowering's temporaries, then ExcVar in slot NumVars.
+	// Every Operand, scalar destination and Cond.BoolVar carries its
+	// variable's slot beside the name, so a pass that keeps per-variable
+	// state indexes an array of NumVars+1 instead of hashing the name.
+	NumVars int
 }
 
 // ExcVar is the implicit per-function variable carrying an uncaught
@@ -58,17 +65,18 @@ type Block struct {
 // Stmt is an IR statement.
 type Stmt interface{ irStmt() }
 
-// Operand is a variable name or an integer constant.
+// Operand is a variable (its name and slot) or an integer constant.
 type Operand struct {
 	Var   string // "" when constant
+	Slot  int32  // Var's slot in Func's numbering; 0 when constant
 	Const int64
 }
 
 // IsConst reports whether the operand is a literal.
 func (o Operand) IsConst() bool { return o.Var == "" }
 
-// VarOp returns a variable operand.
-func VarOp(name string) Operand { return Operand{Var: name} }
+// VarOp returns an operand for the variable name in slot.
+func VarOp(name string, slot int32) Operand { return Operand{Var: name, Slot: slot} }
 
 // ConstOp returns a constant operand.
 func ConstOp(c int64) Operand { return Operand{Const: c} }
@@ -95,11 +103,12 @@ const (
 
 // IntAssign assigns an integer computation to a variable.
 type IntAssign struct {
-	Dst string
-	Op  ArithOp
-	A   Operand
-	B   Operand
-	Pos lang.Pos
+	Dst     string
+	DstSlot int32
+	Op      ArithOp
+	A       Operand
+	B       Operand
+	Pos     lang.Pos
 }
 
 // CmpKind is a comparison operator for conditions.
@@ -139,7 +148,8 @@ func (k CmpKind) Negate() CmpKind {
 
 // Cond is a branch condition in one of three forms:
 //   - comparison of two integer operands (Kind over A, B),
-//   - a boolean variable test (BoolVar != ""): holds iff the variable is true,
+//   - a boolean variable test (BoolVar != "", in slot BoolSlot): holds iff
+//     the variable is true,
 //   - an opaque condition (OpaqueID >= 0): statically unknown (null checks,
 //     "did the call throw"), solver-wise a free 0/1 symbol.
 //
@@ -148,6 +158,7 @@ type Cond struct {
 	A, B     Operand
 	Kind     CmpKind
 	BoolVar  string
+	BoolSlot int32
 	OpaqueID int32
 	Negated  bool
 }
@@ -157,8 +168,8 @@ func CmpCond(a Operand, k CmpKind, b Operand) Cond {
 	return Cond{A: a, B: b, Kind: k, OpaqueID: -1}
 }
 
-// BoolCond builds a boolean-variable condition.
-func BoolCond(v string) Cond { return Cond{BoolVar: v, OpaqueID: -1} }
+// BoolCond builds a condition on the boolean variable v in slot.
+func BoolCond(v string, slot int32) Cond { return Cond{BoolVar: v, BoolSlot: slot, OpaqueID: -1} }
 
 // OpaqueCond builds an opaque condition with a stable per-site ID.
 func OpaqueCond(id int32) Cond { return Cond{OpaqueID: id} }
@@ -190,9 +201,10 @@ func (c Cond) String() string {
 
 // BoolAssign assigns a condition value to a boolean variable.
 type BoolAssign struct {
-	Dst  string
-	Cond Cond
-	Pos  lang.Pos
+	Dst     string
+	DstSlot int32
+	Cond    Cond
+	Pos     lang.Pos
 }
 
 // ObjAssign copies an object reference: Dst = Src (Fig. 4 "assignment").
@@ -231,6 +243,7 @@ type Load struct {
 // DstIsObject tells whether Dst receives an object reference.
 type Call struct {
 	Dst         string
+	DstSlot     int32
 	DstIsObject bool
 	Callee      string
 	// ObjArgs pairs each object-typed argument variable with the callee's
@@ -238,7 +251,10 @@ type Call struct {
 	// (already flattened) with formal names.
 	ObjArgs []ArgPair
 	IntArgs []IntArg
-	Site    int32 // global call-site ID (also the ICFET call-edge ID)
+	// Site is the global call-site ID. It is not an ICFET call-edge ID:
+	// cfet.Build makes one call edge per node that executes the call, so
+	// a site reached along several tree paths has several edges.
+	Site int32
 	// Spawn marks the call as starting a concurrent task ("spawn f(x);",
 	// a lowered `go` statement). The downstream pipeline treats spawn
 	// calls exactly like ordinary calls — the over-approximation "callee
@@ -259,16 +275,20 @@ type ArgPair struct {
 type IntArg struct {
 	Arg    Operand
 	Formal string
+	// FormalSlot is the formal's slot in the callee: parameter i is in
+	// slot i+1.
+	FormalSlot int32
 }
 
 // Event is a method call on an object-typed variable: Recv.Method(). Events
 // are what FSMs transition on. If Dst != "" the (integer) result is bound
 // opaquely.
 type Event struct {
-	Recv   string
-	Method string
-	Dst    string
-	Pos    lang.Pos
+	Recv    string
+	Method  string
+	Dst     string
+	DstSlot int32
+	Pos     lang.Pos
 }
 
 // Return exits the function normally. Src is the returned operand/variable

@@ -320,7 +320,7 @@ fun main() {
 
 func TestCloneBlockIndependence(t *testing.T) {
 	b := &Block{Stmts: []Stmt{
-		&If{Cond: BoolCond("b"), Then: &Block{Stmts: []Stmt{&ObjAssign{Dst: "x", Src: "y"}}}, Else: &Block{}},
+		&If{Cond: BoolCond("b", 1), Then: &Block{Stmts: []Stmt{&ObjAssign{Dst: "x", Src: "y"}}}, Else: &Block{}},
 	}}
 	c := cloneBlock(b)
 	c.Stmts[0].(*If).Then.Stmts[0].(*ObjAssign).Dst = "z"

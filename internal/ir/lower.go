@@ -65,13 +65,15 @@ type lowerer struct {
 	info *lang.Info
 	opts Options
 
-	fun      *lang.FunDecl
-	varTypes map[string]string // reused: cleared per function
-	tempN    int
-	opaqueN  int32
+	fun     *lang.FunDecl
+	tempN   int
+	opaqueN int32
 	// tempNames[i] is "$t<i+1>": temporaries restart at $t1 in every
-	// function, so each name is built once per Lower call.
+	// function, so each name is built once per Lower call. tempTypes[i] is
+	// the type of the function's $t<i+1>, which takes the slot after the
+	// declared variables and the temporaries before it.
 	tempNames []string
+	tempTypes []string
 
 	// ints is the slab of the IntAssigns lowering emits; they outlive
 	// expansion. ifs, blocks and lists hold the structured body lowering
@@ -93,16 +95,22 @@ type pendingBlock struct {
 	mark int
 }
 
+// varRef is a variable as lowering reads or writes it: its name and its
+// slot in the function's numbering. The zero varRef is no variable (a null
+// object, an ignored result).
+type varRef struct {
+	name string
+	slot int32
+}
+
+func identRef(id *lang.Ident) varRef { return varRef{id.Name, id.Slot} }
+
+func (v varRef) op() Operand { return VarOp(v.name, v.slot) }
+
 func (lo *lowerer) lowerFun(f *lang.FunDecl) (*Func, error) {
 	lo.fun = f
 	lo.tempN = 0
-	if lo.varTypes == nil {
-		lo.varTypes = map[string]string{}
-	}
-	clear(lo.varTypes)
-	for k, v := range lo.info.VarTypes[f] {
-		lo.varTypes[k] = v
-	}
+	lo.tempTypes = lo.tempTypes[:0]
 	fn := &Func{Name: f.Name, Params: f.Params, RetType: f.RetType, Pos: f.Pos}
 	body := lo.openBlock()
 	if err := lo.lowerStmts(f.Body, body); err != nil {
@@ -110,18 +118,20 @@ func (lo *lowerer) lowerFun(f *lang.FunDecl) (*Func, error) {
 	}
 	lo.closeBlock(body)
 	fn.Body = body
+	// The declared variables, the temporaries, then ExcVar.
+	fn.NumVars = len(f.VarTypes) + lo.tempN + 1
 	return fn, nil
 }
 
-func (lo *lowerer) temp(typ string) string {
+// temp returns a fresh temporary of type typ.
+func (lo *lowerer) temp(typ string) varRef {
 	lo.tempN++
 	for len(lo.tempNames) < lo.tempN {
 		var buf [24]byte
 		lo.tempNames = append(lo.tempNames, string(strconv.AppendInt(append(buf[:0], "$t"...), int64(len(lo.tempNames)+1), 10)))
 	}
-	name := lo.tempNames[lo.tempN-1]
-	lo.varTypes[name] = typ
-	return name
+	lo.tempTypes = append(lo.tempTypes, typ)
+	return varRef{lo.tempNames[lo.tempN-1], int32(len(lo.fun.VarTypes) + lo.tempN)}
 }
 
 // openBlock starts a block that emit then fills until closeBlock.
@@ -155,10 +165,13 @@ func (lo *lowerer) freshOpaque() int32 {
 	return lo.opaqueN
 }
 
-func (lo *lowerer) typeOf(v string) string { return lo.varTypes[v] }
-
-func (lo *lowerer) isObjectVar(v string) bool {
-	return lang.IsObjectType(lo.typeOf(v))
+// typeOf returns the type of the variable in slot: a declared one's, or a
+// temporary's.
+func (lo *lowerer) typeOf(slot int32) string {
+	if n := int32(len(lo.fun.VarTypes)); slot > n {
+		return lo.tempTypes[slot-n-1]
+	}
+	return lo.fun.VarType(slot)
 }
 
 func (lo *lowerer) allocSite(typ string, pos lang.Pos) int32 {
@@ -191,27 +204,27 @@ func (lo *lowerer) lowerStmt(s lang.Stmt, out *Block) error {
 		if s.Init == nil {
 			return nil
 		}
-		return lo.lowerAssignTo(s.Name, s.Type, s.Init, s.Pos, out)
+		return lo.lowerAssignTo(varRef{s.Name, s.Slot}, s.Type, s.Init, s.Pos, out)
 	case *lang.AssignStmt:
 		switch lhs := s.LHS.(type) {
 		case *lang.Ident:
-			return lo.lowerAssignTo(lhs.Name, lo.typeOf(lhs.Name), s.RHS, s.Pos, out)
+			return lo.lowerAssignTo(identRef(lhs), lo.typeOf(lhs.Slot), s.RHS, s.Pos, out)
 		case *lang.FieldAccess:
 			src, err := lo.lowerObjExpr(s.RHS, out)
 			if err != nil {
 				return err
 			}
-			if src == "" { // storing null clears the field; no object flow
+			if src.name == "" { // storing null clears the field; no object flow
 				return nil
 			}
-			lo.emit(out, &Store{Recv: lhs.Recv.Name, Field: lhs.Field, Src: src, Pos: s.Pos})
+			lo.emit(out, &Store{Recv: lhs.Recv.Name, Field: lhs.Field, Src: src.name, Pos: s.Pos})
 			return nil
 		}
 		return fmt.Errorf("%s: bad assignment target", s.Pos)
 	case *lang.ExprStmt:
 		switch x := s.X.(type) {
 		case *lang.CallExpr:
-			_, err := lo.lowerCall(x, "", out)
+			_, err := lo.lowerCall(x, varRef{}, out)
 			return err
 		case *lang.MethodCall:
 			lo.emit(out, &Event{Recv: x.Recv.Name, Method: x.Method, Pos: x.Pos})
@@ -219,7 +232,7 @@ func (lo *lowerer) lowerStmt(s lang.Stmt, out *Block) error {
 		}
 		return fmt.Errorf("%s: bad expression statement", s.Pos)
 	case *lang.SpawnStmt:
-		c, err := lo.lowerCall(s.Call, "", out)
+		c, err := lo.lowerCall(s.Call, varRef{}, out)
 		if err != nil {
 			return err
 		}
@@ -249,7 +262,7 @@ func (lo *lowerer) lowerStmt(s lang.Stmt, out *Block) error {
 			if err != nil {
 				return err
 			}
-			lo.emit(out, &Return{Src: VarOp(src), SrcIsObject: true, Pos: s.Pos})
+			lo.emit(out, &Return{Src: src.op(), SrcIsObject: true, Pos: s.Pos})
 			return nil
 		}
 		op, err := lo.lowerIntExpr(s.X, out)
@@ -263,10 +276,10 @@ func (lo *lowerer) lowerStmt(s lang.Stmt, out *Block) error {
 		if err != nil {
 			return err
 		}
-		if src == "" {
+		if src.name == "" {
 			return fmt.Errorf("%s: cannot throw null", s.Pos)
 		}
-		lo.emit(out, &Raise{Src: src, Type: lo.typeOf(src), Pos: s.Pos})
+		lo.emit(out, &Raise{Src: src.name, Type: lo.typeOf(src.slot), Pos: s.Pos})
 		return nil
 	case *lang.TryStmt:
 		body := lo.openBlock()
@@ -306,15 +319,15 @@ func (lo *lowerer) lowerWhile(w *lang.WhileStmt, depth int, out *Block) error {
 }
 
 // lowerAssignTo lowers "dst: typ = rhs".
-func (lo *lowerer) lowerAssignTo(dst, typ string, rhs lang.Expr, pos lang.Pos, out *Block) error {
+func (lo *lowerer) lowerAssignTo(dst varRef, typ string, rhs lang.Expr, pos lang.Pos, out *Block) error {
 	switch {
 	case lang.IsObjectType(typ):
 		switch e := rhs.(type) {
 		case *lang.NewExpr:
-			lo.emit(out, &NewObj{Dst: dst, Type: e.Type, Site: lo.allocSite(e.Type, e.Pos), Pos: e.Pos})
+			lo.emit(out, &NewObj{Dst: dst.name, Type: e.Type, Site: lo.allocSite(e.Type, e.Pos), Pos: e.Pos})
 			return nil
 		case *lang.FieldAccess:
-			lo.emit(out, &Load{Dst: dst, Recv: e.Recv.Name, Field: e.Field, Pos: e.Pos})
+			lo.emit(out, &Load{Dst: dst.name, Recv: e.Recv.Name, Field: e.Field, Pos: e.Pos})
 			return nil
 		case *lang.CallExpr:
 			_, err := lo.lowerCall(e, dst, out)
@@ -324,7 +337,7 @@ func (lo *lowerer) lowerAssignTo(dst, typ string, rhs lang.Expr, pos lang.Pos, o
 		if err != nil {
 			return err
 		}
-		lo.emit(out, &ObjAssign{Dst: dst, Src: src, Pos: pos})
+		lo.emit(out, &ObjAssign{Dst: dst.name, Src: src.name, Pos: pos})
 		return nil
 	case typ == "bool":
 		return lo.lowerBoolAssign(dst, rhs, pos, out)
@@ -333,50 +346,50 @@ func (lo *lowerer) lowerAssignTo(dst, typ string, rhs lang.Expr, pos lang.Pos, o
 	}
 }
 
-// lowerObjExpr lowers an object-valued expression to a variable name
-// ("" for null).
-func (lo *lowerer) lowerObjExpr(e lang.Expr, out *Block) (string, error) {
+// lowerObjExpr lowers an object-valued expression to a variable (the zero
+// varRef for null).
+func (lo *lowerer) lowerObjExpr(e lang.Expr, out *Block) (varRef, error) {
 	switch e := e.(type) {
 	case *lang.NullLit:
-		return "", nil
+		return varRef{}, nil
 	case *lang.Ident:
-		return e.Name, nil
+		return identRef(e), nil
 	case *lang.NewExpr:
 		t := lo.temp(e.Type)
-		lo.emit(out, &NewObj{Dst: t, Type: e.Type, Site: lo.allocSite(e.Type, e.Pos), Pos: e.Pos})
+		lo.emit(out, &NewObj{Dst: t.name, Type: e.Type, Site: lo.allocSite(e.Type, e.Pos), Pos: e.Pos})
 		return t, nil
 	case *lang.FieldAccess:
 		t := lo.temp("Object")
-		lo.emit(out, &Load{Dst: t, Recv: e.Recv.Name, Field: e.Field, Pos: e.Pos})
+		lo.emit(out, &Load{Dst: t.name, Recv: e.Recv.Name, Field: e.Field, Pos: e.Pos})
 		return t, nil
 	case *lang.CallExpr:
 		f := lo.info.Prog.Fun(e.Name)
 		t := lo.temp(f.RetType)
 		if _, err := lo.lowerCall(e, t, out); err != nil {
-			return "", err
+			return varRef{}, err
 		}
 		return t, nil
 	}
-	return "", fmt.Errorf("%s: expression is not an object", lang.PosOf(e))
+	return varRef{}, fmt.Errorf("%s: expression is not an object", lang.PosOf(e))
 }
 
 // lowerIntExprInto lowers an int expression directly into dst.
-func (lo *lowerer) lowerIntExprInto(dst string, e lang.Expr, out *Block) error {
+func (lo *lowerer) lowerIntExprInto(dst varRef, e lang.Expr, out *Block) error {
 	switch e := e.(type) {
 	case *lang.IntLit:
-		lo.emit(out, lo.ints.New(IntAssign{Dst: dst, Op: Mov, A: ConstOp(e.Value), Pos: e.Pos}))
+		lo.emit(out, lo.ints.New(IntAssign{Dst: dst.name, DstSlot: dst.slot, Op: Mov, A: ConstOp(e.Value), Pos: e.Pos}))
 		return nil
 	case *lang.Ident:
-		lo.emit(out, lo.ints.New(IntAssign{Dst: dst, Op: Mov, A: VarOp(e.Name), Pos: e.Pos}))
+		lo.emit(out, lo.ints.New(IntAssign{Dst: dst.name, DstSlot: dst.slot, Op: Mov, A: identRef(e).op(), Pos: e.Pos}))
 		return nil
 	case *lang.InputExpr:
-		lo.emit(out, lo.ints.New(IntAssign{Dst: dst, Op: Opaque, Pos: e.Pos}))
+		lo.emit(out, lo.ints.New(IntAssign{Dst: dst.name, DstSlot: dst.slot, Op: Opaque, Pos: e.Pos}))
 		return nil
 	case *lang.CallExpr:
 		_, err := lo.lowerCall(e, dst, out)
 		return err
 	case *lang.MethodCall:
-		lo.emit(out, &Event{Recv: e.Recv.Name, Method: e.Method, Dst: dst, Pos: e.Pos})
+		lo.emit(out, &Event{Recv: e.Recv.Name, Method: e.Method, Dst: dst.name, DstSlot: dst.slot, Pos: e.Pos})
 		return nil
 	case *lang.Binary:
 		a, err := lo.lowerIntExpr(e.L, out)
@@ -398,14 +411,14 @@ func (lo *lowerer) lowerIntExprInto(dst string, e lang.Expr, out *Block) error {
 		default:
 			return fmt.Errorf("%s: %s is not an int operator", e.Pos, e.Op)
 		}
-		lo.emit(out, lo.ints.New(IntAssign{Dst: dst, Op: op, A: a, B: b, Pos: e.Pos}))
+		lo.emit(out, lo.ints.New(IntAssign{Dst: dst.name, DstSlot: dst.slot, Op: op, A: a, B: b, Pos: e.Pos}))
 		return nil
 	case *lang.Unary:
 		a, err := lo.lowerIntExpr(e.X, out)
 		if err != nil {
 			return err
 		}
-		lo.emit(out, lo.ints.New(IntAssign{Dst: dst, Op: Neg, A: a, Pos: e.Pos}))
+		lo.emit(out, lo.ints.New(IntAssign{Dst: dst.name, DstSlot: dst.slot, Op: Neg, A: a, Pos: e.Pos}))
 		return nil
 	}
 	return fmt.Errorf("cannot lower %T as int", e)
@@ -418,29 +431,29 @@ func (lo *lowerer) lowerIntExpr(e lang.Expr, out *Block) (Operand, error) {
 	case *lang.IntLit:
 		return ConstOp(e.Value), nil
 	case *lang.Ident:
-		return VarOp(e.Name), nil
+		return identRef(e).op(), nil
 	}
 	t := lo.temp("int")
 	if err := lo.lowerIntExprInto(t, e, out); err != nil {
 		return Operand{}, err
 	}
-	return VarOp(t), nil
+	return t.op(), nil
 }
 
 // lowerBoolAssign lowers "dst: bool = e".
-func (lo *lowerer) lowerBoolAssign(dst string, e lang.Expr, pos lang.Pos, out *Block) error {
+func (lo *lowerer) lowerBoolAssign(dst varRef, e lang.Expr, pos lang.Pos, out *Block) error {
 	if c, simple, err := lo.simpleCond(e, out); err != nil {
 		return err
 	} else if simple {
-		lo.emit(out, &BoolAssign{Dst: dst, Cond: c, Pos: pos})
+		lo.emit(out, &BoolAssign{Dst: dst.name, DstSlot: dst.slot, Cond: c, Pos: pos})
 		return nil
 	}
 	// Complex boolean (&&, ||): dst = cond ? true : false.
 	thenB := lo.openBlock()
-	lo.emit(thenB, &BoolAssign{Dst: dst, Cond: trueCond(), Pos: pos})
+	lo.emit(thenB, &BoolAssign{Dst: dst.name, DstSlot: dst.slot, Cond: trueCond(), Pos: pos})
 	lo.closeBlock(thenB)
 	elseB := lo.openBlock()
-	lo.emit(elseB, &BoolAssign{Dst: dst, Cond: falseCond(), Pos: pos})
+	lo.emit(elseB, &BoolAssign{Dst: dst.name, DstSlot: dst.slot, Cond: falseCond(), Pos: pos})
 	lo.closeBlock(elseB)
 	return lo.lowerCondBranch(e, thenB, elseB, pos, out)
 }
@@ -458,7 +471,7 @@ func (lo *lowerer) simpleCond(e lang.Expr, out *Block) (Cond, bool, error) {
 		}
 		return falseCond(), true, nil
 	case *lang.Ident:
-		return BoolCond(e.Name), true, nil
+		return BoolCond(e.Name, e.Slot), true, nil
 	case *lang.Unary:
 		if e.Op != '!' {
 			return Cond{}, false, fmt.Errorf("%s: bad unary in condition", e.Pos)
@@ -514,7 +527,7 @@ func (lo *lowerer) isObjectOperand(e lang.Expr) bool {
 	case *lang.NullLit, *lang.NewExpr, *lang.FieldAccess:
 		return true
 	case *lang.Ident:
-		return lo.isObjectVar(e.Name)
+		return lang.IsObjectType(lo.typeOf(e.Slot))
 	}
 	return false
 }
@@ -524,7 +537,7 @@ func (lo *lowerer) isBoolOperand(e lang.Expr) bool {
 	case *lang.BoolLit:
 		return true
 	case *lang.Ident:
-		return lo.typeOf(e.Name) == "bool"
+		return lo.typeOf(e.Slot) == "bool"
 	}
 	return false
 }
@@ -635,24 +648,26 @@ func cloneStmt(s Stmt) Stmt {
 
 // lowerCall lowers a call expression, classifying arguments into object and
 // integer groups. dst receives the result ("" to ignore).
-func (lo *lowerer) lowerCall(e *lang.CallExpr, dst string, out *Block) (*Call, error) {
+func (lo *lowerer) lowerCall(e *lang.CallExpr, dst varRef, out *Block) (*Call, error) {
 	callee := lo.info.Prog.Fun(e.Name)
 	c := &Call{
-		Dst:         dst,
-		DstIsObject: dst != "" && lang.IsObjectType(callee.RetType),
+		Dst:         dst.name,
+		DstSlot:     dst.slot,
+		DstIsObject: dst.name != "" && lang.IsObjectType(callee.RetType),
 		Callee:      e.Name,
 		Site:        lo.callSite(e.Pos),
 		Pos:         e.Pos,
 	}
 	for i, a := range e.Args {
 		formal := callee.Params[i]
+		formalSlot := int32(i + 1) // parameters take slots 1..n
 		if lang.IsObjectType(formal.Type) {
 			src, err := lo.lowerObjExpr(a, out)
 			if err != nil {
 				return nil, err
 			}
-			if src != "" {
-				c.ObjArgs = append(c.ObjArgs, ArgPair{Arg: src, Formal: formal.Name})
+			if src.name != "" {
+				c.ObjArgs = append(c.ObjArgs, ArgPair{Arg: src.name, Formal: formal.Name})
 			}
 			continue
 		}
@@ -661,15 +676,15 @@ func (lo *lowerer) lowerCall(e *lang.CallExpr, dst string, out *Block) (*Call, e
 			// unknown value; path constraints inside the callee treat the
 			// formal as a free variable, which over-approximates feasibility.
 			t := lo.temp("int")
-			lo.emit(out, lo.ints.New(IntAssign{Dst: t, Op: Opaque, Pos: lang.PosOf(a)}))
-			c.IntArgs = append(c.IntArgs, IntArg{Arg: VarOp(t), Formal: formal.Name})
+			lo.emit(out, lo.ints.New(IntAssign{Dst: t.name, DstSlot: t.slot, Op: Opaque, Pos: lang.PosOf(a)}))
+			c.IntArgs = append(c.IntArgs, IntArg{Arg: t.op(), Formal: formal.Name, FormalSlot: formalSlot})
 			continue
 		}
 		op, err := lo.lowerIntExpr(a, out)
 		if err != nil {
 			return nil, err
 		}
-		c.IntArgs = append(c.IntArgs, IntArg{Arg: op, Formal: formal.Name})
+		c.IntArgs = append(c.IntArgs, IntArg{Arg: op, Formal: formal.Name, FormalSlot: formalSlot})
 	}
 	lo.emit(out, c)
 	return c, nil

@@ -31,7 +31,15 @@ type FunDecl struct {
 	RetType string // "" for none, "int", "bool", or an object type
 	Body    []Stmt
 	Pos     Pos
+	// VarTypes[s-1] is the declared type of the variable in slot s. Resolve
+	// numbers a function's variables once: the parameters take slots 1..n
+	// in order, then each local (and catch variable) the next slot in
+	// declaration order. Slot 0 is no variable.
+	VarTypes []string
 }
+
+// VarType returns the declared type of the variable in slot s.
+func (f *FunDecl) VarType(s int32) string { return f.VarTypes[s-1] }
 
 // Param is a formal parameter.
 type Param struct {
@@ -48,6 +56,7 @@ type VarDecl struct {
 	Type string
 	Init Expr // may be nil
 	Pos  Pos
+	Slot int32 // the variable's slot, set by Resolve
 }
 
 // AssignStmt assigns RHS to LHS; LHS is an *Ident or a *FieldAccess.
@@ -140,6 +149,7 @@ type NullLit struct{ Pos Pos }
 type Ident struct {
 	Name string
 	Pos  Pos
+	Slot int32 // the slot of the variable it names, set by Resolve
 }
 
 // FieldAccess is a depth-one field read or (as an assignment target) write.

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -229,9 +230,54 @@ func TestResolveFigure3b(t *testing.T) {
 	if !info.ObjectTypes["FileWriter"] {
 		t.Fatal("FileWriter should be an object type")
 	}
-	vt := info.VarTypes[prog.Fun("main")]
-	if vt["out"] != "FileWriter" || vt["x"] != "int" {
-		t.Fatalf("var types: %+v", vt)
+	main := prog.Fun("main")
+	if want := []string{"FileWriter", "FileWriter", "int", "int"}; !slices.Equal(main.VarTypes, want) {
+		t.Fatalf("var types by slot: %v, want %v", main.VarTypes, want)
+	}
+	// Declarations take slots in order, and every reference carries its
+	// declaration's slot.
+	for i, s := range main.Body[:4] {
+		if d := s.(*VarDecl); d.Slot != int32(i+1) {
+			t.Fatalf("%s has slot %d, want %d", d.Name, d.Slot, i+1)
+		}
+	}
+	y := main.Body[3].(*VarDecl).Init.(*Ident)
+	if y.Name != "x" || y.Slot != 3 {
+		t.Fatalf("y's initializer %s has slot %d, want x in slot 3", y.Name, y.Slot)
+	}
+}
+
+// TestResolveNumbersParamsFirst: parameters take slots 1..n in order, then
+// locals and catch variables follow in declaration order.
+func TestResolveNumbersParamsFirst(t *testing.T) {
+	prog, err := Parse(`
+type E;
+fun f(a: int, e: E, b: bool) {
+  var c: int = a;
+  try { c = 1; } catch (x: E) { c = 2; }
+  var d: bool = b;
+}
+fun g(z: int) { var w: int = z; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resolve(prog); err != nil {
+		t.Fatal(err)
+	}
+	f := prog.Fun("f")
+	if want := []string{"int", "E", "bool", "int", "E", "bool"}; !slices.Equal(f.VarTypes, want) {
+		t.Fatalf("f's var types by slot: %v, want %v", f.VarTypes, want)
+	}
+	if c := f.Body[0].(*VarDecl); c.Slot != 4 || c.Init.(*Ident).Slot != 1 {
+		t.Fatalf("c in slot %d (want 4), its initializer a in slot %d (want 1)", c.Slot, c.Init.(*Ident).Slot)
+	}
+	if d := f.Body[2].(*VarDecl); d.Slot != 6 || d.Init.(*Ident).Slot != 3 {
+		t.Fatalf("d in slot %d (want 6), its initializer b in slot %d (want 3)", d.Slot, d.Init.(*Ident).Slot)
+	}
+	// Numbering restarts in every function.
+	g := prog.Fun("g")
+	if w := g.Body[0].(*VarDecl); w.Slot != 2 || w.Init.(*Ident).Slot != 1 || g.VarType(2) != "int" {
+		t.Fatalf("g: w in slot %d (want 2), z in slot %d (want 1)", w.Slot, w.Init.(*Ident).Slot)
 	}
 }
 

@@ -2,12 +2,11 @@ package lang
 
 import "fmt"
 
-// Info carries resolver results consumed by IR lowering.
+// Info carries resolver results consumed by IR lowering. The variable
+// numbering is on the AST itself: see FunDecl.VarTypes and the Slot of
+// each Ident and VarDecl.
 type Info struct {
 	Prog *Program
-	// VarTypes maps each function to a variable-name -> type-name table.
-	// MiniLang forbids shadowing, so names are unique within a function.
-	VarTypes map[*FunDecl]map[string]string
 	// ObjectTypes is the set of object type names mentioned anywhere.
 	ObjectTypes map[string]bool
 }
@@ -17,10 +16,13 @@ type Info struct {
 //   - expression categories (int/bool/object) are consistent,
 //   - calls match declared functions and arity,
 //   - method calls and field accesses apply only to object-typed variables.
+//
+// It also numbers each function's variables (FunDecl.VarTypes): the lookup
+// that checks a name gives every identifier its variable's slot, so later
+// passes index by slot instead of looking the name up again.
 func Resolve(prog *Program) (*Info, error) {
 	info := &Info{
 		Prog:        prog,
-		VarTypes:    make(map[*FunDecl]map[string]string),
 		ObjectTypes: make(map[string]bool),
 	}
 	for _, t := range prog.Types {
@@ -30,10 +32,17 @@ func Resolve(prog *Program) (*Info, error) {
 	for _, f := range prog.Funs {
 		funs[f.Name] = f
 	}
+	// One name table serves every function (MiniLang forbids shadowing, so
+	// names are unique within a function), and each function's types are
+	// cut from one slab.
+	r := &resolver{info: info, funs: funs, vars: map[string]int32{}}
+	var lists ListSlab[string]
 	for _, f := range prog.Funs {
-		r := &resolver{info: info, funs: funs, fun: f, vars: map[string]string{}}
+		r.fun = f
+		clear(r.vars)
+		r.types = r.types[:0]
 		for _, p := range f.Params {
-			if err := r.declare(p.Name, p.Type, f.Pos); err != nil {
+			if _, err := r.declare(p.Name, p.Type, f.Pos); err != nil {
 				return nil, err
 			}
 		}
@@ -43,35 +52,45 @@ func Resolve(prog *Program) (*Info, error) {
 		if IsObjectType(f.RetType) {
 			info.ObjectTypes[f.RetType] = true
 		}
-		info.VarTypes[f] = r.vars
+		for _, t := range r.types {
+			lists.Push(t)
+		}
+		f.VarTypes = lists.Cut(0)
 	}
 	return info, nil
 }
 
 type resolver struct {
-	info *Info
-	funs map[string]*FunDecl
-	fun  *FunDecl
-	vars map[string]string
+	info  *Info
+	funs  map[string]*FunDecl
+	fun   *FunDecl
+	vars  map[string]int32 // name -> slot in fun
+	types []string         // fun's declared types, by slot - 1
 }
 
-func (r *resolver) declare(name, typ string, pos Pos) error {
+// declare gives name the next slot of the function being resolved.
+func (r *resolver) declare(name, typ string, pos Pos) (int32, error) {
 	if _, dup := r.vars[name]; dup {
-		return fmt.Errorf("%s: variable %q redeclared in %s (MiniLang forbids shadowing)", pos, name, r.fun.Name)
+		return 0, fmt.Errorf("%s: variable %q redeclared in %s (MiniLang forbids shadowing)", pos, name, r.fun.Name)
 	}
-	r.vars[name] = typ
+	r.types = append(r.types, typ)
+	slot := int32(len(r.types))
+	r.vars[name] = slot
 	if IsObjectType(typ) {
 		r.info.ObjectTypes[typ] = true
 	}
-	return nil
+	return slot, nil
 }
 
-func (r *resolver) typeOfVar(name string, pos Pos) (string, error) {
-	t, ok := r.vars[name]
+// typeOfVar resolves id to its variable, records the variable's slot on
+// it and returns its declared type.
+func (r *resolver) typeOfVar(id *Ident, pos Pos) (string, error) {
+	slot, ok := r.vars[id.Name]
 	if !ok {
-		return "", fmt.Errorf("%s: undeclared variable %q in %s", pos, name, r.fun.Name)
+		return "", fmt.Errorf("%s: undeclared variable %q in %s", pos, id.Name, r.fun.Name)
 	}
-	return t, nil
+	id.Slot = slot
+	return r.types[slot-1], nil
 }
 
 // category reduces a type name to "int", "bool" or "object".
@@ -94,9 +113,11 @@ func (r *resolver) stmts(list []Stmt) error {
 func (r *resolver) stmt(s Stmt) error {
 	switch s := s.(type) {
 	case *VarDecl:
-		if err := r.declare(s.Name, s.Type, s.Pos); err != nil {
+		slot, err := r.declare(s.Name, s.Type, s.Pos)
+		if err != nil {
 			return err
 		}
+		s.Slot = slot
 		if s.Init != nil {
 			ct, err := r.expr(s.Init)
 			if err != nil {
@@ -111,13 +132,13 @@ func (r *resolver) stmt(s Stmt) error {
 		var lcat string
 		switch lhs := s.LHS.(type) {
 		case *Ident:
-			t, err := r.typeOfVar(lhs.Name, lhs.Pos)
+			t, err := r.typeOfVar(lhs, lhs.Pos)
 			if err != nil {
 				return err
 			}
 			lcat = category(t)
 		case *FieldAccess:
-			t, err := r.typeOfVar(lhs.Recv.Name, lhs.Pos)
+			t, err := r.typeOfVar(lhs.Recv, lhs.Pos)
 			if err != nil {
 				return err
 			}
@@ -194,7 +215,7 @@ func (r *resolver) stmt(s Stmt) error {
 		if catchType == "" {
 			catchType = "Exception"
 		}
-		if err := r.declare(s.CatchVar, catchType, s.Pos); err != nil {
+		if _, err := r.declare(s.CatchVar, catchType, s.Pos); err != nil {
 			return err
 		}
 		return r.stmts(s.Catch)
@@ -228,13 +249,13 @@ func (r *resolver) expr(e Expr) (string, error) {
 	case *InputExpr:
 		return "int", nil
 	case *Ident:
-		t, err := r.typeOfVar(e.Name, e.Pos)
+		t, err := r.typeOfVar(e, e.Pos)
 		if err != nil {
 			return "", err
 		}
 		return category(t), nil
 	case *FieldAccess:
-		t, err := r.typeOfVar(e.Recv.Name, e.Pos)
+		t, err := r.typeOfVar(e.Recv, e.Pos)
 		if err != nil {
 			return "", err
 		}
@@ -270,7 +291,7 @@ func (r *resolver) expr(e Expr) (string, error) {
 		}
 		return category(f.RetType), nil
 	case *MethodCall:
-		t, err := r.typeOfVar(e.Recv.Name, e.Pos)
+		t, err := r.typeOfVar(e.Recv, e.Pos)
 		if err != nil {
 			return "", err
 		}

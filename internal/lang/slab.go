@@ -50,7 +50,16 @@ func (s *ListSlab[T]) Push(v T) { s.scratch = append(s.scratch, v) }
 // Cut returns the elements pushed since mark as one list (nil when there
 // are none) and pops them off the scratch stack.
 func (s *ListSlab[T]) Cut(mark int) []T {
-	n := len(s.scratch) - mark
+	list := s.Alloc(len(s.scratch) - mark)
+	copy(list, s.scratch[mark:])
+	clear(s.scratch[mark:])
+	s.scratch = s.scratch[:mark]
+	return list
+}
+
+// Alloc returns a list of n zero elements (nil when n is 0), for a list
+// whose length is known before its elements are.
+func (s *ListSlab[T]) Alloc(n int) []T {
 	if n == 0 {
 		return nil
 	}
@@ -58,8 +67,6 @@ func (s *ListSlab[T]) Cut(mark int) []T {
 		s.chunk = make([]T, 0, max(n, min(max(2*cap(s.chunk), slabMinChunk), 4*slabMaxChunk)))
 	}
 	lo := len(s.chunk)
-	s.chunk = append(s.chunk, s.scratch[mark:]...)
-	clear(s.scratch[mark:])
-	s.scratch = s.scratch[:mark]
+	s.chunk = s.chunk[:lo+n]
 	return s.chunk[lo : lo+n : lo+n]
 }

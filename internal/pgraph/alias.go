@@ -134,8 +134,8 @@ func (ag *AliasGraph) buildCtx(pr *Program, ctx uint32) {
 			ag.appear(ctx, 0, p.Name)
 		}
 	}
-	for _, node := range m.NodeIDs {
-		n := m.Nodes[node]
+	for i, node := range m.NodeIDs {
+		n := m.Nodes[i]
 		for _, ps := range n.Stmts {
 			switch s := ps.Stmt.(type) {
 			case *ir.NewObj:
@@ -201,7 +201,7 @@ func (ag *AliasGraph) callEdges(pr *Program, ctx uint32, node uint64, s *ir.Call
 	if s.DstIsObject && s.Dst != "" {
 		dv := ag.appear(ctx, node, s.Dst)
 		for _, leaf := range callee.Leaves {
-			ln := callee.Nodes[leaf]
+			ln := callee.Node(leaf)
 			if ln.Leaf != cfet.LeafReturn || ln.Ret.ObjVar == "" {
 				continue
 			}
@@ -226,7 +226,7 @@ func (ag *AliasGraph) excReturnEdges(pr *Program, ctx uint32, node uint64, s *ir
 	callee := pr.Method(cc)
 	dv := ag.appear(ctx, node, s.Var)
 	for _, leaf := range callee.Leaves {
-		ln := callee.Nodes[leaf]
+		ln := callee.Node(leaf)
 		if ln.Leaf != cfet.LeafThrow {
 			continue
 		}
@@ -239,19 +239,14 @@ func (ag *AliasGraph) excReturnEdges(pr *Program, ctx uint32, node uint64, s *ir
 // site at or above `node` (the CatchBind sits in a child of the node that
 // made the call).
 func findCallEdge(m *cfet.CFET, node uint64, site int32) int32 {
-	for {
-		if n := m.Nodes[node]; n != nil {
-			for _, ps := range n.Stmts {
-				if c, ok := ps.Stmt.(*ir.Call); ok && c.Site == site && ps.CallEdge >= 0 {
-					return ps.CallEdge
-				}
+	for n := m.Node(node); n != nil; n = n.Parent {
+		for _, ps := range n.Stmts {
+			if c, ok := ps.Stmt.(*ir.Call); ok && c.Site == site && ps.CallEdge >= 0 {
+				return ps.CallEdge
 			}
 		}
-		if node == 0 {
-			return -1
-		}
-		node = cfet.Parent(node)
 	}
+	return -1
 }
 
 // addArtificialEdges connects each variable's instances along tree paths:

@@ -151,8 +151,8 @@ func (b *objBuilder) factsOf(m *cfet.CFET) *methodFacts {
 	f := &methodFacts{allocs: map[int32][]stmtAt{}, exits: make(map[uint64]exitBits, len(m.Nodes)),
 		pathKeys: map[uint64]map[string]bool{}}
 	ids := m.NodeIDs
-	for _, node := range ids {
-		for si, ps := range m.Nodes[node].Stmts {
+	for i, node := range ids {
+		for si, ps := range m.Nodes[i].Stmts {
 			switch s := ps.Stmt.(type) {
 			case *ir.NewObj:
 				f.allocs[s.Site] = append(f.allocs[s.Site], stmtAt{node, si})
@@ -167,7 +167,7 @@ func (b *objBuilder) factsOf(m *cfet.CFET) *methodFacts {
 	for i := len(ids) - 1; i >= 0; i-- {
 		id := ids[i]
 		bits := f.exits[2*id+1] | f.exits[2*id+2]
-		switch m.Nodes[id].Leaf {
+		switch m.Nodes[i].Leaf {
 		case cfet.LeafReturn, cfet.LeafTruncate:
 			bits |= exitReturn
 		case cfet.LeafThrow:
@@ -305,7 +305,7 @@ func (b *objBuilder) collectItems(targets []FlowTarget) {
 		b.nodeItems[ctx][node] = append(b.nodeItems[ctx][node], it)
 	}
 	for k, vars := range aliased {
-		n := b.pr.Method(k.ctx).Nodes[k.node]
+		n := b.pr.Method(k.ctx).Node(k.node)
 		if n == nil {
 			continue
 		}
@@ -557,7 +557,7 @@ func (b *objBuilder) summaryCallEdges(ctx uint32, it item, prev, next uint32, he
 	}
 	emitted := false
 	for _, leaf := range callee.Leaves {
-		if callee.Nodes[leaf].Leaf != cfet.LeafReturn {
+		if callee.Node(leaf).Leaf != cfet.LeafReturn {
 			continue
 		}
 		enc := cfet.Enc{
@@ -778,7 +778,7 @@ func (b *objBuilder) exitEdgesFrom(ctx uint32, m *cfet.CFET, facts *methodFacts,
 		}
 	}
 	// The node itself may be a leaf.
-	if n := m.Nodes[node]; n.Leaf != cfet.LeafNone {
+	if n := m.Node(node); n.Leaf != cfet.LeafNone {
 		enc := cfet.Enc{cfet.Interval(m.Method, node, node)}
 		src := b.point(ctx, node, lastPos)
 		if n.Leaf == cfet.LeafThrow {
@@ -789,7 +789,7 @@ func (b *objBuilder) exitEdgesFrom(ctx uint32, m *cfet.CFET, facts *methodFacts,
 	}
 	var walk func(d uint64)
 	walk = func(d uint64) {
-		if m.Nodes[d] == nil {
+		if m.Node(d) == nil {
 			return
 		}
 		relevant, hasRelevant := below[d]

@@ -192,17 +192,17 @@ func (b *refBuilder) collectItems(targets []FlowTarget) {
 	scanned := map[nk]bool{}
 	for k := range aliased {
 		m := b.pr.Method(k.ctx)
-		if n := m.Nodes[k.node]; n != nil && !scanned[k] {
+		if n := m.Node(k.node); n != nil && !scanned[k] {
 			scanned[k] = true
 			visit(k.ctx, k.node, n)
 		}
 	}
 	allocM := b.pr.Method(b.obj.ID.Ctx)
-	for node, n := range allocM.Nodes {
-		k := nk{b.obj.ID.Ctx, node}
+	for _, n := range allocM.Nodes {
+		k := nk{b.obj.ID.Ctx, n.ID}
 		if !scanned[k] {
 			scanned[k] = true
-			visit(b.obj.ID.Ctx, node, n)
+			visit(b.obj.ID.Ctx, n.ID, n)
 		}
 	}
 }
@@ -418,7 +418,7 @@ func (b *refBuilder) summaryCallEdges(ctx uint32, it item, prev, next uint32, he
 	}
 	emitted := false
 	for _, leaf := range callee.Leaves {
-		if callee.Nodes[leaf].Leaf != cfet.LeafReturn {
+		if callee.Node(leaf).Leaf != cfet.LeafReturn {
 			continue
 		}
 		enc := cfet.Enc{
@@ -437,7 +437,7 @@ func (b *refBuilder) summaryCallEdges(ctx uint32, it item, prev, next uint32, he
 // refHasThrowLeaf reports whether a method can exit exceptionally.
 func refHasThrowLeaf(m *cfet.CFET) bool {
 	for _, l := range m.Leaves {
-		if m.Nodes[l].Leaf == cfet.LeafThrow {
+		if m.Node(l).Leaf == cfet.LeafThrow {
 			return true
 		}
 	}
@@ -456,7 +456,8 @@ func (b *refBuilder) buildCtx(ctx uint32) {
 	for node, its := range b.nodeItems[ctx] {
 		items[node] = its
 	}
-	for node, n := range m.Nodes {
+	for _, n := range m.Nodes {
+		node := n.ID
 		// Only nodes that already matter to this object (or the root chain)
 		// get summary call items; fully irrelevant nodes stay out of the
 		// subgraph.
@@ -636,13 +637,13 @@ type refSubtreeSummary struct {
 // children have larger IDs than parents in the Eytzinger numbering).
 func (b *refBuilder) refSubtreeInfo(m *cfet.CFET, isRel map[uint64]bool) map[uint64]*refSubtreeSummary {
 	ids := make([]uint64, 0, len(m.Nodes))
-	for id := range m.Nodes {
-		ids = append(ids, id)
+	for _, n := range m.Nodes {
+		ids = append(ids, n.ID)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] > ids[j] })
 	sub := make(map[uint64]*refSubtreeSummary, len(ids))
 	for _, id := range ids {
-		n := m.Nodes[id]
+		n := m.Node(id)
 		s := &refSubtreeSummary{hasRelevant: isRel[id]}
 		switch n.Leaf {
 		case cfet.LeafReturn, cfet.LeafTruncate:
@@ -681,7 +682,7 @@ func (b *refBuilder) exitEdgesFrom(ctx uint32, m *cfet.CFET, node uint64, lastPo
 		}
 	}
 	// The node itself may be a leaf.
-	if n := m.Nodes[node]; n.Leaf != cfet.LeafNone {
+	if n := m.Node(node); n.Leaf != cfet.LeafNone {
 		enc := cfet.Enc{cfet.Interval(m.Method, node, node)}
 		src := b.point(ctx, node, lastPos)
 		if n.Leaf == cfet.LeafThrow {

@@ -293,10 +293,10 @@ fun main() {
 	// The CatchBind lives in the true child of the call node; findCallEdge
 	// must locate the call edge by walking up.
 	var checked bool
-	for node, n := range m.Nodes {
+	for _, n := range m.Nodes {
 		for _, ps := range n.Stmts {
 			if cb, ok := ps.Stmt.(*ir.CatchBind); ok && cb.FromCall >= 0 {
-				if ce := findCallEdge(m, node, cb.FromCall); ce < 0 {
+				if ce := findCallEdge(m, n.ID, cb.FromCall); ce < 0 {
 					t.Fatal("findCallEdge failed")
 				}
 				checked = true
