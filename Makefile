@@ -34,10 +34,16 @@ fmt-check:
 # heartbeat + status.json end to end, the one place counters still cross
 # goroutines. The second line is the decoder and the solver each join worker
 # owns one of, with the scratch they reuse: their differential tests run under
-# the detector at a tenth of the random corpus and on hdfs-half only.
+# the detector at a tenth of the random corpus and on hdfs-half only. The
+# third is the frontend, whose parse, resolve, lowering and exception
+# expansion run one part of a unit per goroutine: FuzzParse's seeds and
+# TestTinyPartsLowerLikeOneUnit cut units into one part per declaration,
+# and the checker line's TestParallelFrontendMatchesSerial runs the
+# frontend on 1, 2 and 4 workers.
 race:
 	$(GO) test -race ./internal/storage/... ./internal/engine/... ./internal/checker/... ./internal/scheduler/... ./internal/metrics/... ./internal/trace/... ./cmd/grapple/
 	$(GO) test -race ./internal/symbolic/ ./internal/smt/ ./internal/cfet/
+	$(GO) test -race ./internal/lang/ ./internal/ir/
 	$(GO) test -race . -run TestAblationIdentity -count=1
 
 # Short fuzzing sessions: SMT cache-keying invariants, the constraint cache

@@ -56,8 +56,9 @@ type SchedulerStats = metrics.SchedSnapshot
 type BatchOptions struct {
 	Options
 	// BatchWorkers bounds how many checking instances run concurrently
-	// (default GOMAXPROCS). Distinct from Options.Workers, the per-instance
-	// edge-induction parallelism.
+	// (default GOMAXPROCS). Distinct from Options.Workers, which bounds
+	// each instance's own goroutines: its edge-induction workers and its
+	// frontend's.
 	BatchWorkers int
 	// InstanceTimeout bounds each instance; an expired instance is recorded
 	// as failed and the batch continues. Zero means no per-instance bound.

@@ -110,7 +110,7 @@ func runBatch(args []string, stdout, stderr io.Writer) (int, error) {
 	cf.register(fs)
 	var profiles multiFlag
 	fs.Var(&profiles, "profile", "add a generated workload profile as a subject (repeatable)")
-	workers := fs.Int("workers", 0, "concurrent checking instances (default GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "concurrent checking instances (default GOMAXPROCS); each instance's frontend and edge joins run on up to GOMAXPROCS goroutines of their own")
 	timeout := fs.Duration("timeout", 0, "per-instance timeout (0 = none)")
 	combined := fs.Bool("combined", false, "one instance per subject with all properties (instead of one per property)")
 	if err := fs.Parse(args); err != nil {

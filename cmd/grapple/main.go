@@ -46,6 +46,11 @@
 // granularity: -resume reruns only the instances a previous -journal batch
 // did not finish.
 //
+// A check runs on up to GOMAXPROCS goroutines: the engine's edge joins
+// and, for a source of at least 256 KiB, the frontend's parse, resolve and
+// lowering (grapple.Options.Workers, which the CLI leaves at its default).
+// Reports do not depend on the count.
+//
 // -stats writes to stderr so piped -json report streams on stdout stay
 // clean; -stats -json renders the statistics as one JSON object instead.
 // -trace/-progress/-pprof are observation-only — reports are byte-identical

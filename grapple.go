@@ -151,7 +151,10 @@ type Options struct {
 	// MemoryBudget bounds the engine's in-memory edge data in bytes; two
 	// partitions loaded together never exceed it (default 256 MiB).
 	MemoryBudget int64
-	// Workers sets edge-induction parallelism (default GOMAXPROCS).
+	// Workers bounds the goroutines a check runs on (default GOMAXPROCS):
+	// the edge-induction workers of both closure phases, and the
+	// frontend's parse, resolve and lowering, which a source of at least
+	// 256 KiB spreads over that many. Reports do not depend on it.
 	Workers int
 	// UnrollDepth statically unrolls loops this many times (default 2).
 	UnrollDepth int

@@ -14,6 +14,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -53,7 +54,8 @@ type Options struct {
 	// the unsliced one (the reference runs the property tests compare with).
 	CFET cfet.Options
 	// Engine tunes both engine runs. Only its MemoryBudget, Workers and
-	// MaxVariants are read, and its Cache: when set, that replaces the
+	// MaxVariants are read (Workers also bounds the frontend's goroutines:
+	// see lowerSource), and its Cache: when set, that replaces the
 	// constraint memo PrepareIR would create. Cache is a seam for tests that
 	// read the memo back, and valid for one compilation unit only: its keys
 	// are that unit's encoded paths, so a Checker carrying one must prepare
@@ -405,22 +407,29 @@ func (c *Checker) CheckSourceContext(ctx context.Context, src string) (*Result, 
 }
 
 // lowerSource runs the MiniLang frontend's first three stages — parse,
-// resolve, lower — each under its own trace span.
+// resolve, lower — each under its own trace span, on up to Engine.Workers
+// goroutines (GOMAXPROCS when zero). The result does not depend on the
+// count: lang.ParseParallel, lang.ResolveParallel and ir.LowerParallel give
+// their serial forms' program and errors.
 func (c *Checker) lowerSource(src string) (*ir.Program, error) {
+	workers := c.Opts.Engine.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	sp := c.Opts.Scope.Start("checker", "parse")
-	prog, err := lang.Parse(src)
+	prog, lines, err := lang.ParseParallel(src, workers)
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", endErr(sp, err))
 	}
-	sp.End(trace.Args{"functions": len(prog.Funs), "loc": strings.Count(src, "\n")})
+	sp.End(trace.Args{"functions": len(prog.Funs), "loc": lines})
 	sp = c.Opts.Scope.Start("checker", "resolve")
-	info, err := lang.Resolve(prog)
+	info, err := lang.ResolveParallel(prog, workers)
 	if err != nil {
 		return nil, fmt.Errorf("resolve: %w", endErr(sp, err))
 	}
 	sp.End(trace.Args{"functions": len(prog.Funs)})
 	sp = c.Opts.Scope.Start("checker", "lower")
-	p, err := ir.Lower(info, ir.Options{UnrollDepth: c.Opts.UnrollDepth})
+	p, err := ir.LowerParallel(info, ir.Options{UnrollDepth: c.Opts.UnrollDepth}, workers)
 	if err != nil {
 		return nil, fmt.Errorf("lower: %w", endErr(sp, err))
 	}

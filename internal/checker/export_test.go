@@ -6,6 +6,7 @@ import (
 	"github.com/grapple-system/grapple/internal/cfet"
 	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/grammar"
+	"github.com/grapple-system/grapple/internal/ir"
 	"github.com/grapple-system/grapple/internal/pgraph"
 	"github.com/grapple-system/grapple/internal/smt"
 	"github.com/grapple-system/grapple/internal/storage"
@@ -17,6 +18,10 @@ import (
 func (p *Prepared) JoinInputs() (*cfet.ICFET, *grammar.Grammar) {
 	return p.ic, p.ag.Ptr.G
 }
+
+// LowerSource runs the frontend's parse, resolve and lowering as
+// CheckSource does, on the checker's workers.
+func (c *Checker) LowerSource(src string) (*ir.Program, error) { return c.lowerSource(src) }
 
 // RenderReports serializes every report field, as renderReports does.
 func RenderReports(rs []Report) string { return renderReports(rs) }

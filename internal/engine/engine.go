@@ -47,6 +47,8 @@ type Options struct {
 	// partitions loaded together must fit (paper §4.3). Zero means 256 MiB.
 	MemoryBudget int64
 	// Workers is the edge-induction parallelism; zero means GOMAXPROCS.
+	// The checker also runs its frontend's parse, resolve and lowering on
+	// up to this many goroutines.
 	Workers int
 	// Cache is the constraint memo (§4.3), keyed by encoded path; nil means
 	// no memoization (Table 4's "without caching"). The engine never builds

@@ -40,8 +40,13 @@ type cont struct {
 }
 
 // expandExceptions rewrites every function. It first computes the MayThrow
-// fixpoint over the raw bodies, then expands each body.
-func expandExceptions(p *Program) {
+// fixpoint over the raw bodies, then expands each body; the expansions run
+// on up to workers goroutines, one part of parts (whose Funs p.Funs
+// mirrors) at a time, as lowering did. Each part numbers the opaque
+// conditions it adds from 1, and a serial link shifts a part's by those of
+// the parts before it, so the numbers are those of one expansion in
+// declaration order.
+func expandExceptions(p *Program, parts *lang.Program, workers int) {
 	// Local throws.
 	for _, fn := range p.Funs {
 		fn.ThrowsLocally = blockRaisesLocally(fn.Body, nil)
@@ -62,11 +67,27 @@ func expandExceptions(p *Program) {
 			}
 		}
 	}
-	ex := &expander{prog: p}
-	for _, fn := range p.Funs {
-		mark := ex.stmts.Mark()
-		ex.expand(fn.Body.Stmts, nil, nil)
-		fn.Body = &Block{Stmts: ex.stmts.Cut(mark)}
+	exs := make([]*expander, max(workers, 1))
+	added := make([][]*If, parts.NumParts())
+	parts.ForEachPart(workers, func(w, part, lo, hi int) {
+		if exs[w] == nil {
+			exs[w] = &expander{prog: p}
+		}
+		ex := exs[w]
+		ex.opaque = nil
+		for _, fn := range p.Funs[lo:hi] {
+			mark := ex.stmts.Mark()
+			ex.expand(fn.Body.Stmts, nil, nil)
+			fn.Body = &Block{Stmts: ex.stmts.Cut(mark)}
+		}
+		added[part] = ex.opaque
+	})
+	var base int32
+	for _, ifs := range added {
+		for _, s := range ifs {
+			s.Cond.OpaqueID += base
+		}
+		base += int32(len(ifs))
 	}
 }
 
@@ -131,8 +152,10 @@ func blockCallsThrowerOutsideTry(b *Block, p *Program, inTry bool) bool {
 }
 
 type expander struct {
-	prog    *Program
-	opaqueN int32
+	prog *Program
+	// opaque lists the Ifs on the opaque conditions the part being
+	// expanded added, in the order they were numbered.
+	opaque []*If
 
 	// The expanded bodies are what the rest of the pipeline reads, so their
 	// Ifs (each with its two arms in one allocation) and statement lists come
@@ -161,11 +184,13 @@ func (ex *expander) expandArm(arm *Block, stmts []Stmt, h *handlerChain, k *cont
 	arm.Stmts = ex.stmts.Cut(mark)
 }
 
-func (ex *expander) freshOpaque() int32 {
-	// Opaque IDs from lowering and expansion share a space; offset far above
-	// lowering's counter (which restarts per program anyway).
-	ex.opaqueN++
-	return 1<<24 + ex.opaqueN
+// throwBranch returns an If on a fresh opaque condition, "the call threw".
+func (ex *expander) throwBranch(pos lang.Pos) *If {
+	// Opaque IDs from lowering and expansion share a space; expansion's
+	// are offset far above lowering's.
+	b := ex.newIf(OpaqueCond(1<<24+int32(len(ex.opaque))+1), pos)
+	ex.opaque = append(ex.opaque, b)
+	return b
 }
 
 // expand processes stmts under handler scope h with continuation k,
@@ -215,7 +240,7 @@ func (ex *expander) expand(stmts []Stmt, h *handlerChain, k *cont) {
 				stmts = rest
 				continue
 			}
-			branch := ex.newIf(OpaqueCond(ex.freshOpaque()), s.Pos)
+			branch := ex.throwBranch(s.Pos)
 			// Exceptional branch: callee's $exc arrives here.
 			mark := ex.stmts.Mark()
 			if hc := matchHandler(h, ""); hc != nil {

@@ -36,40 +36,152 @@ type Options struct {
 }
 
 // Lower lowers a resolved MiniLang program into IR and expands exceptions.
-func Lower(info *lang.Info, opts Options) (*Program, error) {
+func Lower(info *lang.Info, opts Options) (*Program, error) { return LowerParallel(info, opts, 1) }
+
+// LowerParallel is Lower on up to workers goroutines, one part of the
+// program's functions at a time (lang.Program.Parts). Each goroutine has its
+// own slabs and temporary names, and numbers each part's allocation sites,
+// call sites and opaque conditions from zero into the part's own site
+// tables. A serial link then gives each part its bases, the prefix sums of
+// the parts before it in declaration order, shifts its functions' Site and
+// OpaqueID fields by them and joins the site tables, so every number is
+// Lower's. The error is Lower's: that of the first function that fails.
+// Exception expansion follows the link: its MayThrow fixpoint on one
+// goroutine, then each part's bodies on the workers (expandExceptions).
+func LowerParallel(info *lang.Info, opts Options, workers int) (*Program, error) {
 	if opts.UnrollDepth <= 0 {
 		opts.UnrollDepth = 2
 	}
+	funs := info.Prog.Funs
 	p := &Program{
-		FunByName:   map[string]*Func{},
-		ObjectTypes: map[string]bool{},
+		Funs:        make([]*Func, len(funs)),
+		FunByName:   make(map[string]*Func, len(funs)),
+		ObjectTypes: make(map[string]bool, len(info.ObjectTypes)),
 	}
 	for t := range info.ObjectTypes {
 		p.ObjectTypes[t] = true
 	}
-	lo := &lowerer{prog: p, info: info, opts: opts}
-	for _, f := range info.Prog.Funs {
-		fn, err := lo.lowerFun(f)
-		if err != nil {
-			return nil, err
+	parts := make([]siteTable, info.Prog.NumParts())
+	los := make([]*lowerer, max(workers, 1))
+	info.Prog.ForEachPart(workers, func(w, part, lo, hi int) {
+		if los[w] == nil {
+			los[w] = &lowerer{info: info, opts: opts}
 		}
-		p.Funs = append(p.Funs, fn)
+		l := los[w]
+		l.sites = &parts[part]
+		for i := lo; i < hi; i++ {
+			fn, err := l.lowerFun(funs[i])
+			if err != nil {
+				l.sites.err = err
+				return
+			}
+			p.Funs[i] = fn
+		}
+	})
+	for i := range parts {
+		if parts[i].err != nil {
+			return nil, parts[i].err
+		}
+	}
+	link(p, info.Prog, parts, workers)
+	for _, fn := range p.Funs {
 		p.FunByName[fn.Name] = fn
 	}
-	expandExceptions(p)
+	expandExceptions(p, info.Prog, workers)
 	return p, nil
 }
 
-type lowerer struct {
-	prog *Program
-	info *lang.Info
-	opts Options
+// siteTable numbers the allocation sites, call sites and opaque conditions
+// of one part's functions: sites from 0, opaque conditions from 1, as Lower
+// numbers the whole program's.
+type siteTable struct {
+	allocPos  []lang.Pos
+	allocType []string
+	callPos   []lang.Pos
+	opaqueN   int32
+	err       error // the first error lowering the part
+}
 
-	fun     *lang.FunDecl
-	tempN   int
-	opaqueN int32
+// link joins the parts' site tables into p in part order and shifts the
+// numbers in each part's functions by the sites and opaque conditions of
+// the parts before it (on up to workers goroutines: a part's shift reads
+// and writes only its own functions).
+func link(p *Program, prog *lang.Program, parts []siteTable, workers int) {
+	var bases []siteBase
+	var alloc, call, opaque int32
+	for i := range parts {
+		bases = append(bases, siteBase{alloc, call, opaque})
+		alloc += int32(len(parts[i].allocPos))
+		call += int32(len(parts[i].callPos))
+		opaque += parts[i].opaqueN
+	}
+	if len(parts) == 1 {
+		t := &parts[0]
+		p.AllocSitePos, p.AllocSiteType, p.CallSitePos = t.allocPos, t.allocType, t.callPos
+	} else {
+		p.AllocSitePos = make([]lang.Pos, 0, alloc)
+		p.AllocSiteType = make([]string, 0, alloc)
+		p.CallSitePos = make([]lang.Pos, 0, call)
+		for i := range parts {
+			p.AllocSitePos = append(p.AllocSitePos, parts[i].allocPos...)
+			p.AllocSiteType = append(p.AllocSiteType, parts[i].allocType...)
+			p.CallSitePos = append(p.CallSitePos, parts[i].callPos...)
+		}
+		prog.ForEachPart(workers, func(_, part, lo, hi int) {
+			if part == 0 {
+				return
+			}
+			for _, fn := range p.Funs[lo:hi] {
+				bases[part].shift(fn.Body)
+			}
+		})
+	}
+	p.NumAllocSites, p.NumCallSites = int(alloc), int(call)
+}
+
+// siteBase is what link adds to a part's local site and opaque numbers.
+type siteBase struct {
+	alloc, call, opaque int32
+}
+
+// shift adds the bases to every site and opaque number in b. Lowering
+// attaches each block it builds once (a duplicated branch is a deep copy),
+// so no number is shifted twice.
+func (sb siteBase) shift(b *Block) {
+	for _, s := range b.Stmts {
+		switch s := s.(type) {
+		case *NewObj:
+			s.Site += sb.alloc
+		case *Call:
+			s.Site += sb.call
+		case *BoolAssign:
+			sb.shiftCond(&s.Cond)
+		case *If:
+			sb.shiftCond(&s.Cond)
+			sb.shift(s.Then)
+			sb.shift(s.Else)
+		case *TryRegion:
+			sb.shift(s.Body)
+			sb.shift(s.Catch)
+		}
+	}
+}
+
+func (sb siteBase) shiftCond(c *Cond) {
+	if c.IsOpaque() {
+		c.OpaqueID += sb.opaque
+	}
+}
+
+type lowerer struct {
+	info  *lang.Info
+	opts  Options
+	sites *siteTable // the part being lowered
+
+	fun   *lang.FunDecl
+	tempN int
 	// tempNames[i] is "$t<i+1>": temporaries restart at $t1 in every
-	// function, so each name is built once per Lower call. tempTypes[i] is
+	// function, so each name is built once per lowerer. tempTypes[i] is
 	// the type of the function's $t<i+1>, which takes the slot after the
 	// declared variables and the temporaries before it.
 	tempNames []string
@@ -161,8 +273,8 @@ func (lo *lowerer) emit(out *Block, s Stmt) {
 }
 
 func (lo *lowerer) freshOpaque() int32 {
-	lo.opaqueN++
-	return lo.opaqueN
+	lo.sites.opaqueN++
+	return lo.sites.opaqueN
 }
 
 // typeOf returns the type of the variable in slot: a declared one's, or a
@@ -175,18 +287,16 @@ func (lo *lowerer) typeOf(slot int32) string {
 }
 
 func (lo *lowerer) allocSite(typ string, pos lang.Pos) int32 {
-	id := int32(lo.prog.NumAllocSites)
-	lo.prog.NumAllocSites++
-	lo.prog.AllocSitePos = append(lo.prog.AllocSitePos, pos)
-	lo.prog.AllocSiteType = append(lo.prog.AllocSiteType, typ)
-	return id
+	t := lo.sites
+	t.allocPos = append(t.allocPos, pos)
+	t.allocType = append(t.allocType, typ)
+	return int32(len(t.allocPos) - 1)
 }
 
 func (lo *lowerer) callSite(pos lang.Pos) int32 {
-	id := int32(lo.prog.NumCallSites)
-	lo.prog.NumCallSites++
-	lo.prog.CallSitePos = append(lo.prog.CallSitePos, pos)
-	return id
+	t := lo.sites
+	t.callPos = append(t.callPos, pos)
+	return int32(len(t.callPos) - 1)
 }
 
 func (lo *lowerer) lowerStmts(stmts []lang.Stmt, out *Block) error {
@@ -363,7 +473,7 @@ func (lo *lowerer) lowerObjExpr(e lang.Expr, out *Block) (varRef, error) {
 		lo.emit(out, &Load{Dst: t.name, Recv: e.Recv.Name, Field: e.Field, Pos: e.Pos})
 		return t, nil
 	case *lang.CallExpr:
-		f := lo.info.Prog.Fun(e.Name)
+		f := lo.info.Funs[e.Name]
 		t := lo.temp(f.RetType)
 		if _, err := lo.lowerCall(e, t, out); err != nil {
 			return varRef{}, err
@@ -649,7 +759,7 @@ func cloneStmt(s Stmt) Stmt {
 // lowerCall lowers a call expression, classifying arguments into object and
 // integer groups. dst receives the result ("" to ignore).
 func (lo *lowerer) lowerCall(e *lang.CallExpr, dst varRef, out *Block) (*Call, error) {
-	callee := lo.info.Prog.Fun(e.Name)
+	callee := lo.info.Funs[e.Name]
 	c := &Call{
 		Dst:         dst.name,
 		DstSlot:     dst.slot,

@@ -4,16 +4,11 @@ package lang
 type Program struct {
 	Types []*TypeDecl
 	Funs  []*FunDecl
-}
-
-// Fun returns the declared function with the given name, or nil.
-func (p *Program) Fun(name string) *FunDecl {
-	for _, f := range p.Funs {
-		if f.Name == name {
-			return f
-		}
-	}
-	return nil
+	// Parts cuts Funs into the contiguous runs ParseParallel parsed apart:
+	// part i starts at Funs[Parts[i]] and ends where the next one starts.
+	// Nil when the unit was parsed as one part. ResolveParallel and
+	// ir.LowerParallel hand out the same parts to their goroutines.
+	Parts []int
 }
 
 // TypeDecl declares an object type of interest, e.g. "type FileWriter;".

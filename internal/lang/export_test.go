@@ -4,3 +4,13 @@ package lang
 // tests that need the workload generator (which imports this package's
 // dependents) for their corpus.
 var ReferenceParse = referenceParse
+
+// parseTinyParts is ParseParallel with the least part size forced down to
+// one byte: the unit is cut at every line that begins a top-level
+// declaration and parsed on four goroutines. It is the seam the tests hold
+// the cut parse to Parse with; production parts are never smaller than
+// minPart.
+func parseTinyParts(src string) (*Program, int, error) { return parseParts(src, 4, 1) }
+
+// ParseTinyParts exposes parseTinyParts to the external tests.
+var ParseTinyParts = parseTinyParts

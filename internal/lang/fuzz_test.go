@@ -1,12 +1,17 @@
 package lang
 
-import "testing"
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
 
 // FuzzParse exercises the lexer/parser/resolver on arbitrary input: no
 // panics, the streaming parser rejects exactly what the tokenize-then-parse
 // reference rejects (the two may disagree on which error comes first, never
-// on whether there is one), and anything that parses must format and
-// re-parse cleanly.
+// on whether there is one), the unit cut into parts at every top-level
+// declaration parses to the same AST, every Pos included, or fails with the
+// same error, and anything that parses must format and re-parse cleanly.
 // Run with: go test -fuzz=FuzzParse ./internal/lang
 func FuzzParse(f *testing.F) {
 	seeds := []string{
@@ -25,6 +30,13 @@ func FuzzParse(f *testing.F) {
 		"fun f( { } @",
 		"fun f() { spawn x @; }",
 		"fun f() { return; } /* open",
+		// Parts: braces inside comments, a stray brace, a comment left
+		// open after a cut, a type declaration the next line's fun ends.
+		"fun f() { // }\n}\nfun g() { /* { */ }\n/* } */\nfun h() { }\n",
+		"fun f() { }\n}\nfun g() { }\n",
+		"fun f() { }\nfun g() { }\n/* open\nfun h() { }\n",
+		"type T\nfun f() { }\n",
+		"fun f() { }\nfun f() { }\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -34,8 +46,19 @@ func FuzzParse(f *testing.F) {
 		if _, refErr := referenceParse(src); (err == nil) != (refErr == nil) {
 			t.Fatalf("streaming parse: %v, reference parse: %v", err, refErr)
 		}
+		cut, lines, cutErr := parseTinyParts(src)
+		if (err == nil) != (cutErr == nil) || err != nil && err.Error() != cutErr.Error() {
+			t.Fatalf("parse: %v, parse in parts: %v", err, cutErr)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
+		}
+		if want := strings.Count(src, "\n"); lines != want {
+			t.Fatalf("parse in parts counted %d lines, want %d", lines, want)
+		}
+		cut.Parts = nil
+		if !reflect.DeepEqual(cut, prog) {
+			t.Fatalf("parse in parts differs from parse:\n%s\nvs\n%s", Format(cut), Format(prog))
 		}
 		if _, err := Resolve(prog); err != nil {
 			return

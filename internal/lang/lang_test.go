@@ -30,6 +30,16 @@ fun main() {
 }
 `
 
+// Fun returns the declared function with the given name, or nil.
+func (p *Program) Fun(name string) *FunDecl {
+	for _, f := range p.Funs {
+		if f.Name == name {
+			return f
+		}
+	}
+	return nil
+}
+
 // Tokenize scans all of src into a slice. The parser streams from the lexer
 // and never builds this; it survives here for the lexer tests and as the
 // input of referenceParse.

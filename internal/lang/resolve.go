@@ -1,6 +1,9 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // Info carries resolver results consumed by IR lowering. The variable
 // numbering is on the AST itself: see FunDecl.VarTypes and the Slot of
@@ -9,6 +12,9 @@ type Info struct {
 	Prog *Program
 	// ObjectTypes is the set of object type names mentioned anywhere.
 	ObjectTypes map[string]bool
+	// Funs maps each function's name to its declaration: the table the
+	// resolver checks calls against, which lowering reads its callees from.
+	Funs map[string]*FunDecl
 }
 
 // Resolve checks the program and computes type information:
@@ -20,52 +26,82 @@ type Info struct {
 // It also numbers each function's variables (FunDecl.VarTypes): the lookup
 // that checks a name gives every identifier its variable's slot, so later
 // passes index by slot instead of looking the name up again.
-func Resolve(prog *Program) (*Info, error) {
+func Resolve(prog *Program) (*Info, error) { return ResolveParallel(prog, 1) }
+
+// ResolveParallel is Resolve on up to workers goroutines, one part of
+// prog.Funs at a time (Program.Parts). A function's resolution reads only
+// its own body and the shared function table, so each goroutine keeps its
+// own name table, slab and object-type set, and the sets are merged after.
+// The error is Resolve's: that of the first function in Funs that fails.
+func ResolveParallel(prog *Program, workers int) (*Info, error) {
 	info := &Info{
 		Prog:        prog,
 		ObjectTypes: make(map[string]bool),
+		Funs:        make(map[string]*FunDecl, len(prog.Funs)),
 	}
 	for _, t := range prog.Types {
 		info.ObjectTypes[t.Name] = true
 	}
-	funs := map[string]*FunDecl{}
 	for _, f := range prog.Funs {
-		funs[f.Name] = f
+		info.Funs[f.Name] = f
 	}
-	// One name table serves every function (MiniLang forbids shadowing, so
-	// names are unique within a function), and each function's types are
-	// cut from one slab.
-	r := &resolver{info: info, funs: funs, vars: map[string]int32{}}
-	var lists ListSlab[string]
-	for _, f := range prog.Funs {
-		r.fun = f
-		clear(r.vars)
-		r.types = r.types[:0]
-		for _, p := range f.Params {
-			if _, err := r.declare(p.Name, p.Type, f.Pos); err != nil {
-				return nil, err
-			}
+	rs := make([]*resolver, max(workers, 1))
+	errs := make([]error, prog.NumParts())
+	prog.ForEachPart(workers, func(w, part, lo, hi int) {
+		if rs[w] == nil {
+			rs[w] = &resolver{funs: info.Funs, objectTypes: map[string]bool{}, vars: map[string]int32{}}
 		}
-		if err := r.stmts(f.Body); err != nil {
+		errs[part] = rs[w].resolveFuns(prog.Funs[lo:hi])
+	})
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
-		if IsObjectType(f.RetType) {
-			info.ObjectTypes[f.RetType] = true
+	}
+	for _, r := range rs {
+		if r != nil {
+			maps.Copy(info.ObjectTypes, r.objectTypes)
 		}
-		for _, t := range r.types {
-			lists.Push(t)
-		}
-		f.VarTypes = lists.Cut(0)
 	}
 	return info, nil
 }
 
 type resolver struct {
-	info  *Info
-	funs  map[string]*FunDecl
-	fun   *FunDecl
-	vars  map[string]int32 // name -> slot in fun
-	types []string         // fun's declared types, by slot - 1
+	funs map[string]*FunDecl
+	// objectTypes collects the object types the functions mention.
+	objectTypes map[string]bool
+	fun         *FunDecl
+	vars        map[string]int32 // name -> slot in fun
+	types       []string         // fun's declared types, by slot - 1
+	lists       ListSlab[string] // the functions' VarTypes
+}
+
+// resolveFuns resolves funs in order and stops at the first that fails.
+// One name table serves every function (MiniLang forbids shadowing, so
+// names are unique within a function), and each function's types are cut
+// from one slab.
+func (r *resolver) resolveFuns(funs []*FunDecl) error {
+	for _, f := range funs {
+		r.fun = f
+		clear(r.vars)
+		r.types = r.types[:0]
+		for _, p := range f.Params {
+			if _, err := r.declare(p.Name, p.Type, f.Pos); err != nil {
+				return err
+			}
+		}
+		if err := r.stmts(f.Body); err != nil {
+			return err
+		}
+		if IsObjectType(f.RetType) {
+			r.objectTypes[f.RetType] = true
+		}
+		for _, t := range r.types {
+			r.lists.Push(t)
+		}
+		f.VarTypes = r.lists.Cut(0)
+	}
+	return nil
 }
 
 // declare gives name the next slot of the function being resolved.
@@ -77,7 +113,7 @@ func (r *resolver) declare(name, typ string, pos Pos) (int32, error) {
 	slot := int32(len(r.types))
 	r.vars[name] = slot
 	if IsObjectType(typ) {
-		r.info.ObjectTypes[typ] = true
+		r.objectTypes[typ] = true
 	}
 	return slot, nil
 }
@@ -267,7 +303,7 @@ func (r *resolver) expr(e Expr) (string, error) {
 		if !IsObjectType(e.Type) {
 			return "", fmt.Errorf("%s: cannot allocate primitive type %q", e.Pos, e.Type)
 		}
-		r.info.ObjectTypes[e.Type] = true
+		r.objectTypes[e.Type] = true
 		return "object", nil
 	case *CallExpr:
 		f, ok := r.funs[e.Name]
