@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race fuzz golden ci bench bench-e2e alloc-budget lint-self check-self unlowered-budget crash obs-smoke loc options
+.PHONY: build test vet fmt-check race fuzz golden ci bench bench-e2e alloc-budget lint-self check-self unlowered-budget crash obs-smoke loc options ledger
 
 build:
 	$(GO) build ./...
@@ -145,6 +145,16 @@ obs-smoke: build
 unlowered-budget: build
 	$(GO) test ./internal/gofront/ -run TestUnloweredBudget -count=1
 
+# Work ledger: on one join worker a check's work is a function of its input,
+# so the per-phase counts of the four paper subjects, deep-sim, wide-sim 10×10
+# (lock) and hdfs-half at 3 MiB — edges, candidates, induced edges,
+# supersteps, widenings, solves, memo lookups and hits, loads, evictions,
+# bytes moved, sliced functions — must equal testdata/work_ledger.json. A
+# change that moves a count banks it and says why in CHANGES.md:
+# go test ./internal/checker/ -run TestWorkLedger -update
+ledger: build
+	$(GO) test ./internal/checker/ -run TestWorkLedger -count=1
+
 bench:
 	$(GO) run ./cmd/grapple-bench -all
 
@@ -211,4 +221,4 @@ loc:
 options:
 	@wc -l < testdata/option_surface.txt
 
-ci: vet fmt-check race test crash lint-self check-self unlowered-budget obs-smoke alloc-budget
+ci: vet fmt-check race test crash lint-self check-self unlowered-budget obs-smoke alloc-budget ledger

@@ -41,28 +41,7 @@ func TestTraceGoldenIdentity(t *testing.T) {
 
 	// The trace must be a loadable Chrome trace-event document covering the
 	// pipeline phases, with a parallel JSONL stream.
-	data, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Ph   string `json:"ph"`
-			Name string `json:"name"`
-			Cat  string `json:"cat"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("trace does not parse: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("trace is empty")
-	}
-	names := map[string]bool{}
-	for _, ev := range doc.TraceEvents {
-		names[ev.Name] = true
-	}
+	names := traceSpanNames(t, tracePath)
 	for _, want := range []string{"parse", "resolve", "lower", "callgraph", "pre-analysis", "cfet-build", "phase.alias", "phase.dataflow", "fsm-check", "superstep"} {
 		if !names[want] {
 			t.Errorf("trace missing %q span (have %v)", want, names)
@@ -93,6 +72,51 @@ func TestTraceGoldenIdentity(t *testing.T) {
 	}
 	if snap.Phase == "" || snap.UpdatedUnixMs == 0 {
 		t.Fatalf("status.json incomplete: %s", status)
+	}
+}
+
+// traceSpanNames reads a Chrome trace-event document and returns the names
+// of the events it holds; an empty or unreadable trace fails the test.
+func traceSpanNames(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("trace does not parse: %v", err)
+	}
+	if len(doc.TraceEvents) == 0 {
+		t.Fatal("trace is empty")
+	}
+	names := map[string]bool{}
+	for _, ev := range doc.TraceEvents {
+		names[ev.Name] = true
+	}
+	return names
+}
+
+// TestGoTraceHasFrontendSpans: a Go check resolves and lowers its unit in the
+// checker, as a MiniLang check does, so its trace holds the same resolve and
+// lower spans after the Go frontend's own.
+func TestGoTraceHasFrontendSpans(t *testing.T) {
+	dir := t.TempDir()
+	writeFile(t, dir, "leak.go", leakyGoSrc)
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
+	var out, errb bytes.Buffer
+	if code, err := run([]string{"run", "-pack", "file-handle", "-trace", tracePath, dir}, &out, &errb); err != nil || code != 1 {
+		t.Fatalf("code=%d err=%v stderr=%q", code, err, errb.String())
+	}
+	names := traceSpanNames(t, tracePath)
+	for _, want := range []string{"gofront-lower", "resolve", "lower", "callgraph", "cfet-build", "phase.alias", "phase.dataflow", "fsm-check"} {
+		if !names[want] {
+			t.Errorf("trace missing %q span (have %v)", want, names)
+		}
 	}
 }
 

@@ -38,7 +38,6 @@ import (
 
 	"github.com/grapple-system/grapple/internal/analysis"
 	"github.com/grapple-system/grapple/internal/checker"
-	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/fsm/packs"
 	"github.com/grapple-system/grapple/internal/gofront"
@@ -148,13 +147,15 @@ type Options struct {
 	// is written to only when a graph outgrows MemoryBudget: a check that
 	// fits does no partition I/O.
 	WorkDir string
-	// MemoryBudget bounds the engine's in-memory edge data in bytes; two
-	// partitions loaded together never exceed it (default 256 MiB).
+	// MemoryBudget bounds each closure phase engine's in-memory edge data
+	// in bytes; two partitions loaded together never exceed it (default
+	// 256 MiB). Reports do not depend on it.
 	MemoryBudget int64
 	// Workers bounds the goroutines a check runs on (default GOMAXPROCS):
 	// the edge-induction workers of both closure phases, and the
-	// frontend's parse, resolve and lowering, which a source of at least
-	// 256 KiB spreads over that many. Reports do not depend on it.
+	// frontend's parse, resolve and lowering, which a MiniLang source of at
+	// least 256 KiB spreads over that many (a Go unit is resolved and
+	// lowered as one part). Reports do not depend on it.
 	Workers int
 	// UnrollDepth statically unrolls loops this many times (default 2).
 	UnrollDepth int
@@ -268,12 +269,10 @@ func (r *Result) QueryPointsTo(method, varName string) []PointsToFact {
 // checkerOptions lowers public Options into the internal checker's form.
 func checkerOptions(opts Options) checker.Options {
 	return checker.Options{
-		WorkDir:     opts.WorkDir,
-		UnrollDepth: opts.UnrollDepth,
-		Engine: engine.Options{
-			MemoryBudget: opts.MemoryBudget,
-			Workers:      opts.Workers,
-		},
+		WorkDir:                opts.WorkDir,
+		UnrollDepth:            opts.UnrollDepth,
+		MemoryBudget:           opts.MemoryBudget,
+		Workers:                opts.Workers,
 		DisableConstraintCache: opts.DisableConstraintCache,
 		Bind:                   opts.Bind,
 		RecordPointsTo:         opts.RecordPointsTo,
@@ -516,40 +515,17 @@ func resolvePacks(packNames []string) ([]*packs.Pack, error) {
 // may be nil (no observability features enabled); ownership stays with the
 // caller, which started it before lowering.
 func checkLoweredGo(g *gofront.Result, selected []*packs.Pack, opts Options, obs *obsSession) (*Result, error) {
-	info, err := lang.Resolve(g.Prog)
-	if err != nil {
-		return nil, fmt.Errorf("resolve lowered Go: %w", err)
-	}
-	p, err := ir.Lower(info, ir.Options{UnrollDepth: opts.UnrollDepth})
-	if err != nil {
-		return nil, fmt.Errorf("lower lowered Go: %w", err)
-	}
 	inner := make([]*fsm.FSM, len(selected))
 	for i, pk := range selected {
 		inner[i] = pk.FSM
 	}
 	co := checkerOptions(opts)
 	co.Scope = obs.scope()
-	if co.Engine.MaxVariants == 0 {
-		// Real-Go subjects produce more per-edge path variants than
-		// hand-written MiniLang (lifted closures, defer flushing, and
-		// branch duplication multiply call edges per site), so the default
-		// widening cap loses the call/return balance that keeps helper
-		// frames honest. A higher cap keeps self-checks report-clean.
-		co.Engine.MaxVariants = 32
-	}
-	var text string // what a journal's tag fingerprints, rendered only for one
-	if co.Journal || co.Resume {
-		text = g.Source()
-	}
-	res, err := checker.New(inner, co).CheckIR(context.Background(), p, text)
+	res, err := checker.New(inner, co).CheckGo(context.Background(), g)
 	if err != nil {
 		return nil, err
 	}
-	out := publicResult(res)
-	out.Alias.Unlowered = g.Stats.Havocs
-	out.Dataflow.Unlowered = g.Stats.Havocs
-	return out, nil
+	return publicResult(res), nil
 }
 
 // CheckGoPackage lowers the non-test .go files of dir through the Go

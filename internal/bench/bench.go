@@ -70,7 +70,7 @@ func RunSubject(name string, opts RunOptions) (*SubjectRun, error) {
 	}
 	c := checker.New(fsm.Builtins(), checker.Options{
 		WorkDir:                workDir,
-		Engine:                 engine.Options{MemoryBudget: budget},
+		MemoryBudget:           budget,
 		DisableConstraintCache: opts.DisableCache,
 	})
 	start := time.Now()
@@ -429,31 +429,9 @@ func graphsFor(name string) (*cfet.ICFET, *pgraph.AliasGraph, []storage.Edge, er
 	if _, err := en.Run(cloneEdges(ag.Edges), ag.NumVerts); err != nil {
 		return nil, nil, nil, err
 	}
-	flows := pgraph.AliasResult{
-		Flows:    map[pgraph.ObjID][]pgraph.FlowTarget{},
-		Pointees: map[pgraph.VarKey]int{},
-	}
-	varObjs := map[pgraph.VarKey]map[pgraph.ObjID]bool{}
-	if err := en.ForEach(func(e *storage.Edge) bool {
-		if e.Label != ag.Ptr.FlowsTo {
-			return true
-		}
-		obj, ok := ag.RevObj[e.Src]
-		if !ok || int(e.Dst) >= len(ag.RevVar) || ag.RevVar[e.Dst] == nil {
-			return true
-		}
-		vk := *ag.RevVar[e.Dst]
-		flows.Flows[obj] = append(flows.Flows[obj], pgraph.FlowTarget{Var: vk, Enc: e.Enc.Clone()})
-		if varObjs[vk] == nil {
-			varObjs[vk] = map[pgraph.ObjID]bool{}
-		}
-		varObjs[vk][obj] = true
-		return true
-	}); err != nil {
+	flows, _, err := checker.ExtractFlows(en, ag)
+	if err != nil {
 		return nil, nil, nil, err
-	}
-	for vk, objs := range varObjs {
-		flows.Pointees[vk] = len(objs)
 	}
 	builtins := fsm.Builtins()
 	fsmFor := func(typ string) *fsm.FSM {

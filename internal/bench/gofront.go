@@ -8,11 +8,9 @@ import (
 	"time"
 
 	"github.com/grapple-system/grapple/internal/checker"
-	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/fsm/packs"
 	"github.com/grapple-system/grapple/internal/gofront"
-	"github.com/grapple-system/grapple/internal/ir"
 	"github.com/grapple-system/grapple/internal/lang"
 	"github.com/grapple-system/grapple/internal/workload"
 )
@@ -77,27 +75,14 @@ func GofrontTable(names []string, goDir, workDir string) (string, []GofrontRow, 
 	if err != nil {
 		return "", nil, fmt.Errorf("bench: lower %s: %w", goDir, err)
 	}
-	info, err := lang.Resolve(g.Prog)
-	if err != nil {
-		return "", nil, err
-	}
-	prog, err := ir.Lower(info, ir.Options{})
-	if err != nil {
-		return "", nil, err
-	}
 	dir, err := os.MkdirTemp(workDir, "gofront-*")
 	if err != nil {
 		return "", nil, err
 	}
 	defer os.RemoveAll(dir)
-	// Mirror the Go-mode engine default (see grapple.checkLoweredGo): real
-	// Go multiplies call edges per site, so the variant cap is raised.
-	c := checker.New([]*fsm.FSM{pk.FSM}, checker.Options{
-		WorkDir: dir,
-		Engine:  engine.Options{MaxVariants: 32},
-	})
+	c := checker.New([]*fsm.FSM{pk.FSM}, checker.Options{WorkDir: dir})
 	start := time.Now()
-	res, err := c.CheckIR(context.Background(), prog, "")
+	res, err := c.CheckGo(context.Background(), g)
 	elapsed := time.Since(start)
 	if err != nil {
 		return "", nil, fmt.Errorf("bench: check %s: %w", goDir, err)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/grapple-system/grapple/internal/checker"
-	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/faultpoint"
 	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/workload"
@@ -84,8 +83,8 @@ func resumeReportKey(reports []checker.Report) string {
 
 func resumeCheckerOpts(dir string) checker.Options {
 	return checker.Options{
-		WorkDir: dir,
-		Engine:  engine.Options{MemoryBudget: resumeTableBudget},
+		WorkDir:      dir,
+		MemoryBudget: resumeTableBudget,
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"github.com/grapple-system/grapple/internal/cfet"
 	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/fsm"
+	"github.com/grapple-system/grapple/internal/gofront"
 	"github.com/grapple-system/grapple/internal/grammar"
 	"github.com/grapple-system/grapple/internal/ir"
 	"github.com/grapple-system/grapple/internal/lang"
@@ -36,35 +37,32 @@ import (
 	"github.com/grapple-system/grapple/internal/trace"
 )
 
-// Options configures a checking run. Scope is decided above the checker and
-// passed down unchanged; Engine carries only the caller's engine tuning, and
-// runPhase sets the rest of each phase's engine options.
+// Options configures a checking run: what a caller tunes, plus the Cache
+// seam. Scope is decided above the checker and passed down unchanged. Each
+// closure phase's engine options are runPhase's to build from these.
 type Options struct {
 	// WorkDir holds the engine's partition files. A directory named here
 	// holds both phases' closed graphs when the check returns. When empty the
 	// engines work in a temp dir that is removed on return, and write to it
-	// only what Engine.MemoryBudget has no room for.
+	// only what MemoryBudget has no room for.
 	WorkDir string
 	// UnrollDepth is the static loop-unroll bound (default 2).
 	UnrollDepth int
-	// CFET tunes ICFET construction. The checker fills in BranchVerdict from
-	// the pre-analysis and SliceFunc/SliceBranch from the relevance slicer
-	// unless they are set here: a BranchVerdict that always returns 0 builds
-	// the unpruned CFET, a SliceFunc and SliceBranch that always return false
-	// the unsliced one (the reference runs the property tests compare with).
-	CFET cfet.Options
-	// Engine tunes both engine runs. Only its MemoryBudget, Workers and
-	// MaxVariants are read (Workers also bounds the frontend's goroutines:
-	// see lowerSource), and its Cache: when set, that replaces the
-	// constraint memo PrepareIR would create. Cache is a seam for tests that
-	// read the memo back, and valid for one compilation unit only: its keys
-	// are that unit's encoded paths, so a Checker carrying one must prepare
-	// one source. Every other engine field is the phase's, which runPhase
-	// sets: Dir, Cache, Journal, JournalTag and Scope.
-	Engine engine.Options
+	// MemoryBudget bounds the bytes of edge data each closure phase's engine
+	// holds in memory (paper §4.3); zero means the engine's 256 MiB.
+	MemoryBudget int64
+	// Workers bounds the goroutines a check runs on (default GOMAXPROCS):
+	// both engines' edge-induction workers, and the frontend's resolve and
+	// lowering (and a MiniLang unit's parse: see lowerSource).
+	Workers int
+	// Cache is the memo seam: when set, it replaces the constraint memo
+	// PrepareIR would create (tests read it back, or inject one that evicts
+	// nothing). Its keys are one compilation unit's encoded paths, so a
+	// Checker carrying one must prepare one source.
+	Cache *smt.Cache
 	// DisableConstraintCache prepares without a constraint memo, so neither
 	// phase memoizes solver verdicts (Table 4's "without caching"). It
-	// overrides a caller-set Engine.Cache.
+	// overrides a caller-set Cache.
 	DisableConstraintCache bool
 	// Bind maps extra object type names to FSM names (an FSM always applies
 	// to its own Type).
@@ -98,7 +96,27 @@ type Options struct {
 	// points of the engines' journal write path. Observation never changes
 	// reports.
 	Scope trace.Scope
+
+	// cfet tunes ICFET construction; only this package's tests set it
+	// (export_test.go). The checker fills in BranchVerdict from the
+	// pre-analysis and SliceFunc/SliceBranch from the relevance slicer unless
+	// they are set here: a BranchVerdict that always returns 0 builds the
+	// unpruned CFET, a SliceFunc and SliceBranch that always return false the
+	// unsliced one (the reference runs the property tests compare with).
+	cfet cfet.Options
+	// maxVariants is the engines' per-endpoint variant cap; zero means the
+	// engine's default. CheckGo sets goMaxVariants, and this package's tests
+	// lift it out of reach (export_test.go).
+	maxVariants int
 }
+
+// goMaxVariants is the variant cap a Go unit is checked under. Real-Go
+// subjects produce more per-edge path variants than hand-written MiniLang
+// (lifted closures, defer flushing, and branch duplication multiply call
+// edges per site), so the default widening cap loses the call/return balance
+// that keeps helper frames honest. A higher cap keeps self-checks
+// report-clean.
+const goMaxVariants = 32
 
 // PointsToFact is one phase-1 result: under clone Ctx of Method, variable
 // Var (at CFET node Node) may reference the object allocated at ObjPos.
@@ -243,6 +261,9 @@ func New(fsms []*fsm.FSM, opts Options) *Checker {
 	if opts.UnrollDepth <= 0 {
 		opts.UnrollDepth = 2
 	}
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
 	return &Checker{FSMs: fsms, Opts: opts}
 }
 
@@ -253,16 +274,18 @@ func New(fsms []*fsm.FSM, opts Options) *Checker {
 // journal tag, the batch log's tag and the batch's shared frontends key on
 // it, so no result is reused for other input.
 //
+// A Go unit fingerprints under the Go variant cap CheckGo checks it with.
+//
 // What it leaves out cannot change a report, and a test holds each to that:
-// WorkDir (TestScratchRunDoesNoPartitionIO), Engine.MemoryBudget
+// WorkDir (TestScratchRunDoesNoPartitionIO), MemoryBudget
 // (TestClosureInvariantAcrossBudgets, TestResumeOverRandomEditRefusedOrCold),
-// Engine.Workers (TestWorkerCountLeavesCheckIdentical,
+// Workers (TestWorkerCountLeavesCheckIdentical,
 // TestResumeOverRandomEditRefusedOrCold), DisableConstraintCache and the
-// Engine.Cache seam (TestOneMemoPerCompilationUnit), DumpDOT and Scope
-// (TestTracingPreservesReports), and CFET's BranchVerdict, SliceFunc and
+// Cache seam (TestOneMemoPerCompilationUnit), DumpDOT and Scope
+// (TestTracingPreservesReports), and the CFET's BranchVerdict, SliceFunc and
 // SliceBranch seams (TestPropertyPruningPreservesReports,
-// TestPropertySlicingPreservesReports in internal/workload). Journal and
-// Resume say how a result is kept, not what it is.
+// TestPropertySlicingPreservesReports). Journal and Resume say how a result
+// is kept, not what it is.
 func (c *Checker) Fingerprint(text string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(text))
@@ -276,11 +299,12 @@ func (c *Checker) Fingerprint(text string) uint64 {
 // optionsPrint is the options part of Fingerprint: unroll depth, type
 // bindings (fmt prints a map in key order), RecordPointsTo (which turns
 // slicing off), the CFET's per-method node budget and the engine's variant
-// cap. A Prepared records it; CheckPrepared refuses one prepared under others.
+// cap: 0 for a MiniLang unit, goMaxVariants for a Go one. A Prepared records
+// it; CheckPrepared refuses one prepared under others.
 func (c *Checker) optionsPrint() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "unroll %d bind %q pointsTo %t maxNodes %d maxVariants %d",
-		c.Opts.UnrollDepth, c.Opts.Bind, c.Opts.RecordPointsTo, c.Opts.CFET.MaxNodesPerMethod, c.Opts.Engine.MaxVariants)
+		c.Opts.UnrollDepth, c.Opts.Bind, c.Opts.RecordPointsTo, c.Opts.cfet.MaxNodesPerMethod, c.Opts.maxVariants)
 	return h.Sum64()
 }
 
@@ -303,18 +327,23 @@ var (
 
 // runPhase runs one closure phase to fixpoint in its own engine under
 // workDir/<phase>, over the prepared unit's ICFET and with its constraint
-// memo: it lowers the checker's options onto the engine's and either starts
+// memo: it builds the engine's options from the checker's and either starts
 // cold or — under Options.Resume — continues from the phase's journal, whose
-// tag is the check's Fingerprint with the phase name hashed after it.
+// tag is the check's Fingerprint with the phase name hashed after it. An
+// unjournaled phase gets no tag, and so writes no journal.
 func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, prep *Prepared, g *grammar.Grammar,
 	edges []storage.Edge, numVerts uint32) (*engine.Engine, PhaseStats, error) {
 	c.Opts.Scope.Progress.SetPhase(ph.name)
 	ic := prep.ic
-	opts := c.Opts.Engine
-	opts.Dir = filepath.Join(workDir, ph.name)
-	opts.Cache = prep.memo
-	opts.Journal = c.Opts.Journal || c.Opts.Resume
-	if opts.Journal {
+	opts := engine.Options{
+		Dir:          filepath.Join(workDir, ph.name),
+		MemoryBudget: c.Opts.MemoryBudget,
+		Workers:      c.Opts.Workers,
+		Cache:        prep.memo,
+		MaxVariants:  c.Opts.maxVariants,
+		Scope:        c.Opts.Scope,
+	}
+	if c.Opts.Journal || c.Opts.Resume {
 		if prep.text == "" {
 			return nil, PhaseStats{}, fmt.Errorf("checker: Journal/Resume need the unit's text, and this check was given none")
 		}
@@ -322,7 +351,6 @@ func (c *Checker) runPhase(ctx context.Context, ph phase, workDir string, prep *
 		fmt.Fprintf(h, "%x %s", c.Fingerprint(prep.text), ph.name)
 		opts.JournalTag = h.Sum64()
 	}
-	opts.Scope = c.Opts.Scope
 	// The span opens first: building the engine is part of what the phase
 	// costs.
 	sp := c.Opts.Scope.Start("checker", "phase."+ph.name)
@@ -354,7 +382,7 @@ func endErr(sp trace.Span, err error) error {
 	return err
 }
 
-// finishPhase ends a closure phase once its consumer (extractFlows,
+// finishPhase ends a closure phase once its consumer (ExtractFlows,
 // checkTyped) has read the closed graph: a WorkDir the caller named is theirs
 // to keep, so what the run left in memory is written out to it — after the
 // consumer, which therefore never reads back what was only just written — and
@@ -407,34 +435,69 @@ func (c *Checker) CheckSourceContext(ctx context.Context, src string) (*Result, 
 }
 
 // lowerSource runs the MiniLang frontend's first three stages — parse,
-// resolve, lower — each under its own trace span, on up to Engine.Workers
-// goroutines (GOMAXPROCS when zero). The result does not depend on the
-// count: lang.ParseParallel, lang.ResolveParallel and ir.LowerParallel give
-// their serial forms' program and errors.
+// resolve, lower — each under its own trace span, on up to Options.Workers
+// goroutines. The result does not depend on the count: lang.ParseParallel,
+// lang.ResolveParallel and ir.LowerParallel give their serial forms' program
+// and errors.
 func (c *Checker) lowerSource(src string) (*ir.Program, error) {
-	workers := c.Opts.Engine.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	sp := c.Opts.Scope.Start("checker", "parse")
-	prog, lines, err := lang.ParseParallel(src, workers)
+	prog, lines, err := lang.ParseParallel(src, c.Opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", endErr(sp, err))
 	}
 	sp.End(trace.Args{"functions": len(prog.Funs), "loc": lines})
-	sp = c.Opts.Scope.Start("checker", "resolve")
-	info, err := lang.ResolveParallel(prog, workers)
+	return c.resolveLower(prog)
+}
+
+// resolveLower is the frontend's resolve and lower stages over a parsed
+// unit, MiniLang (lowerSource) or Go (CheckGo), each under its own span.
+func (c *Checker) resolveLower(prog *lang.Program) (*ir.Program, error) {
+	sp := c.Opts.Scope.Start("checker", "resolve")
+	info, err := lang.ResolveParallel(prog, c.Opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("resolve: %w", endErr(sp, err))
 	}
 	sp.End(trace.Args{"functions": len(prog.Funs)})
 	sp = c.Opts.Scope.Start("checker", "lower")
-	p, err := ir.LowerParallel(info, ir.Options{UnrollDepth: c.Opts.UnrollDepth}, workers)
+	p, err := ir.LowerParallel(info, ir.Options{UnrollDepth: c.Opts.UnrollDepth}, c.Opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("lower: %w", endErr(sp, err))
 	}
 	sp.End(trace.Args{"functions": len(p.Funs)})
 	return p, nil
+}
+
+// CheckGo resolves, lowers and checks a Go unit the Go frontend produced, as
+// CheckSourceContext does a MiniLang one, under the Go variant cap
+// (goMaxVariants) unless this package's tests set another. Both phases'
+// Unlowered is the frontend's havoc count.
+func (c *Checker) CheckGo(ctx context.Context, g *gofront.Result) (*Result, error) {
+	gc := c.forGo()
+	p, err := gc.resolveLower(g.Prog)
+	if err != nil {
+		return nil, err
+	}
+	var text string // what a journal's tag fingerprints, rendered only for one
+	if c.Opts.Journal || c.Opts.Resume {
+		text = g.Source()
+	}
+	res, err := gc.CheckIR(ctx, p, text)
+	if err != nil {
+		return nil, err
+	}
+	res.Alias.Unlowered = g.Stats.Havocs
+	res.Dataflow.Unlowered = g.Stats.Havocs
+	return res, nil
+}
+
+// forGo is c as it checks a Go unit: under the Go variant cap, unless this
+// package's tests set another.
+func (c *Checker) forGo() *Checker {
+	gc := *c
+	if gc.Opts.maxVariants == 0 {
+		gc.Opts.maxVariants = goMaxVariants
+	}
+	return &gc
 }
 
 // CheckIR checks a lowered program under a cancellation context; text is the
@@ -514,7 +577,7 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program, text string) (*P
 		defer os.RemoveAll(dir)
 		workDir = dir
 	}
-	prep := &Prepared{text: text, opts: c.optionsPrint(), memo: c.Opts.Engine.Cache}
+	prep := &Prepared{text: text, opts: c.optionsPrint(), memo: c.Opts.Cache}
 	if c.Opts.DisableConstraintCache {
 		prep.memo = nil
 	} else if prep.memo == nil {
@@ -524,7 +587,7 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program, text string) (*P
 	// --- Frontend: slice + pre-analysis + ICFET (index) + context tree + alias graph. ---
 	c.Opts.Scope.Progress.SetPhase("frontend")
 	genStart := time.Now()
-	cfetOpts := c.Opts.CFET
+	cfetOpts := c.Opts.cfet
 	sp := c.Opts.Scope.Start("checker", "callgraph")
 	cg := callgraph.Build(p)
 	sp.End(trace.Args{"functions": len(p.Funs)})
@@ -633,7 +696,7 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program, text string) (*P
 
 	// Extract flowsTo facts; held in memory for phase 2 (paper §2.2).
 	sp = c.Opts.Scope.Start("checker", "extract-flows")
-	flows, nflows, err := extractFlows(aliasEngine, ag)
+	flows, nflows, err := ExtractFlows(aliasEngine, ag)
 	if err != nil {
 		return nil, endErr(sp, err)
 	}
@@ -731,9 +794,11 @@ func dumpDOT(path string, write func(*os.File) error) error {
 	return f.Close()
 }
 
-// extractFlows turns phase-1 flowsTo edges into per-object alias facts and
-// counts distinct pointees per variable instance (for must-alias upgrades).
-func extractFlows(en *engine.Engine, ag *pgraph.AliasGraph) (pgraph.AliasResult, int, error) {
+// ExtractFlows turns a closed alias graph's flowsTo edges into per-object
+// alias facts and counts distinct pointees per variable instance (for
+// must-alias upgrades): what phase 2 reads of phase 1. It also returns how
+// many facts it extracted.
+func ExtractFlows(en *engine.Engine, ag *pgraph.AliasGraph) (pgraph.AliasResult, int, error) {
 	flows := pgraph.AliasResult{
 		Flows:    map[pgraph.ObjID][]pgraph.FlowTarget{},
 		Pointees: map[pgraph.VarKey]int{},

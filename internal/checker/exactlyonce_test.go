@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/grapple-system/grapple/internal/checker"
-	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/raceflag"
 	"github.com/grapple-system/grapple/internal/storage"
@@ -85,17 +84,18 @@ func (r *closureRun) sameEdgeSets(o *closureRun) bool {
 // constraints alone: every schedule must reach the same edge set.
 const noWidening = 1 << 30
 
-func runClosure(t *testing.T, src string, eng engine.Options) *closureRun {
+func runClosure(t *testing.T, src string, opts checker.Options) *closureRun {
 	t.Helper()
-	return runClosureUnder(t, src, eng, (*checker.Checker).CheckSource)
+	return runClosureUnder(t, src, opts, (*checker.Checker).CheckSource)
 }
 
 // runClosureUnder is runClosure with the check to run: CheckSource, or the
 // all-pairs oracle CheckSourceAllPairs.
-func runClosureUnder(t *testing.T, src string, eng engine.Options, check func(*checker.Checker, string) (*checker.Result, error)) *closureRun {
+func runClosureUnder(t *testing.T, src string, opts checker.Options, check func(*checker.Checker, string) (*checker.Result, error)) *closureRun {
 	t.Helper()
 	dir := t.TempDir()
-	res, err := check(checker.New(fsm.Builtins(), checker.Options{WorkDir: dir, Engine: eng}), src)
+	opts.WorkDir = dir
+	res, err := check(checker.New(fsm.Builtins(), opts), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestCrossPassJoinsEachPairOnce(t *testing.T) {
 				t.Skip("one subject is enough to look for races")
 			}
 			src := workload.Generate(tc.profile).Source
-			base := runClosure(t, src, engine.Options{Workers: 2})
+			base := runClosure(t, src, checker.Options{Workers: 2})
 			if base.res.Dataflow.Partitions != 1 || base.res.Alias.Partitions != 1 {
 				t.Fatalf("baseline is not one partition per phase: %d alias, %d dataflow",
 					base.res.Alias.Partitions, base.res.Dataflow.Partitions)
@@ -198,7 +198,7 @@ func TestCrossPassJoinsEachPairOnce(t *testing.T) {
 					perInduced, tc.maxPerInduced)
 			}
 			for _, c := range tc.cells {
-				r := runClosure(t, src, engine.Options{Workers: 2, MemoryBudget: c.budget})
+				r := runClosure(t, src, checker.Options{Workers: 2, MemoryBudget: c.budget})
 				got := r.res.Dataflow.Partitions
 				if got != c.partitions {
 					t.Fatalf("budget %d: %d dataflow partitions, the case wants %d", c.budget, got, c.partitions)
@@ -253,9 +253,9 @@ func TestClosureInvariantAcrossBudgets(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			src := workload.Generate(p).Source
 			for _, maxVariants := range []int{noWidening, 0} {
-				base := runClosure(t, src, engine.Options{Workers: 2, MaxVariants: maxVariants})
+				base := runClosure(t, src, checker.WithMaxVariants(checker.Options{Workers: 2}, maxVariants))
 				for _, budget := range []int64{8 << 20, 3 << 20, 1 << 20} {
-					r := runClosure(t, src, engine.Options{Workers: 2, MemoryBudget: budget, MaxVariants: maxVariants})
+					r := runClosure(t, src, checker.WithMaxVariants(checker.Options{Workers: 2, MemoryBudget: budget}, maxVariants))
 					same := r.sameEdgeSets(base)
 					t.Logf("maxVariants %d, budget %d: %d+%d partitions, %d edges (in memory %d), same edge sets: %v",
 						maxVariants, budget, r.res.Alias.Partitions, r.res.Dataflow.Partitions, r.edges(), base.edges(), same)
@@ -311,7 +311,7 @@ func TestOutOfCorePassesPerPartition(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/%d MiB", c.profile.Name, c.budget>>20), func(t *testing.T) {
 			dir := t.TempDir()
 			res, err := checker.New(fsm.Builtins(), checker.Options{
-				WorkDir: dir, Engine: engine.Options{Workers: 2, MemoryBudget: c.budget},
+				WorkDir: dir, Workers: 2, MemoryBudget: c.budget,
 			}).CheckSource(workload.Generate(c.profile).Source)
 			if err != nil {
 				t.Fatal(err)
@@ -360,7 +360,7 @@ func TestWorkerCountLeavesCheckIdentical(t *testing.T) {
 	for _, budget := range []int64{0, 3 << 20} {
 		var base *closureRun
 		for _, workers := range []int{1, 2, 3, 8} {
-			r := runClosure(t, src, engine.Options{Workers: workers, MemoryBudget: budget})
+			r := runClosure(t, src, checker.Options{Workers: workers, MemoryBudget: budget})
 			if base == nil {
 				base = r
 				continue
@@ -397,9 +397,9 @@ func TestLinearClosureEqualsAllPairs(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			src := workload.Generate(p).Source
 			for _, maxVariants := range []int{noWidening, 0} {
-				eng := engine.Options{Workers: 2, MaxVariants: maxVariants}
-				lin := runClosure(t, src, eng)
-				ref := runClosureUnder(t, src, eng, (*checker.Checker).CheckSourceAllPairs)
+				opts := checker.WithMaxVariants(checker.Options{Workers: 2}, maxVariants)
+				lin := runClosure(t, src, opts)
+				ref := runClosureUnder(t, src, opts, (*checker.Checker).CheckSourceAllPairs)
 				l, r := lin.res.Dataflow.Stats, ref.res.Dataflow.Stats
 				t.Logf("maxVariants %d: %d edges, %d pairs merged, %d unsat, %d conflicts, %d supersteps; all pairs %d, %d, %d, %d, %d",
 					maxVariants, l.EdgesAfter, l.CacheLookups+l.RejectedConflict, l.RejectedUnsat, l.RejectedConflict, l.Iterations,

@@ -19,6 +19,21 @@ func (p *Prepared) JoinInputs() (*cfet.ICFET, *grammar.Grammar) {
 	return p.ic, p.ag.Ptr.G
 }
 
+// WithCFET returns o with the CFET construction options set: a node budget,
+// or the seams a reference run replaces the pre-analysis and the slicer with
+// (see Options.cfet).
+func WithCFET(o Options, co cfet.Options) Options {
+	o.cfet = co
+	return o
+}
+
+// WithMaxVariants returns o with the engines' per-endpoint variant cap set;
+// zero is the engine's default.
+func WithMaxVariants(o Options, n int) Options {
+	o.maxVariants = n
+	return o
+}
+
 // LowerSource runs the frontend's parse, resolve and lowering as
 // CheckSource does, on the checker's workers.
 func (c *Checker) LowerSource(src string) (*ir.Program, error) { return c.lowerSource(src) }

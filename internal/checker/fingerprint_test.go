@@ -10,9 +10,10 @@ import (
 	"testing"
 
 	"github.com/grapple-system/grapple/internal/cfet"
-	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/faultpoint"
 	"github.com/grapple-system/grapple/internal/fsm"
+	"github.com/grapple-system/grapple/internal/fsm/packs"
+	"github.com/grapple-system/grapple/internal/gofront"
 	"github.com/grapple-system/grapple/internal/smt"
 	"github.com/grapple-system/grapple/internal/storage"
 	"github.com/grapple-system/grapple/internal/trace"
@@ -36,8 +37,8 @@ func TestFingerprint(t *testing.T) {
 		"UnrollDepth":    New(fsm.Builtins(), Options{UnrollDepth: 3}).Fingerprint(src),
 		"Bind":           New(fsm.Builtins(), Options{Bind: map[string]string{"Pipe": "io"}}).Fingerprint(src),
 		"RecordPointsTo": New(fsm.Builtins(), Options{RecordPointsTo: true}).Fingerprint(src),
-		"MaxVariants":    New(fsm.Builtins(), Options{Engine: engine.Options{MaxVariants: 32}}).Fingerprint(src),
-		"MaxNodes":       New(fsm.Builtins(), Options{CFET: cfet.Options{MaxNodesPerMethod: 64}}).Fingerprint(src),
+		"Go unit":        New(fsm.Builtins(), Options{}).forGo().Fingerprint(src),
+		"MaxNodes":       New(fsm.Builtins(), Options{cfet: cfet.Options{MaxNodesPerMethod: 64}}).Fingerprint(src),
 	}
 	edited := fsm.Builtins()
 	if err := edited[0].SetAccept("Init"); err != nil {
@@ -51,17 +52,59 @@ func TestFingerprint(t *testing.T) {
 	}
 	kept := map[string]Options{
 		"WorkDir":                {WorkDir: t.TempDir()},
-		"MemoryBudget, Workers":  {Engine: engine.Options{MemoryBudget: 1 << 20, Workers: 7}},
-		"Engine.Cache":           {Engine: engine.Options{Cache: smt.NewCache(0)}},
+		"MemoryBudget, Workers":  {MemoryBudget: 1 << 20, Workers: 7},
+		"Cache":                  {Cache: smt.NewCache(0)},
 		"DisableConstraintCache": {DisableConstraintCache: true},
 		"DumpDOT":                {DumpDOT: t.TempDir()},
 		"Journal, Resume":        {Journal: true, Resume: true},
 		"Scope":                  {Scope: trace.Scope{Progress: trace.NewProgress(), Faults: faultpoint.New()}},
-		"CFET seams":             {CFET: cfet.Options{SliceFunc: func(string) bool { return false }}},
+		"CFET seams":             {cfet: cfet.Options{SliceFunc: func(string) bool { return false }}},
 	}
 	for name, opts := range kept {
 		if fp := New(fsm.Builtins(), opts).Fingerprint(src); fp != base {
 			t.Errorf("%s changed the fingerprint", name)
+		}
+	}
+}
+
+// stableGoSrc is the Go unit TestFingerprintStable pins: a file opened and
+// read, never closed.
+const stableGoSrc = `package subject
+
+import "os"
+
+func leak(path string) {
+	f, err := os.Open(path)
+	if err != nil {
+		return
+	}
+	f.Read(nil)
+}
+`
+
+// TestFingerprintStable pins Fingerprint for one MiniLang and one Go unit.
+// Journal tags, the batch log's tag and the batch's shared frontends key on
+// it, so a change that moves it turns every journal written before into a
+// stale one. The variant cap is hashed as 0 for a MiniLang unit and as
+// goMaxVariants for a Go unit, which CheckGo checks under it.
+func TestFingerprintStable(t *testing.T) {
+	pk, err := packs.Get("file-handle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := gofront.LowerSource(stableGoSrc, pk.Rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		unit      string
+		got, want uint64
+	}{
+		{"MiniLang", New(fsm.Builtins(), Options{}).Fingerprint(resumeSrc), 0x7820d07b1d0995eb},
+		{"Go", New([]*fsm.FSM{pk.FSM}, Options{}).forGo().Fingerprint(g.Source()), 0x273f2746de003165},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s unit: fingerprint %#016x, pinned %#016x", tc.unit, tc.got, tc.want)
 		}
 	}
 }
@@ -77,7 +120,7 @@ func TestCheckPreparedRefusesOtherOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(fsm.Builtins(), Options{UnrollDepth: 1, Engine: engine.Options{Workers: 1}}).CheckPrepared(ctx, prep); err != nil {
+	if _, err := New(fsm.Builtins(), Options{UnrollDepth: 1, Workers: 1}).CheckPrepared(ctx, prep); err != nil {
 		t.Fatalf("checked under the preparing options: %v", err)
 	}
 	other := New(fsm.Builtins(), Options{UnrollDepth: 2})
@@ -189,9 +232,12 @@ func TestResumeOverRandomEditRefusedOrCold(t *testing.T) {
 		t.Fatal("no edit was refused; the property was never exercised")
 	}
 
-	for _, eng := range []engine.Options{{MemoryBudget: 32 << 10, Workers: 2}, {MemoryBudget: 64 << 10, Workers: 1}} {
+	for _, eng := range []struct {
+		budget  int64
+		workers int
+	}{{32 << 10, 2}, {64 << 10, 1}} {
 		ropts := resumeOpts(journaled(t, boundaries/2))
-		ropts.Engine = eng
+		ropts.MemoryBudget, ropts.Workers = eng.budget, eng.workers
 		ropts.Resume = true
 		res, err := New(fsm.Builtins(), ropts).CheckSource(src)
 		if err != nil {

@@ -61,13 +61,11 @@ func prepareWide(t *testing.T, services, workers int) frontendCost {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := checker.New([]*fsm.FSM{fsm.BuiltinLock()}, checker.Options{
-		WorkDir: t.TempDir(),
-		CFET: cfet.Options{BranchVerdict: func(s *ir.If) int {
+	c := checker.New([]*fsm.FSM{fsm.BuiltinLock()}, checker.WithCFET(checker.Options{WorkDir: t.TempDir()},
+		cfet.Options{BranchVerdict: func(s *ir.If) int {
 			cost.verdictAsked++
 			return pre.BranchVerdict(s)
-		}},
-	})
+		}}))
 	prep, err := c.PrepareIR(context.Background(), p, "")
 	if err != nil {
 		t.Fatal(err)

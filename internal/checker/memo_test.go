@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/grapple-system/grapple/internal/checker"
-	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/smt"
 	"github.com/grapple-system/grapple/internal/workload"
@@ -21,13 +20,13 @@ import (
 // second CheckPrepared on the same Prepared — the next instance of a batch
 // subject — probes the same memo and misses nothing. Under
 // DisableConstraintCache neither phase probes at all, and a caller-set
-// Engine.Cache is the unit's memo unless DisableConstraintCache is set too.
+// Cache is the unit's memo unless DisableConstraintCache is set too.
 func TestOneMemoPerCompilationUnit(t *testing.T) {
 	ctx := context.Background()
 	src := workload.Generate(hdfsHalfProfile()).Source
 	prepare := func(opts checker.Options) (*checker.Checker, *checker.Prepared, *checker.Result) {
 		t.Helper()
-		opts.Engine.Workers = 1
+		opts.Workers = 1
 		c := checker.New(fsm.Builtins(), opts)
 		prep, err := c.PrepareSource(ctx, src)
 		if err != nil {
@@ -73,12 +72,12 @@ func TestOneMemoPerCompilationUnit(t *testing.T) {
 	}
 
 	own := smt.NewCache(0)
-	if _, prep, _ = prepare(checker.Options{Engine: engine.Options{Cache: own}}); prep.Memo() != own {
-		t.Fatal("a caller-set Engine.Cache did not become the unit's memo")
+	if _, prep, _ = prepare(checker.Options{Cache: own}); prep.Memo() != own {
+		t.Fatal("a caller-set Cache did not become the unit's memo")
 	}
-	_, prep, off = prepare(checker.Options{Engine: engine.Options{Cache: smt.NewCache(0)}, DisableConstraintCache: true})
+	_, prep, off = prepare(checker.Options{Cache: smt.NewCache(0), DisableConstraintCache: true})
 	if prep.Memo() != nil || off.Alias.CacheLookups != 0 || off.Dataflow.CacheLookups != 0 {
-		t.Fatalf("DisableConstraintCache beside a caller-set Engine.Cache: memo %v, %d alias and %d dataflow lookups",
+		t.Fatalf("DisableConstraintCache beside a caller-set Cache: memo %v, %d alias and %d dataflow lookups",
 			prep.Memo(), off.Alias.CacheLookups, off.Dataflow.CacheLookups)
 	}
 }

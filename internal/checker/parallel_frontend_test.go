@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/grapple-system/grapple/internal/checker"
-	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/ir"
 	"github.com/grapple-system/grapple/internal/lang"
@@ -32,7 +31,7 @@ func TestParallelFrontendMatchesSerial(t *testing.T) {
 			var base, baseReports string
 			var baseProg *ir.Program
 			for _, workers := range []int{1, 2, 4} {
-				c := checker.New(fsm.Builtins(), checker.Options{Engine: engine.Options{Workers: workers}})
+				c := checker.New(fsm.Builtins(), checker.Options{Workers: workers})
 				p, err := c.LowerSource(src)
 				if err != nil {
 					t.Fatal(err)

@@ -27,7 +27,7 @@ func prepareWholeProgramSCCP(t *testing.T, fsms []*fsm.FSM, src string) (*checke
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := checker.New(fsms, checker.Options{WorkDir: t.TempDir(), CFET: cfet.Options{BranchVerdict: pre.BranchVerdict}})
+	c := checker.New(fsms, checker.WithCFET(checker.Options{WorkDir: t.TempDir()}, cfet.Options{BranchVerdict: pre.BranchVerdict}))
 	prep, err := c.PrepareIR(context.Background(), p, src)
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/grapple-system/grapple/internal/checker"
-	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/raceflag"
 	"github.com/grapple-system/grapple/internal/storage"
@@ -24,8 +23,7 @@ import (
 // does write.
 func TestScratchRunDoesNoPartitionIO(t *testing.T) {
 	src := workload.Generate(hdfsHalfProfile()).Source
-	eng := engine.Options{Workers: 2}
-	scratch, err := checker.New(fsm.Builtins(), checker.Options{Engine: eng}).CheckSource(src)
+	scratch, err := checker.New(fsm.Builtins(), checker.Options{Workers: 2}).CheckSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +36,7 @@ func TestScratchRunDoesNoPartitionIO(t *testing.T) {
 			t.Errorf("%s phase booked %v of I/O time", name, ph.Breakdown.IO)
 		}
 	}
-	named, err := checker.New(fsm.Builtins(), checker.Options{WorkDir: t.TempDir(), Engine: eng}).CheckSource(src)
+	named, err := checker.New(fsm.Builtins(), checker.Options{WorkDir: t.TempDir(), Workers: 2}).CheckSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +67,7 @@ func TestNamedWorkDirHoldsClosedGraph(t *testing.T) {
 			t.Run(fmt.Sprintf("%d MiB, journal %v", budget>>20, journal), func(t *testing.T) {
 				dir := t.TempDir()
 				c := checker.New(fsm.Builtins(), checker.Options{
-					WorkDir: dir, Journal: journal, Engine: engine.Options{Workers: 2, MemoryBudget: budget},
+					WorkDir: dir, Journal: journal, Workers: 2, MemoryBudget: budget,
 				})
 				handed := map[string][]uint64{}
 				c.OnClosedGraph(func(phase string, forEach func(func(*storage.Edge) bool) error) {

@@ -81,9 +81,10 @@ func resumeSource(t *testing.T) string {
 
 func resumeOpts(dir string) Options {
 	return Options{
-		WorkDir: dir,
-		Engine:  engine.Options{MemoryBudget: 65536, Workers: 2},
-		Journal: true,
+		WorkDir:      dir,
+		MemoryBudget: 65536,
+		Workers:      2,
+		Journal:      true,
 	}
 }
 
@@ -130,7 +131,7 @@ func TestCheckerResumeAtEveryBoundary(t *testing.T) {
 		t.Run(cell.name, func(t *testing.T) {
 			opts := func(dir string) Options {
 				o := resumeOpts(dir)
-				o.Engine.MemoryBudget = cell.budget
+				o.MemoryBudget = cell.budget
 				return o
 			}
 			src := resumeSource(t)
@@ -396,13 +397,19 @@ func TestCheckerResumeRequiresWorkDir(t *testing.T) {
 	}
 }
 
-// TestEngineJournalDoesNotLeak: the phase's journaling is the checker's to
-// decide, so a Journal set on the caller's engine options journals nothing.
+// TestEngineJournalDoesNotLeak: an engine journals exactly when the checker
+// gives it a journal tag, which it does only under Journal or Resume, so a
+// check that is not journaled writes no journal into either phase's
+// directory, although its out-of-core engines write partitions there.
 func TestEngineJournalDoesNotLeak(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{WorkDir: dir, Engine: engine.Options{MemoryBudget: 65536, Workers: 2, Journal: true}}
+	opts := resumeOpts(dir)
+	opts.Journal = false
 	if _, err := New(fsm.Builtins(), opts).CheckSource(resumeSource(t)); err != nil {
 		t.Fatal(err)
+	}
+	if parts, _ := filepath.Glob(filepath.Join(dir, "dataflow", "part-*.edges")); len(parts) < 2 {
+		t.Fatalf("%d dataflow partitions: the check did not go out of core", len(parts))
 	}
 	for _, ph := range []string{"alias", "dataflow"} {
 		if _, err := os.Stat(filepath.Join(dir, ph, engine.JournalName)); !errors.Is(err, os.ErrNotExist) {

@@ -39,7 +39,7 @@ func TestTruncationIsReported(t *testing.T) {
 	for _, prof := range workload.Profiles() {
 		src := workload.Generate(prof).Source
 		for _, budget := range []int{0, 64} {
-			res, ic := checkSource(t, fsm.Builtins(), checker.Options{CFET: cfet.Options{MaxNodesPerMethod: budget}}, src)
+			res, ic := checkSource(t, fsm.Builtins(), checker.WithCFET(checker.Options{}, cfet.Options{MaxNodesPerMethod: budget}), src)
 			sum := 0
 			for _, m := range ic.Methods {
 				sum += m.Truncated

@@ -127,7 +127,7 @@ const maxForcedSplits = 6
 // the destination ranges kept apart, summed over the boundaries.
 func closeByHand(t *testing.T, f cutFixture, edges []storage.Edge, maxVariants int, splitAt int64, stampsOnly, resume bool) (*Engine, []Stats, int) {
 	t.Helper()
-	opts := Options{MemoryBudget: f.budget, Workers: 2, MaxVariants: maxVariants, Journal: true, JournalTag: 0x0ed}
+	opts := Options{MemoryBudget: f.budget, Workers: 2, MaxVariants: maxVariants, JournalTag: 0x0ed}
 	en := startEngine(t, f.ic, f.g, opts, edges, f.nv)
 	en.stampsOnly = stampsOnly
 	opts.Dir = en.opts.Dir

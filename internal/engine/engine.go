@@ -37,9 +37,9 @@ import (
 	"github.com/grapple-system/grapple/internal/trace"
 )
 
-// Options configures the engine. The checker sets Dir, Cache, Journal,
-// JournalTag and Scope for each phase; MemoryBudget, Workers and MaxVariants
-// are the caller's.
+// Options configures the engine. MemoryBudget, Workers and MaxVariants tune
+// the run; Dir, Cache, JournalTag and Scope say which run it is: the checker
+// builds all of them for each closure phase.
 type Options struct {
 	// Dir is the on-disk partition directory.
 	Dir string
@@ -47,8 +47,6 @@ type Options struct {
 	// partitions loaded together must fit (paper §4.3). Zero means 256 MiB.
 	MemoryBudget int64
 	// Workers is the edge-induction parallelism; zero means GOMAXPROCS.
-	// The checker also runs its frontend's parse, resolve and lowering on
-	// up to this many goroutines.
 	Workers int
 	// Cache is the constraint memo (§4.3), keyed by encoded path; nil means
 	// no memoization (Table 4's "without caching"). The engine never builds
@@ -60,15 +58,13 @@ type Options struct {
 	// label); beyond it the edge widens to the unconstrained variant. Zero
 	// means 6.
 	MaxVariants int
-	// Journal makes superstep state durable: after every superstep a
-	// checkpoint flushes every partition and appends one record to a per-run
-	// journal in Dir, so a killed run can continue via ResumeContext.
-	// Journaling never changes results — only whether progress survives a
-	// crash.
-	Journal bool
-	// JournalTag fingerprints the run's inputs. ResumeContext refuses a
-	// journal whose tag differs (storage.ErrStale): same directory,
-	// different graph.
+	// JournalTag fingerprints the run's inputs, and a non-zero tag makes
+	// superstep state durable: after every superstep a checkpoint flushes
+	// every partition and appends one record to a per-run journal in Dir, so
+	// a killed run can continue via ResumeContext. ResumeContext refuses a
+	// journal whose tag differs (storage.ErrStale): same directory, different
+	// graph. Journaling never changes results — only whether progress
+	// survives a crash.
 	JournalTag uint64
 	// Scope is the run's recorder, lane, progress tracker and fault set: a
 	// span per superstep and checkpoint, an instant per partition
@@ -325,8 +321,8 @@ type Engine struct {
 	chunkBuf  []joinChunk
 	scratch   []*joinScratch
 
-	// jw is the run journal while Options.Journal is on (or after resume);
-	// jseq numbers the next checkpoint record.
+	// jw is the run journal while Options.JournalTag is set (or after
+	// resume); jseq numbers the next checkpoint record.
 	jw   *storage.JournalWriter
 	jseq uint64
 
@@ -387,7 +383,7 @@ func (en *Engine) RunContext(ctx context.Context, initial []storage.Edge, numVer
 	if err := os.MkdirAll(en.opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	if en.opts.Journal {
+	if en.opts.JournalTag != 0 {
 		// A cold journaled start owns the directory: stale partitions or a
 		// journal from a previous run must not interleave with this one.
 		if err := en.clearRunDir(); err != nil {
@@ -400,7 +396,7 @@ func (en *Engine) RunContext(ctx context.Context, initial []storage.Edge, numVer
 		return nil, err
 	}
 	sp.End(trace.Args{"edges": en.stats.EdgesBefore, "partitions": len(en.parts), "cuts": cuts})
-	if en.opts.Journal {
+	if en.opts.JournalTag != 0 {
 		if err := en.startJournal(numVertices); err != nil {
 			return nil, err
 		}

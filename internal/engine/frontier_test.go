@@ -143,7 +143,7 @@ func runCut(t *testing.T, f cutFixture, dir string, budget int64, whole, resume 
 	var events bytes.Buffer
 	rec := trace.NewWriters(nil, &events)
 	en := New(f.ic, f.g, withMemo(Options{
-		Dir: dir, MemoryBudget: budget, Workers: 2, MaxVariants: 2, Journal: true, JournalTag: 0xc07,
+		Dir: dir, MemoryBudget: budget, Workers: 2, MaxVariants: 2, JournalTag: 0xc07,
 		Scope: trace.Scope{Rec: rec, Faults: faults},
 	}))
 	en.wholeFrontier = whole

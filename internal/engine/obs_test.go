@@ -47,7 +47,7 @@ func TestObservedRunIsRaceFree(t *testing.T) {
 		}
 	}()
 	en, st := runEngine(t, ic, d.G, Options{
-		MemoryBudget: 64 << 10, Workers: 8, Journal: true, JournalTag: 7, Scope: trace.Scope{Progress: prog},
+		MemoryBudget: 64 << 10, Workers: 8, JournalTag: 7, Scope: trace.Scope{Progress: prog},
 	}, edges, n)
 	close(quit)
 	if polls := <-polled; polls == 0 {

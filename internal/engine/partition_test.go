@@ -33,7 +33,7 @@ func fileHas(t *testing.T, p *partition, src, dst uint32) bool {
 func TestSplitKeepsPerPartitionState(t *testing.T) {
 	const n = 200
 	d := allPairs()
-	en := startEngine(t, emptyICFET(), d.G, Options{MemoryBudget: 4 << 10, Journal: true}, chainEdges(n, d.Flow), n)
+	en := startEngine(t, emptyICFET(), d.G, Options{MemoryBudget: 4 << 10}, chainEdges(n, d.Flow), n)
 	if err := en.startJournal(n); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,11 @@ func TestPartitionEdgesInGenerationOrder(t *testing.T) {
 		return steps, merges
 	}
 	engine := func(t *testing.T, f cutFixture, budget int64, dir string, journal bool) *Engine {
-		en := New(f.ic, f.g, withMemo(Options{Dir: dir, MemoryBudget: budget, Workers: 2, MaxVariants: 2, Journal: journal, JournalTag: 0x6e6}))
+		opts := Options{Dir: dir, MemoryBudget: budget, Workers: 2, MaxVariants: 2}
+		if journal {
+			opts.JournalTag = 0x6e6
+		}
+		en := New(f.ic, f.g, withMemo(opts))
 		t.Cleanup(en.closeJournal)
 		return en
 	}
@@ -286,7 +290,7 @@ func TestPartitionEdgesInGenerationOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		ordered(t, en, "after preprocess")
-		if en.opts.Journal {
+		if en.opts.JournalTag != 0 {
 			if err := en.startJournal(f.nv); err != nil {
 				t.Fatal(err)
 			}

@@ -46,8 +46,7 @@ func checkFiles(t *testing.T, en *Engine) {
 // the interesting machinery (splits, redirected paths, pending buffers).
 func smallOpts(dir string, tag uint64) Options {
 	return Options{
-		Dir: dir, MemoryBudget: 4096, Workers: 2,
-		Journal: true, JournalTag: tag,
+		Dir: dir, MemoryBudget: 4096, Workers: 2, JournalTag: tag,
 	}
 }
 
@@ -83,7 +82,7 @@ func TestEngineResumeAtEveryBoundary(t *testing.T) {
 
 	// Ablation: journaling must not change the result.
 	offOpts := smallOpts(t.TempDir(), tag)
-	offOpts.Journal = false
+	offOpts.JournalTag = 0
 	offEn, offStats := runEngine(t, emptyICFET(), d.G, offOpts, chainEdges(n, d.Flow), n)
 	if got := fingerprint(t, offEn); got != want {
 		t.Fatalf("journal-off run differs from journal-on run")

@@ -172,7 +172,7 @@ func instanceHits(res *BatchResult) int64 {
 
 // TestCacheProbesCountedOnce: BatchResult's cache counts are summed from the
 // probes the instances' engines counted, each probe once. Each compilation
-// unit's memo is one the test hands in through Engine.Cache: a subject's in
+// unit's memo is one the test hands in through Options.Cache: a subject's in
 // the shared batch, each instance's in the unshared one, where every instance
 // prepares its own unit. With one instance and one join worker at a time and
 // memos that evict nothing, every miss inserts a key no earlier probe put, so
@@ -184,9 +184,7 @@ func instanceHits(res *BatchResult) int64 {
 // repeated alias phases the shared one probe for probe, hits included.
 func TestCacheProbesCountedOnce(t *testing.T) {
 	subjects := miniSubjects(t)
-	copts := checker.Options{}
-	copts.Engine.Workers = 1
-	instances := Expand(subjects, GroupPerFSM(fsm.Builtins()), copts)
+	instances := Expand(subjects, GroupPerFSM(fsm.Builtins()), checker.Options{Workers: 1})
 	run := func(noSharedFrontend bool) *BatchResult {
 		ins := append([]Instance(nil), instances...)
 		memos := map[string]*smt.Cache{}
@@ -198,7 +196,7 @@ func TestCacheProbesCountedOnce(t *testing.T) {
 			if memos[key] == nil {
 				memos[key] = smt.NewCache(1 << 20)
 			}
-			ins[i].Opts.Engine.Cache = memos[key]
+			ins[i].Opts.Cache = memos[key]
 		}
 		res, err := Run(context.Background(), ins, Options{Workers: 1, noSharedFrontend: noSharedFrontend})
 		if err != nil {

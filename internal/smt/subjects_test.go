@@ -8,7 +8,6 @@ import (
 	"github.com/grapple-system/grapple/internal/callgraph"
 	"github.com/grapple-system/grapple/internal/cfet"
 	"github.com/grapple-system/grapple/internal/checker"
-	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/ir"
 	"github.com/grapple-system/grapple/internal/lang"
@@ -109,7 +108,7 @@ func encOfKey(t *testing.T, key string) cfet.Enc {
 
 // TestSolverMatchesReferenceOnSubjects runs a real check of each closure
 // subject with a constraint cache of the test's own (the check's
-// Engine.Cache, which replaces the memo it would create for the compilation
+// Options.Cache, which replaces the memo it would create for the compilation
 // unit) large enough to evict nothing, so that afterwards it holds every path
 // both phases' join workers decoded and solved, with the verdict they
 // recorded. Each is decoded again and decided by one reused Solver and by the
@@ -118,7 +117,7 @@ func TestSolverMatchesReferenceOnSubjects(t *testing.T) {
 	for _, prof := range closureSubjects() {
 		src := workload.Generate(prof).Source
 		cache := smt.NewCache(1 << 22)
-		opts := checker.Options{WorkDir: t.TempDir(), Engine: engine.Options{Cache: cache}}
+		opts := checker.Options{WorkDir: t.TempDir(), Cache: cache}
 		if _, err := checker.New(fsm.Builtins(), opts).CheckSource(src); err != nil {
 			t.Fatal(err)
 		}
