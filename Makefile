@@ -195,10 +195,13 @@ bench-e2e:
 # map of its own (TestStubAllocBudget: its stub, node and symbol lists come
 # from the build's slabs), and its allocation per added
 # function must not depend on the program's size (the scaling guard, which
-# also counts one verdict lookup per If walked), and the pre-analysis must
+# also counts one verdict lookup per If walked), the pre-analysis must
 # visit exactly the functions the relevance slice keeps, or every function
 # when nothing slices (the pre-analysis work guard, which reads the count
-# off the pre-analysis span).
+# off the pre-analysis span), and lowering must lower the bodies of exactly
+# the functions the pre-slice keeps, at most a tenth of wide-sim 20×20, or
+# every function when nothing slices (the lowering work guard, which reads
+# the count off the lower span).
 # Run without -race: the race runtime inflates allocation counts, so these
 # tests skip themselves under it.
 alloc-budget: build
@@ -207,7 +210,7 @@ alloc-budget: build
 	$(GO) test ./internal/engine/ -run 'TestCacheProbeZeroAlloc|TestEndpointCountZeroAlloc|TestJoinAllocBudget' -count=1
 	$(GO) test ./internal/lang/ -run TestParseAllocBudget -count=1
 	$(GO) test ./internal/cfet/ -run 'TestBuildAllocBudget|TestStubAllocBudget' -count=1
-	$(GO) test ./internal/checker/ -run 'TestFrontendAllocBudget|TestFrontendScalesLinearly|TestPreAnalysisVisitsKeptFunctionsOnly|TestCrossPassJoinsEachPairOnce|TestOutOfCorePassesPerPartition|TestScratchRunDoesNoPartitionIO|TestMissPathZeroAlloc|TestDataflowBuildAllocBudget' -count=1
+	$(GO) test ./internal/checker/ -run 'TestFrontendAllocBudget|TestFrontendScalesLinearly|TestPreAnalysisVisitsKeptFunctionsOnly|TestLowerVisitsPreKeptOnly|TestCrossPassJoinsEachPairOnce|TestOutOfCorePassesPerPartition|TestScratchRunDoesNoPartitionIO|TestMissPathZeroAlloc|TestDataflowBuildAllocBudget' -count=1
 
 # The size figure CHANGES.md and ROADMAP.md quote: lines of non-test Go
 # outside benchmark/ (and outside what the benchmark builds), counted the

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"testing"
 
@@ -13,7 +15,11 @@ import (
 // FuzzPointsTo checks two solver invariants on arbitrary (parseable)
 // MiniLang programs: the worklist terminates well inside its theoretical
 // bound, and the derived summaries are idempotent — solving the same
-// program twice yields byte-identical summaries.
+// program twice yields byte-identical summaries. It also holds the
+// pre-slice to the slice it stands in for: every function the relevance
+// slice keeps, tracking every object type, is one ir.PreKeep keeps, and
+// lowering with the rest stubbed gives the whole program's site tables
+// and call graph.
 func FuzzPointsTo(f *testing.F) {
 	f.Add(`
 type Obj;
@@ -63,6 +69,62 @@ fun main() {
   }
   return;
 }`)
+	// Object-free functions the pre-slice stubs, in every form a stub
+	// follows (unrolled loops, short-circuit conditions, opaque
+	// comparisons, bool arguments, nested calls).
+	f.Add(`
+type T;
+fun inc(n: int): int {
+  return n + 1;
+}
+fun pick(b: bool, n: int): int {
+  return n;
+}
+fun filler(n: int) {
+  var i: int = 0;
+  var b: bool = n > 2 && inc(n) < 5;
+  while (i < inc(n)) {
+    i = inc(i) + pick(i > inc(1), inc(2));
+  }
+  if (b == (inc(n) > 1) || !(i == 3)) {
+    inc(i);
+  }
+  inc(inc(n) * 2);
+  return;
+}
+fun main() {
+  var t: T = new T();
+  t.use();
+  filler(input());
+  return;
+}`)
+	// Calls exception expansion drops as unreachable: in a catch block no
+	// raise reaches, and after a return.
+	f.Add(`
+type T;
+fun id(n: int): int {
+  return n;
+}
+fun onlyInCatch(n: int) {
+  return;
+}
+fun afterReturn(n: int) {
+  return;
+}
+fun main() {
+  var t: T = new T();
+  try {
+    t.use();
+  } catch (e) {
+    onlyInCatch(1);
+  }
+  if (input() > 0) {
+    return;
+  }
+  afterReturn(id(2));
+  return;
+  afterReturn(3);
+}`)
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := lang.Parse(src)
 		if err != nil {
@@ -94,6 +156,29 @@ fun main() {
 		if it := r1.Iterations(); it > bound {
 			t.Fatalf("solver took %d iterations, bound %d (stmts=%d sites=%d)",
 				it, bound, nStmt, len(p.AllocSiteType))
+		}
+
+		tracked := map[string]bool{}
+		for typ := range p.ObjectTypes {
+			tracked[typ] = true
+		}
+		keep := ir.PreKeep(info)
+		rel := ComputeRelevance(p, cg, r1, tracked)
+		for i, fn := range p.Funs {
+			if rel.KeepFunc(fn.Name) && !keep[i] {
+				t.Fatalf("the slice keeps %s, the pre-slice drops it", fn.Name)
+			}
+		}
+		sliced, err := ir.LowerKept(info, ir.Options{}, 1, keep)
+		if err != nil {
+			t.Fatalf("whole-program lowering succeeds, the pre-sliced one fails: %v", err)
+		}
+		if !slices.Equal(sliced.CallSitePos, p.CallSitePos) || !slices.Equal(sliced.AllocSitePos, p.AllocSitePos) {
+			t.Fatal("the pre-sliced site tables differ from the whole program's")
+		}
+		if scg := callgraph.Build(sliced); !maps.EqualFunc(scg.Callees, cg.Callees, slices.Equal) ||
+			!slices.Equal(scg.Roots(), cg.Roots()) {
+			t.Fatal("the pre-sliced call graph differs from the whole program's")
 		}
 
 		// Summary idempotence across independent solves.

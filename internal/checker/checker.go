@@ -437,7 +437,7 @@ func (c *Checker) CheckSourceContext(ctx context.Context, src string) (*Result, 
 // lowerSource runs the MiniLang frontend's first three stages — parse,
 // resolve, lower — each under its own trace span, on up to Options.Workers
 // goroutines. The result does not depend on the count: lang.ParseParallel,
-// lang.ResolveParallel and ir.LowerParallel give their serial forms' program
+// lang.ResolveParallel and ir.LowerKept give their serial forms' program
 // and errors.
 func (c *Checker) lowerSource(src string) (*ir.Program, error) {
 	sp := c.Opts.Scope.Start("checker", "parse")
@@ -451,6 +451,9 @@ func (c *Checker) lowerSource(src string) (*ir.Program, error) {
 
 // resolveLower is the frontend's resolve and lower stages over a parsed
 // unit, MiniLang (lowerSource) or Go (CheckGo), each under its own span.
+// A check that slices lowers only the functions the slice could keep
+// (ir.PreKeep) and stubs the rest; the lower span's lowered arg counts the
+// bodies lowered.
 func (c *Checker) resolveLower(prog *lang.Program) (*ir.Program, error) {
 	sp := c.Opts.Scope.Start("checker", "resolve")
 	info, err := lang.ResolveParallel(prog, c.Opts.Workers)
@@ -459,12 +462,49 @@ func (c *Checker) resolveLower(prog *lang.Program) (*ir.Program, error) {
 	}
 	sp.End(trace.Args{"functions": len(prog.Funs)})
 	sp = c.Opts.Scope.Start("checker", "lower")
-	p, err := ir.LowerParallel(info, ir.Options{UnrollDepth: c.Opts.UnrollDepth}, c.Opts.Workers)
+	var keep []bool
+	if c.slices(c.Opts.cfet) {
+		keep = ir.PreKeep(info)
+	}
+	p, err := ir.LowerKept(info, ir.Options{UnrollDepth: c.Opts.UnrollDepth}, c.Opts.Workers, keep)
 	if err != nil {
 		return nil, fmt.Errorf("lower: %w", endErr(sp, err))
 	}
-	sp.End(trace.Args{"functions": len(p.Funs)})
+	lowered := 0
+	for _, fn := range p.Funs {
+		if !fn.Stub {
+			lowered++
+		}
+	}
+	sp.End(trace.Args{"functions": len(p.Funs), "lowered": lowered})
 	return p, nil
+}
+
+// trackedTypes is the object types c's FSMs track: their own, and each
+// type Options.Bind binds to one of them.
+func (c *Checker) trackedTypes() map[string]bool {
+	tracked := map[string]bool{}
+	for _, f := range c.FSMs {
+		tracked[f.Type] = true
+	}
+	for typ, name := range c.Opts.Bind {
+		for _, f := range c.FSMs {
+			if f.Name == name {
+				tracked[typ] = true
+			}
+		}
+	}
+	return tracked
+}
+
+// slices reports whether a prepare under cfetOpts slices for c's FSMs.
+// Slicing is property-directed, so it needs the properties: a checker
+// without FSMs prepares the whole program, which is what lets one Prepared
+// serve every property group (the batch). RecordPointsTo's query class
+// spans untracked variables too, and an injected SliceFunc/SliceBranch
+// replaces the slicer.
+func (c *Checker) slices(cfetOpts cfet.Options) bool {
+	return len(c.FSMs) > 0 && !c.Opts.RecordPointsTo && cfetOpts.SliceFunc == nil && cfetOpts.SliceBranch == nil
 }
 
 // CheckGo resolves, lowers and checks a Go unit the Go frontend produced, as
@@ -593,26 +633,10 @@ func (c *Checker) PrepareIR(ctx context.Context, p *ir.Program, text string) (*P
 	sp.End(trace.Args{"functions": len(p.Funs)})
 	var cloneOpts pgraph.Options
 	var pts *analysis.PointsToResult
-	// Slicing is property-directed, so it needs the properties: a checker
-	// without FSMs prepares the whole program, which is what lets one Prepared
-	// serve every property group (the batch). RecordPointsTo's query class
-	// spans untracked variables too, and an injected SliceFunc/SliceBranch
-	// replaces the slicer.
-	if len(c.FSMs) > 0 && !c.Opts.RecordPointsTo && cfetOpts.SliceFunc == nil && cfetOpts.SliceBranch == nil {
-		tracked := map[string]bool{}
-		for _, f := range c.FSMs {
-			tracked[f.Type] = true
-		}
-		for typ, name := range c.Opts.Bind {
-			for _, f := range c.FSMs {
-				if f.Name == name {
-					tracked[typ] = true
-				}
-			}
-		}
+	if c.slices(cfetOpts) {
 		sp = c.Opts.Scope.Start("checker", "points-to+slice")
 		pts = analysis.SolvePointsTo(p, cg)
-		rel := analysis.ComputeRelevance(p, cg, pts, tracked)
+		rel := analysis.ComputeRelevance(p, cg, pts, c.trackedTypes())
 		drop := func(name string) bool { return !rel.KeepFunc(name) }
 		cfetOpts.SliceFunc = drop
 		cfetOpts.SliceBranch = rel.InertBranch

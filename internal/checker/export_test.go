@@ -7,6 +7,7 @@ import (
 	"github.com/grapple-system/grapple/internal/engine"
 	"github.com/grapple-system/grapple/internal/grammar"
 	"github.com/grapple-system/grapple/internal/ir"
+	"github.com/grapple-system/grapple/internal/lang"
 	"github.com/grapple-system/grapple/internal/pgraph"
 	"github.com/grapple-system/grapple/internal/smt"
 	"github.com/grapple-system/grapple/internal/storage"
@@ -37,6 +38,16 @@ func WithMaxVariants(o Options, n int) Options {
 // LowerSource runs the frontend's parse, resolve and lowering as
 // CheckSource does, on the checker's workers.
 func (c *Checker) LowerSource(src string) (*ir.Program, error) { return c.lowerSource(src) }
+
+// ForGo is c as CheckGo checks a Go unit with it.
+func (c *Checker) ForGo() *Checker { return c.forGo() }
+
+// ResolveLower runs the frontend's resolve and lowering over a parsed unit,
+// as CheckGo does.
+func (c *Checker) ResolveLower(prog *lang.Program) (*ir.Program, error) { return c.resolveLower(prog) }
+
+// TrackedTypes is the object types the relevance slice tracks for c's FSMs.
+func (c *Checker) TrackedTypes() map[string]bool { return c.trackedTypes() }
 
 // RenderReports serializes every report field, as renderReports does.
 func RenderReports(rs []Report) string { return renderReports(rs) }

@@ -13,6 +13,7 @@ import (
 	"github.com/grapple-system/grapple/internal/checker"
 	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/ir"
+	"github.com/grapple-system/grapple/internal/lang"
 	"github.com/grapple-system/grapple/internal/trace"
 	"github.com/grapple-system/grapple/internal/workload"
 )
@@ -167,26 +168,11 @@ func preAnalyzedFunctions(t *testing.T, fsms []*fsm.FSM, opts checker.Options, p
 		t.Fatal(err)
 	}
 	ic, _ := prep.JoinInputs()
-	for _, line := range bytes.Split(jsonl.Bytes(), []byte("\n")) {
-		var ev struct {
-			Name string
-			Args struct{ Functions *int }
-		}
-		if len(line) == 0 {
-			continue
-		}
-		if err := json.Unmarshal(line, &ev); err != nil {
-			t.Fatal(err)
-		}
-		if ev.Name == "pre-analysis" {
-			if ev.Args.Functions == nil {
-				t.Fatal("the pre-analysis span has no functions arg")
-			}
-			return *ev.Args.Functions, ic
-		}
+	functions, ok := spanArgs(t, jsonl.Bytes(), "pre-analysis")["functions"].(float64)
+	if !ok {
+		t.Fatal("the pre-analysis span has no functions arg")
 	}
-	t.Fatal("the trace has no pre-analysis span")
-	return 0, nil
+	return int(functions), ic
 }
 
 // TestPreAnalysisVisitsKeptFunctionsOnly is the pre-analysis work guard: on
@@ -219,6 +205,101 @@ func TestPreAnalysisVisitsKeptFunctionsOnly(t *testing.T) {
 	} {
 		if got, _ := preAnalyzedFunctions(t, tc.fsms, tc.opts, p); got != len(p.Funs) {
 			t.Errorf("%s: pre-analysis visited %d functions, want all %d", tc.name, got, len(p.Funs))
+		}
+	}
+}
+
+// spanArgs returns the args of the first span named name in a trace's
+// event lines.
+func spanArgs(t *testing.T, jsonl []byte, name string) map[string]any {
+	t.Helper()
+	for _, line := range bytes.Split(jsonl, []byte("\n")) {
+		var ev struct {
+			Name string
+			Args map[string]any
+		}
+		if len(line) == 0 {
+			continue
+		}
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Name == name {
+			return ev.Args
+		}
+	}
+	t.Fatalf("the trace has no %s span", name)
+	return nil
+}
+
+// loweredFunctions lowers src as a check under opts does, with a trace
+// recorder on the scope, and returns the lower span's functions and
+// lowered args.
+func loweredFunctions(t *testing.T, fsms []*fsm.FSM, opts checker.Options, src string) (functions, lowered int) {
+	t.Helper()
+	var jsonl bytes.Buffer
+	rec := trace.NewWriters(nil, &jsonl)
+	opts.Scope = trace.Scope{Rec: rec}
+	if _, err := checker.New(fsms, opts).LowerSource(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	args := spanArgs(t, jsonl.Bytes(), "lower")
+	f, okF := args["functions"].(float64)
+	l, okL := args["lowered"].(float64)
+	if !okF || !okL {
+		t.Fatalf("the lower span's args are %v, want functions and lowered", args)
+	}
+	return int(f), int(l)
+}
+
+// TestLowerVisitsPreKeptOnly is the lowering work guard: on wide-sim 20×20
+// against lock, a check lowers the bodies of exactly the functions
+// ir.PreKeep keeps, at most 10 % of the program (at 10×10 the 36 workers
+// that hold a seeded pattern, and so handle an object, are a third of its
+// 114 functions); with nothing sliced — no FSMs, as the batch's shared
+// prepare, or RecordPointsTo — it lowers every function.
+func TestLowerVisitsPreKeptOnly(t *testing.T) {
+	src := workload.Generate(workload.WideProfile(20, 20)).Source
+	prog, err := lang.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := lang.Resolve(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preKept := 0
+	for _, keep := range ir.PreKeep(info) {
+		if keep {
+			preKept++
+		}
+	}
+	lock := []*fsm.FSM{fsm.BuiltinLock()}
+	for _, workers := range []int{1, 2} {
+		functions, lowered := loweredFunctions(t, lock, checker.Options{Workers: workers}, src)
+		t.Logf("%d workers: %d functions, %d pre-kept, %d lowered", workers, functions, preKept, lowered)
+		if lowered != preKept {
+			t.Errorf("%d workers: lowered %d functions, the pre-slice keeps %d", workers, lowered, preKept)
+		}
+		if float64(lowered) > 0.10*float64(functions) {
+			t.Errorf("%d workers: lowered %d of %d functions, want at most 10 %%", workers, lowered, functions)
+		}
+	}
+
+	src = workload.Generate(workload.WideProfile(10, 10)).Source
+	for _, tc := range []struct {
+		name string
+		fsms []*fsm.FSM
+		opts checker.Options
+	}{
+		{"no FSMs", nil, checker.Options{}},
+		{"RecordPointsTo", lock, checker.Options{RecordPointsTo: true}},
+	} {
+		if functions, lowered := loweredFunctions(t, tc.fsms, tc.opts, src); lowered != functions {
+			t.Errorf("%s: lowered %d functions, want all %d", tc.name, lowered, functions)
 		}
 	}
 }

@@ -51,6 +51,10 @@ type Func struct {
 	// variable's slot beside the name, so a pass that keeps per-variable
 	// state indexes an array of NumVars+1 instead of hashing the name.
 	NumVars int
+	// Stub marks a function whose body was not lowered (LowerKept): the
+	// body holds only its calls, and it neither handles an object nor
+	// throws.
+	Stub bool
 }
 
 // ExcVar is the implicit per-function variable carrying an uncaught

@@ -36,19 +36,25 @@ type Options struct {
 }
 
 // Lower lowers a resolved MiniLang program into IR and expands exceptions.
-func Lower(info *lang.Info, opts Options) (*Program, error) { return LowerParallel(info, opts, 1) }
+func Lower(info *lang.Info, opts Options) (*Program, error) { return LowerKept(info, opts, 1, nil) }
 
-// LowerParallel is Lower on up to workers goroutines, one part of the
-// program's functions at a time (lang.Program.Parts). Each goroutine has its
-// own slabs and temporary names, and numbers each part's allocation sites,
-// call sites and opaque conditions from zero into the part's own site
-// tables. A serial link then gives each part its bases, the prefix sums of
+// LowerKept is Lower on up to workers goroutines, one part of the
+// program's functions at a time (lang.Program.Parts), that lowers the
+// bodies of only the functions keep marks (every function when keep is
+// nil; PreKeep's answer when a check slices). Every other function is a
+// stub (Func.Stub) in its declaration slot, unless its body has a form a
+// stub does not follow, when it is lowered too.
+//
+// Each goroutine has its own slabs and temporary names, and numbers each
+// part's allocation sites, call sites and opaque conditions from zero into
+// the part's own site tables; a stub takes the numbers lowering would give
+// it. A serial link then gives each part its bases, the prefix sums of
 // the parts before it in declaration order, shifts its functions' Site and
 // OpaqueID fields by them and joins the site tables, so every number is
 // Lower's. The error is Lower's: that of the first function that fails.
 // Exception expansion follows the link: its MayThrow fixpoint on one
 // goroutine, then each part's bodies on the workers (expandExceptions).
-func LowerParallel(info *lang.Info, opts Options, workers int) (*Program, error) {
+func LowerKept(info *lang.Info, opts Options, workers int, keep []bool) (*Program, error) {
 	if opts.UnrollDepth <= 0 {
 		opts.UnrollDepth = 2
 	}
@@ -70,6 +76,12 @@ func LowerParallel(info *lang.Info, opts Options, workers int) (*Program, error)
 		l := los[w]
 		l.sites = &parts[part]
 		for i := lo; i < hi; i++ {
+			if keep != nil && !keep[i] {
+				if fn := l.stubFun(funs[i]); fn != nil {
+					p.Funs[i] = fn
+					continue
+				}
+			}
 			fn, err := l.lowerFun(funs[i])
 			if err != nil {
 				l.sites.err = err
@@ -200,6 +212,11 @@ type lowerer struct {
 	// before its parent gets another statement. So statements collect on
 	// lists' scratch stack and a block's list is cut when it closes.
 	open []pendingBlock
+	// stub collects the calls of the stub being made (stubFun); stubs and
+	// calls hold the stubs, which outlive expansion.
+	stub  []Stmt
+	stubs lang.Slab[Func]
+	calls lang.Slab[Call]
 }
 
 type pendingBlock struct {
@@ -596,12 +613,9 @@ func (lo *lowerer) simpleCond(e lang.Expr, out *Block) (Cond, bool, error) {
 		case lang.OpAnd, lang.OpOr:
 			return Cond{}, false, nil
 		}
-		// Comparison. Object/null comparisons are statically opaque.
-		if lo.isObjectOperand(e.L) || lo.isObjectOperand(e.R) {
-			return OpaqueCond(lo.freshOpaque()), true, nil
-		}
-		if lo.isBoolOperand(e.L) {
-			// bool == bool is rare; treat as opaque.
+		// Comparison. Object/null and bool comparisons are statically
+		// opaque (Resolve marks them).
+		if e.Opaque {
 			return OpaqueCond(lo.freshOpaque()), true, nil
 		}
 		a, err := lo.lowerIntExpr(e.L, out)
@@ -630,26 +644,6 @@ func (lo *lowerer) simpleCond(e lang.Expr, out *Block) (Cond, bool, error) {
 		return CmpCond(a, k, b), true, nil
 	}
 	return Cond{}, false, fmt.Errorf("cannot lower %T as condition", e)
-}
-
-func (lo *lowerer) isObjectOperand(e lang.Expr) bool {
-	switch e := e.(type) {
-	case *lang.NullLit, *lang.NewExpr, *lang.FieldAccess:
-		return true
-	case *lang.Ident:
-		return lang.IsObjectType(lo.typeOf(e.Slot))
-	}
-	return false
-}
-
-func (lo *lowerer) isBoolOperand(e lang.Expr) bool {
-	switch e := e.(type) {
-	case *lang.BoolLit:
-		return true
-	case *lang.Ident:
-		return lo.typeOf(e.Slot) == "bool"
-	}
-	return false
 }
 
 // lowerCondBranch emits branching code for "if (cond) thenB else elseB",

@@ -7,7 +7,7 @@ type Program struct {
 	// Parts cuts Funs into the contiguous runs ParseParallel parsed apart:
 	// part i starts at Funs[Parts[i]] and ends where the next one starts.
 	// Nil when the unit was parsed as one part. ResolveParallel and
-	// ir.LowerParallel hand out the same parts to their goroutines.
+	// ir.LowerKept hand out the same parts to their goroutines.
 	Parts []int
 }
 
@@ -31,6 +31,30 @@ type FunDecl struct {
 	// in order, then each local (and catch variable) the next slot in
 	// declaration order. Slot 0 is no variable.
 	VarTypes []string
+
+	// Objects, Throws and Calls are what Resolve learns of the function
+	// for the pre-slice (ir.PreKeep, docs/slicing.md "Step 0"). Objects:
+	// it handles an object — a parameter, local or return type that is
+	// neither int nor bool, a new, null, field access, event call, throw,
+	// try or spawn, or a call to a function whose signature names an
+	// object type. Throws: its body holds a throw.
+	Objects, Throws bool
+	// Calls lists the calls lowering emits, one per call expression in
+	// the order Resolve meets them: every call but those inside an event
+	// call's arguments, an argument bound to a bool parameter, or an
+	// operand of a comparison lowering decides opaquely (see
+	// resolver.opaqueCmp), whose operands it never lowers.
+	Calls []Call
+}
+
+// Call is one call a function's lowering emits: the callee, whether the
+// caller uses its result (every call but a bare call statement), and
+// whether it is live. A call that follows a return or throw of the
+// function, or sits in a catch block, is not: exception expansion may drop
+// it as unreachable, so the callee may be uncalled in the expanded IR.
+type Call struct {
+	Fun        *FunDecl
+	Used, Live bool
 }
 
 // VarType returns the declared type of the variable in slot s.
@@ -212,6 +236,10 @@ type Binary struct {
 	Op   BinOp
 	L, R Expr
 	Pos  Pos
+	// Opaque is set by Resolve on a comparison that lowering decides by an
+	// opaque condition without lowering either operand: one with an object
+	// operand on either side, or a bool one on the left.
+	Opaque bool
 }
 
 // Unary is !x or -x.

@@ -97,7 +97,7 @@ func TestTinyPartsLowerLikeOneUnit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := ir.LowerParallel(info, ir.Options{}, 4)
+		parallel, err := ir.LowerKept(info, ir.Options{}, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,17 +74,30 @@ type resolver struct {
 	vars        map[string]int32 // name -> slot in fun
 	types       []string         // fun's declared types, by slot - 1
 	lists       ListSlab[string] // the functions' VarTypes
+
+	// fun's pre-slice facts (FunDecl.Objects, Throws, Calls) as the walk
+	// collects them. bare is the call of the call statement being
+	// resolved, whose result is unused; hidden is > 0 inside an
+	// expression lowering does not lower; ended is set once the walk has
+	// passed a return or throw, and catches is > 0 inside a catch block.
+	objects, throws, ended bool
+	calls                  ListSlab[Call]
+	bare                   *CallExpr
+	hidden, catches        int
 }
 
 // resolveFuns resolves funs in order and stops at the first that fails.
 // One name table serves every function (MiniLang forbids shadowing, so
-// names are unique within a function), and each function's types are cut
-// from one slab.
+// names are unique within a function), and each function's types and
+// calls are cut from one slab each.
 func (r *resolver) resolveFuns(funs []*FunDecl) error {
 	for _, f := range funs {
 		r.fun = f
 		clear(r.vars)
 		r.types = r.types[:0]
+		r.objects, r.throws, r.ended = IsObjectType(f.RetType), false, false
+		r.hidden, r.catches = 0, 0
+		calls := r.calls.Mark()
 		for _, p := range f.Params {
 			if _, err := r.declare(p.Name, p.Type, f.Pos); err != nil {
 				return err
@@ -100,6 +113,7 @@ func (r *resolver) resolveFuns(funs []*FunDecl) error {
 			r.lists.Push(t)
 		}
 		f.VarTypes = r.lists.Cut(0)
+		f.Objects, f.Throws, f.Calls = r.objects, r.throws, r.calls.Cut(calls)
 	}
 	return nil
 }
@@ -114,8 +128,33 @@ func (r *resolver) declare(name, typ string, pos Pos) (int32, error) {
 	r.vars[name] = slot
 	if IsObjectType(typ) {
 		r.objectTypes[typ] = true
+		r.objects = true
 	}
 	return slot, nil
+}
+
+// opaqueCmp reports whether lowering is to decide the comparison of l and r
+// by an opaque condition without lowering either operand (Binary.Opaque).
+func (r *resolver) opaqueCmp(l, rhs Expr) bool {
+	lc := r.shape(l)
+	return lc == "object" || lc == "bool" || r.shape(rhs) == "object"
+}
+
+// shape returns the category lowering tells operand e by, from its shape
+// alone: "object" for null, an allocation or a field access, "bool" for a
+// literal, a declared variable's category, and "" for any other form.
+func (r *resolver) shape(e Expr) string {
+	switch e := e.(type) {
+	case *NullLit, *NewExpr, *FieldAccess:
+		return "object"
+	case *BoolLit:
+		return "bool"
+	case *Ident:
+		if slot, ok := r.vars[e.Name]; ok {
+			return category(r.types[slot-1])
+		}
+	}
+	return ""
 }
 
 // typeOfVar resolves id to its variable, records the variable's slot on
@@ -141,6 +180,10 @@ func (r *resolver) stmts(list []Stmt) error {
 	for _, s := range list {
 		if err := r.stmt(s); err != nil {
 			return err
+		}
+		switch s.(type) {
+		case *ReturnStmt, *ThrowStmt:
+			r.ended = true // the calls after it may be unreachable
 		}
 	}
 	return nil
@@ -182,6 +225,7 @@ func (r *resolver) stmt(s Stmt) error {
 				return fmt.Errorf("%s: field store on non-object %q", lhs.Pos, lhs.Recv.Name)
 			}
 			lcat = "object" // fields hold object references
+			r.objects = true
 		default:
 			return fmt.Errorf("%s: invalid assignment target", s.Pos)
 		}
@@ -191,11 +235,15 @@ func (r *resolver) stmt(s Stmt) error {
 		}
 		return r.assignable(lcat, rcat, s.Pos)
 	case *ExprStmt:
+		if call, ok := s.X.(*CallExpr); ok {
+			r.bare = call
+		}
 		_, err := r.expr(s.X)
 		return err
 	case *SpawnStmt:
 		// The spawned call type-checks exactly like a call statement; its
 		// result (if any) is discarded on the spawning side.
+		r.objects, r.bare = true, s.Call
 		_, err := r.expr(s.Call)
 		return err
 	case *IfStmt:
@@ -235,6 +283,7 @@ func (r *resolver) stmt(s Stmt) error {
 		}
 		return r.assignable(category(r.fun.RetType), ct, s.Pos)
 	case *ThrowStmt:
+		r.objects, r.throws = true, true
 		ct, err := r.expr(s.X)
 		if err != nil {
 			return err
@@ -244,6 +293,7 @@ func (r *resolver) stmt(s Stmt) error {
 		}
 		return nil
 	case *TryStmt:
+		r.objects = true
 		if err := r.stmts(s.Try); err != nil {
 			return err
 		}
@@ -254,7 +304,10 @@ func (r *resolver) stmt(s Stmt) error {
 		if _, err := r.declare(s.CatchVar, catchType, s.Pos); err != nil {
 			return err
 		}
-		return r.stmts(s.Catch)
+		r.catches++
+		err := r.stmts(s.Catch)
+		r.catches--
+		return err
 	}
 	return fmt.Errorf("unknown statement %T", s)
 }
@@ -281,6 +334,7 @@ func (r *resolver) expr(e Expr) (string, error) {
 	case *BoolLit:
 		return "bool", nil
 	case *NullLit:
+		r.objects = true
 		return "null", nil
 	case *InputExpr:
 		return "int", nil
@@ -298,12 +352,14 @@ func (r *resolver) expr(e Expr) (string, error) {
 		if category(t) != "object" {
 			return "", fmt.Errorf("%s: field load on non-object %q", e.Pos, e.Recv.Name)
 		}
+		r.objects = true
 		return "object", nil
 	case *NewExpr:
 		if !IsObjectType(e.Type) {
 			return "", fmt.Errorf("%s: cannot allocate primitive type %q", e.Pos, e.Type)
 		}
 		r.objectTypes[e.Type] = true
+		r.objects = true
 		return "object", nil
 	case *CallExpr:
 		f, ok := r.funs[e.Name]
@@ -313,8 +369,21 @@ func (r *resolver) expr(e Expr) (string, error) {
 		if len(e.Args) != len(f.Params) {
 			return "", fmt.Errorf("%s: %s expects %d args, got %d", e.Pos, e.Name, len(f.Params), len(e.Args))
 		}
+		if r.hidden == 0 {
+			r.calls.Push(Call{Fun: f, Used: e != r.bare, Live: !r.ended && r.catches == 0})
+		}
+		r.objects = r.objects || IsObjectType(f.RetType)
 		for i, a := range e.Args {
+			// Lowering passes a bool argument opaquely, unlowered.
+			opaque := f.Params[i].Type == "bool"
+			if opaque {
+				r.hidden++
+			}
+			r.objects = r.objects || IsObjectType(f.Params[i].Type)
 			ct, err := r.expr(a)
+			if opaque {
+				r.hidden--
+			}
 			if err != nil {
 				return "", err
 			}
@@ -334,14 +403,22 @@ func (r *resolver) expr(e Expr) (string, error) {
 		if category(t) != "object" {
 			return "", fmt.Errorf("%s: method call on non-object %q", e.Pos, e.Recv.Name)
 		}
+		// An event's arguments are never lowered.
+		r.objects = true
+		r.hidden++
 		for _, a := range e.Args {
 			if _, err := r.expr(a); err != nil {
 				return "", err
 			}
 		}
+		r.hidden--
 		// Methods on objects are FSM events; they return int for flexibility.
 		return "int", nil
 	case *Binary:
+		e.Opaque = e.Op.IsComparison() && r.opaqueCmp(e.L, e.R)
+		if e.Opaque {
+			r.hidden++
+		}
 		lc, err := r.expr(e.L)
 		if err != nil {
 			return "", err
@@ -349,6 +426,9 @@ func (r *resolver) expr(e Expr) (string, error) {
 		rc, err := r.expr(e.R)
 		if err != nil {
 			return "", err
+		}
+		if e.Opaque {
+			r.hidden--
 		}
 		switch e.Op {
 		case OpAdd, OpSub, OpMul:
