@@ -56,6 +56,8 @@ race:
 # damaged and refused v2 files), and the durable-log reader, seeded with an
 # engine journal and a batch log (resume must never crash or silently
 # accept corrupt state), then
+# the lexer against the byte-stepping reference lexer (the same tokens,
+# positions and first error, and a byte consumed by every token), then
 # the interprocedural points-to solver (termination bound + summary
 # idempotence on arbitrary MiniLang inputs) and the devirtualization
 # hierarchy (every live covering type must stay a dispatch candidate).
@@ -64,6 +66,7 @@ fuzz:
 	$(GO) test ./internal/smt/ -fuzz FuzzCacheMatchesReference -fuzztime 30s
 	$(GO) test ./internal/smt/ -fuzz FuzzSolverMatchesReference -fuzztime 30s
 	$(GO) test ./internal/lang/ -fuzz FuzzParse -fuzztime 20s
+	$(GO) test ./internal/lang/ -fuzz FuzzLex -fuzztime 20s
 	$(GO) test ./internal/storage/ -fuzz FuzzDecodeRecordV2 -fuzztime 20s
 	$(GO) test ./internal/storage/ -fuzz FuzzReadPart -fuzztime 20s
 	$(GO) test ./internal/storage/ -fuzz FuzzReadJournal -fuzztime 20s
@@ -187,7 +190,8 @@ bench-e2e:
 # per emitted edge on deep-sim, hdfs-half and wide-sim (each method's facts
 # scanned once a build, not once per object and context), and the
 # frontend must stay within
-# its bytes per source byte (Parse: no token slice) and per encoded path
+# its bytes per source byte (Parse: no token slice; the lexer scanning to
+# EOF, TestLexerAllocatesNothing: nothing at all) and per encoded path
 # (cfet.Build: no environment copy per split), within its heap objects per
 # source line from parse to cfet.Build (TestFrontendAllocBudget: nodes,
 # lists, SCCP states and names come from slabs and arrays owned by each
@@ -208,7 +212,7 @@ alloc-budget: build
 	$(GO) test ./internal/storage/ -run 'TestDecodeAllocBudget|TestKeyZeroAlloc' -count=1
 	$(GO) test ./internal/smt/ -run TestCachePutAllocs -count=1
 	$(GO) test ./internal/engine/ -run 'TestCacheProbeZeroAlloc|TestEndpointCountZeroAlloc|TestJoinAllocBudget' -count=1
-	$(GO) test ./internal/lang/ -run TestParseAllocBudget -count=1
+	$(GO) test ./internal/lang/ -run 'TestParseAllocBudget|TestLexerAllocatesNothing' -count=1
 	$(GO) test ./internal/cfet/ -run 'TestBuildAllocBudget|TestStubAllocBudget' -count=1
 	$(GO) test ./internal/checker/ -run 'TestFrontendAllocBudget|TestFrontendScalesLinearly|TestPreAnalysisVisitsKeptFunctionsOnly|TestLowerVisitsPreKeptOnly|TestCrossPassJoinsEachPairOnce|TestOutOfCorePassesPerPartition|TestScratchRunDoesNoPartitionIO|TestMissPathZeroAlloc|TestDataflowBuildAllocBudget' -count=1
 

@@ -445,7 +445,7 @@ func (c *Checker) lowerSource(src string) (*ir.Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", endErr(sp, err))
 	}
-	sp.End(trace.Args{"functions": len(prog.Funs), "loc": lines})
+	sp.End(trace.Args{"functions": len(prog.Funs), "loc": lines, "bytes": len(src)})
 	return c.resolveLower(prog)
 }
 

@@ -143,13 +143,29 @@ func reportPerLoC(b *testing.B, loc int, allocBefore *runtime.MemStats) {
 
 var benchSink any
 
+// BenchmarkParse times the serial parse, lexing included; its MB/s is
+// source bytes parsed per second.
 func BenchmarkParse(b *testing.B) {
+	benchParse(b, func(src string) (*lang.Program, error) { return lang.Parse(src) })
+}
+
+// BenchmarkParseParallel is BenchmarkParse with lang.ParseParallel on two
+// workers; wide-sim at 10×10 (279 KB) is cut into two parts.
+func BenchmarkParseParallel(b *testing.B) {
+	benchParse(b, func(src string) (*lang.Program, error) {
+		prog, _, err := lang.ParseParallel(src, 2)
+		return prog, err
+	})
+}
+
+func benchParse(b *testing.B, parse func(string) (*lang.Program, error)) {
 	s := wideBenchSubject()
+	b.SetBytes(int64(len(s.Source)))
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prog, err := lang.Parse(s.Source)
+		prog, err := parse(s.Source)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/grapple-system/grapple/internal/analysis"
@@ -230,6 +231,29 @@ func spanArgs(t *testing.T, jsonl []byte, name string) map[string]any {
 	}
 	t.Fatalf("the trace has no %s span", name)
 	return nil
+}
+
+// TestParseSpanReportsBytes: the parse span carries the unit's size in
+// bytes and its line count, so parse throughput can be read off a trace;
+// wide-sim 20×20 is cut into parts on two workers.
+func TestParseSpanReportsBytes(t *testing.T) {
+	src := workload.Generate(workload.WideProfile(20, 20)).Source
+	var jsonl bytes.Buffer
+	rec := trace.NewWriters(nil, &jsonl)
+	opts := checker.Options{Workers: 2, Scope: trace.Scope{Rec: rec}}
+	if _, err := checker.New(nil, opts).LowerSource(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	args := spanArgs(t, jsonl.Bytes(), "parse")
+	if got, ok := args["bytes"].(float64); !ok || int(got) != len(src) {
+		t.Errorf("parse span bytes arg %v, want %d", args["bytes"], len(src))
+	}
+	if got, ok := args["loc"].(float64); !ok || int(got) != strings.Count(src, "\n") {
+		t.Errorf("parse span loc arg %v, want %d", args["loc"], strings.Count(src, "\n"))
+	}
 }
 
 // loweredFunctions lowers src as a check under opts does, with a trace

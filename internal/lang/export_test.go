@@ -14,3 +14,27 @@ func parseTinyParts(src string) (*Program, int, error) { return parseParts(src, 
 
 // ParseTinyParts exposes parseTinyParts to the external tests.
 var ParseTinyParts = parseTinyParts
+
+// CompareLexers and LexHandCases expose the lexer's reference comparison
+// and its hand-written inputs to TestLexerMatchesReference, whose corpus
+// needs the workload generator.
+var (
+	CompareLexers = compareLexers
+	LexHandCases  = lexHandCases
+)
+
+// ScanAll scans src to its end as the parser does, each token in place
+// into one lookahead, and returns the number of tokens and the first
+// lexical error.
+func ScanAll(src string) (int, error) {
+	l := NewLexer(src)
+	var t lexeme
+	for n := 1; ; n++ {
+		if err := l.scan(&t); err != nil {
+			return n, err
+		}
+		if t.Kind == EOF {
+			return n, nil
+		}
+	}
+}

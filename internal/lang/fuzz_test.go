@@ -74,3 +74,18 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLex holds the lexer to the reference lexer on arbitrary input: the
+// same tokens, kind, text and position, and the same first error, with
+// every token before EOF consuming a byte (compareLexers).
+// Run with: go test -fuzz=FuzzLex ./internal/lang
+func FuzzLex(f *testing.F) {
+	for _, s := range lexHandCases {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if err := compareLexers(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

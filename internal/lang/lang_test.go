@@ -2,6 +2,7 @@ package lang
 
 import (
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -41,8 +42,7 @@ func (p *Program) Fun(name string) *FunDecl {
 }
 
 // Tokenize scans all of src into a slice. The parser streams from the lexer
-// and never builds this; it survives here for the lexer tests and as the
-// input of referenceParse.
+// and never builds this; it survives here for the lexer tests.
 func Tokenize(src string) ([]Token, error) {
 	l := NewLexer(src)
 	var toks []Token
@@ -58,28 +58,26 @@ func Tokenize(src string) ([]Token, error) {
 	}
 }
 
-// sliceSource replays a pre-scanned token slice to the parser.
-type sliceSource struct {
-	toks []Token
-	pos  int
-}
-
-func (s *sliceSource) Next() (Token, error) {
-	t := s.toks[s.pos]
-	if s.pos < len(s.toks)-1 { // keep answering EOF, as the lexer does
-		s.pos++
+// TestDecimalMatchesParseInt: decimal, which the parser reads int literals
+// with, accepts what strconv.ParseInt accepts, with its value, on the
+// values around int64's bound and on runs of nines and powers of ten of up
+// to 20 digits.
+func TestDecimalMatchesParseInt(t *testing.T) {
+	cases := []string{"0", "7", "007", "10", "4294967296", "9223372036854775799",
+		"9223372036854775806", "9223372036854775807", "9223372036854775808",
+		"9223372036854775809", "9223372036854775810", "9999999999999999999",
+		"18446744073709551615", "18446744073709551616", "99999999999999999999",
+		"00000000000000000000009223372036854775807", "999999999999999999999999"}
+	for n := 1; n <= 20; n++ {
+		cases = append(cases, strings.Repeat("9", n), "1"+strings.Repeat("0", n-1))
 	}
-	return t, nil
-}
-
-// referenceParse is Parse as it was before the parser streamed: lex the
-// whole file first (any lexical error anywhere wins), then parse the slice.
-func referenceParse(src string) (*Program, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
+	for _, s := range cases {
+		got, ok := decimal(s)
+		want, err := strconv.ParseInt(s, 10, 64)
+		if ok != (err == nil) || ok && got != want {
+			t.Errorf("decimal(%q) = %d, %v; ParseInt gives %d, %v", s, got, ok, want, err)
+		}
 	}
-	return parse(&sliceSource{toks: toks})
 }
 
 func TestTokenizeBasics(t *testing.T) {

@@ -2,21 +2,23 @@ package lang
 
 import (
 	"fmt"
-	"strconv"
+	"math"
 )
 
-// tokenSource is where the parser pulls its tokens from: the *Lexer. (Tests
-// substitute a pre-scanned slice as the reference for the streaming parse.)
+// tokenSource is where the parser pulls its tokens from: the *Lexer, which
+// scans each one in place into the lookahead. (Tests substitute a
+// pre-scanned slice as the reference for the streaming parse.)
 type tokenSource interface {
-	Next() (Token, error)
+	scan(t *lexeme) error
 }
 
 // Parser is a recursive-descent parser for MiniLang. It holds exactly one
-// token of lookahead and pulls the next one from the lexer as it consumes,
-// so parsing never materializes the token stream.
+// token of lookahead and has the lexer scan the next one into it as it
+// consumes, so parsing never materializes the token stream.
 type Parser struct {
 	lex tokenSource
-	tok Token // the lookahead token
+	src string // the unit the lookahead's byte ranges index
+	tok lexeme // the lookahead token
 	// lexErr is the first lexical error the lexer raised. From then on tok is
 	// a synthetic EOF, so the grammar winds down without pulling further, and
 	// parse reports lexErr in place of whatever that EOF made the grammar say.
@@ -51,11 +53,13 @@ type nodeSlabs struct {
 // character is reported as such, and a lexical error wins from the moment
 // the parser needs the offending text as its lookahead.
 func Parse(src string) (*Program, error) {
-	return parse(NewLexer(src))
+	return parse(NewLexer(src), src)
 }
 
-func parse(lex tokenSource) (*Program, error) {
-	p := &Parser{lex: lex}
+// parse parses the tokens lex yields; src is the unit their byte ranges
+// index.
+func parse(lex tokenSource, src string) (*Program, error) {
+	p := &Parser{lex: lex, src: src}
 	p.advance()
 	prog, err := p.parseProgram()
 	if p.lexErr != nil {
@@ -64,26 +68,27 @@ func parse(lex tokenSource) (*Program, error) {
 	return prog, err
 }
 
-// advance replaces the lookahead with the lexer's next token.
+// advance has the lexer scan its next token into the lookahead.
 func (p *Parser) advance() {
 	if p.lexErr != nil {
 		return
 	}
-	t, err := p.lex.Next()
-	if err != nil {
+	if err := p.lex.scan(&p.tok); err != nil {
 		p.lexErr = err
-		t = Token{Kind: EOF}
+		p.tok = lexeme{Kind: EOF}
 	}
-	p.tok = t
 }
 
-func (p *Parser) cur() Token  { return p.tok }
-func (p *Parser) next() Token { t := p.tok; p.advance(); return t }
+func (p *Parser) cur() lexeme  { return p.tok }
+func (p *Parser) next() lexeme { t := p.tok; p.advance(); return t }
 
-func (p *Parser) expect(k Kind) (Token, error) {
+// text returns t's text, a substring of the unit.
+func (p *Parser) text(t lexeme) string { return p.src[t.lo : t.lo+int(t.n)] }
+
+func (p *Parser) expect(k Kind) (lexeme, error) {
 	t := p.tok
 	if t.Kind != k {
-		return t, fmt.Errorf("%s: expected %s, found %s %q", t.Pos, k, t.Kind, t.Text)
+		return t, fmt.Errorf("%s: expected %s, found %s %q", t.Pos, k, t.Kind, p.text(t))
 	}
 	p.advance()
 	return t, nil
@@ -111,7 +116,7 @@ func (p *Parser) parseProgram() (*Program, error) {
 			if _, err := p.expect(Semi); err != nil {
 				return nil, err
 			}
-			prog.Types = append(prog.Types, &TypeDecl{Name: name.Text, Pos: pos})
+			prog.Types = append(prog.Types, &TypeDecl{Name: p.text(name), Pos: pos})
 		case KwFun:
 			f, err := p.parseFun()
 			if err != nil {
@@ -124,7 +129,7 @@ func (p *Parser) parseProgram() (*Program, error) {
 			prog.Funs = append(prog.Funs, f)
 		default:
 			t := p.cur()
-			return nil, fmt.Errorf("%s: expected 'fun' or 'type' at top level, found %s %q", t.Pos, t.Kind, t.Text)
+			return nil, fmt.Errorf("%s: expected 'fun' or 'type' at top level, found %s %q", t.Pos, t.Kind, p.text(t))
 		}
 	}
 	return prog, nil
@@ -139,7 +144,7 @@ func (p *Parser) parseFun() (*FunDecl, error) {
 	if _, err := p.expect(LParen); err != nil {
 		return nil, err
 	}
-	f := &FunDecl{Name: name.Text, Pos: pos}
+	f := &FunDecl{Name: p.text(name), Pos: pos}
 	for p.cur().Kind != RParen {
 		if len(f.Params) > 0 {
 			if _, err := p.expect(Comma); err != nil {
@@ -157,7 +162,7 @@ func (p *Parser) parseFun() (*FunDecl, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.Params = append(f.Params, Param{Name: pn.Text, Type: pt.Text})
+		f.Params = append(f.Params, Param{Name: p.text(pn), Type: p.text(pt)})
 	}
 	p.next() // RParen
 	if p.accept(Colon) {
@@ -165,7 +170,7 @@ func (p *Parser) parseFun() (*FunDecl, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.RetType = rt.Text
+		f.RetType = p.text(rt)
 	}
 	body, err := p.parseBlock()
 	if err != nil {
@@ -220,7 +225,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(Semi); err != nil {
 			return nil, err
 		}
-		return p.nodes.decls.New(VarDecl{Name: name.Text, Type: typ.Text, Init: init, Pos: t.Pos}), nil
+		return p.nodes.decls.New(VarDecl{Name: p.text(name), Type: p.text(typ), Init: init, Pos: t.Pos}), nil
 
 	case KwIf:
 		p.next()
@@ -323,7 +328,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			catchType = ct.Text
+			catchType = p.text(ct)
 		}
 		if _, err := p.expect(RParen); err != nil {
 			return nil, err
@@ -332,7 +337,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &TryStmt{Try: try, CatchVar: cv.Text, CatchType: catchType, Catch: catch, Pos: t.Pos}, nil
+		return &TryStmt{Try: try, CatchVar: p.text(cv), CatchType: catchType, Catch: catch, Pos: t.Pos}, nil
 
 	case KwSpawn:
 		p.next()
@@ -380,7 +385,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		}
 		return p.nodes.exprs.New(ExprStmt{X: x, Pos: t.Pos}), nil
 	}
-	return nil, fmt.Errorf("%s: unexpected token %s %q at start of statement", t.Pos, t.Kind, t.Text)
+	return nil, fmt.Errorf("%s: unexpected token %s %q at start of statement", t.Pos, t.Kind, p.text(t))
 }
 
 // Expression parsing with precedence climbing:
@@ -517,9 +522,9 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch t.Kind {
 	case INT:
 		p.next()
-		v, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%s: bad integer literal %q", t.Pos, t.Text)
+		v, ok := decimal(p.text(t))
+		if !ok {
+			return nil, fmt.Errorf("%s: bad integer literal %q", t.Pos, p.text(t))
 		}
 		return p.nodes.ints.New(IntLit{Value: v, Pos: t.Pos}), nil
 	case KwTrue:
@@ -552,7 +557,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if _, err := p.expect(RParen); err != nil {
 			return nil, err
 		}
-		return &NewExpr{Type: typ.Text, Pos: t.Pos}, nil
+		return &NewExpr{Type: p.text(typ), Pos: t.Pos}, nil
 	case LParen:
 		p.next()
 		x, err := p.parseExpr()
@@ -570,26 +575,26 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			recv := p.nodes.idents.New(Ident{Name: t.Text, Pos: t.Pos})
+			recv := p.nodes.idents.New(Ident{Name: p.text(t), Pos: t.Pos})
 			if p.cur().Kind == LParen {
 				args, err := p.parseArgs()
 				if err != nil {
 					return nil, err
 				}
-				return p.nodes.methods.New(MethodCall{Recv: recv, Method: member.Text, Args: args, Pos: t.Pos}), nil
+				return p.nodes.methods.New(MethodCall{Recv: recv, Method: p.text(member), Args: args, Pos: t.Pos}), nil
 			}
-			return p.nodes.fields.New(FieldAccess{Recv: recv, Field: member.Text, Pos: t.Pos}), nil
+			return p.nodes.fields.New(FieldAccess{Recv: recv, Field: p.text(member), Pos: t.Pos}), nil
 		}
 		if p.cur().Kind == LParen {
 			args, err := p.parseArgs()
 			if err != nil {
 				return nil, err
 			}
-			return p.nodes.calls.New(CallExpr{Name: t.Text, Args: args, Pos: t.Pos}), nil
+			return p.nodes.calls.New(CallExpr{Name: p.text(t), Args: args, Pos: t.Pos}), nil
 		}
-		return p.nodes.idents.New(Ident{Name: t.Text, Pos: t.Pos}), nil
+		return p.nodes.idents.New(Ident{Name: p.text(t), Pos: t.Pos}), nil
 	}
-	return nil, fmt.Errorf("%s: unexpected token %s %q in expression", t.Pos, t.Kind, t.Text)
+	return nil, fmt.Errorf("%s: unexpected token %s %q in expression", t.Pos, t.Kind, p.text(t))
 }
 
 func (p *Parser) parseArgs() ([]Expr, error) {
@@ -611,4 +616,19 @@ func (p *Parser) parseArgs() ([]Expr, error) {
 	}
 	p.next() // RParen
 	return p.nodes.args.Cut(mark), nil
+}
+
+// decimal returns the value of s, a run of decimal digits as the lexer
+// scans an int literal, and whether it fits in an int64 (strconv.ParseInt's
+// answer, without its sign, base and error handling).
+func decimal(s string) (int64, bool) {
+	var v int64
+	for i := 0; i < len(s); i++ {
+		d := int64(s[i] - '0')
+		if v > (math.MaxInt64-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
+	}
+	return v, true
 }

@@ -45,26 +45,26 @@ func parseParts(src string, workers, least int) (*Program, int, error) {
 		}
 	}
 	lex := NewLexer(src)
-	prog, err := parse(lex)
+	prog, err := parse(lex, src)
 	// A parse that succeeded lexed src to its end, past every newline.
 	return prog, lex.line - 1, err
 }
 
 // parseEach parses the parts of src that cuts start on up to workers
-// goroutines, each with its own lexer, seeded with its part's offset and
-// line, and its own parser. It returns nil if any part fails.
+// goroutines, each with its own lexer, seeded with its part's offset,
+// line and line start (a part starts a line), and its own parser. It returns nil if any part fails.
 func parseEach(src string, cuts []cut, workers int) []*Program {
 	parts := make([]*Program, len(cuts)+1)
 	var failed atomic.Bool
 	forEach(len(parts), workers, func(_, i int) {
 		lex := NewLexer(src)
 		if i > 0 {
-			lex.off, lex.line = cuts[i-1].off, cuts[i-1].line
+			lex.off, lex.line, lex.lineStart = cuts[i-1].off, cuts[i-1].line, cuts[i-1].off
 		}
 		if i < len(cuts) {
 			lex.src = src[:cuts[i].off]
 		}
-		prog, err := parse(lex)
+		prog, err := parse(lex, src)
 		if err != nil {
 			failed.Store(true)
 			return

@@ -2,9 +2,11 @@ package lang_test
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/grapple-system/grapple/internal/ir"
 	"github.com/grapple-system/grapple/internal/lang"
@@ -140,6 +142,44 @@ func TestPartsReportTheFirstError(t *testing.T) {
 	for range 20 {
 		if _, err := lang.ResolveParallel(cut, 4); err == nil || err.Error() != want.Error() {
 			t.Fatalf("resolving in parts: %v, want %v", err, want)
+		}
+	}
+}
+
+// TestParseParallelLeavesNoGoroutine: ParseParallel returns only once every
+// goroutine it started has ended, whether the parts parse, one of them
+// fails (a lexical error, a syntax error, each in the first or the last
+// part) or the join does (a function declared in two parts).
+func TestParseParallelLeavesNoGoroutine(t *testing.T) {
+	src := workload.Generate(workload.WideProfile(10, 10)).Source
+	if cut, _, err := lang.ParseParallel(src, 2); err != nil || cut.NumParts() < 2 {
+		t.Fatalf("wide-sim 10×10 parses into %v parts, error %v; want two or more", cut, err)
+	}
+	units := []struct {
+		name, src string
+		fails     bool
+	}{
+		{"parts parse", src, false},
+		{"lexical error in the first part", "@\n" + src, true},
+		{"lexical error in the last part", src + "fun bad() { x = #; }\n", true},
+		{"syntax error in the first part", "fun bad( {\n" + src, true},
+		{"syntax error in the last part", src + "fun bad( {\n", true},
+		{"function declared in two parts", src + src, true},
+	}
+	for _, u := range units {
+		before := runtime.NumGoroutine()
+		_, _, err := lang.ParseParallel(u.src, 4)
+		if (err != nil) != u.fails {
+			t.Fatalf("%s: ParseParallel returned %v", u.name, err)
+		}
+		// A goroutine that has signalled the wait group may not have exited
+		// yet; one that leaked never does.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Errorf("%s: %d goroutines after ParseParallel, %d before", u.name, got, before)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package lang_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -31,12 +32,11 @@ func exampleProgram(t *testing.T, path string) string {
 	return text[:strings.IndexByte(text, '`')]
 }
 
-// TestStreamingParseMatchesReference: parsing straight off the lexer builds
-// the same AST, position for position, as parsing a pre-scanned token slice.
-// The corpus is every shipped example plus every generated subject (the
+// sourceCorpus is every shipped example plus every generated subject (the
 // golden profiles, the mini and the concurrency profile); the repository
 // has no MiniLang files under testdata/.
-func TestStreamingParseMatchesReference(t *testing.T) {
+func sourceCorpus(t *testing.T) map[string]string {
+	t.Helper()
 	corpus := map[string]string{}
 	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "*", "main.go"))
 	if err != nil || len(examples) == 0 {
@@ -49,7 +49,14 @@ func TestStreamingParseMatchesReference(t *testing.T) {
 	for _, p := range profiles {
 		corpus[p.Name] = workload.Generate(p).Source
 	}
-	for name, src := range corpus {
+	return corpus
+}
+
+// TestStreamingParseMatchesReference: parsing straight off the lexer builds
+// the same AST, position for position, as parsing a token slice the
+// reference lexer pre-scanned, over sourceCorpus.
+func TestStreamingParseMatchesReference(t *testing.T) {
+	for name, src := range sourceCorpus(t) {
 		got, err := lang.Parse(src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -61,6 +68,43 @@ func TestStreamingParseMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: streaming AST differs from the token-slice AST", name)
 		}
+	}
+}
+
+// TestLexerMatchesReference: the lexer yields the reference lexer's
+// tokens, kind, text and position, and its first error, on sourceCorpus,
+// wide-sim at 10×10 and the hand cases, each of which also ends within one
+// token per byte.
+func TestLexerMatchesReference(t *testing.T) {
+	corpus := sourceCorpus(t)
+	corpus["wide-sim 10×10"] = workload.Generate(workload.WideProfile(10, 10)).Source
+	for i, src := range lang.LexHandCases {
+		corpus[fmt.Sprintf("hand case %d %q", i, src)] = src
+	}
+	for name, src := range corpus {
+		if err := lang.CompareLexers(src); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestLexerAllocatesNothing: scanning wide-sim at 10×10 to its end, each
+// token in place into one lookahead as the parser does, allocates nothing.
+func TestLexerAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime inflates allocation")
+	}
+	src := workload.Generate(workload.WideProfile(10, 10)).Source
+	var n int
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if n, err = lang.ScanAll(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d tokens in %d bytes", n, len(src))
+	if allocs != 0 {
+		t.Errorf("scanning to EOF allocates %.0f times, want 0", allocs)
 	}
 }
 
