@@ -175,6 +175,10 @@ bench-e2e:
 # Decoder and Solver — and the cache insert after it only when a shard's
 # table or key arena grows (10 000 inserts, <= 64 allocations), the join as a
 # whole must stay within its pinned allocations and bytes per candidate, a
+# loaded partition's edges must live in fixed-size blocks that hold the edges
+# a flat slice would, in its order, and that growing never moves (one
+# allocation per block of adds), written to files byte-identical to the flat
+# writer's however the blocks split the edges, a
 # check in a temp dir whose graph fits the budget must do no partition I/O at
 # all (loads, writes, appends, bytes, evictions: all 0) and, out of
 # core, merge exactly the edge pairs the in-memory join merges, with exactly
@@ -209,9 +213,9 @@ bench-e2e:
 # Run without -race: the race runtime inflates allocation counts, so these
 # tests skip themselves under it.
 alloc-budget: build
-	$(GO) test ./internal/storage/ -run 'TestDecodeAllocBudget|TestKeyZeroAlloc' -count=1
+	$(GO) test ./internal/storage/ -run 'TestDecodeAllocBudget|TestKeyZeroAlloc|TestFramesAcrossBlocksMatchFlat' -count=1
 	$(GO) test ./internal/smt/ -run TestCachePutAllocs -count=1
-	$(GO) test ./internal/engine/ -run 'TestCacheProbeZeroAlloc|TestEndpointCountZeroAlloc|TestJoinAllocBudget' -count=1
+	$(GO) test ./internal/engine/ -run 'TestCacheProbeZeroAlloc|TestEndpointCountZeroAlloc|TestJoinAllocBudget|TestEdgeBlocksMatchSlice|TestPartitionAddNeverMovesEdges' -count=1
 	$(GO) test ./internal/lang/ -run 'TestParseAllocBudget|TestLexerAllocatesNothing' -count=1
 	$(GO) test ./internal/cfet/ -run 'TestBuildAllocBudget|TestStubAllocBudget' -count=1
 	$(GO) test ./internal/checker/ -run 'TestFrontendAllocBudget|TestFrontendScalesLinearly|TestPreAnalysisVisitsKeptFunctionsOnly|TestLowerVisitsPreKeptOnly|TestCrossPassJoinsEachPairOnce|TestOutOfCorePassesPerPartition|TestScratchRunDoesNoPartitionIO|TestMissPathZeroAlloc|TestDataflowBuildAllocBudget' -count=1

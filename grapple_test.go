@@ -194,6 +194,19 @@ func Touch(names []string, n int) error {
 	}
 }
 
+// TestCheckGoCheckerPackage checks internal/checker with the mutex pack. The
+// package binds closures to variables and then uses them as values
+// (Checker.PrepareIR's drop), which the Go frontend once lowered into a
+// reference to a variable it never declared: resolve failed and the check
+// exited 2.
+func TestCheckGoCheckerPackage(t *testing.T) {
+	res, _, err := CheckGoPackage(filepath.Join("internal", "checker"), []string{"mutex"}, Options{WorkDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d reports", len(res.Reports))
+}
+
 func TestQueryPointsTo(t *testing.T) {
 	src := `
 type R;

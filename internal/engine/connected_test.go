@@ -38,7 +38,7 @@ func scatter(f cutFixture, rng *rand.Rand) []storage.Edge {
 func owned(t *testing.T, p *partition) []storage.Edge {
 	t.Helper()
 	if p.mem != nil {
-		return p.mem.edges
+		return p.mem.edges.slice()
 	}
 	edges, _, _, err := storage.ReadPart(p.path, nil)
 	if err != nil {
@@ -147,7 +147,7 @@ func closeByHand(t *testing.T, f cutFixture, edges []storage.Edge, maxVariants i
 		if !ok {
 			break
 		}
-		if _, err := en.processPair(i, j); err != nil {
+		if _, _, err := en.processPair(i, j); err != nil {
 			t.Fatal(err)
 		}
 		en.stats.Iterations++
@@ -434,12 +434,12 @@ func TestCutIsACut(t *testing.T) {
 		var splits []split
 		for pos := len(en.parts) - 1; pos >= 0; pos-- {
 			for range 2 {
-				if _, err := en.processPair(pos, pos); err != nil {
+				if _, _, err := en.processPair(pos, pos); err != nil {
 					t.Fatal(err)
 				}
 			}
 			p, nParts := en.parts[pos], len(en.parts)
-			s := split{loaded: append([]storage.Edge(nil), p.mem.edges...), lo: p.lo, hi: p.hi}
+			s := split{loaded: p.mem.edges.slice(), lo: p.lo, hi: p.hi}
 			if err := en.repartition(pos); err != nil {
 				t.Fatal(err)
 			}

@@ -146,7 +146,8 @@ type memPart struct {
 	// induced after the file was last written — after the file's, and
 	// repartition filters without reordering. processPair's collect finds the
 	// frontier by binary search on it (TestPartitionEdgesInGenerationOrder).
-	edges []storage.Edge
+	// An edge never moves while the partition is loaded (edgeBlocks).
+	edges edgeBlocks
 	// bySrc lists, per source vertex, the edges the grammar can use as the
 	// second of a pair (Grammar.HasRight): the only ones the join looks up. An
 	// edge that can only start a pair, or only be a result, is not indexed.
@@ -177,16 +178,16 @@ type memPart struct {
 // edge order.
 func (mp *memPart) index(g *grammar.Grammar, lo uint32) {
 	n := 0
-	for i := range mp.edges {
-		if g.HasRight(mp.edges[i].Label) {
-			n = max(n, int(mp.edges[i].Src-lo)+1)
+	for i := range mp.edges.len() {
+		if e := mp.edges.at(i); g.HasRight(e.Label) {
+			n = max(n, int(e.Src-lo)+1)
 		}
 	}
 	counts := make([]int32, n)
 	total := 0
-	for i := range mp.edges {
-		if g.HasRight(mp.edges[i].Label) {
-			counts[mp.edges[i].Src-lo]++
+	for i := range mp.edges.len() {
+		if e := mp.edges.at(i); g.HasRight(e.Label) {
+			counts[e.Src-lo]++
 			total++
 		}
 	}
@@ -198,9 +199,8 @@ func (mp *memPart) index(g *grammar.Grammar, lo uint32) {
 		off += int(c)
 	}
 	mp.maxRightGen = 0
-	for i := range mp.edges {
-		e := &mp.edges[i]
-		if g.HasRight(e.Label) {
+	for i := range mp.edges.len() {
+		if e := mp.edges.at(i); g.HasRight(e.Label) {
 			mp.bySrc[e.Src-lo] = append(mp.bySrc[e.Src-lo], int32(i))
 			mp.maxRightGen = max(mp.maxRightGen, e.Gen)
 		}
@@ -255,15 +255,10 @@ func (p *partition) add(e storage.Edge, sz int64, first, second bool) {
 			// second when the index was built.
 			mp.bySrc = append(mp.bySrc, make([][]int32, i+1-len(mp.bySrc))...)
 		}
-		mp.bySrc[i] = append(mp.bySrc[i], int32(len(mp.edges)))
+		mp.bySrc[i] = append(mp.bySrc[i], int32(mp.edges.len()))
 		mp.maxRightGen = max(mp.maxRightGen, e.Gen)
 	}
-	if len(mp.edges) == cap(mp.edges) {
-		// Double when full: append grows a large slice by a quarter, and an
-		// edge array that only ever grows is then copied four times over.
-		mp.edges = slices.Grow(mp.edges, max(len(mp.edges), 64))
-	}
-	mp.edges = append(mp.edges, e)
+	mp.edges.push(e)
 	mp.dirty = true
 }
 
@@ -287,8 +282,8 @@ type Engine struct {
 	tick int64
 
 	// keys globally dedupes edges (an in-memory index, like the ICFET) by
-	// storage.Edge.Key. Written only between parallel join phases (see
-	// hasKey).
+	// storage.Edge.Key. The run goroutine alone reads and writes it: insert
+	// dedupes every candidate, so the join workers never look.
 	keys keySet
 	// variants counts constraint variants per endpoint triple.
 	variants endpointCounts
@@ -422,13 +417,13 @@ func (en *Engine) runLoop(ctx context.Context) (*Stats, error) {
 			break
 		}
 		sp := en.opts.Scope.Start("engine", "superstep")
-		firsts, err := en.processPair(i, j)
+		firsts, insert, err := en.processPair(i, j)
 		if err != nil {
 			return nil, err
 		}
 		en.stats.Iterations++
 		if observe {
-			en.observeSuperstep(sp, i, j, firsts)
+			en.observeSuperstep(sp, i, j, firsts, insert)
 		}
 		if en.jw != nil {
 			if err := en.opts.Scope.Faults.Hit(faultpoint.EngineCheckpointPre); err != nil {
@@ -461,10 +456,10 @@ func (en *Engine) finalStats() *Stats {
 }
 
 // observeSuperstep emits the completed superstep's trace span and progress
-// update. Everything here is a pure read over engine state, so observation
-// can never perturb the schedule (and with it insertion order, widening, or
-// reports).
-func (en *Engine) observeSuperstep(sp trace.Span, i, j, firsts int) {
+// update; insert is the superstep's serial insert time. Everything here is a
+// pure read over engine state, so observation can never perturb the schedule
+// (and with it insertion order, widening, or reports).
+func (en *Engine) observeSuperstep(sp trace.Span, i, j, firsts int, insert time.Duration) {
 	dirty := en.dirtyPairs()
 	edges := en.EdgesAfter()
 	s := &en.stats
@@ -477,6 +472,7 @@ func (en *Engine) observeSuperstep(sp trace.Span, i, j, firsts int) {
 		"cacheHits":    s.CacheHits,
 		"cacheLookups": s.CacheLookups,
 		"journalBytes": s.IO.JournalBytes,
+		"insertUs":     insert.Microseconds(),
 	})
 	en.opts.Scope.Progress.Update(trace.EngineUpdate{
 		Frontier:   int64(firsts),
@@ -560,13 +556,15 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) (cuts i
 		arcs[i] = arc{all[i].Src, all[i].Dst}
 	}
 	cut := markCuts(arcs)
-	var cur []storage.Edge
+	// A partition is all[start:end], taken over in place (blocksOf).
+	start := 0
 	var curBytes int64
 	var lo uint32
-	flushPart := func(hi uint32) error {
+	flushPart := func(hi uint32, end int) error {
 		if hi <= lo && len(en.parts) > 0 {
 			return nil
 		}
+		cur := all[start:end:end]
 		p := en.newPartition(lo, hi)
 		for i := range cur {
 			p.bytes += storage.RecordSize(&cur[i])
@@ -578,10 +576,10 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) (cuts i
 		// The partition stays loaded, and dirty: no file holds it yet. One
 		// that the budget has no room for leaves through evict like any other,
 		// the earliest built first (lastUse 0: before anything a pass loads).
-		p.mem = &memPart{edges: cur, dirty: true}
+		p.mem = &memPart{edges: blocksOf(cur), dirty: true}
 		p.mem.index(en.g, p.lo)
 		en.parts = append(en.parts, p)
-		cur, curBytes = nil, 0
+		start, curBytes = end, 0
 		lo = hi
 		return en.ensureBudget(p, p)
 	}
@@ -596,18 +594,17 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) (cuts i
 			if cut[i] {
 				cuts++
 			}
-			if err := flushPart(src); err != nil {
+			if err := flushPart(src, i); err != nil {
 				return 0, err
 			}
 		}
-		cur = append(cur, all[i:j]...)
 		curBytes += groupBytes
 		i = j
 	}
 	if numVertices == 0 {
 		numVertices = 1
 	}
-	if err := flushPart(numVertices); err != nil {
+	if err := flushPart(numVertices, len(all)); err != nil {
 		return 0, err
 	}
 	// Widen the last partition to cover the whole vertex space.
@@ -768,7 +765,7 @@ func (en *Engine) load(idx int) (*partition, error) {
 	durable, dirty := len(edges), len(p.pending) > 0
 	edges = append(edges, p.pending...)
 	p.pending = nil
-	p.mem = &memPart{edges: edges, durable: durable, dirty: dirty, lastUse: en.tick}
+	p.mem = &memPart{edges: blocksOf(edges), durable: durable, dirty: dirty, lastUse: en.tick}
 	p.mem.index(en.g, p.lo)
 	return p, nil
 }
@@ -781,8 +778,9 @@ func (en *Engine) load(idx int) (*partition, error) {
 func (en *Engine) readPart(p *partition) ([]storage.Edge, error) {
 	ioStart := time.Now()
 	// p.edges counts the file's edges plus the pending ones load merges: one
-	// allocation holds the loaded partition.
-	edges, info, n, err := storage.ReadPart(p.path, make([]storage.Edge, 0, p.edges))
+	// allocation holds the loaded partition, rounded up to whole blocks so
+	// that blocksOf copies none of it.
+	edges, info, n, err := storage.ReadPart(p.path, make([]storage.Edge, 0, roundBlocks(int(p.edges))))
 	if err != nil {
 		return nil, err
 	}
@@ -820,10 +818,10 @@ func checkCount(path string, got, want int64) error {
 	return nil
 }
 
-// writePart replaces p's file with edges.
-func (en *Engine) writePart(p *partition, edges []storage.Edge) error {
+// writePart replaces p's file with the edges of blocks.
+func (en *Engine) writePart(p *partition, blocks [][]storage.Edge) error {
 	ioStart := time.Now()
-	n, err := storage.WritePart(p.path, edges, storage.PartInfo{Lo: p.lo, Hi: p.hi})
+	n, err := storage.WriteBlocks(p.path, blocks, storage.PartInfo{Lo: p.lo, Hi: p.hi})
 	if err != nil {
 		return err
 	}
@@ -841,14 +839,14 @@ func (en *Engine) writeBack(p *partition) error {
 	}
 	var err error
 	if mp.durable == 0 {
-		err = en.writePart(p, mp.edges)
+		err = en.writePart(p, mp.edges.blocks)
 	} else {
-		err = en.appendPart(p, mp.edges[mp.durable:])
+		err = en.appendPart(p, mp.edges.from(mp.durable))
 	}
 	if err != nil {
 		return err
 	}
-	mp.durable, mp.dirty = len(mp.edges), false
+	mp.durable, mp.dirty = mp.edges.len(), false
 	return nil
 }
 
@@ -928,7 +926,7 @@ func (en *Engine) flushPending(force bool) error {
 		if len(p.pending) == 0 || !force && len(p.pending) < 4096 {
 			continue
 		}
-		if err := en.appendPart(p, p.pending); err != nil {
+		if err := en.appendPart(p, [][]storage.Edge{p.pending}); err != nil {
 			return err
 		}
 		p.pending = nil
@@ -936,11 +934,11 @@ func (en *Engine) flushPending(force bool) error {
 	return nil
 }
 
-// appendPart appends edges to p's file, creating it under p's interval where
-// there is none.
-func (en *Engine) appendPart(p *partition, edges []storage.Edge) error {
+// appendPart appends the edges of blocks to p's file, creating it under p's
+// interval where there is none.
+func (en *Engine) appendPart(p *partition, blocks [][]storage.Edge) error {
 	ioStart := time.Now()
-	n, err := storage.AppendPart(p.path, edges, storage.PartInfo{Lo: p.lo, Hi: p.hi}, en.opts.Scope.Faults)
+	n, err := storage.AppendPart(p.path, blocks, storage.PartInfo{Lo: p.lo, Hi: p.hi}, en.opts.Scope.Faults)
 	if err != nil {
 		return err
 	}

@@ -37,7 +37,7 @@ func driveToFixpoint(t *testing.T, en *Engine) {
 		if !ok {
 			return
 		}
-		if _, err := en.processPair(i, j); err != nil {
+		if _, _, err := en.processPair(i, j); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +97,7 @@ func TestRepartitionInheritsStamps(t *testing.T) {
 	// a cache lookup or a new edge.
 	for i := range en.parts {
 		for j := i; j < len(en.parts); j++ {
-			if _, err := en.processPair(i, j); err != nil {
+			if _, _, err := en.processPair(i, j); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -124,7 +124,7 @@ func TestSplitMidRunJoinsEachPairOnce(t *testing.T) {
 	driveToFixpoint(t, ref)
 
 	en := startEngine(t, ic, d.G, opts, edges, n)
-	if _, err := en.processPair(0, 0); err != nil {
+	if _, _, err := en.processPair(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	nParts := len(en.parts)

@@ -317,7 +317,7 @@ func TestBySrcHoldsOnlySeconds(t *testing.T) {
 			for i, idxs := range mp.bySrc {
 				src := p.lo + uint32(i)
 				for _, x := range idxs {
-					e := &mp.edges[x]
+					e := mp.edges.at(int(x))
 					if e.Src != src || !en.g.HasRight(e.Label) || indexed[x] {
 						t.Fatalf("%s: partition %d indexes edge %d (%d->%d %s) under source %d (right-capable %v, seen %v)",
 							when, p.id, x, e.Src, e.Dst, en.g.Name(e.Label), src, en.g.HasRight(e.Label), indexed[x])
@@ -326,8 +326,8 @@ func TestBySrcHoldsOnlySeconds(t *testing.T) {
 					newest = max(newest, e.Gen)
 				}
 			}
-			for x := range mp.edges {
-				if en.g.HasRight(mp.edges[x].Label) && !indexed[int32(x)] {
+			for x := range mp.edges.len() {
+				if en.g.HasRight(mp.edges.at(x).Label) && !indexed[int32(x)] {
 					t.Fatalf("%s: partition %d does not index its right-capable edge %d", when, p.id, x)
 				}
 			}
@@ -341,7 +341,7 @@ func TestBySrcHoldsOnlySeconds(t *testing.T) {
 				t.Fatalf("%s: partition %d finds seconds past its indexed sources", when, p.id)
 			}
 			seconds += len(indexed)
-			total += len(mp.edges)
+			total += mp.edges.len()
 		}
 		if seconds == 0 || induced && seconds == total {
 			t.Fatalf("%s: %d of %d loaded edges indexed: the fixture does not tell seconds from the rest", when, seconds, total)
@@ -360,7 +360,7 @@ func TestBySrcHoldsOnlySeconds(t *testing.T) {
 			// add: two passes' worth of induced edges into the loaded
 			// partitions, derived seconds among them under the pointer grammar.
 			for range 2 {
-				if _, err := en.processPair(0, 0); err != nil {
+				if _, _, err := en.processPair(0, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -413,7 +413,7 @@ func TestBySrcHoldsOnlySeconds(t *testing.T) {
 		e.Gen = 1
 		p.add(e, storage.RecordSize(&e), true, true)
 		check(t, en, "after an add past the indexed sources", false)
-		if idxs, _, _ := jn.seconds(0, f.nv+4); len(idxs) != 1 || p.mem.edges[idxs[0]].Src != f.nv+4 {
+		if idxs, _, _ := jn.seconds(0, f.nv+4); len(idxs) != 1 || p.mem.edges.at(int(idxs[0])).Src != f.nv+4 {
 			t.Fatalf("seconds(%d) = %v after the add", f.nv+4, idxs)
 		}
 		for _, v := range []uint32{f.nv, f.nv + 3, f.nv + 5} {
@@ -458,7 +458,7 @@ func TestFrontierBufferReleasesEvictedEdges(t *testing.T) {
 			}
 		}
 	}
-	large, err := en.processPair(0, 0)
+	large, _, err := en.processPair(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestFrontierBufferReleasesEvictedEdges(t *testing.T) {
 	}
 	small := large
 	for small >= fan {
-		if small, err = en.processPair(0, 0); err != nil {
+		if small, _, err = en.processPair(0, 0); err != nil {
 			t.Fatal(err)
 		}
 		zeroed("after a later superstep")

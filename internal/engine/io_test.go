@@ -150,7 +150,7 @@ func TestPartitionFileShortOfCountIsCorrupt(t *testing.T) {
 	if err := en.ForEach(func(*storage.Edge) bool { return true }); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("ForEach over a short file: %v, want storage.ErrCorrupt", err)
 	}
-	if _, err := en.processPair(idx, idx); !errors.Is(err, storage.ErrCorrupt) {
+	if _, _, err := en.processPair(idx, idx); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("a pass loading a short file: %v, want storage.ErrCorrupt", err)
 	}
 }

@@ -152,21 +152,22 @@ func (scr *joinScratch) keep(enc cfet.Enc) cfet.Enc {
 // §4.3 "similar in spirit to table joining in relational algebra, but ...
 // we need to consider the constraints of both assignment semantics and
 // paths"). Returns the superstep's frontier size — how many first edges were
-// collected for joining — for the observability layer.
-func (en *Engine) processPair(i, j int) (int, error) {
+// collected for joining — and the time the run goroutine spent inserting the
+// candidates, for the observability layer.
+func (en *Engine) processPair(i, j int) (frontier int, insert time.Duration, err error) {
 	// Make room for i, j; other cached partitions stay resident until the
 	// memory budget forces them out, least-recently-used first.
 	if err := en.ensureBudget(en.parts[i], en.parts[j]); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	pi, err := en.load(i)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	pj := pi
 	if j != i {
 		if pj, err = en.load(j); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
 	en.hot = [2]*partition{pi, pj}
@@ -198,14 +199,14 @@ func (en *Engine) processPair(i, j int) (int, error) {
 		return st.seen && to.mem.maxRightGen <= st.last
 	}
 	collect := func(from, other *partition, self stamp) {
-		edges := from.mem.edges
+		edges := &from.mem.edges
 		k := 0
 		if !en.wholeFrontier && settled(from, self) && settled(other, jn.cross) {
 			after := min(self.last, jn.cross.last)
-			k = sort.Search(len(edges), func(k int) bool { return edges[k].Gen > after })
+			k = sort.Search(edges.len(), func(k int) bool { return edges.at(k).Gen > after })
 		}
-		for ; k < len(edges); k++ {
-			if e := &edges[k]; en.g.HasLeft(e.Label) {
+		for ; k < edges.len(); k++ {
+			if e := edges.at(k); en.g.HasLeft(e.Label) {
 				firsts = append(firsts, e)
 			}
 		}
@@ -248,20 +249,21 @@ func (en *Engine) processPair(i, j int) (int, error) {
 	// Insert candidates (single-threaded: dedupe set and partitions), in
 	// chunk order — the order one worker would have produced them in,
 	// whichever worker claimed which chunk.
-	computeStart := time.Now()
+	insertStart := time.Now()
 	for _, c := range jn.chunks {
 		for k := c.lo; k < c.hi; k++ {
 			en.insert(&c.scr.out[k].edge, c.scr.out[k].payload)
 		}
 	}
-	en.stats.Breakdown.Compute += time.Since(computeStart)
+	insert = time.Since(insertStart)
+	en.stats.Breakdown.Compute += insert
 
 	// The frontier and the candidate batches are dead now, but their slots
-	// would go on pointing into the edge arrays and arenas of partitions
+	// would go on pointing into the edge blocks and arenas of partitions
 	// evicted later — each pointer keeping a whole array alive outside what
 	// MemoryBudget counts — until a frontier as large overwrote them. Zero
 	// what this superstep used, so the buffers hold nothing between supersteps.
-	frontier := len(firsts)
+	frontier = len(firsts)
 	clear(firsts)
 	for _, scr := range en.scratch[:workers] {
 		clear(scr.out)
@@ -278,7 +280,7 @@ func (en *Engine) processPair(i, j int) (int, error) {
 	}
 
 	if err := en.flushPending(false); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	// Eager repartitioning (paper §4.3): split any loaded partition whose
 	// byte size outgrew the budget. Split j before i: the split inserts a
@@ -287,12 +289,12 @@ func (en *Engine) processPair(i, j int) (int, error) {
 		for _, idx := range []int{j, i} {
 			if p := en.parts[idx]; p.mem != nil && p.bytes > en.opts.MemoryBudget/3 {
 				if err := en.repartition(idx); err != nil {
-					return 0, err
+					return 0, 0, err
 				}
 			}
 		}
 	}
-	return frontier, nil
+	return frontier, insert, nil
 }
 
 // appendEncCacheKey appends the memoization key of an encoding's raw
@@ -393,7 +395,7 @@ func (en *Engine) joinRange(jn *passJoin, lo, hi int, scr *joinScratch, c *joinC
 		e1 := jn.firsts[k]
 		idxs, mp, st := jn.seconds(k, e1.Dst)
 		for _, x := range idxs {
-			e2 := &mp.edges[x]
+			e2 := mp.edges.at(int(x))
 			if st.joined(e1, e2) {
 				continue // both sides already joined in a prior iteration
 			}
@@ -417,23 +419,11 @@ func (en *Engine) joinRange(jn *passJoin, lo, hi int, scr *joinScratch, c *joinC
 				c.conflicts++
 				continue
 			}
-			// Global-dedupe pre-check against the frozen index (see
-			// hasKey); insert re-checks each survivor against the index
-			// as it grows.
+			// No dedupe here: insert checks every candidate against the
+			// global index, and a duplicate that reaches the memo is a hit.
 			cand := storage.Edge{Src: e1.Src, Dst: e2.Dst, Gen: jn.gen, HasRel: e1.HasRel, Enc: enc}
 			if cand.HasRel {
 				cand.Rel = fsm.Compose(e1.Rel, e2.Rel)
-			}
-			payload := cand.PayloadHash()
-			allDup := true
-			for _, h := range heads {
-				if !en.hasKey(storage.KeyOf(cand.Src, cand.Dst, h, payload)) {
-					allDup = false
-					break
-				}
-			}
-			if allDup {
-				continue
 			}
 			if len(enc) > 0 {
 				// Constraint memoization keyed by the encoded path (paper
@@ -478,6 +468,7 @@ func (en *Engine) joinRange(jn *passJoin, lo, hi int, scr *joinScratch, c *joinC
 			}
 			// Survivor: only now does the encoding leave the merge buffer.
 			cand.Enc = scr.keep(enc)
+			payload := cand.PayloadHash()
 			for _, h := range heads {
 				cand.Label = h
 				out = append(out, candidate{edge: cand, payload: payload})
@@ -492,14 +483,6 @@ func (en *Engine) stamp(a, b int) stamp {
 	last, seen := en.lastGen[[2]int{a, b}]
 	return stamp{last: last, seen: seen}
 }
-
-// hasKey probes the global dedupe index without a lock. That is safe from
-// join workers because the index is frozen while they run: en.keys (and
-// en.variants, which workers never read) are written only by preprocess, by
-// resume, and by insert, and processPair calls insert only after wg.Wait()
-// has seen every worker of the superstep return. So are the loaded
-// partitions' edges and bySrc, which workers read through passJoin.seconds.
-func (en *Engine) hasKey(k uint64) bool { return en.keys.has(k) }
 
 // insert adds one induced edge and its unary/mirror expansions to their
 // owning partitions, honoring the per-endpoint variant cap. payload is e's
@@ -564,12 +547,13 @@ func (en *Engine) repartition(idx int) error {
 	if mp == nil {
 		return nil
 	}
-	if p.hi-p.lo <= 1 || len(mp.edges) < 2 {
+	if p.hi-p.lo <= 1 || mp.edges.len() < 2 {
 		return nil // cannot split a single-vertex interval
 	}
-	arcs := make([]arc, len(mp.edges))
-	for i := range mp.edges {
-		arcs[i] = arc{mp.edges[i].Src, mp.edges[i].Dst}
+	arcs := make([]arc, mp.edges.len())
+	for i := range arcs {
+		e := mp.edges.at(i)
+		arcs[i] = arc{e.Src, e.Dst}
 	}
 	slices.SortFunc(arcs, func(a, b arc) int { return cmp.Compare(a.src, b.src) })
 	n := len(arcs)
@@ -595,16 +579,14 @@ func (en *Engine) repartition(idx int) error {
 	np := en.newPartition(mid, p.hi)
 	p.hi, p.edges, p.bytes, p.maxGen = mid, 0, 0, 0
 	p.dstMin, p.dstMax = math.MaxUint32, 0
-	nLo, _ := slices.BinarySearchFunc(arcs, mid, func(a arc, v uint32) int { return cmp.Compare(a.src, v) })
-	loEdges := make([]storage.Edge, 0, nLo)
-	hiEdges := make([]storage.Edge, 0, len(mp.edges)-nLo)
-	for i := range mp.edges {
-		e := &mp.edges[i]
+	var loEdges, hiEdges edgeBlocks
+	for i := range mp.edges.len() {
+		e := mp.edges.at(i)
 		half, edges := p, &loEdges
 		if e.Src >= mid {
 			half, edges = np, &hiEdges
 		}
-		*edges = append(*edges, *e)
+		edges.push(*e)
 		half.edges++
 		half.bytes += storage.RecordSize(e)
 		half.maxGen = max(half.maxGen, e.Gen)
@@ -622,7 +604,7 @@ func (en *Engine) repartition(idx int) error {
 		p.path = filepath.Join(en.opts.Dir,
 			fmt.Sprintf("part-%06d-r%06d.edges", p.id, en.stats.Repartitions))
 	}
-	if err := en.writePart(np, hiEdges); err != nil {
+	if err := en.writePart(np, hiEdges.blocks); err != nil {
 		return err
 	}
 	if en.opts.Scope.Rec.Enabled() {
@@ -669,9 +651,9 @@ func (en *Engine) repartition(idx int) error {
 // only valid during the call.
 func (en *Engine) ForEach(f func(*storage.Edge) bool) error {
 	for _, p := range en.parts {
-		if p.mem != nil {
-			for i := range p.mem.edges {
-				if !f(&p.mem.edges[i]) {
+		if mp := p.mem; mp != nil {
+			for i := range mp.edges.len() {
+				if !f(mp.edges.at(i)) {
 					return nil
 				}
 			}

@@ -8,9 +8,8 @@ package engine
 // lookup and an assign. The table is a pointer-free []uint64 the GC never
 // scans. A slot holding 0 is empty; the key 0 itself lives in a flag.
 //
-// Like the map it replaces it is written only on the run goroutine (add, and
-// the growth add triggers) and read lock-free by join workers while nothing
-// writes it (Engine.hasKey).
+// Like the map it replaces it is read and written only on the run goroutine:
+// preprocess, resume and insert, which dedupes every join candidate.
 type keySet struct {
 	slots   []uint64 // length 0 or a power of two
 	n       int      // nonzero keys held

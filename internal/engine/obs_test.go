@@ -111,21 +111,31 @@ func TestTraceDoesNotChangeClosure(t *testing.T) {
 	}
 
 	// The trace itself must be a valid Chrome document with one span per
-	// superstep (plus preprocess and metadata).
+	// superstep (plus preprocess and metadata), each with the run goroutine's
+	// insert time, which Figure 9's compute share includes.
 	var doc struct {
 		TraceEvents []struct {
-			Ph   string `json:"ph"`
-			Name string `json:"name"`
+			Ph   string         `json:"ph"`
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
 		t.Fatalf("chrome trace does not parse: %v", err)
 	}
-	supersteps := 0
+	supersteps, insertUs := 0, 0.0
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph == "X" && ev.Name == "superstep" {
 			supersteps++
+			us, ok := ev.Args["insertUs"].(float64)
+			if !ok {
+				t.Fatalf("superstep span without insertUs: %v", ev.Args)
+			}
+			insertUs += us
 		}
+	}
+	if compute := float64(stObs.Breakdown.Compute.Microseconds()); insertUs > compute {
+		t.Fatalf("supersteps spent %.0f µs inserting, more than the run's %.0f µs of compute", insertUs, compute)
 	}
 	if int64(supersteps) != stObs.Iterations {
 		t.Fatalf("trace has %d superstep spans, engine ran %d iterations", supersteps, stObs.Iterations)

@@ -47,7 +47,7 @@ func TestSplitKeepsPerPartitionState(t *testing.T) {
 
 	// The hot seat, by a real pass; then out of memory again, so that the
 	// edge inserted next is buffered.
-	if _, err := en.processPair(1, last); err != nil {
+	if _, _, err := en.processPair(1, last); err != nil {
 		t.Fatal(err)
 	}
 	if err := en.evict(later); err != nil {
@@ -231,8 +231,8 @@ func TestPartitionEdgesInGenerationOrder(t *testing.T) {
 			if p.mem == nil {
 				continue
 			}
-			for k := 1; k < len(p.mem.edges); k++ {
-				if a, b := p.mem.edges[k-1].Gen, p.mem.edges[k].Gen; a > b {
+			for k := 1; k < p.mem.edges.len(); k++ {
+				if a, b := p.mem.edges.at(k-1).Gen, p.mem.edges.at(k).Gen; a > b {
 					t.Fatalf("%s: partition %d holds generation %d at %d after %d at %d", when, p.id, b, k, a, k-1)
 				}
 			}
@@ -262,7 +262,7 @@ func TestPartitionEdgesInGenerationOrder(t *testing.T) {
 				}
 			}
 			ordered(t, en, fmt.Sprintf("superstep %d, loaded", steps))
-			if _, err := en.processPair(i, j); err != nil {
+			if _, _, err := en.processPair(i, j); err != nil {
 				t.Fatal(err)
 			}
 			ordered(t, en, fmt.Sprintf("superstep %d, inserted", steps))

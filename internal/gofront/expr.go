@@ -436,6 +436,12 @@ func (f *fnLowerer) lowerObj(e ast.Expr, out *[]lang.Stmt) (lang.Expr, string) {
 			return &lang.NullLit{Pos: pos}, ""
 		}
 		if vi := f.lookup(e.Name); vi != nil {
+			if vi.clo != nil {
+				// A lifted closure has no variable to refer to: as a value it
+				// escapes, like a literal in value position.
+				f.havoc("closure-escape")
+				return &lang.NullLit{Pos: pos}, "Func"
+			}
 			if lang.IsObjectType(vi.cat) {
 				return f.ident(vi, pos), vi.cat
 			}

@@ -348,7 +348,7 @@ func TestReadPartPrefixCursorEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendPart(path, edges[48:], PartInfo{}, nil); err != nil {
+	if _, err := AppendPart(path, [][]Edge{edges[48:]}, PartInfo{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	want, _, _, err := readPartStream(path, nil)

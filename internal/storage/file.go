@@ -44,28 +44,41 @@ type PartInfo struct {
 	Lo, Hi uint32
 }
 
-// putFrames encodes edges as frames of about targetBlockSize bytes of
-// records each and hands each frame to put, which may not keep it. Returns
-// the bytes framed.
-func putFrames(edges []Edge, put func(frame []byte) error) (int64, error) {
+// putFrames encodes the edges of blocks, in order, as frames of about
+// targetBlockSize bytes of records each and hands each frame to put, which
+// may not keep it. A frame may span blocks: where frames are cut depends on
+// the edges alone, never on how blocks split them. Returns the bytes framed.
+func putFrames(blocks [][]Edge, put func(frame []byte) error) (int64, error) {
 	const reserve = 4 + binary.MaxVarintLen64 // the frame length and the count
 	var zero [reserve]byte
-	var buf []byte
+	buf := append([]byte(nil), zero[:]...)
 	var n int64
-	for i := 0; i < len(edges); {
-		buf = append(buf[:0], zero[:]...)
-		j := i
-		for ; j < len(edges) && len(buf) < reserve+targetBlockSize; j++ {
-			buf = appendRecordV2(buf, &edges[j])
-		}
-		start := reserve - 4 - uvarintLen(uint64(j-i))
-		binary.PutUvarint(buf[start+4:], uint64(j-i))
+	count := 0
+	seal := func() error {
+		start := reserve - 4 - uvarintLen(uint64(count))
+		binary.PutUvarint(buf[start+4:], uint64(count))
 		buf = sealFrame(buf, start)
 		if err := put(buf[start:]); err != nil {
-			return n, err
+			return err
 		}
 		n += int64(len(buf) - start)
-		i = j
+		buf, count = append(buf[:0], zero[:]...), 0
+		return nil
+	}
+	for _, blk := range blocks {
+		for i := range blk {
+			buf = appendRecordV2(buf, &blk[i])
+			if count++; len(buf) >= reserve+targetBlockSize {
+				if err := seal(); err != nil {
+					return n, err
+				}
+			}
+		}
+	}
+	if count > 0 {
+		if err := seal(); err != nil {
+			return n, err
+		}
 	}
 	return n, nil
 }
@@ -73,13 +86,19 @@ func putFrames(edges []Edge, put func(frame []byte) error) (int64, error) {
 // WritePart atomically replaces path (see writeAtomic) with a partition file
 // holding edges, recording info in the header. Returns the bytes written.
 func WritePart(path string, edges []Edge, info PartInfo) (int64, error) {
+	return WriteBlocks(path, [][]Edge{edges}, info)
+}
+
+// WriteBlocks is WritePart over the edges of blocks, in order: the file is
+// the one WritePart writes for them as one slice.
+func WriteBlocks(path string, blocks [][]Edge, info PartInfo) (int64, error) {
 	var n int64
 	err := writeAtomic(path, func(w io.Writer) error {
 		if _, err := w.Write(partFormat.header(uint64(info.Lo) | uint64(info.Hi)<<32)); err != nil {
 			return err
 		}
 		var err error
-		n, err = putFrames(edges, func(frame []byte) error {
+		n, err = putFrames(blocks, func(frame []byte) error {
 			_, err := w.Write(frame)
 			return err
 		})
@@ -91,24 +110,25 @@ func WritePart(path string, edges []Edge, info PartInfo) (int64, error) {
 	return journalHeaderSize + n, nil
 }
 
-// AppendPart appends edges to the partition file at path as frames and
-// fsyncs once, or creates the file with WritePart, recording info, where
-// there is none. An existing file's header is verified first, and a file
-// that fails it is left untouched. A crash mid-append leaves a torn final
-// frame, which readers drop; the fault point faultpoint.PartAppendMid tears
-// one. Returns the bytes written.
-func AppendPart(path string, edges []Edge, info PartInfo, faults *faultpoint.Set) (int64, error) {
-	if len(edges) == 0 {
+// AppendPart appends the edges of blocks, in order, to the partition file at
+// path as frames — the frames one slice of them would make — and fsyncs
+// once, or creates the file with WriteBlocks, recording info, where there is
+// none. An existing file's header is verified first, and a file that fails
+// it is left untouched. A crash mid-append leaves a torn final frame, which
+// readers drop; the fault point faultpoint.PartAppendMid tears one. Returns
+// the bytes written.
+func AppendPart(path string, blocks [][]Edge, info PartInfo, faults *faultpoint.Set) (int64, error) {
+	if !hasEdges(blocks) {
 		return 0, nil
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
 	if os.IsNotExist(err) {
-		return WritePart(path, edges, info)
+		return WriteBlocks(path, blocks, info)
 	}
 	if err != nil {
 		return 0, err
 	}
-	n, err := appendFrames(f, path, edges, faults)
+	n, err := appendFrames(f, path, blocks, faults)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -118,9 +138,19 @@ func AppendPart(path string, edges []Edge, info PartInfo, faults *faultpoint.Set
 	return n, nil
 }
 
+// hasEdges reports whether any of blocks holds an edge.
+func hasEdges(blocks [][]Edge) bool {
+	for _, blk := range blocks {
+		if len(blk) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // appendFrames is AppendPart on the open file f: verify the header, write
 // the frames, fsync.
-func appendFrames(f *os.File, path string, edges []Edge, faults *faultpoint.Set) (int64, error) {
+func appendFrames(f *os.File, path string, blocks [][]Edge, faults *faultpoint.Set) (int64, error) {
 	head := make([]byte, journalHeaderSize)
 	n, err := f.ReadAt(head, 0)
 	if err != nil && err != io.EOF {
@@ -129,7 +159,7 @@ func appendFrames(f *os.File, path string, edges []Edge, faults *faultpoint.Set)
 	if _, err := partFormat.parse(path, head[:n]); err != nil {
 		return 0, err
 	}
-	written, err := putFrames(edges, func(frame []byte) error {
+	written, err := putFrames(blocks, func(frame []byte) error {
 		return writeFrame(f, frame, faults, faultpoint.PartAppendMid)
 	})
 	if err != nil {

@@ -99,7 +99,7 @@ func FuzzReadPart(f *testing.F) {
 	if _, err := WritePart(seed, edges[:12], PartInfo{Lo: 3, Hi: 99}); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := AppendPart(seed, edges[12:], PartInfo{}, nil); err != nil {
+	if _, err := AppendPart(seed, [][]Edge{edges[12:]}, PartInfo{}, nil); err != nil {
 		f.Fatal(err)
 	}
 	good, err := os.ReadFile(seed)

@@ -377,7 +377,7 @@ func TestReadPartPrefixWithSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendPart(path, edges[40:], PartInfo{}, nil); err != nil {
+	if _, err := AppendPart(path, [][]Edge{edges[40:]}, PartInfo{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, _, end, err := ReadPartPrefix(path, 40)
@@ -417,7 +417,7 @@ func TestReadPartPrefixTornAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendPart(path, edges[30:], PartInfo{}, nil); err != nil {
+	if _, err := AppendPart(path, [][]Edge{edges[30:]}, PartInfo{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

@@ -226,10 +226,10 @@ func TestAppendFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := []Edge{randEdge(rng), randEdge(rng)}
 	b := []Edge{randEdge(rng)}
-	if _, err := AppendPart(path, a, PartInfo{Lo: 4, Hi: 8}, nil); err != nil {
+	if _, err := AppendPart(path, [][]Edge{a}, PartInfo{Lo: 4, Hi: 8}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendPart(path, b, PartInfo{Lo: 9, Hi: 9}, nil); err != nil {
+	if _, err := AppendPart(path, [][]Edge{b}, PartInfo{Lo: 9, Hi: 9}, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, info, _, err := ReadPart(path, nil)
@@ -256,7 +256,7 @@ func TestAppendToWrittenPart(t *testing.T) {
 		t.Fatal(err)
 	}
 	more := []Edge{randEdge(rng), longEncEdge(400)}
-	if _, err := AppendPart(path, more, PartInfo{}, nil); err != nil {
+	if _, err := AppendPart(path, [][]Edge{more}, PartInfo{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, info, _, err := ReadPart(path, nil)
@@ -323,7 +323,7 @@ func TestCorruptionMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, more := range [][]Edge{edges[100:150], edges[150:]} {
-		if _, err := AppendPart(pristine, more, PartInfo{}, nil); err != nil {
+		if _, err := AppendPart(pristine, [][]Edge{more}, PartInfo{}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -420,7 +420,7 @@ func TestCorruptionMatrix(t *testing.T) {
 			if _, _, _, err := ReadPartPrefix(path, 0); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("ReadPartPrefix: %v", err)
 			}
-			if _, err := AppendPart(path, edges[:1], PartInfo{}, nil); !errors.Is(err, ErrCorrupt) {
+			if _, err := AppendPart(path, [][]Edge{edges[:1]}, PartInfo{}, nil); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("AppendPart: %v", err)
 			}
 			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, bad) {
@@ -437,7 +437,7 @@ func TestCorruptionMatrix(t *testing.T) {
 		if err := os.WriteFile(path, good[:len(good)-3], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := AppendPart(path, edges[:1], PartInfo{}, nil); err != nil {
+		if _, err := AppendPart(path, [][]Edge{edges[:1]}, PartInfo{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, _, err := ReadPart(path, nil); !errors.Is(err, ErrCorrupt) {
